@@ -16,6 +16,7 @@ cache directories degrade to recomputation instead of wrong answers.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict
 from typing import Any
 
@@ -439,6 +440,23 @@ def pattern_set_from_dict(data: dict[str, Any]):
     )
 
 
+def _request_scale(data: dict[str, Any]) -> float:
+    """A request's catalog ``scale``: a finite number > 0 (default 1.0).
+
+    Served sessions are keyed by it and ``/stats`` formats it as a
+    number, so anything else is rejected here, as a bad request.
+    """
+    scale = data.get("scale", 1.0)
+    if (
+        isinstance(scale, bool)
+        or not isinstance(scale, (int, float))
+        or not math.isfinite(scale)
+        or scale <= 0
+    ):
+        raise ValueError(f"scale must be a finite number > 0, got {scale!r}")
+    return float(scale)
+
+
 def diagnose_request_to_dict(request) -> dict[str, Any]:
     """A :class:`~repro.serve.api.DiagnoseRequest` as the ``POST
     /diagnose`` body."""
@@ -467,7 +485,7 @@ def diagnose_request_from_dict(data: dict[str, Any]):
         responses=tuple(data["responses"]),
         patterns=tuple(patterns) if patterns is not None else None,
         patterns_ref=data.get("patterns_ref"),
-        scale=data.get("scale", 1.0),
+        scale=_request_scale(data),
         method=data.get("method", "dictionary"),
         top_k=data.get("top_k", 10),
         timeout_ms=data.get("timeout_ms"),
@@ -530,7 +548,7 @@ def atpg_request_from_dict(data: dict[str, Any]):
     check_schema(data, "atpg_request")
     return AtpgRequest(
         circuit=data["circuit"],
-        scale=data.get("scale", 1.0),
+        scale=_request_scale(data),
         seed=data.get("seed", 2001),
         max_random_patterns=data.get("max_random_patterns", 4096),
         backtrack_limit=data.get("backtrack_limit", 250),
@@ -588,7 +606,7 @@ def sweep_request_from_dict(data: dict[str, Any]):
         circuits=tuple(data["circuits"]),
         tpgs=tuple(data.get("tpgs", ("adder",))),
         evolution_lengths=tuple(data.get("evolution_lengths", (32,))),
-        scale=data.get("scale", 1.0),
+        scale=_request_scale(data),
         seed=data.get("seed", 2001),
         timeout_ms=data.get("timeout_ms"),
     )

@@ -39,6 +39,7 @@ from repro.flow.serialize import (
 )
 from repro.flow.stages import ProgressHook, StageContext, StageEvent, run_flow
 from repro.obs import NULL_TELEMETRY, Telemetry, stage_hook
+from repro.setcover.solve import prepare_solver
 from repro.sim.fault import FaultSimulator
 from repro.sim.threeval import XFaultSimulator
 from repro.tpg.base import TestPatternGenerator
@@ -518,6 +519,8 @@ class Session:
                 self._emit(StageEvent("pipeline", "cache-hit"))
                 result = PipelineResult.from_dict(payload)
                 return RunInfo(result, True, time.perf_counter() - start)
+        # Before ATPG, as ``run_flow`` does before its first stage.
+        prepare_solver(config.cover_method)
         atpg_was_ready = self._atpg_knobs(config) in self._atpg_results
         atpg = self._atpg_for(config)
         ctx = StageContext(

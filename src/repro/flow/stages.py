@@ -37,7 +37,7 @@ from repro.circuit.netlist import Circuit
 from repro.reseeding.initial import InitialReseedingBuilder
 from repro.reseeding.trim import trim_solution
 from repro.setcover.matrix import CoverMatrix
-from repro.setcover.solve import solve_cover
+from repro.setcover.solve import prepare_solver, solve_cover
 from repro.sim.fault import FaultSimulator
 from repro.tpg.base import TestPatternGenerator
 from repro.utils.registry import Registry
@@ -450,6 +450,7 @@ def run_flow(
 ) -> "PipelineResult":
     """Execute ``stages`` (default: the full Figure-1 chain) over ``ctx``
     and assemble the :class:`~repro.flow.pipeline.PipelineResult`."""
+    prepare_solver(ctx.config.cover_method)
     for entry in stages if stages is not None else DEFAULT_STAGES:
         stage = make_stage(entry) if isinstance(entry, str) else entry
         stage.execute(ctx)

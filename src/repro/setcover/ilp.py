@@ -14,17 +14,12 @@ scipy is unavailable; both give the same optimum (property-tested).
 
 from __future__ import annotations
 
+import functools
+import importlib.util
 import math
 from dataclasses import dataclass
 
 import numpy as np
-
-try:  # scipy is an install dependency, but stay importable without it
-    from scipy.optimize import linprog
-
-    _HAVE_SCIPY = True
-except ImportError:  # pragma: no cover - exercised only without scipy
-    _HAVE_SCIPY = False
 
 from repro.setcover.exact import branch_and_bound
 from repro.setcover.greedy import drop_redundant, greedy_cover
@@ -43,6 +38,21 @@ class IlpResult:
     root_lp_bound: float
 
 
+@functools.cache
+def load_linprog():
+    """``scipy.optimize.linprog``, or None when scipy is not installed.
+
+    scipy is an install dependency, but importing it costs more than the
+    rest of ``import repro``, so it is imported on the first call rather
+    than with this module; the probe finds it without importing it.
+    """
+    if importlib.util.find_spec("scipy") is None:  # pragma: no cover
+        return None
+    from scipy.optimize import linprog
+
+    return linprog
+
+
 def ilp_cover(
     matrix: CoverMatrix,
     node_limit: int = 10_000,
@@ -54,7 +64,8 @@ def ilp_cover(
         return IlpResult([], True, 0, 0.0)
     if not matrix.is_feasible():
         raise ValueError("infeasible covering instance")
-    if not _HAVE_SCIPY:  # pragma: no cover
+    linprog = load_linprog()
+    if linprog is None:  # pragma: no cover
         result = branch_and_bound(matrix, costs=costs)
         return IlpResult(result.selected, result.optimal, result.nodes, 0.0)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.setcover.ilp import load_linprog
 from repro.setcover.matrix import CoverMatrix
 from repro.setcover.reduce import reduce_matrix
 from repro.setcover.registry import SOLVER_REGISTRY, SolverOptions
@@ -54,6 +55,20 @@ class CoverSolution:
         return len(self.selected)
 
 
+def prepare_solver(method: str) -> None:
+    """Import the back-end ``method`` may dispatch to (scipy, tens of MB,
+    for ``auto`` and ``ilp``) ahead of the solve.
+
+    ``solve_cover`` calls this before reduction decides whether a core
+    needs the ILP, so a run's footprint does not depend on its data; a
+    flow calls it before its first stage, so scipy's long-lived objects
+    sit below the flow's large transient arrays and repeated runs in one
+    process reach the same peak.
+    """
+    if method in ("auto", "ilp"):
+        load_linprog()
+
+
 def solve_cover(
     matrix: CoverMatrix,
     method: str = "auto",
@@ -84,6 +99,7 @@ def solve_cover(
         raise UnknownComponentError(
             "cover method", method, ["auto", *SOLVER_REGISTRY.names()]
         )
+    prepare_solver(method)
     initial_shape = matrix.shape
     reduction = reduce_matrix(matrix, costs=costs)
     core = reduction.core

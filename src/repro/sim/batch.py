@@ -10,9 +10,16 @@ faults at once:
   numpy call propagates 64 patterns for *all* faults in the batch;
 * the batch shares one **cone-union schedule**: the union of the faults'
   output cones is levelized and grouped by (gate type, arity) once per
-  distinct fault batch (:class:`_BatchPlan`), then reused for every
-  pattern set simulated against that batch (e.g. every Detection Matrix
-  row);
+  distinct fault batch (:class:`_BatchPlan`, built from per-node arrays
+  with numpy unions and one sort), then reused for every pattern set
+  simulated against that batch (e.g. every Detection Matrix row);
+* batches are **cone-local**: every query forms its batches through one
+  routine (:meth:`BatchFaultSimulator._batches`) that sorts the faults
+  by (reachable-PO bitmask, site level, site node) before chunking, so
+  batch-mates share most of their output cones and the union each one
+  simulates stays close to its own cone.  Fault rows are independent,
+  so the order changes no answer; results are scattered back to the
+  caller's fault order;
 * fault injection is done by *forcing* rows: a stem fault freezes its
   net's row at the stuck value, a branch fault freezes the reading
   gate's row at the gate function with the faulty pin stuck.  Forced
@@ -25,7 +32,8 @@ faults at once:
 set in word-aligned windows and remove faults from the active set as
 soon as a window detects them, so easy faults never pay for the full
 pattern set.  Dropping is **incremental**: batch membership is fixed up
-front and a shrinking batch *subsets* its existing compiled schedule
+front, in the cone-local order above, and a shrinking batch *subsets*
+its existing compiled schedule
 (:meth:`_BatchPlan.subset` — an index-mask filter over the forced rows)
 instead of re-running the pure-Python cone-union/level-grouping
 construction for every survivor tuple.
@@ -38,7 +46,7 @@ generated sequences go TPG -> simulator without ever existing as Python
 int lists.
 
 :meth:`detection_matrix_rows` streams Detection Matrix rows (one row
-per pattern set) over a fixed fault batching.  Rows are processed in
+per pattern set) over the same fixed fault batching.  Rows are processed in
 word-budgeted **chunks**: each chunk packs its rows word-aligned into
 one combined pattern axis, so the fault-free simulation and every
 per-batch :meth:`_BatchPlan.detect_words` run once per *chunk* instead
@@ -95,6 +103,58 @@ DEFAULT_ROW_CHUNK_WORDS = 64
 PLAN_CACHE_SIZE = 256
 
 
+def _stuck_rows(n_words: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only stuck-at-0 / stuck-at-1 word rows, shared by every
+    forcing of one detection call (they are only ever copied from)."""
+    return (
+        np.zeros(n_words, dtype=np.uint64),
+        np.full(n_words, _ALL_ONES, dtype=np.uint64),
+    )
+
+
+def _site_node(compiled: CompiledCircuit, fault: Fault) -> int:
+    """The node a fault forces: the stuck net for a stem fault, the
+    reading gate for a branch fault."""
+    site = fault.site
+    return compiled.index[site.gate if site.is_branch else site.net]
+
+
+class _NodeTables:
+    """Per-node structure arrays the plan builder indexes.
+
+    Built once per simulator, so :class:`_BatchPlan` construction is a
+    handful of numpy gathers instead of Python set and dict walks over
+    every cone node.
+    """
+
+    __slots__ = ("levels", "gate_types", "arity", "fanin_pad", "group_key", "output_ids")
+
+    def __init__(self, compiled: CompiledCircuit) -> None:
+        n_nodes = compiled.n_nodes
+        self.levels = compiled.node_levels
+        self.gate_types = compiled.gate_types
+        self.output_ids = compiled.output_ids
+        self.arity = np.array(
+            [len(fanins) for fanins in compiled.gate_fanins], dtype=np.int64
+        )
+        width = max(1, int(self.arity.max(initial=0)))
+        # Fanin ids padded to a rectangle with the node's own id, so a
+        # gather over the padding only ever re-marks the node itself.
+        self.fanin_pad = np.repeat(
+            np.arange(n_nodes, dtype=np.int64)[:, None], width, axis=1
+        )
+        for node_id, fanins in enumerate(compiled.gate_fanins):
+            self.fanin_pad[node_id, : len(fanins)] = fanins
+        # One sortable key per node encoding (level, gate type, arity).
+        type_code = {gtype: code for code, gtype in enumerate(GateType)}
+        codes = np.array(
+            [type_code[gtype] for gtype in compiled.gate_types], dtype=np.int64
+        )
+        self.group_key = (
+            self.levels * len(type_code) + codes
+        ) * (width + 1) + self.arity
+
+
 class _BatchPlan:
     """The compiled cone-union schedule for one tuple of faults.
 
@@ -119,84 +179,85 @@ class _BatchPlan:
         compiled: CompiledCircuit,
         faults: Sequence[Fault],
         cone_of,
+        tables: _NodeTables,
     ) -> None:
         self.n_faults = len(faults)
         # Per-fault injection spec: (site node id, stuck value, branch gate
         # spec or None).  Branch forced values depend on the fault-free
         # values, so only the structure is precomputed.
         specs: list[tuple[int, int, tuple[GateType, tuple[int, ...], int] | None]] = []
-        union: set[int] = set()
         for fault in faults:
-            site = fault.site
-            if site.is_branch:
-                gate_id = compiled.index[site.gate]
+            node = _site_node(compiled, fault)
+            branch = None
+            if fault.site.is_branch:
                 branch = (
-                    compiled.gate_types[gate_id],
-                    compiled.gate_fanins[gate_id],
-                    int(site.pin),
+                    compiled.gate_types[node],
+                    compiled.gate_fanins[node],
+                    int(fault.site.pin),
                 )
-                node = gate_id
-            else:
-                branch = None
-                node = compiled.index[site.net]
             specs.append((node, fault.value, branch))
-            union.update(cone_of(node))
-        site_nodes = {node for node, _, _ in specs}
+        site_ids = np.array([node for node, _, _ in specs], dtype=np.int64)
+        in_union = np.zeros(compiled.n_nodes, dtype=bool)
+        if specs:
+            sites = {node for node, _, _ in specs}
+            in_union[np.concatenate([cone_of(node) for node in sites])] = True
+        union_ids = np.flatnonzero(in_union)
         # Buffer membership: every evaluated node, every site, and every
         # fanin an evaluated gate reads (so gathers hit one buffer).
-        buf_set = set(union) | site_nodes
-        for node_id in union:
-            buf_set.update(compiled.gate_fanins[node_id])
-        buf_ids = sorted(buf_set)
-        pos = {node_id: i for i, node_id in enumerate(buf_ids)}
-        self.n_buf = len(buf_ids)
-        boundary = [node_id for node_id in buf_ids if node_id not in union]
-        self.boundary_pos = np.array([pos[n] for n in boundary], dtype=np.int64)
-        self.boundary_ids = np.array(boundary, dtype=np.int64)
+        union_fanins = tables.fanin_pad[union_ids]
+        in_buf = in_union.copy()
+        in_buf[site_ids] = True
+        in_buf[union_fanins] = True
+        buf_ids = np.flatnonzero(in_buf)
+        pos = np.zeros(compiled.n_nodes, dtype=np.int64)
+        pos[buf_ids] = np.arange(buf_ids.size)
+        self.n_buf = int(buf_ids.size)
+        self.boundary_ids = buf_ids[~in_union[buf_ids]]
+        self.boundary_pos = pos[self.boundary_ids]
         # Forcings: (buffer row, fault row, stuck, branch spec, level,
         # evaluated) — `evaluated` marks sites inside the union, whose
         # rows must be re-forced after their level evaluates.
-        levels = compiled.node_levels
+        levels = tables.levels
         self.forcings = [
             (
-                pos[node],
+                int(pos[node]),
                 row,
                 stuck,
                 branch,
                 int(levels[node]),
-                node in union,
+                bool(in_union[node]),
             )
             for row, (node, stuck, branch) in enumerate(specs)
         ]
-        # Cone-union schedule: union nodes grouped by (level, type, arity),
-        # with fanin ids rewritten to buffer positions.
-        grouped: dict[
-            tuple[int, GateType, int], tuple[list[int], list[list[int]]]
-        ] = {}
-        for node_id in union:
-            gtype = compiled.gate_types[node_id]
-            fanins = compiled.gate_fanins[node_id]
-            key = (int(levels[node_id]), gtype, len(fanins))
-            outs, fins = grouped.setdefault(key, ([], []))
-            outs.append(pos[node_id])
-            fins.append([pos[f] for f in fanins])
-        by_level: dict[int, list[tuple[GateType, np.ndarray, np.ndarray]]] = {}
-        for level, gtype, arity in sorted(grouped, key=lambda k: k[0]):
-            outs, fins = grouped[(level, gtype, arity)]
-            by_level.setdefault(level, []).append(
-                (
-                    gtype,
-                    np.array(outs, dtype=np.int64),
-                    np.array(fins, dtype=np.int64),
-                )
+        # Cone-union schedule: union nodes sorted by (level, type, arity)
+        # and cut into groups where the key changes, with fanin ids
+        # rewritten to buffer positions.
+        order = np.argsort(tables.group_key[union_ids], kind="stable")
+        ordered = union_ids[order]
+        keys = tables.group_key[ordered]
+        out_pos = pos[ordered]
+        fanin_pos = pos[union_fanins[order]]
+        starts = np.flatnonzero(np.diff(keys, prepend=-1)).tolist()
+        level_groups: list[tuple[int, list[tuple[GateType, np.ndarray, np.ndarray]]]] = []
+        for lo, hi in zip(starts, starts[1:] + [ordered.size]):
+            node = int(ordered[lo])
+            level = int(levels[node])
+            group = (
+                tables.gate_types[node],
+                out_pos[lo:hi],
+                np.ascontiguousarray(fanin_pos[lo:hi, : tables.arity[node]]),
             )
-        self.level_groups = sorted(by_level.items())
+            if level_groups and level_groups[-1][0] == level:
+                level_groups[-1][1].append(group)
+            else:
+                level_groups.append((level, [group]))
+        self.level_groups = level_groups
         # Observation points: only POs inside the union (or forced as a
         # site) can diverge from the fault-free values.
-        observable = union | site_nodes
-        out_ids = [int(o) for o in compiled.output_ids if int(o) in observable]
-        self.out_pos = np.array([pos[o] for o in out_ids], dtype=np.int64)
-        self.out_ids = np.array(out_ids, dtype=np.int64)
+        observable = in_union.copy()
+        observable[site_ids] = True
+        self.out_ids = tables.output_ids[observable[tables.output_ids]]
+        self.out_pos = pos[self.out_ids]
 
     def subset(self, rows: Sequence[int]) -> "_BatchPlan":
         """A plan for the faults at ``rows`` of this plan's batch.
@@ -233,14 +294,10 @@ class _BatchPlan:
     def _forced_words(self, good: np.ndarray) -> list[tuple[int, int, np.ndarray, int, bool]]:
         """Materialise forced rows for one good-value array:
         (buffer row, fault row, words, level, evaluated)."""
-        n_words = good.shape[1]
+        stuck_rows = _stuck_rows(good.shape[1])
         forced: list[tuple[int, int, np.ndarray, int, bool]] = []
         for buf_row, fault_row, stuck, branch, level, evaluated in self.forcings:
-            stuck_words = (
-                np.full(n_words, _ALL_ONES, dtype=np.uint64)
-                if stuck
-                else np.zeros(n_words, dtype=np.uint64)
-            )
+            stuck_words = stuck_rows[stuck]
             if branch is None:
                 words = stuck_words
             else:
@@ -267,15 +324,11 @@ class _BatchPlan:
         with the faulty pin pinned known-stuck, so X on the healthy pins
         propagates pessimistically through the forced gate too.
         """
-        n_words = good_v.shape[1]
+        stuck_rows = _stuck_rows(good_v.shape[1])
+        ones = stuck_rows[1]
         forced: list[tuple[int, int, np.ndarray, np.ndarray, int, bool]] = []
-        ones = np.full(n_words, _ALL_ONES, dtype=np.uint64)
         for buf_row, fault_row, stuck, branch, level, evaluated in self.forcings:
-            stuck_words = (
-                np.full(n_words, _ALL_ONES, dtype=np.uint64)
-                if stuck
-                else np.zeros(n_words, dtype=np.uint64)
-            )
+            stuck_words = stuck_rows[stuck]
             if branch is None:
                 v_words, c_words = stuck_words, ones
             else:
@@ -317,9 +370,14 @@ class _BatchPlan:
             buf_v[self.boundary_pos] = good_v[self.boundary_ids][:, None, :]
             buf_c[self.boundary_pos] = good_c[self.boundary_ids][:, None, :]
         forced = self._forced_planes(good_v, good_c)
-        for buf_row, fault_row, v_words, c_words, _level, _evaluated in forced:
+        reforce: dict[int, list[tuple[int, int, np.ndarray, np.ndarray]]] = {}
+        for buf_row, fault_row, v_words, c_words, level, evaluated in forced:
             buf_v[buf_row, fault_row] = v_words
             buf_c[buf_row, fault_row] = c_words
+            if evaluated:
+                reforce.setdefault(level, []).append(
+                    (buf_row, fault_row, v_words, c_words)
+                )
         for level, groups in self.level_groups:
             for gtype, out_pos, fanin_pos in groups:
                 # Gather shape: (group size, arity, batch, n_words).
@@ -328,10 +386,9 @@ class _BatchPlan:
                 )
                 buf_v[out_pos] = out_v
                 buf_c[out_pos] = out_c
-            for buf_row, fault_row, v_words, c_words, force_level, evaluated in forced:
-                if evaluated and force_level == level:
-                    buf_v[buf_row, fault_row] = v_words
-                    buf_c[buf_row, fault_row] = c_words
+            for buf_row, fault_row, v_words, c_words in reforce.get(level, ()):
+                buf_v[buf_row, fault_row] = v_words
+                buf_c[buf_row, fault_row] = c_words
         diff = (
             (buf_v[self.out_pos] ^ good_v[self.out_ids][:, None, :])
             & buf_c[self.out_pos]
@@ -355,15 +412,17 @@ class _BatchPlan:
         if self.boundary_pos.size:
             buf[self.boundary_pos] = good[self.boundary_ids][:, None, :]
         forced = self._forced_words(good)
-        for buf_row, fault_row, words, _level, _evaluated in forced:
+        reforce: dict[int, list[tuple[int, int, np.ndarray]]] = {}
+        for buf_row, fault_row, words, level, evaluated in forced:
             buf[buf_row, fault_row] = words
+            if evaluated:
+                reforce.setdefault(level, []).append((buf_row, fault_row, words))
         for level, groups in self.level_groups:
             for gtype, out_pos, fanin_pos in groups:
                 # Gather shape: (group size, arity, batch, n_words).
                 buf[out_pos] = reduce_gate_words(gtype, buf[fanin_pos], axis=1)
-            for buf_row, fault_row, words, force_level, evaluated in forced:
-                if evaluated and force_level == level:
-                    buf[buf_row, fault_row] = words
+            for buf_row, fault_row, words in reforce.get(level, ()):
+                buf[buf_row, fault_row] = words
         diff = buf[self.out_pos] ^ good[self.out_ids][:, None, :]
         return np.bitwise_or.reduce(diff, axis=0)
 
@@ -371,9 +430,10 @@ class _BatchPlan:
 class BatchFaultSimulator:
     """Batched stuck-at fault simulator bound to one circuit.
 
-    The compiled circuit, per-node cones and per-batch schedules are all
-    cached, so repeated calls (one per Detection Matrix row, one per GA
-    fitness evaluation, ...) only pay for numpy work.
+    The compiled circuit, per-node cones and batch-order keys, and
+    per-batch schedules are all cached, so repeated calls (one per
+    Detection Matrix row, one per GA fitness evaluation, ...) only pay
+    for numpy work.
     """
 
     def __init__(
@@ -398,7 +458,9 @@ class BatchFaultSimulator:
         self.batch_size = batch_size
         self.drop_window_words = drop_window_words
         self.row_chunk_words = row_chunk_words
-        self._cone_cache: dict[int, list[int]] = {}
+        self._tables = _NodeTables(self.compiled)
+        self._cone_cache: dict[int, np.ndarray] = {}
+        self._order_key_cache: dict[int, tuple[int, int, int]] = {}
         self._plan_cache: OrderedDict[tuple[Fault, ...], _BatchPlan] = OrderedDict()
         self._good_buf: np.ndarray | None = None
         #: Plan economics, exposed for tests and perf forensics: full
@@ -468,23 +530,20 @@ class BatchFaultSimulator:
     ) -> np.ndarray:
         """Boolean matrix ``(n_patterns, n_faults)``: entry ``[p, f]`` is
         True iff pattern ``p`` detects fault ``f``."""
-        packed = as_packed(patterns, self.compiled.n_inputs)
-        result = np.zeros((packed.n_patterns, len(faults)), dtype=bool)
-        if not packed.n_patterns or not faults:
+        carrier = self._pack(patterns)
+        n_patterns = carrier.n_patterns
+        result = np.zeros((n_patterns, len(faults)), dtype=bool)
+        if not n_patterns or not faults:
             return result
-        good = self._good_values(packed)
-        column = 0
-        for batch in self._batches(faults):
-            detect = self._plan(batch).detect_words(good)
+        good = self._good_state(carrier)
+        for indices, batch in self._batches(faults):
+            detect = self._detect(self._plan(batch), good)
             bits = np.unpackbits(
                 np.ascontiguousarray(detect).view(np.uint8).reshape(len(batch), -1),
                 axis=1,
                 bitorder="little",
             )
-            result[:, column : column + len(batch)] = (
-                bits[:, : packed.n_patterns].astype(bool).T
-            )
-            column += len(batch)
+            result[:, indices] = bits[:, :n_patterns].astype(bool).T
         return result
 
     def detected(
@@ -546,68 +605,83 @@ class BatchFaultSimulator:
         )
         if budget < 1:
             raise ValueError(f"row_chunk_words must be >= 1, got {budget}")
-        batches = list(self._batches(faults))
-        plans = [self._plan(batch) for batch in batches]
-        chunk: list[PackedPatterns] = []
+        order, plans = self._batch_plans(faults)
+        chunk: list = []
         chunk_words = 0
         for patterns in pattern_sets:
-            packed = as_packed(patterns, self.compiled.n_inputs)
-            chunk.append(packed)
-            chunk_words += packed.n_words
+            carrier = self._pack(patterns)
+            chunk.append(carrier)
+            chunk_words += carrier.n_words
             if chunk_words >= budget:
-                yield from self._row_chunk(chunk, len(faults), batches, plans)
+                yield from self._row_chunk(chunk, order, plans)
                 chunk, chunk_words = [], 0
         if chunk:
-            yield from self._row_chunk(chunk, len(faults), batches, plans)
+            yield from self._row_chunk(chunk, order, plans)
 
     def _row_chunk(
-        self,
-        chunk: list[PackedPatterns],
-        n_faults: int,
-        batches: list[tuple[Fault, ...]],
-        plans: list[_BatchPlan],
+        self, chunk: list, order: np.ndarray, plans: list[_BatchPlan]
     ) -> Iterator[np.ndarray]:
         """Simulate one word-aligned chunk of packed rows together and
-        yield its per-row detection rows in order."""
+        yield its per-row detection rows in order.  ``plans`` cover the
+        faults in batch order; ``order`` maps batch order back to the
+        caller's fault columns."""
+        n_faults = order.size
         rows = np.zeros((len(chunk), n_faults), dtype=bool)
         # Word segment per non-empty row in the combined pattern axis.
         starts: list[int] = []
         row_of_segment: list[int] = []
         offset = 0
-        for row_index, packed in enumerate(chunk):
-            if packed.n_words:
+        for row_index, carrier in enumerate(chunk):
+            if carrier.n_words:
                 starts.append(offset)
                 row_of_segment.append(row_index)
-                offset += packed.n_words
+                offset += carrier.n_words
         if offset and n_faults:
-            pieces = [p for p in chunk if p.n_words]
-            if len(pieces) == 1:
-                # Pre-packed rows (TPG evolution banks arrive packed)
-                # pass through without a copy when they fill the chunk.
-                combined = PackedPatterns(pieces[0].words, offset * 64)
-                mask = pieces[0].tail_mask()
-            else:
-                combined = PackedPatterns(
-                    np.concatenate([p.words for p in pieces], axis=1),
-                    offset * 64,
-                )
-                mask = np.concatenate([p.tail_mask() for p in pieces])
-            good = self._good_values(combined)
+            pieces = [c for c in chunk if c.n_words]
+            good = self._good_state(self._concat(pieces, offset * 64))
+            mask = np.concatenate([p.tail_mask() for p in pieces])
             segment_starts = np.array(starts, dtype=np.int64)
+            verdicts = np.empty((len(starts), n_faults), dtype=bool)
             column = 0
-            for batch, plan in zip(batches, plans):
-                hits = plan.detect_words(good) & mask
+            for plan in plans:
+                hits = self._detect(plan, good) & mask
                 # One segmented any-reduction over the word axis gives
                 # every row's verdict for this batch at once.
                 reduced = np.bitwise_or.reduceat(hits, segment_starts, axis=1)
-                rows[row_of_segment, column : column + len(batch)] = (
-                    reduced != 0
-                ).T
-                column += len(batch)
+                verdicts[:, column : column + plan.n_faults] = (reduced != 0).T
+                column += plan.n_faults
+            rows[np.array(row_of_segment)[:, None], order] = verdicts
         for row in rows:
             # Independent arrays, not views of the chunk buffer — rows
             # stay safe to mutate, exactly like the per-row engine's.
             yield row.copy()
+
+    # ------------------------------------------------------------------
+    # pattern-state hooks (the three-valued engine overrides these)
+    # ------------------------------------------------------------------
+
+    def _pack(self, patterns: PatternsLike) -> PackedPatterns:
+        """The packed carrier for one pattern argument."""
+        return as_packed(patterns, self.compiled.n_inputs)
+
+    @staticmethod
+    def _concat(pieces: list[PackedPatterns], n_patterns: int) -> PackedPatterns:
+        """Word-aligned concatenation of packed rows; a single row passes
+        through without a copy (TPG evolution banks arrive packed)."""
+        if len(pieces) == 1:
+            return PackedPatterns(pieces[0].words, n_patterns)
+        return PackedPatterns(
+            np.concatenate([p.words for p in pieces], axis=1), n_patterns
+        )
+
+    def _good_state(self, packed: PackedPatterns) -> tuple[np.ndarray, ...]:
+        """Fault-free node state, as the arrays :meth:`_detect` takes."""
+        return (self._good_values(packed),)
+
+    @staticmethod
+    def _detect(plan: _BatchPlan, good: tuple[np.ndarray, ...]) -> np.ndarray:
+        """Per-fault detection words of one plan against ``good``."""
+        return plan.detect_words(*good)
 
     # ------------------------------------------------------------------
     # internals
@@ -624,21 +698,63 @@ class BatchFaultSimulator:
         self.words_simulated += n_words
         return self.compiled.simulate_words(packed.words, out=self._good_buf)
 
-    def _batches(self, faults: Sequence[Fault]) -> Iterator[tuple[Fault, ...]]:
-        for start in range(0, len(faults), self.batch_size):
-            yield tuple(faults[start : start + self.batch_size])
+    def _batches(
+        self, faults: Sequence[Fault]
+    ) -> list[tuple[list[int], tuple[Fault, ...]]]:
+        """Cut ``faults`` into ``(caller indices, fault tuple)`` batches
+        in cone-local order — the one batching routine of every query.
 
-    def _cone(self, node_id: int) -> list[int]:
+        Faults are stably sorted by their site node's order key
+        (reachable-PO bitmask, level, node id), so batch-mates share
+        most of their output cones and each batch's cone union stays
+        small.  Fault rows are independent, so no answer depends on the
+        order; callers scatter results back through the indices.
+        """
+        compiled = self.compiled
+        keys = [self._order_key(_site_node(compiled, f)) for f in faults]
+        order = sorted(range(len(faults)), key=keys.__getitem__)
+        batches = []
+        for start in range(0, len(order), self.batch_size):
+            indices = order[start : start + self.batch_size]
+            batches.append((indices, tuple(faults[i] for i in indices)))
+        return batches
+
+    def _batch_plans(
+        self, faults: Sequence[Fault]
+    ) -> tuple[np.ndarray, list[_BatchPlan]]:
+        """Every batch plan for ``faults`` plus the batch-order -> caller
+        column map, as the detection-row paths consume them."""
+        batches = self._batches(faults)
+        order = np.array(
+            [i for indices, _ in batches for i in indices], dtype=np.int64
+        )
+        return order, [self._plan(batch) for _, batch in batches]
+
+    def _cone(self, node_id: int) -> np.ndarray:
         cone = self._cone_cache.get(node_id)
         if cone is None:
-            cone = self.compiled.output_cone_ids(node_id)
+            cone = np.array(self.compiled.output_cone_ids(node_id), dtype=np.int64)
             self._cone_cache[node_id] = cone
         return cone
+
+    def _order_key(self, node_id: int) -> tuple[int, int, int]:
+        """Batch-order key of a site node: (bitmask of the POs its
+        output cone reaches, level, node id)."""
+        key = self._order_key_cache.get(node_id)
+        if key is None:
+            outputs = self.compiled.output_ids
+            reached = np.isin(outputs, self._cone(node_id)) | (outputs == node_id)
+            mask = int.from_bytes(
+                np.packbits(reached, bitorder="little").tobytes(), "little"
+            )
+            key = (mask, int(self.compiled.node_levels[node_id]), node_id)
+            self._order_key_cache[node_id] = key
+        return key
 
     def _plan(self, faults: tuple[Fault, ...]) -> _BatchPlan:
         plan = self._plan_cache.get(faults)
         if plan is None:
-            plan = _BatchPlan(self.compiled, faults, cone_of=self._cone)
+            plan = _BatchPlan(self.compiled, faults, self._cone, self._tables)
             self.plan_builds += 1
             self._plan_cache[faults] = plan
             while len(self._plan_cache) > PLAN_CACHE_SIZE:
@@ -660,29 +776,29 @@ class BatchFaultSimulator:
         for the survivor tuple, so a scan's structural cost is paid once
         in the first window regardless of how fast faults drop.
         """
-        packed = as_packed(patterns, self.compiled.n_inputs)
-        if not packed.n_patterns or not faults:
+        carrier = self._pack(patterns)
+        if not carrier.n_patterns or not faults:
             return
-        good = self._good_values(packed)
-        n_words = good.shape[1]
-        mask = packed.tail_mask()
+        good = self._good_state(carrier)
+        n_words = carrier.n_words
+        mask = carrier.tail_mask()
         # Per-batch survivor state: (original fault indices, live plan).
-        states: list[tuple[list[int], _BatchPlan]] = []
-        for start in range(0, len(faults), self.batch_size):
-            indices = list(range(start, min(start + self.batch_size, len(faults))))
-            states.append(
-                (indices, self._plan(tuple(faults[i] for i in indices)))
-            )
+        states = [
+            (indices, self._plan(batch)) for indices, batch in self._batches(faults)
+        ]
         for word_start in range(0, n_words, self.drop_window_words):
             if not states:
                 return
             word_end = min(word_start + self.drop_window_words, n_words)
             last_window = word_end >= n_words
-            window = np.ascontiguousarray(good[:, word_start:word_end])
+            window = tuple(
+                np.ascontiguousarray(state[:, word_start:word_end])
+                for state in good
+            )
             window_mask = mask[word_start:word_end]
             next_states: list[tuple[list[int], _BatchPlan]] = []
             for indices, plan in states:
-                detect = plan.detect_words(window) & window_mask
+                detect = self._detect(plan, window) & window_mask
                 hits = detect.any(axis=1)
                 surviving_rows: list[int] = []
                 for row, fault_index in enumerate(indices):
@@ -754,10 +870,12 @@ class _SharedRowState:
 
     def prebuild_plans(self) -> None:
         """Compile the circuit and every fault-batch plan now (parent
-        side, before forking) so children inherit them read-only."""
-        simulator = self.simulator()
-        for batch in simulator._batches(self.faults):
-            simulator._plan(batch)
+        side, before forking) so children inherit them read-only.
+
+        Goes through the same :meth:`BatchFaultSimulator._batch_plans`
+        call as :meth:`~BatchFaultSimulator.detection_matrix_rows`, so
+        a worker's rows find every plan in the inherited cache."""
+        self.simulator()._batch_plans(self.faults)
 
     def row(self, index: int) -> PackedPatterns:
         lo = int(self.row_word_starts[index])

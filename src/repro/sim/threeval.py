@@ -19,22 +19,20 @@ This module runs the same batched PPSFP machinery with **unknowns**:
   equality on X-free input (the differential suite pins both).
 
 :class:`XFaultSimulator` subclasses the 2-valued
-:class:`~repro.sim.batch.BatchFaultSimulator` and re-routes the three
-query paths (window scans, full matrix, streamed matrix rows) through
-:meth:`~repro.sim.batch._BatchPlan.detect_planes`; everything structural
-— cone unions, plan caching/subsetting, fault dropping, batching — is
-inherited unchanged.
+:class:`~repro.sim.batch.BatchFaultSimulator` and overrides only its
+pattern-state hooks (pack, concatenate, fault-free simulation, and
+detection via :meth:`~repro.sim.batch._BatchPlan.detect_planes`); the
+query paths (window scans, full matrix, streamed matrix rows) and
+everything structural — cone-local batching, cone unions, plan
+caching/subsetting, fault dropping — are inherited unchanged.
 """
 
 from __future__ import annotations
-
-from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from repro.circuit.gates import eval_gate_3v_scalar
 from repro.circuit.netlist import Circuit
-from repro.faults.model import Fault
 from repro.sim.batch import BatchFaultSimulator, _BatchPlan
 from repro.sim.logic import CompiledCircuit
 from repro.utils.bitvec import PackedPlanes, PlanesLike, as_planes
@@ -115,161 +113,25 @@ class XFaultSimulator(BatchFaultSimulator):
         return self.compiled.simulate_planes(planes.value, planes.care)
 
     # ------------------------------------------------------------------
-    # query-path overrides (plane-algebra detection)
+    # pattern-state hooks (plane-algebra detection)
     # ------------------------------------------------------------------
 
-    def detection_matrix(
-        self, patterns: PlanesLike, faults: Sequence[Fault]
-    ) -> np.ndarray:
-        """Boolean matrix ``(n_patterns, n_faults)``: entry ``[p, f]`` is
-        True iff pattern ``p`` detects fault ``f`` on a *known* output
-        bit of both machines."""
-        planes = as_planes(patterns, self.compiled.n_inputs)
-        result = np.zeros((planes.n_patterns, len(faults)), dtype=bool)
-        if not planes.n_patterns or not faults:
-            return result
-        good_v, good_c = self._good_planes(planes)
-        column = 0
-        for batch in self._batches(faults):
-            detect = self._plan(batch).detect_planes(good_v, good_c)
-            bits = np.unpackbits(
-                np.ascontiguousarray(detect).view(np.uint8).reshape(len(batch), -1),
-                axis=1,
-                bitorder="little",
-            )
-            result[:, column : column + len(batch)] = (
-                bits[:, : planes.n_patterns].astype(bool).T
-            )
-            column += len(batch)
-        return result
+    def _pack(self, patterns: PlanesLike) -> PackedPlanes:
+        return as_planes(patterns, self.compiled.n_inputs)
 
-    def _scan_detections(
-        self, patterns: PlanesLike, faults: Sequence[Fault]
-    ) -> Iterator[tuple[int, int]]:
-        """Plane-algebra twin of the base window scan: same fault
-        dropping, same plan subsetting, detection via
-        :meth:`~repro.sim.batch._BatchPlan.detect_planes`."""
-        planes = as_planes(patterns, self.compiled.n_inputs)
-        if not planes.n_patterns or not faults:
-            return
-        good_v, good_c = self._good_planes(planes)
-        n_words = good_v.shape[1]
-        mask = planes.tail_mask()
-        states: list[tuple[list[int], _BatchPlan]] = []
-        for start in range(0, len(faults), self.batch_size):
-            indices = list(range(start, min(start + self.batch_size, len(faults))))
-            states.append(
-                (indices, self._plan(tuple(faults[i] for i in indices)))
-            )
-        for word_start in range(0, n_words, self.drop_window_words):
-            if not states:
-                return
-            word_end = min(word_start + self.drop_window_words, n_words)
-            last_window = word_end >= n_words
-            window_v = np.ascontiguousarray(good_v[:, word_start:word_end])
-            window_c = np.ascontiguousarray(good_c[:, word_start:word_end])
-            window_mask = mask[word_start:word_end]
-            next_states: list[tuple[list[int], _BatchPlan]] = []
-            for indices, plan in states:
-                detect = plan.detect_planes(window_v, window_c) & window_mask
-                hits = detect.any(axis=1)
-                surviving_rows: list[int] = []
-                for row, fault_index in enumerate(indices):
-                    if not hits[row]:
-                        surviving_rows.append(row)
-                        continue
-                    words = detect[row]
-                    word_offset = int(np.flatnonzero(words)[0])
-                    word = int(words[word_offset])
-                    self.faults_dropped += 1
-                    yield fault_index, (
-                        (word_start + word_offset) * 64
-                        + (word & -word).bit_length()
-                        - 1
-                    )
-                if last_window or not surviving_rows:
-                    continue
-                if len(surviving_rows) < len(indices):
-                    plan = plan.subset(surviving_rows)
-                    self.plan_subsets += 1
-                    indices = [indices[row] for row in surviving_rows]
-                next_states.append((indices, plan))
-            states = next_states
-
-    def detection_matrix_rows(
-        self,
-        pattern_sets: Iterable[PlanesLike],
-        faults: Sequence[Fault],
-        row_chunk_words: int | None = None,
-    ) -> Iterator[np.ndarray]:
-        """Stream Detection Matrix rows over three-valued pattern sets.
-
-        Same word-budgeted chunking as the 2-valued engine — rows pack
-        word-aligned into one combined pattern axis, both planes of the
-        fault-free state simulate once per chunk — with plane-algebra
-        detection per fault batch.
-        """
-        faults = list(faults)
-        budget = (
-            self.row_chunk_words if row_chunk_words is None else row_chunk_words
+    @staticmethod
+    def _concat(pieces: list[PackedPlanes], n_patterns: int) -> PackedPlanes:
+        if len(pieces) == 1:
+            return PackedPlanes(pieces[0].value, pieces[0].care, n_patterns)
+        return PackedPlanes(
+            np.concatenate([p.value for p in pieces], axis=1),
+            np.concatenate([p.care for p in pieces], axis=1),
+            n_patterns,
         )
-        if budget < 1:
-            raise ValueError(f"row_chunk_words must be >= 1, got {budget}")
-        batches = list(self._batches(faults))
-        plans = [self._plan(batch) for batch in batches]
-        chunk: list[PackedPlanes] = []
-        chunk_words = 0
-        for patterns in pattern_sets:
-            planes = as_planes(patterns, self.compiled.n_inputs)
-            chunk.append(planes)
-            chunk_words += planes.n_words
-            if chunk_words >= budget:
-                yield from self._plane_row_chunk(chunk, len(faults), batches, plans)
-                chunk, chunk_words = [], 0
-        if chunk:
-            yield from self._plane_row_chunk(chunk, len(faults), batches, plans)
 
-    def _plane_row_chunk(
-        self,
-        chunk: list[PackedPlanes],
-        n_faults: int,
-        batches: list[tuple[Fault, ...]],
-        plans: list[_BatchPlan],
-    ) -> Iterator[np.ndarray]:
-        """Simulate one word-aligned chunk of plane rows together and
-        yield its per-row detection rows in order."""
-        rows = np.zeros((len(chunk), n_faults), dtype=bool)
-        starts: list[int] = []
-        row_of_segment: list[int] = []
-        offset = 0
-        for row_index, planes in enumerate(chunk):
-            if planes.n_words:
-                starts.append(offset)
-                row_of_segment.append(row_index)
-                offset += planes.n_words
-        if offset and n_faults:
-            pieces = [p for p in chunk if p.n_words]
-            if len(pieces) == 1:
-                combined = PackedPlanes(
-                    pieces[0].value, pieces[0].care, offset * 64
-                )
-                mask = pieces[0].tail_mask()
-            else:
-                combined = PackedPlanes(
-                    np.concatenate([p.value for p in pieces], axis=1),
-                    np.concatenate([p.care for p in pieces], axis=1),
-                    offset * 64,
-                )
-                mask = np.concatenate([p.tail_mask() for p in pieces])
-            good_v, good_c = self._good_planes(combined)
-            segment_starts = np.array(starts, dtype=np.int64)
-            column = 0
-            for batch, plan in zip(batches, plans):
-                hits = plan.detect_planes(good_v, good_c) & mask
-                reduced = np.bitwise_or.reduceat(hits, segment_starts, axis=1)
-                rows[row_of_segment, column : column + len(batch)] = (
-                    reduced != 0
-                ).T
-                column += len(batch)
-        for row in rows:
-            yield row.copy()
+    def _good_state(self, planes: PackedPlanes) -> tuple[np.ndarray, ...]:
+        return self._good_planes(planes)
+
+    @staticmethod
+    def _detect(plan: _BatchPlan, good: tuple[np.ndarray, ...]) -> np.ndarray:
+        return plan.detect_planes(*good)

@@ -484,6 +484,40 @@ class TestServerEndpoints:
         assert stats["store"]["worker_id"].startswith("pid-")
 
 
+class TestScaleValidation:
+    """A request ``scale`` keys a resident session and ``/stats`` prints
+    it as a number: a non-numeric, non-finite or non-positive one must
+    be a 400 that creates no session, and ``/stats`` must keep
+    answering afterwards."""
+
+    BAD_SCALES = ("abc", None, True, 0, -1.5, float("inf"), float("nan"))
+
+    def test_bad_scale_rejected_and_stats_survive(self, scenario):
+        _, patterns, log = scenario
+        diagnose = DiagnoseRequest(
+            circuit="c17",
+            patterns=tuple(p.to_string() for p in patterns),
+            responses=tuple(r.to_string() for r in log.responses),
+        ).to_dict()
+        atpg = AtpgRequest(circuit="c17", max_random_patterns=64).to_dict()
+        sweep = SweepRequest(circuits=("c17",), evolution_lengths=(8,)).to_dict()
+        with BackgroundServer(ServeConfig(port=0)) as background:
+            with ServeClient(background.host, background.port) as client:
+                for path, payload in (
+                    ("/diagnose", diagnose),
+                    ("/atpg", atpg),
+                    ("/sweep", sweep),
+                ):
+                    for scale in self.BAD_SCALES:
+                        with pytest.raises(ServeClientError) as excinfo:
+                            client._request("POST", path, {**payload, "scale": scale})
+                        assert excinfo.value.status == 400, (path, scale)
+                stats = client.stats()
+                assert stats["sessions"] == []
+                client.diagnose(DiagnoseRequest.from_dict({**diagnose, "scale": 1}))
+                assert client.stats()["sessions"] == ["c17@1"]
+
+
 class TestServerConcurrency:
     def test_concurrent_requests_fuse_and_match_serial(self, scenario):
         session, patterns, log = scenario

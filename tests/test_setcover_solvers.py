@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.setcover import (
@@ -115,6 +120,42 @@ class TestIlp:
         matrix = _with_optimum_3()
         result = ilp_cover(matrix)
         assert matrix.validate_solution(result.selected)
+
+    @staticmethod
+    def _scipy_loaded_after(code: str) -> bool:
+        """Whether a fresh interpreter has scipy loaded after ``code``."""
+        repo_src = str(Path(__file__).resolve().parent.parent / "src")
+        probe = (
+            f"{code}\nimport sys\n"
+            "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=dict(os.environ, PYTHONPATH=repo_src),
+            check=True,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        return proc.stdout.split()[-1] == "True"
+
+    def test_import_repro_leaves_scipy_unloaded(self):
+        """scipy is imported when a solve may need the ILP, not by
+        ``import repro``."""
+        assert not self._scipy_loaded_after("import repro")
+
+    @pytest.mark.parametrize("method,loaded", [("auto", True), ("greedy", False)])
+    def test_solver_import_does_not_depend_on_the_core(self, method, loaded):
+        """An ILP-capable method loads scipy even when reduction alone
+        closes the instance, so a run's footprint does not depend on its
+        data; a method that never reaches the ILP leaves it unloaded."""
+        code = (
+            "from repro.setcover import CoverMatrix, solve_cover\n"
+            "solution = solve_cover(CoverMatrix.from_row_sets({0: {0}, 1: {1}}),"
+            f" method={method!r})\n"
+            "assert solution.stats.closed_by_reduction"
+        )
+        assert self._scipy_loaded_after(code) is loaded
 
 
 class TestGrasp:

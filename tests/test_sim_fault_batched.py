@@ -11,14 +11,17 @@ counts straddling the 64-bit word boundary.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.circuit.generate import GeneratorSpec, generate_circuit
+from repro.circuits import CATALOG
 from repro.faults.model import Fault, full_fault_list
-from repro.sim.batch import BatchFaultSimulator
+from repro.sim.batch import BatchFaultSimulator, _site_node
 from repro.sim.fault import FaultSimulator, SerialFaultSimulator
 from repro.utils.bitvec import BitVector
 from repro.utils.rng import RngStream
@@ -450,3 +453,210 @@ class TestPropertyDifferential:
         faults = full_fault_list(circuit)
         patterns = _random_patterns(circuit, n_patterns, seed)
         _assert_engines_match(circuit, patterns, faults, batch_size=16)
+
+
+# ----------------------------------------------------------------------
+# cone-local batch order
+# ----------------------------------------------------------------------
+
+#: Catalog scale for the cone-order differential: every catalog circuit,
+#: small enough for the per-fault serial engine.
+CONE_ORDER_SCALE = 0.05
+CONE_ORDER_PATTERNS = 130
+
+
+@functools.lru_cache(maxsize=None)
+def _cone_order_case(name: str):
+    """One catalog circuit with its references, computed once: the
+    serial engine's 2-valued matrix and a ``batch_size=1`` (no
+    batch-mates, so no order) 3-valued matrix over an X-seeded bank."""
+    from repro.circuits import load_circuit
+    from repro.faults.collapse import collapse_faults
+    from repro.sim.threeval import XFaultSimulator
+    from repro.utils.bitvec import X_CODE, PackedPlanes
+
+    circuit = load_circuit(name, scale=CONE_ORDER_SCALE)
+    faults = collapse_faults(circuit)
+    patterns = _random_patterns(circuit, CONE_ORDER_PATTERNS, seed=7)
+    gen = np.random.default_rng(7)
+    codes = gen.integers(0, 2, size=(circuit.n_inputs, CONE_ORDER_PATTERNS))
+    codes[gen.random(size=codes.shape) < 0.125] = X_CODE
+    codes = codes.astype(np.uint8)
+    planes = PackedPlanes.from_codes(codes)
+    serial = SerialFaultSimulator(circuit).detection_matrix(patterns, faults)
+    single = BatchFaultSimulator(circuit, batch_size=1)
+    np.testing.assert_array_equal(
+        single.detection_matrix(patterns, faults), serial
+    )
+    x_single = XFaultSimulator(circuit, batch_size=1).detection_matrix(
+        planes, faults
+    )
+    return circuit, faults, patterns, codes, serial, x_single
+
+
+def _first_indices(matrix: np.ndarray) -> list[int | None]:
+    """Per-column first True row (``None`` for an all-False column)."""
+    hit = matrix.any(axis=0)
+    first = matrix.argmax(axis=0)
+    return [int(f) if h else None for f, h in zip(first, hit)]
+
+
+def _assert_queries_match(simulator, patterns, faults, matrix, split, pieces):
+    """Every query of ``simulator`` agrees with the reference detection
+    ``matrix`` (patterns x faults, in ``faults`` order); ``pieces`` are
+    ``patterns`` cut at ``split``, plus an empty row."""
+    np.testing.assert_array_equal(
+        simulator.detection_matrix(patterns, faults), matrix
+    )
+    assert simulator.detected(patterns, faults) == matrix.any(axis=0).tolist()
+    assert simulator.first_detection_index(patterns, faults) == (
+        _first_indices(matrix)
+    )
+    rows = np.array(list(simulator.detection_matrix_rows(pieces, faults)))
+    np.testing.assert_array_equal(
+        rows,
+        np.array(
+            [matrix[:split].any(axis=0), matrix[split:].any(axis=0),
+             np.zeros(len(faults), dtype=bool)]
+        ),
+    )
+
+
+class TestConeOrder:
+    """Cone-local batching reorders faults before chunking; results must
+    land back in the caller's columns, identical to the serial engine
+    and to ``batch_size=1`` (which has no batch-mates to reorder)."""
+
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    @settings(
+        max_examples=2,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(data=st.data())
+    def test_shuffled_catalog_matches_references(self, name, data):
+        from repro.sim.threeval import XFaultSimulator
+        from repro.utils.bitvec import PackedPlanes
+
+        circuit, faults, patterns, codes, serial, x_single = _cone_order_case(
+            name
+        )
+        # Hypothesis picks the shuffle seed (a drawn permutation of a
+        # thousand-fault list is too large an example to shrink).
+        shuffle_seed = data.draw(st.integers(0, 2**32 - 1), label="shuffle")
+        perm = np.random.default_rng(shuffle_seed).permutation(len(faults))
+        split = data.draw(st.integers(0, CONE_ORDER_PATTERNS), label="split")
+        shuffled = [faults[i] for i in perm]
+        _assert_queries_match(
+            BatchFaultSimulator(circuit, drop_window_words=1),
+            patterns,
+            shuffled,
+            serial[:, perm],
+            split,
+            [patterns[:split], patterns[split:], []],
+        )
+        _assert_queries_match(
+            XFaultSimulator(circuit, drop_window_words=1),
+            PackedPlanes.from_codes(codes),
+            shuffled,
+            x_single[:, perm],
+            split,
+            [
+                PackedPlanes.from_codes(codes[:, :split]),
+                PackedPlanes.from_codes(codes[:, split:]),
+                [],
+            ],
+        )
+
+    def test_batches_are_a_partition_in_key_order(self, s27_scan):
+        simulator = BatchFaultSimulator(s27_scan, batch_size=5)
+        faults = full_fault_list(s27_scan)
+        batches = simulator._batches(faults)
+        order = [i for indices, _ in batches for i in indices]
+        assert sorted(order) == list(range(len(faults)))
+        assert all(len(indices) == 5 for indices, _ in batches[:-1])
+        for indices, batch in batches:
+            assert batch == tuple(faults[i] for i in indices)
+        keys = [
+            simulator._order_key(_site_node(simulator.compiled, faults[i]))
+            for i in order
+        ]
+        assert keys == sorted(keys)
+
+    def test_union_work_halves_on_s1238(self):
+        """Deterministic work count: the summed cone-union size times
+        batch width over s1238's collapsed fault list, cone-ordered,
+        is at most half of the list-order batching's."""
+        from repro.circuits import load_circuit
+        from repro.faults.collapse import collapse_faults
+
+        circuit = load_circuit("s1238")
+        faults = collapse_faults(circuit)
+        simulator = BatchFaultSimulator(circuit)
+        size = simulator.batch_size
+
+        def union_work(batches) -> int:
+            return sum(
+                sum(out.size for _, groups in plan.level_groups for _, out, _ in groups)
+                * plan.n_faults
+                for plan in (simulator.plan_for(batch) for batch in batches)
+            )
+
+        list_order = [
+            faults[start : start + size] for start in range(0, len(faults), size)
+        ]
+        cone_order = [batch for _, batch in simulator._batches(faults)]
+        assert union_work(cone_order) <= 0.5 * union_work(list_order)
+
+
+class TestWorkerPlans:
+    """The pre-fork plan build must cover exactly the batches a worker's
+    ``detection_matrix_rows`` asks for."""
+
+    def test_prebuilt_plans_serve_worker_rows(self, s27_scan):
+        from repro.sim import batch as batch_module
+        from repro.sim.batch import _pack_rows, _SharedRowState
+
+        faults = full_fault_list(s27_scan)
+        pattern_sets = [
+            _random_patterns(s27_scan, n, seed=80 + n) for n in (5, 0, 70, 130)
+        ]
+        state = _SharedRowState(
+            s27_scan,
+            faults,
+            7,
+            *_pack_rows(pattern_sets, s27_scan.n_inputs),
+        )
+        state.prebuild_plans()
+        simulator = state.simulator()
+        builds = simulator.plan_builds
+        assert builds == -(-len(faults) // 7)
+        batch_module._shared_row_state = state
+        try:
+            start, rows = batch_module._worker_row_range((0, len(pattern_sets)))
+        finally:
+            batch_module._shared_row_state = None
+        assert start == 0
+        assert simulator.plan_builds == builds
+        serial = SerialFaultSimulator(s27_scan)
+        np.testing.assert_array_equal(
+            rows, [serial.detected(p, faults) for p in pattern_sets]
+        )
+
+    def test_two_workers_equal_serial_rows(self):
+        from repro.circuits import load_circuit
+        from repro.faults.collapse import collapse_faults
+        from repro.sim.batch import parallel_detection_rows
+
+        circuit = load_circuit("c880", scale=0.2)
+        faults = collapse_faults(circuit)
+        pattern_sets = [
+            _random_patterns(circuit, n, seed=90 + n) for n in (40, 0, 200, 64, 3)
+        ]
+        serial_rows = np.array(
+            list(BatchFaultSimulator(circuit).detection_matrix_rows(pattern_sets, faults))
+        )
+        np.testing.assert_array_equal(
+            parallel_detection_rows(circuit, pattern_sets, faults, workers=2),
+            serial_rows,
+        )
