@@ -14,7 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.common import CircuitWorkspace, ExperimentConfig
+from repro.flow.pipeline import PipelineConfig
+from repro.flow.session import Session
 
 #: Repository root — machine-readable benchmark documents land here.
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -96,11 +97,9 @@ BENCH_EVOLUTION_LENGTH = 32
 
 
 @pytest.fixture(scope="session")
-def bench_config() -> ExperimentConfig:
-    """The experiment configuration all benchmarks share."""
-    return ExperimentConfig(
-        circuits=BENCH_CIRCUITS,
-        scale=BENCH_SCALE,
+def bench_config() -> PipelineConfig:
+    """The flow configuration all benchmarks share."""
+    return PipelineConfig(
         seed=2001,
         evolution_length=BENCH_EVOLUTION_LENGTH,
         max_random_patterns=512,
@@ -108,9 +107,12 @@ def bench_config() -> ExperimentConfig:
 
 
 @pytest.fixture(scope="session")
-def workspaces(bench_config) -> dict[str, CircuitWorkspace]:
+def sessions(bench_config) -> dict[str, Session]:
     """ATPG + simulator per circuit, computed once per session."""
-    return {
-        name: CircuitWorkspace.prepare(name, bench_config)
-        for name in bench_config.circuits
+    sessions = {
+        name: Session.from_name(name, scale=BENCH_SCALE, config=bench_config)
+        for name in BENCH_CIRCUITS
     }
+    for session in sessions.values():
+        session.atpg_result  # eager: kept out of the measured flows
+    return sessions

@@ -16,20 +16,20 @@ from repro.utils.rng import RngStream
 
 
 @pytest.fixture(scope="module")
-def hard_faults(workspaces):
+def hard_faults(sessions):
     """The random-resistant tail of s1238 — the faults PODEM exists for."""
-    workspace = workspaces["s1238"]
-    faults = collapse_faults(workspace.circuit)
+    session = sessions["s1238"]
+    faults = collapse_faults(session.circuit)
     result = random_phase(
-        workspace.circuit,
+        session.circuit,
         faults,
         RngStream(77, "ablation-hard"),
         max_patterns=256,
-        simulator=workspace.simulator,
+        simulator=session.simulator,
     )
     if not result.remaining:
         pytest.skip("no random-resistant faults at this scale")
-    return workspace.circuit, result.remaining[:40]
+    return session.circuit, result.remaining[:40]
 
 
 @pytest.mark.parametrize("heuristic", ["level", "scoap"])

@@ -19,14 +19,14 @@ from repro.tpg.registry import make_tpg
 
 
 @pytest.fixture(scope="module")
-def weighted_instance(workspaces, bench_config):
-    workspace = workspaces["s1238"]
-    tpg = make_tpg("adder", workspace.circuit.n_inputs)
+def weighted_instance(sessions, bench_config):
+    session = sessions["s1238"]
+    tpg = make_tpg("adder", session.circuit.n_inputs)
     builder = InitialReseedingBuilder(
-        workspace.circuit, tpg, seed=bench_config.seed, simulator=workspace.simulator
+        session.circuit, tpg, seed=bench_config.seed, simulator=session.simulator
     )
     initial = builder.build_from_atpg(
-        workspace.atpg, evolution_length=bench_config.evolution_length
+        session.atpg_result, evolution_length=bench_config.evolution_length
     )
     matrix = CoverMatrix.from_bool_array(initial.detection_matrix.matrix)
     # Row cost: the triplet's useful evolution length in isolation
@@ -34,8 +34,8 @@ def weighted_instance(workspaces, bench_config):
     costs: dict[int, float] = {}
     for row, triplet in enumerate(initial.triplets):
         patterns = triplet.test_set(tpg)
-        hits = workspace.simulator.first_detection_index(
-            patterns, workspace.atpg.target_faults
+        hits = session.simulator.first_detection_index(
+            patterns, session.atpg_result.target_faults
         )
         useful = [i for i in hits if i is not None]
         costs[row] = float(1 + max(useful)) if useful else 1.0

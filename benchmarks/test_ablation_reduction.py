@@ -20,16 +20,16 @@ from repro.tpg.registry import make_tpg
 
 
 @pytest.fixture(scope="module", params=["c499", "s420", "s1238"])
-def cover_instance(request, workspaces, bench_config):
-    workspace = workspaces[request.param]
+def cover_instance(request, sessions, bench_config):
+    session = sessions[request.param]
     builder = InitialReseedingBuilder(
-        workspace.circuit,
-        make_tpg("adder", workspace.circuit.n_inputs),
+        session.circuit,
+        make_tpg("adder", session.circuit.n_inputs),
         seed=bench_config.seed,
-        simulator=workspace.simulator,
+        simulator=session.simulator,
     )
     initial = builder.build_from_atpg(
-        workspace.atpg, evolution_length=bench_config.evolution_length
+        session.atpg_result, evolution_length=bench_config.evolution_length
     )
     return CoverMatrix.from_bool_array(initial.detection_matrix.matrix)
 

@@ -22,18 +22,18 @@ from repro.tpg.registry import make_tpg
 
 
 @pytest.fixture(scope="module")
-def core_instance(workspaces, bench_config):
+def core_instance(sessions, bench_config):
     """A non-trivial cyclic core from a real Detection Matrix."""
     for circuit_name in ("c499", "s1238", "s420"):
-        workspace = workspaces[circuit_name]
+        session = sessions[circuit_name]
         builder = InitialReseedingBuilder(
-            workspace.circuit,
-            make_tpg("adder", workspace.circuit.n_inputs),
+            session.circuit,
+            make_tpg("adder", session.circuit.n_inputs),
             seed=bench_config.seed,
-            simulator=workspace.simulator,
+            simulator=session.simulator,
         )
         initial = builder.build_from_atpg(
-            workspace.atpg, evolution_length=bench_config.evolution_length
+            session.atpg_result, evolution_length=bench_config.evolution_length
         )
         matrix = CoverMatrix.from_bool_array(initial.detection_matrix.matrix)
         reduction = reduce_matrix(matrix)

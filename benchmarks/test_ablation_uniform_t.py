@@ -16,9 +16,9 @@ from repro.tpg.registry import make_tpg
 
 
 @pytest.mark.parametrize("circuit_name", ["s420", "s1238"])
-def test_ablation_uniform_t(benchmark, workspaces, bench_config, circuit_name):
-    workspace = workspaces[circuit_name]
-    pipeline_result = workspace.run_pipeline("adder", bench_config)
+def test_ablation_uniform_t(benchmark, sessions, circuit_name):
+    session = sessions[circuit_name]
+    pipeline_result = session.run("adder")
     trimmed = pipeline_result.trimmed
 
     uniform = benchmark.pedantic(
@@ -36,9 +36,9 @@ def test_ablation_uniform_t(benchmark, workspaces, bench_config, circuit_name):
         t.length for t in trimmed.solution.triplets
     )
     # and coverage is intact (longer evolutions only add patterns)
-    tpg = make_tpg("adder", workspace.circuit.n_inputs)
-    simulator = FaultSimulator(workspace.circuit)
+    tpg = make_tpg("adder", session.circuit.n_inputs)
+    simulator = FaultSimulator(session.circuit)
     coverage = simulator.fault_coverage(
-        uniform.solution.patterns(tpg), workspace.atpg.target_faults
+        uniform.solution.patterns(tpg), session.atpg_result.target_faults
     )
     assert coverage == 1.0

@@ -14,17 +14,17 @@ from repro.flow.tradeoff import explore_tradeoff
 SWEEP_LENGTHS = [2, 4, 8, 16, 32, 64, 128]
 
 
-def test_figure2_tradeoff_sweep(benchmark, workspaces, bench_config):
-    workspace = workspaces["s1238"]
+def test_figure2_tradeoff_sweep(benchmark, sessions, bench_config):
+    session = sessions["s1238"]
 
     points = benchmark.pedantic(
         lambda: explore_tradeoff(
-            workspace.circuit,
+            session.circuit,
             "adder",
             SWEEP_LENGTHS,
-            config=bench_config.pipeline_config(),
-            atpg_result=workspace.atpg,
-            simulator=workspace.simulator,
+            config=bench_config,
+            atpg_result=session.atpg_result,
+            simulator=session.simulator,
         ),
         rounds=1,
         iterations=1,

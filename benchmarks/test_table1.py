@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.experiments.common import gatsby_baseline
 from repro.sim.fault import FaultSimulator
 from repro.tpg.registry import PAPER_TPGS, make_tpg
 
@@ -21,36 +22,36 @@ from repro.tpg.registry import PAPER_TPGS, make_tpg
 @pytest.mark.parametrize("tpg_name", PAPER_TPGS)
 @pytest.mark.parametrize("circuit_name", ["c499", "s420", "s1238"])
 def test_table1_set_covering_flow(
-    benchmark, workspaces, bench_config, circuit_name, tpg_name
+    benchmark, sessions, circuit_name, tpg_name
 ):
-    workspace = workspaces[circuit_name]
+    session = sessions[circuit_name]
 
     result = benchmark.pedantic(
-        lambda: workspace.run_pipeline(tpg_name, bench_config),
+        lambda: session.run(tpg_name),
         rounds=1,
         iterations=1,
     )
 
     # Table 1 invariants: complete coverage, genuine compression.
-    tpg = make_tpg(tpg_name, workspace.circuit.n_inputs)
+    tpg = make_tpg(tpg_name, session.circuit.n_inputs)
     patterns = result.trimmed.solution.patterns(tpg)
-    simulator = FaultSimulator(workspace.circuit)
+    simulator = FaultSimulator(session.circuit)
     assert simulator.fault_coverage(patterns, result.atpg.target_faults) == 1.0
     assert 1 <= result.n_triplets <= result.initial.n_triplets
     assert result.n_triplets < result.atpg.test_length or result.atpg.test_length <= 2
 
 
 @pytest.mark.parametrize("circuit_name", ["s420"])
-def test_table1_gatsby_baseline(benchmark, workspaces, bench_config, circuit_name):
-    workspace = workspaces[circuit_name]
+def test_table1_gatsby_baseline(benchmark, sessions, circuit_name):
+    session = sessions[circuit_name]
 
     gatsby = benchmark.pedantic(
-        lambda: workspace.run_gatsby("adder", bench_config),
+        lambda: gatsby_baseline(session, "adder"),
         rounds=1,
         iterations=1,
     )
 
-    pipeline = workspace.run_pipeline("adder", bench_config)
+    pipeline = session.run("adder")
     # The paper's comparison: either GATSBY needed at least as many
     # triplets to reach the target coverage, or it never reached it.
     assert (

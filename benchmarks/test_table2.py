@@ -19,40 +19,40 @@ from repro.tpg.registry import PAPER_TPGS, make_tpg
 
 
 @pytest.fixture(scope="module")
-def initial_reseedings(workspaces, bench_config):
+def initial_reseedings(sessions, bench_config):
     """Initial reseeding (candidate pool + Detection Matrix) per
     (circuit, TPG) pair — the input of the stages measured here."""
     pool = {}
-    for circuit_name, workspace in workspaces.items():
+    for circuit_name, session in sessions.items():
         for tpg_name in PAPER_TPGS:
             builder = InitialReseedingBuilder(
-                workspace.circuit,
-                make_tpg(tpg_name, workspace.circuit.n_inputs),
+                session.circuit,
+                make_tpg(tpg_name, session.circuit.n_inputs),
                 seed=bench_config.seed,
-                simulator=workspace.simulator,
+                simulator=session.simulator,
             )
             pool[(circuit_name, tpg_name)] = builder.build_from_atpg(
-                workspace.atpg, evolution_length=bench_config.evolution_length
+                session.atpg_result, evolution_length=bench_config.evolution_length
             )
     return pool
 
 
 @pytest.mark.parametrize("circuit_name", ["c499", "s420", "s1238"])
 def test_table2_detection_matrix_build(
-    benchmark, workspaces, bench_config, circuit_name
+    benchmark, sessions, bench_config, circuit_name
 ):
     """Stage 1: the only fault-simulation-heavy step of the approach."""
-    workspace = workspaces[circuit_name]
+    session = sessions[circuit_name]
     builder = InitialReseedingBuilder(
-        workspace.circuit,
-        make_tpg("adder", workspace.circuit.n_inputs),
+        session.circuit,
+        make_tpg("adder", session.circuit.n_inputs),
         seed=bench_config.seed,
-        simulator=workspace.simulator,
+        simulator=session.simulator,
     )
 
     initial = benchmark.pedantic(
         lambda: builder.build_from_atpg(
-            workspace.atpg, evolution_length=bench_config.evolution_length
+            session.atpg_result, evolution_length=bench_config.evolution_length
         ),
         rounds=1,
         iterations=1,
@@ -61,8 +61,8 @@ def test_table2_detection_matrix_build(
     # Table 2's "Initial Matrix" column: #Triplets x #Faults with
     # #Triplets = ATPG test length.
     assert initial.detection_matrix.shape == (
-        workspace.atpg.test_length,
-        len(workspace.atpg.target_faults),
+        session.atpg_result.test_length,
+        len(session.atpg_result.target_faults),
     )
     assert initial.detection_matrix.covers_all_faults()
 

@@ -22,7 +22,7 @@ import time
 
 import numpy as np
 
-from repro import PipelineConfig, ReseedingPipeline, TestPatternGenerator, load_circuit
+from repro import PipelineConfig, Session, TestPatternGenerator, load_circuit
 from repro.tpg import make_tpg
 from repro.utils.bitvec import BitVector
 from repro.utils.rng import RngStream
@@ -69,7 +69,8 @@ def main() -> None:
 
     circuit = load_circuit(args.circuit, scale=args.scale)
     print(f"UUT: {circuit}\n")
-    config = PipelineConfig(evolution_length=32)
+    # One session: ATPG runs once, every generator below reuses it.
+    session = Session(circuit, PipelineConfig(evolution_length=32))
 
     table = AsciiTable(
         ["TPG", "#triplets", "test length", "necessary", "from solver"],
@@ -82,13 +83,8 @@ def main() -> None:
         make_tpg("mp-lfsr", circuit.n_inputs),
         MacUnit(circuit.n_inputs),  # the custom unit, same API
     ]
-    shared_atpg = None
     for tpg in generators:
-        pipeline = ReseedingPipeline(
-            circuit, tpg, config, atpg_result=shared_atpg
-        )
-        result = pipeline.run()
-        shared_atpg = result.atpg  # ATPG runs once, all TPGs reuse it
+        result = session.run(tpg)
         table.add_row(
             [
                 tpg.name,

@@ -18,7 +18,7 @@ Run: ``python examples/full_bist_session.py [--circuit s953] [--scale 0.2]``
 
 import argparse
 
-from repro import PipelineConfig, ReseedingPipeline, load_circuit
+from repro import PipelineConfig, Session, load_circuit
 from repro.sim.event import ReferenceSimulator
 from repro.sim.misr import Misr
 from repro.tpg.hardware import NetlistTpg, adder_accumulator_netlist
@@ -46,7 +46,7 @@ def main() -> None:
     print(f"TPG: {tpg.name} ({tpg_netlist.n_gates} gates of mission logic)")
 
     # 2. seeds from the set-covering pipeline
-    result = ReseedingPipeline(uut, tpg, PipelineConfig(evolution_length=32)).run()
+    result = Session(uut, PipelineConfig(evolution_length=32)).run(tpg)
     print(f"controller ROM: {result.n_triplets} triplets "
           f"({result.trimmed.solution.storage_bits()} bits), "
           f"test length {result.test_length}")

@@ -21,7 +21,7 @@ Run: ``python examples/lfsr_reseeding.py [--circuit s953] [--scale 0.25]``
 import argparse
 import time
 
-from repro import PipelineConfig, ReseedingPipeline, load_circuit
+from repro import PipelineConfig, Session, load_circuit
 from repro.tpg.lfsr import Lfsr, MultiPolynomialLfsr, default_polynomials
 from repro.utils.tables import AsciiTable
 
@@ -77,18 +77,15 @@ def main() -> None:
     bank = default_polynomials(width, count=args.polys)
     print(f"polynomial bank ({len(bank)} entries): {bank}\n")
 
-    config = PipelineConfig(evolution_length=32)
+    # One session: both generators share its ATPG run and fault simulator.
+    session = Session(circuit, PipelineConfig(evolution_length=32))
     table = AsciiTable(
         ["generator", "#seeds (triplets)", "test length", "necessary", "from solver"],
         title=f"LFSR reseeding on {circuit.name}",
     )
-    shared_atpg = None
     solutions = []
     for tpg in (Lfsr(width), MultiPolynomialLfsr(width, bank)):
-        result = ReseedingPipeline(
-            circuit, tpg, config, atpg_result=shared_atpg
-        ).run()
-        shared_atpg = result.atpg
+        result = session.run(tpg)
         solutions.append((tpg, result))
         table.add_row(
             [

@@ -13,7 +13,7 @@ Run: ``python examples/soc_accumulator_bist.py [--scale 0.25]``
 
 import argparse
 
-from repro import PipelineConfig, ReseedingPipeline, load_circuit
+from repro import PipelineConfig, Session, load_circuit
 from repro.utils.tables import AsciiTable
 
 #: The on-chip modules our shared accumulator must test.
@@ -44,7 +44,7 @@ def main() -> None:
     for module in SOC_MODULES:
         circuit = load_circuit(module, scale=args.scale)
         config = PipelineConfig(evolution_length=args.evolution_length)
-        result = ReseedingPipeline(circuit, "adder", config).run()
+        result = Session(circuit, config).run("adder")
         triplet_bits = result.trimmed.solution.storage_bits()
         # the naive alternative: store every ATPG pattern verbatim
         atpg_bits = result.atpg.test_length * circuit.n_inputs

@@ -8,12 +8,12 @@ bit-parallel logic/fault simulation, a PODEM-based ATPG, accumulator and
 LFSR test pattern generators, a covering-table reduction + exact-ILP
 solver chain, and a GATSBY-style genetic-algorithm baseline.
 
-Typical use::
+Typical use — a :class:`Session` runs the flow for one circuit::
 
-    from repro import load_circuit, ReseedingPipeline, PipelineConfig
+    from repro import PipelineConfig, Session, load_circuit
 
-    circuit = load_circuit("s1238", scale=0.5)
-    result = ReseedingPipeline(circuit, "adder", PipelineConfig()).run()
+    session = Session(load_circuit("s1238", scale=0.5), PipelineConfig())
+    result = session.run("adder")
     print(result.summary())
 
 Batch use — shared circuit-level artefacts, on-disk artifact cache and
@@ -24,9 +24,6 @@ a circuits x TPGs x configs orchestrator::
     session = Session.from_name("s1238", scale=0.5, cache=".repro-cache")
     result = session.run("adder")          # warm re-runs skip ATPG
     grid = sweep(["c880", "s1238"], ["adder", "multiplier"], workers=4)
-
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-vs-measured record of every table and figure.
 """
 
 from repro.circuit import Circuit, Gate, GateType, parse_bench, write_bench
@@ -58,7 +55,6 @@ from repro.flow import (
     ArtifactCache,
     PipelineConfig,
     PipelineResult,
-    ReseedingPipeline,
     Session,
     Stage,
     StageContext,
@@ -95,7 +91,6 @@ __all__ = [
     "PipelineResult",
     "Podem",
     "Registry",
-    "ReseedingPipeline",
     "ReseedingSolution",
     "RngStream",
     "Session",

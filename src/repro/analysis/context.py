@@ -57,8 +57,7 @@ class AnalysisContext:
 
     def markdown_files(self) -> list[Path]:
         """The documentation set the link checker covers: the README
-        plus the whole ``docs/`` tree (mirrors the historical
-        ``tools/check_links.py README.md docs`` invocation)."""
+        plus the whole ``docs/`` tree."""
         files: list[Path] = []
         readme = self.root / "README.md"
         if readme.is_file():

@@ -1,8 +1,7 @@
 """Rule ``docs-links`` — every local markdown link resolves.
 
-The engine-resident successor of ``tools/check_links.py`` (the tool
-survives as a thin shim over this module): inline links/images and
-reference definitions in the README and the ``docs/`` tree must point
+Run it alone with ``python -m repro check --rule docs-links``: inline
+links/images and reference definitions in the README and the ``docs/`` tree must point
 at files that exist, and ``file.md#anchor`` targets must name a real
 ATX heading by GitHub's slug rules.  External ``http(s)``/``mailto``
 links are skipped — CI must not flake on the network.  Fenced code
@@ -96,7 +95,7 @@ def check_file(path: Path) -> list[tuple[int, str]]:
 
 def check_paths(paths: list[str]) -> list[str]:
     """Flat error strings for files and (recursively) directories of
-    markdown — the historical ``tools/check_links.py`` surface."""
+    markdown (the form ``tests/test_docs.py`` asserts on)."""
     errors: list[str] = []
     for entry in paths:
         path = Path(entry)

@@ -3,8 +3,7 @@
 Each entry records the *real* ISCAS statistics (PI / PO / FF / gate
 counts, from the published suite profiles [9][10]) and provides either
 the embedded genuine netlist (c17, s27) or a seeded synthetic stand-in
-of the same size class (see DESIGN.md section 2 for why the substitution
-preserves the experiments' shape).
+with the same input, output and gate counts at ``scale=1.0``.
 
 ``load_circuit(name, scale=...)`` is the single entry point; sequential
 circuits are returned in their full-scan combinational view by default,

@@ -3,7 +3,7 @@
 Only the tiny, universally reproduced circuits are embedded verbatim:
 ``c17`` (ISCAS'85) and ``s27`` (ISCAS'89).  The larger suite members are
 represented by seeded synthetic stand-ins (see
-:mod:`repro.circuits.catalog` and DESIGN.md section 2).
+:mod:`repro.circuits.catalog`).
 """
 
 C17_BENCH = """\

@@ -116,19 +116,23 @@ def _finish_trace(telemetry, root, path: str) -> None:
     )
 
 
-def _pipeline_config_from_args(args: argparse.Namespace):
+def _pipeline_config(args: argparse.Namespace, **per_command):
+    """The flow config the :func:`_add_flow_knobs` flags describe — the
+    one place ``run`` and ``sweep`` build it, so no flag can drop out of
+    either command.  ``per_command`` sets the knobs whose flags differ
+    between the two (``run``'s ``--evolution-length`` and matrix-row
+    ``--workers``)."""
     from repro.flow.pipeline import PipelineConfig
 
     return PipelineConfig(
         seed=args.seed,
-        evolution_length=args.evolution_length,
         cover_method=args.method,
         max_random_patterns=args.max_random_patterns,
         backtrack_limit=args.backtrack_limit,
         atpg_engine=args.atpg_engine,
         grasp_iterations=args.grasp_iterations,
-        matrix_workers=args.workers,
         values=args.values,
+        **per_command,
     )
 
 
@@ -145,7 +149,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     from repro.flow.session import Session
     from repro.reseeding.uniform import storage_comparison, uniformize_solution
 
-    config = _pipeline_config_from_args(args)
+    config = _pipeline_config(
+        args,
+        evolution_length=args.evolution_length,
+        matrix_workers=args.workers,
+    )
     telemetry, root = _trace_telemetry(
         args, "repro.run", circuit=args.circuit, tpg=args.tpg
     )
@@ -196,23 +204,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             --evolution-lengths 16 32 64 --cache .repro-cache --workers 2
         python -m repro sweep --circuits s420 --tpgs adder --csv
     """
-    from repro.flow.pipeline import PipelineConfig
     from repro.flow.session import ArtifactCache
     from repro.flow.sweep import sweep
 
-    base = PipelineConfig(
-        seed=args.seed,
-        cover_method=args.method,
-        max_random_patterns=args.max_random_patterns,
-        backtrack_limit=args.backtrack_limit,
-        atpg_engine=args.atpg_engine,
-        grasp_iterations=args.grasp_iterations,
-    )
     cache = ArtifactCache(args.cache) if args.cache else None
     grid = sweep(
         args.circuits,
         args.tpgs,
-        base_config=base,
+        base_config=_pipeline_config(args),
         evolution_lengths=args.evolution_lengths,
         scale=args.scale,
         cache=cache,

@@ -1,7 +1,10 @@
 """Experiment drivers regenerating the paper's tables and figures.
 
 Each module is runnable (``python -m repro.experiments.table1``) and
-exposes a ``compute_*`` function the benchmark harness reuses.
+exposes a ``compute_*`` function the benchmark harness reuses.  Table 1
+and Table 2 take one :class:`~repro.flow.session.Session` per circuit,
+already built with its :class:`~repro.flow.pipeline.PipelineConfig`
+and catalog scale.
 
 =============  =====================================================
 module         regenerates
@@ -11,10 +14,10 @@ module         regenerates
 ``figure2``    Figure 2 — reseedings vs test length trade-off
 =============  =====================================================
 
-All drivers run on the synthetic ISCAS-sized stand-ins (see DESIGN.md);
-``--scale`` trades fidelity for runtime (1.0 = full ISCAS sizes).
+All drivers run on the synthetic ISCAS-sized stand-ins (see
+:mod:`repro.circuits.catalog`); ``--scale`` trades fidelity for
+runtime (1.0 = full ISCAS sizes).
 """
 
-from repro.experiments.common import ExperimentConfig, CircuitWorkspace
-
-__all__ = ["CircuitWorkspace", "ExperimentConfig"]
+# The drivers are runnable modules; import from them directly.
+__all__ = []

@@ -1,24 +1,21 @@
 """Shared infrastructure for the experiment drivers.
 
-The heavy lifting lives in the flow layer now: a
-:class:`~repro.flow.session.Session` owns the per-circuit artefacts
-(loaded circuit, compiled fault simulator, ATPG result) and
-:func:`~repro.flow.sweep.sweep` runs the circuits x TPGs grid over
-shared sessions.  This module keeps the experiment-level vocabulary —
-circuit subsets, the :class:`ExperimentConfig` knobs, the shared CLI —
-plus :class:`CircuitWorkspace`, the Session subclass the drivers and
-the GATSBY baseline use (the name survives from the pre-Session API).
+The drivers run on :class:`~repro.flow.session.Session` objects, one per
+circuit, which own the per-circuit artefacts (loaded circuit, compiled
+fault simulator, ATPG result).  This module keeps the experiment-level
+vocabulary: circuit subsets, the drivers' flow defaults, the GATSBY
+baseline with the paper's gate-count cutoff, and the shared CLI.
 """
 
 from __future__ import annotations
 
 import argparse
+from dataclasses import replace
 
-from dataclasses import dataclass
-
-from repro.flow.pipeline import PipelineConfig, PipelineResult
-from repro.flow.session import ArtifactCache, Session
+from repro.flow.pipeline import PipelineConfig
+from repro.flow.session import Session
 from repro.gatsby import GaConfig, GatsbyReseeder, GatsbyResult
+from repro.tpg.registry import make_tpg
 
 #: Default circuit subset: small-to-mid members of the paper's list so
 #: the drivers finish in minutes at the default scale.  ``--circuits``
@@ -58,96 +55,31 @@ FULL_CIRCUITS: tuple[str, ...] = (
 GATSBY_GATE_LIMIT = 1200
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Scaling and tuning knobs shared by the drivers."""
-
-    circuits: tuple[str, ...] = DEFAULT_CIRCUITS
-    scale: float = 0.25
-    seed: int = 2001
-    evolution_length: int = 32
-    max_random_patterns: int = 1024
-    run_gatsby: bool = True
-    matrix_workers: int | None = None
-    cache_dir: str | None = None
-
-    def pipeline_config(self, evolution_length: int | None = None) -> PipelineConfig:
-        """The equivalent flow configuration."""
-        return PipelineConfig(
-            seed=self.seed,
-            evolution_length=evolution_length or self.evolution_length,
-            max_random_patterns=self.max_random_patterns,
-            matrix_workers=self.matrix_workers,
-        )
+#: The drivers' flow defaults: T = 32 and a 1024-pattern random ATPG
+#: phase (``--seed``, ``--evolution-length`` and ``--workers`` override).
+DRIVER_CONFIG = PipelineConfig(evolution_length=32, max_random_patterns=1024)
 
 
-class CircuitWorkspace(Session):
-    """Cached per-circuit artefacts: circuit, simulator, ATPG result.
-
-    A :class:`~repro.flow.session.Session` under its historical name,
-    extended with the experiment-level conveniences (eager ATPG, the
-    GATSBY baseline with the paper's gate-count cutoff).
-    """
-
-    @classmethod
-    def prepare(
-        cls,
-        name: str,
-        config: ExperimentConfig,
-        cache: ArtifactCache | str | None = None,
-    ) -> "CircuitWorkspace":
-        """Load (or synthesise) the circuit and run ATPG once."""
-        workspace = cls.from_name(
-            name,
-            scale=config.scale,
-            config=config.pipeline_config(),
-            cache=cache if cache is not None else config.cache_dir,
-        )
-        workspace.atpg_result  # eager: every experiment needs it anyway
-        return workspace
-
-    @property
-    def atpg(self):
-        """The circuit-level ATPG artefact (pre-Session attribute name)."""
-        return self.atpg_result
-
-    def run_pipeline(
-        self, tpg_name: str, config: ExperimentConfig, evolution_length: int | None = None
-    ) -> PipelineResult:
-        """The set-covering flow for one TPG, reusing cached artefacts."""
-        return self.run(tpg_name, config.pipeline_config(evolution_length))
-
-    def run_gatsby(
-        self, tpg_name: str, config: ExperimentConfig
-    ) -> GatsbyResult | None:
-        """The GA baseline, or ``None`` for circuits beyond its reach
-        (Table 1's missing GATSBY entries)."""
-        if self.circuit.n_gates > GATSBY_GATE_LIMIT:
-            return None
-        from repro.tpg.registry import make_tpg
-
-        reseeder = GatsbyReseeder(
-            self.circuit,
-            make_tpg(tpg_name, self.circuit.n_inputs),
-            seed=config.seed,
-            evolution_length=config.evolution_length,
-            ga_config=GaConfig(population_size=12, generations=8),
-            stall_limit=8,
-            simulator=self.simulator,
-        )
-        # No ATPG seeding: GATSBY is a standalone simulation-driven tool
-        # ([7][8]); it never sees deterministic patterns.  This is what
-        # makes the set-covering approach win on random-resistant faults.
-        return reseeder.run(self.atpg.target_faults)
-
-
-def prepare_workspaces(
-    config: ExperimentConfig,
-) -> dict[str, CircuitWorkspace]:
-    """One eager workspace per configured circuit, in order."""
-    return {
-        name: CircuitWorkspace.prepare(name, config) for name in config.circuits
-    }
+def gatsby_baseline(session: Session, tpg_name: str) -> GatsbyResult | None:
+    """The GA baseline for one TPG, or ``None`` for circuits beyond its
+    reach (Table 1's missing GATSBY entries).  Seed and evolution length
+    come from ``session.config``."""
+    circuit = session.circuit
+    if circuit.n_gates > GATSBY_GATE_LIMIT:
+        return None
+    reseeder = GatsbyReseeder(
+        circuit,
+        make_tpg(tpg_name, circuit.n_inputs),
+        seed=session.config.seed,
+        evolution_length=session.config.evolution_length,
+        ga_config=GaConfig(population_size=12, generations=8),
+        stall_limit=8,
+        simulator=session.simulator,
+    )
+    # No ATPG seeding: GATSBY is a standalone simulation-driven tool
+    # ([7][8]); it never sees deterministic patterns.  This is what
+    # makes the set-covering approach win on random-resistant faults.
+    return reseeder.run(session.atpg_result.target_faults)
 
 
 def make_arg_parser(description: str) -> argparse.ArgumentParser:
@@ -170,11 +102,13 @@ def make_arg_parser(description: str) -> argparse.ArgumentParser:
         default=0.25,
         help="synthetic circuit size factor, 1.0 = real ISCAS sizes (default 0.25)",
     )
-    parser.add_argument("--seed", type=int, default=2001, help="master seed")
+    parser.add_argument(
+        "--seed", type=int, default=DRIVER_CONFIG.seed, help="master seed"
+    )
     parser.add_argument(
         "--evolution-length",
         type=int,
-        default=32,
+        default=DRIVER_CONFIG.evolution_length,
         help="triplet evolution length T (default 32)",
     )
     parser.add_argument(
@@ -201,20 +135,24 @@ def make_arg_parser(description: str) -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    """Translate parsed CLI arguments into an ExperimentConfig."""
+def sessions_from_args(args: argparse.Namespace) -> dict[str, Session]:
+    """One session per requested circuit, configured from the driver
+    flags on top of :data:`DRIVER_CONFIG`."""
     if args.circuits:
         circuits = tuple(args.circuits)
     elif args.full:
         circuits = FULL_CIRCUITS
     else:
         circuits = DEFAULT_CIRCUITS
-    return ExperimentConfig(
-        circuits=circuits,
-        scale=args.scale,
+    config = replace(
+        DRIVER_CONFIG,
         seed=args.seed,
         evolution_length=args.evolution_length,
-        run_gatsby=not args.no_gatsby,
-        matrix_workers=getattr(args, "workers", None),
-        cache_dir=getattr(args, "cache", None),
+        matrix_workers=args.workers,
     )
+    return {
+        name: Session.from_name(
+            name, scale=args.scale, config=config, cache=args.cache
+        )
+        for name in circuits
+    }

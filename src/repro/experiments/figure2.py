@@ -12,9 +12,10 @@ Run: ``python -m repro.experiments.figure2 [--circuit s1238] [--tpg adder]``
 from __future__ import annotations
 
 import argparse
+from dataclasses import replace
 
 from repro.circuits import load_circuit
-from repro.flow.pipeline import PipelineConfig
+from repro.experiments.common import DRIVER_CONFIG
 from repro.flow.tradeoff import TradeoffPoint, explore_tradeoff
 from repro.utils.tables import AsciiTable, render_series
 
@@ -36,14 +37,13 @@ def compute_figure2(
     ATPG (and any already-swept T points) entirely.
     """
     circuit = load_circuit(circuit_name, scale=scale)
-    config = PipelineConfig(seed=seed, max_random_patterns=1024)
     from repro.flow.session import ArtifactCache
 
     return explore_tradeoff(
         circuit,
         tpg_name,
         list(lengths),
-        config=config,
+        config=replace(DRIVER_CONFIG, seed=seed),
         cache=ArtifactCache(cache) if cache else None,
     )
 

@@ -13,15 +13,14 @@ Run: ``python -m repro.experiments.table1 [--scale 0.25] [--full]``
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping
 
 from repro.experiments.common import (
-    CircuitWorkspace,
-    ExperimentConfig,
-    config_from_args,
+    gatsby_baseline,
     make_arg_parser,
-    prepare_workspaces,
+    sessions_from_args,
 )
-from repro.flow.sweep import sweep
+from repro.flow.session import Session
 from repro.tpg.registry import PAPER_TPGS
 from repro.utils.tables import AsciiTable
 
@@ -65,38 +64,19 @@ class Table1Row:
 
 
 def compute_table1(
-    config: ExperimentConfig,
-    workspaces: dict[str, CircuitWorkspace] | None = None,
+    sessions: Mapping[str, Session], run_gatsby: bool = True
 ) -> list[Table1Row]:
-    """Regenerate Table 1's data for ``config.circuits``.
-
-    A thin client of :func:`repro.flow.sweep.sweep`: the set-covering
-    cells come from one circuits x TPGs grid over shared sessions; only
-    the GATSBY baseline (not a flow stage) runs outside the sweep.
-    """
-    if workspaces is None:
-        workspaces = prepare_workspaces(config)
-    grid = sweep(
-        list(config.circuits),
-        list(PAPER_TPGS),
-        configs=[config.pipeline_config()],
-        sessions=workspaces,
-        scale=config.scale,
-    )
+    """Regenerate Table 1's data, one row per session (keyed by circuit
+    name, in order), each flow run with the session's own config."""
     rows: list[Table1Row] = []
-    for name in config.circuits:
-        workspace = workspaces[name]
+    for name, session in sessions.items():
         cells: dict[str, Table1Cell] = {}
         for tpg_name in PAPER_TPGS:
-            pipeline = grid.get(name, tpg_name).result
-            gatsby = (
-                workspace.run_gatsby(tpg_name, config)
-                if config.run_gatsby
-                else None
-            )
+            result = session.run(tpg_name)
+            gatsby = gatsby_baseline(session, tpg_name) if run_gatsby else None
             cells[tpg_name] = Table1Cell(
-                n_triplets=pipeline.n_triplets,
-                test_length=pipeline.test_length,
+                n_triplets=result.n_triplets,
+                test_length=result.test_length,
                 gatsby_triplets=gatsby.n_triplets if gatsby else None,
                 gatsby_test_length=gatsby.test_length if gatsby else None,
                 gatsby_coverage=gatsby.fault_coverage if gatsby else None,
@@ -140,8 +120,9 @@ def main(argv: list[str] | None = None) -> None:
     """CLI entry point."""
     parser = make_arg_parser(__doc__.splitlines()[0])
     args = parser.parse_args(argv)
-    config = config_from_args(args)
-    rows = compute_table1(config)
+    rows = compute_table1(
+        sessions_from_args(args), run_gatsby=not args.no_gatsby
+    )
     table = render_table1(rows)
     print(table.render_csv() if args.csv else table.render())
     wins = 0

@@ -18,15 +18,10 @@ Run: ``python -m repro.experiments.table2 [--scale 0.25] [--full]``
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping
 
-from repro.experiments.common import (
-    CircuitWorkspace,
-    ExperimentConfig,
-    config_from_args,
-    make_arg_parser,
-    prepare_workspaces,
-)
-from repro.flow.sweep import sweep
+from repro.experiments.common import make_arg_parser, sessions_from_args
+from repro.flow.session import Session
 from repro.tpg.registry import PAPER_TPGS
 from repro.utils.tables import AsciiTable
 
@@ -54,35 +49,20 @@ class Table2Row:
     cells: dict[str, Table2Cell]
 
 
-def compute_table2(
-    config: ExperimentConfig,
-    workspaces: dict[str, CircuitWorkspace] | None = None,
-) -> list[Table2Row]:
-    """Regenerate Table 2's data for ``config.circuits``.
-
-    Like Table 1, a thin client of :func:`repro.flow.sweep.sweep` over
-    shared per-circuit sessions.
-    """
-    if workspaces is None:
-        workspaces = prepare_workspaces(config)
-    grid = sweep(
-        list(config.circuits),
-        list(PAPER_TPGS),
-        configs=[config.pipeline_config()],
-        sessions=workspaces,
-        scale=config.scale,
-    )
+def compute_table2(sessions: Mapping[str, Session]) -> list[Table2Row]:
+    """Regenerate Table 2's data, one row per session (keyed by circuit
+    name, in order), each flow run with the session's own config."""
     rows: list[Table2Row] = []
-    for name in config.circuits:
+    for name, session in sessions.items():
         cells: dict[str, Table2Cell] = {}
         initial_shape = (0, 0)
         for tpg_name in PAPER_TPGS:
-            pipeline = grid.get(name, tpg_name).result
-            initial_shape = pipeline.detection_matrix.shape
+            result = session.run(tpg_name)
+            initial_shape = result.detection_matrix.shape
             cells[tpg_name] = Table2Cell(
-                n_necessary=pipeline.n_necessary,
-                reduced_shape=pipeline.reduced_shape,
-                n_solver=pipeline.n_from_solver,
+                n_necessary=result.n_necessary,
+                reduced_shape=result.reduced_shape,
+                n_solver=result.n_from_solver,
             )
         rows.append(Table2Row(name, initial_shape, cells))
     return rows
@@ -119,8 +99,7 @@ def main(argv: list[str] | None = None) -> None:
     """CLI entry point."""
     parser = make_arg_parser(__doc__.splitlines()[0])
     args = parser.parse_args(argv)
-    config = config_from_args(args)
-    rows = compute_table2(config)
+    rows = compute_table2(sessions_from_args(args))
     table = render_table2(rows)
     print(table.render_csv() if args.csv else table.render())
     closed = sum(

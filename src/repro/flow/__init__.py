@@ -2,9 +2,11 @@
 
 Three concepts compose the paper's Figure-1 computation:
 
-* :class:`~repro.flow.session.Session` owns circuit-level artefacts
-  (loaded circuit, compiled fault simulator, ATPG result) with an
-  optional content-keyed on-disk :class:`~repro.flow.session.ArtifactCache`;
+* :class:`~repro.flow.session.Session` — the flow's one entry point —
+  owns circuit-level artefacts (loaded circuit, compiled fault
+  simulator, ATPG result) with an optional content-keyed on-disk
+  :class:`~repro.flow.session.ArtifactCache`, and runs the stages for
+  one TPG at a time;
 * :class:`~repro.flow.stages.Stage` objects (ATPG, Detection Matrix,
   set covering, trimming) run over a shared
   :class:`~repro.flow.stages.StageContext`, emit progress events, and
@@ -12,13 +14,11 @@ Three concepts compose the paper's Figure-1 computation:
 * :func:`~repro.flow.sweep.sweep` orchestrates circuits x TPGs x
   configs over shared sessions, optionally across a process pool.
 
-:class:`~repro.flow.pipeline.ReseedingPipeline` remains the one-shot
-convenience wrapper, and :func:`~repro.flow.tradeoff.explore_tradeoff`
-the Figure-2 curve generator; both are thin clients of the machinery
-above.
+:func:`~repro.flow.tradeoff.explore_tradeoff`, the Figure-2 curve
+generator, is a thin client of the machinery above.
 """
 
-from repro.flow.pipeline import PipelineConfig, PipelineResult, ReseedingPipeline
+from repro.flow.pipeline import PipelineConfig, PipelineResult
 from repro.flow.session import ArtifactCache, RunInfo, Session
 from repro.flow.stages import (
     DEFAULT_STAGES,
@@ -47,7 +47,6 @@ __all__ = [
     "MatrixStage",
     "PipelineConfig",
     "PipelineResult",
-    "ReseedingPipeline",
     "RunInfo",
     "STAGE_REGISTRY",
     "Session",

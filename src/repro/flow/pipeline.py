@@ -7,15 +7,12 @@
         --reduced matrix--> exact solver (LINGO stand-in)
         --necessary + minimal triplets--> trimming --> final reseeding N
 
-The flow itself now lives in :mod:`repro.flow.stages` as first-class
-``Stage`` objects over a shared ``StageContext``;
-:class:`ReseedingPipeline` survives as the stable convenience wrapper
-that executes the default stage chain for one circuit and one TPG and
-returns every intermediate artefact (the experiments need them all:
-Table 1 reads the final solution, Table 2 the matrix/reduction
-statistics).  For circuit-level artefact sharing and on-disk caching
-use :class:`repro.flow.session.Session`; for batch grids use
-:func:`repro.flow.sweep.sweep`.
+This module holds the flow's configuration and its result: a
+:class:`PipelineConfig` in, a :class:`PipelineResult` (every
+intermediate artefact — Table 1 reads the final solution, Table 2 the
+matrix/reduction statistics) out.  The stages live in
+:mod:`repro.flow.stages`; :class:`repro.flow.session.Session` runs them
+for one circuit, and :func:`repro.flow.sweep.sweep` runs batch grids.
 """
 
 from __future__ import annotations
@@ -23,16 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.atpg.engine import AtpgResult
-from repro.circuit.netlist import Circuit
-from repro.flow.stages import ProgressHook, StageContext, run_flow
 from repro.reseeding.detection_matrix import DetectionMatrix
 from repro.reseeding.initial import InitialReseeding
 from repro.reseeding.triplet import Triplet
 from repro.reseeding.trim import TrimmedSolution
 from repro.setcover.solve import CoverSolution
-from repro.sim.fault import FaultSimulator
-from repro.tpg.base import TestPatternGenerator
-from repro.tpg.registry import make_tpg
 
 
 @dataclass(frozen=True)
@@ -149,53 +141,3 @@ class PipelineResult:
 
         return pipeline_result_from_dict(data)
 
-
-class ReseedingPipeline:
-    """Figure 1, as a reusable object.
-
-    ``atpg_result`` and ``simulator`` can be shared across pipelines for
-    the same circuit (Table 1 runs three TPGs per circuit; ATPG and the
-    compiled fault simulator are circuit-level artefacts).  ``run()`` is
-    a thin wrapper over the :mod:`repro.flow.stages` machinery and
-    produces results bit-identical to the pre-stage implementation.
-    """
-
-    def __init__(
-        self,
-        circuit: Circuit,
-        tpg: TestPatternGenerator | str,
-        config: PipelineConfig | None = None,
-        atpg_result: AtpgResult | None = None,
-        simulator: FaultSimulator | None = None,
-    ) -> None:
-        self.circuit = circuit
-        self.config = config or PipelineConfig()
-        if self.config.values not in (2, 3):
-            raise ValueError(
-                f"config.values must be 2 or 3, got {self.config.values!r}"
-            )
-        self.tpg = (
-            make_tpg(tpg, circuit.n_inputs) if isinstance(tpg, str) else tpg
-        )
-        if simulator is not None:
-            self.simulator = simulator
-        elif self.config.values == 3:
-            from repro.sim.threeval import XFaultSimulator
-
-            self.simulator = XFaultSimulator(circuit)
-        else:
-            self.simulator = FaultSimulator(circuit)
-        self._atpg_result = atpg_result
-
-    def run(self, progress: ProgressHook | None = None) -> PipelineResult:
-        """Execute ATPG -> matrix -> reduction -> exact cover -> trim."""
-        ctx = StageContext(
-            circuit=self.circuit,
-            tpg=self.tpg,
-            config=self.config,
-            simulator=self.simulator,
-            progress=progress,
-        )
-        if self._atpg_result is not None:
-            ctx.artifacts["atpg"] = self._atpg_result
-        return run_flow(ctx)

@@ -4,9 +4,8 @@ The paper characterises a reseeding solution by each triplet's
 incremental coverage AFC%_i (Section 2); :func:`solution_report` renders
 exactly that per-triplet breakdown, plus the covering statistics Table 2
 tracks, for any :class:`~repro.flow.pipeline.PipelineResult` — whether
-it came from a live :class:`~repro.flow.session.Session` run, a
-``ReseedingPipeline``, or a cache/JSON round trip via
-``PipelineResult.from_dict``.
+it came from a live :class:`~repro.flow.session.Session` run or a
+cache/JSON round trip via ``PipelineResult.from_dict``.
 """
 
 from __future__ import annotations

@@ -5,8 +5,9 @@ per-run — the loaded :class:`~repro.circuit.netlist.Circuit`, the
 compiled :class:`~repro.sim.fault.FaultSimulator`, and the (expensive)
 :class:`~repro.atpg.engine.AtpgResult` — so any number of TPG flows,
 trade-off sweeps and baselines share them, exactly as the paper's flow
-shares TestGen output across generators.  It replaces (and absorbs) the
-old ``experiments.common.CircuitWorkspace``.
+shares TestGen output across generators.  It is the flow's one entry
+point: the CLI, the experiment drivers, the sweeps and the serve layer
+all run the Figure-1 stages through it.
 
 An optional :class:`ArtifactCache` adds content-keyed on-disk
 persistence: artefacts are stored as schema-versioned JSON under a key

@@ -1,8 +1,8 @@
 """Batch orchestration: circuits x TPGs x configs over shared sessions.
 
 ``sweep()`` is the one entry point every batch consumer drives — the
-Table-1/Table-2 experiment drivers, the Figure-2 trade-off explorer and
-the ``repro sweep`` CLI are all thin clients.  It guarantees:
+Figure-2 trade-off explorer, the ``repro sweep`` CLI and serve's
+``/sweep`` are all thin clients.  It guarantees:
 
 * one :class:`~repro.flow.session.Session` per circuit, so the loaded
   netlist, the compiled fault simulator and the ATPG artefact are

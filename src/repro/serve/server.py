@@ -102,9 +102,32 @@ class _DiagnoseItem:
 
 @dataclass
 class _Outcome:
-    """What compute hands back for one request in a group."""
+    """What compute hands back for one request in a group: a response
+    body, or the error that request alone fails with."""
 
     body: dict[str, Any] = field(default_factory=dict)
+    error: Exception | None = None
+
+
+def _check_diagnose_item(item: _DiagnoseItem, circuit) -> None:
+    """Reject one /diagnose request whose patterns or responses do not
+    fit ``circuit`` (the checks that need the loaded netlist)."""
+    name = item.request.circuit
+    if item.pattern_set.width != circuit.n_inputs:
+        raise RequestValidationError(
+            f"patterns are {item.pattern_set.width} bits wide, circuit "
+            f"{name!r} has {circuit.n_inputs} inputs"
+        )
+    responses = item.request.responses
+    if any(len(r) != circuit.n_outputs for r in responses):
+        raise RequestValidationError(
+            f"responses must be {circuit.n_outputs} bits wide for {name!r}"
+        )
+    if len(responses) != len(item.pattern_set.patterns):
+        raise RequestValidationError(
+            f"{len(responses)} responses for "
+            f"{len(item.pattern_set.patterns)} patterns"
+        )
 
 
 class ReproServer:
@@ -493,7 +516,11 @@ class ReproServer:
             self._executor, compute, [work.payload for work in group]
         )
         for work, outcome in zip(group, outcomes):
-            if not work.future.done():
+            if work.future.done():
+                continue
+            if outcome.error is not None:
+                work.future.set_exception(outcome.error)
+            else:
                 work.future.set_result(outcome)
 
     def _compute_diagnose(self, items: list[_DiagnoseItem]) -> list[_Outcome]:
@@ -502,24 +529,18 @@ class ReproServer:
         with self.telemetry.tracer.span("serve.compute.diagnose") as span:
             first = items[0].request
             session = self._session(first.circuit, first.scale)
-            n_outputs = session.circuit.n_outputs
+            outcomes = [_Outcome() for _ in items]
+            valid: list[int] = []
             packed_by_ref: dict[str, Any] = {}
             logs = []
-            for item in items:
-                if item.pattern_set.width != session.circuit.n_inputs:
-                    raise RequestValidationError(
-                        f"patterns are {item.pattern_set.width} bits wide, circuit "
-                        f"{first.circuit!r} has {session.circuit.n_inputs} inputs"
-                    )
-                if any(len(r) != n_outputs for r in item.request.responses):
-                    raise RequestValidationError(
-                        f"responses must be {n_outputs} bits wide for {first.circuit!r}"
-                    )
-                if len(item.request.responses) != len(item.pattern_set.patterns):
-                    raise RequestValidationError(
-                        f"{len(item.request.responses)} responses for "
-                        f"{len(item.pattern_set.patterns)} patterns"
-                    )
+            for index, item in enumerate(items):
+                # Each request is checked on its own: a malformed one
+                # gets its 400 and never fails the requests fused with it.
+                try:
+                    _check_diagnose_item(item, session.circuit)
+                except RequestValidationError as exc:
+                    outcomes[index].error = exc
+                    continue
                 log = FailLog(
                     circuit_name=session.circuit.name,
                     patterns=list(item.pattern_set.patterns),
@@ -532,25 +553,25 @@ class ReproServer:
                     packed = session.packed_patterns(log.patterns)
                     packed_by_ref[item.ref] = packed
                 logs.append(log.attach_packed(packed))
+                valid.append(index)
             results = session.diagnose_batch(
                 logs,
                 method=first.method,
-                top_k=[item.request.top_k for item in items],
+                top_k=[items[i].request.top_k for i in valid],
             )
             seconds = span.elapsed6()
-        outcomes = []
-        for item, result in zip(items, results):
+        for index, result in zip(valid, results):
             result_payload = diagnosis_result_to_dict(result)
             # Deterministic body: identical to a local Session.diagnose.
             result_payload["timings"] = {}
             response = DiagnoseResponse(
                 result=result_payload,
-                patterns_ref=item.ref,
+                patterns_ref=items[index].ref,
                 batched=len(items) > 1,
                 batch_size=len(items),
                 seconds=seconds,
             )
-            outcomes.append(_Outcome(body=response.to_dict()))
+            outcomes[index].body = response.to_dict()
         return outcomes
 
     def _compute_atpg(self, items: list[AtpgRequest]) -> list[_Outcome]:

@@ -7,7 +7,8 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
-from repro.flow.pipeline import PipelineConfig, ReseedingPipeline
+from repro.flow.pipeline import PipelineConfig
+from repro.flow.session import Session
 from repro.flow.report import solution_report
 from repro.circuits import load_circuit
 
@@ -286,14 +287,37 @@ class TestCliSweep:
             assert a["n_triplets"] == b["n_triplets"]
             assert a["test_length"] == b["test_length"]
 
+    def test_sweep_forwards_every_flow_flag(self, capsys, monkeypatch):
+        """The config reaching ``sweep`` carries every shared flow flag
+        (``--values`` used to be dropped, running 2-valued logic)."""
+        import importlib
+
+        sweep_module = importlib.import_module("repro.flow.sweep")
+        seen = {}
+
+        def fake_sweep(circuits, tpgs, base_config=None, **kwargs):
+            seen["config"] = base_config
+            return sweep_module.SweepResult([])
+
+        monkeypatch.setattr(sweep_module, "sweep", fake_sweep)
+        argv = ["sweep", "--circuits", "c17", "--values", "3",
+                "--seed", "9", "--method", "greedy", "--atpg-engine", "recursive"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        config = seen["config"]
+        assert config.values == 3
+        assert (config.seed, config.cover_method, config.atpg_engine) == (
+            9,
+            "greedy",
+            "recursive",
+        )
+
 
 class TestSolutionReport:
     @pytest.fixture(scope="class")
     def result(self):
         circuit = load_circuit("c17")
-        return ReseedingPipeline(
-            circuit, "adder", PipelineConfig(evolution_length=8)
-        ).run()
+        return Session(circuit, PipelineConfig(evolution_length=8)).run("adder")
 
     def test_report_sections(self, result):
         report = solution_report(result)

@@ -6,22 +6,23 @@ Three rot vectors, one test module:
 * every ``examples/*.py`` is smoke-run end to end (reduced circuit
   scales keep the whole sweep a few seconds) — a README/docs snippet
   that imports a renamed symbol or drives a changed API fails here;
-* the markdown link checker (``tools/check_links.py``) verifies every
-  local link and anchor in ``README.md`` and ``docs/`` — the same check
-  CI's docs job runs;
+* the ``docs-links`` rule (:mod:`repro.analysis.rules.docs_links`)
+  verifies every local link and anchor in ``README.md`` and ``docs/`` —
+  the same check CI's docs job runs;
 * ``python -m doctest`` executes the ``>>>`` docstring examples, so the
   documented behaviour is the actual behaviour.
 """
 
 from __future__ import annotations
 
-import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from repro.analysis.rules.docs_links import check_paths
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 EXAMPLES = REPO_ROOT / "examples"
@@ -90,12 +91,7 @@ def test_example_runs(name):
 
 
 def test_markdown_links_resolve():
-    spec = importlib.util.spec_from_file_location(
-        "check_links", REPO_ROOT / "tools" / "check_links.py"
-    )
-    check_links = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(check_links)
-    errors = check_links.check_paths(
+    errors = check_paths(
         [str(REPO_ROOT / "README.md"), str(REPO_ROOT / "docs")]
     )
     assert not errors, "\n".join(errors)

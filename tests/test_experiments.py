@@ -5,83 +5,95 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments.common import (
-    CircuitWorkspace,
-    ExperimentConfig,
-    config_from_args,
+    DEFAULT_CIRCUITS,
+    FULL_CIRCUITS,
+    gatsby_baseline,
     make_arg_parser,
+    sessions_from_args,
 )
 from repro.experiments.figure2 import compute_figure2, render_figure2
 from repro.experiments.table1 import Table1Cell, compute_table1, render_table1
 from repro.experiments.table2 import compute_table2, render_table2
+from repro.flow.pipeline import PipelineConfig
+from repro.flow.session import Session
 
-TINY = ExperimentConfig(
-    circuits=("c17", "s27"),
-    scale=1.0,  # embedded circuits ignore scale anyway
-    seed=7,
-    evolution_length=8,
-    max_random_patterns=128,
-    run_gatsby=False,
-)
+TINY_CIRCUITS = ("c17", "s27")
+TINY = PipelineConfig(seed=7, evolution_length=8, max_random_patterns=128)
 
 
 @pytest.fixture(scope="module")
-def tiny_workspaces():
-    return {name: CircuitWorkspace.prepare(name, TINY) for name in TINY.circuits}
+def tiny_sessions():
+    # Embedded circuits ignore scale anyway.
+    sessions = {
+        name: Session.from_name(name, scale=1.0, config=TINY)
+        for name in TINY_CIRCUITS
+    }
+    for session in sessions.values():
+        session.atpg_result  # eager, so flows below reuse it
+    return sessions
 
 
 class TestCommon:
-    def test_workspace_prepare(self, tiny_workspaces):
-        workspace = tiny_workspaces["c17"]
-        assert workspace.circuit.n_gates == 6
-        assert workspace.atpg.test_length > 0
+    def test_workspace_prepare(self, tiny_sessions):
+        session = tiny_sessions["c17"]
+        assert session.circuit.n_gates == 6
+        assert session.atpg_result.test_length > 0
 
-    def test_run_pipeline_reuses_atpg(self, tiny_workspaces):
-        workspace = tiny_workspaces["c17"]
-        result = workspace.run_pipeline("adder", TINY)
-        assert result.atpg is workspace.atpg
+    def test_run_pipeline_reuses_atpg(self, tiny_sessions):
+        session = tiny_sessions["c17"]
+        result = session.run("adder")
+        assert result.atpg is session.atpg_result
         assert result.timings["atpg"] < 0.01
 
-    def test_gatsby_skipped_above_gate_limit(self, tiny_workspaces):
+    def test_gatsby_skipped_above_gate_limit(self, tiny_sessions):
         from repro.experiments import common
 
-        workspace = tiny_workspaces["c17"]
+        session = tiny_sessions["c17"]
         original = common.GATSBY_GATE_LIMIT
         common.GATSBY_GATE_LIMIT = 1
         try:
-            assert workspace.run_gatsby("adder", TINY) is None
+            assert gatsby_baseline(session, "adder") is None
         finally:
             common.GATSBY_GATE_LIMIT = original
 
     def test_arg_parser_defaults(self):
         parser = make_arg_parser("t")
-        config = config_from_args(parser.parse_args([]))
-        assert config.scale == 0.25
-        assert config.run_gatsby
+        args = parser.parse_args([])
+        assert args.scale == 0.25
+        assert not args.no_gatsby
+        sessions = sessions_from_args(args)
+        assert tuple(sessions) == DEFAULT_CIRCUITS
+        config = next(iter(sessions.values())).config
+        assert (config.evolution_length, config.max_random_patterns) == (32, 1024)
+        assert all(s.scale == 0.25 for s in sessions.values())
 
     def test_arg_parser_full_and_flags(self):
-        from repro.experiments.common import FULL_CIRCUITS
-
         parser = make_arg_parser("t")
-        config = config_from_args(
-            parser.parse_args(["--full", "--no-gatsby", "--scale", "0.1"])
-        )
-        assert config.circuits == FULL_CIRCUITS
-        assert not config.run_gatsby
-        assert config.scale == 0.1
+        args = parser.parse_args(["--full", "--no-gatsby", "--scale", "0.1"])
+        assert args.full
+        assert args.no_gatsby
+        assert args.scale == 0.1
+        assert tuple(sessions_from_args(args)) == FULL_CIRCUITS
 
     def test_arg_parser_explicit_circuits(self):
         parser = make_arg_parser("t")
-        config = config_from_args(parser.parse_args(["--circuits", "c17", "s27"]))
-        assert config.circuits == ("c17", "s27")
+        sessions = sessions_from_args(
+            parser.parse_args(
+                ["--circuits", "c17", "s27", "--seed", "7", "--workers", "2"]
+            )
+        )
+        assert tuple(sessions) == ("c17", "s27")
+        config = sessions["c17"].config
+        assert (config.seed, config.matrix_workers) == (7, 2)
 
 
 class TestTable1:
     @pytest.fixture(scope="class")
-    def rows(self, tiny_workspaces):
-        return compute_table1(TINY, workspaces=tiny_workspaces)
+    def rows(self, tiny_sessions):
+        return compute_table1(tiny_sessions, run_gatsby=False)
 
     def test_one_row_per_circuit(self, rows):
-        assert [row.circuit for row in rows] == list(TINY.circuits)
+        assert [row.circuit for row in rows] == list(TINY_CIRCUITS)
 
     def test_all_tpgs_present(self, rows):
         from repro.tpg.registry import PAPER_TPGS
@@ -89,9 +101,9 @@ class TestTable1:
         for row in rows:
             assert set(row.cells) == set(PAPER_TPGS)
 
-    def test_cells_within_bounds(self, rows, tiny_workspaces):
+    def test_cells_within_bounds(self, rows, tiny_sessions):
         for row in rows:
-            atpg_length = tiny_workspaces[row.circuit].atpg.test_length
+            atpg_length = tiny_sessions[row.circuit].atpg_result.test_length
             for cell in row.cells.values():
                 assert 1 <= cell.n_triplets <= atpg_length
                 assert cell.n_triplets <= cell.test_length
@@ -105,7 +117,7 @@ class TestTable1:
 
     def test_render_contains_all_circuits(self, rows):
         text = render_table1(rows).render()
-        for name in TINY.circuits:
+        for name in TINY_CIRCUITS:
             assert name in text
 
     def test_cell_improvement(self):
@@ -118,15 +130,15 @@ class TestTable1:
 
 class TestTable2:
     @pytest.fixture(scope="class")
-    def rows(self, tiny_workspaces):
-        return compute_table2(TINY, workspaces=tiny_workspaces)
+    def rows(self, tiny_sessions):
+        return compute_table2(tiny_sessions)
 
-    def test_initial_shape_matches_atpg(self, rows, tiny_workspaces):
+    def test_initial_shape_matches_atpg(self, rows, tiny_sessions):
         for row in rows:
-            workspace = tiny_workspaces[row.circuit]
+            atpg = tiny_sessions[row.circuit].atpg_result
             assert row.initial_shape == (
-                workspace.atpg.test_length,
-                len(workspace.atpg.target_faults),
+                atpg.test_length,
+                len(atpg.target_faults),
             )
 
     def test_reduction_accounting(self, rows):
@@ -139,9 +151,9 @@ class TestTable2:
                 assert reduced_cols <= row.initial_shape[1]
 
     def test_necessary_plus_solver_consistent_with_table1(
-        self, rows, tiny_workspaces
+        self, rows, tiny_sessions
     ):
-        table1 = compute_table1(TINY, workspaces=tiny_workspaces)
+        table1 = compute_table1(tiny_sessions, run_gatsby=False)
         for row2, row1 in zip(rows, table1):
             for tpg_name, cell2 in row2.cells.items():
                 cell1 = row1.cells[tpg_name]

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.circuits import load_circuit
-from repro.flow import PipelineConfig, ReseedingPipeline, explore_tradeoff
+from repro.flow import PipelineConfig, Session, explore_tradeoff
 from repro.sim.fault import FaultSimulator
 from repro.tpg import make_tpg
 
@@ -18,7 +18,7 @@ def small_circuit():
 @pytest.fixture(scope="module")
 def pipeline_result(small_circuit):
     config = PipelineConfig(evolution_length=16, max_random_patterns=512)
-    return ReseedingPipeline(small_circuit, "adder", config).run()
+    return Session(small_circuit, config).run("adder")
 
 
 class TestPipeline:
@@ -67,8 +67,8 @@ class TestPipeline:
 
     def test_deterministic(self, small_circuit):
         config = PipelineConfig(evolution_length=16, max_random_patterns=512)
-        a = ReseedingPipeline(small_circuit, "adder", config).run()
-        b = ReseedingPipeline(small_circuit, "adder", config).run()
+        a = Session(small_circuit, config).run("adder")
+        b = Session(small_circuit, config).run("adder")
         assert a.selected_triplets == b.selected_triplets
         assert a.test_length == b.test_length
 
@@ -76,22 +76,23 @@ class TestPipeline:
         """Reusing the circuit-level ATPG across TPGs (the Table-1 setup)
         must produce a valid covering solution for another TPG."""
         config = PipelineConfig(evolution_length=16)
-        pipeline = ReseedingPipeline(
-            small_circuit,
-            "multiplier",
-            config,
-            atpg_result=pipeline_result.atpg,
+        session = Session(
+            small_circuit, config, atpg_result=pipeline_result.atpg
         )
-        result = pipeline.run()
+        result = session.run("multiplier")
         assert result.timings["atpg"] < 0.01  # skipped
         simulator = FaultSimulator(small_circuit)
         tpg = make_tpg("multiplier", small_circuit.n_inputs)
         patterns = result.trimmed.solution.patterns(tpg)
         assert simulator.fault_coverage(patterns, result.atpg.target_faults) == 1.0
 
-    def test_string_tpg_resolved(self, small_circuit):
-        pipeline = ReseedingPipeline(small_circuit, "subtracter")
-        assert pipeline.tpg.name == "subtracter"
+    def test_string_tpg_resolved(self, small_circuit, pipeline_result):
+        session = Session(
+            small_circuit,
+            pipeline_result.config,
+            atpg_result=pipeline_result.atpg,
+        )
+        assert session.run("subtracter").tpg_name == "subtracter"
 
 
 class TestTradeoff:

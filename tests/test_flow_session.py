@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.circuits import load_circuit
-from repro.flow.pipeline import PipelineConfig, PipelineResult, ReseedingPipeline
+from repro.flow.pipeline import PipelineConfig, PipelineResult
 from repro.flow.serialize import SCHEMA_VERSION, SchemaMismatchError
 from repro.flow.session import ArtifactCache, Session
 from repro.flow.stages import (
@@ -19,6 +19,7 @@ from repro.flow.stages import (
     stage_names,
 )
 from repro.sim.fault import FaultSimulator
+from repro.tpg import make_tpg
 from repro.utils.registry import UnknownComponentError
 
 CONFIG = PipelineConfig(evolution_length=8, max_random_patterns=128)
@@ -31,8 +32,8 @@ def c17():
 
 @pytest.fixture(scope="module")
 def baseline(c17):
-    """The compatibility wrapper's result — the bit-exactness reference."""
-    return ReseedingPipeline(c17, "adder", CONFIG).run()
+    """A plain session run — the bit-exactness reference."""
+    return Session(c17, CONFIG).run("adder")
 
 
 class TestStages:
@@ -54,7 +55,7 @@ class TestStages:
     def test_run_flow_matches_pipeline(self, c17, baseline):
         ctx = StageContext(
             circuit=c17,
-            tpg=ReseedingPipeline(c17, "adder", CONFIG).tpg,
+            tpg=make_tpg("adder", c17.n_inputs),
             config=CONFIG,
             simulator=FaultSimulator(c17),
         )
@@ -65,7 +66,7 @@ class TestStages:
 
     def test_progress_events(self, c17):
         events: list[StageEvent] = []
-        ReseedingPipeline(c17, "adder", CONFIG).run(progress=events.append)
+        Session(c17, CONFIG, progress=events.append).run("adder")
         stages = [e.stage for e in events if e.status == "start"]
         assert stages == list(DEFAULT_STAGES)
         done = [e.stage for e in events if e.status == "done"]
@@ -74,10 +75,10 @@ class TestStages:
 
     def test_preseeded_atpg_emits_skipped(self, c17, baseline):
         events: list[StageEvent] = []
-        pipeline = ReseedingPipeline(
-            c17, "adder", CONFIG, atpg_result=baseline.atpg
+        session = Session(
+            c17, CONFIG, atpg_result=baseline.atpg, progress=events.append
         )
-        pipeline.run(progress=events.append)
+        session.run("adder")
         statuses = {e.stage: e.status for e in events if e.status != "start"}
         assert statuses["atpg"] == "skipped"
         assert statuses["trim"] == "done"
@@ -85,7 +86,7 @@ class TestStages:
     def test_missing_requirement_rejected(self, c17):
         ctx = StageContext(
             circuit=c17,
-            tpg=ReseedingPipeline(c17, "adder", CONFIG).tpg,
+            tpg=make_tpg("adder", c17.n_inputs),
             config=CONFIG,
             simulator=FaultSimulator(c17),
         )
@@ -96,7 +97,7 @@ class TestStages:
         """Seeding upstream artefacts lets a flow start mid-chain."""
         ctx = StageContext(
             circuit=c17,
-            tpg=ReseedingPipeline(c17, "adder", CONFIG).tpg,
+            tpg=make_tpg("adder", c17.n_inputs),
             config=CONFIG,
             simulator=FaultSimulator(c17),
         )

@@ -141,14 +141,12 @@ def _golden_pipeline_config(atpg_engine: str = "recursive"):
 @pytest.mark.parametrize("engine", sorted(GOLDEN_PIPELINE))
 @pytest.mark.parametrize("name", sorted(GOLDEN_PIPELINE["recursive"]))
 def test_pipeline_results_pinned(name, engine):
-    """`ReseedingPipeline.run()` through the stage machinery keeps the
-    exact #Triplets / TestLength of the seed implementation."""
-    from repro.flow.pipeline import ReseedingPipeline
+    """`Session.run()` through the stage machinery keeps the exact
+    #Triplets / TestLength of the seed implementation."""
+    from repro.flow.session import Session
 
     circuit = load_circuit(name, scale=_PIPELINE_SCALE)
-    result = ReseedingPipeline(
-        circuit, "adder", _golden_pipeline_config(engine)
-    ).run()
+    result = Session(circuit, _golden_pipeline_config(engine)).run("adder")
     assert (result.n_triplets, result.test_length) == GOLDEN_PIPELINE[engine][name]
     assert result.atpg.measured_coverage == 1.0
 
@@ -277,13 +275,14 @@ def test_threeval_x_free_matches_golden(name):
 def test_pipeline_values3_matches_pins(name):
     """``values=3`` through the full flow: the stimulus is X-free, so
     Table-1 aggregates must equal the 2-valued pins bit for bit."""
-    from repro.flow.pipeline import PipelineConfig, ReseedingPipeline
+    from repro.flow.pipeline import PipelineConfig
+    from repro.flow.session import Session
 
     circuit = load_circuit(name, scale=_PIPELINE_SCALE)
     config = PipelineConfig(
         evolution_length=16, max_random_patterns=512, values=3
     )
-    result = ReseedingPipeline(circuit, "adder", config).run()
+    result = Session(circuit, config).run("adder")
     assert (result.n_triplets, result.test_length) == GOLDEN_PIPELINE["batch"][name]
     assert result.atpg.measured_coverage == 1.0
 

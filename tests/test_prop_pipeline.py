@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from repro.circuit.generate import GeneratorSpec, generate_circuit
 from repro.faults.collapse import collapse_faults
-from repro.flow.pipeline import PipelineConfig, ReseedingPipeline
+from repro.flow.pipeline import PipelineConfig
+from repro.flow.session import Session
 from repro.reseeding.uniform import uniformize_solution
 from repro.sim.fault import FaultSimulator
 from repro.tpg.registry import make_tpg
@@ -39,7 +40,7 @@ def test_pipeline_end_to_end_invariants(circuit, tpg_name, length):
     config = PipelineConfig(
         evolution_length=length, max_random_patterns=256
     )
-    result = ReseedingPipeline(circuit, tpg_name, config).run()
+    result = Session(circuit, config).run(tpg_name)
 
     # 1. the final solution covers F completely (independent fault sim)
     simulator = FaultSimulator(circuit)
@@ -84,7 +85,7 @@ def test_pipeline_optimality_against_brute_force(circuit):
     import itertools
 
     config = PipelineConfig(evolution_length=8, max_random_patterns=256)
-    result = ReseedingPipeline(circuit, "adder", config).run()
+    result = Session(circuit, config).run("adder")
     matrix = result.detection_matrix.matrix  # (triplets, faults) bools
     n_rows = matrix.shape[0]
     if n_rows > 12:

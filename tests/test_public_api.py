@@ -79,7 +79,7 @@ class TestPublicClassesDocumented:
             "InitialReseedingBuilder",
             "PipelineConfig",
             "Podem",
-            "ReseedingPipeline",
+            "Session",
             "Triplet",
         ],
     )

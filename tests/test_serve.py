@@ -518,6 +518,62 @@ class TestScaleValidation:
                 assert client.stats()["sessions"] == ["c17@1"]
 
 
+class TestBatchIsolation:
+    """A malformed /diagnose fused with valid ones on the same
+    ``patterns_ref`` fails alone: each item is validated on its own."""
+
+    def test_bad_item_fails_alone(self, scenario):
+        session, patterns, log = scenario
+        local_json = to_json(
+            diagnosis_result_to_dict(
+                session.diagnose(log, method="dictionary", top_k=5)
+            )
+        )
+        responses = tuple(r.to_string() for r in log.responses)
+        with BackgroundServer(
+            ServeConfig(port=0, batch_window_ms=500.0, max_batch=16)
+        ) as background:
+            with ServeClient(background.host, background.port) as warm:
+                ref = warm.diagnose(
+                    DiagnoseRequest(
+                        circuit="c17",
+                        patterns=tuple(p.to_string() for p in patterns),
+                        responses=responses,
+                        top_k=5,
+                    )
+                ).patterns_ref
+            wrong_width = tuple(r + "0" for r in responses)
+            wrong_count = responses[:-1]
+
+            def one_request(item_responses):
+                with ServeClient(background.host, background.port) as c:
+                    try:
+                        return c.diagnose(
+                            DiagnoseRequest(
+                                circuit="c17",
+                                patterns_ref=ref,
+                                responses=item_responses,
+                                top_k=5,
+                            )
+                        )
+                    except ServeClientError as exc:
+                        return exc
+
+            with ThreadPoolExecutor(max_workers=3) as pool:
+                width_bad, good, count_bad = pool.map(
+                    one_request, (wrong_width, responses, wrong_count)
+                )
+        assert isinstance(width_bad, ServeClientError)
+        assert width_bad.status == 400
+        assert "bits wide" in str(width_bad)
+        assert isinstance(count_bad, ServeClientError)
+        assert count_bad.status == 400
+        assert "responses for" in str(count_bad)
+        assert not isinstance(good, ServeClientError), good
+        assert good.batch_size == 3  # really fused with the bad ones
+        assert to_json(good.result) == local_json
+
+
 class TestServerConcurrency:
     def test_concurrent_requests_fuse_and_match_serial(self, scenario):
         session, patterns, log = scenario

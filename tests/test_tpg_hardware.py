@@ -112,13 +112,11 @@ class TestNetlistTpgInterface:
     def test_usable_in_pipeline(self):
         """The gate-level TPG drops into the covering flow unchanged."""
         from repro.circuits import load_circuit
-        from repro.flow import PipelineConfig, ReseedingPipeline
+        from repro.flow import PipelineConfig, Session
 
         circuit = load_circuit("c17")
         tpg = NetlistTpg(adder_accumulator_netlist(circuit.n_inputs), circuit.n_inputs)
-        result = ReseedingPipeline(
-            circuit, tpg, PipelineConfig(evolution_length=8)
-        ).run()
+        result = Session(circuit, PipelineConfig(evolution_length=8)).run(tpg)
         assert result.n_triplets >= 1
         assert result.trimmed.undetected == ()
 
