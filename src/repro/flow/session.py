@@ -38,7 +38,13 @@ from repro.flow.serialize import (
     atpg_result_from_dict,
     atpg_result_to_dict,
 )
-from repro.flow.stages import ProgressHook, StageContext, StageEvent, run_flow
+from repro.flow.stages import (
+    DEFAULT_STAGES,
+    ProgressHook,
+    StageContext,
+    StageEvent,
+    run_flow,
+)
 from repro.obs import NULL_TELEMETRY, Telemetry, stage_hook
 from repro.setcover.solve import prepare_solver
 from repro.sim.fault import FaultSimulator
@@ -523,6 +529,9 @@ class Session:
         # Before ATPG, as ``run_flow`` does before its first stage.
         prepare_solver(config.cover_method)
         atpg_was_ready = self._atpg_knobs(config) in self._atpg_results
+        if not atpg_was_ready:
+            # Its terminal event (done or cache-hit) comes from the load.
+            self._emit(StageEvent("atpg", "start"))
         atpg = self._atpg_for(config)
         ctx = StageContext(
             circuit=self.circuit,
@@ -534,11 +543,14 @@ class Session:
             telemetry=self.telemetry,
         )
         ctx.artifacts["atpg"] = atpg
-        result = run_flow(ctx)
-        if not atpg_was_ready:
-            # This run paid for ATPG (session-level, outside the skipped
-            # AtpgStage): attribute the cost to its timings line.
-            result.timings["atpg"] += self._atpg_seconds
+        if atpg_was_ready:
+            # The AtpgStage reports the reused artefact as skipped.
+            result = run_flow(ctx)
+        else:
+            # This run loaded or paid for ATPG at session level, which
+            # already reported the atpg stage: run the rest of the chain.
+            ctx.timings["atpg"] = self._atpg_seconds
+            result = run_flow(ctx, DEFAULT_STAGES[1:])
         if self.cache is not None and use_cache:
             self.cache.put(
                 self._result_key(tpg_instance.name, config), result.to_dict()

@@ -243,6 +243,12 @@ class CoverStage(Stage):
         ctx.artifacts["selected"] = [
             initial.triplets[row] for row in cover.selected
         ]
+        ctx.stage_attrs.update(
+            n_essential=cover.stats.n_essential,
+            reduced_shape=cover.stats.reduced_shape,
+            reduction_iterations=cover.stats.reduction_iterations,
+            solver=cover.stats.solver,
+        )
         return False
 
 

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from repro.setcover.matrix import CoverMatrix
+import numpy as np
+
+from repro.setcover.matrix import CoverMatrix, popcount_rows
 
 
 def greedy_cover(
@@ -23,27 +25,30 @@ def greedy_cover(
     """
     if not matrix.is_feasible():
         raise ValueError("infeasible covering instance")
-    uncovered = set(matrix.columns)
+    rows = matrix.live_row_positions()
+    row_ids = matrix.row_ids[rows]
+    words = matrix.bits[rows]
+    uncovered = matrix.live_columns.copy()
     selected: list[int] = []
-    row_sets = {row_id: set(cols) for row_id, cols in matrix.rows.items()}
-    while uncovered:
-        best_row = None
-        best_score = 0.0
-        for row_id, covered in row_sets.items():
-            gain = len(covered & uncovered)
-            if gain == 0:
-                continue
-            cost = float(costs[row_id]) if costs is not None else 1.0
-            if cost <= 0:
-                raise ValueError(f"row {row_id} has non-positive cost {cost}")
-            score = gain / cost
-            if score > best_score or (score == best_score and row_id < best_row):
-                best_row = row_id
-                best_score = score
-        if best_row is None:
+    while uncovered.any():
+        gains = popcount_rows(words & uncovered)
+        useful = gains > 0
+        if not useful.any():
             raise ValueError("greedy stalled on an infeasible instance")
-        selected.append(best_row)
-        uncovered -= row_sets.pop(best_row)
+        if costs is None:
+            scores = gains.astype(float)
+        else:
+            cost = np.array([float(costs[r]) for r in row_ids[useful].tolist()])
+            if (cost <= 0).any():
+                bad = int(np.argmax(cost <= 0))
+                raise ValueError(
+                    f"row {row_ids[useful][bad]} has non-positive cost {cost[bad]}"
+                )
+            scores = np.zeros(len(rows))
+            scores[useful] = gains[useful] / cost
+        best = int(np.argmax(scores))  # first maximum: the smallest id
+        selected.append(int(row_ids[best]))
+        uncovered &= ~words[best]
     return selected
 
 

@@ -13,8 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.setcover.greedy import drop_redundant
-from repro.setcover.matrix import CoverMatrix
+from repro.setcover.matrix import CoverMatrix, disjoint_rows, popcount_rows
 from repro.utils.rng import RngStream
 
 
@@ -61,32 +63,32 @@ def grasp_cover(
 def _randomized_greedy(
     matrix: CoverMatrix, rng: RngStream, alpha: float
 ) -> list[int]:
-    uncovered = set(matrix.columns)
-    available = {row_id: set(cols) for row_id, cols in matrix.rows.items()}
+    rows = matrix.live_row_positions()
+    row_ids = matrix.row_ids[rows]
+    words = matrix.bits[rows]
+    uncovered = matrix.live_columns.copy()
     selected: list[int] = []
-    while uncovered:
-        gains = {
-            row_id: len(covered & uncovered)
-            for row_id, covered in available.items()
-        }
-        best_gain = max(gains.values())
+    while uncovered.any():
+        gains = popcount_rows(words & uncovered)
+        best_gain = int(gains.max())
         if best_gain == 0:
             raise ValueError("greedy stalled on an infeasible instance")
         threshold = best_gain - alpha * best_gain
-        rcl = [row_id for row_id, gain in gains.items() if gain >= threshold and gain > 0]
-        choice = rng.choice(sorted(rcl))
+        rcl = row_ids[(gains >= threshold) & (gains > 0)].tolist()
+        choice = rng.choice(rcl)
         selected.append(choice)
-        uncovered -= available.pop(choice)
+        uncovered &= ~matrix.bits[matrix.row_position(choice)]
     return selected
 
 
 def _swap_local_search(matrix: CoverMatrix, solution: list[int]) -> list[int]:
     """Try replacing any two selected rows with one unselected row."""
+    rows = matrix.live_row_positions()
     improved = True
     current = list(solution)
     while improved:
         improved = False
-        selected_set = set(current)
+        unselected = rows[~np.isin(matrix.row_ids[rows], current)]
         for drop_a in range(len(current)):
             for drop_b in range(drop_a + 1, len(current)):
                 kept = [
@@ -94,23 +96,18 @@ def _swap_local_search(matrix: CoverMatrix, solution: list[int]) -> list[int]:
                     for k in range(len(current))
                     if k not in (drop_a, drop_b)
                 ]
-                covered: set[int] = set()
-                for row_id in kept:
-                    covered |= matrix.rows[row_id]
-                missing = set(matrix.columns) - covered
-                if not missing:
+                covered = np.bitwise_or.reduce(
+                    matrix.bits[[matrix.row_position(r) for r in kept]], axis=0
+                )
+                missing = matrix.live_columns & ~covered
+                if not missing.any():
                     current = kept
                     improved = True
                     break
-                replacement = next(
-                    (
-                        row_id
-                        for row_id, row_cols in matrix.rows.items()
-                        if row_id not in selected_set and missing <= row_cols
-                    ),
-                    None,
-                )
-                if replacement is not None:
+                # the first unselected row (by id) covering every missing column
+                fits = disjoint_rows(~matrix.bits[unselected], missing)
+                if fits.any():
+                    replacement = int(matrix.row_ids[unselected[np.argmax(fits)]])
                     current = kept + [replacement]
                     improved = True
                     break

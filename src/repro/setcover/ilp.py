@@ -69,14 +69,10 @@ def ilp_cover(
         result = branch_and_bound(matrix, costs=costs)
         return IlpResult(result.selected, result.optimal, result.nodes, 0.0)
 
-    row_ids = sorted(matrix.rows)
-    column_ids = sorted(matrix.columns)
-    row_pos = {r: i for i, r in enumerate(row_ids)}
+    row_ids = matrix.alive_row_ids()
+    column_ids = matrix.alive_column_ids()
     # constraint matrix A (columns x rows): A @ x >= 1
-    a_matrix = np.zeros((len(column_ids), len(row_ids)))
-    for col_index, column_id in enumerate(column_ids):
-        for row_id in matrix.columns[column_id]:
-            a_matrix[col_index, row_pos[row_id]] = 1.0
+    a_matrix = matrix.to_bool_array().T.astype(float)
     if costs is None:
         cost = np.ones(len(row_ids))
     else:

@@ -15,13 +15,36 @@ The two classic rules (McCluskey [17]), iterated to a fixed point:
 The paper's definitions cover essentiality and row dominance explicitly;
 column dominance is part of the standard reduction toolbox the paper
 cites and accelerates closure without changing the optimum.
+
+All three rules run on the packed words of :class:`CoverMatrix`:
+
+* essential columns are the live columns whose covering count is 1,
+  and their rows come from one lowest-set-bit pass over the transpose;
+* row ``a`` is dominated by row ``b`` when ``a & ~b`` has no live
+  column set, tested only against the rows covering ``a``'s pivot
+  column (any dominator covers it);
+* column ``c`` is dominated by column ``d`` when ``d``'s covering rows
+  have no live row outside ``c``'s, tested against the columns of
+  ``c``'s pivot row.
+
+A pivot is the candidate with the fewest live cells, ties broken on
+the smaller id, so what is removed never depends on an iteration
+order.
+Removals only clear mask bits and update the live counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.setcover.matrix import CoverMatrix
+import numpy as np
+
+from repro.setcover.matrix import (
+    CoverMatrix,
+    bit_positions,
+    disjoint_rows,
+    first_set_bits,
+)
 
 
 @dataclass
@@ -75,15 +98,11 @@ def reduce_matrix(
         changed = False
         iterations += 1
         # --- essentiality ------------------------------------------------
-        essential_now: set[int] = set()
-        for column_id, covering in work.columns.items():
-            if len(covering) == 1:
-                essential_now.add(next(iter(covering)))
-        for row_id in essential_now:
-            if row_id in work.rows:  # may already be gone via earlier pick
-                essential.append(row_id)
-                work.select_row(row_id)
-                changed = True
+        picks = _essential_rows(work)
+        if picks:
+            essential.extend(picks)
+            work.select_rows_at(np.searchsorted(work.row_ids, picks))
+            changed = True
         if work.is_empty():
             break
         # --- row dominance -----------------------------------------------
@@ -105,73 +124,99 @@ def reduce_matrix(
     )
 
 
+def _essential_rows(work: CoverMatrix) -> list[int]:
+    """Ids of the rows that alone cover some live column.
+
+    Deduplicated through a set filled in ascending column order and
+    listed in its iteration order: the order a set-based reducer gives
+    ``essential_rows`` (the differential oracle in
+    ``tests/test_setcover_packed.py`` checks it).
+    """
+    columns = work.live_column_positions()
+    single = columns[work.column_counts[columns] == 1]
+    rows = first_set_bits(work.bits_t[single] & work.live_rows)
+    return list(set(work.row_ids[rows].tolist()))
+
+
 def _remove_dominated_rows(
     work: CoverMatrix, costs: dict[int, float] | None = None
 ) -> list[int]:
     """Remove rows whose cover is a subset of another surviving row's
     (and, under weighted covering, whose cost is no lower).
 
-    Ties (equal cover sets and costs) keep the smallest row id, so
-    reduction is deterministic.
+    Rows are visited by (cover size, id).  Ties (equal cover sets and
+    costs) keep the smallest row id, so reduction is deterministic.
     """
     removed: list[int] = []
-    # Candidate dominators of a row are rows sharing a column with it.
-    row_ids = sorted(work.rows, key=lambda r: (len(work.rows[r]), r))
-    for row_id in row_ids:
-        covered = work.rows.get(row_id)
-        if covered is None:
+    rows = work.live_row_positions()
+    n_rows, n_columns = len(work.row_ids), len(work.column_ids)
+    for row in rows[np.lexsort((rows, work.row_counts[rows]))].tolist():
+        if not work.row_is_live(row):
             continue
-        if not covered:
-            work.remove_row(row_id)
-            removed.append(row_id)
+        if work.row_counts[row] == 0:
+            work.drop_row_at(row)
+            removed.append(row)
             continue
-        # Any dominator must cover some fixed column of this row; use the
-        # column with the fewest covering rows to keep the scan short.
-        pivot = min(covered, key=lambda c: len(work.columns[c]))
-        for other_id in work.columns[pivot]:
-            if other_id == row_id:
-                continue
-            other_covered = work.rows[other_id]
-            if len(other_covered) < len(covered):
-                continue
-            if costs is not None and costs[other_id] > costs[row_id]:
-                continue  # the bigger row is dearer; keep both
-            equal_cover = covered == other_covered
-            equal_cost = costs is None or costs[other_id] == costs[row_id]
-            if (covered < other_covered) or (
-                equal_cover and (not equal_cost or other_id < row_id)
-            ):
-                work.remove_row(row_id)
-                removed.append(row_id)
-                break
-    return removed
+        # Any dominator covers every column of this row, so it is among
+        # the rows covering its pivot: the column with the fewest
+        # covering rows, lowest id first.
+        cover = work.bits[row] & work.live_columns
+        covered = bit_positions(cover, n_columns)
+        pivot = covered[np.argmin(work.column_counts[covered])]
+        others = bit_positions(work.bits_t[pivot] & work.live_rows, n_rows)
+        others = others[others != row]
+        supersets = others[disjoint_rows(~work.bits[others], cover)]
+        if _row_dominated(work, row, supersets, costs):
+            work.drop_row_at(row)
+            removed.append(row)
+    return work.row_ids[removed].tolist()
+
+
+def _row_dominated(
+    work: CoverMatrix,
+    row: int,
+    supersets: np.ndarray,
+    costs: dict[int, float] | None,
+) -> bool:
+    """Does one of ``supersets`` (rows whose cover contains ``row``'s)
+    dominate ``row``?"""
+    larger = work.row_counts[supersets] > work.row_counts[row]
+    if costs is None:
+        return bool(np.any(larger | (supersets < row)))
+    cost = costs[int(work.row_ids[row])]
+    for other, strict in zip(supersets.tolist(), larger.tolist()):
+        other_cost = costs[int(work.row_ids[other])]
+        if other_cost > cost:
+            continue  # the bigger row is dearer; keep both
+        if strict or other_cost != cost or other < row:
+            return True
+    return False
 
 
 def _remove_dominated_columns(work: CoverMatrix) -> list[int]:
     """Remove columns whose covering-row set contains another column's.
 
     If rows(c1) <= rows(c2), covering c1 forces covering c2, so c2 is
-    redundant.  Ties keep the smallest column id.
+    redundant.  Columns are visited by (-covering rows, id), and the
+    candidates c1 are the columns of the pivot row: the covering row
+    with the fewest live columns, lowest id first.  Ties keep the
+    smallest column id.
     """
     removed: list[int] = []
-    column_ids = sorted(
-        work.columns, key=lambda c: (-len(work.columns[c]), c)
-    )
-    for column_id in column_ids:
-        covering = work.columns.get(column_id)
-        if covering is None:
+    columns = work.live_column_positions()
+    n_rows, n_columns = len(work.row_ids), len(work.column_ids)
+    order = np.lexsort((columns, -work.column_counts[columns]))
+    for column in columns[order].tolist():
+        if not work.column_is_live(column):
             continue
-        pivot = min(covering, key=lambda r: len(work.rows[r]))
-        for other_id in work.rows[pivot]:
-            if other_id == column_id:
-                continue
-            other_covering = work.columns[other_id]
-            if len(other_covering) > len(covering):
-                continue
-            if other_covering < covering or (
-                other_covering == covering and other_id < column_id
-            ):
-                work.remove_column(column_id)
-                removed.append(column_id)
-                break
-    return removed
+        covering = work.bits_t[column] & work.live_rows
+        rows = bit_positions(covering, n_rows)
+        pivot = rows[np.argmin(work.row_counts[rows])]
+        others = bit_positions(work.bits[pivot] & work.live_columns, n_columns)
+        others = others[others != column]
+        subsets = others[disjoint_rows(work.bits_t[others], work.live_rows & ~covering)]
+        smaller = work.column_counts[subsets] < work.column_counts[column]
+        if np.any(smaller | (subsets < column)):
+            work.drop_column_at(column)
+            removed.append(column)
+    return work.column_ids[removed].tolist()

@@ -18,6 +18,7 @@ from repro.flow.stages import (
     run_flow,
     stage_names,
 )
+from repro.obs import Telemetry
 from repro.sim.fault import FaultSimulator
 from repro.tpg import make_tpg
 from repro.utils.registry import UnknownComponentError
@@ -72,6 +73,29 @@ class TestStages:
         done = [e.stage for e in events if e.status == "done"]
         assert done == list(DEFAULT_STAGES)
         assert all(e.seconds >= 0 for e in events)
+
+    def test_cold_run_reports_each_stage_once(self, c17):
+        telemetry = Telemetry.on(trace=True)
+        events: list[StageEvent] = []
+        Session(
+            c17, CONFIG, progress=events.append, telemetry=telemetry
+        ).run("adder")
+        assert [(e.stage, e.status) for e in events] == [
+            (stage, status)
+            for stage in DEFAULT_STAGES
+            for status in ("start", "done")
+        ]
+        atpg_spans = [s for s in telemetry.tracer.roots if s.name == "flow.atpg"]
+        assert len(atpg_spans) == 1
+        assert atpg_spans[0].attrs["status"] == "done"
+        with pytest.raises(KeyError):
+            telemetry.metrics.scalar_value(
+                "repro_flow_stage_runs_total", stage="atpg", status="skipped"
+            )
+        (cover,) = [s for s in telemetry.tracer.roots if s.name == "flow.set_cover"]
+        assert set(cover.attrs) >= {
+            "n_essential", "reduced_shape", "reduction_iterations", "solver"
+        }
 
     def test_preseeded_atpg_emits_skipped(self, c17, baseline):
         events: list[StageEvent] = []

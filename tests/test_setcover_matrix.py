@@ -45,7 +45,7 @@ class TestQueries:
         assert _simple().shape == (3, 3)
 
     def test_is_empty(self):
-        assert CoverMatrix({}, {}).is_empty()
+        assert CoverMatrix.from_row_sets({}).is_empty()
         assert not _simple().is_empty()
 
     def test_validate_solution(self):

@@ -66,7 +66,7 @@ class TestBranchAndBound:
         assert result.optimal
 
     def test_empty_matrix(self):
-        result = branch_and_bound(CoverMatrix({}, {}))
+        result = branch_and_bound(CoverMatrix.from_row_sets({}))
         assert result.selected == []
         assert result.optimal
 
@@ -108,7 +108,7 @@ class TestIlp:
         assert result.optimal
 
     def test_empty_matrix(self):
-        result = ilp_cover(CoverMatrix({}, {}))
+        result = ilp_cover(CoverMatrix.from_row_sets({}))
         assert result.selected == []
 
     def test_infeasible_rejected(self):
@@ -178,7 +178,7 @@ class TestGrasp:
             grasp_cover(_cyclic3(), alpha=1.5)
 
     def test_empty_matrix(self):
-        assert grasp_cover(CoverMatrix({}, {})).selected == []
+        assert grasp_cover(CoverMatrix.from_row_sets({})).selected == []
 
 
 class TestSolveCover:

@@ -129,13 +129,12 @@ def test_weighted_bnb_matches_brute_force(data, n_rows, n_columns):
                 label=f"row{row_id}",
             )
         )
-    matrix = CoverMatrix.from_row_sets(rows, n_columns=n_columns)
-    for column in matrix.uncoverable_columns():
+    for column in sorted(set(range(n_columns)).difference(*rows.values())):
         fixer = data.draw(
             st.integers(min_value=0, max_value=n_rows - 1), label=f"fix{column}"
         )
-        matrix.rows[fixer].add(column)
-        matrix.columns[column].add(fixer)
+        rows[fixer].add(column)
+    matrix = CoverMatrix.from_row_sets(rows, n_columns=n_columns)
     costs = {
         row_id: float(
             data.draw(st.integers(min_value=1, max_value=9), label=f"cost{row_id}")
