@@ -34,7 +34,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 from repro.diagnosis import fault_representatives, make_fail_log
 from repro.faults.collapse import collapse_faults
-from repro.flow.serialize import diagnosis_result_to_dict, to_json
+from repro.flow.serialize import encode, to_json
 from repro.flow.session import Session
 from repro.serve import (
     BackgroundServer,
@@ -132,7 +132,7 @@ def main() -> int:
     top_ranked = 0
     for (response, _), log, fault in zip(served, logs, injected):
         local = session.diagnose(log, method="dictionary", top_k=10)
-        if to_json(response.result) != to_json(diagnosis_result_to_dict(local)):
+        if to_json(response.result) != to_json(encode(local)):
             mismatches += 1
         rank = local.rank_of(representatives.get(fault, fault))
         if rank == 1:

@@ -1,21 +1,21 @@
-"""Rule ``schema-kinds`` — every serialize kind has round-trip coverage.
+"""Rule ``schema-kinds`` — every codec kind has round-trip coverage.
 
-``flow/serialize.py`` stamps each document with a ``"kind"`` literal
-and validates it on the way back in (``check_schema(payload, kind)``).
-A kind without a round-trip test is a schema that can drift silently —
-the serve protocol and the artifact store both ride on these
-envelopes.  This rule collects every kind the module stamps or checks
-and requires each to appear as a string literal somewhere under
+``flow/serialize.py`` keeps every schema kind in one literal table,
+``KINDS = {"<kind>": "<module.Class>", ...}``: ``encode`` stamps exactly
+those kinds and ``decode`` checks them.  A kind without a round-trip
+test is a schema that can drift silently — the serve protocol and the
+artifact store both ride on these envelopes.  This rule reads the table
+and requires each kind to appear as a string literal somewhere under
 ``tests/`` (the round-trip suites parametrize over kind names, so the
 literal is the reliable signal; a missing literal means no test ever
-names that schema).
+names that schema).  A codec whose table cannot be found, or is empty,
+is a finding too: the rule never passes by seeing nothing.
 """
 
 from __future__ import annotations
 
 import ast
 
-from repro.analysis.astutil import dotted_name
 from repro.analysis.context import AnalysisContext
 from repro.analysis.findings import Finding
 from repro.analysis.rules import register_rule
@@ -25,32 +25,26 @@ RULE = "schema-kinds"
 _SERIALIZE = "src/repro/flow/serialize.py"
 
 
-def _kinds_in_serialize(tree: ast.Module) -> dict[str, int]:
-    """kind -> first line it is stamped or checked."""
-    kinds: dict[str, int] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Dict):
-            for key, value in zip(node.keys, node.values):
-                if (
-                    isinstance(key, ast.Constant)
-                    and key.value == "kind"
-                    and isinstance(value, ast.Constant)
-                    and isinstance(value.value, str)
-                ):
-                    kinds.setdefault(value.value, value.lineno)
-        elif isinstance(node, ast.Call):
-            name = dotted_name(node.func)
-            if name.split(".")[-1] == "check_schema" and len(node.args) >= 2:
-                arg = node.args[1]
-                if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
-                    kinds.setdefault(arg.value, arg.lineno)
-    return kinds
+def codec_kinds(tree: ast.Module) -> dict[str, int]:
+    """kind -> line, from the module-level ``KINDS = {...}`` literal."""
+    for node in tree.body:
+        if (
+            isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "KINDS" for t in node.targets)
+            and isinstance(node.value, ast.Dict)
+        ):
+            return {
+                key.value: key.lineno
+                for key in node.value.keys
+                if isinstance(key, ast.Constant) and isinstance(key.value, str)
+            }
+    return {}
 
 
 @register_rule(
     RULE,
-    "every serialize kind in flow/serialize.py appears in a round-trip "
-    "test under tests/",
+    "every kind in flow/serialize.py's KINDS table appears in a "
+    "round-trip test under tests/",
 )
 def check(ctx: AnalysisContext) -> list[Finding]:
     serialize_path = ctx.root / _SERIALIZE
@@ -59,9 +53,18 @@ def check(ctx: AnalysisContext) -> list[Finding]:
     tree = ctx.tree(serialize_path)
     if tree is None:
         return []
-    kinds = _kinds_in_serialize(tree)
+    rel = ctx.rel(serialize_path)
+    kinds = codec_kinds(tree)
     if not kinds:
-        return []
+        return [
+            Finding(
+                RULE,
+                rel,
+                1,
+                "no schema kinds found: the codec must keep them in a "
+                "literal module-level `KINDS = {...}` dict",
+            )
+        ]
     test_literals: set[str] = set()
     tests_dir = ctx.root / "tests"
     for path in ctx.python_files():
@@ -73,13 +76,12 @@ def check(ctx: AnalysisContext) -> list[Finding]:
         for node in ast.walk(test_tree):
             if isinstance(node, ast.Constant) and isinstance(node.value, str):
                 test_literals.add(node.value)
-    rel = ctx.rel(serialize_path)
     return [
         Finding(
             RULE,
             rel,
             line,
-            f"serialize kind '{kind}' never appears in tests/; add a "
+            f"schema kind '{kind}' never appears in tests/; add a "
             "round-trip test that names it",
         )
         for kind, line in sorted(kinds.items(), key=lambda item: item[1])

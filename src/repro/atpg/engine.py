@@ -118,19 +118,6 @@ class AtpgResult:
             f"untestable={len(self.untestable)} aborted={len(self.aborted)}"
         )
 
-    def to_dict(self) -> dict:
-        """Schema-versioned plain-dict form (the artifact-cache format)."""
-        from repro.flow.serialize import atpg_result_to_dict
-
-        return atpg_result_to_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "AtpgResult":
-        """Inverse of :meth:`to_dict`; raises on schema mismatch."""
-        from repro.flow.serialize import atpg_result_from_dict
-
-        return atpg_result_from_dict(data)
-
 
 class AtpgEngine:
     """Three-phase ATPG: random, deterministic top-off, reverse-order

@@ -304,6 +304,7 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
         parse_fault,
     )
     from repro.faults.collapse import collapse_faults
+    from repro.flow.serialize import encode
     from repro.flow.session import Session
     from repro.utils.bitvec import BitVector
     from repro.utils.rng import RngStream
@@ -355,7 +356,7 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
         for fault in injected
     }
     if args.json:
-        payload = result.to_dict()
+        payload = encode(result)
         payload["injected"] = [str(fault) for fault in injected]
         payload["injected_ranks"] = ranks
         print(json.dumps(payload, indent=2))

@@ -8,8 +8,8 @@ is why dictionaries are the production choice when many devices fail
 the same test program.
 
 The matrix is held bit-packed (one bit per pattern/fault pair, via
-``numpy.packbits``) and serialises through the schema-versioned
-:mod:`repro.flow.serialize` layer, so a
+``numpy.packbits``) and serialises as the ``fault_dictionary`` kind of
+the :mod:`repro.flow.serialize` codec, so a
 :class:`~repro.flow.session.Session` can persist it in its
 :class:`~repro.flow.session.ArtifactCache` and warm diagnosis runs skip
 simulation entirely.
@@ -17,6 +17,7 @@ simulation entirely.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -34,25 +35,23 @@ from repro.sim.batch import BatchFaultSimulator
 from repro.utils.bitvec import BitVector, PackedPatterns, as_packed
 
 
+@dataclass(eq=False, repr=False)
 class FaultDictionary:
     """A pass/fail dictionary: ``matrix[p, f]`` is True iff fault ``f``
     makes pattern ``p`` fail at some primary output."""
 
-    def __init__(
-        self,
-        circuit_name: str,
-        faults: Sequence[Fault],
-        matrix: np.ndarray,
-    ) -> None:
-        matrix = np.asarray(matrix, dtype=bool)
-        if matrix.shape[1] != len(faults):
+    circuit_name: str
+    faults: list[Fault]
+    matrix: np.ndarray
+    _fault_rank: np.ndarray | None = field(default=None, init=False)
+
+    def __post_init__(self) -> None:
+        self.faults = list(self.faults)
+        self.matrix = np.asarray(self.matrix, dtype=bool)
+        if self.matrix.shape[1] != len(self.faults):
             raise ValueError(
-                f"matrix has {matrix.shape[1]} columns for {len(faults)} faults"
+                f"matrix has {self.matrix.shape[1]} columns for {len(self.faults)} faults"
             )
-        self.circuit_name = circuit_name
-        self.faults = list(faults)
-        self.matrix = matrix
-        self._fault_rank: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     # construction
@@ -244,20 +243,3 @@ class FaultDictionary:
                 )
             )
         return results
-
-    # ------------------------------------------------------------------
-    # persistence
-    # ------------------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        """Schema-versioned plain-dict form (the cache entry format)."""
-        from repro.flow.serialize import fault_dictionary_to_dict
-
-        return fault_dictionary_to_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FaultDictionary":
-        """Inverse of :meth:`to_dict`."""
-        from repro.flow.serialize import fault_dictionary_from_dict
-
-        return fault_dictionary_from_dict(data)

@@ -14,8 +14,8 @@ fail behaviour with the classic per-pattern tau-style counts:
 A perfect single-fault explanation has ``n_mispredicted == n_missed ==
 0`` and ``n_match`` equal to the observed failing-pattern count.
 :class:`DiagnosisResult` is the ``PipelineResult``-style document the
-flow layer serialises (see :func:`repro.flow.serialize.
-diagnosis_result_to_dict`) and the CLI renders.
+flow layer serialises (kind ``diagnosis_result``, through
+:func:`repro.flow.serialize.encode`) and the CLI renders.
 """
 
 from __future__ import annotations
@@ -172,16 +172,3 @@ class DiagnosisResult:
         if self.top is not None:
             head += f"; top: {self.top}"
         return head
-
-    def to_dict(self) -> dict:
-        """Schema-versioned plain-dict form (cache / ``--json`` format)."""
-        from repro.flow.serialize import diagnosis_result_to_dict
-
-        return diagnosis_result_to_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "DiagnosisResult":
-        """Inverse of :meth:`to_dict`."""
-        from repro.flow.serialize import diagnosis_result_from_dict
-
-        return diagnosis_result_from_dict(data)

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.atpg.engine import AtpgResult
 from repro.reseeding.detection_matrix import DetectionMatrix
 from repro.reseeding.initial import InitialReseeding
@@ -52,19 +54,6 @@ class PipelineConfig:
     #: deterministic setup) or ``3`` (0/1/X planes — fault detection is
     #: pessimistic and MISR signatures are X-masked).
     values: int = 2
-
-    def to_dict(self) -> dict:
-        """Plain-dict form (JSON-compatible)."""
-        from repro.flow.serialize import pipeline_config_to_dict
-
-        return pipeline_config_to_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PipelineConfig":
-        """Inverse of :meth:`to_dict`."""
-        from repro.flow.serialize import pipeline_config_from_dict
-
-        return pipeline_config_from_dict(data)
 
 
 @dataclass
@@ -122,10 +111,24 @@ class PipelineResult:
 
     def to_dict(self) -> dict:
         """Schema-versioned plain-dict form — the artifact-cache entry
-        format, lossless for every downstream consumer."""
-        from repro.flow.serialize import pipeline_result_to_dict
+        format, lossless for every downstream consumer (the
+        :class:`PipelineRecord` layout)."""
+        from repro.flow.serialize import encode
 
-        return pipeline_result_to_dict(self)
+        return encode(
+            PipelineRecord(
+                circuit_name=self.circuit_name,
+                tpg_name=self.tpg_name,
+                config=self.config,
+                atpg=self.atpg,
+                pool=self.initial.triplets,
+                matrix=self.initial.detection_matrix.matrix,
+                evolution_length=self.initial.evolution_length,
+                cover=self.cover,
+                trimmed=self.trimmed,
+                timings=self.timings,
+            )
+        )
 
     def to_json(self, indent: int | None = None) -> str:
         """:meth:`to_dict` rendered as JSON text (CLI ``--json``)."""
@@ -136,8 +139,46 @@ class PipelineResult:
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineResult":
         """Inverse of :meth:`to_dict`; raises
-        :class:`~repro.flow.serialize.SchemaMismatchError` on version skew."""
-        from repro.flow.serialize import pipeline_result_from_dict
+        :class:`~repro.flow.serialize.SchemaMismatchError` on version skew
+        or a mistyped field.
 
-        return pipeline_result_from_dict(data)
+        The reconstructed object shares structure the way a live run
+        does: the Detection Matrix's fault columns are the ATPG target
+        faults, and ``selected_triplets`` are the pool's rows at the
+        cover's selected indices.
+        """
+        from repro.flow.serialize import decode
 
+        record: PipelineRecord = decode(PipelineRecord, data)
+        pool = record.pool
+        matrix = DetectionMatrix(pool, list(record.atpg.target_faults), record.matrix)
+        return cls(
+            circuit_name=record.circuit_name,
+            tpg_name=record.tpg_name,
+            config=record.config,
+            atpg=record.atpg,
+            initial=InitialReseeding(pool, matrix, record.evolution_length),
+            cover=record.cover,
+            selected_triplets=[pool[row] for row in record.cover.selected],
+            trimmed=record.trimmed,
+            timings=record.timings,
+        )
+
+
+@dataclass
+class PipelineRecord:
+    """The stored form of a :class:`PipelineResult` (kind
+    ``pipeline_result``): shared structure is kept once — the candidate
+    pool and its packed Detection Matrix, whose fault columns are
+    ``atpg.target_faults``; the selected triplets are pool rows."""
+
+    circuit_name: str
+    tpg_name: str
+    config: PipelineConfig
+    atpg: AtpgResult
+    pool: list[Triplet]
+    matrix: np.ndarray
+    evolution_length: int
+    cover: CoverSolution
+    trimmed: TrimmedSolution
+    timings: dict[str, float]

@@ -25,7 +25,7 @@ import itertools
 import json
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any
 
@@ -33,11 +33,7 @@ from repro.atpg.engine import AtpgResult
 from repro.circuit.netlist import Circuit
 from repro.circuits import load_circuit
 from repro.flow.pipeline import PipelineConfig, PipelineResult
-from repro.flow.serialize import (
-    SchemaMismatchError,
-    atpg_result_from_dict,
-    atpg_result_to_dict,
-)
+from repro.flow.serialize import SchemaMismatchError, check_schema, decode, encode
 from repro.flow.stages import (
     DEFAULT_STAGES,
     ProgressHook,
@@ -51,6 +47,7 @@ from repro.sim.fault import FaultSimulator
 from repro.sim.threeval import XFaultSimulator
 from repro.tpg.base import TestPatternGenerator
 from repro.tpg.registry import make_tpg
+from repro.utils.bitvec import PackedPatterns, as_packed
 
 
 #: Process-global temp-file sequence: cache *instances* in one process
@@ -200,8 +197,6 @@ class ArtifactCache:
         if not isinstance(payload, dict):
             self._count(kind, hit=False, corrupt=True)
             return None
-        from repro.flow.serialize import check_schema
-
         try:
             check_schema(payload, kind)
         except SchemaMismatchError:
@@ -441,7 +436,7 @@ class Session:
         )
 
     def _result_key(self, tpg_name: str, config: PipelineConfig) -> str:
-        config_fields = config.to_dict()
+        config_fields = asdict(config)
         # Performance-only knob: identical results with any worker count,
         # so it must not invalidate cached artefacts.
         config_fields.pop("matrix_workers", None)
@@ -485,7 +480,7 @@ class Session:
             payload = self.cache.get(key, "atpg_result")
             if payload is not None:
                 self._emit(StageEvent("atpg", "cache-hit"))
-                return atpg_result_from_dict(payload)
+                return decode(AtpgResult, payload)
         from repro.atpg.engine import AtpgEngine
 
         start = time.perf_counter()
@@ -502,7 +497,7 @@ class Session:
         self._atpg_seconds = time.perf_counter() - start
         self._emit(StageEvent("atpg", "done", self._atpg_seconds))
         if self.cache is not None:
-            self.cache.put(self._atpg_key(config), atpg_result_to_dict(result))
+            self.cache.put(self._atpg_key(config), encode(result))
         return result
 
     # -- flows -------------------------------------------------------------
@@ -620,11 +615,6 @@ class Session:
             bank = session.packed_evolution(tpg, deltas, sigmas, 32)
             # warm processes load the packed words instead of evolving
         """
-        from repro.flow.serialize import (
-            packed_patterns_from_dict,
-            packed_patterns_to_dict,
-        )
-
         key = self._evolution_key(tpg, deltas, sigmas, length)
         packed = self._evolutions.get(key)
         if packed is not None:
@@ -632,14 +622,14 @@ class Session:
         if self.cache is not None:
             payload = self.cache.get(key, "packed_evolution")
             if payload is not None:
-                packed = packed_patterns_from_dict(payload)
+                packed = decode(PackedPatterns, payload)
                 self._evolutions[key] = packed
                 self._emit(StageEvent("evolution", "cache-hit"))
                 return packed
         packed = tpg.evolve_batch(deltas, sigmas, length)
         self._evolutions[key] = packed
         if self.cache is not None:
-            self.cache.put(key, packed_patterns_to_dict(packed))
+            self.cache.put(key, encode(packed))
         return packed
 
     def packed_patterns(self, patterns) -> "PackedPatterns":
@@ -651,8 +641,6 @@ class Session:
         (:meth:`~repro.diagnosis.inject.FailLog.packed` does exactly
         this for every diagnosis engine consuming a fail log).
         """
-        from repro.utils.bitvec import as_packed
-
         return as_packed(patterns, self.circuit.n_inputs)
 
     # -- diagnosis ---------------------------------------------------------
@@ -678,7 +666,6 @@ class Session:
         dictionary instead of re-simulating patterns x faults.
         """
         from repro.diagnosis.dictionary import FaultDictionary
-        from repro.flow.serialize import fault_dictionary_from_dict
         from repro.faults.collapse import collapse_faults
 
         packed = self.packed_patterns(patterns)
@@ -696,7 +683,7 @@ class Session:
             payload = self.cache.get(key, "fault_dictionary")
             if payload is not None:
                 self._emit(StageEvent("dictionary", "cache-hit"))
-                dictionary = fault_dictionary_from_dict(payload)
+                dictionary = decode(FaultDictionary, payload)
                 self._dictionaries[key] = dictionary
                 return dictionary
         start = time.perf_counter()
@@ -708,7 +695,7 @@ class Session:
         )
         self._dictionaries[key] = dictionary
         if self.cache is not None:
-            self.cache.put(key, dictionary.to_dict())
+            self.cache.put(key, encode(dictionary))
         return dictionary
 
     def golden_responses(self, patterns) -> list:

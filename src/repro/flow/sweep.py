@@ -95,7 +95,7 @@ def _run_circuit_block(
     name: str,
     scale: float,
     tpg_names: list[str],
-    config_dicts: list[dict[str, Any]],
+    configs: list[PipelineConfig],
     cache_dir: str | None,
 ) -> list[tuple[str, int, dict[str, Any], bool, float]]:
     """Process-pool worker: one circuit's full TPG x config block.
@@ -103,18 +103,11 @@ def _run_circuit_block(
     Returns serialised results (plain dicts) so the parent process
     never has to unpickle bespoke classes from a worker.
     """
-    session = Session.from_name(
-        name,
-        scale=scale,
-        cache=cache_dir,
-        config=PipelineConfig.from_dict(config_dicts[0]),
-    )
+    session = Session.from_name(name, scale=scale, cache=cache_dir, config=configs[0])
     block: list[tuple[str, int, dict[str, Any], bool, float]] = []
     for tpg_name in tpg_names:
-        for index, config_dict in enumerate(config_dicts):
-            info = session.run_info(
-                tpg_name, PipelineConfig.from_dict(config_dict)
-            )
+        for index, config in enumerate(configs):
+            info = session.run_info(tpg_name, config)
             block.append(
                 (tpg_name, index, info.result.to_dict(), info.from_cache, info.seconds)
             )
@@ -179,7 +172,6 @@ def sweep(
         cache_dir = None
         if cache is not None:
             cache_dir = str(cache.root if isinstance(cache, ArtifactCache) else cache)
-        config_dicts = [c.to_dict() for c in config_list]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             blocks = list(
                 pool.map(
@@ -187,7 +179,7 @@ def sweep(
                     circuits,
                     [scale] * len(circuits),
                     [tpg_labels] * len(circuits),
-                    [config_dicts] * len(circuits),
+                    [config_list] * len(circuits),
                     [cache_dir] * len(circuits),
                 )
             )

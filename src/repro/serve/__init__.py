@@ -28,6 +28,7 @@ from repro.serve.api import (
     PatternSet,
     RequestValidationError,
     ServeError,
+    ServeStats,
     SweepRequest,
     SweepResponse,
 )
@@ -64,6 +65,7 @@ __all__ = [
     "ServeClientError",
     "ServeConfig",
     "ServeError",
+    "ServeStats",
     "SharedArtifactStore",
     "SweepRequest",
     "SweepResponse",

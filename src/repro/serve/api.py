@@ -1,12 +1,17 @@
 """Typed request/response bodies of the ``repro serve`` HTTP API.
 
 Every body crossing the wire is one of these dataclasses, serialised
-through the schema-versioned :mod:`repro.flow.serialize` layer (kinds
-``diagnose_request``/``diagnose_response``, ``atpg_request``/
-``atpg_response``, ``sweep_request``/``sweep_response``,
-``pattern_set``, ``serve_stats``, ``serve_error``) — the same
-envelope-and-check discipline the artifact cache uses, so version skew
-between clients and servers is rejected up front, never mis-decoded.
+through the schema-versioned :mod:`repro.flow.serialize` codec
+(``encode``/``decode``; kinds ``diagnose_request``/
+``diagnose_response``, ``atpg_request``/``atpg_response``,
+``sweep_request``/``sweep_response``, ``pattern_set``,
+``serve_stats``, ``serve_error``) — the same envelope-and-check
+discipline the artifact cache uses, so version skew between clients
+and servers is rejected up front, never mis-decoded.  Decoding is
+typed: a mistyped field is a 400 naming the field, and a missing one
+takes the default declared here.  The ``validate_*`` functions then
+check values (known circuit, TPG and engine names, positive scale and
+timeout) on the event loop, before any compute is queued.
 
 :class:`PatternSet` is the shared-workload primitive: a tester farm
 applies **one** BIST pattern sequence to many dies, so a client uploads
@@ -19,9 +24,13 @@ SharedArtifactStore` entry other workers load instead of re-parsing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.atpg.engine import ATPG_ENGINES
+from repro.circuits import CATALOG
+from repro.tpg.registry import TPG_REGISTRY
 from repro.utils.bitvec import BitVector
 
 #: Diagnosis engines the /diagnose endpoint accepts.  ``dictionary`` is
@@ -37,19 +46,6 @@ class PatternSet:
     circuit_name: str
     width: int
     patterns: tuple[BitVector, ...]
-
-    def to_dict(self) -> dict[str, Any]:
-        """Schema-stamped plain-dict form (``pattern_set`` kind)."""
-        from repro.flow.serialize import pattern_set_to_dict
-
-        return pattern_set_to_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "PatternSet":
-        """Inverse of :meth:`to_dict`."""
-        from repro.flow.serialize import pattern_set_from_dict
-
-        return pattern_set_from_dict(data)
 
 
 @dataclass(frozen=True)
@@ -71,19 +67,6 @@ class DiagnoseRequest:
     top_k: int = 10
     timeout_ms: int | None = None
 
-    def to_dict(self) -> dict[str, Any]:
-        """Schema-stamped plain-dict form (``diagnose_request`` kind)."""
-        from repro.flow.serialize import diagnose_request_to_dict
-
-        return diagnose_request_to_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "DiagnoseRequest":
-        """Inverse of :meth:`to_dict`."""
-        from repro.flow.serialize import diagnose_request_from_dict
-
-        return diagnose_request_from_dict(data)
-
 
 @dataclass(frozen=True)
 class DiagnoseResponse:
@@ -96,24 +79,11 @@ class DiagnoseResponse:
     ``batched``/``batch_size`` record how the micro-batcher served it.
     """
 
-    result: dict[str, Any]
+    result: dict[str, Any] = field(metadata={"kind": "diagnosis_result"})
     patterns_ref: str
     batched: bool
     batch_size: int
     seconds: float
-
-    def to_dict(self) -> dict[str, Any]:
-        """Schema-stamped plain-dict form (``diagnose_response`` kind)."""
-        from repro.flow.serialize import diagnose_response_to_dict
-
-        return diagnose_response_to_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "DiagnoseResponse":
-        """Inverse of :meth:`to_dict`."""
-        from repro.flow.serialize import diagnose_response_from_dict
-
-        return diagnose_response_from_dict(data)
 
 
 @dataclass(frozen=True)
@@ -128,19 +98,6 @@ class AtpgRequest:
     engine: str = "batch"
     timeout_ms: int | None = None
 
-    def to_dict(self) -> dict[str, Any]:
-        """Schema-stamped plain-dict form (``atpg_request`` kind)."""
-        from repro.flow.serialize import atpg_request_to_dict
-
-        return atpg_request_to_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "AtpgRequest":
-        """Inverse of :meth:`to_dict`."""
-        from repro.flow.serialize import atpg_request_from_dict
-
-        return atpg_request_from_dict(data)
-
 
 @dataclass(frozen=True)
 class AtpgResponse:
@@ -148,22 +105,9 @@ class AtpgResponse:
     provenance (``from_memo``: served from the session's in-process
     memo rather than computed or loaded for this request)."""
 
-    result: dict[str, Any]
+    result: dict[str, Any] = field(metadata={"kind": "atpg_result"})
     from_memo: bool
     seconds: float
-
-    def to_dict(self) -> dict[str, Any]:
-        """Schema-stamped plain-dict form (``atpg_response`` kind)."""
-        from repro.flow.serialize import atpg_response_to_dict
-
-        return atpg_response_to_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "AtpgResponse":
-        """Inverse of :meth:`to_dict`."""
-        from repro.flow.serialize import atpg_response_from_dict
-
-        return atpg_response_from_dict(data)
 
 
 @dataclass(frozen=True)
@@ -177,19 +121,6 @@ class SweepRequest:
     seed: int = 2001
     timeout_ms: int | None = None
 
-    def to_dict(self) -> dict[str, Any]:
-        """Schema-stamped plain-dict form (``sweep_request`` kind)."""
-        from repro.flow.serialize import sweep_request_to_dict
-
-        return sweep_request_to_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "SweepRequest":
-        """Inverse of :meth:`to_dict`."""
-        from repro.flow.serialize import sweep_request_from_dict
-
-        return sweep_request_from_dict(data)
-
 
 @dataclass(frozen=True)
 class SweepResponse:
@@ -200,18 +131,13 @@ class SweepResponse:
     n_cached: int
     seconds: float
 
-    def to_dict(self) -> dict[str, Any]:
-        """Schema-stamped plain-dict form (``sweep_response`` kind)."""
-        from repro.flow.serialize import sweep_response_to_dict
 
-        return sweep_response_to_dict(self)
+@dataclass(frozen=True)
+class ServeStats:
+    """``GET /stats`` reply: the worker's free-form counters document
+    under a schema-stamped envelope."""
 
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "SweepResponse":
-        """Inverse of :meth:`to_dict`."""
-        from repro.flow.serialize import sweep_response_from_dict
-
-        return sweep_response_from_dict(data)
+    stats: dict[str, Any]
 
 
 @dataclass(frozen=True)
@@ -222,19 +148,6 @@ class ServeError:
     error: str
     status: int
     retry_after: float | None = None
-
-    def to_dict(self) -> dict[str, Any]:
-        """Schema-stamped plain-dict form (``serve_error`` kind)."""
-        from repro.flow.serialize import serve_error_to_dict
-
-        return serve_error_to_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "ServeError":
-        """Inverse of :meth:`to_dict`."""
-        from repro.flow.serialize import serve_error_from_dict
-
-        return serve_error_from_dict(data)
 
 
 @dataclass
@@ -247,25 +160,73 @@ class RequestValidationError(ValueError):
         return self.message
 
 
+def _check_request(circuits: tuple[str, ...], scale: float, timeout_ms: int | None) -> None:
+    """The checks every endpoint shares.  Served sessions are keyed by
+    ``scale`` and ``/stats`` formats it as a number, so it must be a
+    finite number > 0."""
+    for name in circuits:
+        if name not in CATALOG:
+            raise RequestValidationError(
+                f"circuit: unknown circuit {name!r}; `repro catalog` lists the known ones"
+            )
+    if not math.isfinite(scale) or scale <= 0:
+        raise RequestValidationError(f"'scale' must be a finite number > 0, got {scale!r}")
+    if timeout_ms is not None and timeout_ms <= 0:
+        raise RequestValidationError(f"'timeout_ms' must be > 0, got {timeout_ms}")
+
+
+def _check_bits(name: str, strings: tuple[str, ...]) -> None:
+    if not all(text and set(text) <= {"0", "1"} for text in strings):
+        raise RequestValidationError(f"'{name}' must be non-empty 0/1 strings")
+
+
+def _check_choice(name: str, value: str, choices) -> None:
+    if value not in choices:
+        raise RequestValidationError(
+            f"{name}: unknown value {value!r}; expected one of {', '.join(choices)}"
+        )
+
+
 def validate_diagnose_request(request: DiagnoseRequest) -> None:
     """Reject contract violations before any compute is queued."""
-    if request.method not in DIAGNOSE_METHODS:
-        raise RequestValidationError(
-            f"unknown method {request.method!r}; expected one of "
-            f"{', '.join(DIAGNOSE_METHODS)}"
-        )
+    _check_request((request.circuit,), request.scale, request.timeout_ms)
+    _check_choice("method", request.method, DIAGNOSE_METHODS)
     if request.patterns is None and request.patterns_ref is None:
         raise RequestValidationError(
             "one of 'patterns' or 'patterns_ref' is required"
         )
     if not request.responses:
         raise RequestValidationError("'responses' must be non-empty")
-    if request.patterns is not None and len(request.patterns) != len(
-        request.responses
-    ):
-        raise RequestValidationError(
-            f"{len(request.patterns)} patterns but "
-            f"{len(request.responses)} responses"
-        )
+    _check_bits("responses", request.responses)
+    if request.patterns is not None:
+        _check_bits("patterns", request.patterns)
+        if len(request.patterns) != len(request.responses):
+            raise RequestValidationError(
+                f"{len(request.patterns)} patterns but "
+                f"{len(request.responses)} responses"
+            )
     if request.top_k < 1:
         raise RequestValidationError("'top_k' must be >= 1")
+
+
+def validate_atpg_request(request: AtpgRequest) -> None:
+    """Reject contract violations before any compute is queued."""
+    _check_request((request.circuit,), request.scale, request.timeout_ms)
+    _check_choice("engine", request.engine, ATPG_ENGINES)
+    if request.max_random_patterns < 0 or request.backtrack_limit < 0:
+        raise RequestValidationError(
+            "'max_random_patterns' and 'backtrack_limit' must be >= 0"
+        )
+
+
+def validate_sweep_request(request: SweepRequest) -> None:
+    """Reject contract violations before any compute is queued."""
+    if not request.circuits:
+        raise RequestValidationError("'circuits' must be non-empty")
+    _check_request(request.circuits, request.scale, request.timeout_ms)
+    if not request.tpgs:
+        raise RequestValidationError("'tpgs' must be non-empty")
+    for tpg in request.tpgs:
+        _check_choice("tpgs", tpg, TPG_REGISTRY.names())
+    if any(length < 1 for length in request.evolution_lengths):
+        raise RequestValidationError("'evolution_lengths' must be >= 1")

@@ -4,8 +4,9 @@ One :class:`ServeClient` owns one keep-alive HTTP/1.1 connection (via
 ``http.client``) — cheap enough that load generators create one per
 thread; the class is intentionally **not** thread-safe, matching the
 underlying connection.  Typed helpers wrap each endpoint and decode
-through the same schema-versioned :mod:`repro.flow.serialize` layer the
-server encodes with, so skew is caught client-side too.
+through the same schema-versioned :mod:`repro.flow.serialize` codec
+(``encode``/``decode``) the server uses, so skew and mistyped replies
+are caught client-side too.
 
 Example — diagnose a fail log, then reuse the uploaded pattern set::
 
@@ -25,12 +26,14 @@ import http.client
 import json
 from typing import Any
 
+from repro.flow.serialize import decode, encode
 from repro.serve.api import (
     AtpgRequest,
     AtpgResponse,
     DiagnoseRequest,
     DiagnoseResponse,
     ServeError,
+    ServeStats,
     SweepRequest,
     SweepResponse,
 )
@@ -97,7 +100,7 @@ class ServeClient:
         decoded = json.loads(raw) if raw else {}
         if response.status >= 400:
             if isinstance(decoded, dict) and decoded.get("kind") == "serve_error":
-                raise ServeClientError(response.status, ServeError.from_dict(decoded))
+                raise ServeClientError(response.status, decode(ServeError, decoded))
             raise ServeClientError(
                 response.status,
                 ServeError(error=str(decoded), status=response.status),
@@ -112,9 +115,7 @@ class ServeClient:
 
     def stats(self) -> dict[str, Any]:
         """``GET /stats``: the worker's counters (inner document)."""
-        from repro.flow.serialize import serve_stats_from_dict
-
-        return serve_stats_from_dict(self._request("GET", "/stats")[1])
+        return decode(ServeStats, self._request("GET", "/stats")[1]).stats
 
     def metrics(self) -> str:
         """``GET /metrics``: the raw Prometheus text exposition (the
@@ -133,9 +134,7 @@ class ServeClient:
         if response.status >= 400:
             decoded = json.loads(raw) if raw else {}
             if isinstance(decoded, dict) and decoded.get("kind") == "serve_error":
-                raise ServeClientError(
-                    response.status, ServeError.from_dict(decoded)
-                )
+                raise ServeClientError(response.status, decode(ServeError, decoded))
             raise ServeClientError(
                 response.status,
                 ServeError(error=str(decoded), status=response.status),
@@ -144,15 +143,15 @@ class ServeClient:
 
     def diagnose(self, request: DiagnoseRequest) -> DiagnoseResponse:
         """``POST /diagnose`` one fail log."""
-        _, decoded = self._request("POST", "/diagnose", request.to_dict())
-        return DiagnoseResponse.from_dict(decoded)
+        _, decoded = self._request("POST", "/diagnose", encode(request))
+        return decode(DiagnoseResponse, decoded)
 
     def atpg(self, request: AtpgRequest) -> AtpgResponse:
         """``POST /atpg``: run (or reuse) the ATPG substrate."""
-        _, decoded = self._request("POST", "/atpg", request.to_dict())
-        return AtpgResponse.from_dict(decoded)
+        _, decoded = self._request("POST", "/atpg", encode(request))
+        return decode(AtpgResponse, decoded)
 
     def sweep(self, request: SweepRequest) -> SweepResponse:
         """``POST /sweep``: a circuits x TPGs x lengths grid."""
-        _, decoded = self._request("POST", "/sweep", request.to_dict())
-        return SweepResponse.from_dict(decoded)
+        _, decoded = self._request("POST", "/sweep", encode(request))
+        return decode(SweepResponse, decoded)

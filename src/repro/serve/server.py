@@ -33,13 +33,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any
 
-from repro.flow.serialize import (
-    SchemaMismatchError,
-    atpg_result_to_dict,
-    diagnosis_result_to_dict,
-    serve_stats_to_dict,
-    to_json,
-)
+from repro.flow.serialize import SchemaMismatchError, decode, encode, to_json
 from repro.flow.session import ArtifactCache, Session
 from repro.obs import NULL_TELEMETRY, Telemetry
 from repro.obs.export import PROMETHEUS_CONTENT_TYPE, render_prometheus
@@ -51,9 +45,12 @@ from repro.serve.api import (
     PatternSet,
     RequestValidationError,
     ServeError,
+    ServeStats,
     SweepRequest,
     SweepResponse,
+    validate_atpg_request,
     validate_diagnose_request,
+    validate_sweep_request,
 )
 from repro.serve.batcher import (
     BatcherClosedError,
@@ -316,7 +313,7 @@ class ReproServer:
             ).encode()
             return 200, body, ()
         if request.method == "GET" and path == "/stats":
-            body = to_json(serve_stats_to_dict(self.stats())).encode()
+            body = to_json(encode(ServeStats(self.stats()))).encode()
             return 200, body, ()
         if request.method == "GET" and path == "/metrics":
             if not self.config.metrics:
@@ -357,7 +354,7 @@ class ReproServer:
         self, status: int, message: str, retry_after: float | None = None
     ) -> bytes:
         error = ServeError(error=message, status=status, retry_after=retry_after)
-        return to_json(error.to_dict()).encode()
+        return to_json(encode(error)).encode()
 
     async def _submit_and_wait(
         self, kind: str, group_key: Any, payload: Any, timeout_ms: int | None
@@ -365,7 +362,9 @@ class ReproServer:
         """Queue one request on the batcher and await its outcome,
         mapping the failure modes onto HTTP statuses."""
         loop = asyncio.get_running_loop()
-        timeout_s = (timeout_ms or self.config.timeout_ms) / 1000.0
+        if timeout_ms is None:
+            timeout_ms = self.config.timeout_ms
+        timeout_s = timeout_ms / 1000.0
         work = PendingWork(
             kind=kind,
             group_key=group_key,
@@ -390,7 +389,7 @@ class ReproServer:
         except (asyncio.TimeoutError, DeadlineExceededError):
             return (
                 504,
-                self._error_body(504, f"deadline of {timeout_ms or self.config.timeout_ms} ms exceeded"),
+                self._error_body(504, f"deadline of {timeout_ms} ms exceeded"),
                 (),
             )
         except RequestValidationError as exc:
@@ -402,7 +401,7 @@ class ReproServer:
     # -- endpoint handlers -------------------------------------------------
 
     async def _handle_diagnose(self, payload: dict[str, Any]):
-        request = DiagnoseRequest.from_dict(payload)
+        request = decode(DiagnoseRequest, payload)
         validate_diagnose_request(request)
         pattern_set, ref = await self._resolve_pattern_set(request)
         if pattern_set is None:
@@ -428,13 +427,13 @@ class ReproServer:
         )
 
     async def _handle_atpg(self, payload: dict[str, Any]):
-        request = AtpgRequest.from_dict(payload)
+        request = decode(AtpgRequest, payload)
+        validate_atpg_request(request)
         return await self._submit_and_wait("atpg", object(), request, request.timeout_ms)
 
     async def _handle_sweep(self, payload: dict[str, Any]):
-        request = SweepRequest.from_dict(payload)
-        if not request.circuits:
-            raise RequestValidationError("'circuits' must be non-empty")
+        request = decode(SweepRequest, payload)
+        validate_sweep_request(request)
         return await self._submit_and_wait("sweep", object(), request, request.timeout_ms)
 
     # -- pattern-set registry ----------------------------------------------
@@ -472,7 +471,7 @@ class ReproServer:
                 self._pattern_sets[ref] = pattern_set
                 if self.store is not None:
                     await loop.run_in_executor(
-                        self._executor, self.store.put, ref, pattern_set.to_dict()
+                        self._executor, self.store.put, ref, encode(pattern_set)
                     )
             return self._pattern_sets[ref], ref
         ref = request.patterns_ref or ""
@@ -482,7 +481,7 @@ class ReproServer:
                 self._executor, self.store.get, ref, "pattern_set"
             )
             if payload is not None:
-                pattern_set = PatternSet.from_dict(payload)
+                pattern_set = decode(PatternSet, payload)
                 self._pattern_sets[ref] = pattern_set
         return pattern_set, ref
 
@@ -561,7 +560,7 @@ class ReproServer:
             )
             seconds = span.elapsed6()
         for index, result in zip(valid, results):
-            result_payload = diagnosis_result_to_dict(result)
+            result_payload = encode(result)
             # Deterministic body: identical to a local Session.diagnose.
             result_payload["timings"] = {}
             response = DiagnoseResponse(
@@ -571,7 +570,7 @@ class ReproServer:
                 batch_size=len(items),
                 seconds=seconds,
             )
-            outcomes[index].body = response.to_dict()
+            outcomes[index].body = encode(response)
         return outcomes
 
     def _compute_atpg(self, items: list[AtpgRequest]) -> list[_Outcome]:
@@ -589,11 +588,11 @@ class ReproServer:
                 from_memo = session.has_atpg(config)
                 result = session.atpg_for(config)
                 response = AtpgResponse(
-                    result=atpg_result_to_dict(result),
+                    result=encode(result),
                     from_memo=from_memo,
                     seconds=span.elapsed6(),
                 )
-            outcomes.append(_Outcome(body=response.to_dict()))
+            outcomes.append(_Outcome(body=encode(response)))
         return outcomes
 
     def _compute_sweep(self, items: list[SweepRequest]) -> list[_Outcome]:
@@ -635,7 +634,7 @@ class ReproServer:
                     n_cached=grid.n_cached,
                     seconds=span.elapsed6(),
                 )
-            outcomes.append(_Outcome(body=response.to_dict()))
+            outcomes.append(_Outcome(body=encode(response)))
         return outcomes
 
     # -- stats -------------------------------------------------------------

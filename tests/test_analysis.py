@@ -413,11 +413,13 @@ def test_schema_kinds_requires_test_literal(tmp_path):
         tmp_path,
         "src/repro/flow/serialize.py",
         """
-        def to_dict():
-            return {"kind": "tested_doc", "schema_version": 1}
+        KINDS = {
+            "tested_doc": "repro.docs.Tested",
+            "untested_doc": "repro.docs.Untested",
+        }
 
-        def check(payload):
-            return check_schema(payload, "untested_doc")
+        def encode(obj):
+            return {"kind": "stamped_elsewhere", "schema_version": 1}
         """,
     )
     write(
@@ -429,6 +431,39 @@ def test_schema_kinds_requires_test_literal(tmp_path):
     found = findings_for(report, "schema-kinds")
     assert len(found) == 1
     assert "untested_doc" in found[0].message
+
+
+def test_schema_kinds_missing_table_is_a_finding(tmp_path):
+    write(
+        tmp_path,
+        "src/repro/flow/serialize.py",
+        """
+        def to_dict():
+            return {"kind": "tested_doc", "schema_version": 1}
+        """,
+    )
+    write(tmp_path, "tests/test_roundtrip.py", 'KIND = "tested_doc"\n')
+    found = findings_for(run_check(tmp_path, rules=["schema-kinds"]), "schema-kinds")
+    assert len(found) == 1
+    assert "no schema kinds found" in found[0].message
+
+
+def test_schema_kinds_enumerates_every_codec_kind():
+    """On the real tree the rule reads exactly the kinds ``encode`` can
+    stamp, and each names a class the codec can import."""
+    import ast
+    import importlib
+
+    from repro.analysis.rules.schema_kinds import codec_kinds
+    from repro.flow.serialize import KINDS
+
+    tree = ast.parse((REPO_ROOT / "src/repro/flow/serialize.py").read_text())
+    assert set(codec_kinds(tree)) == set(KINDS)
+    assert len(KINDS) == 14
+    for path in KINDS.values():
+        module, _, name = path.rpartition(".")
+        assert isinstance(getattr(importlib.import_module(module), name), type)
+    assert not findings_for(run_check(REPO_ROOT, rules=["schema-kinds"]), "schema-kinds")
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,7 @@ from repro.circuit.gates import GateType
 from repro.circuit.generate import GeneratorSpec, generate_circuit
 from repro.circuits import load_circuit
 from repro.faults.collapse import collapse_faults
+from repro.flow.serialize import decode, encode
 
 # ---------------------------------------------------------------------------
 # values5: plane algebra vs a from-the-definition reference
@@ -316,6 +317,6 @@ def test_result_roundtrip_preserves_measured_coverage():
     """The schema-v2 dict form carries the measured coverage."""
     circuit = load_circuit("c17")
     result = AtpgEngine(circuit).run()
-    clone = type(result).from_dict(result.to_dict())
+    clone = decode(type(result), encode(result))
     assert clone.measured_coverage == result.measured_coverage == 1.0
     assert clone.test_set == result.test_set

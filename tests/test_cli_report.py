@@ -8,6 +8,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.flow.pipeline import PipelineConfig
+from repro.flow.serialize import decode
 from repro.flow.session import Session
 from repro.flow.report import solution_report
 from repro.circuits import load_circuit
@@ -155,7 +156,7 @@ class TestCliDiagnose:
         assert payload["kind"] == "diagnosis_result"
         assert payload["injected"] == ["10/SA1"]
         # The extra reporting keys do not break round-tripping.
-        result = DiagnosisResult.from_dict(payload)
+        result = decode(DiagnosisResult, payload)
         assert result.circuit_name == "c17"
         rank = payload["injected_ranks"]["10/SA1"]
         assert rank is not None and rank <= 3

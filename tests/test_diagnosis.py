@@ -29,6 +29,7 @@ from repro.diagnosis import (
 )
 from repro.faults.collapse import collapse_faults
 from repro.faults.model import Fault, full_fault_list
+from repro.flow.serialize import decode, encode
 from repro.sim.batch import BatchFaultSimulator
 from repro.sim.event import ReferenceSimulator
 from repro.sim.logic import CompiledCircuit
@@ -229,7 +230,7 @@ class TestFaultDictionary:
     def test_serialization_round_trip(self, c17):
         patterns = _random_patterns(c17, 12, "serialize")
         dictionary = FaultDictionary.build(c17, patterns)
-        clone = FaultDictionary.from_dict(dictionary.to_dict())
+        clone = decode(FaultDictionary, encode(dictionary))
         assert clone.circuit_name == dictionary.circuit_name
         assert clone.faults == dictionary.faults
         np.testing.assert_array_equal(clone.matrix, dictionary.matrix)
@@ -294,7 +295,7 @@ class TestEffectCause:
         target = faults[3]
         log = make_fail_log(c17, patterns, target)
         result = diagnose_effect_cause(c17, patterns, log.responses, faults=faults)
-        clone = type(result).from_dict(result.to_dict())
+        clone = decode(type(result), encode(result))
         assert [c.fault for c in clone.candidates] == [
             c.fault for c in result.candidates
         ]
@@ -499,7 +500,7 @@ class TestDiagnoseMany:
         ]
         assert len(batched) == len(serial)
         for got, want in zip(batched, serial):
-            assert got.to_dict() == want.to_dict()
+            assert encode(got) == encode(want)
 
     def test_single_column_matches_diagnose(self, c17):
         patterns, faults, simulator, logs = self._logs(c17, 1, "one")
@@ -507,7 +508,7 @@ class TestDiagnoseMany:
         golden = simulator.compiled.simulate_patterns(patterns)
         flags = observed_fail_flags(golden, logs[0].responses)
         (batched,) = dictionary.diagnose_many(flags, top_k=3)
-        assert batched.to_dict() == dictionary.diagnose(flags, top_k=3).to_dict()
+        assert encode(batched) == encode(dictionary.diagnose(flags, top_k=3))
 
     def test_per_log_top_k(self, c17):
         patterns, faults, simulator, logs = self._logs(c17, 2, "topk")
@@ -558,7 +559,7 @@ class TestDiagnoseMany:
             session.diagnose(log, method="dictionary", top_k=4) for log in logs
         ]
         for got, want in zip(batched, serial):
-            assert got.to_dict() == want.to_dict()
+            assert encode(got) == encode(want)
 
     def test_session_diagnose_batch_non_dictionary_degrades(self, tmp_path):
         from repro.flow.session import Session

@@ -8,7 +8,7 @@ import pytest
 
 from repro.circuits import load_circuit
 from repro.flow.pipeline import PipelineConfig, PipelineResult
-from repro.flow.serialize import SCHEMA_VERSION, SchemaMismatchError
+from repro.flow.serialize import SCHEMA_VERSION, SchemaMismatchError, decode, encode
 from repro.flow.session import ArtifactCache, Session
 from repro.flow.stages import (
     DEFAULT_STAGES,
@@ -161,7 +161,7 @@ class TestSerialization:
     def test_atpg_round_trip(self, baseline):
         from repro.atpg.engine import AtpgResult
 
-        clone = AtpgResult.from_dict(json.loads(json.dumps(baseline.atpg.to_dict())))
+        clone = decode(AtpgResult, json.loads(json.dumps(encode(baseline.atpg))))
         assert clone.test_set == baseline.atpg.test_set
         assert clone.target_faults == baseline.atpg.target_faults
         assert clone.untestable == baseline.atpg.untestable
@@ -178,6 +178,34 @@ class TestSerialization:
         payload["kind"] = "atpg_result"
         with pytest.raises(SchemaMismatchError):
             PipelineResult.from_dict(payload)
+
+    def test_mistyped_field_names_it(self, baseline):
+        payload = baseline.to_dict()
+        payload["atpg"]["test_set"] = [7]
+        with pytest.raises(SchemaMismatchError, match=r"pipeline_result\.atpg\.test_set"):
+            PipelineResult.from_dict(payload)
+
+    def test_cache_round_trip_is_identical(self, tmp_path):
+        written = Session.from_name("c17", config=CONFIG, cache=tmp_path).run("adder")
+        warm = Session.from_name("c17", config=CONFIG, cache=tmp_path)
+        info = warm.run_info("adder")
+        assert info.from_cache
+        assert info.result.to_dict() == written.to_dict()
+
+    def test_v3_cache_entry_is_a_counted_miss(self, tmp_path):
+        """Entries written before the v4 codec are recomputed, never
+        mis-decoded."""
+        Session.from_name("c17", config=CONFIG, cache=tmp_path).run("adder")
+        for path in tmp_path.glob("*.json"):
+            payload = json.loads(path.read_text())
+            payload["schema_version"] = 3
+            path.write_text(json.dumps(payload))
+        warm = Session.from_name("c17", config=CONFIG, cache=tmp_path)
+        info = warm.run_info("adder")
+        assert not info.from_cache
+        assert warm.cache.misses_for("pipeline_result") == 1
+        assert warm.cache.hits_for("pipeline_result") == 0
+        assert warm.cache.corrupt_for("pipeline_result") == 0
 
 
 def _serve_bodies(baseline):
@@ -232,7 +260,7 @@ def _serve_bodies(baseline):
         ),
         "atpg_request": AtpgRequest(circuit="c17", max_random_patterns=64),
         "atpg_response": AtpgResponse(
-            result=baseline.atpg.to_dict(), from_memo=True, seconds=0.5
+            result=encode(baseline.atpg), from_memo=True, seconds=0.5
         ),
         "sweep_request": SweepRequest(
             circuits=("c17", "s27"), evolution_lengths=(8, 16)
@@ -267,45 +295,42 @@ class TestServeSerialization:
     @pytest.mark.parametrize("kind", SERVE_KINDS)
     def test_round_trip_preserves_everything(self, baseline, kind):
         body = _serve_bodies(baseline)[kind]
-        payload = body.to_dict()
+        payload = encode(body)
         assert payload["schema_version"] == SCHEMA_VERSION
         assert payload["kind"] == kind
-        clone = type(body).from_dict(json.loads(json.dumps(payload)))
+        clone = decode(type(body), json.loads(json.dumps(payload)))
         assert clone == body
 
     @pytest.mark.parametrize("kind", SERVE_KINDS)
     def test_schema_version_skew_rejected(self, baseline, kind):
         body = _serve_bodies(baseline)[kind]
-        payload = body.to_dict()
+        payload = encode(body)
         payload["schema_version"] = SCHEMA_VERSION + 1
         with pytest.raises(SchemaMismatchError):
-            type(body).from_dict(payload)
+            decode(type(body), payload)
 
     @pytest.mark.parametrize("kind", SERVE_KINDS)
     def test_wrong_kind_rejected(self, baseline, kind):
         body = _serve_bodies(baseline)[kind]
-        payload = body.to_dict()
+        payload = encode(body)
         payload["kind"] = "packed_evolution"
         with pytest.raises(SchemaMismatchError):
-            type(body).from_dict(payload)
+            decode(type(body), payload)
 
     def test_serve_stats_envelope_round_trips(self):
-        from repro.flow.serialize import (
-            serve_stats_from_dict,
-            serve_stats_to_dict,
-        )
+        from repro.serve.api import ServeStats
 
         counters = {"requests": {"/diagnose": 3}, "batcher": {"shed": 0}}
-        payload = serve_stats_to_dict(counters)
+        payload = encode(ServeStats(counters))
         assert payload["kind"] == "serve_stats"
-        assert serve_stats_from_dict(json.loads(json.dumps(payload))) == counters
+        assert decode(ServeStats, json.loads(json.dumps(payload))).stats == counters
 
     def test_diagnose_response_checks_embedded_result(self, baseline):
         body = _serve_bodies(baseline)["diagnose_response"]
-        payload = body.to_dict()
+        payload = encode(body)
         payload["result"]["schema_version"] = SCHEMA_VERSION + 1
         with pytest.raises(SchemaMismatchError):
-            type(body).from_dict(payload)
+            decode(type(body), payload)
 
 
 class TestArtifactCacheRobustness:

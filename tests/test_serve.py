@@ -28,10 +28,18 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.diagnosis import make_fail_log
 from repro.faults.collapse import collapse_faults
-from repro.flow.serialize import diagnosis_result_to_dict, to_json
+from repro.flow.serialize import (
+    SCHEMA_VERSION,
+    decode,
+    diagnosis_result_to_dict,
+    encode,
+    to_json,
+)
 from repro.flow.session import Session
 from repro.serve import (
     AtpgRequest,
@@ -409,11 +417,13 @@ class TestServerEndpoints:
 
     def test_schema_version_skew_rejected(self, client, scenario):
         _, patterns, log = scenario
-        payload = DiagnoseRequest(
-            circuit="c17",
-            patterns=tuple(p.to_string() for p in patterns),
-            responses=tuple(r.to_string() for r in log.responses),
-        ).to_dict()
+        payload = encode(
+            DiagnoseRequest(
+                circuit="c17",
+                patterns=tuple(p.to_string() for p in patterns),
+                responses=tuple(r.to_string() for r in log.responses),
+            )
+        )
         payload["schema_version"] = 999
         with pytest.raises(ServeClientError) as excinfo:
             client._request("POST", "/diagnose", payload)
@@ -494,13 +504,15 @@ class TestScaleValidation:
 
     def test_bad_scale_rejected_and_stats_survive(self, scenario):
         _, patterns, log = scenario
-        diagnose = DiagnoseRequest(
-            circuit="c17",
-            patterns=tuple(p.to_string() for p in patterns),
-            responses=tuple(r.to_string() for r in log.responses),
-        ).to_dict()
-        atpg = AtpgRequest(circuit="c17", max_random_patterns=64).to_dict()
-        sweep = SweepRequest(circuits=("c17",), evolution_lengths=(8,)).to_dict()
+        diagnose = encode(
+            DiagnoseRequest(
+                circuit="c17",
+                patterns=tuple(p.to_string() for p in patterns),
+                responses=tuple(r.to_string() for r in log.responses),
+            )
+        )
+        atpg = encode(AtpgRequest(circuit="c17", max_random_patterns=64))
+        sweep = encode(SweepRequest(circuits=("c17",), evolution_lengths=(8,)))
         with BackgroundServer(ServeConfig(port=0)) as background:
             with ServeClient(background.host, background.port) as client:
                 for path, payload in (
@@ -514,8 +526,170 @@ class TestScaleValidation:
                         assert excinfo.value.status == 400, (path, scale)
                 stats = client.stats()
                 assert stats["sessions"] == []
-                client.diagnose(DiagnoseRequest.from_dict({**diagnose, "scale": 1}))
+                client.diagnose(decode(DiagnoseRequest, {**diagnose, "scale": 1}))
                 assert client.stats()["sessions"] == ["c17@1"]
+
+
+def _post(host, port, path, payload):
+    """One POST on a fresh connection: (status, decoded JSON body).  A
+    dropped connection or a truncated body raises."""
+    import http.client
+
+    conn = http.client.HTTPConnection(host, port, timeout=60)
+    try:
+        conn.request(
+            "POST", path, body=json.dumps(payload).encode(),
+            headers={"Content-Type": "application/json"},
+        )
+        response = conn.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        conn.close()
+
+
+def _good_bodies(scenario):
+    """One valid, cheap body per compute endpoint, on c17."""
+    _, patterns, log = scenario
+    return {
+        "/diagnose": encode(
+            DiagnoseRequest(
+                circuit="c17",
+                patterns=tuple(p.to_string() for p in patterns),
+                responses=tuple(r.to_string() for r in log.responses),
+            )
+        ),
+        "/atpg": encode(AtpgRequest(circuit="c17", max_random_patterns=64)),
+        "/sweep": encode(SweepRequest(circuits=("c17",), evolution_lengths=(8,))),
+    }
+
+
+class TestTypedRequests:
+    """Every request field is decoded by type, and values are checked on
+    the event loop before anything is queued: a bad body is a 400
+    ``serve_error`` naming the offending field, and the worker keeps
+    serving good requests."""
+
+    MISTYPED = [
+        ("/atpg", "seed", "abc"),
+        ("/atpg", "seed", True),
+        ("/atpg", "backtrack_limit", "x"),
+        ("/atpg", "circuit", 17),
+        ("/diagnose", "top_k", 2.5),
+        ("/diagnose", "responses", [1]),
+        ("/diagnose", "timeout_ms", "5"),
+        ("/sweep", "evolution_lengths", ["a"]),
+        ("/sweep", "circuits", "c17"),
+    ]
+
+    BAD_VALUES = [
+        ("/atpg", "circuit", "c9999"),
+        ("/diagnose", "circuit", "c9999"),
+        ("/sweep", "tpgs", ["no-such-tpg"]),
+        ("/atpg", "engine", "quantum"),
+        ("/diagnose", "timeout_ms", -5),
+        ("/diagnose", "timeout_ms", 0),
+    ]
+
+    @pytest.mark.parametrize(("path", "name", "value"), MISTYPED + BAD_VALUES)
+    def test_bad_field_is_400_naming_it(self, server, scenario, path, name, value):
+        good = _good_bodies(scenario)[path]
+        status, body = _post(server.host, server.port, path, {**good, name: value})
+        assert status == 400, body
+        assert body["kind"] == "serve_error"
+        assert body["status"] == 400
+        assert name in body["error"]
+        # The same worker still serves a good request.
+        status, body = _post(server.host, server.port, path, good)
+        assert status == 200, body
+
+    def test_request_defaults_come_from_the_dataclass(self):
+        request = decode(
+            AtpgRequest, {"schema_version": SCHEMA_VERSION, "kind": "atpg_request",
+                          "circuit": "c17"}
+        )
+        assert request == AtpgRequest(circuit="c17")
+
+
+_MISSING = object()
+
+#: Anything a JSON body can hold where a field's value should be.
+_JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 12),
+    st.floats(-2.0, 4.0) | st.sampled_from([float("nan"), float("inf")]),
+    st.text(alphabet="01c7az_", max_size=4),
+    st.lists(st.integers(-2, 8) | st.text(alphabet="01c7", max_size=3), max_size=3),
+    st.dictionaries(st.text(alphabet="ab", max_size=2), st.integers(0, 3), max_size=2),
+)
+
+
+def _valid_fields(scenario):
+    """Per endpoint: field -> strategy of valid, cheap values."""
+    fields = {
+        path: {
+            name: st.just(value)
+            for name, value in body.items()
+            if name not in ("schema_version", "kind")
+        }
+        for path, body in _good_bodies(scenario).items()
+    }
+    fields["/diagnose"]["method"] = st.sampled_from(
+        ("dictionary", "effect_cause", "signature", "multiplet")
+    )
+    fields["/atpg"]["max_random_patterns"] = st.integers(0, 16)
+    fields["/sweep"]["evolution_lengths"] = st.lists(st.integers(1, 12), max_size=2)
+    return fields
+
+
+@st.composite
+def _bodies(draw, fields):
+    """A body whose every field is kept valid (3 in 4), left out, or
+    replaced by junk.  ``timeout_ms`` junk stays non-positive, so a valid
+    request is never a legitimate 504."""
+    body = {}
+    for name, valid in fields.items():
+        if draw(st.integers(0, 3)):
+            body[name] = draw(valid)
+            continue
+        junk = _JUNK.filter(lambda v: type(v) is not int or v <= 0) \
+            if name == "timeout_ms" else _JUNK
+        value = draw(st.just(_MISSING) | junk)
+        if value is not _MISSING:
+            body[name] = value
+    return body
+
+
+def _fuzz(server, scenario, max_examples, derandomize):
+    for path, fields in _valid_fields(scenario).items():
+        envelope = {"schema_version": SCHEMA_VERSION, "kind": path.strip("/") + "_request"}
+
+        @settings(max_examples=max_examples, deadline=None, derandomize=derandomize,
+                  database=None)
+        @given(_bodies(fields))
+        def send(body):
+            status, reply = _post(server.host, server.port, path, {**envelope, **body})
+            assert status < 500, (path, body, reply)
+            if status != 200:
+                assert reply["kind"] == "serve_error", reply
+
+        send()
+    with ServeClient(server.host, server.port) as client:
+        stats = client.stats()
+    assert stats["requests"]["/diagnose"] >= 1
+    json.dumps(stats)
+
+
+class TestRequestFuzz:
+    """Hypothesis-drawn request bodies never get a 5xx, every
+    connection gets a complete response, and /stats still parses."""
+
+    def test_fuzzed_bodies_never_5xx(self, server, scenario):
+        _fuzz(server, scenario, max_examples=100, derandomize=True)
+
+    @pytest.mark.slow
+    def test_fuzzed_bodies_never_5xx_long(self, server, scenario):
+        _fuzz(server, scenario, max_examples=400, derandomize=False)
 
 
 class TestBatchIsolation:

@@ -7,12 +7,14 @@ as a subprocess, then walks the lifecycle CI cares about:
 1. parse the "listening on" line for the ephemeral port;
 2. ``GET /healthz`` answers ``{"status": "ok"}``;
 3. ``POST /diagnose`` on c17 returns a schema-stamped
-   ``diagnose_response`` whose embedded payload round-trips through
-   the serialize layer;
-4. ``GET /metrics`` (the worker boots with ``--metrics``) returns a
+   ``diagnose_response`` whose embedded payload decodes through the
+   codec (``decode(DiagnosisResult, ...)``);
+4. a mistyped ``POST /diagnose`` body (``"top_k": "5"``) is a 400
+   ``serve_error`` naming the field — typed decode, end to end;
+5. ``GET /metrics`` (the worker boots with ``--metrics``) returns a
    Prometheus text exposition that the strict parser accepts and that
    counts the traffic this script just sent;
-5. SIGTERM drains cleanly: exit code 0 and the drain message on stdout.
+6. SIGTERM drains cleanly: exit code 0 and the drain message on stdout.
 
 Usage::
 
@@ -62,26 +64,32 @@ def main() -> int:
 
     # The client import needs src/ on the path too.
     sys.path.insert(0, str(REPO_ROOT / "src"))
-    from repro.flow.serialize import diagnosis_result_from_dict
+    from repro.diagnosis.result import DiagnosisResult
+    from repro.flow.serialize import decode, encode
     from repro.obs import parse_prometheus_text
-    from repro.serve import DiagnoseRequest, ServeClient
+    from repro.serve import DiagnoseRequest, ServeClient, ServeClientError
 
     try:
         with ServeClient(host, int(port_text)) as client:
             health = client.healthz()
             if health.get("status") != "ok":
                 return fail(f"healthz said {health}", server)
-            response = client.diagnose(
-                DiagnoseRequest(
-                    circuit="c17",
-                    patterns=("10110", "01001", "11100", "00011"),
-                    responses=("10", "01", "11", "00"),
-                    method="effect_cause",
-                )
+            request = DiagnoseRequest(
+                circuit="c17",
+                patterns=("10110", "01001", "11100", "00011"),
+                responses=("10", "01", "11", "00"),
+                method="effect_cause",
             )
+            response = client.diagnose(request)
             if response.result.get("kind") != "diagnosis_result":
                 return fail(f"unexpected payload kind: {response.result}", server)
-            diagnosis_result_from_dict(response.result)  # schema round-trip
+            decode(DiagnosisResult, response.result)  # typed schema round-trip
+            try:
+                client._request("POST", "/diagnose", {**encode(request), "top_k": "5"})
+                return fail("mistyped top_k was accepted", server)
+            except ServeClientError as error:
+                if error.status != 400 or "top_k" not in error.error.error:
+                    return fail(f"mistyped top_k: {error}", server)
             exposition = client.metrics()
             try:
                 parsed = parse_prometheus_text(exposition)
@@ -108,7 +116,9 @@ def main() -> int:
         return fail(f"exit code {server.returncode}\noutput:\n{out}")
     if "drained cleanly" not in out:
         return fail(f"drain message missing from output:\n{out}")
-    print("serve smoke OK: healthz + diagnose + metrics + clean SIGTERM drain")
+    print(
+        "serve smoke OK: healthz + diagnose + typed 400 + metrics + clean SIGTERM drain"
+    )
     return 0
 
 
