@@ -9,12 +9,12 @@ walks it bottom-up:
    fault-sim kernel counters (``repro_sim_words_simulated_total``, the
    plan-cache economics) and the flow-stage histograms, rendered as the
    same Prometheus text a scraper would see;
-2. a ``repro serve`` worker booted with metrics enabled
-   (``ServeConfig(metrics=True)`` — the ``--metrics`` flag) — after a
-   burst of concurrent diagnosis traffic, ``GET /metrics`` exposes the
+2. a ``repro serve`` worker (every worker runs a live registry) —
+   after a burst of concurrent diagnosis traffic, ``GET /metrics`` exposes the
    request/latency/batcher/cache series, strict-parsed back into
    numbers with :func:`repro.obs.parse_prometheus_text` and
-   cross-checked against ``GET /stats``.
+   cross-checked against ``GET /stats``, which renders the same
+   registry as JSON.
 
 Run: ``python examples/metrics_scrape.py [--circuit c17]
 [--patterns 32] [--requests 6] [--clients 3]``
@@ -80,7 +80,7 @@ def main() -> int:
     )
 
     # -- 2. the same registry family, served over HTTP by a worker
-    config = ServeConfig(port=0, metrics=True, max_batch=args.clients)
+    config = ServeConfig(port=0, max_batch=args.clients)
     patterns_text = tuple(p.to_string() for p in patterns)
     responses_text = tuple(r.to_string() for r in log.responses)
     with BackgroundServer(config) as server:
@@ -111,7 +111,7 @@ def main() -> int:
         ("repro_serve_requests", "repro_serve_responses", "repro_serve_batch"),
     )
 
-    # /stats and /metrics are two views of the same counters.
+    # /stats and /metrics render the same registry.
     scraped = parsed['repro_serve_requests_total{path="/diagnose"}']
     counted = stats["requests"]["/diagnose"]
     print(

@@ -2,7 +2,7 @@
 
 An AST-based rule engine that machine-checks the conventions the
 codebase rests on: packed kernels stay word-parallel, serve coroutines
-never block the event loop, every metric is documented and mirrored,
+never block the event loop, every metric is documented,
 every serialize kind has round-trip coverage, the public API surface
 is pinned, and the docs' links resolve.  Surfaced as ``repro check``;
 rules, suppression grammar and the baseline workflow are documented in

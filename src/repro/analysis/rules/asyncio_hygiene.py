@@ -3,8 +3,9 @@
 ``repro serve`` runs all compute on one ``ThreadPoolExecutor(1)``
 thread; the event loop only parses, batches and writes.  Anything that
 blocks a coroutine — ``time.sleep``, file I/O, ``subprocess``, a
-direct ``Session`` compute call, or a :class:`SharedArtifactStore`
-disk hit — stalls *every* in-flight connection at once.  The PR 8
+direct ``Session`` compute call, or an artifact-store
+(``self.store``, an :class:`~repro.flow.session.ArtifactCache`) disk
+hit — stalls *every* in-flight connection at once.  The PR 8
 near-miss (a copy-pasted blocking timing call in a handler) is exactly
 the regression class this rule pins down.
 

@@ -1,6 +1,6 @@
-"""Rule ``telemetry`` — metric names are valid, documented, mirrored.
+"""Rule ``telemetry`` — metric names are valid and documented.
 
-Three contracts from PR 8's observability work, machine-checked:
+Two contracts from PR 8's observability work, machine-checked:
 
 * **naming** — every metric name in ``src/repro`` (a string literal
   fully matching ``repro_...``, or an f-string with a ``repro_``
@@ -10,12 +10,11 @@ Three contracts from PR 8's observability work, machine-checked:
   glossary in ``docs/observability.md`` (f-strings count as covered
   when at least one documented name matches their pattern), and every
   documented name must correspond to something the code can emit (the
-  reverse direction catches doc rot and typos on both sides);
-* **/stats mirroring** — ``GET /stats`` and ``GET /metrics`` are two
-  views of the same counters: every key the serve layer exposes in
-  ``/stats`` (the batcher's ``as_dict`` and the server's ``stats()``)
-  must map to a mirrored metric series, per the table below.  A new
-  stats key without a mirror entry is a finding at its definition.
+  reverse direction catches doc rot and typos on both sides).
+
+``GET /stats`` needs no check of its own: the serve layer renders it
+from the same registry ``GET /metrics`` exports, so the two cannot
+disagree.
 
 The glossary grammar understood here: backticked tokens, optional
 trailing ``{label=}`` spec (stripped), inner ``{a,b,c}`` alternation
@@ -39,31 +38,6 @@ RULE = "telemetry"
 _NAME_RE = re.compile(r"repro_[a-z_]+")
 _COLLECT_RE = re.compile(r"repro_[a-z0-9_]+")
 _CODE_SPAN = re.compile(r"`([^`]+)`")
-
-#: /stats key -> the metric series that mirrors it.  ``None`` marks
-#: keys that are derived views of an already-mirrored series (e.g.
-#: occupancy aggregates of the occupancy histogram) or inherently
-#: stats-only structure (nested documents with their own mirrors).
-STATS_MIRRORS: dict[str, str | None] = {
-    # MicroBatcher.stats.as_dict()
-    "submitted": "repro_serve_submitted_total",
-    "batches": "repro_serve_batches_total",
-    "batched_requests": "repro_serve_batched_requests_total",
-    "avg_occupancy": "repro_serve_batch_occupancy",
-    "max_occupancy": "repro_serve_batch_occupancy",
-    "expired": "repro_serve_deadline_expired_total",
-    "shed": "repro_serve_shed_total",
-    "depth_high_water": "repro_serve_queue_depth",
-    # ReproServer.stats()
-    "server": "repro_serve_uptime_seconds",
-    "requests": "repro_serve_requests_total",
-    "responses": "repro_serve_responses_total",
-    "batcher": None,  # nested: each key mirrored individually above
-    "sessions": "repro_serve_sessions",
-    "pattern_sets": "repro_serve_pattern_sets",
-    "store": "repro_cache_hits_total",  # ArtifactCache counters
-}
-
 
 def _doc_names(text: str) -> tuple[set[str], list[str], dict[str, int]]:
     """Concrete names, wildcard prefixes, and name -> doc line."""
@@ -134,64 +108,10 @@ def _code_metric_names(
     return literals, patterns
 
 
-def _check_stats_mirrors(
-    ctx: AnalysisContext, emitted: set[str], findings: list[Finding]
-) -> None:
-    """Every dict key returned by the serve stats surfaces must have a
-    mirror mapping whose metric the code actually emits."""
-    for rel_path, funcs in (
-        ("src/repro/serve/batcher.py", ("as_dict",)),
-        ("src/repro/serve/server.py", ("stats",)),
-    ):
-        path = ctx.root / rel_path
-        if not path.is_file():
-            continue
-        tree = ctx.tree(path)
-        if tree is None:
-            continue
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.FunctionDef) or node.name not in funcs:
-                continue
-            for ret in ast.walk(node):
-                if not isinstance(ret, ast.Return) or not isinstance(
-                    ret.value, ast.Dict
-                ):
-                    continue
-                for key in ret.value.keys:
-                    if not isinstance(key, ast.Constant) or not isinstance(
-                        key.value, str
-                    ):
-                        continue
-                    name = key.value
-                    if name not in STATS_MIRRORS:
-                        findings.append(
-                            Finding(
-                                RULE,
-                                ctx.rel(path),
-                                key.lineno,
-                                f"/stats key '{name}' has no mirrored metric "
-                                "series; add the series and map it in "
-                                "repro.analysis.rules.telemetry.STATS_MIRRORS",
-                            )
-                        )
-                        continue
-                    mirror = STATS_MIRRORS[name]
-                    if mirror is not None and mirror not in emitted:
-                        findings.append(
-                            Finding(
-                                RULE,
-                                ctx.rel(path),
-                                key.lineno,
-                                f"/stats key '{name}' maps to metric "
-                                f"'{mirror}' which the code never emits",
-                            )
-                        )
-
-
 @register_rule(
     RULE,
-    "metric names match repro_[a-z_]+, are documented in "
-    "docs/observability.md, and every /stats key has a mirrored series",
+    "metric names match repro_[a-z_]+ and are documented in "
+    "docs/observability.md",
 )
 def check(ctx: AnalysisContext) -> list[Finding]:
     findings: list[Finding] = []
@@ -205,9 +125,7 @@ def check(ctx: AnalysisContext) -> list[Finding]:
         doc_names, wildcards, doc_lines = set(), [], {}
     have_docs = doc_path.is_file()
 
-    emitted: set[str] = set()
     for name, rel, line in literals:
-        emitted.add(name)
         if not _NAME_RE.fullmatch(name):
             findings.append(
                 Finding(
@@ -232,7 +150,6 @@ def check(ctx: AnalysisContext) -> list[Finding]:
             )
     for regex, rel, line in patterns:
         matched = {name for name in doc_names if regex.fullmatch(name)}
-        emitted.update(matched)
         if have_docs and not matched:
             findings.append(
                 Finding(
@@ -259,5 +176,4 @@ def check(ctx: AnalysisContext) -> list[Finding]:
                     f"documented metric '{name}' is never emitted by the code",
                 )
             )
-    _check_stats_mirrors(ctx, emitted, findings)
     return findings

@@ -404,7 +404,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
         python -m repro serve --port 8731 --store .repro-store
         python -m repro serve --host 0.0.0.0 --batch-window-ms 25 --max-batch 64
-        python -m repro serve --metrics   # Prometheus text at GET /metrics
+        curl localhost:8731/metrics   # Prometheus text, always served
 
     Stop with SIGTERM (or Ctrl-C): the worker drains — finishes every
     accepted request, flushes responses — and exits 0.
@@ -420,7 +420,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             max_queue=args.max_queue,
             timeout_ms=args.timeout_ms,
             store=args.store,
-            metrics=args.metrics,
         )
     )
 
@@ -722,12 +721,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--store",
         default=None,
         metavar="DIR",
-        help="shared artifact-store directory (mountable by many workers)",
+        help="artifact cache directory, shared with other workers and "
+        "with `repro run --cache`",
     )
     serve.add_argument(
         "--metrics",
         action="store_true",
-        help="expose Prometheus text metrics at GET /metrics",
+        help="no-op, kept for old scripts: GET /metrics is always served",
     )
     serve.set_defaults(func=_cmd_serve)
 

@@ -12,10 +12,11 @@ all run the Figure-1 stages through it.
 An optional :class:`ArtifactCache` adds content-keyed on-disk
 persistence: artefacts are stored as schema-versioned JSON under a key
 derived from circuit name + scale + seed + a hash of the relevant
-config knobs, so repeated runs and resumed sweeps skip ATPG and
-Detection Matrix construction entirely.  Cache hits and misses are
-counted per artefact kind (``cache.hits_for("atpg_result")`` ...), and
-schema or key mismatches degrade to recomputation, never wrong answers.
+config knobs, so repeated runs, resumed sweeps and ``repro serve``
+workers on the same directory skip ATPG and Detection Matrix
+construction entirely.  Cache hits and misses are counted per artefact
+kind (``cache.hits_for("atpg_result")`` ...), and schema, key or field
+mismatches degrade to recomputation, never wrong answers.
 """
 
 from __future__ import annotations
@@ -25,9 +26,11 @@ import itertools
 import json
 import os
 import time
+import weakref
 from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from repro.atpg.engine import AtpgResult
 from repro.circuit.netlist import Circuit
@@ -42,6 +45,7 @@ from repro.flow.stages import (
     run_flow,
 )
 from repro.obs import NULL_TELEMETRY, Telemetry, stage_hook
+from repro.obs.metrics import Sample
 from repro.setcover.solve import prepare_solver
 from repro.sim.fault import FaultSimulator
 from repro.sim.threeval import XFaultSimulator
@@ -58,36 +62,44 @@ _TMP_SEQ = itertools.count()
 class ArtifactCache:
     """A content-keyed, schema-versioned, on-disk artefact store.
 
+    One layout serves every consumer: ``repro run --cache``, sweeps (and
+    their pool workers) and ``repro serve --store`` all read and write
+    the same tree, so any of them reuses what another already built.
     Entries are JSON files named by the SHA-256 of their canonicalised
-    key fields.  ``get`` returns ``None`` (and counts a miss) for
-    absent, unreadable, or schema-mismatched entries, so a stale cache
-    directory is always safe to keep around.  Undecodable entries — a
-    reader racing a writer's atomic replace, a killed process, disk
-    corruption — additionally count as *corrupt* (``stats()["corrupt"]``)
-    so operators can tell schema skew from rot.
+    key fields and sharded by the key's first two hex digits
+    (``objects/ab/<key>.json``), so a large store never crowds one
+    directory.
 
-    Writes are atomic (unique temp file + ``os.replace``); a failed
-    write removes its temp file, and any stale ``*.tmp`` debris left by
-    killed processes is swept when the cache is opened.
+    ``get`` returns ``None`` (and counts a miss) for absent, unreadable,
+    or schema-mismatched entries, so a stale cache directory is always
+    safe to keep around.  Undecodable entries — a reader racing a
+    writer's atomic replace, a killed process, disk corruption, or a
+    field that fails the typed decoder passed to ``get`` — additionally
+    count as *corrupt* (``stats()["corrupt"]``) so operators can tell
+    schema skew from rot.
+
+    Writes are atomic (unique temp file + ``os.replace``), so any number
+    of processes share the tree without locks; a failed write removes
+    its temp file, and any stale ``*.tmp`` debris left by killed
+    processes is swept when the cache is opened.
     """
 
     #: ``*.tmp`` files older than this (seconds) are removed at open —
-    #: young ones may belong to a live writer on another worker.
+    #: young ones may belong to a live writer in another process.
     STALE_TMP_AGE_S = 3600.0
 
-    def __init__(
-        self, root: str | Path, *, stale_tmp_age: float | None = None
-    ) -> None:
+    _HELP = {
+        "hits": "Artifact cache hits by kind.",
+        "misses": "Artifact cache misses by kind.",
+        "corrupt": "Undecodable artifact cache entries by kind.",
+    }
+
+    def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self.hits = 0
-        self.misses = 0
-        self.corrupt = 0
+        #: The one copy of every count: kind -> {hits, misses, corrupt}.
         self._by_kind: dict[str, dict[str, int]] = {}
-        self._metrics = None
-        self.stale_tmp_age = (
-            self.STALE_TMP_AGE_S if stale_tmp_age is None else stale_tmp_age
-        )
+        self._registries: weakref.WeakSet = weakref.WeakSet()
         self.swept_tmp = self._sweep_stale_tmp()
 
     def _sweep_stale_tmp(self) -> int:
@@ -96,7 +108,7 @@ class ArtifactCache:
         now = time.time()
         for tmp in self.root.glob("**/*.tmp"):
             try:
-                if now - tmp.stat().st_mtime >= self.stale_tmp_age:
+                if now - tmp.stat().st_mtime >= self.STALE_TMP_AGE_S:
                     tmp.unlink()
                     swept += 1
             except OSError:
@@ -112,96 +124,96 @@ class ArtifactCache:
         return hashlib.sha256(canonical.encode()).hexdigest()
 
     def _path(self, key: str) -> Path:
-        return self.root / f"{key}.json"
+        """Sharded entry path: ``objects/ab/<key>.json``."""
+        return self.root / "objects" / key[:2] / f"{key}.json"
 
     def attach_metrics(self, metrics) -> None:
-        """Mirror this cache's counters into ``metrics`` (a
+        """Export this cache's counters through ``metrics`` (a
         :class:`repro.obs.MetricsRegistry`) as
-        ``repro_cache_{hits,misses,corrupt}_total{kind=...}``.
+        ``repro_cache_{hits,misses,corrupt}_total{kind=...}`` and
+        ``repro_cache_swept_tmp_total``.
 
-        Counts recorded *before* attachment are folded in once, so a
-        scrape always agrees with :meth:`stats` no matter when the
-        registry arrived.  Re-attaching the same registry is a no-op.
+        Registers a scrape-time collector, once per registry and held
+        weakly (it dies with the cache), so a scrape always agrees with
+        :meth:`stats` no matter when the registry arrived.
         """
         if metrics is None or not getattr(metrics, "enabled", False):
             return
-        if self._metrics is metrics:
+        if metrics in self._registries:
             return
-        first = self._metrics is None
-        self._metrics = metrics
-        if first:
-            for kind, bucket in self._by_kind.items():
-                for outcome in ("hits", "misses", "corrupt"):
-                    if bucket.get(outcome):
-                        self._mirror(kind, outcome, bucket[outcome])
-            if self.swept_tmp:
-                metrics.counter(
-                    "repro_cache_swept_tmp_total",
-                    help="Stale *.tmp files swept at cache open.",
-                ).inc(self.swept_tmp)
+        self._registries.add(metrics)
+        metrics.register_collector(self._metric_samples)
 
-    _MIRROR_HELP = {
-        "hits": "Artifact cache hits by kind.",
-        "misses": "Artifact cache misses by kind.",
-        "corrupt": "Undecodable artifact cache entries by kind.",
-    }
-
-    def _mirror(self, kind: str, outcome: str, amount: int) -> None:
-        if self._metrics is not None:
-            self._metrics.counter(
+    def _metric_samples(self) -> list[Sample]:
+        samples = [
+            Sample(
                 f"repro_cache_{outcome}_total",
-                help=self._MIRROR_HELP[outcome],
-                kind=kind,
-            ).inc(amount)
+                "counter",
+                (("kind", kind),),
+                count,
+                self._HELP[outcome],
+            )
+            for kind, bucket in list(self._by_kind.items())
+            for outcome, count in bucket.items()
+            if count
+        ]
+        if self.swept_tmp:
+            samples.append(
+                Sample(
+                    "repro_cache_swept_tmp_total",
+                    "counter",
+                    (),
+                    self.swept_tmp,
+                    "Stale *.tmp files swept at cache open.",
+                )
+            )
+        return samples
 
     def _count(self, kind: str, hit: bool, corrupt: bool = False) -> None:
         bucket = self._by_kind.setdefault(
             kind, {"hits": 0, "misses": 0, "corrupt": 0}
         )
-        bucket.setdefault("corrupt", 0)
-        if hit:
-            self.hits += 1
-            bucket["hits"] += 1
-            self._mirror(kind, "hits", 1)
-        else:
-            self.misses += 1
-            bucket["misses"] += 1
-            self._mirror(kind, "misses", 1)
-            if corrupt:
-                self.corrupt += 1
-                bucket["corrupt"] += 1
-                self._mirror(kind, "corrupt", 1)
+        bucket["hits" if hit else "misses"] += 1
+        bucket["corrupt"] += corrupt
 
-    def get(self, key: str, kind: str) -> dict[str, Any] | None:
-        """The payload stored under ``key``, or ``None`` on any miss.
+    def _miss(self, kind: str, corrupt: bool = False) -> None:
+        self._count(kind, hit=False, corrupt=corrupt)
 
-        An entry that exists but cannot be decoded as a JSON object —
-        truncated by a killed writer, garbled on disk, or a non-dict
-        document — is a *corrupt* miss: counted separately, never an
-        exception, so one bad entry cannot take down a reader.
+    def get(
+        self,
+        key: str,
+        kind: str,
+        decoder: Callable[[dict[str, Any]], Any] | None = None,
+    ) -> Any:
+        """The entry stored under ``key`` — the raw payload, or
+        ``decoder(payload)`` when a decoder is given — or ``None`` on
+        any miss.
+
+        An entry that exists but cannot be decoded — truncated by a
+        killed writer, garbled on disk, a non-dict document, or a field
+        the typed ``decoder`` rejects with
+        :class:`~repro.flow.serialize.SchemaMismatchError` — is a
+        *corrupt* miss: counted separately, never an exception, so one
+        bad entry cannot take down a reader (the caller recomputes and
+        overwrites it).
         """
-        path = self._path(key)
         try:
-            text = path.read_text()
+            payload = json.loads(self._path(key).read_text())
         except FileNotFoundError:
-            self._count(kind, hit=False)
-            return None
-        except OSError:
-            self._count(kind, hit=False, corrupt=True)
-            return None
-        try:
-            payload = json.loads(text)
-        except ValueError:
-            self._count(kind, hit=False, corrupt=True)
-            return None
+            return self._miss(kind)
+        except (OSError, ValueError):
+            return self._miss(kind, corrupt=True)
         if not isinstance(payload, dict):
-            self._count(kind, hit=False, corrupt=True)
-            return None
+            return self._miss(kind, corrupt=True)
         try:
             check_schema(payload, kind)
         except SchemaMismatchError:
-            self._count(kind, hit=False)
-            return None
+            return self._miss(kind)  # version skew, not rot
+        if decoder is not None:
+            try:
+                payload = decoder(payload)
+            except SchemaMismatchError:
+                return self._miss(kind, corrupt=True)
         self._count(kind, hit=True)
         return payload
 
@@ -240,6 +252,19 @@ class ArtifactCache:
         per-process cache objects on the shared directory)."""
         self._count(kind, hit)
 
+    def _total(self, outcome: str) -> int:
+        return sum(bucket[outcome] for bucket in list(self._by_kind.values()))
+
+    @property
+    def hits(self) -> int:
+        """Cache hits across every kind."""
+        return self._total("hits")
+
+    @property
+    def misses(self) -> int:
+        """Cache misses across every kind (corrupt entries included)."""
+        return self._total("misses")
+
     def hits_for(self, kind: str) -> int:
         """Cache hits recorded for one artefact kind."""
         return self._by_kind.get(kind, {}).get("hits", 0)
@@ -257,9 +282,9 @@ class ArtifactCache:
         return {
             "hits": self.hits,
             "misses": self.misses,
-            "corrupt": self.corrupt,
+            "corrupt": self._total("corrupt"),
             "swept_tmp": self.swept_tmp,
-            "by_kind": {k: dict(v) for k, v in self._by_kind.items()},
+            "by_kind": {k: dict(v) for k, v in list(self._by_kind.items())},
         }
 
 
@@ -476,11 +501,12 @@ class Session:
     def _load_or_run_atpg(self, config: PipelineConfig) -> AtpgResult:
         self._atpg_seconds = 0.0
         if self.cache is not None:
-            key = self._atpg_key(config)
-            payload = self.cache.get(key, "atpg_result")
-            if payload is not None:
+            cached = self.cache.get(
+                self._atpg_key(config), "atpg_result", partial(decode, AtpgResult)
+            )
+            if cached is not None:
                 self._emit(StageEvent("atpg", "cache-hit"))
-                return decode(AtpgResult, payload)
+                return cached
         from repro.atpg.engine import AtpgEngine
 
         start = time.perf_counter()
@@ -515,12 +541,14 @@ class Session:
         )
         start = time.perf_counter()
         if self.cache is not None and use_cache:
-            key = self._result_key(tpg_instance.name, config)
-            payload = self.cache.get(key, "pipeline_result")
-            if payload is not None:
+            cached = self.cache.get(
+                self._result_key(tpg_instance.name, config),
+                "pipeline_result",
+                PipelineResult.from_dict,
+            )
+            if cached is not None:
                 self._emit(StageEvent("pipeline", "cache-hit"))
-                result = PipelineResult.from_dict(payload)
-                return RunInfo(result, True, time.perf_counter() - start)
+                return RunInfo(cached, True, time.perf_counter() - start)
         # Before ATPG, as ``run_flow`` does before its first stage.
         prepare_solver(config.cover_method)
         atpg_was_ready = self._atpg_knobs(config) in self._atpg_results
@@ -620,9 +648,10 @@ class Session:
         if packed is not None:
             return packed
         if self.cache is not None:
-            payload = self.cache.get(key, "packed_evolution")
-            if payload is not None:
-                packed = decode(PackedPatterns, payload)
+            packed = self.cache.get(
+                key, "packed_evolution", partial(decode, PackedPatterns)
+            )
+            if packed is not None:
                 self._evolutions[key] = packed
                 self._emit(StageEvent("evolution", "cache-hit"))
                 return packed
@@ -680,10 +709,11 @@ class Session:
             self._emit(StageEvent("dictionary", "cache-hit"))
             return memoized
         if self.cache is not None:
-            payload = self.cache.get(key, "fault_dictionary")
-            if payload is not None:
+            dictionary = self.cache.get(
+                key, "fault_dictionary", partial(decode, FaultDictionary)
+            )
+            if dictionary is not None:
                 self._emit(StageEvent("dictionary", "cache-hit"))
-                dictionary = decode(FaultDictionary, payload)
                 self._dictionaries[key] = dictionary
                 return dictionary
         start = time.perf_counter()

@@ -12,8 +12,9 @@ fault-sim and PODEM kernels, the flow session and artifact cache, the
 * :class:`Telemetry` — the pair of them, defaulting to shared no-op
   singletons so un-instrumented code paths cost nothing.
 
-Enable per session (``Session(telemetry=Telemetry.on())``) or per
-worker (``repro serve --metrics``); see ``docs/observability.md`` for
+Enable per session (``Session(telemetry=Telemetry.on())``); every
+``repro serve`` worker runs one live registry behind ``GET /metrics``
+and ``GET /stats``.  See ``docs/observability.md`` for
 the metric-name glossary and trace-document schema.
 """
 

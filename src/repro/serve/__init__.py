@@ -6,17 +6,21 @@ puts an HTTP boundary in front of them so a tester-farm's fail logs can
 be diagnosed as traffic rather than as batch jobs:
 
 * :mod:`~repro.serve.server` — asyncio HTTP/1.1 + JSON worker with
-  ``POST /diagnose``, ``POST /atpg``, ``POST /sweep``, ``GET /healthz``
-  and ``GET /stats``;
+  ``POST /diagnose``, ``POST /atpg``, ``POST /sweep``, ``GET /healthz``,
+  ``GET /stats`` and ``GET /metrics`` (both rendered from the worker's
+  one :class:`~repro.obs.MetricsRegistry`);
 * :mod:`~repro.serve.batcher` — the micro-batcher that fuses concurrent
   same-circuit diagnose requests into one vectorised dictionary pass;
-* :mod:`~repro.serve.store` — :class:`SharedArtifactStore`, the
-  content-addressed artifact tree N workers mount concurrently;
 * :mod:`~repro.serve.api` / :mod:`~repro.serve.http11` — typed wire
   bodies and the minimal stdlib HTTP framing;
 * :mod:`~repro.serve.client` / :mod:`~repro.serve.bootstrap` — the
   blocking typed client, the SIGTERM-draining foreground runner and the
   in-process :class:`BackgroundServer` used by tests and benchmarks.
+
+``repro serve --store DIR`` mounts an
+:class:`~repro.flow.session.ArtifactCache`: the same sharded tree that
+``repro run --cache`` and sweeps write, so N workers and batch runs
+share every artefact.
 """
 
 from repro.serve.api import (
@@ -34,7 +38,6 @@ from repro.serve.api import (
 )
 from repro.serve.batcher import (
     BatcherClosedError,
-    BatcherStats,
     DeadlineExceededError,
     MicroBatcher,
     PendingWork,
@@ -43,7 +46,6 @@ from repro.serve.batcher import (
 from repro.serve.bootstrap import BackgroundServer, run
 from repro.serve.client import ServeClient, ServeClientError
 from repro.serve.server import ReproServer, ServeConfig
-from repro.serve.store import SharedArtifactStore
 
 __all__ = [
     "DIAGNOSE_METHODS",
@@ -51,7 +53,6 @@ __all__ = [
     "AtpgResponse",
     "BackgroundServer",
     "BatcherClosedError",
-    "BatcherStats",
     "DeadlineExceededError",
     "DiagnoseRequest",
     "DiagnoseResponse",
@@ -66,7 +67,6 @@ __all__ = [
     "ServeConfig",
     "ServeError",
     "ServeStats",
-    "SharedArtifactStore",
     "SweepRequest",
     "SweepResponse",
     "run",

@@ -18,8 +18,9 @@ applies **one** BIST pattern sequence to many dies, so a client uploads
 the sequence once (inline ``patterns`` on the first request), receives
 its content-addressed ``patterns_ref`` back, and every subsequent fail
 log ships only the observed responses.  Refs are stable across workers
-and machines — they key the :class:`~repro.serve.store.
-SharedArtifactStore` entry other workers load instead of re-parsing.
+and machines — they key the ``--store``
+:class:`~repro.flow.session.ArtifactCache` entry other workers load
+instead of re-parsing.
 """
 
 from __future__ import annotations

@@ -30,7 +30,7 @@ import asyncio
 from dataclasses import dataclass, field
 from typing import Any, Awaitable, Callable, Hashable
 
-from repro.obs.metrics import NULL_REGISTRY
+from repro.obs.metrics import MetricsRegistry
 
 #: Batch-occupancy histogram bounds (requests fused per dispatched
 #: group) — powers of two up to the default ``max_batch``.
@@ -61,37 +61,6 @@ class PendingWork:
     deadline: float
 
 
-@dataclass
-class BatcherStats:
-    """Counters the server surfaces through ``GET /stats``."""
-
-    submitted: int = 0
-    dispatched_groups: int = 0
-    dispatched_requests: int = 0
-    occupancy_sum: int = 0
-    max_occupancy: int = 0
-    expired: int = 0
-    shed: int = 0
-    depth_high_water: int = 0
-
-    def as_dict(self) -> dict[str, Any]:
-        average = (
-            self.occupancy_sum / self.dispatched_groups
-            if self.dispatched_groups
-            else 0.0
-        )
-        return {
-            "submitted": self.submitted,
-            "batches": self.dispatched_groups,
-            "batched_requests": self.dispatched_requests,
-            "avg_occupancy": round(average, 3),
-            "max_occupancy": self.max_occupancy,
-            "expired": self.expired,
-            "shed": self.shed,
-            "depth_high_water": self.depth_high_water,
-        }
-
-
 _SENTINEL = object()
 
 
@@ -108,17 +77,15 @@ class MicroBatcher:
     window_s: float = 0.010
     max_batch: int = 32
     max_queue: int = 256
-    stats: BatcherStats = field(default_factory=BatcherStats)
-    #: Optional :class:`repro.obs.MetricsRegistry`; the default no-op
-    #: registry keeps the intake path free of telemetry cost.
-    metrics: Any = NULL_REGISTRY
+    #: The :class:`repro.obs.MetricsRegistry` holding the batcher's
+    #: counters — their one copy, read by both :meth:`stats`
+    #: (``GET /stats``) and ``GET /metrics``.
+    metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
 
     def __post_init__(self) -> None:
         self._queue: asyncio.Queue = asyncio.Queue()
         self._closed = False
         self._task: asyncio.Task | None = None
-        # Metric mirrors of BatcherStats, incremented at the same sites
-        # so GET /stats and GET /metrics always agree.
         m = self.metrics
         self._m_submitted = m.counter(
             "repro_serve_submitted_total", help="Requests accepted by the batcher."
@@ -142,8 +109,16 @@ class MicroBatcher:
             buckets=OCCUPANCY_BUCKETS,
             help="Requests fused per dispatched group.",
         )
+        self._m_occupancy_high = m.gauge(
+            "repro_serve_batch_occupancy_high_water",
+            help="Most requests fused into one dispatched group.",
+        )
         self._m_depth = m.gauge(
             "repro_serve_queue_depth", help="Requests currently queued."
+        )
+        self._m_depth_high = m.gauge(
+            "repro_serve_queue_depth_high_water",
+            help="Deepest the request queue has been.",
         )
 
     # -- lifecycle ---------------------------------------------------------
@@ -170,6 +145,22 @@ class MicroBatcher:
         """Requests currently queued (the load-shedding signal)."""
         return self._queue.qsize()
 
+    def stats(self) -> dict[str, Any]:
+        """The ``GET /stats`` batcher block, read off the instruments."""
+        occupancy = self._m_occupancy
+        return {
+            "submitted": self._m_submitted.value,
+            "batches": self._m_batches.value,
+            "batched_requests": self._m_batched_requests.value,
+            "avg_occupancy": (
+                round(occupancy.sum / occupancy.count, 3) if occupancy.count else 0.0
+            ),
+            "max_occupancy": int(self._m_occupancy_high.value),
+            "expired": self._m_expired.value,
+            "shed": self._m_shed.value,
+            "depth_high_water": int(self._m_depth_high.value),
+        }
+
     # -- intake ------------------------------------------------------------
 
     def submit(self, work: PendingWork) -> None:
@@ -177,18 +168,16 @@ class MicroBatcher:
         if self._closed:
             raise BatcherClosedError("server is draining")
         if self._queue.qsize() >= self.max_queue:
-            self.stats.shed += 1
             self._m_shed.inc()
             raise QueueFullError(
                 f"queue depth {self._queue.qsize()} >= max {self.max_queue}"
             )
         self._queue.put_nowait(work)
-        self.stats.submitted += 1
         self._m_submitted.inc()
-        self._m_depth.set(self._queue.qsize())
-        self.stats.depth_high_water = max(
-            self.stats.depth_high_water, self._queue.qsize()
-        )
+        depth = self._queue.qsize()
+        self._m_depth.set(depth)
+        if depth > self._m_depth_high.value:
+            self._m_depth_high.set(depth)
 
     # -- worker ------------------------------------------------------------
 
@@ -237,7 +226,6 @@ class MicroBatcher:
         self._m_depth.set(self._queue.qsize())
         for work in batch:
             if work.deadline <= now:
-                self.stats.expired += 1
                 self._m_expired.inc()
                 if not work.future.done():
                     work.future.set_exception(
@@ -249,13 +237,11 @@ class MicroBatcher:
         for work in live:
             groups.setdefault(work.group_key, []).append(work)
         for group in groups.values():
-            self.stats.dispatched_groups += 1
-            self.stats.dispatched_requests += len(group)
-            self.stats.occupancy_sum += len(group)
-            self.stats.max_occupancy = max(self.stats.max_occupancy, len(group))
             self._m_batches.inc()
             self._m_batched_requests.inc(len(group))
             self._m_occupancy.observe(len(group))
+            if len(group) > self._m_occupancy_high.value:
+                self._m_occupancy_high.set(len(group))
             try:
                 await self.process(group)
             except Exception as exc:  # the group's failure, not the loop's

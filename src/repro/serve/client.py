@@ -118,8 +118,8 @@ class ServeClient:
         return decode(ServeStats, self._request("GET", "/stats")[1]).stats
 
     def metrics(self) -> str:
-        """``GET /metrics``: the raw Prometheus text exposition (the
-        worker must run with metrics enabled; 404 otherwise)."""
+        """``GET /metrics``: the raw Prometheus text exposition of the
+        worker's registry (always served)."""
         conn = self._connection()
         try:
             conn.request("GET", "/metrics")

@@ -15,10 +15,15 @@ batch the next wave — concurrency comes from batching, not from thread
 fan-out.  It also makes every :class:`~repro.flow.session.Session`
 single-threaded by construction, so the artefact memos need no locks.
 
-Scale-out is by process: run N servers pointing at one
-:class:`~repro.serve.store.SharedArtifactStore` directory and any
-worker reuses the ATPG artefacts, fault dictionaries and pattern sets
-its siblings already published.
+Scale-out is by process: run N servers pointing at one ``--store``
+directory — an :class:`~repro.flow.session.ArtifactCache`, the same
+tree ``repro run --cache`` and sweeps write — and any worker reuses the
+ATPG artefacts, fault dictionaries and pattern sets its siblings (or a
+batch run) already published.
+
+Every count lives once, in the worker's
+:class:`~repro.obs.MetricsRegistry`: ``GET /metrics`` renders it as
+Prometheus text and ``GET /stats`` as a JSON document.
 """
 
 from __future__ import annotations
@@ -27,15 +32,17 @@ import asyncio
 import contextlib
 import hashlib
 import json
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 from typing import Any
 
 from repro.flow.serialize import SchemaMismatchError, decode, encode, to_json
 from repro.flow.session import ArtifactCache, Session
-from repro.obs import NULL_TELEMETRY, Telemetry
+from repro.obs import Telemetry
 from repro.obs.export import PROMETHEUS_CONTENT_TYPE, render_prometheus
 from repro.serve.api import (
     AtpgRequest,
@@ -60,7 +67,6 @@ from repro.serve.batcher import (
     QueueFullError,
 )
 from repro.serve.http11 import HttpError, HttpRequest, read_request, response_bytes
-from repro.serve.store import SharedArtifactStore
 from repro.utils.bitvec import BitVector
 
 
@@ -79,13 +85,9 @@ class ServeConfig:
     max_queue: int = 256
     #: Default per-request deadline (a request's ``timeout_ms`` wins).
     timeout_ms: int = 30_000
-    #: Shared artifact store directory (None: no persistence).
+    #: Artifact cache directory shared with other workers and with
+    #: ``repro run --cache`` (None: no persistence).
     store: str | Path | None = None
-    #: Worker identity in /stats (default: pid-<pid>).
-    worker_id: str | None = None
-    #: Expose Prometheus metrics at ``GET /metrics``.  Off by default:
-    #: the no-op registry keeps every hot path telemetry-free.
-    metrics: bool = False
 
 
 @dataclass
@@ -134,18 +136,13 @@ class ReproServer:
         self.config = config or ServeConfig()
         #: Metrics-only telemetry (null tracer: a long-lived service
         #: must not grow an unbounded span tree).  Sessions, the store,
-        #: the batcher and the request loop all share this registry;
-        #: ``GET /metrics`` renders it.
-        self.telemetry = Telemetry.on() if self.config.metrics else NULL_TELEMETRY
-        self.store: SharedArtifactStore | None = (
-            SharedArtifactStore(self.config.store, worker_id=self.config.worker_id)
-            if self.config.store is not None
-            else None
+        #: the batcher and the request loop all count into this one
+        #: registry; ``GET /metrics`` and ``GET /stats`` both render it.
+        self.telemetry = Telemetry.on()
+        self.store: ArtifactCache | None = (
+            ArtifactCache(self.config.store) if self.config.store is not None else None
         )
         if self.store is not None:
-            # Attach before any Session exists so /stats and /metrics
-            # never diverge (Session re-attaching the same registry is
-            # a no-op).
             self.store.attach_metrics(self.telemetry.metrics)
         self.batcher = MicroBatcher(
             process=self._process_group,
@@ -165,8 +162,6 @@ class ReproServer:
         self._conn_tasks: set[asyncio.Task] = set()
         self._draining = False
         self._started_monotonic: float | None = None
-        self._requests: dict[str, int] = {}
-        self._responses: dict[int, int] = {}
         self.host = self.config.host
         self.port = self.config.port
 
@@ -275,8 +270,7 @@ class ReproServer:
     )
 
     def _count_response(self, status: int) -> None:
-        """The single response-accounting site: /stats dict + metric."""
-        self._responses[status] = self._responses.get(status, 0) + 1
+        """The single response-accounting site."""
         self.telemetry.metrics.counter(
             "repro_serve_responses_total",
             help="HTTP responses written, by status code.",
@@ -287,7 +281,6 @@ class ReproServer:
         self, request: HttpRequest
     ) -> tuple[int, bytes, tuple[tuple[str, str], ...]]:
         path = request.target.split("?", 1)[0]
-        self._requests[path] = self._requests.get(path, 0) + 1
         label = path if path in self.KNOWN_PATHS else "other"
         metrics = self.telemetry.metrics
         metrics.counter(
@@ -316,14 +309,6 @@ class ReproServer:
             body = to_json(encode(ServeStats(self.stats()))).encode()
             return 200, body, ()
         if request.method == "GET" and path == "/metrics":
-            if not self.config.metrics:
-                return (
-                    404,
-                    self._error_body(
-                        404, "metrics are disabled; restart with --metrics"
-                    ),
-                    (),
-                )
             self._sync_gauges()
             body = render_prometheus(self.telemetry.metrics).encode()
             return 200, body, (("Content-Type", PROMETHEUS_CONTENT_TYPE),)
@@ -477,11 +462,14 @@ class ReproServer:
         ref = request.patterns_ref or ""
         pattern_set = self._pattern_sets.get(ref)
         if pattern_set is None and self.store is not None:
-            payload = await loop.run_in_executor(
-                self._executor, self.store.get, ref, "pattern_set"
+            pattern_set = await loop.run_in_executor(
+                self._executor,
+                self.store.get,
+                ref,
+                "pattern_set",
+                partial(decode, PatternSet),
             )
-            if payload is not None:
-                pattern_set = decode(PatternSet, payload)
+            if pattern_set is not None:
                 self._pattern_sets[ref] = pattern_set
         return pattern_set, ref
 
@@ -662,7 +650,14 @@ class ReproServer:
         ).set(len(self._sessions))
 
     def stats(self) -> dict[str, Any]:
-        """The ``GET /stats`` counters document."""
+        """The ``GET /stats`` document, rendered from the registry."""
+        samples = self.telemetry.metrics.collect()[0]
+
+        def by_label(name: str, label: str) -> dict[str, int]:
+            return {
+                dict(s.labels)[label]: int(s.value) for s in samples if s.name == name
+            }
+
         uptime = (
             time.monotonic() - self._started_monotonic
             if self._started_monotonic is not None
@@ -679,15 +674,20 @@ class ReproServer:
                 "max_batch": self.config.max_batch,
                 "max_queue": self.config.max_queue,
             },
-            "requests": dict(sorted(self._requests.items())),
-            "responses": {
-                str(status): count
-                for status, count in sorted(self._responses.items())
-            },
-            "batcher": self.batcher.stats.as_dict(),
+            "requests": by_label("repro_serve_requests_total", "path"),
+            "responses": by_label("repro_serve_responses_total", "status"),
+            "batcher": self.batcher.stats(),
             "sessions": sorted(
                 f"{name}@{scale:g}" for name, scale in self._sessions
             ),
             "pattern_sets": len(self._pattern_sets),
-            "store": self.store.stats() if self.store is not None else None,
+            "store": (
+                {
+                    **self.store.stats(),
+                    "worker_id": f"pid-{os.getpid()}",
+                    "root": str(self.store.root),
+                }
+                if self.store is not None
+                else None
+            ),
         }

@@ -175,7 +175,7 @@ class TestCliDiagnose:
         ]
         assert main(argv) == 0
         capsys.readouterr()
-        assert list(tmp_path.glob("*.json")), "dictionary not persisted"
+        assert list(tmp_path.glob("objects/*/*.json")), "dictionary not persisted"
         assert main(argv) == 0  # warm run loads it back
         assert "candidates (dictionary)" in capsys.readouterr().out
 

@@ -196,7 +196,7 @@ class TestSerialization:
         """Entries written before the v4 codec are recomputed, never
         mis-decoded."""
         Session.from_name("c17", config=CONFIG, cache=tmp_path).run("adder")
-        for path in tmp_path.glob("*.json"):
+        for path in tmp_path.glob("objects/*/*.json"):
             payload = json.loads(path.read_text())
             payload["schema_version"] = 3
             path.write_text(json.dumps(payload))
@@ -206,6 +206,25 @@ class TestSerialization:
         assert warm.cache.misses_for("pipeline_result") == 1
         assert warm.cache.hits_for("pipeline_result") == 0
         assert warm.cache.corrupt_for("pipeline_result") == 0
+
+    def test_mistyped_cache_entry_is_a_corrupt_miss(self, tmp_path):
+        """A right-version entry whose field fails typed decode is
+        recomputed and overwritten, never raised out of the run."""
+        Session.from_name("c17", config=CONFIG, cache=tmp_path).atpg_result
+        (entry,) = tmp_path.glob("objects/*/*.json")
+        payload = json.loads(entry.read_text())
+        assert payload["kind"] == "atpg_result"
+        payload["test_set"] = 17
+        entry.write_text(json.dumps(payload))
+        session = Session.from_name("c17", config=CONFIG, cache=tmp_path)
+        result = session.run("adder")
+        assert session.cache.corrupt_for("atpg_result") == 1
+        assert session.cache.hits_for("atpg_result") == 0
+        clean = Session.from_name("c17", config=CONFIG).run("adder")
+        assert {**result.to_dict(), "timings": {}} == {**clean.to_dict(), "timings": {}}
+        rewarmed = Session.from_name("c17", config=CONFIG, cache=tmp_path)
+        assert rewarmed.atpg_result.test_set == clean.atpg.test_set
+        assert rewarmed.cache.hits_for("atpg_result") == 1
 
 
 def _serve_bodies(baseline):
@@ -352,7 +371,7 @@ class TestArtifactCacheRobustness:
         cache = ArtifactCache(tmp_path)
         key, payload = self._key_and_payload()
         cache.put(key, payload)
-        (tmp_path / f"{key}.json").write_text('{"schema_version": 2, "ki')
+        cache._path(key).write_text('{"schema_version": 2, "ki')
         assert cache.get(key, "pattern_set") is None
         assert cache.corrupt_for("pattern_set") == 1
         assert cache.stats()["corrupt"] == 1
@@ -363,7 +382,9 @@ class TestArtifactCacheRobustness:
         AttributeError inside ``check_schema``."""
         cache = ArtifactCache(tmp_path)
         key, _ = self._key_and_payload()
-        (tmp_path / f"{key}.json").write_text("42")
+        path = cache._path(key)
+        path.parent.mkdir(parents=True)
+        path.write_text("42")
         assert cache.get(key, "pattern_set") is None
         assert cache.corrupt_for("pattern_set") == 1
 
@@ -389,8 +410,8 @@ class TestArtifactCacheRobustness:
         with pytest.raises(OSError):
             cache.put(key, payload)
         monkeypatch.undo()
-        assert not list(tmp_path.glob("*.tmp"))
-        assert not (tmp_path / f"{key}.json").exists()
+        assert not list(tmp_path.glob("**/*.tmp"))
+        assert not cache._path(key).exists()
 
     def test_stale_tmp_swept_at_open(self, tmp_path):
         import os as _os
@@ -401,7 +422,7 @@ class TestArtifactCacheRobustness:
         _os.utime(stale, (_time.time() - 7200, _time.time() - 7200))
         fresh = tmp_path / "entry.json.2-0.tmp"
         fresh.write_text("live writer")
-        cache = ArtifactCache(tmp_path, stale_tmp_age=3600)
+        cache = ArtifactCache(tmp_path)
         assert not stale.exists()
         assert fresh.exists()
         assert cache.swept_tmp == 1
@@ -475,7 +496,7 @@ class TestSession:
         cache = ArtifactCache(tmp_path)
         session = Session.from_name("c17", config=CONFIG, cache=cache)
         session.run("adder")
-        for entry in tmp_path.glob("*.json"):
+        for entry in tmp_path.glob("objects/*/*.json"):
             entry.write_text("{not json")
         cache2 = ArtifactCache(tmp_path)
         session2 = Session.from_name("c17", config=CONFIG, cache=cache2)

@@ -116,6 +116,17 @@ class TestSweepParallel:
         warm = sweep(CIRCUITS, TPGS, configs=[CONFIG], cache=tmp_path, workers=2)
         assert warm.n_cached == 4
 
+    def test_pool_workers_write_the_sharded_layout(self, tmp_path):
+        """Pool workers open their own cache on the directory: every
+        entry lands under ``objects/``, where a serial re-sweep through
+        an :class:`ArtifactCache` object finds all of them."""
+        sweep(CIRCUITS, TPGS, configs=[CONFIG], cache=ArtifactCache(tmp_path), workers=2)
+        entries = list(tmp_path.rglob("*.json"))
+        assert entries
+        assert all(path.parent.parent == tmp_path / "objects" for path in entries)
+        warm = sweep(CIRCUITS, TPGS, configs=[CONFIG], cache=ArtifactCache(tmp_path))
+        assert warm.n_cached == 4
+
 
 class TestTradeoffClient:
     def test_tradeoff_unchanged_by_redesign(self):

@@ -241,7 +241,7 @@ class TestMicroBatcher:
             batcher.submit(_work(loop, 0))
             with pytest.raises(QueueFullError):
                 batcher.submit(_work(loop, 1))
-            assert batcher.stats.shed == 1
+            assert batcher.stats()["shed"] == 1
 
         asyncio.run(main())
 
@@ -255,7 +255,7 @@ class TestMicroBatcher:
             with pytest.raises(DeadlineExceededError):
                 await work.future
             await batcher.close()
-            assert batcher.stats.expired == 1
+            assert batcher.stats()["expired"] == 1
 
         asyncio.run(main())
 
@@ -476,7 +476,7 @@ class TestServerEndpoints:
         assert cell["tpg"] == "adder"
         assert cell["n_triplets"] >= 1
 
-    def test_stats_document(self, client, scenario):
+    def test_stats_document(self, client, server, scenario):
         _, patterns, log = scenario
         client.diagnose(
             DiagnoseRequest(
@@ -491,7 +491,8 @@ class TestServerEndpoints:
         assert stats["batcher"]["submitted"] >= 1
         assert stats["pattern_sets"] >= 1
         assert any(s.startswith("c17@") for s in stats["sessions"])
-        assert stats["store"]["worker_id"].startswith("pid-")
+        assert stats["store"]["worker_id"] == f"pid-{os.getpid()}"
+        assert stats["store"]["root"] == str(server.config.store)
 
 
 class TestScaleValidation:
@@ -918,13 +919,6 @@ class TestGracefulShutdown:
 
 
 class TestServeMetrics:
-    def test_metrics_404_when_disabled(self, client):
-        # The module-scope server runs without --metrics.
-        with pytest.raises(ServeClientError) as excinfo:
-            client.metrics()
-        assert excinfo.value.status == 404
-        assert "metrics" in excinfo.value.error.error
-
     def test_stats_and_metrics_agree_after_traffic(self, scenario, tmp_path):
         """Every counter in GET /stats appears in GET /metrics with the
         same value.  The comparison runs on the drained server (between
@@ -941,7 +935,6 @@ class TestServeMetrics:
                 batch_window_ms=5.0,
                 max_batch=8,
                 store=tmp_path / "store",
-                metrics=True,
             )
         )
         with background:
@@ -986,14 +979,23 @@ class TestServeMetrics:
         for status, count in stats["responses"].items():
             key = f'repro_serve_responses_total{{status="{status}"}}'
             assert series[key] == count, key
-        for stat_key, metric in {
+        batcher_series = {
             "submitted": "repro_serve_submitted_total",
             "batches": "repro_serve_batches_total",
             "batched_requests": "repro_serve_batched_requests_total",
+            "max_occupancy": "repro_serve_batch_occupancy_high_water",
             "expired": "repro_serve_deadline_expired_total",
             "shed": "repro_serve_shed_total",
-        }.items():
+            "depth_high_water": "repro_serve_queue_depth_high_water",
+        }
+        assert set(stats["batcher"]) == {*batcher_series, "avg_occupancy"}
+        for stat_key, metric in batcher_series.items():
             assert series[metric] == stats["batcher"][stat_key], metric
+        assert stats["batcher"]["avg_occupancy"] == round(
+            series["repro_serve_batch_occupancy_sum"]
+            / series["repro_serve_batch_occupancy_count"],
+            3,
+        )
         # Store counters: per-kind metric series sum to the /stats totals.
         for outcome in ("hits", "misses", "corrupt"):
             total = sum(
@@ -1008,6 +1010,21 @@ class TestServeMetrics:
         # Kernel counters flowed up from the compute sessions.
         assert series["repro_sim_words_simulated_total"] > 0
 
+    def test_unknown_paths_fold_into_other(self):
+        """A URL scanner cannot grow /stats: unknown paths count under
+        ``other``, as they do in the ``path`` metric label."""
+        from repro.serve.server import ReproServer
+
+        with BackgroundServer(ServeConfig(port=0)) as background:
+            with ServeClient(background.host, background.port) as c:
+                for index in range(50):
+                    with pytest.raises(ServeClientError) as excinfo:
+                        c._request("GET", f"/scan-{index}")
+                    assert excinfo.value.status == 404
+                requests = c.stats()["requests"]
+        assert set(requests) <= ReproServer.KNOWN_PATHS | {"other"}
+        assert requests["other"] == 50
+
     def test_compute_seconds_still_stamped_without_metrics(self, client, scenario):
         """The span helper keeps response timing live on the default
         (telemetry-off) worker."""
@@ -1021,3 +1038,24 @@ class TestServeMetrics:
         )
         assert response.seconds > 0.0
         assert response.seconds == round(response.seconds, 6)
+
+
+# ----------------------------------------------------------------------
+# One artifact store for runs, sweeps and serve
+# ----------------------------------------------------------------------
+
+
+class TestOneStore:
+    def test_cli_run_entries_serve_a_sweep(self, tmp_path):
+        """``repro run --cache D`` and ``repro serve --store D`` share one
+        layout: the worker's /sweep is served from the run's entry."""
+        Session.from_name("c17", cache=tmp_path).run("adder")
+        with BackgroundServer(ServeConfig(port=0, store=tmp_path)) as background:
+            with ServeClient(background.host, background.port) as c:
+                response = c.sweep(
+                    SweepRequest(
+                        circuits=("c17",), tpgs=("adder",), evolution_lengths=(64,)
+                    )
+                )
+        assert response.n_cached == 1
+        assert response.cells[0]["from_cache"]

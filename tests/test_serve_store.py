@@ -1,8 +1,10 @@
-"""SharedArtifactStore: sharded layout, corruption tolerance, debris
-sweeping, concurrent access, and drop-in Session compatibility."""
+"""The artifact cache as the store serve workers share: sharded layout,
+corruption tolerance, debris sweeping, concurrent access, and Session
+integration."""
 
 from __future__ import annotations
 
+import asyncio
 import json
 import os
 import threading
@@ -13,24 +15,33 @@ import pytest
 
 from repro.flow.serialize import SCHEMA_VERSION
 from repro.flow.session import ArtifactCache, Session
-from repro.serve.store import SharedArtifactStore
+from repro.serve import ReproServer, ServeConfig
 
 
 def _payload(kind: str, **fields):
     return {"schema_version": SCHEMA_VERSION, "kind": kind, **fields}
 
 
+def _store_stats(root) -> dict:
+    """The ``store`` block of a worker's ``/stats`` document."""
+    server = ReproServer(ServeConfig(port=0, store=root))
+    try:
+        return server.stats()["store"]
+    finally:
+        asyncio.run(server.shutdown())
+
+
 class TestLayout:
     def test_entries_shard_by_key_prefix(self, tmp_path):
-        store = SharedArtifactStore(tmp_path)
+        store = ArtifactCache(tmp_path)
         key = ArtifactCache.key("pattern_set", circuit="c17", digest="abc")
         store.put(key, _payload("pattern_set", circuit_name="c17"))
         expected = tmp_path / "objects" / key[:2] / f"{key}.json"
         assert expected.is_file()
-        assert store.n_entries() == 1
+        assert len(list(tmp_path.glob("objects/*/*.json"))) == 1
 
     def test_round_trip_and_counters(self, tmp_path):
-        store = SharedArtifactStore(tmp_path, worker_id="w0")
+        store = ArtifactCache(tmp_path)
         key = ArtifactCache.key("pattern_set", digest="x")
         assert store.get(key, "pattern_set") is None
         store.put(key, _payload("pattern_set", circuit_name="c17"))
@@ -40,18 +51,16 @@ class TestLayout:
         assert store.misses_for("pattern_set") == 1
 
     def test_stats_carry_worker_identity(self, tmp_path):
-        store = SharedArtifactStore(tmp_path, worker_id="worker-7")
-        stats = store.stats()
-        assert stats["worker_id"] == "worker-7"
+        stats = _store_stats(tmp_path)
+        assert stats["worker_id"] == f"pid-{os.getpid()}"
         assert stats["root"] == str(tmp_path)
 
     def test_default_worker_id_is_pid_tagged(self, tmp_path):
-        store = SharedArtifactStore(tmp_path)
-        assert store.worker_id == f"pid-{os.getpid()}"
+        assert _store_stats(tmp_path)["worker_id"] == f"pid-{os.getpid()}"
 
     def test_two_mounts_share_entries(self, tmp_path):
-        writer = SharedArtifactStore(tmp_path, worker_id="writer")
-        reader = SharedArtifactStore(tmp_path, worker_id="reader")
+        writer = ArtifactCache(tmp_path)
+        reader = ArtifactCache(tmp_path)
         key = ArtifactCache.key("pattern_set", digest="shared")
         writer.put(key, _payload("pattern_set", circuit_name="c17"))
         assert reader.get(key, "pattern_set") is not None
@@ -61,7 +70,7 @@ class TestLayout:
 
 class TestCorruptionTolerance:
     def test_truncated_entry_is_corrupt_miss(self, tmp_path):
-        store = SharedArtifactStore(tmp_path)
+        store = ArtifactCache(tmp_path)
         key = ArtifactCache.key("pattern_set", digest="trunc")
         store.put(key, _payload("pattern_set", circuit_name="c17"))
         store._path(key).write_text('{"schema_version": 2, "ki')
@@ -72,7 +81,7 @@ class TestCorruptionTolerance:
     def test_valid_json_non_dict_is_corrupt_miss(self, tmp_path):
         """The pre-fix crash: ``json.loads`` succeeds, ``check_schema``
         blew up calling ``.get`` on a list/number."""
-        store = SharedArtifactStore(tmp_path)
+        store = ArtifactCache(tmp_path)
         key = ArtifactCache.key("pattern_set", digest="scalar")
         path = store._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -83,7 +92,7 @@ class TestCorruptionTolerance:
     def test_reader_survives_writer_racing(self, tmp_path):
         """Concurrent writers + readers on the same keys: readers only
         ever observe absent or complete entries, never exceptions."""
-        store = SharedArtifactStore(tmp_path)
+        store = ArtifactCache(tmp_path)
         keys = [
             ArtifactCache.key("pattern_set", digest=f"k{i}") for i in range(4)
         ]
@@ -91,7 +100,7 @@ class TestCorruptionTolerance:
         failures: list[BaseException] = []
 
         def writer():
-            local = SharedArtifactStore(tmp_path, worker_id="writer")
+            local = ArtifactCache(tmp_path)
             i = 0
             while not stop.is_set():
                 local.put(
@@ -101,7 +110,7 @@ class TestCorruptionTolerance:
                 i += 1
 
         def reader():
-            local = SharedArtifactStore(tmp_path, worker_id="reader")
+            local = ArtifactCache(tmp_path)
             while not stop.is_set():
                 for key in keys:
                     payload = local.get(key, "pattern_set")
@@ -122,7 +131,7 @@ class TestCorruptionTolerance:
 
 class TestTmpDebris:
     def test_put_failure_removes_tmp(self, tmp_path, monkeypatch):
-        store = SharedArtifactStore(tmp_path)
+        store = ArtifactCache(tmp_path)
         key = ArtifactCache.key("pattern_set", digest="fail")
 
         def doomed_replace(self, target):
@@ -137,7 +146,7 @@ class TestTmpDebris:
         assert not list(tmp_path.glob("**/*.tmp"))
 
     def test_unserialisable_payload_leaves_no_tmp(self, tmp_path):
-        store = SharedArtifactStore(tmp_path)
+        store = ArtifactCache(tmp_path)
         key = ArtifactCache.key("pattern_set", digest="bad")
         with pytest.raises(TypeError):
             store.put(key, {"kind": "pattern_set", "bad": object()})
@@ -151,14 +160,14 @@ class TestTmpDebris:
         os.utime(stale, (time.time() - 7200, time.time() - 7200))
         fresh = shard / "entry.json.456-0.tmp"
         fresh.write_text("in flight")
-        store = SharedArtifactStore(tmp_path, stale_tmp_age=3600)
+        store = ArtifactCache(tmp_path)
         assert not stale.exists()
         assert fresh.exists()
         assert store.swept_tmp == 1
         assert store.stats()["swept_tmp"] == 1
 
     def test_tmp_names_are_writer_unique(self, tmp_path):
-        store = SharedArtifactStore(tmp_path)
+        store = ArtifactCache(tmp_path)
         path = store._path(ArtifactCache.key("pattern_set", digest="u"))
         first, second = store._tmp_path(path), store._tmp_path(path)
         assert first != second
@@ -168,18 +177,19 @@ class TestTmpDebris:
 
 class TestSessionIntegration:
     def test_session_persists_into_shared_store(self, tmp_path):
-        store = SharedArtifactStore(tmp_path, worker_id="w0")
+        store = ArtifactCache(tmp_path)
         session = Session.from_name("c17", cache=store)
         session.run("adder")
-        assert store.n_entries() >= 2  # atpg_result + pipeline_result
+        # atpg_result + pipeline_result
+        assert len(list(tmp_path.glob("objects/*/*.json"))) >= 2
         # A sibling worker mounts the same tree and runs warm.
-        sibling = SharedArtifactStore(tmp_path, worker_id="w1")
+        sibling = ArtifactCache(tmp_path)
         warm = Session.from_name("c17", cache=sibling)
         warm.run("adder")
         assert sibling.hits_for("pipeline_result") == 1
 
     def test_entries_are_valid_schema_stamped_json(self, tmp_path):
-        store = SharedArtifactStore(tmp_path)
+        store = ArtifactCache(tmp_path)
         session = Session.from_name("c17", cache=store)
         session.run("adder")
         for entry in (tmp_path / "objects").glob("*/*.json"):

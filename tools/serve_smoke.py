@@ -11,9 +11,11 @@ as a subprocess, then walks the lifecycle CI cares about:
    codec (``decode(DiagnosisResult, ...)``);
 4. a mistyped ``POST /diagnose`` body (``"top_k": "5"``) is a 400
    ``serve_error`` naming the field — typed decode, end to end;
-5. ``GET /metrics`` (the worker boots with ``--metrics``) returns a
-   Prometheus text exposition that the strict parser accepts and that
-   counts the traffic this script just sent;
+5. ``GET /metrics`` (always served; the worker boots with no flags)
+   returns a Prometheus text exposition that the strict parser accepts
+   and that counts the traffic this script just sent, and ``GET /stats``
+   — rendered from the same registry — reports the same ``/diagnose``
+   count;
 6. SIGTERM drains cleanly: exit code 0 and the drain message on stdout.
 
 Usage::
@@ -50,7 +52,7 @@ def main() -> int:
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
     )
     server = subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve", "--port", "0", "--metrics"],
+        [sys.executable, "-m", "repro", "serve", "--port", "0"],
         cwd=REPO_ROOT,
         env=env,
         stdout=subprocess.PIPE,
@@ -104,6 +106,13 @@ def main() -> int:
                     f"/metrics did not count the diagnose request: {parsed}",
                     server,
                 )
+            counted = client.stats()["requests"].get("/diagnose")
+            if counted != diagnoses:
+                return fail(
+                    f"/stats counts {counted} /diagnose requests, "
+                    f"/metrics {diagnoses}",
+                    server,
+                )
     except Exception as error:  # noqa: BLE001 - smoke surface, report all
         return fail(f"request phase raised {error!r}", server)
 
@@ -117,7 +126,8 @@ def main() -> int:
     if "drained cleanly" not in out:
         return fail(f"drain message missing from output:\n{out}")
     print(
-        "serve smoke OK: healthz + diagnose + typed 400 + metrics + clean SIGTERM drain"
+        "serve smoke OK: healthz + diagnose + typed 400 + metrics == stats"
+        " + clean SIGTERM drain"
     )
     return 0
 
