@@ -8,9 +8,9 @@ optimizations cannot silently regress:
 * the batched engine stays >= 3x the legacy per-fault engine on
   ``s1238`` (the PR 1 acceptance bar), and
 * the chunked row path (rows packed word-aligned and simulated
-  together) stays >= 1.5x the PR 1 row-at-a-time batched path
-  (``row_chunk_words=1``, one fault-free pass and one ``detect_words``
-  per row) on *both* workloads — measured in-process on the same
+  together) stays >= 1.5x the row-at-a-time batched path
+  (``row_chunk_words=1``: one one-word ``detect_words`` per fault
+  batch per row) on *both* workloads — measured in-process on the same
   machine, so the floor is hardware-independent.  For trajectory
   context, the PR 1 reference container recorded 0.0429s (c880) /
   0.0635s (s1238) for this workload; the chunked engine measures
@@ -66,9 +66,10 @@ def _run_batched(circuit, faults, rows):
 
 
 def _run_row_at_a_time(circuit, faults, rows):
-    """The PR 1 batched path: one fault-free simulation and one
-    ``detect_words`` per plan per *row* (``row_chunk_words=1`` packs
-    every row into its own chunk, which is exactly that schedule)."""
+    """Row at a time: ``row_chunk_words=1`` gives every fault-machine
+    call one word at full batch width, so each 32-pattern row costs one
+    ``detect_words`` per plan (the fault-free pass is shared by a
+    chunk of ``CHUNK_BUDGETS`` rows)."""
     simulator = BatchFaultSimulator(circuit)
     return list(
         simulator.detection_matrix_rows(rows, faults, row_chunk_words=1)

@@ -202,9 +202,11 @@ class MatrixStage(Stage):
         if self._already_done(ctx):
             return True
         config = ctx.config
+        simulator = ctx.simulator
         builder = InitialReseedingBuilder(
-            ctx.circuit, ctx.tpg, seed=config.seed, simulator=ctx.simulator
+            ctx.circuit, ctx.tpg, seed=config.seed, simulator=simulator
         )
+        cells, words = simulator.detect_cells, simulator.words_simulated
         initial = builder.build_from_atpg(
             ctx.artifacts["atpg"],
             evolution_length=config.evolution_length,
@@ -216,6 +218,10 @@ class MatrixStage(Stage):
             rows_built=len(initial.triplets),
             n_faults=initial.detection_matrix.matrix.shape[1],
             evolution_length=initial.evolution_length,
+            # Work of this process's simulator (0 when ``matrix_workers``
+            # hands the rows to a pool).
+            detect_cells=simulator.detect_cells - cells,
+            words_simulated=simulator.words_simulated - words,
         )
         return False
 

@@ -46,11 +46,18 @@ generated sequences go TPG -> simulator without ever existing as Python
 int lists.
 
 :meth:`detection_matrix_rows` streams Detection Matrix rows (one row
-per pattern set) over the same fixed fault batching.  Rows are processed in
-word-budgeted **chunks**: each chunk packs its rows word-aligned into
-one combined pattern axis, so the fault-free simulation and every
-per-batch :meth:`_BatchPlan.detect_words` run once per *chunk* instead
-of once per row.  :func:`parallel_detection_rows` fans row chunks out
+per pattern set) over the same fixed fault batching.  Rows are packed
+word-aligned into **chunks** of at most ``CHUNK_BUDGETS ×
+row_chunk_words`` words, and each chunk pays one fault-free simulation
+for all its rows.  A row only needs to know whether *some* pattern
+detects a fault, so each fault batch then scans the chunk
+**offset-major** — every row's word 0, then every row's word 1, and so
+on — in calls of at most ``row_chunk_words × batch_size`` fault × word
+cells, with **per-row fault dropping** between calls: a fault stops
+being simulated once every row that still has unscanned words has
+detected it, and a row stops being scanned once it has detected every
+fault still simulated.  One-word rows have nothing to drop and scan
+every cell.  :func:`parallel_detection_rows` fans row chunks out
 over a process pool for an opt-in ``workers=N`` construction path; the
 packed pattern state is shared with the workers through a
 ``multiprocessing.shared_memory`` block (pickled once per worker on
@@ -91,10 +98,14 @@ DEFAULT_BATCH_SIZE = 32
 #: Fault-dropping window, in 64-pattern words (8 words = 512 patterns).
 DROP_WINDOW_WORDS = 8
 
-#: Word budget per detection-row chunk: rows are packed word-aligned
-#: into a combined pattern axis until the budget fills, then simulated
-#: together (64 words = up to 4096 patterns per fault-free pass).
+#: Word budget of one detection-row fault-machine call at full batch
+#: width: a call simulates at most ``row_chunk_words × batch_size``
+#: fault × word cells (64 × 32 = 2048 by default).
 DEFAULT_ROW_CHUNK_WORDS = 64
+
+#: A detection-row chunk's fault-free state holds at most this many
+#: ``row_chunk_words`` budgets of words (a longer row is its own chunk).
+CHUNK_BUDGETS = 4
 
 #: Cached cone-union schedules per simulator (LRU).  Callers that batch
 #: a stable fault list (Detection Matrix rows, fault-dropping scans)
@@ -472,6 +483,10 @@ class BatchFaultSimulator:
         #: and faults retired from scan windows by fault dropping.
         self.words_simulated = 0
         self.faults_dropped = 0
+        #: Work counter: fault × word cells through the fault machines
+        #: (``detect_words`` / ``detect_planes``) of this simulator's
+        #: queries.
+        self.detect_cells = 0
         # Telemetry stays collector-based: the hot loops above touch
         # plain ints only, and a registry samples them at scrape time.
         self._metrics = None
@@ -507,6 +522,8 @@ class BatchFaultSimulator:
              "Pattern-axis 64-bit words through fault-free simulation."),
             ("repro_sim_faults_dropped_total", self.faults_dropped,
              "Faults retired early by window-scan fault dropping."),
+            ("repro_sim_detect_cells_total", self.detect_cells,
+             "Fault x word cells through fault-machine simulation."),
         )
         return [Sample(name, "counter", (), value, help) for name, value, help in rows]
 
@@ -537,7 +554,7 @@ class BatchFaultSimulator:
             return result
         good = self._good_state(carrier)
         for indices, batch in self._batches(faults):
-            detect = self._detect(self._plan(batch), good)
+            detect = self._run_detect(self._plan(batch), good)
             bits = np.unpackbits(
                 np.ascontiguousarray(detect).view(np.uint8).reshape(len(batch), -1),
                 axis=1,
@@ -590,14 +607,20 @@ class BatchFaultSimulator:
         ``f``.
 
         The fault batching is fixed up front, so every row reuses the
-        same cached cone-union schedules.  Rows are packed word-aligned
-        and accumulated into chunks of up to ``row_chunk_words`` words
-        (default: the simulator's ``row_chunk_words``); each chunk pays
-        one fault-free simulation and one :meth:`_BatchPlan.detect_words`
-        per fault batch for *all* its rows, which is where the engine's
-        throughput over per-row simulation comes from.  Results are
-        bit-identical to per-row simulation (``row_chunk_words=1``
-        degenerates to exactly that).
+        same cached cone-union schedules.  ``row_chunk_words`` (default:
+        the simulator's) is the word budget of one fault-machine call at
+        full batch width: a call simulates at most ``row_chunk_words ×
+        batch_size`` fault × word cells.  Rows are packed word-aligned
+        into chunks of at most ``CHUNK_BUDGETS × row_chunk_words`` words
+        (a longer row is a chunk of its own), and each chunk pays one
+        fault-free simulation for all its rows.  Each fault batch then
+        scans the chunk offset-major with per-row fault dropping
+        (:meth:`_scan_rows`): a fault stops being simulated once every
+        row that still has unscanned words has detected it, and a row
+        stops being scanned once it has detected every fault still
+        simulated.  Rows are bit-identical to per-row simulation under
+        any budget; one-word rows scan every fault × word cell, exactly
+        as an unchunked schedule does.
         """
         faults = list(faults)
         budget = (
@@ -605,21 +628,26 @@ class BatchFaultSimulator:
         )
         if budget < 1:
             raise ValueError(f"row_chunk_words must be >= 1, got {budget}")
+        limit = CHUNK_BUDGETS * budget
         order, plans = self._batch_plans(faults)
         chunk: list = []
         chunk_words = 0
         for patterns in pattern_sets:
             carrier = self._pack(patterns)
+            if chunk and chunk_words + carrier.n_words > limit:
+                yield from self._row_chunk(chunk, order, plans, budget)
+                chunk, chunk_words = [], 0
             chunk.append(carrier)
             chunk_words += carrier.n_words
-            if chunk_words >= budget:
-                yield from self._row_chunk(chunk, order, plans)
-                chunk, chunk_words = [], 0
         if chunk:
-            yield from self._row_chunk(chunk, order, plans)
+            yield from self._row_chunk(chunk, order, plans, budget)
 
     def _row_chunk(
-        self, chunk: list, order: np.ndarray, plans: list[_BatchPlan]
+        self,
+        chunk: list,
+        order: np.ndarray,
+        plans: list[_BatchPlan],
+        budget: int,
     ) -> Iterator[np.ndarray]:
         """Simulate one word-aligned chunk of packed rows together and
         yield its per-row detection rows in order.  ``plans`` cover the
@@ -627,34 +655,86 @@ class BatchFaultSimulator:
         caller's fault columns."""
         n_faults = order.size
         rows = np.zeros((len(chunk), n_faults), dtype=bool)
-        # Word segment per non-empty row in the combined pattern axis.
-        starts: list[int] = []
-        row_of_segment: list[int] = []
-        offset = 0
-        for row_index, carrier in enumerate(chunk):
-            if carrier.n_words:
-                starts.append(offset)
-                row_of_segment.append(row_index)
-                offset += carrier.n_words
-        if offset and n_faults:
-            pieces = [c for c in chunk if c.n_words]
-            good = self._good_state(self._concat(pieces, offset * 64))
+        non_empty = [index for index, c in enumerate(chunk) if c.n_words]
+        if non_empty and n_faults:
+            pieces = [chunk[index] for index in non_empty]
+            lengths = np.array([c.n_words for c in pieces], dtype=np.int64)
+            starts = np.cumsum(lengths) - lengths
+            good = self._good_state(self._concat(pieces, int(lengths.sum()) * 64))
             mask = np.concatenate([p.tail_mask() for p in pieces])
-            segment_starts = np.array(starts, dtype=np.int64)
-            verdicts = np.empty((len(starts), n_faults), dtype=bool)
+            # Every (row, word offset) pair of the chunk, offset-major:
+            # all rows' word 0, then all rows' word 1, and so on.
+            offsets = np.arange(int(lengths.max()))
+            pair_offset, pair_row = np.nonzero(offsets[:, None] < lengths)
+            pairs = (pair_row, starts[pair_row] + pair_offset)
+            verdicts = np.zeros((len(pieces), n_faults), dtype=bool)
             column = 0
             for plan in plans:
-                hits = self._detect(plan, good) & mask
-                # One segmented any-reduction over the word axis gives
-                # every row's verdict for this batch at once.
-                reduced = np.bitwise_or.reduceat(hits, segment_starts, axis=1)
-                verdicts[:, column : column + plan.n_faults] = (reduced != 0).T
+                self._scan_rows(
+                    plan, good, mask, pairs, budget,
+                    verdicts[:, column : column + plan.n_faults],
+                )
                 column += plan.n_faults
-            rows[np.array(row_of_segment)[:, None], order] = verdicts
+            rows[np.array(non_empty)[:, None], order] = verdicts
         for row in rows:
             # Independent arrays, not views of the chunk buffer — rows
             # stay safe to mutate, exactly like the per-row engine's.
             yield row.copy()
+
+    def _scan_rows(
+        self,
+        plan: _BatchPlan,
+        good: tuple[np.ndarray, ...],
+        mask: np.ndarray,
+        pairs: tuple[np.ndarray, np.ndarray],
+        budget: int,
+        verdict: np.ndarray,
+    ) -> None:
+        """Fill ``verdict`` (``(n_rows, plan.n_faults)``, all False) with
+        one fault batch's per-row verdicts over a chunk, by a budgeted
+        offset-major scan with fault dropping.
+
+        ``pairs`` is ``(row, chunk word column)`` per word of the chunk,
+        in scan order.  Each call simulates the next ``budget ×
+        batch_size // live`` pending columns for the ``live`` faults
+        still simulated, so every call carries at most ``budget ×
+        batch_size`` fault × word cells, and about that many while
+        enough columns are pending (a near-constant call size keeps the
+        allocator from fragmenting).  After each call a fault that every
+        row with pending words has detected is retired (an O(batch) plan
+        subset), and the pending words of a row that has detected every
+        live fault are dropped.  Neither can change a verdict: a retired
+        fault is already set on every row that could still detect it,
+        and a dropped row has nothing left to find.
+        """
+        pending_row, pending_col = pairs
+        live = np.arange(plan.n_faults)
+        while pending_row.size:
+            take = budget * self.batch_size // live.size
+            row, col = pending_row[:take], pending_col[:take]
+            pending_row, pending_col = pending_row[take:], pending_col[take:]
+            if (np.diff(col) == 1).all():
+                # One run of adjacent words (always so for one-word
+                # rows): simulate a view, not a gathered copy.
+                window = tuple(state[:, col[0] : col[-1] + 1] for state in good)
+            else:
+                window = tuple(np.take(state, col, axis=1) for state in good)
+            hits = (self._run_detect(plan, window) & mask[col]) != 0
+            found = verdict[:, live]
+            np.logical_or.at(found, row, hits.T)
+            verdict[:, live] = found
+            waiting = np.unique(pending_row)
+            open_found = found[waiting]
+            retire = open_found.all(axis=0)
+            finished = waiting[open_found[:, ~retire].all(axis=1)]
+            if finished.size:
+                keep = ~np.isin(pending_row, finished)
+                pending_row, pending_col = pending_row[keep], pending_col[keep]
+            if pending_row.size and retire.any():
+                survivors = np.flatnonzero(~retire)
+                plan = plan.subset(survivors)
+                self.plan_subsets += 1
+                live = live[survivors]
 
     # ------------------------------------------------------------------
     # pattern-state hooks (the three-valued engine overrides these)
@@ -682,6 +762,13 @@ class BatchFaultSimulator:
     def _detect(plan: _BatchPlan, good: tuple[np.ndarray, ...]) -> np.ndarray:
         """Per-fault detection words of one plan against ``good``."""
         return plan.detect_words(*good)
+
+    def _run_detect(
+        self, plan: _BatchPlan, good: tuple[np.ndarray, ...]
+    ) -> np.ndarray:
+        """:meth:`_detect`, counting its fault × word cells."""
+        self.detect_cells += plan.n_faults * good[0].shape[1]
+        return self._detect(plan, good)
 
     # ------------------------------------------------------------------
     # internals
@@ -798,7 +885,7 @@ class BatchFaultSimulator:
             window_mask = mask[word_start:word_end]
             next_states: list[tuple[list[int], _BatchPlan]] = []
             for indices, plan in states:
-                detect = self._detect(plan, window) & window_mask
+                detect = self._run_detect(plan, window) & window_mask
                 hits = detect.any(axis=1)
                 surviving_rows: list[int] = []
                 for row, fault_index in enumerate(indices):

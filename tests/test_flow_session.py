@@ -92,6 +92,11 @@ class TestStages:
             telemetry.metrics.scalar_value(
                 "repro_flow_stage_runs_total", stage="atpg", status="skipped"
             )
+        (matrix,) = [
+            s for s in telemetry.tracer.roots if s.name == "flow.detection_matrix"
+        ]
+        assert matrix.attrs["detect_cells"] > 0
+        assert matrix.attrs["words_simulated"] > 0
         (cover,) = [s for s in telemetry.tracer.roots if s.name == "flow.set_cover"]
         assert set(cover.attrs) >= {
             "n_essential", "reduced_shape", "reduction_iterations", "solver"

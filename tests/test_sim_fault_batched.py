@@ -279,23 +279,51 @@ def _np_tail_mask(n_patterns: int) -> np.ndarray:
     return tail_mask(n_patterns)
 
 
-class TestChunkedRows:
-    """Row chunking is a pure throughput lever: any chunk budget must
-    produce rows identical to per-row simulation."""
+#: Row lengths (patterns) around the word boundaries the offset-major
+#: row scan cares about, and the per-call word budgets it is run under.
+ROW_LENGTHS = (0, 1, 63, 64, 65, 129, 512)
+ROW_BUDGETS = (1, 2, 3, 64)
 
-    @pytest.mark.parametrize("row_chunk_words", [1, 2, 3, 64])
+
+def _biased_rows(circuit, lengths, seed: int, p_one: float) -> list:
+    """Packed rows of the given lengths whose input bits are 1 with
+    probability ``p_one`` (a skewed ``p_one`` spreads first detections
+    over many words); empty rows are plain empty lists."""
+    from repro.utils.bitvec import PackedPlanes
+
+    gen = np.random.default_rng(seed)
+    return [
+        PackedPlanes.from_codes(
+            (gen.random((circuit.n_inputs, n)) < p_one).astype(np.uint8)
+        ).to_packed()
+        if n
+        else []
+        for n in lengths
+    ]
+
+
+def _matrix_oracle(simulator, pattern_sets, faults) -> np.ndarray:
+    """Per-row any-pattern verdicts from the full per-pattern matrix."""
+    return np.array(
+        [
+            simulator.detection_matrix(patterns, faults).any(axis=0)
+            for patterns in pattern_sets
+        ]
+    ).reshape(len(pattern_sets), len(faults))
+
+
+class TestChunkedRows:
+    """The budgeted offset-major row scan is a pure throughput lever:
+    any budget must give the rows of the per-pattern detection matrix."""
+
+    @pytest.mark.parametrize("row_chunk_words", ROW_BUDGETS)
     def test_chunk_budgets_agree(self, c17, row_chunk_words):
         simulator = FaultSimulator(c17)
         faults = full_fault_list(c17)
         pattern_sets = [
             _random_patterns(c17, n, seed=50 + n) for n in (0, 1, 40, 0, 65, 129, 7)
         ]
-        baseline = [
-            row.copy()
-            for row in simulator.detection_matrix_rows(
-                pattern_sets, faults, row_chunk_words=1
-            )
-        ]
+        baseline = _matrix_oracle(FaultSimulator(c17), pattern_sets, faults)
         chunked = list(
             simulator.detection_matrix_rows(
                 pattern_sets, faults, row_chunk_words=row_chunk_words
@@ -304,6 +332,59 @@ class TestChunkedRows:
         assert len(baseline) == len(chunked) == len(pattern_sets)
         for expected, actual in zip(baseline, chunked):
             np.testing.assert_array_equal(expected, actual)
+
+    @settings(
+        max_examples=30,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        circuit=random_circuits(),
+        lengths=st.lists(st.sampled_from(ROW_LENGTHS), min_size=1, max_size=7),
+        budget=st.sampled_from(ROW_BUDGETS),
+        batch_size=st.sampled_from((1, 3, 32)),
+        p_one=st.sampled_from((0.03, 0.5, 0.97)),
+        seed=st.integers(0, 2**16),
+    )
+    def test_mixed_rows_match_matrix_oracle(
+        self, circuit, lengths, budget, batch_size, p_one, seed
+    ):
+        faults = full_fault_list(circuit)
+        pattern_sets = _biased_rows(circuit, lengths, seed, p_one)
+        simulator = FaultSimulator(circuit, batch_size=batch_size)
+        rows = list(
+            simulator.detection_matrix_rows(
+                pattern_sets, faults, row_chunk_words=budget
+            )
+        )
+        np.testing.assert_array_equal(
+            np.array(rows).reshape(len(lengths), len(faults)),
+            _matrix_oracle(FaultSimulator(circuit), pattern_sets, faults),
+        )
+
+    def test_workers_build_matches_serial(self):
+        """Multi-word rows through ``build_detection_matrix(workers=2)``
+        equal the serial build."""
+        from repro.circuits import load_circuit
+        from repro.faults.collapse import collapse_faults
+        from repro.reseeding import Triplet, build_detection_matrix
+        from repro.tpg import make_tpg
+
+        circuit = load_circuit("c880", scale=0.2)
+        faults = collapse_faults(circuit)
+        tpg = make_tpg("adder", circuit.n_inputs)
+        rng = RngStream(5, "workers-rows")
+        triplets = [
+            Triplet(
+                BitVector.random(circuit.n_inputs, rng),
+                BitVector.random(circuit.n_inputs, rng),
+                200,
+            )
+            for _ in range(12)
+        ]
+        serial = build_detection_matrix(circuit, tpg, triplets, faults)
+        pooled = build_detection_matrix(circuit, tpg, triplets, faults, workers=2)
+        np.testing.assert_array_equal(pooled.matrix, serial.matrix)
 
     def test_packed_rows_accepted(self, c17):
         from repro.utils.bitvec import PackedPatterns
@@ -332,6 +413,105 @@ class TestChunkedRows:
                     [[BitVector(1, 5)]], full_fault_list(c17), row_chunk_words=0
                 )
             )
+
+
+def _multiword_build(simulator, n_rows: int = 40, length: int = 384):
+    """A Detection Matrix build over ``length``-pattern (multi-word)
+    rows on c880@0.2; returns ``(circuit, faults, matrix)``."""
+    from repro.circuits import load_circuit
+    from repro.faults.collapse import collapse_faults
+    from repro.reseeding import Triplet, build_detection_matrix
+    from repro.tpg import make_tpg
+
+    circuit = simulator.circuit
+    faults = collapse_faults(circuit)
+    rng = RngStream(9, "multiword-rows")
+    triplets = [
+        Triplet(
+            BitVector.random(circuit.n_inputs, rng),
+            BitVector.random(circuit.n_inputs, rng),
+            length,
+        )
+        for _ in range(n_rows)
+    ]
+    tpg = make_tpg("adder", circuit.n_inputs)
+    matrix = build_detection_matrix(circuit, tpg, triplets, faults, simulator)
+    return circuit, faults, matrix.matrix
+
+
+class TestRowScanWork:
+    """Exact work counts of the offset-major row scan (no timing)."""
+
+    def test_one_word_rows_scan_every_cell(self, s27_scan):
+        faults = full_fault_list(s27_scan)
+        pattern_sets = [
+            _random_patterns(s27_scan, n, seed=60 + n) for n in (1, 64, 0, 17, 40)
+        ]
+        simulator = BatchFaultSimulator(s27_scan, batch_size=4)
+        list(simulator.detection_matrix_rows(pattern_sets, faults))
+        assert simulator.detect_cells == len(faults) * 4
+        assert simulator.words_simulated == 4
+
+    def test_early_detection_saves_cells(self):
+        from repro.circuits import load_circuit
+
+        simulator = BatchFaultSimulator(load_circuit("c880", scale=0.2))
+        _, faults, matrix = _multiword_build(simulator)
+        n_words = 40 * 6
+        assert simulator.words_simulated == n_words
+        assert 0 < simulator.detect_cells < len(faults) * n_words
+        assert matrix.any()
+
+    def test_cells_exported_at_scrape_time(self, c17):
+        from repro.obs import Telemetry
+
+        metrics = Telemetry.on().metrics
+        simulator = BatchFaultSimulator(c17)
+        simulator.attach_metrics(metrics)
+        faults = full_fault_list(c17)
+        simulator.detection_matrix(_random_patterns(c17, 70, seed=3), faults)
+        assert simulator.detect_cells == len(faults) * 2
+        assert metrics.scalar_value("repro_sim_detect_cells_total") == len(faults) * 2
+
+
+class TestRowScanMemoryGuard:
+    """Every fault-machine call of a multi-word rows build stays within
+    the per-call cell budget, so the scan's transient memory is bounded
+    by ``row_chunk_words × batch_size`` cells whatever the row shape."""
+
+    @pytest.mark.parametrize("row_chunk_words", [2, 64])
+    def test_calls_stay_within_budget(self, monkeypatch, row_chunk_words):
+        from repro.circuits import load_circuit
+        from repro.sim.batch import CHUNK_BUDGETS, _BatchPlan
+
+        calls: list[tuple[int, int]] = []
+        goods: list[int] = []
+        detect_words = _BatchPlan.detect_words
+        good_values = BatchFaultSimulator._good_values
+
+        def spy_detect(plan, good):
+            calls.append((plan.n_faults, good.shape[1]))
+            return detect_words(plan, good)
+
+        def spy_good(simulator, patterns):
+            values = good_values(simulator, patterns)
+            goods.append(values.shape[1])
+            return values
+
+        monkeypatch.setattr(_BatchPlan, "detect_words", spy_detect)
+        monkeypatch.setattr(BatchFaultSimulator, "_good_values", spy_good)
+        simulator = BatchFaultSimulator(
+            load_circuit("c880", scale=0.2), row_chunk_words=row_chunk_words
+        )
+        _multiword_build(simulator)
+        budget = row_chunk_words * simulator.batch_size
+        assert calls and goods
+        for n_faults, n_columns in calls:
+            assert n_faults * n_columns <= budget
+            assert n_columns <= budget // n_faults
+        # Six-word rows: a chunk's fault-free state never exceeds its cap.
+        assert max(goods) <= max(6, CHUNK_BUDGETS * row_chunk_words)
+        assert sum(goods) == 40 * 6
 
 
 class TestParallelJobPayloads:

@@ -353,6 +353,39 @@ class TestXFaultSimulator:
         for a, b in zip(rows2, rows3):
             assert np.array_equal(a, b)
 
+    @settings(max_examples=15, deadline=None)
+    @given(
+        lengths=st.lists(
+            st.sampled_from((0, 1, 63, 64, 65, 129, 512)), min_size=1, max_size=6
+        ),
+        budget=st.sampled_from((1, 2, 3, 64)),
+        p_one=st.sampled_from((0.05, 0.5)),
+        x_fraction=st.sampled_from((0.0, 0.1, 0.4)),
+        seed=st.integers(0, 2**16),
+    )
+    def test_x_rows_match_matrix_oracle(
+        self, lengths, budget, p_one, x_fraction, seed
+    ):
+        """The budgeted offset-major row scan over X-seeded planes of
+        mixed lengths gives each row's any-pattern detection matrix."""
+        circuit = load_circuit("s27")
+        faults = collapse_faults(circuit)
+        gen = np.random.default_rng(seed)
+        rows = []
+        for n in lengths:
+            codes = (gen.random((circuit.n_inputs, n)) < p_one).astype(np.uint8)
+            codes[gen.random(codes.shape) < x_fraction] = X_CODE
+            rows.append(PackedPlanes.from_codes(codes) if n else [])
+        oracle = XFaultSimulator(circuit)
+        expected = [
+            oracle.detection_matrix(planes, faults).any(axis=0) for planes in rows
+        ]
+        scanned = XFaultSimulator(circuit, batch_size=4).detection_matrix_rows(
+            rows, faults, row_chunk_words=budget
+        )
+        for want, got in zip(expected, scanned, strict=True):
+            np.testing.assert_array_equal(got, want)
+
     def test_x_pessimism(self, setup):
         """X in the stimulus can only lose detections, never gain them,
         and coverage shrinks monotonically with the X fraction."""
