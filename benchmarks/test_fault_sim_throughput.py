@@ -9,7 +9,7 @@ optimizations cannot silently regress:
   ``s1238`` (the PR 1 acceptance bar), and
 * the chunked row path (rows packed word-aligned and simulated
   together) stays >= 1.5x the row-at-a-time batched path
-  (``row_chunk_words=1``: one one-word ``detect_words`` per fault
+  (``row_chunk_words=1``: one one-word ``_BatchPlan.detect`` per fault
   batch per row) on *both* workloads — measured in-process on the same
   machine, so the floor is hardware-independent.  For trajectory
   context, the PR 1 reference container recorded 0.0429s (c880) /
@@ -68,7 +68,7 @@ def _run_batched(circuit, faults, rows):
 def _run_row_at_a_time(circuit, faults, rows):
     """Row at a time: ``row_chunk_words=1`` gives every fault-machine
     call one word at full batch width, so each 32-pattern row costs one
-    ``detect_words`` per plan (the fault-free pass is shared by a
+    ``_BatchPlan.detect`` per plan (the fault-free pass is shared by a
     chunk of ``CHUNK_BUDGETS`` rows)."""
     simulator = BatchFaultSimulator(circuit)
     return list(

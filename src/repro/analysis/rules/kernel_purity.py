@@ -49,7 +49,6 @@ RULE = "kernel-purity"
 HOT_MODULES = (
     "src/repro/sim/batch.py",
     "src/repro/sim/threeval.py",
-    "src/repro/atpg/values5.py",
     "src/repro/atpg/batch_podem.py",
     "src/repro/utils/bitvec.py",
     "src/repro/circuit/gates.py",

@@ -9,9 +9,14 @@ list ``F`` (Section 3.1).  The flow is the classic three-phase one:
    fault-parallel :mod:`repro.atpg.batch_podem` by default, the scalar
    recursive :mod:`repro.atpg.podem` as the differential oracle,
 3. reverse-order static compaction (:mod:`repro.atpg.compaction`).
+
+PODEM's five-valued D-algebra (0/1/X/D/D') is a (good, faulty) pair of
+three-valued values, so it needs no value system of its own: the batch
+engine implies both machines with the one gate kernel
+(:func:`repro.circuit.gates.eval_gates`) on ``m = 2`` planes, and the
+scalar engine evaluates each machine with three-valued codes.
 """
 
-from repro.atpg.values import Value, ZERO, ONE, D, DBAR, X
 from repro.atpg.podem import Podem, PodemResult, PodemStatus, TestCube
 from repro.atpg.batch_podem import BatchPodem
 from repro.atpg.random_gen import RandomPhaseResult, random_phase
@@ -30,18 +35,12 @@ __all__ = [
     "AtpgEngine",
     "AtpgResult",
     "BatchPodem",
-    "D",
-    "DBAR",
-    "ONE",
     "Podem",
     "PodemResult",
     "PodemStatus",
     "RandomPhaseResult",
     "ScoapMeasures",
     "TestCube",
-    "Value",
-    "X",
-    "ZERO",
     "compute_scoap",
     "random_phase",
     "reverse_order_compaction",

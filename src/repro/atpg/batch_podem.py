@@ -3,18 +3,19 @@
 :class:`BatchPodem` generates tests for a whole *batch* of target
 faults at once: each fault owns one bit **lane**, and the five-valued
 (0/1/X/D/D') forward implication that dominates scalar PODEM's runtime
-is evaluated for every lane together as packed ``uint64`` bit-planes
-(:mod:`repro.atpg.values5` — two planes per machine: value + care).
-Both machines of the D-algebra live in one double-width plane pair
-(good lanes in the low words, faulty lanes in the high words), so one
-segmented sweep per round implies every lane of every machine:
+is evaluated for every lane together as packed ``uint64`` bit-planes —
+the ``m = 2`` (value + care) layout of the one gate kernel,
+:func:`~repro.circuit.gates.eval_gates`.  A five-valued value is a
+(good, faulty) pair of three-valued ones, so both machines live in one
+double-width plane pair (good lanes in the low words, faulty lanes in
+the high words), and one segmented sweep per round implies every lane
+of every machine:
 
 * the sweep walks the :class:`~repro.sim.logic.CompiledCircuit`
   levelized plan (``eval_levels``) one topological level at a time,
-  evaluating each level's gates per *type* with
-  :func:`~repro.atpg.values5.reduceat_gate_planes` (mixed arities share
-  one segmented reduction, so numpy-call count tracks levels, not
-  gates);
+  evaluating each level's gates per *type* with the kernel's segmented
+  shape (mixed arities share one ``reduceat``, so numpy-call count
+  tracks levels, not gates);
 * after each level the per-lane fault forcings are re-asserted exactly
   the way the batched fault simulator's ``_BatchPlan`` injects faults —
   a stem freezes its net's faulty lane bit, a branch recomputes the
@@ -56,8 +57,7 @@ from repro.atpg.podem import (
     TestCube,
     _eval3_branch,
 )
-from repro.atpg.values5 import reduceat_gate_planes
-from repro.circuit.gates import GateType
+from repro.circuit.gates import GateType, eval_gates
 from repro.circuit.netlist import Circuit
 from repro.faults.model import Fault
 from repro.sim.batch import BatchFaultSimulator
@@ -203,7 +203,8 @@ class BatchPodem:
     ]:
         """Regroup the compiled ``eval_levels`` per (level, base gate
         type): each entry carries the merged outputs, the concatenated
-        fanin ids and the segment starts for ``reduceat_gate_planes``,
+        fanin ids and the segment starts for the segmented
+        :func:`~repro.circuit.gates.eval_gates`,
         plus the level's inverted-output rows (NAND/NOR/XNOR/NOT fold
         into AND/OR/XOR/BUF and get one shared inversion fixup)."""
         plan = []
@@ -393,7 +394,6 @@ class BatchPodem:
         comp = self._compiled
         P, V, C = self._P, self._V, self._C
         w = self._n_words
-        w2 = 2 * w
         V[comp.input_ids, :w] = self._av
         V[comp.input_ids, w:] = self._av
         C[comp.input_ids, :w] = self._ac
@@ -406,12 +406,8 @@ class BatchPodem:
         self._force_level(0)
         for level, ops, inverted in self._plan:
             for gtype, out_ids, flat, starts in ops:
-                gathered = P[flat]  # one gather reads all four planes
-                out_v, out_c = reduceat_gate_planes(
-                    gtype, gathered[:, :w2], gathered[:, w2:], starts
-                )
-                V[out_ids] = out_v
-                C[out_ids] = out_c
+                # One gather reads all four planes, one scatter writes them.
+                P[out_ids] = eval_gates(gtype, P[flat], 2, starts=starts)
             if inverted is not None:
                 V[inverted] = C[inverted] & ~V[inverted]
             self._force_level(level)

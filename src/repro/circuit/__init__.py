@@ -8,7 +8,7 @@ transformation (:mod:`repro.circuit.fullscan`), exactly as in the paper
 ("the full-scan version of ISCAS'89 benchmark circuits").
 """
 
-from repro.circuit.gates import GateType, eval_gate_bool, eval_gate_words
+from repro.circuit.gates import GateType, eval_gate_3v_scalar, eval_gates
 from repro.circuit.netlist import Circuit, Gate
 from repro.circuit.bench import parse_bench, parse_bench_file, write_bench
 from repro.circuit.fullscan import full_scan_view, partial_scan_view
@@ -21,8 +21,8 @@ __all__ = [
     "Gate",
     "GateType",
     "GeneratorSpec",
-    "eval_gate_bool",
-    "eval_gate_words",
+    "eval_gate_3v_scalar",
+    "eval_gates",
     "full_scan_view",
     "generate_circuit",
     "partial_scan_view",

@@ -1,22 +1,17 @@
 """Gate types and their evaluation semantics.
 
-Three evaluation flavours are provided:
+The gate algebra is written once, for 0/1 and 0/1/X alike:
 
-* :func:`eval_gate_bool` — scalar 0/1 evaluation, used by the
-  event-driven reference simulator and the ATPG's forward implication;
-* :func:`eval_gate_words` — bit-parallel evaluation over ``uint64``
-  words (64 patterns at once), used by the packed simulators;
-* the **plane algebra** (:func:`eval_gate_planes` /
-  :func:`reduce_gate_planes` / :func:`not_planes`) — three-valued
-  (0/1/X) bit-parallel evaluation over paired value/care ``uint64``
-  planes (``v`` = value bit, ``c`` = care bit, invariant
-  ``v & ~c == 0``; see ``docs/internals-bitpacking.md``), shared by the
-  3-valued logic/fault simulators (:mod:`repro.sim.threeval`) and the
-  five-valued batch PODEM lanes (:mod:`repro.atpg.values5`).
-
-The scalar three-valued reference :func:`eval_gate_3v_scalar` (codes
-0/1/2, 2 = X) is the oracle the plane kernels are differentially
-tested against.
+* :func:`eval_gates` — the packed kernel.  Gate state is ``uint64``
+  words with ``m`` bit-planes side by side on the word axis: ``m = 1``
+  is plain 0/1 words, ``m = 2`` a value plane followed by a care plane
+  (0/1/X; see ``docs/internals-bitpacking.md``).  One kernel serves a
+  single gate, a rectangular (level, type, arity) group and the
+  segmented ``reduceat`` group, so the logic simulator, the fault
+  machine, fault injection and the batch PODEM all share it.
+* :func:`eval_gate_3v_scalar` — the scalar oracle on codes 0/1/2
+  (2 = X).  On 0/1 codes it is plain Boolean evaluation; the reference
+  simulators use it, and the differential suite pins the kernel to it.
 """
 
 from __future__ import annotations
@@ -87,103 +82,20 @@ COMBINATIONAL_TYPES = frozenset(
 )
 
 
-def eval_gate_bool(gtype: GateType, fanin_values: Sequence[int]) -> int:
-    """Evaluate a gate on scalar 0/1 fanin values; returns 0 or 1."""
-    if gtype is GateType.CONST0:
-        return 0
-    if gtype is GateType.CONST1:
-        return 1
-    if gtype in (GateType.INPUT, GateType.DFF):
-        raise ValueError(f"{gtype.name} nodes are not evaluated; they are sources")
-    if gtype is GateType.AND:
-        return int(all(fanin_values))
-    if gtype is GateType.NAND:
-        return int(not all(fanin_values))
-    if gtype is GateType.OR:
-        return int(any(fanin_values))
-    if gtype is GateType.NOR:
-        return int(not any(fanin_values))
-    if gtype is GateType.XOR:
-        return reduce(lambda a, b: a ^ b, fanin_values)
-    if gtype is GateType.XNOR:
-        return 1 ^ reduce(lambda a, b: a ^ b, fanin_values)
-    if gtype in (GateType.NOT,):
-        return 1 - fanin_values[0]
-    if gtype is GateType.BUF:
-        return fanin_values[0]
-    raise ValueError(f"unknown gate type {gtype!r}")
-
-
-@kernel
-def eval_gate_words(gtype: GateType, fanin_words: Sequence[np.ndarray]) -> np.ndarray:
-    """Evaluate a gate on packed ``uint64`` word arrays (bitwise, so each
-    word bit is an independent pattern).  All fanin arrays must share a
-    shape; the result has that shape."""
-    if gtype is GateType.CONST0:
-        raise ValueError("CONST0 has no fanin; materialise zeros at the caller")
-    if gtype is GateType.CONST1:
-        raise ValueError("CONST1 has no fanin; materialise ones at the caller")
-    if gtype in (GateType.INPUT, GateType.DFF):
-        raise ValueError(f"{gtype.name} nodes are not evaluated; they are sources")
-    if gtype is GateType.AND:
-        return reduce(np.bitwise_and, fanin_words)
-    if gtype is GateType.NAND:
-        return reduce(np.bitwise_and, fanin_words) ^ _ALL_ONES
-    if gtype is GateType.OR:
-        return reduce(np.bitwise_or, fanin_words)
-    if gtype is GateType.NOR:
-        return reduce(np.bitwise_or, fanin_words) ^ _ALL_ONES
-    if gtype is GateType.XOR:
-        return reduce(np.bitwise_xor, fanin_words)
-    if gtype is GateType.XNOR:
-        return reduce(np.bitwise_xor, fanin_words) ^ _ALL_ONES
-    if gtype is GateType.NOT:
-        return fanin_words[0] ^ _ALL_ONES
-    if gtype is GateType.BUF:
-        return fanin_words[0].copy()
-    raise ValueError(f"unknown gate type {gtype!r}")
-
-
-@kernel
-def reduce_gate_words(
-    gtype: GateType, stacked: np.ndarray, axis: int = 1
-) -> np.ndarray:
-    """Evaluate many same-type gates at once on a stacked fanin array.
-
-    ``stacked`` carries the gathered fanin words of a *group* of gates
-    sharing one gate type and fanin arity; ``axis`` is the fanin axis
-    (reduced away).  This is the vectorised counterpart of
-    :func:`eval_gate_words`: one numpy call evaluates a whole group
-    instead of one call per gate.
-    """
-    if gtype in (GateType.AND, GateType.NAND):
-        out = np.bitwise_and.reduce(stacked, axis=axis)
-    elif gtype in (GateType.OR, GateType.NOR):
-        out = np.bitwise_or.reduce(stacked, axis=axis)
-    elif gtype in (GateType.XOR, GateType.XNOR):
-        out = np.bitwise_xor.reduce(stacked, axis=axis)
-    elif gtype in (GateType.NOT, GateType.BUF):
-        out = np.take(stacked, 0, axis=axis)
-    else:
-        raise ValueError(f"gate type {gtype!r} has no word-reduction form")
-    if gtype in (GateType.NAND, GateType.NOR, GateType.XNOR, GateType.NOT):
-        out = out ^ _ALL_ONES
-    return out
-
-
 #: Three-valued X code used by the scalar oracle and the unpacked
-#: (per-pattern / per-lane) views of the plane algebra.
+#: (per-pattern / per-lane) views of the packed planes.
 X3 = 2
 
 
 def eval_gate_3v_scalar(gtype: GateType, fanin_codes: Sequence[int]) -> int:
     """Scalar three-valued gate evaluation on codes 0/1/2 (2 = X).
 
-    The from-the-definition oracle for the plane kernels: a gate output
+    The from-the-definition oracle for :func:`eval_gates`: a gate output
     is known exactly when the known fanins force it (a known
-    controlling value) or every fanin is known.  Deliberately slow and
-    obvious — the differential suite pins :func:`eval_gate_planes` and
-    :func:`reduce_gate_planes` against this, bit for bit.
+    controlling value) or every fanin is known.  On 0/1 codes this is
+    plain Boolean evaluation.  Deliberately slow and obvious — the
+    differential suite pins the kernel against this, bit for bit, at
+    ``m = 1`` and ``m = 2``.
     """
     if gtype is GateType.CONST0:
         return 0
@@ -221,92 +133,90 @@ def eval_gate_3v_scalar(gtype: GateType, fanin_codes: Sequence[int]) -> int:
     return base ^ invert
 
 
-@kernel
-def not_planes(v: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Three-valued NOT on packed planes: known lanes flip, X stays X
-    (and the ``v & ~c == 0`` invariant is re-established)."""
-    return c & ~v, c
+def _fold(
+    ufunc: np.ufunc, x: np.ndarray, axis: int, starts: np.ndarray | None
+) -> np.ndarray:
+    """Reduce the fanin axis of ``x`` with ``ufunc``: plainly along
+    ``axis``, or segmented at ``starts`` along axis 0."""
+    if starts is None:
+        return ufunc.reduce(x, axis=axis)
+    return ufunc.reduceat(x, starts, axis=0)
 
 
-# repro: allow[kernel-purity] O(arity) fanin-list walk; every element op is word-parallel
 @kernel
-def eval_gate_planes(
+def eval_gates(
     gtype: GateType,
-    fanin_v: Sequence[np.ndarray],
-    fanin_c: Sequence[np.ndarray],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate one gate on packed three-valued planes.
+    fanins: np.ndarray,
+    m: int = 1,
+    axis: int = 0,
+    starts: np.ndarray | None = None,
+) -> np.ndarray:
+    """Evaluate gates of one type on gathered packed fanin state.
 
-    ``fanin_v`` / ``fanin_c`` carry one (value, care) plane pair per
-    fanin; the result is the output plane pair — the plane counterpart
-    of :func:`eval_gate_words`, with the same X semantics as
-    :func:`eval_gate_3v_scalar`:
+    The last axis of ``fanins`` holds ``m`` bit-planes side by side, each
+    ``n`` ``uint64`` words wide (bit ``k`` of word ``w`` is pattern or
+    lane ``64*w + k``):
 
-    * AND — known where all fanins are known or some fanin is a known 0;
-    * OR  — known where all fanins are known or some fanin is a known 1;
-    * XOR — known only where every fanin is known;
-    * inverting types flip the value bit on known lanes.
-    """
-    if gtype is GateType.CONST0:
-        raise ValueError("CONST0 has no fanin; materialise planes at the caller")
-    if gtype is GateType.CONST1:
-        raise ValueError("CONST1 has no fanin; materialise planes at the caller")
-    if gtype in (GateType.INPUT, GateType.DFF):
-        raise ValueError(f"{gtype.name} nodes are not evaluated; they are sources")
-    if gtype in (GateType.AND, GateType.NAND):
-        out_v = reduce(np.bitwise_and, fanin_v)
-        out_c = reduce(np.bitwise_and, fanin_c) | reduce(
-            np.bitwise_or, [c & ~v for v, c in zip(fanin_v, fanin_c)]
-        )
-    elif gtype in (GateType.OR, GateType.NOR):
-        out_v = reduce(np.bitwise_or, fanin_v)
-        # v & ~c == 0, so a set value bit is always a *known* 1.
-        out_c = reduce(np.bitwise_and, fanin_c) | out_v
-    elif gtype in (GateType.XOR, GateType.XNOR):
-        out_c = reduce(np.bitwise_and, fanin_c)
-        out_v = reduce(np.bitwise_xor, fanin_v) & out_c
-    elif gtype in (GateType.NOT, GateType.BUF):
-        out_v, out_c = fanin_v[0].copy(), fanin_c[0].copy()
-    else:
-        raise ValueError(f"gate type {gtype!r} has no plane evaluation form")
-    if gtype in (GateType.NAND, GateType.NOR, GateType.XNOR, GateType.NOT):
-        out_v = out_c & ~out_v
-    return out_v, out_c
+    * ``m = 1`` — one plane of 0/1 values;
+    * ``m = 2`` — the value plane, then the care plane (1 = known 0/1,
+      0 = X), with the invariant ``value & ~care == 0``.
 
+    The fanin axis is reduced away, in one of three shapes:
 
-@kernel
-def reduce_gate_planes(
-    gtype: GateType, v: np.ndarray, c: np.ndarray, axis: int = 1
-) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate many same-type gates over stacked fanin planes.
+    * a single gate — fanins stacked on ``axis=0``;
+    * a rectangular group of same-type, same-arity gates —
+      ``(gates, arity, ...)`` with ``axis=1``;
+    * a segmented group of same-type gates of mixed arity — fanins
+      concatenated on axis 0 and ``starts`` marking each gate's first
+      fanin row, as :meth:`numpy.ufunc.reduceat` expects.
 
-    ``v`` / ``c`` carry the gathered fanin planes of a group of gates
-    sharing one type and arity; ``axis`` is the fanin axis (reduced
-    away).  This is the three-valued counterpart of
-    :func:`reduce_gate_words` — one call evaluates a whole (level,
-    type, arity) group for every packed lane, with the X semantics of
-    :func:`eval_gate_planes`.
+    The X semantics are those of :func:`eval_gate_3v_scalar`: AND is
+    known where every fanin is known or some fanin is a known 0, OR
+    where every fanin is known or some fanin is a known 1, XOR only where
+    every fanin is known; inverting types flip the value bit of known
+    lanes.  ``fanins`` is consumed: the result may share its memory.
     """
     if gtype in (GateType.AND, GateType.NAND):
-        out_v = np.bitwise_and.reduce(v, axis=axis)
-        out_c = np.bitwise_and.reduce(c, axis=axis) | np.bitwise_or.reduce(
-            c & ~v, axis=axis
-        )
+        ufunc = np.bitwise_and
     elif gtype in (GateType.OR, GateType.NOR):
-        out_v = np.bitwise_or.reduce(v, axis=axis)
-        # v & ~c == 0, so a set value bit is always a *known* 1.
-        out_c = np.bitwise_and.reduce(c, axis=axis) | out_v
+        ufunc = np.bitwise_or
     elif gtype in (GateType.XOR, GateType.XNOR):
-        out_c = np.bitwise_and.reduce(c, axis=axis)
-        out_v = np.bitwise_xor.reduce(v, axis=axis) & out_c
+        ufunc = np.bitwise_xor
     elif gtype in (GateType.NOT, GateType.BUF):
-        out_v = np.take(v, 0, axis=axis)
-        out_c = np.take(c, 0, axis=axis)
+        ufunc = None
     else:
-        raise ValueError(f"gate type {gtype!r} has no plane-reduction form")
+        raise ValueError(f"gate type {gtype!r} has no packed evaluation form")
+    if ufunc is None:
+        # One fanin per gate: the gather already is the result.
+        if starts is not None:
+            out = fanins
+        else:
+            out = fanins[0] if axis == 0 else fanins[:, 0]
+    elif m == 1:
+        out = _fold(ufunc, fanins, axis, starts)
+    else:
+        n = fanins.shape[-1] // 2
+        value = fanins[..., :n]
+        # One AND fold over both planes: AND of the values, AND of the cares.
+        out = _fold(np.bitwise_and, fanins, axis, starts)
+        if ufunc is np.bitwise_and:
+            out[..., n:] |= _fold(np.bitwise_or, fanins[..., n:] & ~value, axis, starts)
+        elif ufunc is np.bitwise_or:
+            # value & ~care == 0, so a set value bit is a known 1.
+            ones = _fold(np.bitwise_or, value, axis, starts)
+            out[..., :n] = ones
+            out[..., n:] |= ones
+        else:
+            out[..., :n] = _fold(np.bitwise_xor, value, axis, starts)
+            out[..., :n] &= out[..., n:]
     if gtype in (GateType.NAND, GateType.NOR, GateType.XNOR, GateType.NOT):
-        out_v = out_c & ~out_v
-    return out_v, out_c
+        if m == 1:
+            out ^= _ALL_ONES
+        else:
+            # Known lanes flip: care & ~value == care ^ value.
+            n = out.shape[-1] // 2
+            out[..., :n] ^= out[..., n:]
+    return out
 
 
 def controlling_value(gtype: GateType) -> int | None:

@@ -265,7 +265,7 @@ def diagnose_effect_cause(
     if not len(patterns):
         return result
     packed = as_packed(patterns, compiled.n_inputs)
-    values = compiled.simulate_words(packed.words)
+    values = compiled.simulate(packed.words)
     golden = unpack_words(values[compiled.output_ids, :], packed.n_patterns)
     fail_flags = observed_fail_flags(golden, responses)
     result.n_failing = int(fail_flags.sum())
@@ -361,7 +361,7 @@ def diagnose_multiplet(
     if not len(patterns):
         return result
     packed = as_packed(patterns, compiled.n_inputs)
-    values = compiled.simulate_words(packed.words)
+    values = compiled.simulate(packed.words)
     golden = unpack_words(values[compiled.output_ids, :], packed.n_patterns)
     fail_flags = observed_fail_flags(golden, responses)
     result.n_failing = int(fail_flags.sum())

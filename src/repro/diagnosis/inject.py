@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.circuit.gates import eval_gate_words, reduce_gate_words
+from repro.circuit.gates import eval_gates
 from repro.circuit.netlist import Circuit
 from repro.faults.model import Fault
 from repro.sim.logic import CompiledCircuit
@@ -70,38 +70,24 @@ def simulate_with_faults(
     if compiled.const1_ids.size:
         values[compiled.const1_ids, :] = _ALL_ONES
 
-    def stuck_row(stuck: int) -> np.ndarray:
-        if stuck:
-            return np.full(n_words, _ALL_ONES, dtype=np.uint64)
-        return np.zeros(n_words, dtype=np.uint64)
-
     def apply_forcings(level: int) -> None:
         # Branch re-evaluations first, stem freezes second: a stem fault
         # on a gate's output dominates any branch fault feeding that
         # same gate (the output is stuck no matter what the gate reads),
         # so the freeze must land last.
         for gate_id, pins in branches.get(level, {}).items():
-            forced = dict(pins)
-            gtype = compiled.gate_types[gate_id]
-            fanin_words = [
-                stuck_row(forced[pin]) if pin in forced else values[fanin_id]
-                for pin, fanin_id in enumerate(compiled.gate_fanins[gate_id])
-            ]
-            values[gate_id, :] = eval_gate_words(gtype, fanin_words)
+            fanin_words = values[list(compiled.gate_fanins[gate_id])]
+            for pin, stuck in pins:
+                fanin_words[pin] = _ALL_ONES if stuck else 0
+            values[gate_id, :] = eval_gates(compiled.gate_types[gate_id], fanin_words)
         for node_id, stuck in stems.get(level, ()):
-            values[node_id, :] = stuck_row(stuck)
+            values[node_id, :] = _ALL_ONES if stuck else 0
 
-    groups_by_level: dict[int, list] = {}
-    for group in compiled.eval_groups:
-        groups_by_level.setdefault(int(levels[group[1][0]]), []).append(group)
-    all_levels = sorted(
-        set(groups_by_level) | set(stems) | set(branches) | {0}
-    )
-    for level in all_levels:
-        for gtype, out_ids, fanin_matrix in groups_by_level.get(level, ()):
-            values[out_ids, :] = reduce_gate_words(
-                gtype, values[fanin_matrix], axis=1
-            )
+    # Sources sit at level 0; gates start at level 1.
+    apply_forcings(0)
+    for level, groups in compiled.eval_levels:
+        for gtype, out_ids, fanin_matrix in groups:
+            values[out_ids, :] = eval_gates(gtype, values[fanin_matrix], axis=1)
         # Forced sites are re-asserted *after* their level evaluates, so
         # a site inside another fault's cone still holds its stuck value.
         apply_forcings(level)

@@ -108,7 +108,7 @@ class SignatureBisector:
             list(patterns) if not isinstance(patterns, PackedPatterns) else None
         )
         if self.packed.n_patterns:
-            values = compiled.simulate_words(self.packed.words)
+            values = compiled.simulate(self.packed.words)
             golden = unpack_words(
                 values[compiled.output_ids, :], self.packed.n_patterns
             )

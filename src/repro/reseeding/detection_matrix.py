@@ -105,7 +105,7 @@ def build_detection_matrix(
     :meth:`BatchFaultSimulator.detection_matrix_rows`,
     which packs them word-aligned into chunks — every row reuses the
     same cached cone-union schedules, and a whole chunk of rows shares
-    one fault-free simulation and one ``detect_words`` per fault batch.
+    one fault-free simulation and one ``_BatchPlan.detect`` per fault batch.
     ``workers=N`` opts in to row-parallel construction over a process
     pool: the packed rows and pre-built plans are shared with the
     workers (``multiprocessing.shared_memory`` / fork inheritance), so

@@ -22,10 +22,17 @@ faults at once:
   caller's fault order;
 * fault injection is done by *forcing* rows: a stem fault freezes its
   net's row at the stuck value, a branch fault freezes the reading
-  gate's row at the gate function with the faulty pin stuck.  Forced
-  rows are re-asserted after their level evaluates, so a site that lies
-  inside another fault's cone is still simulated correctly for the other
-  rows of the batch.
+  gate's row at the gate function with the faulty pin stuck (one kernel
+  call per (gate type, arity) group of branch faults, from forcing
+  tables built with the plan).  Forced rows are re-asserted after their
+  level evaluates, so a site that lies inside another fault's cone is
+  still simulated correctly for the other rows of the batch;
+* one fault machine serves 0/1 and 0/1/X: the plane count ``m`` is a
+  property of the packed carrier (:class:`~repro.utils.bitvec.
+  PackedPatterns` or :class:`~repro.utils.bitvec.PackedPlanes`), and
+  fault-free simulation, :meth:`_BatchPlan.detect` and the gate kernel
+  (:func:`~repro.circuit.gates.eval_gates`) all take it with the state.
+  At ``m = 2`` detection is pessimistic (:mod:`repro.sim.threeval`).
 
 **Fault dropping**: the any-pattern queries (:meth:`detected`,
 :meth:`first_detection_index`, :meth:`fault_coverage`) scan the pattern
@@ -72,13 +79,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from repro.circuit.gates import (
-    GateType,
-    eval_gate_planes,
-    eval_gate_words,
-    reduce_gate_planes,
-    reduce_gate_words,
-)
+from repro.circuit.gates import GateType, eval_gates
 from repro.circuit.netlist import Circuit
 from repro.faults.model import Fault
 from repro.sim.logic import CompiledCircuit
@@ -114,13 +115,14 @@ CHUNK_BUDGETS = 4
 PLAN_CACHE_SIZE = 256
 
 
-def _stuck_rows(n_words: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only stuck-at-0 / stuck-at-1 word rows, shared by every
-    forcing of one detection call (they are only ever copied from)."""
-    return (
-        np.zeros(n_words, dtype=np.uint64),
-        np.full(n_words, _ALL_ONES, dtype=np.uint64),
-    )
+def _word_columns(state: np.ndarray, m: int, cols: slice | np.ndarray) -> np.ndarray:
+    """The pattern-word columns ``cols`` of ``m``-plane state, on every
+    plane: a view for a slice at ``m = 1``, else a copy."""
+    n_rows = state.shape[0]
+    planes = state.reshape(n_rows, m, -1)
+    if isinstance(cols, slice):
+        return planes[:, :, cols].reshape(n_rows, -1)
+    return np.take(planes, cols, axis=2).reshape(n_rows, -1)
 
 
 def _site_node(compiled: CompiledCircuit, fault: Fault) -> int:
@@ -138,7 +140,10 @@ class _NodeTables:
     every cone node.
     """
 
-    __slots__ = ("levels", "gate_types", "arity", "fanin_pad", "group_key", "output_ids")
+    __slots__ = (
+        "levels", "gate_types", "arity", "fanin_pad", "type_arity", "group_key",
+        "output_ids",
+    )
 
     def __init__(self, compiled: CompiledCircuit) -> None:
         n_nodes = compiled.n_nodes
@@ -156,14 +161,21 @@ class _NodeTables:
         )
         for node_id, fanins in enumerate(compiled.gate_fanins):
             self.fanin_pad[node_id, : len(fanins)] = fanins
-        # One sortable key per node encoding (level, gate type, arity).
+        # One int key per node encoding (gate type, arity), and one
+        # sortable key encoding (level, gate type, arity).
         type_code = {gtype: code for code, gtype in enumerate(GateType)}
         codes = np.array(
             [type_code[gtype] for gtype in compiled.gate_types], dtype=np.int64
         )
+        self.type_arity = codes * (width + 1) + self.arity
         self.group_key = (
-            self.levels * len(type_code) + codes
-        ) * (width + 1) + self.arity
+            self.levels * len(type_code) * (width + 1) + self.type_arity
+        )
+
+
+#: The columns of a plan's per-fault spec table that :meth:`_BatchPlan.
+#: detect` reads: the site's buffer row and the stuck value.
+_SPEC_ROW, _SPEC_STUCK = 0, 1
 
 
 class _BatchPlan:
@@ -171,7 +183,8 @@ class _BatchPlan:
 
     Built once per distinct fault batch and cached by the simulator; the
     expensive structural work (cone unions, level grouping, buffer
-    layout) is paid here so :meth:`detect_words` is pure numpy.
+    layout, forcing tables) is paid here so :meth:`detect` is pure
+    numpy.
     """
 
     __slots__ = (
@@ -180,9 +193,12 @@ class _BatchPlan:
         "boundary_pos",
         "boundary_ids",
         "level_groups",
-        "forcings",
         "out_pos",
         "out_ids",
+        "tables",
+        "spec",
+        "branch_groups",
+        "reforce",
     )
 
     def __init__(
@@ -192,26 +208,11 @@ class _BatchPlan:
         cone_of,
         tables: _NodeTables,
     ) -> None:
-        self.n_faults = len(faults)
-        # Per-fault injection spec: (site node id, stuck value, branch gate
-        # spec or None).  Branch forced values depend on the fault-free
-        # values, so only the structure is precomputed.
-        specs: list[tuple[int, int, tuple[GateType, tuple[int, ...], int] | None]] = []
-        for fault in faults:
-            node = _site_node(compiled, fault)
-            branch = None
-            if fault.site.is_branch:
-                branch = (
-                    compiled.gate_types[node],
-                    compiled.gate_fanins[node],
-                    int(fault.site.pin),
-                )
-            specs.append((node, fault.value, branch))
-        site_ids = np.array([node for node, _, _ in specs], dtype=np.int64)
+        nodes = [_site_node(compiled, fault) for fault in faults]
+        site_ids = np.array(nodes, dtype=np.int64)
         in_union = np.zeros(compiled.n_nodes, dtype=bool)
-        if specs:
-            sites = {node for node, _, _ in specs}
-            in_union[np.concatenate([cone_of(node) for node in sites])] = True
+        if nodes:
+            in_union[np.concatenate([cone_of(node) for node in set(nodes)])] = True
         union_ids = np.flatnonzero(in_union)
         # Buffer membership: every evaluated node, every site, and every
         # fanin an evaluated gate reads (so gathers hit one buffer).
@@ -225,24 +226,10 @@ class _BatchPlan:
         self.n_buf = int(buf_ids.size)
         self.boundary_ids = buf_ids[~in_union[buf_ids]]
         self.boundary_pos = pos[self.boundary_ids]
-        # Forcings: (buffer row, fault row, stuck, branch spec, level,
-        # evaluated) — `evaluated` marks sites inside the union, whose
-        # rows must be re-forced after their level evaluates.
-        levels = tables.levels
-        self.forcings = [
-            (
-                int(pos[node]),
-                row,
-                stuck,
-                branch,
-                int(levels[node]),
-                bool(in_union[node]),
-            )
-            for row, (node, stuck, branch) in enumerate(specs)
-        ]
         # Cone-union schedule: union nodes sorted by (level, type, arity)
         # and cut into groups where the key changes, with fanin ids
         # rewritten to buffer positions.
+        levels = tables.levels
         order = np.argsort(tables.group_key[union_ids], kind="stable")
         ordered = union_ids[order]
         keys = tables.group_key[ordered]
@@ -269,6 +256,67 @@ class _BatchPlan:
         observable[site_ids] = True
         self.out_ids = tables.output_ids[observable[tables.output_ids]]
         self.out_pos = pos[self.out_ids]
+        # Per-fault injection spec, one row per fault, in the column
+        # order _index_forcings unpacks.  `evaluated` marks sites inside
+        # the union, whose rows must be re-forced after their level
+        # evaluates.  Branch forced values depend on the fault-free
+        # values, so only the structure is kept.
+        spec = np.array(
+            [
+                pos[site_ids],
+                [fault.value for fault in faults],
+                [fault.site.is_branch for fault in faults],
+                [fault.site.pin or 0 for fault in faults],
+                levels[site_ids],
+                in_union[site_ids],
+                site_ids,
+                tables.arity[site_ids],
+                tables.type_arity[site_ids],
+            ],
+            dtype=np.int64,
+        ).T
+        self.tables = tables
+        self._index_forcings(spec)
+
+    def _index_forcings(self, spec: np.ndarray) -> None:
+        """Build the forcing tables from one spec row per fault: the
+        branch forcings grouped by (gate type, arity) so each group
+        re-evaluates in one kernel call, and the ``(site rows, fault
+        rows)`` to re-force per level.  A branch fault's site is the
+        reading gate, so its node, arity and key are the gate's."""
+        self.spec = spec
+        self.n_faults = len(spec)
+        branches: dict[int, tuple[int, list, list, list, list]] = {}
+        reforce: dict[int, tuple[list, list]] = {}
+        for row, (site_row, stuck, branch, pin, level, evaluated, node, arity, key) in (
+            enumerate(spec.tolist())
+        ):
+            if branch:
+                group = branches.get(key)
+                if group is None:
+                    group = branches[key] = (arity, [], [], [], [])
+                _, rows, pins, stucks, gates = group
+                # The faulty pin's row in the group's flattened gather.
+                pins.append(len(rows) * arity + pin)
+                rows.append(row)
+                stucks.append(stuck)
+                gates.append(node)
+            if evaluated:
+                site_rows, rows = reforce.setdefault(level, ([], []))
+                site_rows.append(site_row)
+                rows.append(row)
+        tables = self.tables
+        self.branch_groups = [
+            (
+                tables.gate_types[gates[0]],
+                np.array([rows, pins, stucks], dtype=np.int64),
+                tables.fanin_pad[gates, :arity],
+            )
+            for arity, rows, pins, stucks, gates in branches.values()
+        ]
+        self.reforce = {
+            level: np.array(pair, dtype=np.int64) for level, pair in reforce.items()
+        }
 
     def subset(self, rows: Sequence[int]) -> "_BatchPlan":
         """A plan for the faults at ``rows`` of this plan's batch.
@@ -278,163 +326,83 @@ class _BatchPlan:
         union is a superset of the survivors' union, which is correct
         because fault rows are independent: nodes only reachable from
         dropped faults evaluate to fault-free values on every surviving
-        row and contribute nothing at the outputs.  Only the forced-row
-        table is filtered and renumbered, so subsetting after fault
+        row and contribute nothing at the outputs.  Only the forcing
+        tables are rebuilt for the survivors, so subsetting after fault
         dropping is O(batch) instead of a cone-union rebuild.
         """
-        row_map = {int(old): new for new, old in enumerate(rows)}
-        if len(row_map) != len(rows) or not all(
-            0 <= old < self.n_faults for old in row_map
+        rows = [int(row) for row in rows]
+        if len(set(rows)) != len(rows) or not all(
+            0 <= row < self.n_faults for row in rows
         ):
             raise ValueError(f"invalid subset rows {rows!r} of {self.n_faults}")
         clone = _BatchPlan.__new__(_BatchPlan)
-        clone.n_faults = len(rows)
+        clone.tables = self.tables
         clone.n_buf = self.n_buf
         clone.boundary_pos = self.boundary_pos
         clone.boundary_ids = self.boundary_ids
         clone.level_groups = self.level_groups
         clone.out_pos = self.out_pos
         clone.out_ids = self.out_ids
-        clone.forcings = [
-            (buf_row, row_map[fault_row], stuck, branch, level, evaluated)
-            for buf_row, fault_row, stuck, branch, level, evaluated in self.forcings
-            if fault_row in row_map
-        ]
+        clone._index_forcings(self.spec[rows])
         return clone
 
-    def _forced_words(self, good: np.ndarray) -> list[tuple[int, int, np.ndarray, int, bool]]:
-        """Materialise forced rows for one good-value array:
-        (buffer row, fault row, words, level, evaluated)."""
-        stuck_rows = _stuck_rows(good.shape[1])
-        forced: list[tuple[int, int, np.ndarray, int, bool]] = []
-        for buf_row, fault_row, stuck, branch, level, evaluated in self.forcings:
-            stuck_words = stuck_rows[stuck]
-            if branch is None:
-                words = stuck_words
-            else:
-                gtype, fanins, pin = branch
-                words = eval_gate_words(
-                    gtype,
-                    [
-                        stuck_words if j == pin else good[fanin_id]
-                        for j, fanin_id in enumerate(fanins)
-                    ],
-                )
-            forced.append((buf_row, fault_row, words, level, evaluated))
-        return forced
+    def _forced(self, good: np.ndarray, m: int) -> np.ndarray:
+        """The forced state row of every fault, ``(n_faults, m *
+        n_words)``, against fault-free state ``good``.
 
-    def _forced_planes(
-        self, good_v: np.ndarray, good_c: np.ndarray
-    ) -> list[tuple[int, int, np.ndarray, np.ndarray, int, bool]]:
-        """Three-valued counterpart of :meth:`_forced_words`:
-        (buffer row, fault row, value words, care words, level, evaluated).
-
-        A stuck-at site is always *known* (care = all ones) — the defect
-        pins the net regardless of what the machine knows elsewhere.  A
-        branch forcing re-evaluates the reading gate in the plane algebra
-        with the faulty pin pinned known-stuck, so X on the healthy pins
-        propagates pessimistically through the forced gate too.
+        A stem fault pins its net to the stuck value; a branch fault
+        re-evaluates the reading gate with the faulty pin stuck.  The
+        stuck value is always *known* (every care bit set): the defect
+        pins the net whatever the machine knows elsewhere, while X on
+        the healthy pins of a branch gate propagates through it.
         """
-        stuck_rows = _stuck_rows(good_v.shape[1])
-        ones = stuck_rows[1]
-        forced: list[tuple[int, int, np.ndarray, np.ndarray, int, bool]] = []
-        for buf_row, fault_row, stuck, branch, level, evaluated in self.forcings:
-            stuck_words = stuck_rows[stuck]
-            if branch is None:
-                v_words, c_words = stuck_words, ones
-            else:
-                gtype, fanins, pin = branch
-                v_words, c_words = eval_gate_planes(
-                    gtype,
-                    [
-                        stuck_words if j == pin else good_v[fanin_id]
-                        for j, fanin_id in enumerate(fanins)
-                    ],
-                    [
-                        ones if j == pin else good_c[fanin_id]
-                        for j, fanin_id in enumerate(fanins)
-                    ],
-                )
-            forced.append((buf_row, fault_row, v_words, c_words, level, evaluated))
+        n_words = good.shape[1] // m
+        stuck_rows = np.zeros((2, good.shape[1]), dtype=np.uint64)
+        stuck_rows[1, :n_words] = _ALL_ONES
+        stuck_rows[:, n_words:] = _ALL_ONES
+        forced = stuck_rows[self.spec[:, _SPEC_STUCK]]
+        for gtype, (rows, pins, stuck), fanin_ids in self.branch_groups:
+            fanins = good[fanin_ids]
+            fanins.reshape(-1, good.shape[1])[pins] = stuck_rows[stuck]
+            forced[rows] = eval_gates(gtype, fanins, m, axis=1)
         return forced
 
-    # repro: allow[kernel-purity] O(depth) level walk + O(batch) forcing re-assert; each group evaluates word-parallel
+    # repro: allow[kernel-purity] O(depth) level walk; each group and each level's re-forcing is word-parallel
     @kernel
-    def detect_planes(
-        self, good_v: np.ndarray, good_c: np.ndarray
-    ) -> np.ndarray:
-        """Three-valued per-fault detection words against good planes.
+    def detect(self, good: np.ndarray, m: int) -> np.ndarray:
+        """Per-fault detection words against fault-free state ``good``.
 
-        ``good_v`` / ``good_c`` have shape ``(n_nodes, n_words)``; the
+        ``good`` has shape ``(n_nodes, m * n_words)`` with ``m`` planes
+        side by side (see :func:`~repro.circuit.gates.eval_gates`); the
         result has shape ``(n_faults, n_words)`` with a bit set where
-        some primary output is **known on both machines and differs** —
-        the pessimistic tester view: an X on either side never counts as
-        a detection (it would mask at the compactor), so 3-valued
-        coverage is ≤ 2-valued coverage, with equality on X-free input.
+        some primary output differs from the fault-free value (tail bits
+        unmasked).  At ``m = 2`` an output counts only where it is
+        **known on both machines and differs** — the pessimistic tester
+        view: an X on either side would mask at the compactor, so
+        3-valued coverage is ≤ 2-valued coverage, with equality on
+        X-free input.
         """
-        n_words = good_v.shape[1]
+        n_words = good.shape[1] // m
         if not self.out_pos.size:
             return np.zeros((self.n_faults, n_words), dtype=np.uint64)
-        buf_v = np.empty((self.n_buf, self.n_faults, n_words), dtype=np.uint64)
-        buf_c = np.empty((self.n_buf, self.n_faults, n_words), dtype=np.uint64)
-        if self.boundary_pos.size:
-            buf_v[self.boundary_pos] = good_v[self.boundary_ids][:, None, :]
-            buf_c[self.boundary_pos] = good_c[self.boundary_ids][:, None, :]
-        forced = self._forced_planes(good_v, good_c)
-        reforce: dict[int, list[tuple[int, int, np.ndarray, np.ndarray]]] = {}
-        for buf_row, fault_row, v_words, c_words, level, evaluated in forced:
-            buf_v[buf_row, fault_row] = v_words
-            buf_c[buf_row, fault_row] = c_words
-            if evaluated:
-                reforce.setdefault(level, []).append(
-                    (buf_row, fault_row, v_words, c_words)
-                )
-        for level, groups in self.level_groups:
-            for gtype, out_pos, fanin_pos in groups:
-                # Gather shape: (group size, arity, batch, n_words).
-                out_v, out_c = reduce_gate_planes(
-                    gtype, buf_v[fanin_pos], buf_c[fanin_pos], axis=1
-                )
-                buf_v[out_pos] = out_v
-                buf_c[out_pos] = out_c
-            for buf_row, fault_row, v_words, c_words in reforce.get(level, ()):
-                buf_v[buf_row, fault_row] = v_words
-                buf_c[buf_row, fault_row] = c_words
-        diff = (
-            (buf_v[self.out_pos] ^ good_v[self.out_ids][:, None, :])
-            & buf_c[self.out_pos]
-            & good_c[self.out_ids][:, None, :]
-        )
-        return np.bitwise_or.reduce(diff, axis=0)
-
-    # repro: allow[kernel-purity] O(depth) level walk + O(batch) forcing re-assert; each group evaluates word-parallel
-    @kernel
-    def detect_words(self, good: np.ndarray) -> np.ndarray:
-        """Per-fault detection words against ``good`` values.
-
-        ``good`` has shape ``(n_nodes, n_words)``; the result has shape
-        ``(n_faults, n_words)`` with a bit set where some primary output
-        differs from the fault-free value (tail bits unmasked).
-        """
-        n_words = good.shape[1]
-        if not self.out_pos.size:
-            return np.zeros((self.n_faults, n_words), dtype=np.uint64)
-        buf = np.empty((self.n_buf, self.n_faults, n_words), dtype=np.uint64)
+        buf = np.empty((self.n_buf, self.n_faults, good.shape[1]), dtype=np.uint64)
         if self.boundary_pos.size:
             buf[self.boundary_pos] = good[self.boundary_ids][:, None, :]
-        forced = self._forced_words(good)
-        reforce: dict[int, list[tuple[int, int, np.ndarray]]] = {}
-        for buf_row, fault_row, words, level, evaluated in forced:
-            buf[buf_row, fault_row] = words
-            if evaluated:
-                reforce.setdefault(level, []).append((buf_row, fault_row, words))
+        forced = self._forced(good, m)
+        buf[self.spec[:, _SPEC_ROW], np.arange(self.n_faults, dtype=np.int64)] = forced
+        reforce = self.reforce
         for level, groups in self.level_groups:
             for gtype, out_pos, fanin_pos in groups:
-                # Gather shape: (group size, arity, batch, n_words).
-                buf[out_pos] = reduce_gate_words(gtype, buf[fanin_pos], axis=1)
-            for buf_row, fault_row, words in reforce.get(level, ()):
-                buf[buf_row, fault_row] = words
-        diff = buf[self.out_pos] ^ good[self.out_ids][:, None, :]
+                # Gather shape: (group size, arity, batch, m * n_words).
+                buf[out_pos] = eval_gates(gtype, buf[fanin_pos], m, axis=1)
+            if level in reforce:
+                positions, rows = reforce[level]
+                buf[positions, rows] = forced[rows]
+        faulty = buf[self.out_pos]
+        good_out = good[self.out_ids][:, None, :]
+        diff = faulty ^ good_out
+        if m == 2:
+            diff = diff[..., :n_words] & faulty[..., n_words:] & good_out[..., n_words:]
         return np.bitwise_or.reduce(diff, axis=0)
 
 
@@ -483,9 +451,8 @@ class BatchFaultSimulator:
         #: and faults retired from scan windows by fault dropping.
         self.words_simulated = 0
         self.faults_dropped = 0
-        #: Work counter: fault × word cells through the fault machines
-        #: (``detect_words`` / ``detect_planes``) of this simulator's
-        #: queries.
+        #: Work counter: fault × word cells through the fault machine
+        #: (:meth:`_BatchPlan.detect`) of this simulator's queries.
         self.detect_cells = 0
         # Telemetry stays collector-based: the hot loops above touch
         # plain ints only, and a registry samples them at scrape time.
@@ -552,9 +519,9 @@ class BatchFaultSimulator:
         result = np.zeros((n_patterns, len(faults)), dtype=bool)
         if not n_patterns or not faults:
             return result
-        good = self._good_state(carrier)
+        good = self._good_values(carrier.words, carrier.m)
         for indices, batch in self._batches(faults):
-            detect = self._run_detect(self._plan(batch), good)
+            detect = self._run_detect(self._plan(batch), good, carrier.m)
             bits = np.unpackbits(
                 np.ascontiguousarray(detect).view(np.uint8).reshape(len(batch), -1),
                 axis=1,
@@ -658,9 +625,20 @@ class BatchFaultSimulator:
         non_empty = [index for index, c in enumerate(chunk) if c.n_words]
         if non_empty and n_faults:
             pieces = [chunk[index] for index in non_empty]
+            m = pieces[0].m
             lengths = np.array([c.n_words for c in pieces], dtype=np.int64)
             starts = np.cumsum(lengths) - lengths
-            good = self._good_state(self._concat(pieces, int(lengths.sum()) * 64))
+            if len(pieces) == 1:
+                # A single row passes through without a copy (TPG
+                # evolution banks arrive packed).
+                words = pieces[0].words
+            else:
+                # Word-aligned join, plane by plane.
+                width = pieces[0].width
+                words = np.concatenate(
+                    [p.words.reshape(width, m, -1) for p in pieces], axis=2
+                ).reshape(width, -1)
+            good = self._good_values(words, m)
             mask = np.concatenate([p.tail_mask() for p in pieces])
             # Every (row, word offset) pair of the chunk, offset-major:
             # all rows' word 0, then all rows' word 1, and so on.
@@ -671,7 +649,7 @@ class BatchFaultSimulator:
             column = 0
             for plan in plans:
                 self._scan_rows(
-                    plan, good, mask, pairs, budget,
+                    plan, good, m, mask, pairs, budget,
                     verdicts[:, column : column + plan.n_faults],
                 )
                 column += plan.n_faults
@@ -684,7 +662,8 @@ class BatchFaultSimulator:
     def _scan_rows(
         self,
         plan: _BatchPlan,
-        good: tuple[np.ndarray, ...],
+        good: np.ndarray,
+        m: int,
         mask: np.ndarray,
         pairs: tuple[np.ndarray, np.ndarray],
         budget: int,
@@ -715,11 +694,11 @@ class BatchFaultSimulator:
             pending_row, pending_col = pending_row[take:], pending_col[take:]
             if (np.diff(col) == 1).all():
                 # One run of adjacent words (always so for one-word
-                # rows): simulate a view, not a gathered copy.
-                window = tuple(state[:, col[0] : col[-1] + 1] for state in good)
+                # rows): at m = 1, simulate a view, not a gathered copy.
+                window = _word_columns(good, m, slice(col[0], col[-1] + 1))
             else:
-                window = tuple(np.take(state, col, axis=1) for state in good)
-            hits = (self._run_detect(plan, window) & mask[col]) != 0
+                window = _word_columns(good, m, col)
+            hits = (self._run_detect(plan, window, m) & mask[col]) != 0
             found = verdict[:, live]
             np.logical_or.at(found, row, hits.T)
             verdict[:, live] = found
@@ -737,53 +716,30 @@ class BatchFaultSimulator:
                 live = live[survivors]
 
     # ------------------------------------------------------------------
-    # pattern-state hooks (the three-valued engine overrides these)
-    # ------------------------------------------------------------------
-
-    def _pack(self, patterns: PatternsLike) -> PackedPatterns:
-        """The packed carrier for one pattern argument."""
-        return as_packed(patterns, self.compiled.n_inputs)
-
-    @staticmethod
-    def _concat(pieces: list[PackedPatterns], n_patterns: int) -> PackedPatterns:
-        """Word-aligned concatenation of packed rows; a single row passes
-        through without a copy (TPG evolution banks arrive packed)."""
-        if len(pieces) == 1:
-            return PackedPatterns(pieces[0].words, n_patterns)
-        return PackedPatterns(
-            np.concatenate([p.words for p in pieces], axis=1), n_patterns
-        )
-
-    def _good_state(self, packed: PackedPatterns) -> tuple[np.ndarray, ...]:
-        """Fault-free node state, as the arrays :meth:`_detect` takes."""
-        return (self._good_values(packed),)
-
-    @staticmethod
-    def _detect(plan: _BatchPlan, good: tuple[np.ndarray, ...]) -> np.ndarray:
-        """Per-fault detection words of one plan against ``good``."""
-        return plan.detect_words(*good)
-
-    def _run_detect(
-        self, plan: _BatchPlan, good: tuple[np.ndarray, ...]
-    ) -> np.ndarray:
-        """:meth:`_detect`, counting its fault × word cells."""
-        self.detect_cells += plan.n_faults * good[0].shape[1]
-        return self._detect(plan, good)
-
-    # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
 
+    def _pack(self, patterns: PatternsLike) -> PackedPatterns:
+        """The packed carrier for one pattern argument; its ``m`` is the
+        plane count every later step runs at (the three-valued engine
+        packs planes instead)."""
+        return as_packed(patterns, self.compiled.n_inputs)
+
+    def _run_detect(self, plan: _BatchPlan, good: np.ndarray, m: int) -> np.ndarray:
+        """:meth:`_BatchPlan.detect`, counting its fault × word cells."""
+        self.detect_cells += plan.n_faults * (good.shape[1] // m)
+        return plan.detect(good, m)
+
     @kernel
-    def _good_values(self, patterns: PatternsLike) -> np.ndarray:
-        packed = as_packed(patterns, self.compiled.n_inputs)
-        n_words = packed.n_words
-        if self._good_buf is None or self._good_buf.shape[1] != n_words:
+    def _good_values(self, words: np.ndarray, m: int) -> np.ndarray:
+        """Fault-free state of every node for packed input ``words``
+        with ``m`` planes, in a buffer reused across calls."""
+        if self._good_buf is None or self._good_buf.shape[1] != words.shape[1]:
             self._good_buf = np.empty(
-                (self.compiled.n_nodes, n_words), dtype=np.uint64
+                (self.compiled.n_nodes, words.shape[1]), dtype=np.uint64
             )
-        self.words_simulated += n_words
-        return self.compiled.simulate_words(packed.words, out=self._good_buf)
+        self.words_simulated += words.shape[1] // m
+        return self.compiled.simulate(words, m, out=self._good_buf)
 
     def _batches(
         self, faults: Sequence[Fault]
@@ -866,7 +822,8 @@ class BatchFaultSimulator:
         carrier = self._pack(patterns)
         if not carrier.n_patterns or not faults:
             return
-        good = self._good_state(carrier)
+        m = carrier.m
+        good = self._good_values(carrier.words, m)
         n_words = carrier.n_words
         mask = carrier.tail_mask()
         # Per-batch survivor state: (original fault indices, live plan).
@@ -878,14 +835,13 @@ class BatchFaultSimulator:
                 return
             word_end = min(word_start + self.drop_window_words, n_words)
             last_window = word_end >= n_words
-            window = tuple(
-                np.ascontiguousarray(state[:, word_start:word_end])
-                for state in good
+            window = np.ascontiguousarray(
+                _word_columns(good, m, slice(word_start, word_end))
             )
             window_mask = mask[word_start:word_end]
             next_states: list[tuple[list[int], _BatchPlan]] = []
             for indices, plan in states:
-                detect = self._run_detect(plan, window) & window_mask
+                detect = self._run_detect(plan, window, m) & window_mask
                 hits = detect.any(axis=1)
                 surviving_rows: list[int] = []
                 for row, fault_index in enumerate(indices):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from repro.circuit.gates import GateType, eval_gate_bool
+from repro.circuit.gates import GateType, eval_gate_3v_scalar
 from repro.circuit.netlist import Circuit
 from repro.faults.model import Fault
 from repro.utils.bitvec import BitVector
@@ -53,7 +53,7 @@ class ReferenceSimulator:
                         self._read(values, gate.name, pin, net, fault)
                         for pin, net in enumerate(gate.fanins)
                     ]
-                    value = eval_gate_bool(gate.gtype, fanin_values)
+                    value = eval_gate_3v_scalar(gate.gtype, fanin_values)
             if fault is not None and not fault.site.is_branch and fault.site.net == name:
                 value = fault.value
             values[name] = value

@@ -15,9 +15,10 @@ Two engines live here and in :mod:`repro.sim.batch`:
   the active set, so it never pays for the remaining patterns.
 * :class:`SerialFaultSimulator` — the legacy per-fault engine: for each
   fault it forces the stuck value at the fault site and re-evaluates
-  only that fault's output cone, one Python-level gate evaluation per
-  cone node.  It is kept as the obviously-correct baseline for the
-  differential test suite and the throughput benchmarks.
+  only that fault's output cone, one single-gate call of the one gate
+  kernel (:func:`~repro.circuit.gates.eval_gates`) per cone node.  It
+  is kept as the obviously-correct baseline for the differential test
+  suite and the throughput benchmarks.
 
 A fault is detected by pattern ``p`` when any primary output differs
 from the fault-free value under ``p``.  Both engines fill the paper's
@@ -32,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.circuit.gates import eval_gate_words
+from repro.circuit.gates import eval_gates
 from repro.circuit.netlist import Circuit
 from repro.faults.model import Fault
 from repro.sim.batch import BatchFaultSimulator
@@ -136,7 +137,7 @@ class SerialFaultSimulator:
 
     def _good_values(self, patterns: Sequence[BitVector]) -> np.ndarray:
         input_words = pack_patterns(list(patterns), self.compiled.n_inputs)
-        return self.compiled.simulate_words(input_words)
+        return self.compiled.simulate(input_words)
 
     def _cone(self, node_id: int) -> list[int]:
         cone = self._cone_cache.get(node_id)
@@ -165,8 +166,8 @@ class SerialFaultSimulator:
                 stuck_words if pin == site.pin else good[fanin_id]
                 for pin, fanin_id in enumerate(fanins)
             ]
-            faulty[gate_id] = eval_gate_words(
-                compiled.gate_types[gate_id], fanin_words
+            faulty[gate_id] = eval_gates(
+                compiled.gate_types[gate_id], np.array(fanin_words)
             )
             cone = self._cone(gate_id)
         else:
@@ -180,7 +181,7 @@ class SerialFaultSimulator:
                 faulty.get(fanin_id, good[fanin_id])
                 for fanin_id in compiled.gate_fanins[cone_id]
             ]
-            new_words = eval_gate_words(gtype, fanin_words)
+            new_words = eval_gates(gtype, np.array(fanin_words))
             faulty[cone_id] = new_words
         detect = np.zeros(n_words, dtype=np.uint64)
         for output_id in compiled.output_ids:

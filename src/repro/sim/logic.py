@@ -7,9 +7,11 @@ integer arrays once; simulation then evaluates 64 patterns per
 The compiler is *levelized*: gates are grouped by topological level and,
 within a level, by (gate type, fanin arity).  Each group is evaluated
 with a single fancy-indexed gather plus one reduction over the fanin
-axis (:func:`repro.circuit.gates.reduce_gate_words`), so simulation cost
-is a handful of numpy calls per level instead of one Python-level gate
-evaluation (and fanin list build) per node.
+axis (:func:`repro.circuit.gates.eval_gates`), so simulation cost is a
+handful of numpy calls per level instead of one Python-level gate
+evaluation (and fanin list build) per node.  :meth:`CompiledCircuit.
+simulate` is the one walk for 0/1 words (``m = 1``) and 0/1/X value +
+care planes (``m = 2``).
 """
 
 from __future__ import annotations
@@ -18,13 +20,12 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.circuit.gates import GateType, reduce_gate_planes, reduce_gate_words
+from repro.circuit.gates import GateType, eval_gates
 from repro.circuit.netlist import Circuit
 from repro.utils.bitvec import (
     WORD_BITS,
     BitVector,
     PackedPatterns,
-    PackedPlanes,
     as_packed,
     n_words_for,
     tail_mask,
@@ -147,101 +148,49 @@ class CompiledCircuit:
         """Number of primary outputs."""
         return len(self.output_ids)
 
-    def simulate_words(
-        self, input_words: np.ndarray, out: np.ndarray | None = None
+    def simulate(
+        self, input_words: np.ndarray, m: int = 1, out: np.ndarray | None = None
     ) -> np.ndarray:
-        """Simulate packed input words.
+        """Simulate packed input state with ``m`` planes per word.
 
-        ``input_words`` has shape ``(n_inputs, n_words)``; the result has
-        shape ``(n_nodes, n_words)`` and holds every node's value words
-        (node id order).  ``out`` optionally supplies a preallocated
-        result buffer of the right shape (callers that simulate in a loop
-        reuse one buffer instead of reallocating per call).
+        ``input_words`` has shape ``(n_inputs, m * n_words)``: plain 0/1
+        words for ``m = 1``, value then care planes side by side for
+        ``m = 2`` (the ``words`` of :class:`~repro.utils.bitvec.
+        PackedPatterns` / :class:`~repro.utils.bitvec.PackedPlanes`).
+        The result has shape ``(n_nodes, m * n_words)`` and holds every
+        node's state (node id order).  On all-care input the ``m = 2``
+        value plane is bit-identical to the ``m = 1`` simulation.
+        ``out`` optionally supplies a preallocated result buffer of the
+        right shape (callers that simulate in a loop reuse one buffer
+        instead of reallocating per call).
         """
         if input_words.shape[0] != self.n_inputs:
             raise ValueError(
                 f"expected {self.n_inputs} input rows, got {input_words.shape[0]}"
             )
-        n_words = input_words.shape[1]
+        shape = (self.n_nodes, input_words.shape[1])
         if out is not None:
-            if out.shape != (self.n_nodes, n_words) or out.dtype != np.uint64:
+            if out.shape != shape or out.dtype != np.uint64:
                 raise ValueError(
-                    f"out buffer must be uint64 {(self.n_nodes, n_words)}, "
-                    f"got {out.dtype} {out.shape}"
+                    f"out buffer must be uint64 {shape}, got {out.dtype} {out.shape}"
                 )
             values = out
         else:
-            values = np.empty((self.n_nodes, n_words), dtype=np.uint64)
+            values = np.empty(shape, dtype=np.uint64)
         values[self.input_ids, :] = input_words
+        # Constants are known whatever the inputs carry: CONST0 is value
+        # 0 with every care bit set, CONST1 is all ones on every plane.
+        n_words = input_words.shape[1] // m
         if self.const0_ids.size:
-            values[self.const0_ids, :] = 0
+            values[self.const0_ids, :n_words] = 0
+            values[self.const0_ids, n_words:] = _ALL_ONES
         if self.const1_ids.size:
             values[self.const1_ids, :] = _ALL_ONES
         for gtype, out_ids, fanin_matrix in self.eval_groups:
-            # Gather shape: (group size, arity, n_words); reduce the
+            # Gather shape: (group size, arity, m * n_words); reduce the
             # fanin axis with the group's gate function.
-            values[out_ids, :] = reduce_gate_words(
-                gtype, values[fanin_matrix], axis=1
-            )
+            values[out_ids, :] = eval_gates(gtype, values[fanin_matrix], m, axis=1)
         return values
-
-    def simulate_planes(
-        self, input_value: np.ndarray, input_care: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Three-valued simulation over packed value/care planes.
-
-        ``input_value`` / ``input_care`` have shape
-        ``(n_inputs, n_words)`` with the invariant ``v & ~c == 0``
-        (see :class:`~repro.utils.bitvec.PackedPlanes`); the result is
-        the ``(n_nodes, n_words)`` plane pair for every node.  The walk
-        is the same levelized eval plan as :meth:`simulate_words`, with
-        :func:`~repro.circuit.gates.reduce_gate_planes` as the group
-        reducer — on all-care input the value plane is bit-identical to
-        the 2-valued simulation (the differential suite pins this).
-        """
-        if input_value.shape != input_care.shape:
-            raise ValueError(
-                f"plane shapes differ: {input_value.shape} vs {input_care.shape}"
-            )
-        if input_value.shape[0] != self.n_inputs:
-            raise ValueError(
-                f"expected {self.n_inputs} input rows, got {input_value.shape[0]}"
-            )
-        n_words = input_value.shape[1]
-        values = np.empty((self.n_nodes, n_words), dtype=np.uint64)
-        cares = np.empty((self.n_nodes, n_words), dtype=np.uint64)
-        values[self.input_ids, :] = input_value
-        cares[self.input_ids, :] = input_care
-        # Constants are always known, whatever the inputs carry.
-        if self.const0_ids.size:
-            values[self.const0_ids, :] = 0
-            cares[self.const0_ids, :] = _ALL_ONES
-        if self.const1_ids.size:
-            values[self.const1_ids, :] = _ALL_ONES
-            cares[self.const1_ids, :] = _ALL_ONES
-        for gtype, out_ids, fanin_matrix in self.eval_groups:
-            out_v, out_c = reduce_gate_planes(
-                gtype, values[fanin_matrix], cares[fanin_matrix], axis=1
-            )
-            values[out_ids, :] = out_v
-            cares[out_ids, :] = out_c
-        return values, cares
-
-    def simulate_planes_packed(self, planes: PackedPlanes) -> PackedPlanes:
-        """Three-valued simulation of a :class:`~repro.utils.bitvec.
-        PackedPlanes` carrier; returns the primary-output planes (row
-        ``k`` = ``circuit.outputs[k]``)."""
-        if planes.width != self.n_inputs:
-            raise ValueError(
-                f"planes have width {planes.width}, expected {self.n_inputs}"
-            )
-        values, cares = self.simulate_planes(planes.value, planes.care)
-        mask = planes.tail_mask()
-        return PackedPlanes(
-            values[self.output_ids, :] & mask,
-            cares[self.output_ids, :] & mask,
-            planes.n_patterns,
-        )
 
     def simulate_patterns(
         self, patterns: Sequence[BitVector] | PackedPatterns
@@ -255,7 +204,7 @@ class CompiledCircuit:
         if not len(patterns):
             return []
         packed = as_packed(patterns, self.n_inputs)
-        values = self.simulate_words(packed.words)
+        values = self.simulate(packed.words)
         output_words = values[self.output_ids, :]
         return unpack_words(output_words, packed.n_patterns)
 

@@ -29,6 +29,7 @@ from typing import Iterable, Sequence
 
 from repro.circuit.netlist import Circuit
 from repro.sim.logic import CompiledCircuit
+from repro.sim.threeval import logic_sim_3v
 from repro.tpg.lfsr import taps_for_width
 from repro.utils.bitvec import BitVector, PackedPlanes, unpack_words
 
@@ -122,7 +123,7 @@ def x_masked_signature(
         raise ValueError(
             f"MISR width {misr.width} != circuit output count {circuit.n_outputs}"
         )
-    out = CompiledCircuit(circuit).simulate_planes_packed(planes)
+    out = logic_sim_3v(circuit, planes)
     values = unpack_words(out.value, out.n_patterns)
     cares = unpack_words(out.care, out.n_patterns)
     return misr.masked_signature(zip(values, cares))

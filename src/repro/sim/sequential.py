@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from repro.circuit.gates import GateType, eval_gate_bool
+from repro.circuit.gates import GateType, eval_gate_3v_scalar
 from repro.circuit.netlist import Circuit
 from repro.utils.bitvec import BitVector
 
@@ -80,7 +80,7 @@ class SequentialSimulator:
             elif gate.gtype is GateType.CONST1:
                 values[name] = 1
             else:
-                values[name] = eval_gate_bool(
+                values[name] = eval_gate_3v_scalar(
                     gate.gtype, [values[f] for f in gate.fanins]
                 )
         return values

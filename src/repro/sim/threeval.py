@@ -6,25 +6,26 @@ has unscanned state, bus contention, or an uninitialised RAM output.
 This module runs the same batched PPSFP machinery with **unknowns**:
 
 * patterns are :class:`~repro.utils.bitvec.PackedPlanes` — two ``uint64``
-  bit-planes per signal (value + care), pattern ``64*w + k`` at bit ``k``
-  of word ``w``, the exact lane layout of the 2-valued packing;
-* true-value simulation walks the one levelized eval plan that
-  :meth:`~repro.sim.logic.CompiledCircuit.simulate_words` uses, with the
-  plane algebra (:func:`~repro.circuit.gates.reduce_gate_planes`) as the
-  group reducer;
-* detection is **pessimistic**: a fault counts as detected by a pattern
-  only where the good and faulty machines are both *known* and differ —
-  an X on either side would mask at the compactor, so it never counts.
-  Hence 3-valued coverage ≤ 2-valued coverage, with bit-identical
-  equality on X-free input (the differential suite pins both).
+  bit-planes per signal (value + care) side by side on the word axis,
+  pattern ``64*w + k`` at bit ``k`` of word ``w``, the exact lane layout
+  of the 2-valued packing;
+* true-value simulation is the one levelized walk,
+  :meth:`~repro.sim.logic.CompiledCircuit.simulate`, at ``m = 2``, with
+  the one gate kernel (:func:`~repro.circuit.gates.eval_gates`);
+* detection is the one fault machine, :meth:`~repro.sim.batch.
+  _BatchPlan.detect`, at ``m = 2``, and it is **pessimistic**: a fault
+  counts as detected by a pattern only where the good and faulty
+  machines are both *known* and differ — an X on either side would mask
+  at the compactor, so it never counts.  Hence 3-valued coverage ≤
+  2-valued coverage, with bit-identical equality on X-free input (the
+  differential suite pins both).
 
 :class:`XFaultSimulator` subclasses the 2-valued
-:class:`~repro.sim.batch.BatchFaultSimulator` and overrides only its
-pattern-state hooks (pack, concatenate, fault-free simulation, and
-detection via :meth:`~repro.sim.batch._BatchPlan.detect_planes`); the
-query paths (window scans, full matrix, streamed matrix rows) and
+:class:`~repro.sim.batch.BatchFaultSimulator` and overrides only how it
+packs patterns; the plane count is a property of the packed carrier, so
+the query paths (window scans, full matrix, streamed matrix rows) and
 everything structural — cone-local batching, cone unions, plan
-caching/subsetting, fault dropping — are inherited unchanged.
+caching/subsetting, fault dropping — are shared unchanged.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 
 from repro.circuit.gates import eval_gate_3v_scalar
 from repro.circuit.netlist import Circuit
-from repro.sim.batch import BatchFaultSimulator, _BatchPlan
+from repro.sim.batch import BatchFaultSimulator
 from repro.sim.logic import CompiledCircuit
 from repro.utils.bitvec import PackedPlanes, PlanesLike, as_planes
 from repro.utils.kernels import kernel
@@ -46,13 +47,19 @@ def logic_sim_3v(circuit: Circuit, planes: PlanesLike) -> PackedPlanes:
     planes (row ``k`` = ``circuit.outputs[k]``).
 
     One-shot convenience over
-    :meth:`~repro.sim.logic.CompiledCircuit.simulate_planes_packed`;
+    :meth:`~repro.sim.logic.CompiledCircuit.simulate` at ``m = 2``;
     accepts anything :func:`~repro.utils.bitvec.as_planes` does — X-free
     2-valued patterns pass through with care = all ones, and the value
     plane then matches the 2-valued engine bit for bit.
     """
     compiled = CompiledCircuit(circuit)
-    return compiled.simulate_planes_packed(as_planes(planes, circuit.n_inputs))
+    planes = as_planes(planes, circuit.n_inputs)
+    state = compiled.simulate(planes.words, planes.m)[compiled.output_ids]
+    n_words = planes.n_words
+    mask = planes.tail_mask()
+    return PackedPlanes(
+        state[:, :n_words] & mask, state[:, n_words:] & mask, planes.n_patterns
+    )
 
 
 def logic_sim_3v_scalar(circuit: Circuit, codes: np.ndarray) -> np.ndarray:
@@ -100,38 +107,10 @@ class XFaultSimulator(BatchFaultSimulator):
     ``detection_matrix_rows``) keeps its signature but accepts
     :data:`~repro.utils.bitvec.PlanesLike` patterns — plain 2-valued
     patterns are lifted to all-care planes, and on such input every
-    result is bit-identical to the 2-valued engine's.
+    result is bit-identical to the 2-valued engine's.  Only the packing
+    differs: the carrier's ``m = 2`` runs every later step.
     """
 
-    # ------------------------------------------------------------------
-    # three-valued true-value simulation
-    # ------------------------------------------------------------------
-
     @kernel
-    def _good_planes(self, planes: PackedPlanes) -> tuple[np.ndarray, np.ndarray]:
-        self.words_simulated += planes.n_words
-        return self.compiled.simulate_planes(planes.value, planes.care)
-
-    # ------------------------------------------------------------------
-    # pattern-state hooks (plane-algebra detection)
-    # ------------------------------------------------------------------
-
     def _pack(self, patterns: PlanesLike) -> PackedPlanes:
         return as_planes(patterns, self.compiled.n_inputs)
-
-    @staticmethod
-    def _concat(pieces: list[PackedPlanes], n_patterns: int) -> PackedPlanes:
-        if len(pieces) == 1:
-            return PackedPlanes(pieces[0].value, pieces[0].care, n_patterns)
-        return PackedPlanes(
-            np.concatenate([p.value for p in pieces], axis=1),
-            np.concatenate([p.care for p in pieces], axis=1),
-            n_patterns,
-        )
-
-    def _good_state(self, planes: PackedPlanes) -> tuple[np.ndarray, ...]:
-        return self._good_planes(planes)
-
-    @staticmethod
-    def _detect(plan: _BatchPlan, good: tuple[np.ndarray, ...]) -> np.ndarray:
-        return plan.detect_planes(*good)

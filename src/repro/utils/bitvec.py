@@ -406,6 +406,9 @@ class PackedPatterns:
 
     __slots__ = ("words", "n_patterns", "width")
 
+    #: Bit-planes per word in ``words``: one plane of 0/1 values.
+    m = 1
+
     def __init__(self, words: np.ndarray, n_patterns: int) -> None:
         words = np.asarray(words, dtype=np.uint64)
         if words.ndim != 2:
@@ -588,16 +591,22 @@ class PackedPlanes:
     * ``value`` — the value bit (meaningful only where care is set);
     * ``care``  — the care bit (1 = known 0/1, 0 = unknown X);
 
-    with the invariant ``value & ~care == 0`` (X lanes carry value 0) —
-    the same encoding as the batch PODEM's five-valued lanes
-    (:mod:`repro.atpg.values5`), here along the *pattern* axis.  Like
-    :class:`PackedPatterns`, instances are immutable by convention:
-    plane arrays are shared between views and must not be written to,
-    and bits beyond ``n_patterns`` in the final word are unspecified —
-    consumers mask with :meth:`tail_mask`.
+    with the invariant ``value & ~care == 0`` (X lanes carry value 0).
+    ``words`` holds the two planes side by side on the word axis —
+    ``(width, 2 * n_words)``, value words first — which is the ``m = 2``
+    state layout of :func:`repro.circuit.gates.eval_gates` and
+    :meth:`repro.sim.logic.CompiledCircuit.simulate`, and the batch
+    PODEM's lane layout.  ``value`` and ``care`` are views into it.
+    Like :class:`PackedPatterns`, instances are immutable by
+    convention: the word array is shared between views and must not be
+    written to, and bits beyond ``n_patterns`` in the final word are
+    unspecified — consumers mask with :meth:`tail_mask`.
     """
 
-    __slots__ = ("value", "care", "n_patterns", "width")
+    __slots__ = ("words", "n_patterns", "width")
+
+    #: Bit-planes per word in ``words``: value, then care.
+    m = 2
 
     def __init__(
         self, value: np.ndarray, care: np.ndarray, n_patterns: int
@@ -617,10 +626,19 @@ class PackedPlanes:
                 "plane invariant violated: value bits set on X lanes "
                 "(value & ~care != 0)"
             )
-        self.value = value
-        self.care = care
+        self.words = np.concatenate([value, care], axis=1)
         self.n_patterns = n_patterns
         self.width = int(value.shape[0])
+
+    @property
+    def value(self) -> np.ndarray:
+        """The value plane, ``(width, n_words)``."""
+        return self.words[:, : self.n_words]
+
+    @property
+    def care(self) -> np.ndarray:
+        """The care plane, ``(width, n_words)``."""
+        return self.words[:, self.n_words :]
 
     @classmethod
     def from_packed(cls, packed: PackedPatterns) -> "PackedPlanes":
@@ -669,7 +687,7 @@ class PackedPlanes:
     @property
     def n_words(self) -> int:
         """Number of 64-pattern words per plane row."""
-        return int(self.value.shape[1])
+        return int(self.words.shape[1]) // 2
 
     def tail_mask(self) -> np.ndarray:
         """Per-word mask of valid pattern bits (see

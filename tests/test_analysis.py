@@ -182,7 +182,7 @@ def test_kernel_purity_threeval_is_a_hot_module(tmp_path):
         from repro.utils.kernels import kernel
 
         @kernel
-        def eval_gate_planes(v, c):
+        def eval_gates(v, c):
             return v & c, c
 
         def logic_sim_3v_scalar(codes):
@@ -728,7 +728,6 @@ def test_repo_has_registered_kernels():
 
     # Importing the hot modules populates the registry.
     import repro.atpg.batch_podem  # noqa: F401
-    import repro.atpg.values5  # noqa: F401
     import repro.circuit.gates  # noqa: F401
     import repro.sim.batch  # noqa: F401
     import repro.sim.threeval  # noqa: F401
@@ -738,11 +737,12 @@ def test_repo_has_registered_kernels():
 
     names = KERNELS.names()
     assert len(names) >= 10
-    assert any("eval_gate_words" in name for name in names)
+    assert any(name.endswith("gates.eval_gates") for name in names)
     assert any("_lfsr_walk_values" in name for name in names)
-    # The three-valued plane algebra is registered under the same
-    # purity contract as the 2-valued kernels.
-    assert any("reduce_gate_planes" in name for name in names)
-    assert any("detect_planes" in name for name in names)
-    assert any("_good_planes" in name for name in names)
+    # The one gate kernel, the one fault machine and the one fault-free
+    # simulation serve 0/1 and 0/1/X alike; the three-valued engine
+    # registers only its packing.
+    assert any(name.endswith("_BatchPlan.detect") for name in names)
+    assert any(name.endswith("BatchFaultSimulator._good_values") for name in names)
+    assert any(name.endswith("XFaultSimulator._pack") for name in names)
     assert any("_pack_bit_rows" in name for name in names)

@@ -2,8 +2,8 @@
 
 Three layers, each pinned to an independent reference:
 
-* the five-valued plane algebra (:mod:`repro.atpg.values5`) against a
-  truth-table evaluator written here from the D-algebra definition;
+* the ``m = 2`` lane layout and the one gate kernel's single-gate and
+  segmented shapes against the scalar three-valued oracle;
 * :class:`~repro.atpg.batch_podem.BatchPodem` against the recursive
   :class:`~repro.atpg.podem.Podem` oracle — the batch engine borrows the
   oracle's objective/backtrace per lane and only replaces implication,
@@ -27,22 +27,15 @@ from hypothesis import strategies as st
 from repro.atpg.batch_podem import BatchPodem
 from repro.atpg.engine import AtpgEngine
 from repro.atpg.podem import Podem
-from repro.atpg.values5 import (
-    X3,
-    codes_from_planes,
-    not_planes,
-    planes_from_codes,
-    reduce_gate_planes,
-    reduceat_gate_planes,
-)
-from repro.circuit.gates import GateType
+from repro.circuit.gates import GateType, eval_gate_3v_scalar, eval_gates
 from repro.circuit.generate import GeneratorSpec, generate_circuit
 from repro.circuits import load_circuit
 from repro.faults.collapse import collapse_faults
 from repro.flow.serialize import decode, encode
+from repro.utils.bitvec import PackedPlanes
 
 # ---------------------------------------------------------------------------
-# values5: plane algebra vs a from-the-definition reference
+# the m = 2 lane layout the sweep runs on, against the scalar oracle
 # ---------------------------------------------------------------------------
 
 PLANE_TYPES = [
@@ -56,45 +49,27 @@ PLANE_TYPES = [
     GateType.BUF,
 ]
 
-_INVERTING = {GateType.NAND, GateType.NOR, GateType.XNOR, GateType.NOT}
-
-
-def _ref_gate3(gtype: GateType, codes: list[int]) -> int:
-    """Three-valued gate semantics, straight from the D-algebra: a
-    controlling value decides regardless of X; XOR is X if any fanin is."""
-    if gtype in (GateType.AND, GateType.NAND):
-        if 0 in codes:
-            out = 0
-        elif X3 in codes:
-            out = X3
-        else:
-            out = 1
-    elif gtype in (GateType.OR, GateType.NOR):
-        if 1 in codes:
-            out = 1
-        elif X3 in codes:
-            out = X3
-        else:
-            out = 0
-    elif gtype in (GateType.XOR, GateType.XNOR):
-        out = X3 if X3 in codes else sum(codes) % 2
-    else:  # NOT / BUF
-        out = codes[0]
-    if gtype in _INVERTING and out != X3:
-        out = 1 - out
-    return out
-
-
 codes3 = st.integers(min_value=0, max_value=2)
+
+
+def _words(codes: np.ndarray) -> np.ndarray:
+    """Codes ``(rows, lanes)`` as ``m = 2`` state rows (value | care)."""
+    return PackedPlanes.from_codes(codes).words.copy()
+
+
+def _codes(words: np.ndarray, n_lanes: int) -> np.ndarray:
+    n = words.shape[-1] // 2
+    return PackedPlanes(words[:, :n], words[:, n:], n_lanes).to_codes()
 
 
 @settings(max_examples=60, deadline=None)
 @given(codes=st.lists(codes3, min_size=1, max_size=200))
 def test_planes_roundtrip(codes):
-    v, c = planes_from_codes(np.array(codes, dtype=np.uint8))
-    assert np.all(v & ~c == 0), "value bits must be 0 where care is 0"
-    back = codes_from_planes(v, c, len(codes))
-    assert back.tolist() == codes
+    """Codes survive the side-by-side (value | care) lane layout."""
+    words = _words(np.array([codes], dtype=np.uint8))
+    n = words.shape[1] // 2
+    assert np.all(words[:, :n] & ~words[:, n:] == 0), "value bits must be 0 where care is 0"
+    assert _codes(words, len(codes))[0].tolist() == codes
 
 
 @settings(max_examples=120, deadline=None)
@@ -105,15 +80,14 @@ def test_planes_roundtrip(codes):
     ).filter(lambda rows: len({len(r) for r in rows}) == 1),
 )
 def test_reduce_gate_planes_matches_reference(gtype, fanin_codes):
+    """Random wide gates (arity up to 5, lanes across a word boundary)."""
     if gtype in (GateType.NOT, GateType.BUF):
         fanin_codes = fanin_codes[:1]
     stacked = np.array(fanin_codes, dtype=np.uint8)  # (arity, n_lanes)
-    v, c = planes_from_codes(stacked)
-    out_v, out_c = reduce_gate_planes(gtype, v, c, axis=0)
-    assert np.all(out_v & ~out_c == 0)
-    got = codes_from_planes(out_v, out_c, stacked.shape[1])
+    out = eval_gates(gtype, _words(stacked), 2, axis=0)
+    got = _codes(out[None, :], stacked.shape[1])[0]
     expected = [
-        _ref_gate3(gtype, list(stacked[:, lane]))
+        eval_gate_3v_scalar(gtype, list(stacked[:, lane]))
         for lane in range(stacked.shape[1])
     ]
     assert got.tolist() == expected
@@ -126,32 +100,26 @@ def test_reduce_gate_planes_matches_reference(gtype, fanin_codes):
     seed=st.integers(min_value=0, max_value=2**31),
 )
 def test_reduceat_matches_reduce(gtype, arities, seed):
-    """The segmented (ragged-arity) reduction agrees gate by gate with
-    the rectangular one the simulator uses."""
+    """The segmented (ragged-arity) shape agrees gate by gate with the
+    single-gate shape."""
     if gtype in (GateType.NOT, GateType.BUF):
         arities = [1] * len(arities)
     rng = np.random.default_rng(seed)
     n_lanes = 130  # forces 3 words incl. a partial tail
-    flat_codes = rng.integers(0, 3, size=(sum(arities), n_lanes)).astype(np.uint8)
-    v, c = planes_from_codes(flat_codes)
+    words = _words(rng.integers(0, 3, size=(sum(arities), n_lanes)).astype(np.uint8))
     starts = np.cumsum([0] + arities[:-1]).astype(np.int64)
-    out_v, out_c = reduceat_gate_planes(gtype, v, c, starts)
-    row = 0
-    for gate, arity in enumerate(arities):
-        ref_v, ref_c = reduce_gate_planes(
-            gtype, v[row : row + arity], c[row : row + arity], axis=0
-        )
-        assert np.array_equal(out_v[gate], ref_v)
-        assert np.array_equal(out_c[gate], ref_c)
-        row += arity
+    out = eval_gates(gtype, words.copy(), 2, starts=starts)
+    for gate, (start, arity) in enumerate(zip(starts, arities)):
+        ref = eval_gates(gtype, words[start : start + arity].copy(), 2, axis=0)
+        assert np.array_equal(out[gate], ref)
 
 
 def test_not_planes_involution():
     rng = np.random.default_rng(7)
-    codes = rng.integers(0, 3, size=100).astype(np.uint8)
-    v, c = planes_from_codes(codes)
-    back_v, back_c = not_planes(*not_planes(v, c))
-    assert np.array_equal(back_v, v) and np.array_equal(back_c, c)
+    words = _words(rng.integers(0, 3, size=(1, 100)).astype(np.uint8))
+    once = eval_gates(GateType.NOT, words.copy(), 2, axis=0)
+    twice = eval_gates(GateType.NOT, once[None, :], 2, axis=0)
+    assert np.array_equal(twice, words[0])
 
 
 # ---------------------------------------------------------------------------

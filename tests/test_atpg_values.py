@@ -1,77 +1,94 @@
-"""Tests for the five-valued D-algebra."""
+"""The five-valued D-algebra, as good/faulty two-machine cases through
+the one gate kernel.
+
+A D-algebra value is a (good, faulty) pair of three-valued values.  The
+batch PODEM carries it as ``m = 2`` planes whose words hold the good
+machine first and the faulty machine second — value words
+``[good, faulty]``, then care words ``[good, faulty]`` — so one
+:func:`~repro.circuit.gates.eval_gates` call implies both machines.
+These cases drive that layout with one lane per machine.
+"""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from repro.atpg.values import D, DBAR, ONE, X, ZERO, Value, eval_gate_value
-from repro.circuit.gates import GateType
+from repro.circuit import Circuit, Gate
+from repro.circuit.gates import X3, GateType, eval_gates
+from repro.sim.logic import CompiledCircuit
+
+ZERO, ONE, D, DBAR, X = (0, 0), (1, 1), (1, 0), (0, 1), (X3, X3)
 
 
-class TestValueBasics:
-    def test_constants(self):
-        assert ZERO.is_known and not ZERO.is_d_or_dbar
-        assert ONE.is_known and not ONE.is_d_or_dbar
-        assert D.is_d_or_dbar and DBAR.is_d_or_dbar
-        assert not X.is_known
+def _row(value: tuple[int, int]) -> list[int]:
+    """One fanin's words: value (good, faulty), then care (good, faulty)."""
+    return [int(code == 1) for code in value] + [int(code != X3) for code in value]
 
-    def test_component_validation(self):
-        with pytest.raises(ValueError):
-            Value(3, 0)
 
-    def test_str(self):
-        assert str(D) == "D"
-        assert str(DBAR) == "D'"
-        assert str(ZERO) == "0"
+def _pair(words: np.ndarray) -> tuple[int, int]:
+    v_good, v_faulty, c_good, c_faulty = (int(word) & 1 for word in words)
+    return (v_good if c_good else X3, v_faulty if c_faulty else X3)
 
-    def test_good_known(self):
-        assert D.good_known
-        assert not X.good_known
-        assert Value(1, 2).good_known
+
+def eval5(gtype: GateType, fanins: list[tuple[int, int]]) -> tuple[int, int]:
+    """Evaluate one gate on both machines with the packed kernel."""
+    words = np.array([_row(value) for value in fanins], dtype=np.uint64)
+    return _pair(eval_gates(gtype, words, 2, axis=0))
 
 
 class TestDAlgebra:
     def test_and_with_d(self):
-        assert eval_gate_value(GateType.AND, [D, ONE]) == D
-        assert eval_gate_value(GateType.AND, [D, ZERO]) == ZERO
-        assert eval_gate_value(GateType.AND, [D, DBAR]) == ZERO
+        assert eval5(GateType.AND, [D, ONE]) == D
+        assert eval5(GateType.AND, [D, ZERO]) == ZERO
+        assert eval5(GateType.AND, [D, DBAR]) == ZERO
 
     def test_and_with_x(self):
         # AND(D, X): good = X, faulty = 0
-        assert eval_gate_value(GateType.AND, [D, X]) == Value(2, 0)
+        assert eval5(GateType.AND, [D, X]) == (X3, 0)
 
     def test_or_with_d(self):
-        assert eval_gate_value(GateType.OR, [D, ZERO]) == D
-        assert eval_gate_value(GateType.OR, [D, ONE]) == ONE
-        assert eval_gate_value(GateType.OR, [D, DBAR]) == ONE
+        assert eval5(GateType.OR, [D, ZERO]) == D
+        assert eval5(GateType.OR, [D, ONE]) == ONE
+        assert eval5(GateType.OR, [D, DBAR]) == ONE
 
     def test_not_flips_d(self):
-        assert eval_gate_value(GateType.NOT, [D]) == DBAR
-        assert eval_gate_value(GateType.NOT, [DBAR]) == D
+        assert eval5(GateType.NOT, [D]) == DBAR
+        assert eval5(GateType.NOT, [DBAR]) == D
 
     def test_nand_nor(self):
-        assert eval_gate_value(GateType.NAND, [D, ONE]) == DBAR
-        assert eval_gate_value(GateType.NOR, [D, ZERO]) == DBAR
+        assert eval5(GateType.NAND, [D, ONE]) == DBAR
+        assert eval5(GateType.NOR, [D, ZERO]) == DBAR
 
     def test_xor_propagates_d(self):
-        assert eval_gate_value(GateType.XOR, [D, ZERO]) == D
-        assert eval_gate_value(GateType.XOR, [D, ONE]) == DBAR
-        assert eval_gate_value(GateType.XOR, [D, D]) == ZERO
-        assert eval_gate_value(GateType.XOR, [D, DBAR]) == ONE
+        assert eval5(GateType.XOR, [D, ZERO]) == D
+        assert eval5(GateType.XOR, [D, ONE]) == DBAR
+        assert eval5(GateType.XOR, [D, D]) == ZERO
+        assert eval5(GateType.XOR, [D, DBAR]) == ONE
 
     def test_xnor(self):
-        assert eval_gate_value(GateType.XNOR, [D, ZERO]) == DBAR
+        assert eval5(GateType.XNOR, [D, ZERO]) == DBAR
 
     def test_xor_with_x_is_x(self):
-        assert eval_gate_value(GateType.XOR, [D, X]) == X
+        assert eval5(GateType.XOR, [D, X]) == X
 
     def test_buf_identity(self):
-        assert eval_gate_value(GateType.BUF, [D]) == D
+        assert eval5(GateType.BUF, [D]) == D
 
     def test_constants_eval(self):
-        assert eval_gate_value(GateType.CONST0, []) == ZERO
-        assert eval_gate_value(GateType.CONST1, []) == ONE
+        # Constants have no fanin; the simulator materialises them as
+        # known on both machines, whatever the inputs carry.
+        circuit = Circuit(
+            "consts",
+            ["a"],
+            ["z", "o"],
+            [Gate("z", GateType.CONST0, ()), Gate("o", GateType.CONST1, ())],
+        )
+        compiled = CompiledCircuit(circuit)
+        state = compiled.simulate(np.array([_row(X)], dtype=np.uint64), 2)
+        assert _pair(state[compiled.index["z"]]) == ZERO
+        assert _pair(state[compiled.index["o"]]) == ONE
 
     def test_sources_rejected(self):
         with pytest.raises(ValueError):
-            eval_gate_value(GateType.INPUT, [])
+            eval_gates(GateType.INPUT, np.zeros((1, 4), dtype=np.uint64), 2)

@@ -93,7 +93,7 @@ class TestInjection:
         """A branch-forced gate must read the *faulty* values of its
         other pins when a second fault lies upstream — the case the
         per-fault engines cannot model."""
-        from repro.circuit.gates import eval_gate_bool
+        from repro.circuit.gates import eval_gate_3v_scalar
 
         compiled = CompiledCircuit(c17)
         patterns = _random_patterns(c17, 32, "pair")
@@ -115,7 +115,7 @@ class TestInjection:
                         else values[fanin]
                         for pin, fanin in enumerate(gate.fanins)
                     ]
-                    value = eval_gate_bool(gate.gtype, fanin_values)
+                    value = eval_gate_3v_scalar(gate.gtype, fanin_values)
                 if stem.site.net == net:
                     value = stem.value
                 values[net] = value

@@ -23,6 +23,7 @@ from repro.circuits import CATALOG
 from repro.faults.model import Fault, full_fault_list
 from repro.sim.batch import BatchFaultSimulator, _site_node
 from repro.sim.fault import FaultSimulator, SerialFaultSimulator
+from repro.sim.threeval import XFaultSimulator
 from repro.utils.bitvec import BitVector
 from repro.utils.rng import RngStream
 
@@ -233,21 +234,25 @@ class TestIncrementalPlans:
         ]
 
     def test_subset_plan_matches_cold_plan(self, c17):
-        """detect_words of plan.subset(rows) == detect_words of a plan
-        built from scratch for the surviving fault tuple."""
+        """detect of plan.subset(rows) == detect of a plan built from
+        scratch for the surviving fault tuple, at both plane counts."""
+        from repro.utils.bitvec import PackedPatterns, PackedPlanes
+
         faults = full_fault_list(c17)
         patterns = _random_patterns(c17, 100, seed=31)
         simulator = BatchFaultSimulator(c17, batch_size=len(faults))
-        good = simulator._good_values(patterns)
         full_plan = simulator._plan(tuple(faults))
         rows = [0, 3, 5, len(faults) - 1]
         subset_plan = full_plan.subset(rows)
         cold_plan = simulator._plan(tuple(faults[r] for r in rows))
         mask = _np_tail_mask(len(patterns))
-        np.testing.assert_array_equal(
-            subset_plan.detect_words(good) & mask,
-            cold_plan.detect_words(good) & mask,
-        )
+        packed = PackedPatterns.from_patterns(patterns, c17.n_inputs)
+        for carrier in (packed, PackedPlanes.from_packed(packed)):
+            good = simulator._good_values(carrier.words, carrier.m)
+            np.testing.assert_array_equal(
+                subset_plan.detect(good, carrier.m) & mask,
+                cold_plan.detect(good, carrier.m) & mask,
+            )
 
     def test_subset_rejects_bad_rows(self, c17):
         faults = full_fault_list(c17)
@@ -479,28 +484,36 @@ class TestRowScanMemoryGuard:
     the per-call cell budget, so the scan's transient memory is bounded
     by ``row_chunk_words × batch_size`` cells whatever the row shape."""
 
-    @pytest.mark.parametrize("row_chunk_words", [2, 64])
-    def test_calls_stay_within_budget(self, monkeypatch, row_chunk_words):
+    @pytest.mark.parametrize(
+        "engine, row_chunk_words",
+        [
+            pytest.param(BatchFaultSimulator, 2, id="2"),
+            pytest.param(BatchFaultSimulator, 64, id="64"),
+            pytest.param(XFaultSimulator, 2, id="x-2"),
+            pytest.param(XFaultSimulator, 64, id="x-64"),
+        ],
+    )
+    def test_calls_stay_within_budget(self, monkeypatch, engine, row_chunk_words):
         from repro.circuits import load_circuit
         from repro.sim.batch import CHUNK_BUDGETS, _BatchPlan
 
         calls: list[tuple[int, int]] = []
         goods: list[int] = []
-        detect_words = _BatchPlan.detect_words
+        detect = _BatchPlan.detect
         good_values = BatchFaultSimulator._good_values
 
-        def spy_detect(plan, good):
-            calls.append((plan.n_faults, good.shape[1]))
-            return detect_words(plan, good)
+        def spy_detect(plan, good, m):
+            calls.append((plan.n_faults, good.shape[1] // m))
+            return detect(plan, good, m)
 
-        def spy_good(simulator, patterns):
-            values = good_values(simulator, patterns)
-            goods.append(values.shape[1])
+        def spy_good(simulator, words, m):
+            values = good_values(simulator, words, m)
+            goods.append(values.shape[1] // m)
             return values
 
-        monkeypatch.setattr(_BatchPlan, "detect_words", spy_detect)
+        monkeypatch.setattr(_BatchPlan, "detect", spy_detect)
         monkeypatch.setattr(BatchFaultSimulator, "_good_values", spy_good)
-        simulator = BatchFaultSimulator(
+        simulator = engine(
             load_circuit("c880", scale=0.2), row_chunk_words=row_chunk_words
         )
         _multiword_build(simulator)

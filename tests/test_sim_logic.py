@@ -83,12 +83,12 @@ class TestSimulation:
     def test_wrong_input_row_count(self, c17):
         compiled = CompiledCircuit(c17)
         with pytest.raises(ValueError, match="input rows"):
-            compiled.simulate_words(np.zeros((3, 1), dtype=np.uint64))
+            compiled.simulate(np.zeros((3, 1), dtype=np.uint64))
 
     def test_simulate_words_returns_all_nodes(self, c17):
         compiled = CompiledCircuit(c17)
         words = np.zeros((5, 1), dtype=np.uint64)
-        values = compiled.simulate_words(words)
+        values = compiled.simulate(words)
         assert values.shape == (compiled.n_nodes, 1)
 
 
@@ -144,15 +144,23 @@ class TestHelpers:
         compiled = CompiledCircuit(c17)
         words = np.ones((5, 2), dtype=np.uint64)
         buffer = np.zeros((compiled.n_nodes, 2), dtype=np.uint64)
-        result = compiled.simulate_words(words, out=buffer)
+        result = compiled.simulate(words, out=buffer)
         assert result is buffer
-        np.testing.assert_array_equal(result, compiled.simulate_words(words))
+        np.testing.assert_array_equal(result, compiled.simulate(words))
 
     def test_simulate_words_out_buffer_shape_checked(self, c17):
         compiled = CompiledCircuit(c17)
         words = np.zeros((5, 1), dtype=np.uint64)
         with pytest.raises(ValueError, match="out buffer"):
-            compiled.simulate_words(words, out=np.zeros((1, 1), dtype=np.uint64))
+            compiled.simulate(words, out=np.zeros((1, 1), dtype=np.uint64))
+        # At m = 2 the buffer holds both planes side by side.
+        planes = np.zeros((5, 2), dtype=np.uint64)
+        with pytest.raises(ValueError, match="out buffer"):
+            compiled.simulate(
+                planes, 2, out=np.zeros((compiled.n_nodes, 1), dtype=np.uint64)
+            )
+        buffer = np.empty((compiled.n_nodes, 2), dtype=np.uint64)
+        assert compiled.simulate(planes, 2, out=buffer) is buffer
 
 
 class TestLevelization:

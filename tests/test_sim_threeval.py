@@ -5,8 +5,10 @@ Every layer of the 0/1/X stack is pinned against something independent:
 * **carrier** — :class:`PackedPlanes` round-trips (codes <-> planes,
   X-free planes <-> :class:`PackedPatterns`) over hypothesis-driven
   widths 1..130, plus the scalar packing oracle;
-* **gate algebra** — the packed plane kernels vs the scalar
-  :func:`eval_gate_3v_scalar` oracle, exhaustively per gate type;
+* **gate algebra** — one-gate circuits through the 3-valued simulator
+  vs the scalar :func:`eval_gate_3v_scalar` oracle, exhaustively per
+  gate type (the kernel-level differential lives in
+  ``tests/test_circuit_gates.py``);
 * **simulation** — 3-valued collapses *bit-identically* to the 2-valued
   engine on X-free input (every catalog circuit), matches the scalar 3V
   oracle with X, and is X-monotone: forcing inputs to X never flips a
@@ -26,14 +28,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.circuit import full_scan_view, partial_scan_view
-from repro.circuit.gates import (
-    X3,
-    GateType,
-    eval_gate_3v_scalar,
-    eval_gate_planes,
-    reduce_gate_planes,
-)
+from repro.circuit import Circuit, Gate, full_scan_view, partial_scan_view
+from repro.circuit.gates import X3, GateType, eval_gate_3v_scalar, eval_gates
 from repro.circuits import load_circuit
 from repro.circuits.catalog import catalog_names
 from repro.faults import collapse_faults
@@ -152,22 +148,25 @@ class TestPackedPlanes:
 
 
 class TestPlaneAlgebra:
+    """The ``m = 2`` gate algebra as the 3-valued simulator runs it.
+
+    The exhaustive kernel-vs-oracle differential is in
+    ``tests/test_circuit_gates.py``; these cases pin the simulator's use
+    of it: one-gate circuits through :func:`logic_sim_3v`, group
+    evaluation against single-gate evaluation, and the plane invariant.
+    """
+
     @pytest.mark.parametrize("gtype", PLANE_GATES)
     @pytest.mark.parametrize("arity", [1, 2, 3])
     def test_eval_gate_planes_matches_scalar(self, gtype, arity):
         if gtype in (GateType.NOT, GateType.BUF) and arity != 1:
             pytest.skip("single-fanin gate")
-        # Exhaustive over all 3^arity fanin code combinations.
+        # Exhaustive over all 3^arity fanin code combinations, one
+        # pattern each, through a one-gate circuit.
         combos = np.indices((3,) * arity).reshape(arity, -1).astype(np.uint8)
-        planes = PackedPlanes.from_codes(combos)
-        fanin_v = [planes.value[i] for i in range(arity)]
-        fanin_c = [planes.care[i] for i in range(arity)]
-        out_v, out_c = eval_gate_planes(gtype, fanin_v, fanin_c)
-        got = PackedPlanes(
-            out_v[None, :] & planes.tail_mask(),
-            out_c[None, :] & planes.tail_mask(),
-            planes.n_patterns,
-        ).to_codes()[0]
+        inputs = [f"i{k}" for k in range(arity)]
+        circuit = Circuit("one_gate", inputs, ["y"], [Gate("y", gtype, tuple(inputs))])
+        got = logic_sim_3v(circuit, PackedPlanes.from_codes(combos)).to_codes()[0]
         want = [
             eval_gate_3v_scalar(gtype, list(combos[:, k]))
             for k in range(combos.shape[1])
@@ -177,31 +176,20 @@ class TestPlaneAlgebra:
     @pytest.mark.parametrize("gtype", PLANE_GATES)
     def test_reduce_matches_eval(self, gtype):
         arity = 1 if gtype in (GateType.NOT, GateType.BUF) else 3
-        codes = _random_codes(arity, 130, seed=7)
-        planes = PackedPlanes.from_codes(codes)
-        # Stacked-fanin form: one "gate" whose fanin axis is axis 0.
-        rv, rc = reduce_gate_planes(
-            gtype, planes.value[:, None, :], planes.care[:, None, :], axis=0
-        )
-        ev, ec = eval_gate_planes(
-            gtype,
-            [planes.value[i] for i in range(arity)],
-            [planes.care[i] for i in range(arity)],
-        )
-        assert np.array_equal(rv[0], ev)
-        assert np.array_equal(rc[0], ec)
+        words = PackedPlanes.from_codes(_random_codes(arity, 130, seed=7)).words
+        # Group form (gates, arity, words) as simulate gathers it, with
+        # one gate; against the single-gate form.
+        group = eval_gates(gtype, words[None].copy(), 2, axis=1)
+        single = eval_gates(gtype, words.copy(), 2, axis=0)
+        assert np.array_equal(group[0], single)
 
     def test_invariant_preserved(self):
-        codes = _random_codes(3, 200, seed=11)
-        planes = PackedPlanes.from_codes(codes)
+        words = PackedPlanes.from_codes(_random_codes(3, 200, seed=11)).words
+        n = words.shape[1] // 2
         for gtype in PLANE_GATES:
             arity = 1 if gtype in (GateType.NOT, GateType.BUF) else 3
-            out_v, out_c = eval_gate_planes(
-                gtype,
-                [planes.value[i] for i in range(arity)],
-                [planes.care[i] for i in range(arity)],
-            )
-            assert not np.any(out_v & ~out_c), gtype
+            out = eval_gates(gtype, words[:arity].copy(), 2, axis=0)
+            assert not np.any(out[:n] & ~out[n:]), gtype
 
     def test_scalar_oracle_rejects_bad_codes(self):
         with pytest.raises(ValueError):
@@ -226,9 +214,10 @@ class TestThreeValuedSimulation:
         )
         packed = PackedPatterns(words, n_patterns)
         mask = packed.tail_mask()
-        good2 = compiled.simulate_words(packed.words)
+        good2 = compiled.simulate(packed.words)
         planes = as_planes(packed, circuit.n_inputs)
-        v, c = compiled.simulate_planes(planes.value, planes.care)
+        state = compiled.simulate(planes.words, planes.m)
+        v, c = state[:, :n_words], state[:, n_words:]
         assert np.array_equal(v & mask, good2 & mask)
         assert np.all((c & mask) == mask)
 
