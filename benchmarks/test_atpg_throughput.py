@@ -49,7 +49,6 @@ FLOOR_BACKTRACK_LIMIT = 64
 #: Batch geometry for the floor run: wider than the engine default to
 #: keep lane occupancy high across the whole fault list.
 FLOOR_BATCH_SIZE = 384
-FLOOR_SCALAR_TAIL = 16
 
 #: Required batch-vs-recursive advantage on the full-size workload
 #: (acceptance floor 3x; measured ~3.2-3.7x on the reference container).
@@ -183,7 +182,6 @@ def test_batch_speedup_floor():
         faults,
         FLOOR_BACKTRACK_LIMIT,
         batch_size=FLOOR_BATCH_SIZE,
-        scalar_tail_lanes=FLOOR_SCALAR_TAIL,
     )
     # Same workload, identical results fault for fault — the speedup is
     # not bought with a different search.

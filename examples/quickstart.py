@@ -51,9 +51,9 @@ def main() -> None:
     )
 
     # --- stage 4: trimming ------------------------------------------------
-    selected = [initial.triplets[row] for row in cover.selected]
-    trimmed = trim_solution(circuit, tpg, selected, atpg.target_faults,
-                            simulator=engine.simulator)
+    # The matrix build recorded each cell's first detecting pattern, so
+    # trimming the selected rows simulates nothing.
+    trimmed = trim_solution(matrix, cover.selected)
     print(f"Final reseeding: {trimmed.n_triplets} triplets, "
           f"global test length {trimmed.test_length}")
     for index, triplet in enumerate(trimmed.solution.triplets):

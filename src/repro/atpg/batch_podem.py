@@ -35,11 +35,8 @@ The differential suite in ``tests/test_atpg_batch.py`` pins this.
 Lanes resolve independently; :meth:`stream` reseats freed lanes from
 the queue immediately, and :meth:`drop` lets the driving engine retire
 queued *and mid-search* lanes as soon as some freshly generated pattern
-covers their fault (fault dropping between PODEM targets).  Once the
-queue is dry and only a handful of straggler lanes remain, the stream
-hands them to the recursive oracle one by one (``scalar_tail_lanes``):
-a near-empty sweep costs the same as a full one, while the scalar
-restart is deterministic and returns the very same result.
+covers their fault (fault dropping between PODEM targets).  Every
+lane, straggler or not, runs to its verdict in the sweeps.
 """
 
 from __future__ import annotations
@@ -70,10 +67,6 @@ _ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 #: 256 keeps occupancy high enough to amortize the per-sweep numpy call
 #: overhead on every catalog circuit; benchmarks may push higher.
 DEFAULT_LANES = 256
-
-#: Queue-dry lane count at which the stream falls back to the scalar
-#: oracle for the stragglers (sweeps stop amortizing below this).
-DEFAULT_SCALAR_TAIL = 8
 
 
 class _Lane:
@@ -112,9 +105,7 @@ class BatchPodem:
     ``backtrack_limit`` / ``heuristic`` mean exactly what they mean on
     the recursive :class:`~repro.atpg.podem.Podem` (the per-lane search
     *is* that implementation).  ``batch_size`` is the lane count per
-    implication sweep; ``scalar_tail_lanes`` is the queue-dry occupancy
-    below which stragglers go to the scalar oracle (0 disables the
-    fallback); ``simulator`` optionally donates its already compiled
+    implication sweep; ``simulator`` optionally donates its already compiled
     circuit so the engine, the fault simulator and the batch PODEM
     share one levelized plan.
     """
@@ -125,7 +116,6 @@ class BatchPodem:
         backtrack_limit: int = 250,
         heuristic: str = "level",
         batch_size: int = DEFAULT_LANES,
-        scalar_tail_lanes: int = DEFAULT_SCALAR_TAIL,
         simulator: BatchFaultSimulator | None = None,
     ) -> None:
         if batch_size < 1:
@@ -133,10 +123,8 @@ class BatchPodem:
         self.circuit = circuit
         self.backtrack_limit = backtrack_limit
         self.batch_size = batch_size
-        self.scalar_tail_lanes = scalar_tail_lanes
-        #: The recursive implementation, reused for structure, for the
-        #: per-lane search machinery (objective/backtrace/frontier) and
-        #: for the queue-dry straggler fallback.
+        #: The recursive implementation, reused for structure and for
+        #: the per-lane search machinery (objective/backtrace/frontier).
         self._oracle = Podem(
             circuit, backtrack_limit=backtrack_limit, heuristic=heuristic
         )
@@ -181,7 +169,6 @@ class BatchPodem:
         self.lanes_seated = 0
         self.backtracks_total = 0
         self.decisions_total = 0
-        self.tail_finishes = 0
 
     #: Inverting types fold into their base type for the sweep; the
     #: inversion is applied per level as one vectorized fixup.
@@ -278,21 +265,6 @@ class BatchPodem:
             active = [lane for lane in lanes if lane is not None]
             if not active:
                 return
-            if not self._queue and len(active) <= self.scalar_tail_lanes:
-                # Straggler tail: sweeps stop amortizing, and the scalar
-                # restart is deterministic — same result, no shared cost.
-                for lane in active:
-                    self._unseat(lane)
-                    if lane.fault in self._dropped:
-                        continue
-                    result = self._oracle.generate(lane.fault)
-                    self.tail_finishes += 1
-                    self.backtracks_total += result.backtracks
-                    self.decisions_total += result.decisions
-                    if lane.fault in self._dropped:
-                        continue  # dropped while yielding an earlier one
-                    yield lane.fault, result
-                continue
             self._imply()
             detect, good3, faulty3, d_index = self._unpack_round()
             resolved: list[tuple[Fault, PodemResult]] = []
@@ -329,14 +301,13 @@ class BatchPodem:
 
     def counters(self) -> dict[str, int]:
         """Cumulative search-effort counters for this engine instance:
-        lanes seated, implication rounds (sweeps), backtracks and
-        decisions across all lanes, and scalar tail-finishes."""
+        lanes seated, implication rounds (sweeps), and backtracks and
+        decisions across all lanes."""
         return {
             "lanes_seated": self.lanes_seated,
             "rounds": self.sweeps,
             "backtracks": self.backtracks_total,
             "decisions": self.decisions_total,
-            "tail_finishes": self.tail_finishes,
         }
 
     def _seat(self, col: int, fault: Fault) -> None:

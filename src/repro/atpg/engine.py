@@ -395,7 +395,6 @@ class AtpgEngine:
             "rounds": "Batched implication sweeps (rounds).",
             "backtracks": "PODEM decision backtracks across all lanes.",
             "decisions": "PODEM decisions across all lanes.",
-            "tail_finishes": "Straggler faults finished by the scalar tail.",
         }
         for key, value in counters.items():
             self.telemetry.counter(

@@ -91,9 +91,8 @@ class FaultDictionary:
         (one singleton pattern set per row).
 
         Bit-identical to :meth:`build`; it trades the 64-pattern word
-        parallelism for bounded memory, which is the right shape when
-        the pattern sequence is produced incrementally (and it doubles
-        as the differential check of the two engines' agreement).
+        parallelism for the row scan's per-row verdicts, and doubles as
+        the differential check of the two engines' agreement.
         """
         faults = list(faults) if faults is not None else collapse_faults(circuit)
         simulator = simulator or BatchFaultSimulator(circuit)

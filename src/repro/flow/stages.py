@@ -262,20 +262,17 @@ class TrimStage(Stage):
     """Per-triplet test-length trimming (paper Section 4)."""
 
     name = "trim"
-    requires = ("atpg", "selected")
+    requires = ("initial", "cover")
     provides = ("trimmed",)
 
     def run(self, ctx: StageContext) -> bool:
         if self._already_done(ctx):
             return True
-        atpg = ctx.artifacts["atpg"]
+        # The matrix build recorded every cell's first detecting
+        # pattern; trimming reads those offsets and simulates nothing.
         trimmed = trim_solution(
-            ctx.circuit,
-            ctx.tpg,
-            ctx.artifacts["selected"],
-            atpg.target_faults,
-            simulator=ctx.simulator,
-            evolve=ctx.evolution_cache,
+            ctx.artifacts["initial"].detection_matrix,
+            ctx.artifacts["cover"].selected,
         )
         if trimmed.undetected:
             raise AssertionError(

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from repro.circuit.netlist import Circuit
 from repro.faults.model import Fault
 from repro.gatsby.ga import GaConfig, GeneticAlgorithm
+from repro.reseeding.detection_matrix import build_detection_matrix
 from repro.reseeding.triplet import ReseedingSolution, Triplet
 from repro.reseeding.trim import TrimmedSolution, trim_solution
 from repro.sim.batch import BatchFaultSimulator
@@ -120,9 +121,10 @@ class GatsbyReseeder:
             patterns = triplet.packed_test_set(self.tpg)
             flags = self.simulator.detected(patterns, remaining)
             remaining = [f for f, hit in zip(remaining, flags) if not hit]
-        trimmed = trim_solution(
+        matrix = build_detection_matrix(
             self.circuit, self.tpg, triplets, faults, simulator=self.simulator
         )
+        trimmed = trim_solution(matrix, range(len(triplets)))
         covered = len(faults) - len(trimmed.undetected)
         coverage = covered / len(faults) if faults else 1.0
         return GatsbyResult(

@@ -7,7 +7,9 @@ fault ``j``.  The optimal-reseeding problem is then::
     minimize   sum(x)
     subject to D^T x >= 1,   x in {0,1}^M
 
-i.e. unate set covering over the rows.
+i.e. unate set covering over the rows.  The build also keeps, per cell,
+the index of the first detecting pattern (``offsets``), which the
+Section-4 trim reads instead of simulating again.
 """
 
 from __future__ import annotations
@@ -19,18 +21,31 @@ import numpy as np
 from repro.circuit.netlist import Circuit
 from repro.faults.model import Fault
 from repro.reseeding.triplet import EvolveBatch, Triplet, packed_test_sets
-from repro.sim.batch import BatchFaultSimulator, parallel_detection_rows
+from repro.sim.batch import (
+    BatchFaultSimulator,
+    detected_mask,
+    offset_dtype,
+    parallel_detection_rows,
+)
 from repro.sim.fault import FaultSimulator
 from repro.tpg.base import TestPatternGenerator
 
 
 @dataclass
 class DetectionMatrix:
-    """Rows = triplets, columns = faults, boolean detection entries."""
+    """Rows = triplets, columns = faults, boolean detection entries.
+
+    ``offsets`` is the first-detection table the build recorded: entry
+    ``[i, j]`` is the index of triplet ``i``'s first pattern detecting
+    fault ``j``, or the dtype's max if none does (``matrix`` is
+    ``offsets != max``).  It lives in memory only; a matrix rebuilt from
+    a stored result has ``offsets=None``.
+    """
 
     triplets: list[Triplet]
     faults: list[Fault]
     matrix: np.ndarray  # bool, shape (n_triplets, n_faults)
+    offsets: np.ndarray | None = None  # narrow unsigned, same shape
 
     def __post_init__(self) -> None:
         expected = (len(self.triplets), len(self.faults))
@@ -40,6 +55,18 @@ class DetectionMatrix:
             )
         if self.matrix.dtype != np.bool_:
             self.matrix = self.matrix.astype(bool)
+        if self.offsets is not None and self.offsets.shape != expected:
+            raise ValueError(
+                f"offsets shape {self.offsets.shape} != (triplets, faults) {expected}"
+            )
+
+    @classmethod
+    def from_offsets(
+        cls, triplets: list[Triplet], faults: list[Fault], offsets: np.ndarray
+    ) -> "DetectionMatrix":
+        """The matrix of a first-detection table: a cell is 1 iff its
+        offset is a detection (:func:`~repro.sim.batch.detected_mask`)."""
+        return cls(list(triplets), list(faults), detected_mask(offsets), offsets)
 
     @property
     def n_triplets(self) -> int:
@@ -102,10 +129,12 @@ def build_detection_matrix(
     so the rows reach the simulator already packed — no per-pattern
     Python loop, no re-packing (``evolve`` swaps in the session's
     caching provider).  Rows are streamed through
-    :meth:`BatchFaultSimulator.detection_matrix_rows`,
+    :meth:`BatchFaultSimulator.first_detection_rows`,
     which packs them word-aligned into chunks — every row reuses the
     same cached cone-union schedules, and a whole chunk of rows shares
-    one fault-free simulation and one ``_BatchPlan.detect`` per fault batch.
+    one fault-free simulation and one ``_BatchPlan.detect`` per fault
+    batch — and each row's first-detection offsets are written into the
+    matrix's ``offsets`` table as it arrives.
     ``workers=N`` opts in to row-parallel construction over a process
     pool: the packed rows and pre-built plans are shared with the
     workers (``multiprocessing.shared_memory`` / fork inheritance), so
@@ -114,12 +143,13 @@ def build_detection_matrix(
     """
     pattern_sets = packed_test_sets(tpg, triplets, evolve=evolve)
     if workers is not None and workers > 1:
-        matrix = parallel_detection_rows(circuit, pattern_sets, faults, workers)
+        offsets = parallel_detection_rows(circuit, pattern_sets, faults, workers)
     else:
         simulator = simulator or FaultSimulator(circuit)
-        matrix = np.zeros((len(triplets), len(faults)), dtype=bool)
+        dtype = offset_dtype(max((len(p) for p in pattern_sets), default=0))
+        offsets = np.empty((len(triplets), len(faults)), dtype=dtype)
         for row, values in enumerate(
-            simulator.detection_matrix_rows(pattern_sets, faults)
+            simulator.first_detection_rows(pattern_sets, faults)
         ):
-            matrix[row, :] = values
-    return DetectionMatrix(list(triplets), list(faults), matrix)
+            offsets[row] = values
+    return DetectionMatrix.from_offsets(triplets, faults, offsets)

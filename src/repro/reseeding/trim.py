@@ -12,18 +12,13 @@ coverage.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
-from repro.circuit.netlist import Circuit
+import numpy as np
+
 from repro.faults.model import Fault
-from repro.reseeding.triplet import (
-    EvolveBatch,
-    ReseedingSolution,
-    Triplet,
-    packed_test_sets,
-)
-from repro.sim.batch import BatchFaultSimulator
-from repro.sim.fault import FaultSimulator
-from repro.tpg.base import TestPatternGenerator
+from repro.reseeding.detection_matrix import DetectionMatrix
+from repro.reseeding.triplet import ReseedingSolution, Triplet
 
 
 @dataclass(frozen=True)
@@ -50,49 +45,44 @@ class TrimmedSolution:
 
 
 def trim_solution(
-    circuit: Circuit,
-    tpg: TestPatternGenerator,
-    triplets: list[Triplet],
-    faults: list[Fault],
-    simulator: BatchFaultSimulator | None = None,
-    evolve: EvolveBatch | None = None,
+    matrix: DetectionMatrix, selected: Sequence[int]
 ) -> TrimmedSolution:
-    """Trim each triplet to its last useful pattern, in sequence order.
+    """Trim each selected triplet to its last useful pattern, in sequence order.
 
-    The selected triplets' test sets are evolved up front as one
-    seed-axis :meth:`~repro.tpg.base.TestPatternGenerator.evolve_batch`
-    bank per shared length (``evolve`` swaps in the session's caching
-    provider) and fed to the simulator in packed form.  Processing
-    triplets in the given order with fault dropping: for each
-    triplet, find the first-detection index of every still-undetected
-    fault; the triplet's trimmed length is ``1 + max`` of those indices
-    (at least 1, since the seed pattern itself is always applied).
-    Coverage over ``faults`` is exactly preserved (property-tested).
+    Rows ``selected`` of ``matrix`` run in the given order over
+    ``matrix.faults``.  A row's trimmed length is ``1 + max`` of its
+    first-detection offsets over the still-undetected faults it
+    detects, and those faults are then detected; a row that detects
+    nothing new keeps only its seed pattern.  The offsets are the ones
+    the matrix build recorded (:attr:`DetectionMatrix.offsets`), so
+    trimming is an array reduction that simulates nothing.  Coverage
+    over the matrix's faults is exactly preserved (property-tested).
     """
-    simulator = simulator or FaultSimulator(circuit)
-    remaining = list(faults)
+    offsets = matrix.offsets
+    if offsets is None:
+        raise ValueError(
+            "trim_solution needs the Detection Matrix's first-detection "
+            "offsets, which a matrix decoded from a stored result does not "
+            "carry; rebuild it with build_detection_matrix"
+        )
+    remaining = np.arange(matrix.n_faults)
     trimmed: list[Triplet] = []
     deltas: list[int] = []
-    pattern_rows = packed_test_sets(tpg, triplets, evolve=evolve)
-    for triplet, patterns in zip(triplets, pattern_rows):
-        if not remaining or not patterns:
+    for row in selected:
+        triplet = matrix.triplets[row]
+        hits = matrix.matrix[row, remaining]
+        n_hits = int(np.count_nonzero(hits))
+        if n_hits:
+            last = int(offsets[row, remaining[hits]].max())
+            trimmed.append(triplet.with_length(last + 1))
+            remaining = remaining[~hits]
+        else:
+            # The covering pass never selects a useless triplet, but
+            # tolerate one: keep only the seed pattern.
             trimmed.append(triplet.with_length(min(1, triplet.length)))
-            deltas.append(0)
-            continue
-        first_hits = simulator.first_detection_index(patterns, remaining)
-        hit_indices = [i for i in first_hits if i is not None]
-        if not hit_indices:
-            # The covering pass should never select a useless triplet,
-            # but tolerate it: keep only the seed pattern.
-            trimmed.append(triplet.with_length(min(1, triplet.length)))
-            deltas.append(0)
-            continue
-        keep_length = max(hit_indices) + 1
-        trimmed.append(triplet.with_length(keep_length))
-        deltas.append(len(hit_indices))
-        remaining = [
-            fault for fault, hit in zip(remaining, first_hits) if hit is None
-        ]
+        deltas.append(n_hits)
     return TrimmedSolution(
-        ReseedingSolution.from_list(trimmed), tuple(deltas), tuple(remaining)
+        ReseedingSolution.from_list(trimmed),
+        tuple(deltas),
+        tuple(matrix.faults[index] for index in remaining),
     )

@@ -64,7 +64,12 @@ cells, with **per-row fault dropping** between calls: a fault stops
 being simulated once every row that still has unscanned words has
 detected it, and a row stops being scanned once it has detected every
 fault still simulated.  One-word rows have nothing to drop and scan
-every cell.  :func:`parallel_detection_rows` fans row chunks out
+every cell.  The scan records each (row, fault) cell's **first
+detecting pattern** as it goes (:meth:`first_detection_rows`): a row's
+words are visited in order, so its first non-zero detect word and that
+word's lowest set bit are the first detection, at no extra fault-machine
+work; the Detection Matrix row is the detected-or-not view of those
+offsets.  :func:`parallel_detection_rows` fans row chunks out
 over a process pool for an opt-in ``workers=N`` construction path; the
 packed pattern state is shared with the workers through a
 ``multiprocessing.shared_memory`` block (pickled once per worker on
@@ -107,6 +112,30 @@ DEFAULT_ROW_CHUNK_WORDS = 64
 #: A detection-row chunk's fault-free state holds at most this many
 #: ``row_chunk_words`` budgets of words (a longer row is its own chunk).
 CHUNK_BUDGETS = 4
+
+
+def offset_dtype(n_patterns: int) -> np.dtype:
+    """The first-detection offset dtype of rows of at most
+    ``n_patterns`` patterns: the narrowest unsigned integer whose max,
+    the "not detected" sentinel, exceeds every offset — ``uint8`` up to
+    255 patterns, ``uint16`` up to 65535, wider above that."""
+    return np.min_scalar_type(max(0, int(n_patterns)))
+
+
+def detected_mask(offsets: np.ndarray) -> np.ndarray:
+    """The detected-or-not view of first-detection offsets: True where
+    an offset is not its dtype's max, the "not detected" sentinel."""
+    return offsets != np.iinfo(offsets.dtype).max
+
+
+@kernel
+def _low_bit_index(words: np.ndarray) -> np.ndarray:
+    """Bit position of the lowest set bit of each non-zero ``uint64``
+    word: the bit is isolated (``w & (~w + 1)``), and a power of two is
+    exact in ``float64``, so ``frexp`` reads its exponent exactly."""
+    low = words & (~words + np.uint64(1))
+    return np.frexp(low.astype(np.float64))[1] - 1
+
 
 #: Cached cone-union schedules per simulator (LRU).  Callers that batch
 #: a stable fault list (Detection Matrix rows, fault-dropping scans)
@@ -571,7 +600,22 @@ class BatchFaultSimulator:
     ) -> Iterator[np.ndarray]:
         """Stream Detection Matrix rows: one boolean ``(n_faults,)`` row
         per pattern set, ``row[f]`` True iff some pattern detects fault
-        ``f``.
+        ``f`` — the detected-or-not view of :meth:`first_detection_rows`,
+        whose scan (and arguments) it shares."""
+        for row in self.first_detection_rows(pattern_sets, faults, row_chunk_words):
+            yield detected_mask(row)
+
+    def first_detection_rows(
+        self,
+        pattern_sets: Iterable[PatternsLike],
+        faults: Sequence[Fault],
+        row_chunk_words: int | None = None,
+    ) -> Iterator[np.ndarray]:
+        """Stream first-detection rows: one ``(n_faults,)`` row per
+        pattern set, ``row[f]`` the index of the first pattern that
+        detects fault ``f``, or the dtype's max if none does.  Every row
+        has dtype :func:`offset_dtype` of the longest pattern set
+        (``uint8`` while no set exceeds 255 patterns).
 
         The fault batching is fixed up front, so every row reuses the
         same cached cone-union schedules.  ``row_chunk_words`` (default:
@@ -585,10 +629,23 @@ class BatchFaultSimulator:
         (:meth:`_scan_rows`): a fault stops being simulated once every
         row that still has unscanned words has detected it, and a row
         stops being scanned once it has detected every fault still
-        simulated.  Rows are bit-identical to per-row simulation under
-        any budget; one-word rows scan every fault × word cell, exactly
-        as an unchunked schedule does.
+        simulated.  Offsets equal per-row :meth:`first_detection_index`
+        under any budget; one-word rows scan every fault × word cell,
+        exactly as an unchunked schedule does.
         """
+        carriers = [self._pack(patterns) for patterns in pattern_sets]
+        dtype = offset_dtype(max((c.n_patterns for c in carriers), default=0))
+        yield from self._offset_rows(carriers, faults, dtype, row_chunk_words)
+
+    def _offset_rows(
+        self,
+        carriers: list[PackedPatterns],
+        faults: Sequence[Fault],
+        dtype: np.dtype,
+        row_chunk_words: int | None = None,
+    ) -> Iterator[np.ndarray]:
+        """:meth:`first_detection_rows` over packed rows, at a given
+        offset ``dtype`` (a worker shares its table's dtype)."""
         faults = list(faults)
         budget = (
             self.row_chunk_words if row_chunk_words is None else row_chunk_words
@@ -597,31 +654,34 @@ class BatchFaultSimulator:
             raise ValueError(f"row_chunk_words must be >= 1, got {budget}")
         limit = CHUNK_BUDGETS * budget
         order, plans = self._batch_plans(faults)
-        chunk: list = []
+        chunk: list[PackedPatterns] = []
         chunk_words = 0
-        for patterns in pattern_sets:
-            carrier = self._pack(patterns)
+        for carrier in carriers:
             if chunk and chunk_words + carrier.n_words > limit:
-                yield from self._row_chunk(chunk, order, plans, budget)
+                yield from self._row_chunk(chunk, order, plans, budget, dtype)
                 chunk, chunk_words = [], 0
             chunk.append(carrier)
             chunk_words += carrier.n_words
         if chunk:
-            yield from self._row_chunk(chunk, order, plans, budget)
+            yield from self._row_chunk(chunk, order, plans, budget, dtype)
 
     def _row_chunk(
         self,
-        chunk: list,
+        chunk: list[PackedPatterns],
         order: np.ndarray,
         plans: list[_BatchPlan],
         budget: int,
+        dtype: np.dtype,
     ) -> Iterator[np.ndarray]:
         """Simulate one word-aligned chunk of packed rows together and
-        yield its per-row detection rows in order.  ``plans`` cover the
-        faults in batch order; ``order`` maps batch order back to the
-        caller's fault columns."""
+        yield its per-row first-detection rows in order.  ``plans``
+        cover the faults in batch order; ``order`` maps batch order back
+        to the caller's fault columns."""
         n_faults = order.size
-        rows = np.zeros((len(chunk), n_faults), dtype=bool)
+        sentinel = np.iinfo(dtype).max
+        # A fresh table per chunk: the yielded rows are views of it that
+        # no later chunk touches.
+        rows = np.full((len(chunk), n_faults), sentinel, dtype=dtype)
         non_empty = [index for index, c in enumerate(chunk) if c.n_words]
         if non_empty and n_faults:
             pieces = [chunk[index] for index in non_empty]
@@ -644,20 +704,17 @@ class BatchFaultSimulator:
             # all rows' word 0, then all rows' word 1, and so on.
             offsets = np.arange(int(lengths.max()))
             pair_offset, pair_row = np.nonzero(offsets[:, None] < lengths)
-            pairs = (pair_row, starts[pair_row] + pair_offset)
-            verdicts = np.zeros((len(pieces), n_faults), dtype=bool)
+            pairs = (pair_row, starts[pair_row] + pair_offset, pair_offset * 64)
+            found = np.full((len(pieces), n_faults), sentinel, dtype=dtype)
             column = 0
             for plan in plans:
                 self._scan_rows(
                     plan, good, m, mask, pairs, budget,
-                    verdicts[:, column : column + plan.n_faults],
+                    found[:, column : column + plan.n_faults],
                 )
                 column += plan.n_faults
-            rows[np.array(non_empty)[:, None], order] = verdicts
-        for row in rows:
-            # Independent arrays, not views of the chunk buffer — rows
-            # stay safe to mutate, exactly like the per-row engine's.
-            yield row.copy()
+            rows[np.array(non_empty)[:, None], order] = found
+        yield from rows
 
     def _scan_rows(
         self,
@@ -665,50 +722,61 @@ class BatchFaultSimulator:
         good: np.ndarray,
         m: int,
         mask: np.ndarray,
-        pairs: tuple[np.ndarray, np.ndarray],
+        pairs: tuple[np.ndarray, np.ndarray, np.ndarray],
         budget: int,
-        verdict: np.ndarray,
+        first: np.ndarray,
     ) -> None:
-        """Fill ``verdict`` (``(n_rows, plan.n_faults)``, all False) with
-        one fault batch's per-row verdicts over a chunk, by a budgeted
-        offset-major scan with fault dropping.
+        """Fill ``first`` (``(n_rows, plan.n_faults)``, all sentinel)
+        with one fault batch's per-row first-detection offsets over a
+        chunk, by a budgeted offset-major scan with fault dropping.
 
-        ``pairs`` is ``(row, chunk word column)`` per word of the chunk,
-        in scan order.  Each call simulates the next ``budget ×
-        batch_size // live`` pending columns for the ``live`` faults
-        still simulated, so every call carries at most ``budget ×
-        batch_size`` fault × word cells, and about that many while
-        enough columns are pending (a near-constant call size keeps the
-        allocator from fragmenting).  After each call a fault that every
-        row with pending words has detected is retired (an O(batch) plan
-        subset), and the pending words of a row that has detected every
-        live fault are dropped.  Neither can change a verdict: a retired
-        fault is already set on every row that could still detect it,
-        and a dropped row has nothing left to find.
+        ``pairs`` is ``(row, chunk word column, first pattern of the
+        word)`` per word of the chunk, in scan order.  Each call
+        simulates the next ``budget × batch_size // live`` pending
+        columns for the ``live`` faults still simulated, so every call
+        carries at most ``budget × batch_size`` fault × word cells, and
+        about that many while enough columns are pending (a
+        near-constant call size keeps the allocator from fragmenting).
+        A hit's offset is its word's first pattern plus the lowest set
+        bit of the masked detect word; a cell keeps the least offset
+        seen.  After each call a fault that every row with pending words
+        has detected is retired (an O(batch) plan subset), and the
+        pending words of a row that has detected every live fault are
+        dropped.  Neither can change an offset: a row's words are
+        scanned in order, so a row that has detected a fault has
+        already scanned every earlier word, and a retired fault or a
+        dropped row has no first detection left to find.
         """
-        pending_row, pending_col = pairs
+        pending_row, pending_col, pending_base = pairs
         live = np.arange(plan.n_faults)
         while pending_row.size:
             take = budget * self.batch_size // live.size
-            row, col = pending_row[:take], pending_col[:take]
-            pending_row, pending_col = pending_row[take:], pending_col[take:]
+            row, col, base = pending_row[:take], pending_col[:take], pending_base[:take]
+            pending_row = pending_row[take:]
+            pending_col = pending_col[take:]
+            pending_base = pending_base[take:]
             if (np.diff(col) == 1).all():
                 # One run of adjacent words (always so for one-word
                 # rows): at m = 1, simulate a view, not a gathered copy.
                 window = _word_columns(good, m, slice(col[0], col[-1] + 1))
             else:
                 window = _word_columns(good, m, col)
-            hits = (self._run_detect(plan, window, m) & mask[col]) != 0
-            found = verdict[:, live]
-            np.logical_or.at(found, row, hits.T)
-            verdict[:, live] = found
+            words = self._run_detect(plan, window, m) & mask[col]
+            seen = first[:, live]
+            fault, pair = np.nonzero(words)
+            if fault.size:
+                offset = base[pair] + _low_bit_index(words[fault, pair])
+                np.minimum.at(seen, (row[pair], fault), offset.astype(first.dtype))
+                first[:, live] = seen
             waiting = np.unique(pending_row)
-            open_found = found[waiting]
+            open_found = detected_mask(seen[waiting])
             retire = open_found.all(axis=0)
             finished = waiting[open_found[:, ~retire].all(axis=1)]
             if finished.size:
                 keep = ~np.isin(pending_row, finished)
-                pending_row, pending_col = pending_row[keep], pending_col[keep]
+                pending_row = pending_row[keep]
+                pending_col = pending_col[keep]
+                pending_base = pending_base[keep]
             if pending_row.size and retire.any():
                 survivors = np.flatnonzero(~retire)
                 plan = plan.subset(survivors)
@@ -951,21 +1019,18 @@ def _init_spawned_worker(
 
 
 def _worker_row_range(job: tuple[int, int]) -> tuple[int, np.ndarray]:
-    """Simulate detection rows ``[start, stop)`` against the shared
-    (fork-inherited or initializer-rebuilt) pattern state."""
+    """Simulate first-detection rows ``[start, stop)`` against the
+    shared (fork-inherited or initializer-rebuilt) pattern state, at the
+    whole table's offset dtype."""
     start, stop = job
     state = _shared_row_state
     assert state is not None, "worker pool not initialised"
-    simulator = state.simulator()
-    rows = list(
-        simulator.detection_matrix_rows(state.rows(start, stop), state.faults)
-    )
-    stacked = (
-        np.array(rows, dtype=bool)
-        if rows
-        else np.zeros((0, len(state.faults)), dtype=bool)
-    )
-    return start, stacked
+    dtype = offset_dtype(state.row_pattern_counts.max(initial=0))
+    table = np.empty((stop - start, len(state.faults)), dtype=dtype)
+    rows = state.simulator()._offset_rows(state.rows(start, stop), state.faults, dtype)
+    for index, row in enumerate(rows):
+        table[index] = row
+    return start, table
 
 
 def _row_jobs(n_rows: int, workers: int) -> list[tuple[int, int]]:
@@ -1005,8 +1070,9 @@ def parallel_detection_rows(
     workers: int,
     batch_size: int = DEFAULT_BATCH_SIZE,
 ) -> np.ndarray:
-    """Build ``(n_rows, n_faults)`` any-pattern detection rows with a
-    process pool: rows are independent, so they shard cleanly.
+    """Build the ``(n_rows, n_faults)`` first-detection table (see
+    :meth:`BatchFaultSimulator.first_detection_rows`) with a process
+    pool: rows are independent, so they shard cleanly.
 
     The pattern rows are packed word-parallel **once** in the parent.
     On ``fork`` start methods the packed words live in a
@@ -1016,26 +1082,28 @@ def parallel_detection_rows(
     a bare ``(start, stop)`` row range — O(1), not O(n_patterns).  On
     spawn platforms the packed state is pickled once per *worker*
     through the pool initializer (never per job).  Row order (and every
-    entry) is identical to the serial path.
+    entry, dtype included) is identical to the serial path.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    n_rows = len(pattern_sets)
-    matrix = np.zeros((n_rows, len(faults)), dtype=bool)
+    packed_rows = [as_packed(patterns, circuit.n_inputs) for patterns in pattern_sets]
+    n_rows = len(packed_rows)
+    dtype = offset_dtype(max((p.n_patterns for p in packed_rows), default=0))
+    table = np.full((n_rows, len(faults)), np.iinfo(dtype).max, dtype=dtype)
     if n_rows == 0 or not faults:
-        return matrix
+        return table
     if workers == 1:
         simulator = BatchFaultSimulator(circuit, batch_size=batch_size)
         for row, values in enumerate(
-            simulator.detection_matrix_rows(pattern_sets, faults)
+            simulator.first_detection_rows(packed_rows, faults)
         ):
-            matrix[row] = values
-        return matrix
+            table[row] = values
+        return table
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     words, row_word_starts, row_pattern_counts = _pack_rows(
-        pattern_sets, circuit.n_inputs
+        packed_rows, circuit.n_inputs
     )
     jobs = _row_jobs(n_rows, workers)
     use_fork = multiprocessing.get_start_method() == "fork"
@@ -1080,10 +1148,10 @@ def parallel_detection_rows(
             )
         with pool:
             for start, rows in pool.map(_worker_row_range, jobs):
-                matrix[start : start + rows.shape[0]] = rows
+                table[start : start + rows.shape[0]] = rows
     finally:
         _shared_row_state = None
         if shm is not None:
             shm.close()
             shm.unlink()
-    return matrix
+    return table

@@ -161,13 +161,11 @@ def _assert_streams_identical(circuit, faults, **batch_kwargs):
 @settings(max_examples=25, deadline=None)
 @given(circuit=circuits)
 def test_batch_podem_matches_oracle_generated(circuit):
-    """Every collapsed fault of a random circuit resolves identically —
-    with the scalar tail-finish disabled, so the vector implication and
-    per-lane search machinery carry every fault end to end."""
+    """Every collapsed fault of a random circuit resolves identically:
+    the vector implication and per-lane search machinery carry every
+    fault end to end."""
     faults = collapse_faults(circuit)
-    _assert_streams_identical(
-        circuit, faults, batch_size=64, scalar_tail_lanes=0
-    )
+    _assert_streams_identical(circuit, faults, batch_size=64)
 
 
 @pytest.mark.parametrize("name", ["c499", "s420", "s1238"])

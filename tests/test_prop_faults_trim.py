@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro.circuit.generate import GeneratorSpec, generate_circuit
 from repro.faults.collapse import equivalence_classes
 from repro.faults.model import full_fault_list
+from repro.reseeding.detection_matrix import build_detection_matrix
 from repro.reseeding.triplet import Triplet
 from repro.reseeding.trim import trim_solution
 from repro.sim.fault import FaultSimulator
@@ -74,7 +75,8 @@ def test_trim_preserves_detected_set_exactly(circuit, seed, length):
         for fault, hit in zip(faults, simulator.detected(full_patterns, faults))
         if hit
     }
-    trimmed = trim_solution(circuit, tpg, triplets, faults, simulator)
+    matrix = build_detection_matrix(circuit, tpg, triplets, faults, simulator)
+    trimmed = trim_solution(matrix, range(len(triplets)))
     trimmed_patterns = trimmed.solution.patterns(tpg)
     detected_after = {
         fault

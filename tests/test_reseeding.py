@@ -174,11 +174,16 @@ class TestInitialReseedingBuilder:
 
 
 class TestTrimming:
+    @staticmethod
+    def _trim(circuit, tpg, triplets, faults, simulator):
+        matrix = build_detection_matrix(circuit, tpg, triplets, faults, simulator)
+        return trim_solution(matrix, range(len(triplets)))
+
     def test_trim_preserves_coverage(self, c17_atpg):
         circuit, atpg, simulator = c17_atpg
         tpg = AdderAccumulator(circuit.n_inputs)
         triplets = [Triplet(p, BitVector(1, 5), 16) for p in atpg.test_set]
-        trimmed = trim_solution(
+        trimmed = self._trim(
             circuit, tpg, triplets, atpg.target_faults, simulator
         )
         assert trimmed.undetected == ()
@@ -189,7 +194,7 @@ class TestTrimming:
         circuit, atpg, simulator = c17_atpg
         tpg = AdderAccumulator(circuit.n_inputs)
         triplets = [Triplet(p, BitVector(1, 5), 16) for p in atpg.test_set]
-        trimmed = trim_solution(circuit, tpg, triplets, atpg.target_faults, simulator)
+        trimmed = self._trim(circuit, tpg, triplets, atpg.target_faults, simulator)
         for before, after in zip(triplets, trimmed.solution.triplets):
             assert after.length <= before.length
             assert after.delta == before.delta
@@ -198,7 +203,7 @@ class TestTrimming:
         circuit, atpg, simulator = c17_atpg
         tpg = AdderAccumulator(circuit.n_inputs)
         triplets = [Triplet(p, BitVector(1, 5), 16) for p in atpg.test_set]
-        trimmed = trim_solution(circuit, tpg, triplets, atpg.target_faults, simulator)
+        trimmed = self._trim(circuit, tpg, triplets, atpg.target_faults, simulator)
         assert sum(trimmed.delta_coverage) == len(atpg.target_faults)
 
     def test_redundant_trailing_triplet_cut_to_one(self, c17_atpg):
@@ -208,6 +213,6 @@ class TestTrimming:
         tpg = AdderAccumulator(circuit.n_inputs)
         triplets = [Triplet(p, BitVector(1, 5), 16) for p in atpg.test_set]
         triplets.append(triplets[0])  # duplicate adds nothing at the end
-        trimmed = trim_solution(circuit, tpg, triplets, atpg.target_faults, simulator)
+        trimmed = self._trim(circuit, tpg, triplets, atpg.target_faults, simulator)
         assert trimmed.solution.triplets[-1].length == 1
         assert trimmed.delta_coverage[-1] == 0

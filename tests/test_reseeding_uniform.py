@@ -9,6 +9,7 @@ from repro.reseeding import (
     ReseedingSolution,
     Triplet,
     TrimmedSolution,
+    build_detection_matrix,
     storage_comparison,
     trim_solution,
     uniformize_solution,
@@ -72,9 +73,10 @@ class TestUniformize:
         atpg = engine.run()
         tpg = AdderAccumulator(circuit.n_inputs)
         triplets = [Triplet(p, BitVector(1, 5), 8) for p in atpg.test_set]
-        trimmed = trim_solution(
-            circuit, tpg, triplets, atpg.target_faults, simulator=engine.simulator
+        matrix = build_detection_matrix(
+            circuit, tpg, triplets, atpg.target_faults, engine.simulator
         )
+        trimmed = trim_solution(matrix, range(len(triplets)))
         uniform = uniformize_solution(trimmed)
         simulator = FaultSimulator(circuit)
         patterns = uniform.solution.patterns(tpg)

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from repro.circuit.generate import GeneratorSpec, generate_circuit
 from repro.circuits import CATALOG
 from repro.faults.model import Fault, full_fault_list
-from repro.sim.batch import BatchFaultSimulator, _site_node
+from repro.sim.batch import BatchFaultSimulator, _site_node, offset_dtype
 from repro.sim.fault import FaultSimulator, SerialFaultSimulator
 from repro.sim.threeval import XFaultSimulator
 from repro.utils.bitvec import BitVector
@@ -33,6 +33,21 @@ BATCH_SIZES = (1, 7, 64)
 def _random_patterns(circuit, n_patterns: int, seed: int) -> list[BitVector]:
     rng = RngStream(seed, "batched-diff", circuit.name)
     return [BitVector.random(circuit.n_inputs, rng) for _ in range(n_patterns)]
+
+
+def _offset_oracle(serial, pattern_sets, faults) -> np.ndarray:
+    """The first-detection table of ``pattern_sets`` from per-row
+    ``first_detection_index`` (``None`` -> the dtype's max)."""
+    dtype = offset_dtype(max((len(p) for p in pattern_sets), default=0))
+    sentinel = np.iinfo(dtype).max
+    return np.array(
+        [
+            [sentinel if i is None else i
+             for i in serial.first_detection_index(patterns, faults)]
+            for patterns in pattern_sets
+        ],
+        dtype=dtype,
+    ).reshape(len(pattern_sets), len(faults))
 
 
 def _assert_engines_match(circuit, patterns, faults, batch_size, drop_window_words=8):
@@ -174,14 +189,12 @@ class TestDetectionMatrixRows:
 
         faults = full_fault_list(c17)
         pattern_sets = [_random_patterns(c17, n, seed=n) for n in (3, 0, 9, 17)]
-        serial = SerialFaultSimulator(c17)
-        expected = np.array(
-            [serial.detected(patterns, faults) for patterns in pattern_sets]
-        )
+        expected = _offset_oracle(SerialFaultSimulator(c17), pattern_sets, faults)
         for workers in (1, 2):
             result = parallel_detection_rows(
                 c17, pattern_sets, faults, workers=workers
             )
+            assert result.dtype == np.uint8
             np.testing.assert_array_equal(result, expected)
 
     def test_parallel_rows_rejects_bad_worker_count(self, c17):
@@ -580,11 +593,11 @@ class TestParallelJobPayloads:
 
         faults = full_fault_list(s27_scan)
         pattern_sets = [
-            _random_patterns(s27_scan, n, seed=60 + n) for n in (9, 0, 130, 64, 1)
+            _random_patterns(s27_scan, n, seed=60 + n)
+            for n in (9, 0, 130, 64, 1, 300)
         ]
-        serial = SerialFaultSimulator(s27_scan)
-        expected = np.array(
-            [serial.detected(patterns, faults) for patterns in pattern_sets]
+        expected = _offset_oracle(
+            SerialFaultSimulator(s27_scan), pattern_sets, faults
         )
         result = parallel_detection_rows(
             s27_scan, pattern_sets, faults, workers=2
@@ -804,7 +817,7 @@ class TestConeOrder:
 
 class TestWorkerPlans:
     """The pre-fork plan build must cover exactly the batches a worker's
-    ``detection_matrix_rows`` asks for."""
+    ``first_detection_rows`` asks for."""
 
     def test_prebuilt_plans_serve_worker_rows(self, s27_scan):
         from repro.sim import batch as batch_module
@@ -831,9 +844,8 @@ class TestWorkerPlans:
             batch_module._shared_row_state = None
         assert start == 0
         assert simulator.plan_builds == builds
-        serial = SerialFaultSimulator(s27_scan)
         np.testing.assert_array_equal(
-            rows, [serial.detected(p, faults) for p in pattern_sets]
+            rows, _offset_oracle(SerialFaultSimulator(s27_scan), pattern_sets, faults)
         )
 
     def test_two_workers_equal_serial_rows(self):
@@ -847,9 +859,8 @@ class TestWorkerPlans:
             _random_patterns(circuit, n, seed=90 + n) for n in (40, 0, 200, 64, 3)
         ]
         serial_rows = np.array(
-            list(BatchFaultSimulator(circuit).detection_matrix_rows(pattern_sets, faults))
+            list(BatchFaultSimulator(circuit).first_detection_rows(pattern_sets, faults))
         )
-        np.testing.assert_array_equal(
-            parallel_detection_rows(circuit, pattern_sets, faults, workers=2),
-            serial_rows,
-        )
+        parallel = parallel_detection_rows(circuit, pattern_sets, faults, workers=2)
+        assert parallel.dtype == serial_rows.dtype == np.uint8
+        np.testing.assert_array_equal(parallel, serial_rows)
