@@ -11,9 +11,8 @@ resimulation per decision per fault.
 
 Two tiers:
 
-* always-on records at ``RECORD_SCALE`` land the per-engine timings in
-  ``BENCH_atpg.json`` on every benchmark run (the machine-readable perf
-  trajectory; see ``docs/benchmarks.md`` for the field glossary);
+* always-on pytest-benchmark timings of both engines at
+  ``RECORD_SCALE``;
 * the slow-marked floor test runs the full-size circuit and asserts the
   batch engine stays **>= 3x** the recursive one (measured ~3.2-3.7x on
   the reference container) — after first asserting the two engines'
@@ -27,9 +26,7 @@ wall clock; every fault still resolves without hitting it.
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 
 import pytest
 
@@ -81,78 +78,18 @@ def _run_batch(circuit, faults, limit, **kwargs):
     }
 
 
-#: Per-engine timing records, flushed to ``BENCH_atpg.json`` at module
-#: teardown.
-_RECORDS: dict[str, dict] = {}
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _emit_bench_document(bench_json_writer):
-    yield
-    if not _RECORDS:
-        return
-    # Merge with the document on disk so a floor-only run (CI's
-    # dedicated `-m slow` step deselects the record tests) augments the
-    # record-scale entries instead of replacing them.
-    existing = Path(__file__).resolve().parents[1] / "BENCH_atpg.json"
-    workloads: dict[str, dict] = {}
-    if existing.is_file():
-        try:
-            workloads.update(json.loads(existing.read_text())["workloads"])
-        except (ValueError, KeyError):
-            pass
-    workloads.update(_RECORDS)
-    payload = {
-        "benchmark": "atpg_throughput",
-        "circuit": "s1238",
-        "workloads": dict(sorted(workloads.items())),
-    }
-    batch = workloads.get(f"batch/scale={RECORD_SCALE}")
-    recursive = workloads.get(f"recursive/scale={RECORD_SCALE}")
-    if batch and recursive and batch["seconds"]:
-        payload["speedup_batch_vs_recursive"] = round(
-            recursive["seconds"] / batch["seconds"], 2
-        )
-    floor = workloads.get(f"floor/scale={FLOOR_SCALE}")
-    if floor:
-        payload["floor"] = floor
-    bench_json_writer("BENCH_atpg.json", payload)
-
-
-def _record(key: str, n_faults: int, benchmark, elapsed: float) -> None:
-    """One workload record: pytest-benchmark's mean when it measured,
-    the single-run wall time under ``--benchmark-disable``."""
-    stats = getattr(getattr(benchmark, "stats", None), "stats", None)
-    seconds = stats.mean if stats is not None and stats.mean else elapsed
-    _RECORDS[key] = {
-        "seconds": round(seconds, 6),
-        "n_faults": n_faults,
-        "faults_per_sec": round(n_faults / seconds, 1),
-    }
-
-
 def test_batch_podem_throughput(benchmark):
     circuit, faults = _workload(RECORD_SCALE)
-    start = time.perf_counter()
     results = benchmark(_run_batch, circuit, faults, 250)
-    elapsed = time.perf_counter() - start
     assert len(results) == len(faults)
-    key = f"batch/scale={RECORD_SCALE}"
-    _record(key, len(faults), benchmark, elapsed)
-    benchmark.extra_info["faults_per_sec"] = _RECORDS[key]["faults_per_sec"]
 
 
 def test_recursive_podem_throughput(benchmark):
-    """The scalar baseline, kept measurable so the batch engine's
-    advantage lands in ``BENCH_atpg.json`` on every run."""
+    """The scalar baseline, kept measurable next to the batch
+    engine."""
     circuit, faults = _workload(RECORD_SCALE)
-    start = time.perf_counter()
     results = benchmark(_run_recursive, circuit, faults, 250)
-    elapsed = time.perf_counter() - start
     assert len(results) == len(faults)
-    _record(
-        f"recursive/scale={RECORD_SCALE}", len(faults), benchmark, elapsed
-    )
 
 
 def _best_of_two(run, *args, **kwargs):
@@ -187,13 +124,6 @@ def test_batch_speedup_floor():
     # not bought with a different search.
     assert batch == recursive
     speedup = recursive_time / batch_time
-    _RECORDS[f"floor/scale={FLOOR_SCALE}"] = {
-        "recursive_seconds": round(recursive_time, 4),
-        "batch_seconds": round(batch_time, 4),
-        "n_faults": len(faults),
-        "speedup": round(speedup, 2),
-        "min_speedup": MIN_SPEEDUP,
-    }
     assert speedup >= MIN_SPEEDUP, (
         f"batch PODEM only {speedup:.2f}x the recursive oracle "
         f"(recursive {recursive_time:.2f}s, batch {batch_time:.2f}s)"

@@ -9,16 +9,11 @@ Asserted here (and mirrored in the unit tests):
 * signature-only mode localises the failing window while re-simulating
   at most **15%** of the session's patterns, with a logarithmic
   prefix-query budget.
-
-Timings land in ``BENCH_diagnosis.json`` at the repo root — the
-machine-readable perf trajectory for the diagnosis hot paths
-(effect-cause trace+rank, dictionary build/lookup, bisection).
 """
 
 from __future__ import annotations
 
 import math
-import time
 
 import pytest
 
@@ -49,26 +44,6 @@ MIN_WINDOW = 16
 #: re-simulated at per-pattern resolution.
 MAX_RESIM_FRACTION = 0.15
 
-_RECORDS: dict[str, dict] = {}
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _emit_bench_document(bench_json_writer):
-    yield
-    if not _RECORDS:
-        return
-    bench_json_writer(
-        "BENCH_diagnosis.json",
-        {
-            "benchmark": "diagnosis",
-            "circuit": CIRCUIT,
-            "n_patterns": N_PATTERNS,
-            "min_window": MIN_WINDOW,
-            "results": dict(sorted(_RECORDS.items())),
-        },
-    )
-
-
 @pytest.fixture(scope="module")
 def workload():
     """Circuit, simulator, collapsed faults, patterns, one injected
@@ -91,22 +66,14 @@ def workload():
 def test_effect_cause_ranks_injected_fault_top3(workload):
     """The headline acceptance bar: injected single fault in the top 3."""
     circuit, simulator, faults, patterns, target, representative, log = workload
-    start = time.perf_counter()
     result = diagnose_effect_cause(
         circuit, patterns, log.responses, faults=faults,
         simulator=simulator, top_k=10,
     )
-    seconds = time.perf_counter() - start
     rank = result.rank_of(representative)
     assert rank is not None and rank <= 3, (
         f"injected {target} ranked {rank} (top: {result.top})"
     )
-    _RECORDS["effect_cause"] = {
-        "seconds": round(seconds, 4),
-        "rank_of_injected": rank,
-        "n_failing": result.n_failing,
-        "n_candidates_considered": result.n_candidates_considered,
-    }
 
 
 def test_signature_bisection_within_resim_budget(workload):
@@ -118,9 +85,7 @@ def test_signature_bisection_within_resim_budget(workload):
     bisector = SignatureBisector(
         circuit, patterns, misr, min_window=MIN_WINDOW, simulator=simulator
     )
-    start = time.perf_counter()
     result = bisector.diagnose(tester, faults=faults, top_k=10)
-    seconds = time.perf_counter() - start
     assert result.window is not None, "bisection failed to localise"
     fraction = result.patterns_resimulated / N_PATTERNS
     assert fraction <= MAX_RESIM_FRACTION, (
@@ -131,35 +96,16 @@ def test_signature_bisection_within_resim_budget(workload):
     assert result.oracle_queries <= query_bound
     rank = result.rank_of(representative)
     assert rank is not None and rank <= 3
-    _RECORDS["signature"] = {
-        "seconds": round(seconds, 4),
-        "rank_of_injected": rank,
-        "window": list(result.window),
-        "oracle_queries": result.oracle_queries,
-        "patterns_resimulated": result.patterns_resimulated,
-        "resim_fraction": round(fraction, 4),
-    }
 
 
 def test_dictionary_build_and_lookup(workload):
     """Dictionary mode: one simulation pass to build, pure lookup to
     diagnose — and the lookup agrees with effect-cause on the winner."""
     circuit, simulator, faults, patterns, target, representative, log = workload
-    start = time.perf_counter()
     dictionary = FaultDictionary.build(circuit, patterns, faults, simulator)
-    build_seconds = time.perf_counter() - start
     golden = simulator.compiled.simulate_patterns(patterns)
     flags = observed_fail_flags(golden, log.responses)
-    start = time.perf_counter()
     result = dictionary.diagnose(flags, top_k=10)
-    lookup_seconds = time.perf_counter() - start
     assert result.patterns_resimulated == 0
     rank = result.rank_of(representative)
     assert rank is not None and rank <= 3
-    _RECORDS["dictionary"] = {
-        "build_seconds": round(build_seconds, 4),
-        "lookup_seconds": round(lookup_seconds, 6),
-        "rank_of_injected": rank,
-        "n_faults": dictionary.n_faults,
-        "packed_bytes": dictionary.packed_bytes,
-    }

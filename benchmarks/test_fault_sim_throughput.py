@@ -81,91 +81,29 @@ def _run_serial(circuit, faults, rows):
     return [simulator.detected(patterns, faults) for patterns in rows]
 
 
-def _fp_per_sec(n_faults: int, seconds: float) -> float:
-    return n_faults * PATTERNS_PER_ROW * N_ROWS / seconds
-
-
-#: Per-workload timing records, flushed to ``BENCH_fault_sim.json`` at
-#: module teardown (the machine-readable perf trajectory).
-_RECORDS: dict[str, dict] = {}
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _emit_bench_document(bench_json_writer):
-    yield
-    if not _RECORDS:
-        return
-    payload = {
-        "benchmark": "fault_sim_throughput",
-        "scale": THROUGHPUT_SCALE,
-        "n_rows": N_ROWS,
-        "patterns_per_row": PATTERNS_PER_ROW,
-        "workloads": dict(sorted(_RECORDS.items())),
-    }
-    for label, reference in (
-        ("speedup_batched_vs_serial", "serial"),
-        ("speedup_chunked_vs_row_at_a_time", "row_at_a_time"),
-    ):
-        speedups = {}
-        for name in ("c880", "s1238"):
-            batched = _RECORDS.get(f"batched/{name}")
-            baseline = _RECORDS.get(f"{reference}/{name}")
-            if batched and baseline and batched["seconds"]:
-                speedups[name] = round(
-                    baseline["seconds"] / batched["seconds"], 2
-                )
-        if speedups:
-            payload[label] = speedups
-    bench_json_writer("BENCH_fault_sim.json", payload)
-
-
-def _record(key: str, benchmark, elapsed: float, n_faults: int) -> None:
-    """One workload record: pytest-benchmark's mean when it measured,
-    the single-run wall time under ``--benchmark-disable``."""
-    stats = getattr(getattr(benchmark, "stats", None), "stats", None)
-    seconds = stats.mean if stats is not None and stats.mean else elapsed
-    _RECORDS[key] = {
-        "seconds": round(seconds, 6),
-        "n_faults": n_faults,
-        "faults_x_patterns_per_sec": round(_fp_per_sec(n_faults, seconds)),
-    }
-
-
 @pytest.mark.parametrize("name", ["c880", "s1238"])
 def test_batched_matrix_rows_throughput(benchmark, name):
     circuit, faults, rows = _workload(name)
-    start = time.perf_counter()
     result = benchmark(_run_batched, circuit, faults, rows)
-    elapsed = time.perf_counter() - start
     assert len(result) == N_ROWS
-    _record(f"batched/{name}", benchmark, elapsed, len(faults))
-    benchmark.extra_info["faults_x_patterns_per_sec"] = _RECORDS[
-        f"batched/{name}"
-    ]["faults_x_patterns_per_sec"]
     benchmark.extra_info["n_faults"] = len(faults)
 
 
 @pytest.mark.parametrize("name", ["c880", "s1238"])
 def test_row_at_a_time_baseline_throughput(benchmark, name):
-    """The PR 1 batched schedule, kept measurable so the chunked path's
-    advantage lands in ``BENCH_fault_sim.json`` on every run."""
+    """The PR 1 batched schedule, kept measurable next to the chunked
+    path."""
     circuit, faults, rows = _workload(name)
-    start = time.perf_counter()
     result = benchmark(_run_row_at_a_time, circuit, faults, rows)
-    elapsed = time.perf_counter() - start
     assert len(result) == N_ROWS
-    _record(f"row_at_a_time/{name}", benchmark, elapsed, len(faults))
     benchmark.extra_info["n_faults"] = len(faults)
 
 
 @pytest.mark.parametrize("name", ["c880", "s1238"])
 def test_serial_baseline_throughput(benchmark, name):
     circuit, faults, rows = _workload(name)
-    start = time.perf_counter()
     result = benchmark(_run_serial, circuit, faults, rows)
-    elapsed = time.perf_counter() - start
     assert len(result) == N_ROWS
-    _record(f"serial/{name}", benchmark, elapsed, len(faults))
     benchmark.extra_info["n_faults"] = len(faults)
 
 

@@ -29,7 +29,7 @@ from repro.utils.bitvec import BitVector
 from repro.utils.rng import RngStream
 
 #: Same workload shape as test_fault_sim_throughput.py so the numbers
-#: are directly comparable across BENCH_*.json documents.
+#: are directly comparable.
 THROUGHPUT_SCALE = 0.2
 N_ROWS = 8
 PATTERNS_PER_ROW = 32
@@ -42,25 +42,6 @@ N_REPS = 3
 #: timer jitter alone).
 MAX_OVERHEAD = 0.02
 ABS_SLACK_SECONDS = 0.002
-
-_RECORDS: dict[str, dict] = {}
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _emit_bench_document(bench_json_writer):
-    yield
-    if not _RECORDS:
-        return
-    payload = {
-        "benchmark": "obs_overhead",
-        "scale": THROUGHPUT_SCALE,
-        "n_rows": N_ROWS,
-        "patterns_per_row": PATTERNS_PER_ROW,
-        "max_overhead": MAX_OVERHEAD,
-        "workloads": dict(sorted(_RECORDS.items())),
-    }
-    bench_json_writer("BENCH_obs.json", payload)
-
 
 def _workload(name: str):
     circuit = load_circuit(name, scale=THROUGHPUT_SCALE)
@@ -108,12 +89,6 @@ def test_disabled_telemetry_overhead_floor(name):
     disabled = min(disabled_times)
     enabled = min(enabled_times)
     budget = max(disabled * (1.0 + MAX_OVERHEAD), disabled + ABS_SLACK_SECONDS)
-    _RECORDS[name] = {
-        "disabled_seconds": round(disabled, 6),
-        "enabled_seconds": round(enabled, 6),
-        "overhead_pct": round(100.0 * (enabled / disabled - 1.0), 2),
-        "n_faults": len(faults),
-    }
     assert enabled <= budget, (
         f"telemetry-enabled fault sim {enabled:.4f}s vs disabled "
         f"{disabled:.4f}s on {name} — exceeds the {MAX_OVERHEAD:.0%} "

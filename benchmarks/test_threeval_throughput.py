@@ -12,9 +12,7 @@ gate per pattern).
 Floor: the packed path must stay **>= 3x** the scalar oracle (measured
 ~200x+ on the reference container; the floor is deliberately loose so
 it never flakes on shared runners).  The floor is asserted by the
-slow-marked test CI runs in its dedicated benchmark-floor step; every
-run lands its numbers in ``BENCH_threeval.json`` (see
-``docs/benchmarks.md`` for the field glossary).
+slow-marked test CI runs in its dedicated benchmark-floor step.
 """
 
 from __future__ import annotations
@@ -55,70 +53,19 @@ def _workload():
     return circuit, codes
 
 
-def _lanes_per_sec(circuit, seconds: float) -> float:
-    return circuit.n_outputs * N_PATTERNS / seconds
-
-
-#: Per-path timing records, flushed to ``BENCH_threeval.json`` at
-#: module teardown (the machine-readable perf trajectory).
-_RECORDS: dict[str, dict] = {}
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _emit_bench_document(bench_json_writer):
-    yield
-    if not _RECORDS:
-        return
-    payload = {
-        "benchmark": "threeval_throughput",
-        "circuit": "s1238",
-        "scale": THROUGHPUT_SCALE,
-        "n_patterns": N_PATTERNS,
-        "x_fraction": X_FRACTION,
-        "workloads": dict(sorted(_RECORDS.items())),
-    }
-    packed = _RECORDS.get("packed")
-    scalar = _RECORDS.get("scalar")
-    if packed and scalar and packed["seconds"]:
-        payload["speedup_packed_vs_scalar"] = round(
-            scalar["seconds"] / packed["seconds"], 2
-        )
-    bench_json_writer("BENCH_threeval.json", payload)
-
-
-def _record(key: str, circuit, benchmark, elapsed: float) -> None:
-    """One workload record: pytest-benchmark's mean when it measured,
-    the single-run wall time under ``--benchmark-disable``."""
-    stats = getattr(getattr(benchmark, "stats", None), "stats", None)
-    seconds = stats.mean if stats is not None and stats.mean else elapsed
-    _RECORDS[key] = {
-        "seconds": round(seconds, 6),
-        "output_lanes_per_sec": round(_lanes_per_sec(circuit, seconds)),
-    }
-
-
 def test_packed_threeval_throughput(benchmark):
     circuit, codes = _workload()
     planes = PackedPlanes.from_codes(codes)
-    start = time.perf_counter()
     out = benchmark(logic_sim_3v, circuit, planes)
-    elapsed = time.perf_counter() - start
     assert out.n_patterns == N_PATTERNS
-    _record("packed", circuit, benchmark, elapsed)
-    benchmark.extra_info["output_lanes_per_sec"] = _RECORDS["packed"][
-        "output_lanes_per_sec"
-    ]
 
 
 def test_scalar_oracle_throughput(benchmark):
-    """The per-pattern Python topo walk, kept measurable so the plane
-    algebra's advantage lands in ``BENCH_threeval.json`` on every run."""
+    """The per-pattern Python topo walk, kept measurable next to the
+    plane algebra."""
     circuit, codes = _workload()
-    start = time.perf_counter()
     out = benchmark(logic_sim_3v_scalar, circuit, codes)
-    elapsed = time.perf_counter() - start
     assert out.shape == (circuit.n_outputs, N_PATTERNS)
-    _record("scalar", circuit, benchmark, elapsed)
 
 
 def _best_of_two(run, *args):

@@ -13,9 +13,7 @@ Floor: the batched path must stay **>= 3x** the scalar loop for every
 registered generator (measured ~8-18x on the reference container; the
 adder/subtracter walks are closed-form broadcasts, the LFSRs pay ~10
 numpy ops per clock for the whole bank).  The floor is asserted by the
-slow-marked test CI runs in its dedicated benchmark-floor step; every
-run lands its numbers in ``BENCH_tpg.json`` (see ``docs/benchmarks.md``
-for the field glossary).
+slow-marked test CI runs in its dedicated benchmark-floor step.
 """
 
 from __future__ import annotations
@@ -52,73 +50,20 @@ def _workload(tpg_name: str):
     return tpg, deltas, sigmas
 
 
-def _patterns_per_sec(seconds: float) -> float:
-    return N_SEEDS * LENGTH / seconds
-
-
-#: Per-(path, tpg) timing records, flushed to ``BENCH_tpg.json`` at
-#: module teardown (the machine-readable perf trajectory).
-_RECORDS: dict[str, dict] = {}
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _emit_bench_document(bench_json_writer):
-    yield
-    if not _RECORDS:
-        return
-    payload = {
-        "benchmark": "tpg_throughput",
-        "circuit": "s1238",
-        "scale": THROUGHPUT_SCALE,
-        "n_seeds": N_SEEDS,
-        "length": LENGTH,
-        "workloads": dict(sorted(_RECORDS.items())),
-    }
-    speedups = {}
-    for name in tpg_names():
-        batched = _RECORDS.get(f"batched/{name}")
-        scalar = _RECORDS.get(f"scalar/{name}")
-        if batched and scalar and batched["seconds"]:
-            speedups[name] = round(scalar["seconds"] / batched["seconds"], 2)
-    if speedups:
-        payload["speedup_batched_vs_scalar"] = speedups
-    bench_json_writer("BENCH_tpg.json", payload)
-
-
-def _record(key: str, benchmark, elapsed: float) -> None:
-    """One workload record: pytest-benchmark's mean when it measured,
-    the single-run wall time under ``--benchmark-disable``."""
-    stats = getattr(getattr(benchmark, "stats", None), "stats", None)
-    seconds = stats.mean if stats is not None and stats.mean else elapsed
-    _RECORDS[key] = {
-        "seconds": round(seconds, 6),
-        "patterns_per_sec": round(_patterns_per_sec(seconds)),
-    }
-
-
 @pytest.mark.parametrize("name", sorted(tpg_names()))
 def test_batched_evolution_throughput(benchmark, name):
     tpg, deltas, sigmas = _workload(name)
-    start = time.perf_counter()
     packed = benchmark(tpg.evolve_batch, deltas, sigmas, LENGTH)
-    elapsed = time.perf_counter() - start
     assert packed.n_patterns == N_SEEDS * LENGTH
-    _record(f"batched/{name}", benchmark, elapsed)
-    benchmark.extra_info["patterns_per_sec"] = _RECORDS[f"batched/{name}"][
-        "patterns_per_sec"
-    ]
 
 
 @pytest.mark.parametrize("name", sorted(tpg_names()))
 def test_scalar_baseline_throughput(benchmark, name):
-    """The per-pattern Python loop, kept measurable so the batched
-    path's advantage lands in ``BENCH_tpg.json`` on every run."""
+    """The per-pattern Python loop, kept measurable next to the batched
+    path."""
     tpg, deltas, sigmas = _workload(name)
-    start = time.perf_counter()
     packed = benchmark(tpg.evolve_batch_scalar, deltas, sigmas, LENGTH)
-    elapsed = time.perf_counter() - start
     assert packed.n_patterns == N_SEEDS * LENGTH
-    _record(f"scalar/{name}", benchmark, elapsed)
 
 
 def _best_of_two(run, *args):

@@ -10,11 +10,12 @@ fault-parallel — a batch of target faults become uint64 bit-plane
 every lane at once, and covered lanes retire mid-batch through fault
 dropping.
 
-This example drives both engines over the same collapsed fault list,
-checks they agree fault for fault (statuses, cubes, backtrack counts —
-the batch engine is bit-identical to the recursive oracle by
-construction), then runs the full :class:`AtpgEngine` both ways and
-prints the measured (re-simulated, never assumed) coverage.
+This example drives ``BatchPodem`` and the scalar ``Podem.generate``
+oracle over the same collapsed fault list, times both, and checks they
+agree fault for fault (statuses, cubes, backtrack counts — the batch
+engine is bit-identical to the oracle by construction).
+:class:`~repro.atpg.AtpgEngine` runs ``BatchPodem`` as its only top-off
+engine.
 
 Run: ``python examples/batch_atpg.py [--circuit s1238] [--scale 0.5]``
 """
@@ -23,7 +24,7 @@ import argparse
 import time
 
 from repro import load_circuit
-from repro.atpg import AtpgEngine, BatchPodem, Podem
+from repro.atpg import BatchPodem, Podem
 from repro.faults.collapse import collapse_faults
 from repro.utils.tables import AsciiTable
 
@@ -84,7 +85,7 @@ def main() -> None:
     )
     table.add_row(
         [
-            "recursive PODEM",
+            "scalar Podem",
             f"{stats['recursive_s']:.2f}",
             f"{stats['n_faults'] / stats['recursive_s']:.0f}",
         ]
@@ -104,18 +105,6 @@ def main() -> None:
     )
     if stats["mismatches"]:
         raise SystemExit("engines diverged")
-
-    for engine in ("batch", "recursive"):
-        start = time.perf_counter()
-        result = AtpgEngine(
-            circuit, max_random_patterns=512, engine=engine
-        ).run(faults)
-        seconds = time.perf_counter() - start
-        print(
-            f"AtpgEngine(engine={engine!r}): {result.summary()} "
-            f"[measured coverage {result.measured_coverage:.4f}, "
-            f"{seconds:.2f}s]"
-        )
 
 
 if __name__ == "__main__":

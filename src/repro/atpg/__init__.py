@@ -6,8 +6,8 @@ list ``F`` (Section 3.1).  The flow is the classic three-phase one:
 
 1. random-pattern phase with fault dropping (:mod:`repro.atpg.random_gen`),
 2. PODEM deterministic top-off for the random-resistant tail — the
-   fault-parallel :mod:`repro.atpg.batch_podem` by default, the scalar
-   recursive :mod:`repro.atpg.podem` as the differential oracle,
+   fault-parallel :mod:`repro.atpg.batch_podem`, with the scalar
+   :mod:`repro.atpg.podem` as its lane-by-lane differential oracle,
 3. reverse-order static compaction (:mod:`repro.atpg.compaction`).
 
 PODEM's five-valued D-algebra (0/1/X/D/D') is a (good, faulty) pair of
@@ -22,7 +22,6 @@ from repro.atpg.batch_podem import BatchPodem
 from repro.atpg.random_gen import RandomPhaseResult, random_phase
 from repro.atpg.compaction import reverse_order_compaction
 from repro.atpg.engine import (
-    ATPG_ENGINES,
     AtpgConsistencyError,
     AtpgEngine,
     AtpgResult,
@@ -30,7 +29,6 @@ from repro.atpg.engine import (
 from repro.atpg.scoap import ScoapMeasures, compute_scoap
 
 __all__ = [
-    "ATPG_ENGINES",
     "AtpgConsistencyError",
     "AtpgEngine",
     "AtpgResult",

@@ -8,20 +8,14 @@ of F").  ``F`` is the set of collapsed faults proven testable — faults
 PODEM proves untestable (redundant) are excluded, and aborted faults are
 reported separately.
 
-Two interchangeable test generators drive the deterministic top-off
-phase:
+One test generator drives the deterministic top-off phase:
+:class:`~repro.atpg.batch_podem.BatchPodem`, which implies a whole batch
+of fault lanes per sweep on the compiled plan and supports mid-batch
+fault dropping.  Each lane reproduces the scalar
+:class:`~repro.atpg.podem.Podem` oracle decision for decision.
 
-* ``engine="batch"`` (default) — :class:`~repro.atpg.batch_podem.BatchPodem`,
-  which implies a whole batch of fault lanes per sweep on the compiled
-  plan and supports mid-batch fault dropping;
-* ``engine="recursive"`` — the scalar :class:`~repro.atpg.podem.Podem`
-  oracle, one fault at a time.
-
-Both produce test sets with measured coverage 1.0 over ``F``; the
-recursive path additionally reproduces the historical pattern sequence
-bit for bit (the golden pins depend on it).  "Complete covering" is not
-assumed: the final test set is re-simulated against ``F`` and the run
-hard-errors (:class:`AtpgConsistencyError`) if any target fault slips
+"Complete covering" is not assumed: the final test set is re-simulated
+against ``F`` and the run hard-errors (:class:`AtpgConsistencyError`) if any target fault slips
 through — as does any DETECTED cube whose X-filled pattern fails to
 detect its own target fault under the batched fault simulator.
 """
@@ -32,7 +26,7 @@ from dataclasses import dataclass
 
 from repro.atpg.batch_podem import BatchPodem
 from repro.atpg.compaction import reverse_order_compaction
-from repro.atpg.podem import Podem, PodemStatus
+from repro.atpg.podem import PodemStatus
 from repro.atpg.random_gen import random_phase
 from repro.circuit.netlist import Circuit
 from repro.faults.collapse import collapse_faults
@@ -42,18 +36,9 @@ from repro.sim.fault import FaultSimulator
 from repro.utils.bitvec import BitVector
 from repro.utils.rng import RngStream
 
-#: Supported deterministic top-off engines.
-ATPG_ENGINES = ("batch", "recursive")
-
 #: Patterns accumulated before a windowed fault-drop sweep over the
-#: not-yet-attempted faults.  Amortizes the per-pattern drop scan the
-#: historical loop ran after every single pattern.
+#: still-queued faults, instead of a drop scan after every pattern.
 _DROP_FLUSH_PATTERNS = 8
-
-#: Upcoming candidates lazily checked per simulator call while the
-#: recursive cursor hunts for its next live fault.
-_LAZY_CHECK_BLOCK = 64
-
 
 class AtpgConsistencyError(RuntimeError):
     """The ATPG flow produced a result that violates its own invariants.
@@ -123,9 +108,8 @@ class AtpgEngine:
     """Three-phase ATPG: random, deterministic top-off, reverse-order
     compaction.
 
-    ``engine`` selects the top-off test generator (``"batch"`` or
-    ``"recursive"``; see the module docstring).  Both engines share the
-    random phase, the X-fill RNG stream, and the compaction pass.
+    The random phase and the top-off share the simulator; the top-off
+    X-fills each PODEM cube from its own RNG stream.
     """
 
     def __init__(
@@ -136,19 +120,13 @@ class AtpgEngine:
         backtrack_limit: int = 250,
         compact: bool = True,
         simulator: BatchFaultSimulator | None = None,
-        engine: str = "batch",
         telemetry=None,
     ) -> None:
-        if engine not in ATPG_ENGINES:
-            raise ValueError(
-                f"unknown ATPG engine {engine!r}; expected one of {ATPG_ENGINES}"
-            )
         self.circuit = circuit
         self.seed = seed
         self.max_random_patterns = max_random_patterns
         self.backtrack_limit = backtrack_limit
         self.compact = compact
-        self.engine = engine
         self.simulator = simulator or FaultSimulator(circuit)
         #: Optional :class:`repro.obs.MetricsRegistry`.  The top-off
         #: engine is transient (one per run), so its counters are folded
@@ -183,10 +161,7 @@ class AtpgEngine:
         fill_rng = rng.child("x-fill")
         untestable: list[Fault] = []
         aborted: list[Fault] = []
-        topoff = (
-            self._topoff_batch if self.engine == "batch" else self._topoff_recursive
-        )
-        podem_patterns = topoff(
+        podem_patterns = self._topoff(
             list(random_result.remaining), patterns, fill_rng, untestable, aborted
         )
 
@@ -229,9 +204,9 @@ class AtpgEngine:
     # ------------------------------------------------------------------
 
     def _cube_mismatch(self, fault: Fault) -> AtpgConsistencyError:
-        """The cross-engine disagreement error: PODEM said DETECTED but
-        the batched fault simulator, the independent referee, disagrees
-        about the X-filled pattern.  Wrong D-propagation, bad X-fill or
+        """The generator/simulator disagreement error: PODEM said
+        DETECTED but the batched fault simulator, the independent
+        referee, disagrees about the X-filled pattern.  Wrong D-propagation, bad X-fill or
         a site mix-up would all silently produce an incomplete test set,
         so this is a hard error rather than a dropped fault."""
         return AtpgConsistencyError(
@@ -240,98 +215,7 @@ class AtpgEngine:
             f"DETECTED status)"
         )
 
-    def _topoff_recursive(
-        self,
-        remaining: list[Fault],
-        patterns: list[BitVector],
-        fill_rng,
-        untestable: list[Fault],
-        aborted: list[Fault],
-    ) -> int:
-        """Scalar top-off: one :class:`Podem` call per live fault.
-
-        Reproduces the historical serial loop bit for bit — same fault
-        attempt order, same X-fill RNG draws, same pattern sequence —
-        while replacing its quadratic bookkeeping (``pending.pop(0)``
-        plus a full drop scan after every pattern) with an index cursor,
-        lazy per-candidate checks against the unflushed pattern window,
-        and a windowed drop sweep every ``_DROP_FLUSH_PATTERNS``
-        patterns.  A fault is attempted iff no earlier top-off pattern
-        detects it, exactly as before; only when that is established is
-        ``Podem.generate`` (deterministic per call) invoked.
-        """
-        podem = Podem(self.circuit, backtrack_limit=self.backtrack_limit)
-        dropped = [False] * len(remaining)
-        window: list[BitVector] = []
-        podem_patterns = 0
-        cursor = 0
-        # Lazy-check memo: candidates below ``checked_through`` have
-        # already been screened against a window of ``checked_window``
-        # patterns; only a grown window forces a re-check.
-        checked_through = 0
-        checked_window = 0
-        while True:
-            while cursor < len(remaining):
-                if dropped[cursor]:
-                    cursor += 1
-                    continue
-                if not window or (
-                    cursor < checked_through and len(window) == checked_window
-                ):
-                    break
-                # Check a whole block of upcoming candidates against the
-                # unflushed window in one simulator call.  Dropping a
-                # later fault now (by patterns that would have dropped it
-                # anyway) and re-checking a surviving one later (against
-                # a superset window) are both behavior-preserving.
-                block = [
-                    i
-                    for i in range(cursor, len(remaining))
-                    if not dropped[i]
-                ][:_LAZY_CHECK_BLOCK]
-                flags = self.simulator.detected(
-                    window, [remaining[i] for i in block]
-                )
-                for i, hit in zip(block, flags):
-                    if hit:
-                        dropped[i] = True
-                checked_through = block[-1] + 1
-                checked_window = len(window)
-                if not dropped[cursor]:
-                    break
-                cursor += 1
-            if cursor >= len(remaining):
-                break
-            fault = remaining[cursor]
-            cursor += 1
-            result = podem.generate(fault)
-            if result.status is PodemStatus.UNTESTABLE:
-                untestable.append(fault)
-                continue
-            if result.status is PodemStatus.ABORTED:
-                aborted.append(fault)
-                continue
-            pattern = result.cube.to_pattern(self.circuit.inputs, fill_rng)
-            if not self.simulator.detected([pattern], [fault])[0]:
-                raise self._cube_mismatch(fault)
-            patterns.append(pattern)
-            window.append(pattern)
-            podem_patterns += 1
-            if len(window) >= _DROP_FLUSH_PATTERNS:
-                tail = [
-                    i for i in range(cursor, len(remaining)) if not dropped[i]
-                ]
-                if tail:
-                    flags = self.simulator.detected(
-                        window, [remaining[i] for i in tail]
-                    )
-                    for i, hit in zip(tail, flags):
-                        if hit:
-                            dropped[i] = True
-                window.clear()
-        return podem_patterns
-
-    def _topoff_batch(
+    def _topoff(
         self,
         remaining: list[Fault],
         patterns: list[BitVector],

@@ -129,7 +129,6 @@ def _pipeline_config(args: argparse.Namespace, **per_command):
         cover_method=args.method,
         max_random_patterns=args.max_random_patterns,
         backtrack_limit=args.backtrack_limit,
-        atpg_engine=args.atpg_engine,
         grasp_iterations=args.grasp_iterations,
         values=args.values,
         **per_command,
@@ -273,12 +272,12 @@ def _cmd_atpg(args: argparse.Namespace) -> int:
 
         python -m repro atpg --circuit c880
         python -m repro atpg --circuit s420 --patterns   # print the test set
-        python -m repro atpg --circuit s1238 --engine recursive
+        python -m repro atpg --circuit s1238 --scale 1.0 --seed 7
     """
     from repro.atpg.engine import AtpgEngine
 
     circuit = load_circuit(args.circuit, scale=args.scale)
-    engine = AtpgEngine(circuit, seed=args.seed, engine=args.engine)
+    engine = AtpgEngine(circuit, seed=args.seed)
     result = engine.run()
     print(result.summary())
     if args.patterns:
@@ -511,13 +510,6 @@ def _add_flow_knobs(parser: argparse.ArgumentParser) -> None:
         help="PODEM backtrack limit per fault (default 250)",
     )
     parser.add_argument(
-        "--atpg-engine",
-        default="batch",
-        choices=["batch", "recursive"],
-        help="deterministic top-off engine: fault-parallel batch PODEM "
-        "(default) or the scalar recursive oracle",
-    )
-    parser.add_argument(
         "--values",
         type=int,
         default=2,
@@ -675,12 +667,6 @@ def build_parser() -> argparse.ArgumentParser:
     atpg.add_argument("--circuit", required=True)
     atpg.add_argument("--scale", type=float, default=0.25)
     atpg.add_argument("--seed", type=int, default=2001)
-    atpg.add_argument(
-        "--engine",
-        default="batch",
-        choices=["batch", "recursive"],
-        help="deterministic top-off engine (default batch)",
-    )
     atpg.add_argument(
         "--patterns", action="store_true", help="print the test patterns"
     )

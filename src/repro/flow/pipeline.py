@@ -44,10 +44,6 @@ class PipelineConfig:
     cover_method: str = "auto"
     max_random_patterns: int = 4096
     backtrack_limit: int = 250
-    #: Deterministic top-off engine: ``"batch"`` (fault-parallel PODEM
-    #: on the compiled plan) or ``"recursive"`` (the scalar oracle,
-    #: which reproduces the historical pattern sequence bit for bit).
-    atpg_engine: str = "batch"
     grasp_iterations: int = 30
     matrix_workers: int | None = None
     #: Logic value system: ``2`` (the paper's fully scanned, fully

@@ -422,7 +422,6 @@ class Session:
             config.seed,
             config.max_random_patterns,
             config.backtrack_limit,
-            config.atpg_engine,
         )
 
     @property
@@ -457,7 +456,6 @@ class Session:
             seed=config.seed,
             max_random_patterns=config.max_random_patterns,
             backtrack_limit=config.backtrack_limit,
-            atpg_engine=config.atpg_engine,
         )
 
     def _result_key(self, tpg_name: str, config: PipelineConfig) -> str:
@@ -516,7 +514,6 @@ class Session:
             max_random_patterns=config.max_random_patterns,
             backtrack_limit=config.backtrack_limit,
             simulator=self.simulator,
-            engine=config.atpg_engine,
             telemetry=self.telemetry.metrics,
         )
         result = engine.run()

@@ -178,7 +178,6 @@ class AtpgStage(Stage):
             max_random_patterns=config.max_random_patterns,
             backtrack_limit=config.backtrack_limit,
             simulator=ctx.simulator,
-            engine=config.atpg_engine,
             telemetry=telemetry.metrics if telemetry is not None else None,
         )
         result = engine.run()

@@ -10,8 +10,8 @@ discipline the artifact cache uses, so version skew between clients
 and servers is rejected up front, never mis-decoded.  Decoding is
 typed: a mistyped field is a 400 naming the field, and a missing one
 takes the default declared here.  The ``validate_*`` functions then
-check values (known circuit, TPG and engine names, positive scale and
-timeout) on the event loop, before any compute is queued.
+check values (known circuit, TPG and diagnosis method names, positive
+scale and timeout) on the event loop, before any compute is queued.
 
 :class:`PatternSet` is the shared-workload primitive: a tester farm
 applies **one** BIST pattern sequence to many dies, so a client uploads
@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.atpg.engine import ATPG_ENGINES
 from repro.circuits import CATALOG
 from repro.tpg.registry import TPG_REGISTRY
 from repro.utils.bitvec import BitVector
@@ -89,14 +88,18 @@ class DiagnoseResponse:
 
 @dataclass(frozen=True)
 class AtpgRequest:
-    """``POST /atpg``: run (or reuse) the ATPG substrate for a circuit."""
+    """``POST /atpg``: run (or reuse) the ATPG substrate for a circuit.
+
+    There is one top-off engine, so there is no ``engine`` field; a
+    client that still sends one has it ignored, as the codec ignores
+    every unknown key.
+    """
 
     circuit: str
     scale: float = 1.0
     seed: int = 2001
     max_random_patterns: int = 4096
     backtrack_limit: int = 250
-    engine: str = "batch"
     timeout_ms: int | None = None
 
 
@@ -213,7 +216,6 @@ def validate_diagnose_request(request: DiagnoseRequest) -> None:
 def validate_atpg_request(request: AtpgRequest) -> None:
     """Reject contract violations before any compute is queued."""
     _check_request((request.circuit,), request.scale, request.timeout_ms)
-    _check_choice("engine", request.engine, ATPG_ENGINES)
     if request.max_random_patterns < 0 or request.backtrack_limit < 0:
         raise RequestValidationError(
             "'max_random_patterns' and 'backtrack_limit' must be >= 0"

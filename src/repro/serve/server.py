@@ -34,6 +34,7 @@ import hashlib
 import json
 import os
 import time
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -68,6 +69,12 @@ from repro.serve.batcher import (
 )
 from repro.serve.http11 import HttpError, HttpRequest, read_request, response_bytes
 from repro.utils.bitvec import BitVector
+
+#: Most (circuit, scale) sessions a worker keeps resident; past it the
+#: least recently used one is dropped.  Sessions are store-backed and
+#: rebuilt on demand, so an eviction changes no answer, only the cost
+#: (and ``from_memo``) of the next request that needs it.
+MAX_SESSIONS = 8
 
 
 @dataclass
@@ -156,7 +163,8 @@ class ReproServer:
         self._executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-serve-compute"
         )
-        self._sessions: dict[tuple[str, float], Session] = {}
+        #: LRU of resident sessions, capped at :data:`MAX_SESSIONS`.
+        self._sessions: OrderedDict[tuple[str, float], Session] = OrderedDict()
         self._pattern_sets: dict[str, PatternSet] = {}
         self._server: asyncio.AbstractServer | None = None
         self._conn_tasks: set[asyncio.Task] = set()
@@ -476,8 +484,10 @@ class ReproServer:
     # -- compute (runs on the single executor thread) ----------------------
 
     def _session(self, circuit: str, scale: float) -> Session:
-        """The per-(circuit, scale) Session, built once, store-backed.
-        Compute-thread only: loading a netlist is real work."""
+        """The per-(circuit, scale) Session, store-backed, built on first
+        use and kept while it is among the :data:`MAX_SESSIONS` most
+        recently used.  Compute-thread only: loading a netlist is real
+        work."""
         key = (circuit, scale)
         session = self._sessions.get(key)
         if session is None:
@@ -488,6 +498,10 @@ class ReproServer:
                 telemetry=self.telemetry,
             )
             self._sessions[key] = session
+            if len(self._sessions) > MAX_SESSIONS:
+                self._sessions.popitem(last=False)
+        else:
+            self._sessions.move_to_end(key)
         return session
 
     async def _process_group(self, group: list[PendingWork]) -> None:
@@ -571,7 +585,6 @@ class ReproServer:
                     seed=request.seed,
                     max_random_patterns=request.max_random_patterns,
                     backtrack_limit=request.backtrack_limit,
-                    atpg_engine=request.engine,
                 )
                 from_memo = session.has_atpg(config)
                 result = session.atpg_for(config)
@@ -678,7 +691,8 @@ class ReproServer:
             "responses": by_label("repro_serve_responses_total", "status"),
             "batcher": self.batcher.stats(),
             "sessions": sorted(
-                f"{name}@{scale:g}" for name, scale in self._sessions
+                # A snapshot: the compute thread reorders the LRU.
+                f"{name}@{scale:g}" for name, scale in list(self._sessions)
             ),
             "pattern_sets": len(self._pattern_sets),
             "store": (

@@ -34,17 +34,6 @@ faults at once:
   (:func:`~repro.circuit.gates.eval_gates`) all take it with the state.
   At ``m = 2`` detection is pessimistic (:mod:`repro.sim.threeval`).
 
-**Fault dropping**: the any-pattern queries (:meth:`detected`,
-:meth:`first_detection_index`, :meth:`fault_coverage`) scan the pattern
-set in word-aligned windows and remove faults from the active set as
-soon as a window detects them, so easy faults never pay for the full
-pattern set.  Dropping is **incremental**: batch membership is fixed up
-front, in the cone-local order above, and a shrinking batch *subsets*
-its existing compiled schedule
-(:meth:`_BatchPlan.subset` — an index-mask filter over the forced rows)
-instead of re-running the pure-Python cone-union/level-grouping
-construction for every survivor tuple.
-
 Every pattern argument is :data:`~repro.utils.bitvec.PatternsLike`: the
 word-parallel :class:`~repro.utils.bitvec.PackedPatterns` the batched
 TPG evolution (:meth:`repro.tpg.base.TestPatternGenerator.evolve_batch`)
@@ -52,29 +41,35 @@ emits passes straight through ``as_packed`` with **no** re-packing, so
 generated sequences go TPG -> simulator without ever existing as Python
 int lists.
 
-:meth:`detection_matrix_rows` streams Detection Matrix rows (one row
-per pattern set) over the same fixed fault batching.  Rows are packed
+**Fault dropping**: :meth:`detection_matrix_rows` streams Detection
+Matrix rows (one row per pattern set) over one fixed fault batching, and
+the any-pattern queries (:meth:`detected`, :meth:`first_detection_index`,
+:meth:`fault_coverage`) are its one-row views, so every "does some
+pattern detect this fault" question runs the same scan.  Rows are packed
 word-aligned into **chunks** of at most ``CHUNK_BUDGETS ×
 row_chunk_words`` words, and each chunk pays one fault-free simulation
-for all its rows.  A row only needs to know whether *some* pattern
-detects a fault, so each fault batch then scans the chunk
+for all its rows.  Each fault batch then scans the chunk
 **offset-major** — every row's word 0, then every row's word 1, and so
 on — in calls of at most ``row_chunk_words × batch_size`` fault × word
 cells, with **per-row fault dropping** between calls: a fault stops
 being simulated once every row that still has unscanned words has
 detected it, and a row stops being scanned once it has detected every
 fault still simulated.  One-word rows have nothing to drop and scan
-every cell.  The scan records each (row, fault) cell's **first
-detecting pattern** as it goes (:meth:`first_detection_rows`): a row's
-words are visited in order, so its first non-zero detect word and that
-word's lowest set bit are the first detection, at no extra fault-machine
-work; the Detection Matrix row is the detected-or-not view of those
-offsets.  :func:`parallel_detection_rows` fans row chunks out
-over a process pool for an opt-in ``workers=N`` construction path; the
-packed pattern state is shared with the workers through a
-``multiprocessing.shared_memory`` block (pickled once per worker on
-platforms without ``fork``), so job payloads carry row *indices*, not
-pattern data.
+every cell.  A shrinking batch *subsets* its compiled schedule
+(:meth:`_BatchPlan.subset` — an index-mask filter over the forced rows)
+instead of re-running the pure-Python cone-union/level-grouping
+construction for the survivors.  The scan records each (row, fault)
+cell's **first detecting pattern** as it goes
+(:meth:`first_detection_rows`): a row's words are visited in order, so
+its first non-zero detect word and that word's lowest set bit are the
+first detection, at no extra fault-machine work; the Detection Matrix
+row is the detected-or-not view of those offsets.
+
+:func:`parallel_detection_rows` fans row chunks out over a process pool
+for an opt-in ``workers=N`` construction path; the packed pattern state
+is shared with the workers through a ``multiprocessing.shared_memory``
+block (pickled once per worker on platforms without ``fork``), so job
+payloads carry row *indices*, not pattern data.
 """
 
 from __future__ import annotations
@@ -100,9 +95,6 @@ _ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 #: Default number of faults simulated per batch.
 DEFAULT_BATCH_SIZE = 32
-
-#: Fault-dropping window, in 64-pattern words (8 words = 512 patterns).
-DROP_WINDOW_WORDS = 8
 
 #: Word budget of one detection-row fault-machine call at full batch
 #: width: a call simulates at most ``row_chunk_words × batch_size``
@@ -138,7 +130,7 @@ def _low_bit_index(words: np.ndarray) -> np.ndarray:
 
 
 #: Cached cone-union schedules per simulator (LRU).  Callers that batch
-#: a stable fault list (Detection Matrix rows, fault-dropping scans)
+#: a stable fault list (Detection Matrix rows, any-pattern queries)
 #: hit the same few plans forever; survivor subsets reuse their parent
 #: plan via :meth:`_BatchPlan.subset` and never enter the cache.
 PLAN_CACHE_SIZE = 256
@@ -448,15 +440,10 @@ class BatchFaultSimulator:
         self,
         circuit: Circuit,
         batch_size: int = DEFAULT_BATCH_SIZE,
-        drop_window_words: int = DROP_WINDOW_WORDS,
         row_chunk_words: int = DEFAULT_ROW_CHUNK_WORDS,
     ) -> None:
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        if drop_window_words < 1:
-            raise ValueError(
-                f"drop_window_words must be >= 1, got {drop_window_words}"
-            )
         if row_chunk_words < 1:
             raise ValueError(
                 f"row_chunk_words must be >= 1, got {row_chunk_words}"
@@ -464,7 +451,6 @@ class BatchFaultSimulator:
         self.compiled = CompiledCircuit(circuit)
         self.circuit = circuit
         self.batch_size = batch_size
-        self.drop_window_words = drop_window_words
         self.row_chunk_words = row_chunk_words
         self._tables = _NodeTables(self.compiled)
         self._cone_cache: dict[int, np.ndarray] = {}
@@ -476,10 +462,8 @@ class BatchFaultSimulator:
         self.plan_builds = 0
         self.plan_cache_hits = 0
         self.plan_subsets = 0
-        #: Throughput counters: pattern-axis words per fault-free pass,
-        #: and faults retired from scan windows by fault dropping.
+        #: Throughput counter: pattern-axis words per fault-free pass.
         self.words_simulated = 0
-        self.faults_dropped = 0
         #: Work counter: fault × word cells through the fault machine
         #: (:meth:`_BatchPlan.detect`) of this simulator's queries.
         self.detect_cells = 0
@@ -513,11 +497,9 @@ class BatchFaultSimulator:
             ("repro_sim_plan_cache_hits_total", self.plan_cache_hits,
              "Batch plans served from the LRU plan cache."),
             ("repro_sim_plan_subsets_total", self.plan_subsets,
-             "O(batch) plan subsets taken during fault-drop scans."),
+             "O(batch) plan subsets taken when fault dropping retires faults."),
             ("repro_sim_words_simulated_total", self.words_simulated,
              "Pattern-axis 64-bit words through fault-free simulation."),
-            ("repro_sim_faults_dropped_total", self.faults_dropped,
-             "Faults retired early by window-scan fault dropping."),
             ("repro_sim_detect_cells_total", self.detect_cells,
              "Fault x word cells through fault-machine simulation."),
         )
@@ -562,26 +544,23 @@ class BatchFaultSimulator:
     def detected(
         self, patterns: PatternsLike, faults: Sequence[Fault]
     ) -> list[bool]:
-        """Per-fault flag: does *any* pattern detect the fault?
-
-        Scans patterns window by window with fault dropping: a fault
-        detected in an early window leaves the active set and never
-        simulates the rest of the pattern set.
-        """
-        flags = [False] * len(faults)
-        for fault_index, _ in self._scan_detections(patterns, faults):
-            flags[fault_index] = True
-        return flags
+        """Per-fault flag: does *any* pattern detect the fault?  The
+        detected-or-not view of a one-row :meth:`first_detection_rows`
+        scan, so a fault stops being simulated once a word detects it."""
+        row = next(self.first_detection_rows([patterns], faults))
+        return detected_mask(row).tolist()
 
     def first_detection_index(
         self, patterns: PatternsLike, faults: Sequence[Fault]
     ) -> list[int | None]:
         """For each fault, the index of the first detecting pattern
-        (``None`` if undetected).  Used for test-set trimming."""
-        indices: list[int | None] = [None] * len(faults)
-        for fault_index, position in self._scan_detections(patterns, faults):
-            indices[fault_index] = position
-        return indices
+        (``None`` if undetected): the one-row view of
+        :meth:`first_detection_rows`."""
+        row = next(self.first_detection_rows([patterns], faults))
+        return [
+            int(offset) if hit else None
+            for offset, hit in zip(row.tolist(), detected_mask(row).tolist())
+        ]
 
     def fault_coverage(
         self, patterns: PatternsLike, faults: Sequence[Fault]
@@ -629,9 +608,9 @@ class BatchFaultSimulator:
         (:meth:`_scan_rows`): a fault stops being simulated once every
         row that still has unscanned words has detected it, and a row
         stops being scanned once it has detected every fault still
-        simulated.  Offsets equal per-row :meth:`first_detection_index`
-        under any budget; one-word rows scan every fault × word cell,
-        exactly as an unchunked schedule does.
+        simulated.  Offsets are the same under any budget and any
+        chunking; one-word rows scan every fault × word cell, exactly as
+        an unchunked schedule does.
         """
         carriers = [self._pack(patterns) for patterns in pattern_sets]
         dtype = offset_dtype(max((c.n_patterns for c in carriers), default=0))
@@ -874,67 +853,6 @@ class BatchFaultSimulator:
             self.plan_cache_hits += 1
             self._plan_cache.move_to_end(faults)
         return plan
-
-    def _scan_detections(
-        self, patterns: PatternsLike, faults: Sequence[Fault]
-    ) -> Iterator[tuple[int, int]]:
-        """Yield ``(fault index, first detecting pattern index)`` pairs,
-        scanning word windows in order with fault dropping.
-
-        Batch membership is fixed up front; when dropping shrinks a
-        batch, the batch *subsets* its compiled plan via an index mask
-        (:meth:`_BatchPlan.subset`) instead of rebuilding cone unions
-        for the survivor tuple, so a scan's structural cost is paid once
-        in the first window regardless of how fast faults drop.
-        """
-        carrier = self._pack(patterns)
-        if not carrier.n_patterns or not faults:
-            return
-        m = carrier.m
-        good = self._good_values(carrier.words, m)
-        n_words = carrier.n_words
-        mask = carrier.tail_mask()
-        # Per-batch survivor state: (original fault indices, live plan).
-        states = [
-            (indices, self._plan(batch)) for indices, batch in self._batches(faults)
-        ]
-        for word_start in range(0, n_words, self.drop_window_words):
-            if not states:
-                return
-            word_end = min(word_start + self.drop_window_words, n_words)
-            last_window = word_end >= n_words
-            window = np.ascontiguousarray(
-                _word_columns(good, m, slice(word_start, word_end))
-            )
-            window_mask = mask[word_start:word_end]
-            next_states: list[tuple[list[int], _BatchPlan]] = []
-            for indices, plan in states:
-                detect = self._run_detect(plan, window, m) & window_mask
-                hits = detect.any(axis=1)
-                surviving_rows: list[int] = []
-                for row, fault_index in enumerate(indices):
-                    if not hits[row]:
-                        surviving_rows.append(row)
-                        continue
-                    words = detect[row]
-                    word_offset = int(np.flatnonzero(words)[0])
-                    word = int(words[word_offset])
-                    self.faults_dropped += 1
-                    yield fault_index, (
-                        (word_start + word_offset) * 64
-                        + (word & -word).bit_length()
-                        - 1
-                    )
-                # Survivor bookkeeping only matters if another window
-                # will run; the final window skips the subsetting work.
-                if last_window or not surviving_rows:
-                    continue
-                if len(surviving_rows) < len(indices):
-                    plan = plan.subset(surviving_rows)
-                    self.plan_subsets += 1
-                    indices = [indices[row] for row in surviving_rows]
-                next_states.append((indices, plan))
-            states = next_states
 
 
 # ----------------------------------------------------------------------

@@ -9,10 +9,11 @@ Two engines live here and in :mod:`repro.sim.batch`:
   arrays (64 patterns per word, pattern ``64*w + b`` in bit ``b`` of
   word ``w``), and the whole batch propagates through one shared,
   levelized cone-union schedule.  The any-pattern queries
-  (``detected`` / ``first_detection_index`` / ``fault_coverage``)
-  additionally apply **fault dropping**: the pattern set is scanned in
-  word-aligned windows and a fault detected in an early window leaves
-  the active set, so it never pays for the remaining patterns.
+  (``detected`` / ``first_detection_index`` / ``fault_coverage``) are
+  one-row views of the Detection Matrix row scan, which applies **fault
+  dropping**: the words of the pattern set are scanned in order and a
+  fault leaves the active set once a word detects it, so it never pays
+  for the remaining patterns.
 * :class:`SerialFaultSimulator` — the legacy per-fault engine: for each
   fault it forces the stuck value at the fault site and re-evaluates
   only that fault's output cone, one single-gate call of the one gate

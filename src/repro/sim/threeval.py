@@ -23,7 +23,8 @@ This module runs the same batched PPSFP machinery with **unknowns**:
 :class:`XFaultSimulator` subclasses the 2-valued
 :class:`~repro.sim.batch.BatchFaultSimulator` and overrides only how it
 packs patterns; the plane count is a property of the packed carrier, so
-the query paths (window scans, full matrix, streamed matrix rows) and
+the query paths (full matrix, streamed first-detection rows and their
+one-row views) and
 everything structural — cone-local batching, cone unions, plan
 caching/subsetting, fault dropping — are shared unchanged.
 """

@@ -12,9 +12,10 @@ Three layers, each pinned to an independent reference:
   required contract — DETECTED/UNTESTABLE equal, ABORTED allowed to
   differ only toward more detections — so that contract holds a
   fortiori.)
-* the full :class:`~repro.atpg.engine.AtpgEngine` at both engine
-  settings: measured (re-simulated, not assumed) coverage of 1.0 over
-  the target fault list, equal untestable sets, and pinned aggregates.
+* the full :class:`~repro.atpg.engine.AtpgEngine`: measured
+  (re-simulated, not assumed) coverage of 1.0 over the target fault
+  list, untestable and aborted sets checked against ``Podem.generate``
+  on every collapsed fault, and pinned aggregates.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from hypothesis import strategies as st
 
 from repro.atpg.batch_podem import BatchPodem
 from repro.atpg.engine import AtpgEngine
-from repro.atpg.podem import Podem
+from repro.atpg.podem import Podem, PodemStatus
 from repro.circuit.gates import GateType, eval_gate_3v_scalar, eval_gates
 from repro.circuit.generate import GeneratorSpec, generate_circuit
 from repro.circuits import load_circuit
@@ -210,48 +211,63 @@ def test_batch_podem_drop_skips_faults():
 
 
 # ---------------------------------------------------------------------------
-# the full engine: measured coverage, both top-off paths
+# the full engine: measured coverage, classification against the oracle
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("name", ["c499", "c880", "s420"])
+#: Collapsed faults at scale 0.25 that ``Podem.generate`` calls
+#: UNTESTABLE although a pattern detects them.  PODEM's objective gives
+#: up when the closest D-frontier gate has no X input in the good
+#: machine (its output is X only in the faulty machine), even while
+#: other frontier gates could still propagate, so the verdict is not a
+#: proof.  The engine's random phase detects these faults first.
+FALSE_UNTESTABLE = {"c499": 1, "c880": 3, "s420": 6}
+
+
+@pytest.mark.parametrize("name", sorted(FALSE_UNTESTABLE))
 def test_engine_equal_coverage(name):
-    """Both engines produce a complete covering (measured, not assumed)
-    and agree on the untestable set — untestable faults can never be
-    fault-dropped, so the engines must classify them identically."""
+    """The engine produces a complete covering (measured, not assumed)
+    and classifies faults as the scalar oracle does.  A fault the oracle
+    calls UNTESTABLE can be neither randomly detected nor fault-dropped
+    if it is truly redundant, so the engine's untestable set is the
+    oracle's UNTESTABLE set less the faults the final test set detects,
+    and every aborted fault is one the oracle aborts too."""
     circuit = load_circuit(name, scale=0.25)
-    results = {
-        engine: AtpgEngine(
-            circuit, max_random_patterns=512, engine=engine
-        ).run()
-        for engine in ("batch", "recursive")
+    engine = AtpgEngine(circuit, max_random_patterns=512)
+    result = engine.run()
+    assert result.measured_coverage == 1.0
+    assert result.fault_coverage == 1.0
+    oracle = Podem(circuit)
+    statuses = {
+        fault: oracle.generate(fault).status for fault in collapse_faults(circuit)
     }
-    for result in results.values():
-        assert result.measured_coverage == 1.0
-        assert result.fault_coverage == 1.0
-    assert set(results["batch"].untestable) == set(results["recursive"].untestable)
-    assert set(results["batch"].target_faults) >= (
-        set(results["recursive"].target_faults)
-        - set(results["recursive"].aborted)
-        - set(results["batch"].aborted)
-    )
+    proven = {
+        fault for fault, status in statuses.items()
+        if status is PodemStatus.UNTESTABLE
+    }
+    assert set(result.untestable) <= proven
+    detected = sorted(proven - set(result.untestable), key=str)
+    assert all(engine.simulator.detected(result.test_set, detected))
+    assert len(detected) == FALSE_UNTESTABLE[name]
+    assert set(result.aborted) <= {
+        fault for fault, status in statuses.items()
+        if status is PodemStatus.ABORTED
+    }
 
 
 #: Pinned engine aggregates at a 64-pattern random budget (so the
 #: deterministic top-off actually runs): (test length, |F|, untestable,
-#: aborted, podem patterns, random patterns kept).  Identical for both
-#: engines at this workload.
+#: aborted, podem patterns, random patterns kept).
 ENGINE_PINS = {
     "c499": (21, 185, 31, 0, 6, 21),
     "s420": (7, 94, 125, 0, 0, 9),
 }
 
 
-@pytest.mark.parametrize("engine", ["batch", "recursive"])
 @pytest.mark.parametrize("name", sorted(ENGINE_PINS))
-def test_engine_aggregates_pinned(name, engine):
+def test_engine_aggregates_pinned(name):
     circuit = load_circuit(name, scale=0.25)
-    result = AtpgEngine(circuit, max_random_patterns=64, engine=engine).run()
+    result = AtpgEngine(circuit, max_random_patterns=64).run()
     assert (
         result.test_length,
         len(result.target_faults),
@@ -266,17 +282,10 @@ def test_engine_aggregates_pinned(name, engine):
 def test_engine_vacuous_coverage():
     """An empty target list is vacuously covered (1.0, not 0.0)."""
     circuit = load_circuit("c17")
-    for engine in ("batch", "recursive"):
-        result = AtpgEngine(circuit, engine=engine).run(faults=[])
-        assert result.fault_coverage == 1.0
-        assert result.measured_coverage == 1.0
-        assert result.target_faults == []
-
-
-def test_engine_rejects_unknown_engine():
-    circuit = load_circuit("c17")
-    with pytest.raises(ValueError, match="unknown ATPG engine"):
-        AtpgEngine(circuit, engine="quantum")
+    result = AtpgEngine(circuit).run(faults=[])
+    assert result.fault_coverage == 1.0
+    assert result.measured_coverage == 1.0
+    assert result.target_faults == []
 
 
 def test_result_roundtrip_preserves_measured_coverage():

@@ -302,16 +302,12 @@ class TestCliSweep:
 
         monkeypatch.setattr(sweep_module, "sweep", fake_sweep)
         argv = ["sweep", "--circuits", "c17", "--values", "3",
-                "--seed", "9", "--method", "greedy", "--atpg-engine", "recursive"]
+                "--seed", "9", "--method", "greedy"]
         assert main(argv) == 0
         capsys.readouterr()
         config = seen["config"]
         assert config.values == 3
-        assert (config.seed, config.cover_method, config.atpg_engine) == (
-            9,
-            "greedy",
-            "recursive",
-        )
+        assert (config.seed, config.cover_method) == (9, "greedy")
 
 
 class TestSolutionReport:

@@ -74,11 +74,12 @@ def test_fault_coverage_pinned(name):
 
 
 #: First-detection-index pins for the *incremental-plan* scan path
-#: (``drop_window_words=1`` forces a subset after every 64-pattern
-#: window): number of detected faults plus the sum of all first
-#: detection indices.  Together with the cold-path assertions below,
-#: these pin the warm (plan-subsetting) and cold (full-build) paths to
-#: each other — they can never diverge silently.
+#: (``row_chunk_words=1`` scans one word per full-batch call, so faults
+#: retire and plans subset after the first 64-pattern word): number of
+#: detected faults plus the sum of all first detection indices.
+#: Together with the cold-path assertions below, these pin the warm
+#: (plan-subsetting) and cold (full-build) paths to each other — they
+#: can never diverge silently.
 GOLDEN_FIRST_DETECTION: dict[str, tuple[int, int]] = {
     "c499": (920, 11328),
     "c880": (1679, 20111),
@@ -95,63 +96,51 @@ def test_incremental_plan_scan_pinned(name):
 
     circuit, faults, patterns = _golden_workload(name)
     expected_detected, expected_index_sum = GOLDEN_FIRST_DETECTION[name]
-    warm = BatchFaultSimulator(circuit, drop_window_words=1)
+    warm = BatchFaultSimulator(circuit, row_chunk_words=1)
     indices = warm.first_detection_index(patterns, faults)
     assert warm.plan_subsets > 0, "scan never exercised plan subsetting"
     detected = [index for index in indices if index is not None]
     assert len(detected) == expected_detected == GOLDEN[name].n_detected
     assert sum(detected) == expected_index_sum
-    # Cold path: one window spanning the whole set => no dropping, every
+    # Cold path: one call spanning the whole set => no dropping, every
     # plan built from scratch; must agree with the warm path bit-for-bit.
-    cold = BatchFaultSimulator(circuit, drop_window_words=64)
+    cold = BatchFaultSimulator(circuit, row_chunk_words=64)
     assert cold.first_detection_index(patterns, faults) == indices
     assert cold.plan_subsets == 0
 
 
 #: End-to-end flow pins (scale 0.25, adder TPG, T=16, 512 random
-#: patterns, seed 2001): Table-1's (#Triplets, TestLength) per circuit,
-#: per ATPG top-off engine.  The ``recursive`` column must reproduce the
-#: pre-stage pipeline implementation bit-identically; the ``batch``
-#: column pins the fault-parallel PODEM path (different pattern order,
-#: same downstream aggregates at this workload).
-GOLDEN_PIPELINE: dict[str, dict[str, tuple[int, int]]] = {
-    "recursive": {
-        "c499": (4, 52),
-        "c880": (7, 81),
-        "s420": (1, 14),
-    },
-    "batch": {
-        "c499": (4, 52),
-        "c880": (7, 81),
-        "s420": (1, 14),
-    },
+#: patterns, seed 2001): Table-1's (#Triplets, TestLength) per circuit.
+#: They are the pre-stage pipeline implementation's, which ran the scalar
+#: PODEM top-off; the fault-parallel top-off reaches the same aggregates.
+GOLDEN_PIPELINE: dict[str, tuple[int, int]] = {
+    "c499": (4, 52),
+    "c880": (7, 81),
+    "s420": (1, 14),
 }
 
 _PIPELINE_SCALE = 0.25
 
 
-def _golden_pipeline_config(atpg_engine: str = "recursive"):
+def _golden_pipeline_config():
     from repro.flow.pipeline import PipelineConfig
 
-    return PipelineConfig(
-        evolution_length=16, max_random_patterns=512, atpg_engine=atpg_engine
-    )
+    return PipelineConfig(evolution_length=16, max_random_patterns=512)
 
 
-@pytest.mark.parametrize("engine", sorted(GOLDEN_PIPELINE))
-@pytest.mark.parametrize("name", sorted(GOLDEN_PIPELINE["recursive"]))
-def test_pipeline_results_pinned(name, engine):
+@pytest.mark.parametrize("name", sorted(GOLDEN_PIPELINE))
+def test_pipeline_results_pinned(name):
     """`Session.run()` through the stage machinery keeps the exact
     #Triplets / TestLength of the seed implementation."""
     from repro.flow.session import Session
 
     circuit = load_circuit(name, scale=_PIPELINE_SCALE)
-    result = Session(circuit, _golden_pipeline_config(engine)).run("adder")
-    assert (result.n_triplets, result.test_length) == GOLDEN_PIPELINE[engine][name]
+    result = Session(circuit, _golden_pipeline_config()).run("adder")
+    assert (result.n_triplets, result.test_length) == GOLDEN_PIPELINE[name]
     assert result.atpg.measured_coverage == 1.0
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN_PIPELINE["recursive"]))
+@pytest.mark.parametrize("name", sorted(GOLDEN_PIPELINE))
 def test_session_agrees_with_pipeline_pins(name):
     """The Session/stage path and a cache round trip reproduce the pins."""
     from repro.flow.session import Session
@@ -160,9 +149,9 @@ def test_session_agrees_with_pipeline_pins(name):
         name, scale=_PIPELINE_SCALE, config=_golden_pipeline_config()
     )
     result = session.run("adder")
-    assert (result.n_triplets, result.test_length) == GOLDEN_PIPELINE["recursive"][name]
+    assert (result.n_triplets, result.test_length) == GOLDEN_PIPELINE[name]
     clone = type(result).from_dict(result.to_dict())
-    assert (clone.n_triplets, clone.test_length) == GOLDEN_PIPELINE["recursive"][name]
+    assert (clone.n_triplets, clone.test_length) == GOLDEN_PIPELINE[name]
 
 
 #: Three-valued pins: the same circuits under an X-seeded pattern bank
@@ -271,7 +260,7 @@ def test_threeval_x_free_matches_golden(name):
     assert masked == golden_signature(circuit, patterns)
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN_PIPELINE["recursive"]))
+@pytest.mark.parametrize("name", sorted(GOLDEN_PIPELINE))
 def test_pipeline_values3_matches_pins(name):
     """``values=3`` through the full flow: the stimulus is X-free, so
     Table-1 aggregates must equal the 2-valued pins bit for bit."""
@@ -283,7 +272,7 @@ def test_pipeline_values3_matches_pins(name):
         evolution_length=16, max_random_patterns=512, values=3
     )
     result = Session(circuit, config).run("adder")
-    assert (result.n_triplets, result.test_length) == GOLDEN_PIPELINE["batch"][name]
+    assert (result.n_triplets, result.test_length) == GOLDEN_PIPELINE[name]
     assert result.atpg.measured_coverage == 1.0
 
 

@@ -586,7 +586,6 @@ class TestTypedRequests:
         ("/atpg", "circuit", "c9999"),
         ("/diagnose", "circuit", "c9999"),
         ("/sweep", "tpgs", ["no-such-tpg"]),
-        ("/atpg", "engine", "quantum"),
         ("/diagnose", "timeout_ms", -5),
         ("/diagnose", "timeout_ms", 0),
     ]
@@ -609,6 +608,19 @@ class TestTypedRequests:
                           "circuit": "c17"}
         )
         assert request == AtpgRequest(circuit="c17")
+
+    def test_retired_engine_key_is_ignored(self, server, scenario):
+        """``/atpg`` has no ``engine`` field since there is one top-off
+        engine; an older client's ``engine`` key is an unknown key, which
+        the codec ignores, so the reply equals the reply without it."""
+        good = _good_bodies(scenario)["/atpg"]
+        status, plain = _post(server.host, server.port, "/atpg", good)
+        assert status == 200, plain
+        status, body = _post(
+            server.host, server.port, "/atpg", {**good, "engine": "recursive"}
+        )
+        assert status == 200, body
+        assert body["result"] == plain["result"]
 
 
 _MISSING = object()
@@ -691,6 +703,39 @@ class TestRequestFuzz:
     @pytest.mark.slow
     def test_fuzzed_bodies_never_5xx_long(self, server, scenario):
         _fuzz(server, scenario, max_examples=400, derandomize=False)
+
+
+class TestSessionBound:
+    """A worker keeps at most ``MAX_SESSIONS`` (circuit, scale)
+    sessions: each distinct client scale used to build a Session and
+    keep it for good, so a stream of scales grew the worker without
+    bound.  Past the cap the least recently used session is dropped,
+    and every request still succeeds."""
+
+    def test_distinct_scales_stay_within_cap(self):
+        from repro.obs import parse_prometheus_text
+        from repro.serve.server import MAX_SESSIONS
+
+        with BackgroundServer(ServeConfig(port=0, batch_window_ms=0.0)) as server:
+            with ServeClient(server.host, server.port) as client:
+                for index in range(MAX_SESSIONS + 4):
+                    body = encode(
+                        AtpgRequest(
+                            circuit="c17",
+                            scale=1.0 + index / 8,
+                            max_random_patterns=16,
+                        )
+                    )
+                    status, reply = _post(server.host, server.port, "/atpg", body)
+                    assert status == 200, reply
+                    stats = client.stats()
+                    assert len(stats["sessions"]) == min(index + 1, MAX_SESSIONS)
+                    gauges = parse_prometheus_text(client.metrics())
+                    assert gauges["repro_serve_sessions"] <= MAX_SESSIONS
+        # The most recently used scales are the ones kept.
+        assert stats["sessions"] == sorted(
+            f"c17@{1.0 + index / 8:g}" for index in range(4, MAX_SESSIONS + 4)
+        )
 
 
 class TestBatchIsolation:
