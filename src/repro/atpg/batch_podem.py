@@ -16,9 +16,9 @@ of every machine:
   evaluating each level's gates per *type* with the kernel's segmented
   shape (mixed arities share one ``reduceat``, so numpy-call count
   tracks levels, not gates);
-* after each level the per-lane fault forcings are re-asserted exactly
-  the way the batched fault simulator's ``_BatchPlan`` injects faults —
-  a stem freezes its net's faulty lane bit, a branch recomputes the
+* after each level the per-lane fault forcings are re-asserted (as the
+  batched fault simulator's ``_BatchPlan`` re-asserts its forced rows)
+  — a stem freezes its net's faulty lane bit, a branch recomputes the
   reading gate's faulty output with the stuck pin.
 
 The *search* half of PODEM (objective selection, backtrace, D-frontier

@@ -132,8 +132,9 @@ def build_detection_matrix(
     :meth:`BatchFaultSimulator.first_detection_rows`,
     which packs them word-aligned into chunks — every row reuses the
     same cached cone-union schedules, and a whole chunk of rows shares
-    one fault-free simulation and one ``_BatchPlan.detect`` per fault
-    batch — and each row's first-detection offsets are written into the
+    one fault-free simulation, one good-machine trace and one
+    ``_BatchPlan.detect`` per batch of stem machines — and each row's
+    first-detection offsets are written into the
     matrix's ``offsets`` table as it arrives.
     ``workers=N`` opts in to row-parallel construction over a process
     pool: the packed rows and pre-built plans are shared with the

@@ -297,7 +297,15 @@ class ReproServer:
             path=label,
         ).inc()
         with self.telemetry.tracer.span("serve.request", path=label) as span:
-            result = await self._route_inner(request, path)
+            try:
+                result = await self._route_inner(request, path)
+            except Exception as exc:
+                # An unexpected handler fault is a typed 500 on a
+                # connection that stays open, never a dropped socket;
+                # the request span records what failed.
+                message = f"internal error: {type(exc).__name__}: {exc}"
+                span.set(error=message)
+                result = 500, self._error_body(500, message), ()
         metrics.histogram(
             "repro_serve_request_seconds",
             help="End-to-end request latency (queue wait included), by endpoint.",

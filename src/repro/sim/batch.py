@@ -1,38 +1,66 @@
-"""Batched parallel-pattern fault simulation (PPSFP over fault batches).
+"""Batched parallel-pattern fault simulation over fanout-free regions.
 
 The legacy engine (:class:`repro.sim.fault.SerialFaultSimulator`) walks
 one fault cone at a time, paying one Python-level gate evaluation per
-cone node *per fault*.  This engine simulates a whole **batch** of
-faults at once:
+cone node *per fault*.  This engine needs far fewer machines than
+faults, because of the circuit's **fanout-free regions** (FFRs).  A
+net is an FFR **root** (a *stem*) when it is a primary output, or when
+it is read on a number of gate pins other than one (a fanout stem, a
+net one gate reads on two pins, or a dangling net).  Every other net
+has exactly one reader and belongs to its reader's region, so the
+regions are trees hanging off their roots.  Inside a tree a fault's
+effect reaches the root along one path, and no side input of that path
+depends on the fault.  So a fault is detected by a pattern exactly when
+three things hold on that pattern (critical-path tracing plus stem
+simulation: Antreich & Schulz, IEEE TCAD 1987; Maamari & Rajski, IEEE
+TCAD 1990):
 
-* faulty node values are stacked along a fault axis — every node touched
-  by the batch owns a ``(batch, n_words)`` ``uint64`` array, so one
-  numpy call propagates 64 patterns for *all* faults in the batch;
-* the batch shares one **cone-union schedule**: the union of the faults'
+* **activation** — the good value of the faulty net is known and is
+  the complement of the stuck value;
+* **criticality** — the path from the fault site (the net for a stem
+  fault, the faulty pin for a branch fault) to its root is sensitized
+  on the good machine: every gate on it is critical and every other
+  fanin of it is a *known* non-controlling value (AND/NAND/OR/NOR),
+  every other fanin is known (XOR/XNOR), or it is a NOT/BUF;
+* **root detection** — a flip of the root is observed at some primary
+  output.
+
+The first two are words of the good machine.  :meth:`BatchFaultSimulator.
+_trace` computes every pin's criticality word once per chunk of good
+state, walking the levels backward with one :func:`_critical_pins`
+kernel call per (level, type, arity) group.  The third is the one
+fault machine left, one **stem machine** per root:
+
+* stem machines are stacked along a batch axis — every node touched by
+  the batch owns a ``(batch, n_words)`` ``uint64`` array, so one numpy
+  call propagates 64 patterns for *all* roots in the batch;
+* the batch shares one **cone-union schedule**: the union of the roots'
   output cones is levelized and grouped by (gate type, arity) once per
-  distinct fault batch (:class:`_BatchPlan`, built from per-node arrays
+  distinct root batch (:class:`_BatchPlan`, built from per-node arrays
   with numpy unions and one sort), then reused for every pattern set
   simulated against that batch (e.g. every Detection Matrix row);
 * batches are **cone-local**: every query forms its batches through one
-  routine (:meth:`BatchFaultSimulator._batches`) that sorts the faults
-  by (reachable-PO bitmask, site level, site node) before chunking, so
-  batch-mates share most of their output cones and the union each one
-  simulates stays close to its own cone.  Fault rows are independent,
-  so the order changes no answer; results are scattered back to the
-  caller's fault order;
-* fault injection is done by *forcing* rows: a stem fault freezes its
-  net's row at the stuck value, a branch fault freezes the reading
-  gate's row at the gate function with the faulty pin stuck (one kernel
-  call per (gate type, arity) group of branch faults, from forcing
-  tables built with the plan).  Forced rows are re-asserted after their
-  level evaluates, so a site that lies inside another fault's cone is
-  still simulated correctly for the other rows of the batch;
-* one fault machine serves 0/1 and 0/1/X: the plane count ``m`` is a
-  property of the packed carrier (:class:`~repro.utils.bitvec.
-  PackedPatterns` or :class:`~repro.utils.bitvec.PackedPlanes`), and
-  fault-free simulation, :meth:`_BatchPlan.detect` and the gate kernel
+  routine (:meth:`BatchFaultSimulator._batches`) that groups the faults
+  by root and sorts the roots by (reachable-PO bitmask, level, node)
+  before chunking, so batch-mates share most of their output cones.
+  Machine rows are independent, so the order changes no answer;
+  results are scattered back to the caller's fault order;
+* a stem machine *forces* its root's row to the complement of the good
+  row (an X stays X), re-asserted after the root's level evaluates, so
+  a root inside another root's cone is still simulated correctly for
+  the other rows of the batch;
+* a fault's detect word is ``activation & criticality & root detect``
+  (:func:`_region_detect`), a few gathers per fault instead of a
+  machine per fault;
+* one engine serves 0/1 and 0/1/X: the plane count ``m`` is a property
+  of the packed carrier (:class:`~repro.utils.bitvec.PackedPatterns` or
+  :class:`~repro.utils.bitvec.PackedPlanes`), and fault-free
+  simulation, tracing, :meth:`_BatchPlan.detect` and the gate kernel
   (:func:`~repro.circuit.gates.eval_gates`) all take it with the state.
-  At ``m = 2`` detection is pessimistic (:mod:`repro.sim.threeval`).
+  At ``m = 2`` detection is pessimistic (:mod:`repro.sim.threeval`):
+  activation and every side input must be known, and an output counts
+  only where both machines are known and differ, which is exactly what
+  a per-fault 0/1/X machine reports.
 
 Every pattern argument is :data:`~repro.utils.bitvec.PatternsLike`: the
 word-parallel :class:`~repro.utils.bitvec.PackedPatterns` the batched
@@ -42,28 +70,29 @@ generated sequences go TPG -> simulator without ever existing as Python
 int lists.
 
 **Fault dropping**: :meth:`detection_matrix_rows` streams Detection
-Matrix rows (one row per pattern set) over one fixed fault batching, and
-the any-pattern queries (:meth:`detected`, :meth:`first_detection_index`,
+Matrix rows (one row per pattern set) over one fixed batching, and the
+any-pattern queries (:meth:`detected`, :meth:`first_detection_index`,
 :meth:`fault_coverage`) are its one-row views, so every "does some
 pattern detect this fault" question runs the same scan.  Rows are packed
 word-aligned into **chunks** of at most ``CHUNK_BUDGETS ×
 row_chunk_words`` words, and each chunk pays one fault-free simulation
-for all its rows.  Each fault batch then scans the chunk
+and one trace for all its rows.  Each root batch then scans the chunk
 **offset-major** — every row's word 0, then every row's word 1, and so
-on — in calls of at most ``row_chunk_words × batch_size`` fault × word
-cells, with **per-row fault dropping** between calls: a fault stops
-being simulated once every row that still has unscanned words has
-detected it, and a row stops being scanned once it has detected every
-fault still simulated.  One-word rows have nothing to drop and scan
-every cell.  A shrinking batch *subsets* its compiled schedule
-(:meth:`_BatchPlan.subset` — an index-mask filter over the forced rows)
-instead of re-running the pure-Python cone-union/level-grouping
-construction for the survivors.  The scan records each (row, fault)
-cell's **first detecting pattern** as it goes
-(:meth:`first_detection_rows`): a row's words are visited in order, so
-its first non-zero detect word and that word's lowest set bit are the
-first detection, at no extra fault-machine work; the Detection Matrix
-row is the detected-or-not view of those offsets.
+on — in calls of at most ``row_chunk_words × batch_size`` stem-machine
+× word cells, with **per-row fault dropping** between calls: a fault
+retires once every row that still has unscanned words has detected it,
+a root's machine stops once every fault in its region has retired, and
+a row stops being scanned once it has detected every fault still live.
+One-word rows have nothing to drop and scan every cell.  A shrinking
+batch *subsets* its compiled schedule (:meth:`_BatchPlan.subset` — an
+index-mask filter over the forced rows) instead of re-running the
+pure-Python cone-union/level-grouping construction for the survivors.
+The scan records each (row, fault) cell's **first detecting pattern**
+as it goes (:meth:`first_detection_rows`): a row's words are visited
+in order, so its first non-zero detect word and that word's lowest set
+bit are the first detection; the Detection Matrix row is the
+detected-or-not view of those offsets.  The ``detect_cells`` counter
+counts stem-machine × word cells.
 
 :func:`parallel_detection_rows` fans row chunks out over a process pool
 for an opt-in ``workers=N`` construction path; the packed pattern state
@@ -93,12 +122,12 @@ from repro.utils.kernels import kernel
 
 _ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 
-#: Default number of faults simulated per batch.
+#: Default number of stem machines (FFR roots) simulated per batch.
 DEFAULT_BATCH_SIZE = 32
 
-#: Word budget of one detection-row fault-machine call at full batch
+#: Word budget of one detection-row stem-machine call at full batch
 #: width: a call simulates at most ``row_chunk_words × batch_size``
-#: fault × word cells (64 × 32 = 2048 by default).
+#: stem-machine × word cells (64 × 32 = 2048 by default).
 DEFAULT_ROW_CHUNK_WORDS = 64
 
 #: A detection-row chunk's fault-free state holds at most this many
@@ -146,24 +175,30 @@ def _word_columns(state: np.ndarray, m: int, cols: slice | np.ndarray) -> np.nda
     return np.take(planes, cols, axis=2).reshape(n_rows, -1)
 
 
-def _site_node(compiled: CompiledCircuit, fault: Fault) -> int:
-    """The node a fault forces: the stuck net for a stem fault, the
-    reading gate for a branch fault."""
-    site = fault.site
-    return compiled.index[site.gate if site.is_branch else site.net]
+#: The columns of a region table (one row per fault, built by
+#: :meth:`BatchFaultSimulator._regions`): the fault's FFR root (a node
+#: id, or the root's row in its batch plan), the net whose good value
+#: activates it, the stuck value, and its criticality row in the trace
+#: table (a pin, or the all-ones row for a fault on a root).
+_ROOT, _SITE, _STUCK, _CRIT = 0, 1, 2, 3
+
+#: Activation flips the good value plane of a stuck-at-1 site.
+_STUCK_FILL = np.array([0, 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
 
 
 class _NodeTables:
-    """Per-node structure arrays the plan builder indexes.
+    """Per-node structure arrays the plan builder and the tracer index.
 
     Built once per simulator, so :class:`_BatchPlan` construction is a
     handful of numpy gathers instead of Python set and dict walks over
-    every cone node.
+    every cone node.  Pins are numbered gate by gate (``pin_start[g] +
+    p`` is pin ``p`` of gate ``g``); row ``n_pins`` of a trace table is
+    the all-ones criticality of a root.
     """
 
     __slots__ = (
-        "levels", "gate_types", "arity", "fanin_pad", "type_arity", "group_key",
-        "output_ids",
+        "levels", "gate_types", "arity", "fanin_pad", "group_key",
+        "output_ids", "pin_start", "n_pins", "crit_row", "ffr_root", "trace_groups",
     )
 
     def __init__(self, compiled: CompiledCircuit) -> None:
@@ -182,60 +217,185 @@ class _NodeTables:
         )
         for node_id, fanins in enumerate(compiled.gate_fanins):
             self.fanin_pad[node_id, : len(fanins)] = fanins
-        # One int key per node encoding (gate type, arity), and one
-        # sortable key encoding (level, gate type, arity).
+        # One sortable int key per node encoding (level, gate type,
+        # arity).
         type_code = {gtype: code for code, gtype in enumerate(GateType)}
         codes = np.array(
             [type_code[gtype] for gtype in compiled.gate_types], dtype=np.int64
         )
-        self.type_arity = codes * (width + 1) + self.arity
         self.group_key = (
-            self.levels * len(type_code) * (width + 1) + self.type_arity
-        )
+            self.levels * len(type_code) + codes
+        ) * (width + 1) + self.arity
+        self._index_regions(compiled)
+
+    def _index_regions(self, compiled: CompiledCircuit) -> None:
+        """Fanout-free regions: each node's root and criticality row,
+        and the backward trace schedule.  A node is a root when it is a
+        PO or is read on a number of pins other than one; any other
+        node's region, root and criticality are its one reader's."""
+        n_nodes = compiled.n_nodes
+        self.pin_start = np.cumsum(self.arity) - self.arity
+        self.n_pins = int(self.arity.sum())
+        # Every pin's gate and the net it reads, in pin order.
+        pin_gate = np.repeat(np.arange(n_nodes, dtype=np.int64), self.arity)
+        pin_net = self.fanin_pad[
+            np.arange(self.fanin_pad.shape[1]) < self.arity[:, None]
+        ]
+        is_root = np.bincount(pin_net, minlength=n_nodes) != 1
+        is_root[compiled.output_ids] = True
+        self.crit_row = np.full(n_nodes, self.n_pins, dtype=np.int64)
+        self.crit_row[pin_net] = np.arange(self.n_pins)
+        self.crit_row[is_root] = self.n_pins
+        # Each non-root points at its one reader; pointer doubling walks
+        # every chain to its root in O(log depth) gathers.
+        root = np.arange(n_nodes, dtype=np.int64)
+        root[pin_net] = pin_gate
+        root[is_root] = np.flatnonzero(is_root)
+        while True:
+            hop = root[root]
+            if (hop == root).all():
+                break
+            root = hop
+        self.ffr_root = root
+        # Gate groups from the highest level down: a gate's reader sits
+        # on a higher level, so its criticality is final when its group
+        # runs.  Gates that pass a flip alike share a group: AND/NAND,
+        # OR/NOR, XOR/XNOR, and any one-input gate.  Each group: (type,
+        # the gates' criticality rows, fanin ids, the pins' trace rows).
+        merged: dict[tuple[int, GateType, int], list] = {}
+        for level, groups in reversed(compiled.eval_levels):
+            for gtype, out_ids, fanin_ids in groups:
+                arity = fanin_ids.shape[1]
+                kind = GateType.BUF if arity == 1 else _TRACE_KIND[gtype]
+                merged.setdefault((level, kind, arity), []).append((out_ids, fanin_ids))
+        self.trace_groups = []
+        for (_, kind, arity), parts in merged.items():
+            out_ids = np.concatenate([out for out, _ in parts])
+            self.trace_groups.append((
+                kind,
+                self.crit_row[out_ids],
+                np.concatenate([fanins for _, fanins in parts]),
+                self.pin_start[out_ids][:, None] + np.arange(arity, dtype=np.int64),
+            ))
 
 
-#: The columns of a plan's per-fault spec table that :meth:`_BatchPlan.
-#: detect` reads: the site's buffer row and the stuck value.
-_SPEC_ROW, _SPEC_STUCK = 0, 1
+#: The gate type each gate traces as: what matters is which fanin value
+#: blocks a flip (a known 0, a known 1, an X) and not the inversion.
+_TRACE_KIND = {
+    GateType.AND: GateType.AND, GateType.NAND: GateType.AND,
+    GateType.OR: GateType.OR, GateType.NOR: GateType.OR,
+    GateType.XOR: GateType.XOR, GateType.XNOR: GateType.XOR,
+    GateType.NOT: GateType.BUF, GateType.BUF: GateType.BUF,
+}
+
+
+@kernel
+def _critical_pins(
+    kind: GateType, fanins: np.ndarray, gate_crit: np.ndarray, m: int
+) -> np.ndarray:
+    """Criticality words of every pin of a trace group (see
+    :data:`_TRACE_KIND`: ``kind`` is AND, OR, XOR or BUF).
+
+    ``fanins`` is the group's good fanin state ``(gates, arity, m *
+    n_words)``, ``gate_crit`` the gates' own criticality ``(gates,
+    n_words)``.  A pin is critical where its gate is and every *other*
+    fanin lets a flip through: a known 1 for AND, a known 0 for OR, any
+    known value for XOR; a one-input gate passes criticality through.
+    At ``m = 1`` every value is known.  The others' AND is a prefix AND
+    times a suffix AND.  Result: ``(gates, arity, n_words)``.
+    """
+    n_words = gate_crit.shape[-1]
+    arity = fanins.shape[1]
+    if arity == 1 or (kind is GateType.XOR and m == 1):
+        return np.repeat(gate_crit[:, None, :], arity, axis=1)
+    value = fanins[..., :n_words]
+    if kind is GateType.AND:
+        # value & ~care == 0, so a set value bit is a known 1.
+        passing = value
+    elif kind is GateType.XOR:
+        passing = fanins[..., n_words:]
+    elif m == 1:
+        passing = ~value
+    else:
+        passing = value ^ fanins[..., n_words:]
+    prefix = np.bitwise_and.accumulate(passing, axis=1)
+    suffix = np.bitwise_and.accumulate(passing[:, ::-1], axis=1)[:, ::-1]
+    crit = np.empty(value.shape, dtype=np.uint64)
+    crit[:, 0] = suffix[:, 1]
+    crit[:, -1] = prefix[:, -2]
+    crit[:, 1:-1] = prefix[:, :-2] & suffix[:, 2:]
+    crit &= gate_crit[:, None, :]
+    return crit
+
+
+@kernel
+def _region_detect(
+    regions: np.ndarray,
+    stems: np.ndarray,
+    good: np.ndarray,
+    crit: np.ndarray,
+    m: int,
+) -> np.ndarray:
+    """Per-fault detect words ``(n_faults, n_words)``: activation &
+    criticality & root detection, tail bits unmasked.
+
+    ``regions`` is a region table whose root column holds rows of
+    ``stems``, the batch plan's root detect words; ``good`` and
+    ``crit`` are the good state and trace table over the same words.
+    Activation is a known good value that is the complement of the
+    stuck value.
+    """
+    n_words = stems.shape[1]
+    site = good[regions[:, _SITE]]
+    words = site[:, :n_words] ^ _STUCK_FILL[regions[:, _STUCK]][:, None]
+    if m == 2:
+        words &= site[:, n_words:]
+    words &= crit[regions[:, _CRIT]]
+    words &= stems[regions[:, _ROOT]]
+    return words
+
+
+#: The column of a plan's per-root spec table that :meth:`_BatchPlan.
+#: detect` reads: the root's buffer row (the others are its level and
+#: whether the cone union evaluates it, so it must be re-forced).
+_SPEC_ROW = 0
 
 
 class _BatchPlan:
-    """The compiled cone-union schedule for one tuple of faults.
+    """The compiled cone-union schedule of one tuple of stem machines.
 
-    Built once per distinct fault batch and cached by the simulator; the
+    Built once per distinct root batch and cached by the simulator; the
     expensive structural work (cone unions, level grouping, buffer
     layout, forcing tables) is paid here so :meth:`detect` is pure
     numpy.
     """
 
     __slots__ = (
-        "n_faults",
+        "roots",
+        "n_roots",
         "n_buf",
         "boundary_pos",
         "boundary_ids",
         "level_groups",
         "out_pos",
         "out_ids",
-        "tables",
         "spec",
-        "branch_groups",
         "reforce",
     )
 
     def __init__(
         self,
         compiled: CompiledCircuit,
-        faults: Sequence[Fault],
+        roots: Sequence[int],
         cone_of,
         tables: _NodeTables,
     ) -> None:
-        nodes = [_site_node(compiled, fault) for fault in faults]
-        site_ids = np.array(nodes, dtype=np.int64)
+        site_ids = np.array(roots, dtype=np.int64)
         in_union = np.zeros(compiled.n_nodes, dtype=bool)
-        if nodes:
-            in_union[np.concatenate([cone_of(node) for node in set(nodes)])] = True
+        if site_ids.size:
+            in_union[np.concatenate([cone_of(int(r)) for r in site_ids])] = True
         union_ids = np.flatnonzero(in_union)
-        # Buffer membership: every evaluated node, every site, and every
+        # Buffer membership: every evaluated node, every root, and every
         # fanin an evaluated gate reads (so gathers hit one buffer).
         union_fanins = tables.fanin_pad[union_ids]
         in_buf = in_union.copy()
@@ -272,145 +432,84 @@ class _BatchPlan:
                 level_groups.append((level, [group]))
         self.level_groups = level_groups
         # Observation points: only POs inside the union (or forced as a
-        # site) can diverge from the fault-free values.
+        # root) can diverge from the fault-free values.
         observable = in_union.copy()
         observable[site_ids] = True
         self.out_ids = tables.output_ids[observable[tables.output_ids]]
         self.out_pos = pos[self.out_ids]
-        # Per-fault injection spec, one row per fault, in the column
-        # order _index_forcings unpacks.  `evaluated` marks sites inside
-        # the union, whose rows must be re-forced after their level
-        # evaluates.  Branch forced values depend on the fault-free
-        # values, so only the structure is kept.
         spec = np.array(
-            [
-                pos[site_ids],
-                [fault.value for fault in faults],
-                [fault.site.is_branch for fault in faults],
-                [fault.site.pin or 0 for fault in faults],
-                levels[site_ids],
-                in_union[site_ids],
-                site_ids,
-                tables.arity[site_ids],
-                tables.type_arity[site_ids],
-            ],
-            dtype=np.int64,
+            [pos[site_ids], levels[site_ids], in_union[site_ids]], dtype=np.int64
         ).T
-        self.tables = tables
-        self._index_forcings(spec)
+        self._index_forcings(site_ids, spec)
 
-    def _index_forcings(self, spec: np.ndarray) -> None:
-        """Build the forcing tables from one spec row per fault: the
-        branch forcings grouped by (gate type, arity) so each group
-        re-evaluates in one kernel call, and the ``(site rows, fault
-        rows)`` to re-force per level.  A branch fault's site is the
-        reading gate, so its node, arity and key are the gate's."""
+    def _index_forcings(self, roots: np.ndarray, spec: np.ndarray) -> None:
+        """Keep the roots and their spec rows, and build the ``(buffer
+        rows, machine rows)`` to re-force per level."""
+        self.roots = roots
         self.spec = spec
-        self.n_faults = len(spec)
-        branches: dict[int, tuple[int, list, list, list, list]] = {}
+        self.n_roots = len(spec)
         reforce: dict[int, tuple[list, list]] = {}
-        for row, (site_row, stuck, branch, pin, level, evaluated, node, arity, key) in (
-            enumerate(spec.tolist())
-        ):
-            if branch:
-                group = branches.get(key)
-                if group is None:
-                    group = branches[key] = (arity, [], [], [], [])
-                _, rows, pins, stucks, gates = group
-                # The faulty pin's row in the group's flattened gather.
-                pins.append(len(rows) * arity + pin)
-                rows.append(row)
-                stucks.append(stuck)
-                gates.append(node)
+        for row, (site_row, level, evaluated) in enumerate(spec.tolist()):
             if evaluated:
                 site_rows, rows = reforce.setdefault(level, ([], []))
                 site_rows.append(site_row)
                 rows.append(row)
-        tables = self.tables
-        self.branch_groups = [
-            (
-                tables.gate_types[gates[0]],
-                np.array([rows, pins, stucks], dtype=np.int64),
-                tables.fanin_pad[gates, :arity],
-            )
-            for arity, rows, pins, stucks, gates in branches.values()
-        ]
         self.reforce = {
             level: np.array(pair, dtype=np.int64) for level, pair in reforce.items()
         }
 
     def subset(self, rows: Sequence[int]) -> "_BatchPlan":
-        """A plan for the faults at ``rows`` of this plan's batch.
+        """A plan for the stem machines at ``rows`` of this plan's batch.
 
         The expensive structure (cone union, buffer layout, level
         groups, observation points) is *shared* with the parent — the
         union is a superset of the survivors' union, which is correct
-        because fault rows are independent: nodes only reachable from
-        dropped faults evaluate to fault-free values on every surviving
+        because machine rows are independent: nodes only reachable from
+        dropped roots evaluate to fault-free values on every surviving
         row and contribute nothing at the outputs.  Only the forcing
         tables are rebuilt for the survivors, so subsetting after fault
         dropping is O(batch) instead of a cone-union rebuild.
         """
         rows = [int(row) for row in rows]
         if len(set(rows)) != len(rows) or not all(
-            0 <= row < self.n_faults for row in rows
+            0 <= row < self.n_roots for row in rows
         ):
-            raise ValueError(f"invalid subset rows {rows!r} of {self.n_faults}")
+            raise ValueError(f"invalid subset rows {rows!r} of {self.n_roots}")
         clone = _BatchPlan.__new__(_BatchPlan)
-        clone.tables = self.tables
         clone.n_buf = self.n_buf
         clone.boundary_pos = self.boundary_pos
         clone.boundary_ids = self.boundary_ids
         clone.level_groups = self.level_groups
         clone.out_pos = self.out_pos
         clone.out_ids = self.out_ids
-        clone._index_forcings(self.spec[rows])
+        clone._index_forcings(self.roots[rows], self.spec[rows])
         return clone
-
-    def _forced(self, good: np.ndarray, m: int) -> np.ndarray:
-        """The forced state row of every fault, ``(n_faults, m *
-        n_words)``, against fault-free state ``good``.
-
-        A stem fault pins its net to the stuck value; a branch fault
-        re-evaluates the reading gate with the faulty pin stuck.  The
-        stuck value is always *known* (every care bit set): the defect
-        pins the net whatever the machine knows elsewhere, while X on
-        the healthy pins of a branch gate propagates through it.
-        """
-        n_words = good.shape[1] // m
-        stuck_rows = np.zeros((2, good.shape[1]), dtype=np.uint64)
-        stuck_rows[1, :n_words] = _ALL_ONES
-        stuck_rows[:, n_words:] = _ALL_ONES
-        forced = stuck_rows[self.spec[:, _SPEC_STUCK]]
-        for gtype, (rows, pins, stuck), fanin_ids in self.branch_groups:
-            fanins = good[fanin_ids]
-            fanins.reshape(-1, good.shape[1])[pins] = stuck_rows[stuck]
-            forced[rows] = eval_gates(gtype, fanins, m, axis=1)
-        return forced
 
     # repro: allow[kernel-purity] O(depth) level walk; each group and each level's re-forcing is word-parallel
     @kernel
     def detect(self, good: np.ndarray, m: int) -> np.ndarray:
-        """Per-fault detection words against fault-free state ``good``.
+        """Per-root detection words against fault-free state ``good``.
 
         ``good`` has shape ``(n_nodes, m * n_words)`` with ``m`` planes
         side by side (see :func:`~repro.circuit.gates.eval_gates`); the
-        result has shape ``(n_faults, n_words)`` with a bit set where
-        some primary output differs from the fault-free value (tail bits
-        unmasked).  At ``m = 2`` an output counts only where it is
-        **known on both machines and differs** — the pessimistic tester
-        view: an X on either side would mask at the compactor, so
-        3-valued coverage is ≤ 2-valued coverage, with equality on
-        X-free input.
+        result has shape ``(n_roots, n_words)`` with a bit set where a
+        flip of the root makes some primary output differ from the
+        fault-free value (tail bits unmasked).  Each machine forces its
+        root to the complement of the good row, where an X stays X (the
+        NOT of the gate kernel).  At ``m = 2`` an output counts only
+        where it is **known on both machines and differs** — the
+        pessimistic tester view: an X on either side would mask at the
+        compactor, so 3-valued coverage is ≤ 2-valued coverage, with
+        equality on X-free input.
         """
         n_words = good.shape[1] // m
         if not self.out_pos.size:
-            return np.zeros((self.n_faults, n_words), dtype=np.uint64)
-        buf = np.empty((self.n_buf, self.n_faults, good.shape[1]), dtype=np.uint64)
+            return np.zeros((self.n_roots, n_words), dtype=np.uint64)
+        buf = np.empty((self.n_buf, self.n_roots, good.shape[1]), dtype=np.uint64)
         if self.boundary_pos.size:
             buf[self.boundary_pos] = good[self.boundary_ids][:, None, :]
-        forced = self._forced(good, m)
-        buf[self.spec[:, _SPEC_ROW], np.arange(self.n_faults, dtype=np.int64)] = forced
+        forced = eval_gates(GateType.NOT, good[self.roots][:, None, :], m, axis=1)
+        buf[self.spec[:, _SPEC_ROW], np.arange(self.n_roots, dtype=np.int64)] = forced
         reforce = self.reforce
         for level, groups in self.level_groups:
             for gtype, out_pos, fanin_pos in groups:
@@ -430,10 +529,10 @@ class _BatchPlan:
 class BatchFaultSimulator:
     """Batched stuck-at fault simulator bound to one circuit.
 
-    The compiled circuit, per-node cones and batch-order keys, and
-    per-batch schedules are all cached, so repeated calls (one per
-    Detection Matrix row, one per GA fitness evaluation, ...) only pay
-    for numpy work.
+    The compiled circuit, its fanout-free regions, per-node cones and
+    batch-order keys, and per-batch stem-machine schedules are all
+    cached, so repeated calls (one per Detection Matrix row, one per GA
+    fitness evaluation, ...) only pay for numpy work.
     """
 
     def __init__(
@@ -455,7 +554,8 @@ class BatchFaultSimulator:
         self._tables = _NodeTables(self.compiled)
         self._cone_cache: dict[int, np.ndarray] = {}
         self._order_key_cache: dict[int, tuple[int, int, int]] = {}
-        self._plan_cache: OrderedDict[tuple[Fault, ...], _BatchPlan] = OrderedDict()
+        self._region_cache: dict[Fault, tuple[int, int, int, int]] = {}
+        self._plan_cache: OrderedDict[tuple[int, ...], _BatchPlan] = OrderedDict()
         self._good_buf: np.ndarray | None = None
         #: Plan economics, exposed for tests and perf forensics: full
         #: cone-union constructions vs cache hits vs O(batch) subsets.
@@ -464,8 +564,9 @@ class BatchFaultSimulator:
         self.plan_subsets = 0
         #: Throughput counter: pattern-axis words per fault-free pass.
         self.words_simulated = 0
-        #: Work counter: fault × word cells through the fault machine
-        #: (:meth:`_BatchPlan.detect`) of this simulator's queries.
+        #: Work counter: stem-machine × word cells through the fault
+        #: machine (:meth:`_BatchPlan.detect`) of this simulator's
+        #: queries — one machine per FFR root, not per fault.
         self.detect_cells = 0
         # Telemetry stays collector-based: the hot loops above touch
         # plain ints only, and a registry samples them at scrape time.
@@ -493,32 +594,21 @@ class BatchFaultSimulator:
 
         rows = (
             ("repro_sim_plan_builds_total", self.plan_builds,
-             "Cone-union batch plans compiled."),
+             "Stem-machine cone-union batch plans compiled."),
             ("repro_sim_plan_cache_hits_total", self.plan_cache_hits,
              "Batch plans served from the LRU plan cache."),
             ("repro_sim_plan_subsets_total", self.plan_subsets,
-             "O(batch) plan subsets taken when fault dropping retires faults."),
+             "O(batch) plan subsets taken when fault dropping retires stems."),
             ("repro_sim_words_simulated_total", self.words_simulated,
              "Pattern-axis 64-bit words through fault-free simulation."),
             ("repro_sim_detect_cells_total", self.detect_cells,
-             "Fault x word cells through fault-machine simulation."),
+             "Stem-machine x word cells through fault-machine simulation."),
         )
         return [Sample(name, "counter", (), value, help) for name, value, help in rows]
 
     # ------------------------------------------------------------------
     # public API
     # ------------------------------------------------------------------
-
-    def plan_for(self, faults: Sequence[Fault]) -> _BatchPlan:
-        """The compiled cone-union schedule for one fault batch.
-
-        Public accessor over the LRU plan cache, so engines layered on
-        the simulator — the batch PODEM's implication step, drop loops
-        in :mod:`repro.atpg.engine` — share the same levelized
-        schedules (and the same cache economics) as the detection
-        queries instead of recompiling cone unions on the side.
-        """
-        return self._plan(tuple(faults))
 
     def detection_matrix(
         self, patterns: PatternsLike, faults: Sequence[Fault]
@@ -530,11 +620,14 @@ class BatchFaultSimulator:
         result = np.zeros((n_patterns, len(faults)), dtype=bool)
         if not n_patterns or not faults:
             return result
-        good = self._good_values(carrier.words, carrier.m)
-        for indices, batch in self._batches(faults):
-            detect = self._run_detect(self._plan(batch), good, carrier.m)
+        m = carrier.m
+        good = self._good_values(carrier.words, m)
+        crit = self._trace(good, m)
+        for indices, regions, roots in self._batches(faults):
+            stems = self._run_detect(self._plan(roots), good, m)
+            detect = _region_detect(regions, stems, good, crit, m)
             bits = np.unpackbits(
-                np.ascontiguousarray(detect).view(np.uint8).reshape(len(batch), -1),
+                detect.view(np.uint8).reshape(len(indices), -1),
                 axis=1,
                 bitorder="little",
             )
@@ -596,21 +689,22 @@ class BatchFaultSimulator:
         has dtype :func:`offset_dtype` of the longest pattern set
         (``uint8`` while no set exceeds 255 patterns).
 
-        The fault batching is fixed up front, so every row reuses the
-        same cached cone-union schedules.  ``row_chunk_words`` (default:
-        the simulator's) is the word budget of one fault-machine call at
-        full batch width: a call simulates at most ``row_chunk_words ×
-        batch_size`` fault × word cells.  Rows are packed word-aligned
-        into chunks of at most ``CHUNK_BUDGETS × row_chunk_words`` words
-        (a longer row is a chunk of its own), and each chunk pays one
-        fault-free simulation for all its rows.  Each fault batch then
-        scans the chunk offset-major with per-row fault dropping
-        (:meth:`_scan_rows`): a fault stops being simulated once every
-        row that still has unscanned words has detected it, and a row
-        stops being scanned once it has detected every fault still
-        simulated.  Offsets are the same under any budget and any
-        chunking; one-word rows scan every fault × word cell, exactly as
-        an unchunked schedule does.
+        The batching is fixed up front, so every row reuses the same
+        cached cone-union schedules.  ``row_chunk_words`` (default: the
+        simulator's) is the word budget of one stem-machine call at full
+        batch width: a call simulates at most ``row_chunk_words ×
+        batch_size`` stem-machine × word cells.  Rows are packed
+        word-aligned into chunks of at most ``CHUNK_BUDGETS ×
+        row_chunk_words`` words (a longer row is a chunk of its own),
+        and each chunk pays one fault-free simulation and one trace for
+        all its rows.  Each root batch then scans the chunk offset-major
+        with per-row fault dropping (:meth:`_scan_rows`): a fault
+        retires once every row that still has unscanned words has
+        detected it, a root's machine stops once its region's faults
+        have all retired, and a row stops being scanned once it has
+        detected every live fault.  Offsets are the same under any
+        budget and any chunking; one-word rows scan every stem-machine
+        × word cell, exactly as an unchunked schedule does.
         """
         carriers = [self._pack(patterns) for patterns in pattern_sets]
         dtype = offset_dtype(max((c.n_patterns for c in carriers), default=0))
@@ -632,30 +726,31 @@ class BatchFaultSimulator:
         if budget < 1:
             raise ValueError(f"row_chunk_words must be >= 1, got {budget}")
         limit = CHUNK_BUDGETS * budget
-        order, plans = self._batch_plans(faults)
+        order, batches = self._batch_plans(faults)
         chunk: list[PackedPatterns] = []
         chunk_words = 0
         for carrier in carriers:
             if chunk and chunk_words + carrier.n_words > limit:
-                yield from self._row_chunk(chunk, order, plans, budget, dtype)
+                yield from self._row_chunk(chunk, order, batches, budget, dtype)
                 chunk, chunk_words = [], 0
             chunk.append(carrier)
             chunk_words += carrier.n_words
         if chunk:
-            yield from self._row_chunk(chunk, order, plans, budget, dtype)
+            yield from self._row_chunk(chunk, order, batches, budget, dtype)
 
     def _row_chunk(
         self,
         chunk: list[PackedPatterns],
         order: np.ndarray,
-        plans: list[_BatchPlan],
+        batches: list[tuple[_BatchPlan, np.ndarray]],
         budget: int,
         dtype: np.dtype,
     ) -> Iterator[np.ndarray]:
         """Simulate one word-aligned chunk of packed rows together and
-        yield its per-row first-detection rows in order.  ``plans``
-        cover the faults in batch order; ``order`` maps batch order back
-        to the caller's fault columns."""
+        yield its per-row first-detection rows in order.  ``batches``
+        are ``(plan, region table)`` pairs covering the faults in batch
+        order; ``order`` maps batch order back to the caller's fault
+        columns."""
         n_faults = order.size
         sentinel = np.iinfo(dtype).max
         # A fresh table per chunk: the yielded rows are views of it that
@@ -678,6 +773,7 @@ class BatchFaultSimulator:
                     [p.words.reshape(width, m, -1) for p in pieces], axis=2
                 ).reshape(width, -1)
             good = self._good_values(words, m)
+            crit = self._trace(good, m)
             mask = np.concatenate([p.tail_mask() for p in pieces])
             # Every (row, word offset) pair of the chunk, offset-major:
             # all rows' word 0, then all rows' word 1, and so on.
@@ -686,50 +782,55 @@ class BatchFaultSimulator:
             pairs = (pair_row, starts[pair_row] + pair_offset, pair_offset * 64)
             found = np.full((len(pieces), n_faults), sentinel, dtype=dtype)
             column = 0
-            for plan in plans:
+            for plan, regions in batches:
                 self._scan_rows(
-                    plan, good, m, mask, pairs, budget,
-                    found[:, column : column + plan.n_faults],
+                    plan, regions, good, crit, m, mask, pairs, budget,
+                    found[:, column : column + len(regions)],
                 )
-                column += plan.n_faults
+                column += len(regions)
             rows[np.array(non_empty)[:, None], order] = found
         yield from rows
 
     def _scan_rows(
         self,
         plan: _BatchPlan,
+        regions: np.ndarray,
         good: np.ndarray,
+        crit: np.ndarray,
         m: int,
         mask: np.ndarray,
         pairs: tuple[np.ndarray, np.ndarray, np.ndarray],
         budget: int,
         first: np.ndarray,
     ) -> None:
-        """Fill ``first`` (``(n_rows, plan.n_faults)``, all sentinel)
-        with one fault batch's per-row first-detection offsets over a
+        """Fill ``first`` (``(n_rows, len(regions))``, all sentinel)
+        with one root batch's per-row first-detection offsets over a
         chunk, by a budgeted offset-major scan with fault dropping.
 
-        ``pairs`` is ``(row, chunk word column, first pattern of the
-        word)`` per word of the chunk, in scan order.  Each call
-        simulates the next ``budget × batch_size // live`` pending
-        columns for the ``live`` faults still simulated, so every call
-        carries at most ``budget × batch_size`` fault × word cells, and
-        about that many while enough columns are pending (a
-        near-constant call size keeps the allocator from fragmenting).
-        A hit's offset is its word's first pattern plus the lowest set
-        bit of the masked detect word; a cell keeps the least offset
-        seen.  After each call a fault that every row with pending words
-        has detected is retired (an O(batch) plan subset), and the
-        pending words of a row that has detected every live fault are
-        dropped.  Neither can change an offset: a row's words are
-        scanned in order, so a row that has detected a fault has
-        already scanned every earlier word, and a retired fault or a
-        dropped row has no first detection left to find.
+        ``regions`` is the batch's region table (roots as rows of
+        ``plan``), ``crit`` the chunk's trace table.  ``pairs`` is
+        ``(row, chunk word column, first pattern of the word)`` per word
+        of the chunk, in scan order.  Each call simulates the next
+        ``budget × batch_size // live`` pending columns for the ``live``
+        stem machines still simulated, so every call carries at most
+        ``budget × batch_size`` stem-machine × word cells, and about
+        that many while enough columns are pending (a near-constant call
+        size keeps the allocator from fragmenting).  A hit's offset is
+        its word's first pattern plus the lowest set bit of the masked
+        detect word; a cell keeps the least offset seen.  After each
+        call a fault that every row with pending words has detected is
+        retired, a root whose faults have all retired leaves the plan
+        (an O(batch) subset), and the pending words of a row that has
+        detected every live fault are dropped.  None can change an
+        offset: a row's words are scanned in order, so a row that has
+        detected a fault has already scanned every earlier word, and a
+        retired fault or a dropped row has no first detection left to
+        find.
         """
         pending_row, pending_col, pending_base = pairs
-        live = np.arange(plan.n_faults)
+        live = np.arange(len(regions))
         while pending_row.size:
-            take = budget * self.batch_size // live.size
+            take = budget * self.batch_size // plan.n_roots
             row, col, base = pending_row[:take], pending_col[:take], pending_base[:take]
             pending_row = pending_row[take:]
             pending_col = pending_col[take:]
@@ -737,10 +838,12 @@ class BatchFaultSimulator:
             if (np.diff(col) == 1).all():
                 # One run of adjacent words (always so for one-word
                 # rows): at m = 1, simulate a view, not a gathered copy.
-                window = _word_columns(good, m, slice(col[0], col[-1] + 1))
+                cols = slice(col[0], col[-1] + 1)
             else:
-                window = _word_columns(good, m, col)
-            words = self._run_detect(plan, window, m) & mask[col]
+                cols = col
+            window = _word_columns(good, m, cols)
+            stems = self._run_detect(plan, window, m)
+            words = _region_detect(regions, stems, window, crit[:, cols], m) & mask[col]
             seen = first[:, live]
             fault, pair = np.nonzero(words)
             if fault.size:
@@ -757,10 +860,13 @@ class BatchFaultSimulator:
                 pending_col = pending_col[keep]
                 pending_base = pending_base[keep]
             if pending_row.size and retire.any():
-                survivors = np.flatnonzero(~retire)
-                plan = plan.subset(survivors)
-                self.plan_subsets += 1
-                live = live[survivors]
+                live = live[~retire]
+                regions = regions[~retire]
+                used = np.unique(regions[:, _ROOT])
+                if used.size < plan.n_roots:
+                    plan = plan.subset(used)
+                    self.plan_subsets += 1
+                    regions[:, _ROOT] = np.searchsorted(used, regions[:, _ROOT])
 
     # ------------------------------------------------------------------
     # internals
@@ -773,8 +879,9 @@ class BatchFaultSimulator:
         return as_packed(patterns, self.compiled.n_inputs)
 
     def _run_detect(self, plan: _BatchPlan, good: np.ndarray, m: int) -> np.ndarray:
-        """:meth:`_BatchPlan.detect`, counting its fault × word cells."""
-        self.detect_cells += plan.n_faults * (good.shape[1] // m)
+        """:meth:`_BatchPlan.detect`, counting its stem-machine × word
+        cells."""
+        self.detect_cells += plan.n_roots * (good.shape[1] // m)
         return plan.detect(good, m)
 
     @kernel
@@ -788,37 +895,102 @@ class BatchFaultSimulator:
         self.words_simulated += words.shape[1] // m
         return self.compiled.simulate(words, m, out=self._good_buf)
 
+    # repro: allow[kernel-purity] O(depth) backward walk over gate groups; each group traces all its pins word-parallel
+    @kernel
+    def _trace(self, good: np.ndarray, m: int) -> np.ndarray:
+        """Every pin's criticality word to its FFR root over fault-free
+        state ``good``: a ``(n_pins + 1, n_words)`` table whose last row
+        (a root's criticality) is all ones.  One :func:`_critical_pins`
+        call per (level, type, arity) group, highest level first, where
+        NAND traces as AND, NOR as OR, XNOR as XOR and every one-input
+        gate as BUF; a non-root node's criticality is the row of its one
+        reading pin.
+        """
+        tables = self._tables
+        crit = np.empty((tables.n_pins + 1, good.shape[1] // m), dtype=np.uint64)
+        crit[tables.n_pins] = _ALL_ONES
+        for kind, gate_rows, fanin_ids, pin_ids in tables.trace_groups:
+            crit[pin_ids] = _critical_pins(kind, good[fanin_ids], crit[gate_rows], m)
+        return crit
+
+    def _regions(self, faults: Sequence[Fault]) -> np.ndarray:
+        """The region table of ``faults`` (columns ``_ROOT`` as node
+        ids, ``_SITE``, ``_STUCK``, ``_CRIT``).  A stem fault is
+        activated at its net and critical as the net is; a branch fault
+        is activated at the net its pin reads and critical as the pin
+        is, in the reading gate's region."""
+        cache = self._region_cache
+        tables = self._tables
+        index = self.compiled.index
+        rows = []
+        for fault in faults:
+            row = cache.get(fault)
+            if row is None:
+                site = fault.site
+                if site.is_branch:
+                    gate = index[site.gate]
+                    row = (
+                        int(tables.ffr_root[gate]),
+                        int(tables.fanin_pad[gate, site.pin]),
+                        fault.value,
+                        int(tables.pin_start[gate]) + site.pin,
+                    )
+                else:
+                    net = index[site.net]
+                    row = (
+                        int(tables.ffr_root[net]), net, fault.value,
+                        int(tables.crit_row[net]),
+                    )
+                cache[fault] = row
+            rows.append(row)
+        return np.array(rows, dtype=np.int64).reshape(len(rows), 4)
+
     def _batches(
         self, faults: Sequence[Fault]
-    ) -> list[tuple[list[int], tuple[Fault, ...]]]:
-        """Cut ``faults`` into ``(caller indices, fault tuple)`` batches
-        in cone-local order — the one batching routine of every query.
+    ) -> list[tuple[np.ndarray, np.ndarray, tuple[int, ...]]]:
+        """Cut ``faults`` into ``(caller indices, region table, root
+        tuple)`` batches in cone-local order — the one batching routine
+        of every query.
 
-        Faults are stably sorted by their site node's order key
-        (reachable-PO bitmask, level, node id), so batch-mates share
-        most of their output cones and each batch's cone union stays
-        small.  Fault rows are independent, so no answer depends on the
-        order; callers scatter results back through the indices.
+        Faults are grouped by FFR root, and the roots stably sorted by
+        their order key (reachable-PO bitmask, level, node id) and cut
+        ``batch_size`` to a batch, so batch-mates share most of their
+        output cones and each batch's cone union stays small.  A batch's
+        region table holds its faults' roots as rows of the root tuple.
+        Rows are independent, so no answer depends on the order; callers
+        scatter results back through the indices.
         """
-        compiled = self.compiled
-        keys = [self._order_key(_site_node(compiled, f)) for f in faults]
-        order = sorted(range(len(faults)), key=keys.__getitem__)
+        regions = self._regions(faults)
+        roots = np.array(
+            sorted(np.unique(regions[:, _ROOT]).tolist(), key=self._order_key),
+            dtype=np.int64,
+        )
+        rank = np.zeros(self.compiled.n_nodes, dtype=np.int64)
+        rank[roots] = np.arange(roots.size)
+        fault_rank = rank[regions[:, _ROOT]]
+        order = np.argsort(fault_rank, kind="stable")
+        firsts = np.arange(0, roots.size, self.batch_size)
+        bounds = np.searchsorted(fault_rank[order], np.append(firsts, roots.size))
         batches = []
-        for start in range(0, len(order), self.batch_size):
-            indices = order[start : start + self.batch_size]
-            batches.append((indices, tuple(faults[i] for i in indices)))
+        for first, lo, hi in zip(firsts.tolist(), bounds[:-1], bounds[1:]):
+            indices = order[lo:hi]
+            batch = regions[indices]
+            batch[:, _ROOT] = fault_rank[indices] - first
+            batch_roots = tuple(roots[first : first + self.batch_size].tolist())
+            batches.append((indices, batch, batch_roots))
         return batches
 
     def _batch_plans(
         self, faults: Sequence[Fault]
-    ) -> tuple[np.ndarray, list[_BatchPlan]]:
-        """Every batch plan for ``faults`` plus the batch-order -> caller
-        column map, as the detection-row paths consume them."""
+    ) -> tuple[np.ndarray, list[tuple[_BatchPlan, np.ndarray]]]:
+        """Every ``(plan, region table)`` batch for ``faults`` plus the
+        batch-order -> caller column map, as the detection-row paths
+        consume them."""
         batches = self._batches(faults)
-        order = np.array(
-            [i for indices, _ in batches for i in indices], dtype=np.int64
+        order = np.concatenate(
+            [indices for indices, _, _ in batches] or [np.zeros(0, dtype=np.int64)]
         )
-        return order, [self._plan(batch) for _, batch in batches]
+        return order, [(self._plan(roots), regions) for _, regions, roots in batches]
 
     def _cone(self, node_id: int) -> np.ndarray:
         cone = self._cone_cache.get(node_id)
@@ -828,8 +1000,8 @@ class BatchFaultSimulator:
         return cone
 
     def _order_key(self, node_id: int) -> tuple[int, int, int]:
-        """Batch-order key of a site node: (bitmask of the POs its
-        output cone reaches, level, node id)."""
+        """Batch-order key of a root: (bitmask of the POs its output
+        cone reaches, level, node id)."""
         key = self._order_key_cache.get(node_id)
         if key is None:
             outputs = self.compiled.output_ids
@@ -841,17 +1013,17 @@ class BatchFaultSimulator:
             self._order_key_cache[node_id] = key
         return key
 
-    def _plan(self, faults: tuple[Fault, ...]) -> _BatchPlan:
-        plan = self._plan_cache.get(faults)
+    def _plan(self, roots: tuple[int, ...]) -> _BatchPlan:
+        plan = self._plan_cache.get(roots)
         if plan is None:
-            plan = _BatchPlan(self.compiled, faults, self._cone, self._tables)
+            plan = _BatchPlan(self.compiled, roots, self._cone, self._tables)
             self.plan_builds += 1
-            self._plan_cache[faults] = plan
+            self._plan_cache[roots] = plan
             while len(self._plan_cache) > PLAN_CACHE_SIZE:
                 self._plan_cache.popitem(last=False)
         else:
             self.plan_cache_hits += 1
-            self._plan_cache.move_to_end(faults)
+            self._plan_cache.move_to_end(roots)
         return plan
 
 

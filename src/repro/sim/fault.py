@@ -3,12 +3,15 @@
 Two engines live here and in :mod:`repro.sim.batch`:
 
 * :class:`FaultSimulator` — the production engine, a thin compatibility
-  wrapper over :class:`repro.sim.batch.BatchFaultSimulator`.  Faults are
-  simulated in batches: the faulty values of every node a batch touches
-  are stacked along a fault axis into ``(batch, n_words)`` ``uint64``
-  arrays (64 patterns per word, pattern ``64*w + b`` in bit ``b`` of
-  word ``w``), and the whole batch propagates through one shared,
-  levelized cone-union schedule.  The any-pattern queries
+  wrapper over :class:`repro.sim.batch.BatchFaultSimulator`.  It runs
+  one fault machine per fanout-free-region root, not per fault, and
+  reads each fault's detection off a good-machine trace of its region.
+  The root machines are simulated in batches: the faulty values of
+  every node a batch touches are stacked along a batch axis into
+  ``(batch, n_words)`` ``uint64`` arrays (64 patterns per word, pattern
+  ``64*w + b`` in bit ``b`` of word ``w``), and the whole batch
+  propagates through one shared, levelized cone-union schedule.  The
+  any-pattern queries
   (``detected`` / ``first_detection_index`` / ``fault_coverage``) are
   one-row views of the Detection Matrix row scan, which applies **fault
   dropping**: the words of the pattern set are scanned in order and a

@@ -12,11 +12,11 @@ This module runs the same batched PPSFP machinery with **unknowns**:
 * true-value simulation is the one levelized walk,
   :meth:`~repro.sim.logic.CompiledCircuit.simulate`, at ``m = 2``, with
   the one gate kernel (:func:`~repro.circuit.gates.eval_gates`);
-* detection is the one fault machine, :meth:`~repro.sim.batch.
-  _BatchPlan.detect`, at ``m = 2``, and it is **pessimistic**: a fault
-  counts as detected by a pattern only where the good and faulty
-  machines are both *known* and differ — an X on either side would mask
-  at the compactor, so it never counts.  Hence 3-valued coverage ≤
+* detection is the one stem-region engine of :mod:`repro.sim.batch` at
+  ``m = 2``, and it is **pessimistic**: a fault counts as detected by a
+  pattern only where the good and faulty machines are both *known* and
+  differ — an X on either side would mask at the compactor, so it never
+  counts.  Hence 3-valued coverage ≤
   2-valued coverage, with bit-identical equality on X-free input (the
   differential suite pins both).
 
@@ -24,9 +24,9 @@ This module runs the same batched PPSFP machinery with **unknowns**:
 :class:`~repro.sim.batch.BatchFaultSimulator` and overrides only how it
 packs patterns; the plane count is a property of the packed carrier, so
 the query paths (full matrix, streamed first-detection rows and their
-one-row views) and
-everything structural — cone-local batching, cone unions, plan
-caching/subsetting, fault dropping — are shared unchanged.
+one-row views) and everything structural — fanout-free regions and
+their trace, cone-local batching, cone unions, plan caching/subsetting,
+fault dropping — are shared unchanged.
 """
 
 from __future__ import annotations

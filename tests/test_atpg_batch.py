@@ -150,7 +150,7 @@ def _result_key(result):
 
 
 def _assert_streams_identical(circuit, faults, **batch_kwargs):
-    oracle = Podem(circuit)
+    oracle = Podem(circuit, heuristic=batch_kwargs.get("heuristic", "level"))
     expected = {fault: _result_key(oracle.generate(fault)) for fault in faults}
     podem = BatchPodem(circuit, **batch_kwargs)
     got = {fault: _result_key(result) for fault, result in podem.stream(faults)}
@@ -174,6 +174,21 @@ def test_batch_podem_matches_oracle_catalog(name):
     circuit = load_circuit(name, scale=0.25)
     faults = collapse_faults(circuit)
     _assert_streams_identical(circuit, faults)
+
+
+@settings(max_examples=15, deadline=None)
+@given(circuit=circuits)
+def test_batch_podem_scoap_matches_oracle_generated(circuit):
+    """The SCOAP-guided backtrace resolves every collapsed fault of a
+    random circuit exactly as ``Podem(heuristic="scoap")`` does."""
+    faults = collapse_faults(circuit)
+    _assert_streams_identical(circuit, faults, batch_size=64, heuristic="scoap")
+
+
+def test_batch_podem_scoap_matches_oracle_s420():
+    circuit = load_circuit("s420", scale=0.25)
+    faults = collapse_faults(circuit)
+    _assert_streams_identical(circuit, faults, heuristic="scoap")
 
 
 def test_batch_podem_single_fault_generate():

@@ -455,6 +455,36 @@ class TestServerEndpoints:
         finally:
             conn.close()
 
+    def test_handler_exception_is_a_typed_500(self, server, monkeypatch):
+        """An unexpected exception in a handler answers a typed 500,
+        counts it by status, and leaves the keep-alive connection
+        serving."""
+        import http.client
+
+        from repro.serve.server import ReproServer
+
+        def broken_stats(self):
+            raise RuntimeError("stats exploded")
+
+        conn = http.client.HTTPConnection(server.host, server.port, timeout=30)
+        try:
+            monkeypatch.setattr(ReproServer, "stats", broken_stats)
+            conn.request("GET", "/stats")
+            response = conn.getresponse()
+            body = json.loads(response.read())
+            assert response.status == 500
+            assert body["kind"] == "serve_error"
+            assert body["status"] == 500
+            assert "RuntimeError: stats exploded" in body["error"]
+            monkeypatch.undo()
+            conn.request("GET", "/metrics")
+            response = conn.getresponse()
+            text = response.read().decode()
+            assert response.status == 200
+            assert 'repro_serve_responses_total{status="500"}' in text
+        finally:
+            conn.close()
+
     def test_atpg_endpoint_and_memo(self, client):
         first = client.atpg(
             AtpgRequest(circuit="c17", max_random_patterns=64)

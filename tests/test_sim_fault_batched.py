@@ -21,13 +21,19 @@ from hypothesis import strategies as st
 from repro.circuit.generate import GeneratorSpec, generate_circuit
 from repro.circuits import CATALOG
 from repro.faults.model import Fault, full_fault_list
-from repro.sim.batch import BatchFaultSimulator, _site_node, offset_dtype
+from repro.sim.batch import BatchFaultSimulator, offset_dtype
 from repro.sim.fault import FaultSimulator, SerialFaultSimulator
 from repro.sim.threeval import XFaultSimulator
 from repro.utils.bitvec import BitVector
 from repro.utils.rng import RngStream
 
 BATCH_SIZES = (1, 7, 64)
+
+
+def _roots(simulator, faults) -> tuple[int, ...]:
+    """The FFR roots of ``faults`` in batch order: one stem machine
+    each."""
+    return tuple(root for _, _, roots in simulator._batches(faults) for root in roots)
 
 
 def _random_patterns(circuit, n_patterns: int, seed: int) -> list[BitVector]:
@@ -221,7 +227,7 @@ class TestIncrementalPlans:
             s27_scan, batch_size=8, row_chunk_words=1
         )
         flags = simulator.detected(patterns, faults)
-        n_initial_batches = -(-len(faults) // 8)
+        n_initial_batches = -(-len(_roots(simulator, faults)) // 8)
         # Every full construction happened up front (one per initial
         # batch); the scan shrank batches via subsetting only.
         assert simulator.plan_builds == n_initial_batches
@@ -251,16 +257,17 @@ class TestIncrementalPlans:
 
     def test_subset_plan_matches_cold_plan(self, c17):
         """detect of plan.subset(rows) == detect of a plan built from
-        scratch for the surviving fault tuple, at both plane counts."""
+        scratch for the surviving root tuple, at both plane counts."""
         from repro.utils.bitvec import PackedPatterns, PackedPlanes
 
         faults = full_fault_list(c17)
         patterns = _random_patterns(c17, 100, seed=31)
         simulator = BatchFaultSimulator(c17, batch_size=len(faults))
-        full_plan = simulator._plan(tuple(faults))
-        rows = [0, 3, 5, len(faults) - 1]
+        roots = _roots(simulator, faults)
+        full_plan = simulator._plan(roots)
+        rows = [0, 2, len(roots) - 1]
         subset_plan = full_plan.subset(rows)
-        cold_plan = simulator._plan(tuple(faults[r] for r in rows))
+        cold_plan = simulator._plan(tuple(roots[r] for r in rows))
         mask = _np_tail_mask(len(patterns))
         packed = PackedPatterns.from_patterns(patterns, c17.n_inputs)
         for carrier in (packed, PackedPlanes.from_packed(packed)):
@@ -273,11 +280,12 @@ class TestIncrementalPlans:
     def test_subset_rejects_bad_rows(self, c17):
         faults = full_fault_list(c17)
         simulator = BatchFaultSimulator(c17, batch_size=len(faults))
-        plan = simulator._plan(tuple(faults))
+        roots = _roots(simulator, faults)
+        plan = simulator._plan(roots)
         with pytest.raises(ValueError):
             plan.subset([0, 0])
         with pytest.raises(ValueError):
-            plan.subset([len(faults)])
+            plan.subset([len(roots)])
 
     def test_mid_run_drop_matrix_matches_cold(self, mux_circuit):
         """The satellite scenario end-to-end: run a dropping scan (which
@@ -470,7 +478,7 @@ class TestRowScanWork:
         ]
         simulator = BatchFaultSimulator(s27_scan, batch_size=4)
         list(simulator.detection_matrix_rows(pattern_sets, faults))
-        assert simulator.detect_cells == len(faults) * 4
+        assert simulator.detect_cells == len(_roots(simulator, faults)) * 4
         assert simulator.words_simulated == 4
 
     def test_early_detection_saves_cells(self):
@@ -480,7 +488,7 @@ class TestRowScanWork:
         _, faults, matrix = _multiword_build(simulator)
         n_words = 40 * 6
         assert simulator.words_simulated == n_words
-        assert 0 < simulator.detect_cells < len(faults) * n_words
+        assert 0 < simulator.detect_cells < len(_roots(simulator, faults)) * n_words
         assert matrix.any()
 
     def test_cells_exported_at_scrape_time(self, c17):
@@ -491,8 +499,9 @@ class TestRowScanWork:
         simulator.attach_metrics(metrics)
         faults = full_fault_list(c17)
         simulator.detection_matrix(_random_patterns(c17, 70, seed=3), faults)
-        assert simulator.detect_cells == len(faults) * 2
-        assert metrics.scalar_value("repro_sim_detect_cells_total") == len(faults) * 2
+        cells = len(_roots(simulator, faults)) * 2
+        assert simulator.detect_cells == cells
+        assert metrics.scalar_value("repro_sim_detect_cells_total") == cells
 
 
 class TestRowScanMemoryGuard:
@@ -519,7 +528,7 @@ class TestRowScanMemoryGuard:
         good_values = BatchFaultSimulator._good_values
 
         def spy_detect(plan, good, m):
-            calls.append((plan.n_faults, good.shape[1] // m))
+            calls.append((plan.n_roots, good.shape[1] // m))
             return detect(plan, good, m)
 
         def spy_good(simulator, words, m):
@@ -535,9 +544,9 @@ class TestRowScanMemoryGuard:
         _multiword_build(simulator)
         budget = row_chunk_words * simulator.batch_size
         assert calls and goods
-        for n_faults, n_columns in calls:
-            assert n_faults * n_columns <= budget
-            assert n_columns <= budget // n_faults
+        for n_roots, n_columns in calls:
+            assert n_roots * n_columns <= budget
+            assert n_columns <= budget // n_roots
         # Six-word rows: a chunk's fault-free state never exceeds its cap.
         assert max(goods) <= max(6, CHUNK_BUDGETS * row_chunk_words)
         assert sum(goods) == 40 * 6
@@ -781,21 +790,27 @@ class TestConeOrder:
         simulator = BatchFaultSimulator(s27_scan, batch_size=5)
         faults = full_fault_list(s27_scan)
         batches = simulator._batches(faults)
-        order = [i for indices, _ in batches for i in indices]
+        order = [i for indices, _, _ in batches for i in indices.tolist()]
         assert sorted(order) == list(range(len(faults)))
-        assert all(len(indices) == 5 for indices, _ in batches[:-1])
-        for indices, batch in batches:
-            assert batch == tuple(faults[i] for i in indices)
-        keys = [
-            simulator._order_key(_site_node(simulator.compiled, faults[i]))
-            for i in order
-        ]
+        assert all(len(roots) == 5 for _, _, roots in batches[:-1])
+        expected = simulator._regions(faults)
+        for indices, regions, roots in batches:
+            # A batch's region rows name its own roots, by position.
+            np.testing.assert_array_equal(
+                np.array(roots)[regions[:, 0]], expected[indices, 0]
+            )
+            np.testing.assert_array_equal(regions[:, 1:], expected[indices, 1:])
+        roots = _roots(simulator, faults)
+        assert len(set(roots)) == len(roots)
+        keys = [simulator._order_key(root) for root in roots]
         assert keys == sorted(keys)
 
     def test_union_work_halves_on_s1238(self):
         """Deterministic work count: the summed cone-union size times
-        batch width over s1238's collapsed fault list, cone-ordered,
-        is at most half of the list-order batching's."""
+        batch width over s1238's collapsed fault list, cone-ordered, is
+        at most half of the list-order batching's.  A batch runs one
+        stem machine per distinct FFR root of its faults; list order
+        cuts the fault list as given, ``batch_size`` faults a batch."""
         from repro.circuits import load_circuit
         from repro.faults.collapse import collapse_faults
 
@@ -807,14 +822,16 @@ class TestConeOrder:
         def union_work(batches) -> int:
             return sum(
                 sum(out.size for _, groups in plan.level_groups for _, out, _ in groups)
-                * plan.n_faults
-                for plan in (simulator.plan_for(batch) for batch in batches)
+                * plan.n_roots
+                for plan in (simulator._plan(batch) for batch in batches)
             )
 
+        fault_roots = simulator._regions(faults)[:, 0].tolist()
         list_order = [
-            faults[start : start + size] for start in range(0, len(faults), size)
+            tuple(dict.fromkeys(fault_roots[start : start + size]))
+            for start in range(0, len(faults), size)
         ]
-        cone_order = [batch for _, batch in simulator._batches(faults)]
+        cone_order = [batch for _, _, batch in simulator._batches(faults)]
         assert union_work(cone_order) <= 0.5 * union_work(list_order)
 
 
@@ -839,7 +856,7 @@ class TestWorkerPlans:
         state.prebuild_plans()
         simulator = state.simulator()
         builds = simulator.plan_builds
-        assert builds == -(-len(faults) // 7)
+        assert builds == -(-len(_roots(simulator, faults)) // 7)
         batch_module._shared_row_state = state
         try:
             start, rows = batch_module._worker_row_range((0, len(pattern_sets)))
