@@ -1,42 +1,54 @@
 """Fault-parallel PODEM over the compiled circuit plan.
 
 :class:`BatchPodem` generates tests for a whole *batch* of target
-faults at once: each fault owns one bit **lane**, and the five-valued
-(0/1/X/D/D') forward implication that dominates scalar PODEM's runtime
-is evaluated for every lane together as packed ``uint64`` bit-planes —
-the ``m = 2`` (value + care) layout of the one gate kernel,
-:func:`~repro.circuit.gates.eval_gates`.  A five-valued value is a
-(good, faulty) pair of three-valued ones, so both machines live in one
-double-width plane pair (good lanes in the low words, faulty lanes in
-the high words), and one segmented sweep per round implies every lane
-of every machine:
+faults at once: each fault owns one bit **lane**, and both halves of
+PODEM — the five-valued implication and the search — run for every
+lane together as array code.
 
-* the sweep walks the :class:`~repro.sim.logic.CompiledCircuit`
-  levelized plan (``eval_levels``) one topological level at a time,
-  evaluating each level's gates per *type* with the kernel's segmented
-  shape (mixed arities share one ``reduceat``, so numpy-call count
-  tracks levels, not gates);
-* after each level the per-lane fault forcings are re-asserted (as the
-  batched fault simulator's ``_BatchPlan`` re-asserts its forced rows)
-  — a stem freezes its net's faulty lane bit, a branch recomputes the
-  reading gate's faulty output with the stuck pin.
+**Implication.**  A five-valued value is a (good, faulty) pair of
+three-valued ones, so both machines live in the ``m = 2`` (value +
+care) planes of the one gate kernel,
+:func:`~repro.circuit.gates.eval_gates`, each plane double width (good
+lanes, then faulty lanes).  One sweep per round walks the compiled
+circuit one topological level at a time; rows are renumbered by
+(level, base gate type, inverted, node id), so each level's gates of
+one base type are one contiguous row range that one segmented
+``eval_gates`` call fills (NAND, NOR, XNOR and NOT fold into AND, OR,
+XOR and BUF, then their rows get one inversion fixup).  Each level's
+output passes dense fault-forcing masks: a stem fault pins its lane's
+faulty value and care bits on its net; a branch fault pins them on a
+*pin row* — a copy of the net that only its reading gate's pin reads —
+so the gate sees the stuck pin and every other reader sees the net.
 
-The *search* half of PODEM (objective selection, backtrace, D-frontier
-and X-path bookkeeping, decision flipping) stays per-lane and is
-**borrowed verbatim from the recursive oracle**: a scalar
-:class:`~repro.atpg.podem.Podem` instance is pointed at one lane's
-unpacked value columns and asked for that lane's next objective /
-backtrace.  Because both halves are shared or bit-equivalent, a lane's
-decision sequence — and therefore its DETECTED / UNTESTABLE / ABORTED
-outcome, its test cube, and even its backtrack and decision counters —
-is identical to what ``Podem.generate`` produces for the same fault.
-The differential suite in ``tests/test_atpg_batch.py`` pins this.
+**Search.**  Each round advances every lane by one PODEM step in lock
+step, on the packed planes:
+
+* the D-frontier is every gate that reads a D net and whose output is
+  X in some machine (plus the branch site's gate once the fault is
+  activated), and the X-path check is one levelized sweep
+  ``reach = frontier | (xany & OR(fanin reach))`` read at the outputs;
+* the objective gate is each lane's first frontier gate in a rank
+  fixed by (PO distance, node id); its target is the gate's first
+  good-machine-X fanin (a frontier gate without one is a dead end);
+* the backtrace walks all lanes back together, one gather per step,
+  choosing the easiest (or, when every input must be non-controlling,
+  the hardest) X fanin by level or SCOAP difficulty with first-index
+  ties, and the XOR parity rule;
+* decision stacks are per-lane arrays, so decisions, flips and the
+  X-clearing of popped PIs are masked bulk writes of one assignment
+  code matrix that the next sweep packs into its input planes.
+
+Every step mirrors the recursive :class:`~repro.atpg.podem.Podem`,
+which stays the differential oracle: a lane's decision sequence — and
+therefore its DETECTED / UNTESTABLE / ABORTED outcome, its test cube,
+and its backtrack and decision counters — is identical to what
+``Podem.generate`` produces for the same fault.  The differential
+suite in ``tests/test_atpg_batch.py`` pins this.
 
 Lanes resolve independently; :meth:`stream` reseats freed lanes from
 the queue immediately, and :meth:`drop` lets the driving engine retire
 queued *and mid-search* lanes as soon as some freshly generated pattern
-covers their fault (fault dropping between PODEM targets).  Every
-lane, straggler or not, runs to its verdict in the sweeps.
+covers their fault (fault dropping between PODEM targets).
 """
 
 from __future__ import annotations
@@ -46,15 +58,13 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from repro.atpg.podem import (
-    _X3,
-    Podem,
-    PodemResult,
-    PodemStatus,
-    TestCube,
-    _eval3_branch,
+from repro.atpg.podem import PodemResult, PodemStatus, TestCube
+from repro.circuit.gates import (
+    GateType,
+    controlling_value,
+    eval_gates,
+    inversion_parity,
 )
-from repro.circuit.gates import GateType, eval_gates
 from repro.circuit.netlist import Circuit
 from repro.faults.model import Fault
 from repro.sim.batch import BatchFaultSimulator
@@ -68,46 +78,37 @@ _ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 #: overhead on every catalog circuit; benchmarks may push higher.
 DEFAULT_LANES = 256
 
+#: Assignment code of an unassigned (X) primary input.
+_X = 2
 
-class _Lane:
-    """Search state of one in-flight fault lane."""
+#: Backtrace step kinds: one-input gates pass the target through (with
+#: their inversion), AND/OR-like gates pick the easiest or hardest X
+#: fanin, XOR-like gates fix their first X fanin by parity.
+_PASS, _CONTROL, _PARITY = range(3)
 
-    __slots__ = (
-        "fault",
-        "col",
-        "word",
-        "fword",
-        "mask",
-        "site_net_id",
-        "site_gate_id",
-        "site_pin",
-        "stuck",
-        "force_level",
-        "decisions",
-        "backtracks",
-        "total_decisions",
-    )
+_BIG = np.iinfo(np.int64).max
 
-    def __init__(self, fault: Fault, col: int, n_words: int) -> None:
-        self.fault = fault
-        self.col = col
-        self.word, bit = divmod(col, 64)
-        self.fword = n_words + self.word  # faulty half of the planes
-        self.mask = np.uint64(1 << bit)
-        self.decisions: list[list] = []  # [pi_id, value, flipped]
-        self.backtracks = 0
-        self.total_decisions = 0
+#: Inverting types fold into their base type for the sweep; their rows
+#: get one inversion fixup per (level, base type) group.
+_BASE_TYPE = {
+    GateType.NAND: GateType.AND,
+    GateType.NOR: GateType.OR,
+    GateType.XNOR: GateType.XOR,
+    GateType.NOT: GateType.BUF,
+}
+
+#: Order of the base types within a level's rows.
+_SWEEP_ORDER = {GateType.AND: 0, GateType.OR: 1, GateType.XOR: 2, GateType.BUF: 3}
 
 
 class BatchPodem:
     """PODEM bound to one combinational circuit, fault-parallel.
 
     ``backtrack_limit`` / ``heuristic`` mean exactly what they mean on
-    the recursive :class:`~repro.atpg.podem.Podem` (the per-lane search
-    *is* that implementation).  ``batch_size`` is the lane count per
-    implication sweep; ``simulator`` optionally donates its already compiled
-    circuit so the engine, the fault simulator and the batch PODEM
-    share one levelized plan.
+    the recursive :class:`~repro.atpg.podem.Podem`.  ``batch_size`` is
+    the lane count per implication sweep; ``simulator`` optionally
+    donates its already compiled circuit so the engine, the fault
+    simulator and the batch PODEM share one levelized plan.
     """
 
     def __init__(
@@ -120,47 +121,49 @@ class BatchPodem:
     ) -> None:
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+        if heuristic not in ("level", "scoap"):
+            raise ValueError(f"unknown backtrace heuristic {heuristic!r}")
         self.circuit = circuit
         self.backtrack_limit = backtrack_limit
+        self.heuristic = heuristic
         self.batch_size = batch_size
-        #: The recursive implementation, reused for structure and for
-        #: the per-lane search machinery (objective/backtrace/frontier).
-        self._oracle = Podem(
-            circuit, backtrack_limit=backtrack_limit, heuristic=heuristic
-        )
         self._compiled = (
             simulator.compiled
             if simulator is not None
             else CompiledCircuit(circuit)
         )
-        # Both sides order nodes by circuit.topo_order(), so dense ids
-        # agree; the sweep and the search speak the same node language.
-        assert self._compiled.n_nodes == len(self._oracle._order)
         self._n_words = (batch_size + 63) // 64
         self._n_lanes = self._n_words * 64
-        n = self._compiled.n_nodes
-        # One contiguous backing array carries value and care planes of
-        # both machines — word columns [0, 2w) are the value plane and
-        # [2w, 4w) the care plane, each split good-half / faulty-half.
-        # The sweep gathers a group's fanin rows once to read all four,
-        # and the round unpack is a single ``unpackbits``.
-        self._P = np.zeros((n, 4 * self._n_words), dtype=np.uint64)
-        self._V = self._P[:, : 2 * self._n_words]
-        self._C = self._P[:, 2 * self._n_words :]
-        # Per-lane PI assignment planes (value + care), the only sweep
-        # input that changes between rounds.
-        in_shape = (self._compiled.n_inputs, self._n_words)
-        self._av = np.zeros(in_shape, dtype=np.uint64)
-        self._ac = np.zeros(in_shape, dtype=np.uint64)
-        self._input_row = {
-            int(node_id): row
-            for row, node_id in enumerate(self._compiled.input_ids)
-        }
-        self._plan = self._build_sweep_plan()
-        self._lanes: list[_Lane | None] = [None] * batch_size
-        self._forcings_by_level: dict[int, list[_Lane]] = {}
+        self._build_search_tables()
+        #: Branch pins ``(gate id, pin)`` that read their net through a
+        #: pin row of their own -> that row (numbered by ``_layout``).
+        self._pin_rows: dict[tuple[int, int], int] = {}
+        self._layout()
+        lanes = self._n_lanes
+        n_inputs = self._compiled.n_inputs
+        self._faults: list[Fault | None] = [None] * batch_size
+        self._sites: dict[Fault, tuple[int, int | None, int | None]] = {}
+        self._forced_row = np.zeros(lanes, dtype=np.int64)
+        self._site_net = np.zeros(lanes, dtype=np.int64)
+        self._site_gate = np.full(lanes, -1, dtype=np.int64)
+        self._stuck = np.zeros(lanes, dtype=np.int64)
+        self._backtracks = np.zeros(lanes, dtype=np.int64)
+        self._decisions = np.zeros(lanes, dtype=np.int64)
+        # Per-lane decision stacks: PI row, value, flipped; ``_depth``
+        # entries of each lane's row are live.  A decision assigns an
+        # unassigned PI, so no stack outgrows the PI count.
+        self._depth = np.zeros(lanes, dtype=np.int64)
+        self._stack_pi = np.zeros((lanes, n_inputs), dtype=np.int64)
+        self._stack_val = np.zeros((lanes, n_inputs), dtype=np.uint8)
+        self._stack_flip = np.zeros((lanes, n_inputs), dtype=bool)
+        #: PI assignment codes (0/1, ``_X``), one column per lane.
+        self._codes = np.full((n_inputs, lanes), _X, dtype=np.uint8)
         self._queue: deque[Fault] = deque()
         self._dropped: set[Fault] = set()
+        #: Seated columns of each fault, and the seated columns whose
+        #: fault was dropped (unseated at the next round).
+        self._col_of: dict[Fault, list[int]] = {}
+        self._retired: set[int] = set()
         #: Sweep counter (perf forensics: decisions advance per sweep).
         self.sweeps = 0
         #: Engine-level effort counters, folded into a metrics registry
@@ -170,55 +173,190 @@ class BatchPodem:
         self.backtracks_total = 0
         self.decisions_total = 0
 
-    #: Inverting types fold into their base type for the sweep; the
-    #: inversion is applied per level as one vectorized fixup.
-    _BASE_TYPE = {
-        GateType.NAND: GateType.AND,
-        GateType.NOR: GateType.OR,
-        GateType.XNOR: GateType.XOR,
-        GateType.NOT: GateType.BUF,
-    }
+    # ------------------------------------------------------------------
+    # structure tables
+    # ------------------------------------------------------------------
 
-    def _build_sweep_plan(
-        self,
-    ) -> list[
-        tuple[
-            int,
-            list[tuple[GateType, np.ndarray, np.ndarray, np.ndarray]],
-            np.ndarray | None,
+    def _build_search_tables(self) -> None:
+        """Per-row arrays of the search.  Rows renumber the nodes by
+        (level, base gate type, inverted, node id), so each level's gates
+        are one contiguous row range and each base type one sub-range;
+        row ``n`` is a sentinel (known 0 in both machines) that pads
+        every fanin list to the widest gate."""
+        comp = self._compiled
+        n = comp.n_nodes
+        gtypes = comp.gate_types
+        levels = comp.node_levels
+        base = [_BASE_TYPE.get(t, t) for t in gtypes]
+        sweep_key = np.array([_SWEEP_ORDER.get(t, -1) for t in base], dtype=np.int64)
+        inverted = np.array([t in _BASE_TYPE for t in gtypes], dtype=bool)
+        node_of_row = np.lexsort((np.arange(n), inverted, sweep_key, levels))
+        row_of = np.empty(n, dtype=np.int64)
+        row_of[node_of_row] = np.arange(n)
+        self._row_of = row_of
+        self._node_of_row = node_of_row
+        self._sentinel = n
+        width = max(1, max((len(f) for f in comp.gate_fanins), default=0))
+        fanin_pad = np.full((n + 1, width), n, dtype=np.int64)
+        kind = np.zeros(n + 1, dtype=np.int64)
+        control = np.zeros(n + 1, dtype=np.int64)
+        invert = np.zeros(n + 1, dtype=np.int64)
+        target = np.zeros(n + 1, dtype=np.int64)
+        for node_id, (gtype, fanins) in enumerate(zip(gtypes, comp.gate_fanins)):
+            row = row_of[node_id]
+            fanin_pad[row, : len(fanins)] = row_of[list(fanins)]
+            if gtype in (GateType.INPUT, GateType.CONST0, GateType.CONST1):
+                continue
+            value = controlling_value(gtype)
+            invert[row] = inversion_parity(gtype)
+            if gtype in (GateType.NOT, GateType.BUF):
+                kind[row] = _PASS
+            elif value is None:
+                kind[row] = _PARITY
+            else:
+                kind[row] = _CONTROL
+                control[row] = value
+                target[row] = 1 - value
+        self._fanin_pad = fanin_pad
+        #: Per row: backtrace step kind, controlling value, inversion.
+        self._gate_meta = np.stack((kind, control, invert), axis=1)
+        #: Value an objective asks of a frontier gate's X fanin.
+        self._objective_target = target
+        self._input_rows = row_of[comp.input_ids]
+        self._output_rows = row_of[comp.output_ids]
+        w = self._n_words
+        self._const_rows = row_of[np.concatenate((comp.const0_ids, comp.const1_ids))]
+        # Constants are known in both machines: care all ones, value 1
+        # for CONST1 rows only.
+        self._const_values = np.full((self._const_rows.size, 4 * w), _ALL_ONES)
+        self._const_values[: comp.const0_ids.size, : 2 * w] = 0
+        self._is_input = np.zeros(n + 1, dtype=bool)
+        self._is_input[self._input_rows] = True
+        #: Where a backtrace stops: a PI, or the sentinel (no X fanin).
+        self._stop = self._is_input.copy()
+        self._stop[n] = True
+        self._input_index = np.full(n + 1, -1, dtype=np.int64)
+        self._input_index[self._input_rows] = np.arange(comp.n_inputs)
+        self._input_names = [comp.order[i] for i in comp.input_ids]
+        # Backtrace cost of setting a row to value v, signed by whether
+        # one controlling input suffices (pick the easiest, cost as is)
+        # or every input must go non-controlling (pick the hardest,
+        # negated): ``[row, v, easy]``.  Cost is the logic level, or the
+        # SCOAP controllability.
+        cost = np.zeros((n + 1, 2), dtype=np.int64)
+        if self.heuristic == "scoap":
+            from repro.atpg.scoap import compute_scoap
+
+            measures = compute_scoap(self.circuit)
+            cost[row_of, 0] = [measures.cc0[name] for name in comp.order]
+            cost[row_of, 1] = [measures.cc1[name] for name in comp.order]
+        else:
+            cost[row_of] = levels[:, None]
+        self._signed_cost = np.stack((-cost, cost), axis=-1).ravel()
+        # Objective rank: shortest fanout distance to a PO (unreachable
+        # last), ties by node id.
+        distance = np.full(n, 1 << 30, dtype=np.int64)
+        distance[comp.output_ids] = 0
+        is_output = np.zeros(n, dtype=bool)
+        is_output[comp.output_ids] = True
+        for node_id in range(n - 1, -1, -1):
+            if not is_output[node_id]:
+                reach = [distance[f] + 1 for f in comp.fanout_ids[node_id]]
+                distance[node_id] = min(reach, default=1 << 30)
+        distance = np.minimum(distance, 1 << 30)
+        self._rank_rows = row_of[np.lexsort((np.arange(n), distance))]
+        # Row range of each level's gates (sources are level 0).
+        row_levels = levels[node_of_row]
+        bounds = np.searchsorted(row_levels, np.arange(int(row_levels.max(initial=0)) + 2))
+        self._level_rows = [
+            (level, int(bounds[level]), int(bounds[level + 1]))
+            for level in range(1, len(bounds) - 1)
+            if bounds[level + 1] > bounds[level]
         ]
-    ]:
-        """Regroup the compiled ``eval_levels`` per (level, base gate
-        type): each entry carries the merged outputs, the concatenated
-        fanin ids and the segment starts for the segmented
-        :func:`~repro.circuit.gates.eval_gates`,
-        plus the level's inverted-output rows (NAND/NOR/XNOR/NOT fold
-        into AND/OR/XOR/BUF and get one shared inversion fixup)."""
-        plan = []
-        for level, groups in self._compiled.eval_levels:
-            by_type: dict[GateType, tuple[list[int], list[int], list[int]]] = {}
-            inverted: list[int] = []
-            for gtype, out_ids, fanin_matrix in groups:
-                base = self._BASE_TYPE.get(gtype, gtype)
-                if base is not gtype:
-                    inverted.extend(int(o) for o in out_ids)
-                outs, flat, starts = by_type.setdefault(base, ([], [], []))
-                for row in range(fanin_matrix.shape[0]):
-                    starts.append(len(flat))
-                    flat.extend(int(f) for f in fanin_matrix[row])
-                    outs.append(int(out_ids[row]))
-            ops = [
+        self._level_ends = np.array([b for _, _, b in self._level_rows], dtype=np.int64)
+        #: Level-0 rows: the sources (PIs and constants).
+        self._n_sources = self._level_rows[0][1] if self._level_rows else n
+        # Gate pins (node rows, pin order) with segment starts, for the
+        # frontier and X-path folds: all gates, and each level's.
+        self._gate_pins = (
+            _segments(fanin_pad, self._n_sources, n, n) if n > self._n_sources else None
+        )
+        self._level_pins = [
+            (a, b, *_segments(fanin_pad, a, b, n)) for _, a, b in self._level_rows
+        ]
+        # Each level's (base type, rows, first inverted row) groups.
+        row_keys = sweep_key[node_of_row]
+        row_inverted = inverted[node_of_row]
+        self._level_groups = []
+        for level, a, b in self._level_rows:
+            cuts = [a, *(a + 1 + np.flatnonzero(np.diff(row_keys[a:b]))).tolist(), b]
+            groups = [
                 (
-                    gtype,
-                    np.array(outs, dtype=np.int64),
-                    np.array(flat, dtype=np.int64),
-                    np.array(starts, dtype=np.int64),
+                    base[node_of_row[ga]],
+                    ga,
+                    gb,
+                    ga + int(np.count_nonzero(~row_inverted[ga:gb])),
                 )
-                for gtype, (outs, flat, starts) in by_type.items()
+                for ga, gb in zip(cuts, cuts[1:])
             ]
-            inv = np.array(sorted(inverted), dtype=np.int64) if inverted else None
-            plan.append((level, ops, inv))
-        return plan
+            self._level_groups.append((level, a, b, groups))
+
+    def _layout(self) -> None:
+        """(Re)build the plane backing and the sweep plan for the
+        current pin rows: rows ``[0, n)`` are nodes, row ``n`` the
+        sentinel, then one row per pin in ``_pin_rows``."""
+        comp = self._compiled
+        n = comp.n_nodes
+        w = self._n_words
+        row_of = self._row_of
+        n_rows = n + 1 + len(self._pin_rows)
+        # One backing array carries value and care planes of both
+        # machines: word columns [0, 2w) are the value plane and [2w, 4w)
+        # the care plane, each split good half / faulty half.  The
+        # sweep gathers a group's fanin rows once to read all four.
+        self._P = np.zeros((n_rows, 4 * w), dtype=np.uint64)
+        self._P[self._sentinel, 2 * w :] = _ALL_ONES
+        # Fault forcings as dense masks, ``P[r] = P[r] & keep[r] | put[r]``
+        # for every row: ``keep`` clears a forced lane's faulty value and
+        # care bits and ``put`` sets the stuck value; every other bit
+        # passes.
+        self._keep = np.full((n_rows, 4 * w), _ALL_ONES, dtype=np.uint64)
+        self._put = np.zeros((n_rows, 4 * w), dtype=np.uint64)
+        # Pin rows follow the nodes, ordered by their net's level, so
+        # each level's copies land on one contiguous row range.
+        net_level = comp.node_levels
+        pins = sorted(
+            self._pin_rows,
+            key=lambda key: (net_level[comp.gate_fanins[key[0]][key[1]]], key),
+        )
+        # Fanin rows as the sweep's gates read them: a pin with a pin row
+        # of its own reads that row.
+        pin_fanin = self._fanin_pad.copy()
+        copies: dict[int, list[int]] = {}
+        for row, (gate_id, pin) in enumerate(pins, start=n + 1):
+            self._pin_rows[(gate_id, pin)] = row
+            net_id = comp.gate_fanins[gate_id][pin]
+            pin_fanin[row_of[gate_id], pin] = row
+            copies.setdefault(int(net_level[net_id]), []).append(int(row_of[net_id]))
+        copy_of = {}
+        first = n + 1
+        for level in sorted(copies):
+            nets = np.array(copies[level], dtype=np.int64)
+            copy_of[level] = (first, first + nets.size, nets)
+            first += nets.size
+        self._source_copy = copy_of.get(0)
+        self._plan = [
+            (
+                a,
+                b,
+                [
+                    (gtype, ga, gb, inv, *_segments(pin_fanin, ga, gb, n))
+                    for gtype, ga, gb, inv in groups
+                ],
+                copy_of.get(level),
+            )
+            for level, a, b, groups in self._level_groups
+        ]
 
     # ------------------------------------------------------------------
     # public API
@@ -237,42 +375,45 @@ class BatchPodem:
         """Run the queue fault-parallel, yielding ``(fault, result)`` as
         lanes resolve.
 
-        The driving engine may call :meth:`drop` between yields: dropped
-        faults are skipped at seat time, mid-search lanes retire at the
-        next round, and already-resolved-but-dropped results are never
-        yielded (their fault is covered by an existing pattern, so the
-        cube would only lengthen the test set).  Resolution order is
-        deterministic: lanes are stepped and reported in column order
-        every round.
+        Every fault's site is checked up front (:class:`KeyError` for a
+        net or pin the circuit lacks).  The driving engine may call
+        :meth:`drop` between yields: dropped faults are skipped at seat
+        time, mid-search lanes retire at the next round, and
+        already-resolved-but-dropped results are never yielded (their
+        fault is covered by an existing pattern, so the cube would only
+        lengthen the test set).  Resolution order is deterministic:
+        lanes are stepped and reported in column order every round.
         """
-        for lane in self._lanes:
+        for col, fault in enumerate(self._faults):
             # A previous stream abandoned early (e.g. ``generate``
             # returning mid-iteration) may leave lanes seated.
-            if lane is not None:
-                self._unseat(lane)
+            if fault is not None:
+                self._unseat(col)
         self._queue = deque(faults)
         self._dropped = set()
-        lanes = self._lanes
+        self._prepare_sites(self._queue)
+        faults_by_col = self._faults
         while True:
-            for lane in lanes:
-                if lane is not None and lane.fault in self._dropped:
-                    self._unseat(lane)
-            while self._queue and any(lane is None for lane in lanes):
-                fault = self._queue.popleft()
-                if fault in self._dropped:
+            for col in sorted(self._retired):
+                self._unseat(col)
+            for col in range(self.batch_size):
+                if faults_by_col[col] is not None:
                     continue
-                self._seat(lanes.index(None), fault)
-            active = [lane for lane in lanes if lane is not None]
-            if not active:
+                fault = self._next_queued()
+                if fault is None:
+                    break
+                self._seat(col, fault)
+            cols = np.array(
+                [col for col, fault in enumerate(faults_by_col) if fault is not None],
+                dtype=np.int64,
+            )
+            if not cols.size:
                 return
             self._imply()
-            detect, good3, faulty3, d_index = self._unpack_round()
-            resolved: list[tuple[Fault, PodemResult]] = []
-            for lane in active:
-                result = self._step(lane, detect, good3, faulty3, d_index)
-                if result is not None:
-                    resolved.append((lane.fault, result))
-                    self._unseat(lane)
+            resolved = []
+            for col, result in self._advance(cols):
+                resolved.append((faults_by_col[col], result))
+                self._unseat(col)
             for fault, result in resolved:
                 if fault in self._dropped:
                     continue
@@ -281,23 +422,21 @@ class BatchPodem:
     def drop(self, faults: Iterable[Fault]) -> None:
         """Retire ``faults`` (queued or mid-search): some existing
         pattern already covers them, so no lane needs to finish."""
-        self._dropped.update(faults)
+        for fault in faults:
+            self._dropped.add(fault)
+            self._retired.update(self._col_of.get(fault, ()))
 
     def active_faults(self) -> list[Fault]:
         """Faults currently seated in lanes (column order)."""
         return [
-            lane.fault
-            for lane in self._lanes
-            if lane is not None and lane.fault not in self._dropped
+            fault
+            for col, fault in enumerate(self._faults)
+            if fault is not None and col not in self._retired
         ]
 
     def queued_faults(self) -> list[Fault]:
         """Faults still waiting for a lane (queue order)."""
         return [f for f in self._queue if f not in self._dropped]
-
-    # ------------------------------------------------------------------
-    # lane management
-    # ------------------------------------------------------------------
 
     def counters(self) -> dict[str, int]:
         """Cumulative search-effort counters for this engine instance:
@@ -310,46 +449,79 @@ class BatchPodem:
             "decisions": self.decisions_total,
         }
 
+    # ------------------------------------------------------------------
+    # lane management
+    # ------------------------------------------------------------------
+
+    def _prepare_sites(self, faults: Iterable[Fault]) -> None:
+        """Resolve every fault's site to rows once, and give each branch
+        pin a fault names a pin row of its own (re-laying the planes out
+        when the stream brings new ones)."""
+        comp = self._compiled
+        row_of = self._row_of
+        sites = {}
+        new_pins = set()
+        for fault in faults:
+            net_id, gate_id, pin = comp.fault_site(fault)
+            sites[fault] = (int(row_of[net_id]), gate_id, pin)
+            if gate_id is not None and (gate_id, pin) not in self._pin_rows:
+                new_pins.add((gate_id, pin))
+        self._sites = sites
+        if new_pins:
+            self._pin_rows.update(dict.fromkeys(new_pins, -1))
+            self._layout()
+
+    def _next_queued(self) -> Fault | None:
+        while self._queue:
+            fault = self._queue.popleft()
+            if fault not in self._dropped:
+                return fault
+        return None
+
     def _seat(self, col: int, fault: Fault) -> None:
         self.lanes_seated += 1
-        lane = _Lane(fault, col, self._n_words)
-        (
-            lane.site_net_id,
-            lane.site_gate_id,
-            lane.site_pin,
-        ) = self._oracle._check_fault(fault)
-        lane.stuck = fault.value
-        force_node = (
-            lane.site_gate_id
-            if lane.site_gate_id is not None
-            else lane.site_net_id
-        )
-        lane.force_level = int(self._compiled.node_levels[force_node])
-        self._forcings_by_level.setdefault(lane.force_level, []).append(lane)
-        self._lanes[col] = lane
+        net, gate_id, pin = self._sites[fault]
+        self._faults[col] = fault
+        self._site_net[col] = net
+        self._site_gate[col] = -1 if gate_id is None else self._row_of[gate_id]
+        self._stuck[col] = fault.value
+        self._backtracks[col] = 0
+        self._decisions[col] = 0
+        self._depth[col] = 0
+        # A stem fault holds its net (pin rows copy it after the force);
+        # a branch fault holds only its own pin row.
+        row = net if gate_id is None else self._pin_rows[(gate_id, pin)]
+        self._forced_row[col] = row
+        self._col_of.setdefault(fault, []).append(col)
+        value, care = self._faulty_words(col)
+        mask = np.uint64(1 << (col % 64))
+        self._keep[row, [value, care]] &= ~mask
+        self._put[row, care] |= mask
+        if fault.value:
+            self._put[row, value] |= mask
 
-    def _unseat(self, lane: _Lane) -> None:
-        self._forcings_by_level[lane.force_level].remove(lane)
-        self._lanes[lane.col] = None
-        # Clear the lane's PI assignment bits so the next tenant starts
-        # from all-X.
-        unmask = ~lane.mask
-        self._av[:, lane.word] &= unmask
-        self._ac[:, lane.word] &= unmask
+    def _faulty_words(self, col: int) -> tuple[int, int]:
+        """Columns of lane ``col``'s faulty value and care words."""
+        w = self._n_words
+        word = col // 64
+        return w + word, 3 * w + word
 
-    def _assign(self, lane: _Lane, pi_id: int, value: int) -> None:
-        """Set one lane's PI to 0/1/X in the assignment planes."""
-        row = self._input_row[pi_id]
-        word = lane.word
-        if value == _X3:
-            self._av[row, word] &= ~lane.mask
-            self._ac[row, word] &= ~lane.mask
-        else:
-            self._ac[row, word] |= lane.mask
-            if value:
-                self._av[row, word] |= lane.mask
-            else:
-                self._av[row, word] &= ~lane.mask
+    def _unseat(self, col: int) -> None:
+        row = self._forced_row[col]
+        words = list(self._faulty_words(col))
+        mask = np.uint64(1 << (col % 64))
+        self._keep[row, words] |= mask
+        self._put[row, words] &= ~mask
+        fault = self._faults[col]
+        seats = self._col_of[fault]
+        seats.remove(col)
+        if not seats:
+            del self._col_of[fault]
+        self._retired.discard(col)
+        self._faults[col] = None
+        # The next tenant starts from all-X.
+        self._codes[:, col] = _X
+        self._depth[col] = 0
 
     # ------------------------------------------------------------------
     # the packed implication sweep
@@ -359,199 +531,295 @@ class BatchPodem:
     @kernel
     def _imply(self) -> None:
         """One segmented five-valued sweep: good and faulty machines for
-        all lanes at once, per-lane fault forcings re-asserted level by
-        level."""
+        all lanes at once, fault forcings re-asserted level by level."""
         self.sweeps += 1
-        comp = self._compiled
-        P, V, C = self._P, self._V, self._C
+        P, keep, put = self._P, self._keep, self._put
         w = self._n_words
-        V[comp.input_ids, :w] = self._av
-        V[comp.input_ids, w:] = self._av
-        C[comp.input_ids, :w] = self._ac
-        C[comp.input_ids, w:] = self._ac
-        if comp.const0_ids.size:
-            V[comp.const0_ids] = 0
-            C[comp.const0_ids] = _ALL_ONES
-        if comp.const1_ids.size:
-            P[comp.const1_ids] = _ALL_ONES
-        self._force_level(0)
-        for level, ops, inverted in self._plan:
-            for gtype, out_ids, flat, starts in ops:
-                # One gather reads all four planes, one scatter writes them.
-                P[out_ids] = eval_gates(gtype, P[flat], 2, starts=starts)
-            if inverted is not None:
-                V[inverted] = C[inverted] & ~V[inverted]
-            self._force_level(level)
+        codes = self._codes
+        value = np.packbits(codes == 1, axis=1, bitorder="little").view(np.uint64)
+        care = np.packbits(codes != _X, axis=1, bitorder="little").view(np.uint64)
+        P[self._input_rows] = np.concatenate((value, value, care, care), axis=1)
+        if self._const_rows.size:
+            P[self._const_rows] = self._const_values
+        sources = P[: self._n_sources]
+        sources &= keep[: self._n_sources]
+        sources |= put[: self._n_sources]
+        if self._source_copy is not None:
+            self._copy_pins(*self._source_copy)
+        for a, b, groups, copy in self._plan:
+            for gtype, ga, gb, inv, flat, starts in groups:
+                out = eval_gates(gtype, P[flat], 2, starts=starts)
+                # Inverted rows: known lanes flip, care & ~value.
+                out[inv - ga :, : 2 * w] ^= out[inv - ga :, 2 * w :]
+                P[ga:gb] = out
+            level = P[a:b]
+            level &= keep[a:b]
+            level |= put[a:b]
+            if copy is not None:
+                self._copy_pins(*copy)
 
-    def _force_level(self, level: int) -> None:
-        """Re-assert the faulty-machine forcings of every lane whose
-        site sits at ``level`` (after that level evaluated)."""
-        lanes = self._forcings_by_level.get(level)
-        if not lanes:
-            return
-        oracle = self._oracle
-        for lane in lanes:
-            if lane.site_gate_id is None:
-                self._set3(lane.site_net_id, lane, lane.stuck)
-            else:
-                gate_id = lane.site_gate_id
-                fanins = oracle._fanins[gate_id]
-                values = {fid: self._get3(fid, lane) for fid in fanins}
-                forced = _eval3_branch(
-                    oracle._gtype[gate_id],
-                    fanins,
-                    values,
-                    lane.site_pin,
-                    lane.stuck,
-                )
-                self._set3(gate_id, lane, forced)
+    def _copy_pins(self, a: int, b: int, nets: np.ndarray) -> None:
+        """Fill pin rows ``[a, b)`` from their (already forced) nets and
+        force them."""
+        pins = self._P[nets]
+        pins &= self._keep[a:b]
+        pins |= self._put[a:b]
+        self._P[a:b] = pins
 
-    def _set3(self, row: int, lane: _Lane, value: int) -> None:
-        """Write one lane's faulty-machine value at ``row``."""
-        word = lane.fword
-        if value == _X3:
-            self._V[row, word] &= ~lane.mask
-            self._C[row, word] &= ~lane.mask
-        else:
-            self._C[row, word] |= lane.mask
-            if value:
-                self._V[row, word] |= lane.mask
-            else:
-                self._V[row, word] &= ~lane.mask
+    # ------------------------------------------------------------------
+    # the lock-step search
+    # ------------------------------------------------------------------
 
-    def _get3(self, row: int, lane: _Lane) -> int:
-        """Read one lane's faulty-machine value at ``row``."""
-        word = lane.fword
-        if not int(self._C[row, word]) & int(lane.mask):
-            return _X3
-        return 1 if int(self._V[row, word]) & int(lane.mask) else 0
+    # repro: allow[kernel-purity] O(depth) levelized X-path sweep; each level covers every lane's words
+    @kernel
+    def _frontier(
+        self, planes: np.ndarray, cols: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """D-frontier state of lanes ``cols`` off the packed planes:
+        whether some output sees a D, whether some frontier gate has an
+        X-path to an output, and each lane's first frontier gate in rank
+        order (``-1`` when its frontier is empty).
 
-    def _unpack_round(
-        self,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Unpack the planes once per round into per-lane columns:
-
-        * ``detect`` — per-lane bool, some PO known in both machines and
-          different;
-        * ``good3`` / ``faulty3`` — three-valued node matrices (0/1/2,
-          one column per lane) in the oracle's encoding;
-        * ``d_index`` — ``(rows, bounds)``: lane ``col``'s D-bearing
-          nets are ``rows[bounds[col]:bounds[col + 1]]``.
+        A frontier gate reads a D on some pin and is X in some machine.
         """
-        n_bits = self._n_lanes
         w = self._n_words
-        bits = np.unpackbits(self._P.view(np.uint8), axis=1, bitorder="little")
-        value_bits = bits[:, : 2 * n_bits]
-        care_bits = bits[:, 2 * n_bits :]
-        # codes = value where care, else X3 (== 2).  The plane invariant
-        # ``v & ~c == 0`` means value bits are already 0 wherever care is
-        # 0, so the three-valued code is just ``v | (~c << 1)`` — three
-        # elementwise uint8 ops instead of a (much slower) ``np.where``.
-        codes = value_bits | ((care_bits ^ np.uint8(1)) << np.uint8(1))
-        good3 = codes[:, :n_bits]
-        faulty3 = codes[:, n_bits:]
-        # The D net/lane index is built at *packed* word level: most nets
-        # carry no D anywhere, so finding the D-bearing rows on uint64
-        # words and unpacking only those rows beats a full-matrix
-        # boolean nonzero by an order of magnitude.
-        V, C = self._V, self._C
-        d_words = (V[:, :w] ^ V[:, w:]) & C[:, :w] & C[:, w:]
-        detect_words = np.bitwise_or.reduce(
-            d_words[self._compiled.output_ids], axis=0
+        value_good, value_faulty = planes[:, :w], planes[:, w : 2 * w]
+        known = planes[:, 2 * w : 3 * w] & planes[:, 3 * w :]
+        d = known & (value_good ^ value_faulty)
+        xany = ~known
+        frontier = np.zeros_like(d)
+        if self._gate_pins is not None:
+            pins, starts = self._gate_pins
+            frontier[self._n_sources : self._sentinel] = np.bitwise_or.reduceat(
+                d[pins], starts
+            )
+        frontier &= xany
+        # The branch site's gate sees a D on its stuck pin once the good
+        # stem value activates the fault, even with no D on the stem.
+        branch = np.flatnonzero(self._site_gate[cols] >= 0)
+        col = cols[branch]
+        word, bit = col // 64, np.uint64(1) << (col % 64).astype(np.uint64)
+        gate, net = self._site_gate[col], self._site_net[col]
+        good = value_good[net, word]
+        activated = np.where(
+            self._stuck[col] == 1, planes[net, 2 * w + word] & ~good, good
         )
-        detect = np.unpackbits(
-            np.ascontiguousarray(detect_words).view(np.uint8),
-            bitorder="little",
-        )[:n_bits].astype(bool)
-        d_node_ids = np.nonzero(d_words.any(axis=1))[0]
-        d_sub = np.unpackbits(
-            np.ascontiguousarray(d_words[d_node_ids]).view(np.uint8),
-            axis=1,
-            bitorder="little",
-        )[:, :n_bits]
-        # nonzero on the transposed (small) submatrix yields hits sorted
-        # by lane, ready for the per-lane searchsorted bounds.
-        d_cols, d_sub_rows = np.nonzero(d_sub.T)
-        d_rows = d_node_ids[d_sub_rows]
-        d_bounds = np.searchsorted(d_cols, np.arange(self._n_lanes + 1))
-        return detect, good3, faulty3, (d_rows, d_bounds)
+        site = (activated & xany[gate, word] & bit) != 0
+        np.bitwise_or.at(frontier, (gate[site], word[site]), bit[site])
+        in_frontier = frontier.any(axis=1)
+        # Levels below the lowest frontier gate reach nothing.
+        lowest = np.searchsorted(self._level_ends, in_frontier.argmax(), side="right")
+        reach = np.zeros_like(frontier)
+        for a, b, pins, starts in self._level_pins[lowest:] if in_frontier.any() else ():
+            part = reach[a:b]
+            np.bitwise_or.reduceat(reach[pins], starts, out=part)
+            part &= xany[a:b]
+            part |= frontier[a:b]
+        outputs = self._output_rows
+        detect = np.bitwise_or.reduce(d[outputs], axis=0)
+        x_path = np.bitwise_or.reduce(reach[outputs], axis=0)
+        hit = self._rank_rows[in_frontier[self._rank_rows]]
+        first = np.full(cols.size, -1, dtype=np.int64)
+        if hit.size:
+            bits = np.unpackbits(
+                frontier[hit].view(np.uint8), axis=1, bitorder="little"
+            )[:, cols]
+            has = bits.any(axis=0)
+            first[has] = hit[bits.argmax(axis=0)[has]]
+        word, bit = cols // 64, (cols % 64).astype(np.uint64)
+        return (
+            (detect[word] >> bit) & 1 == 1,
+            (x_path[word] >> bit) & 1 == 1,
+            first,
+        )
 
-    # ------------------------------------------------------------------
-    # the per-lane search step (the oracle's loop body, one iteration)
-    # ------------------------------------------------------------------
+    def _good_state(self, planes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The good machine of the node rows for the backtrace: X flags
+        unpacked to one byte per (row, lane), and the packed value
+        words (a set value bit is a known 1)."""
+        w = self._n_words
+        x_words = ~planes[:, 2 * w : 3 * w]
+        x_good = np.unpackbits(x_words.view(np.uint8), axis=1, bitorder="little")
+        return x_good, planes[:, :w]
 
-    def _step(
+    # repro: allow[kernel-purity] O(path length) lock-step backtrace; each step moves every walking lane one gate
+    @kernel
+    def _backtrace(
         self,
-        lane: _Lane,
-        detect: np.ndarray,
-        good3: np.ndarray,
-        faulty3: np.ndarray,
-        d_index: tuple[np.ndarray, np.ndarray],
-    ) -> PodemResult | None:
-        """Advance one lane by one decision (or backtrack); returns the
-        lane's result when it resolves.  This is, line for line, the
-        loop body of ``Podem.generate`` with the simulation calls gone —
-        the sweep already implied this round's values."""
-        oracle = self._oracle
-        col = lane.col
-        if detect[col]:
-            cube = TestCube.from_dict(
-                {oracle._name[d[0]]: d[1] for d in lane.decisions}
-            )
-            return PodemResult(
-                PodemStatus.DETECTED, cube, lane.backtracks, lane.total_decisions
-            )
-        # Point the oracle's search machinery at this lane's state.
-        d_rows, d_bounds = d_index
-        # bytes, not lists: the oracle's step methods only *read* the
-        # value arrays, indexing a handful of nodes — and indexing bytes
-        # yields plain ints at list speed without the full-column
-        # conversion cost.
-        oracle._good = good3[:, col].tobytes()
-        oracle._faulty = faulty3[:, col].tobytes()
-        oracle._d_nets = set(
-            d_rows[d_bounds[col] : d_bounds[col + 1]].tolist()
-        )
-        oracle._site_net_id = lane.site_net_id
-        oracle._site_gate_id = lane.site_gate_id
-        oracle._site_pin = lane.site_pin
-        oracle._stuck = lane.stuck
-        objective = oracle._objective(lane.site_net_id, lane.stuck)
-        backtrace = (
-            oracle._backtrace(objective) if objective is not None else None
-        )
-        if backtrace is None:
-            flipped = False
-            while lane.decisions:
-                last = lane.decisions[-1]
-                if not last[2]:
-                    last[1] = 1 - last[1]
-                    last[2] = True
-                    self._assign(lane, last[0], last[1])
-                    lane.backtracks += 1
-                    self.backtracks_total += 1
-                    flipped = True
+        x_good: np.ndarray,
+        one_good: np.ndarray,
+        cols: np.ndarray,
+        node: np.ndarray,
+        target: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Walk each lane's objective ``(node, target)`` back along good
+        X nets to an unassigned PI, all lanes one gate per step (a lane
+        leaves the walk when it stops).  Returns each lane's PI row and
+        value, and whether it reached one (the others met a gate without
+        an X fanin)."""
+        width = x_good.shape[1]
+        x_flat = x_good.ravel()
+        n_pins = self._fanin_pad.shape[1]
+        walking = np.arange(cols.size, dtype=np.int64)
+        at, goal, col = node, target, cols
+        while walking.size:
+            stop = self._stop[at]
+            if stop.any():
+                node[walking[stop]] = at[stop]
+                target[walking[stop]] = goal[stop]
+                keep = ~stop
+                walking, at, goal, col = (
+                    walking[keep], at[keep], goal[keep], col[keep]
+                )
+                if not walking.size:
                     break
-                self._assign(lane, last[0], _X3)
-                lane.decisions.pop()
-            if not flipped:
-                return PodemResult(
-                    PodemStatus.UNTESTABLE,
-                    None,
-                    lane.backtracks,
-                    lane.total_decisions,
+            fanins = self._fanin_pad[at]
+            x_pin = x_flat.take(fanins * width + col[:, None])
+            kind, control, invert = self._gate_meta[at].T
+            pre = goal ^ invert
+            # AND/OR-like: one controlling input suffices (easiest X
+            # fanin), else every input must go non-controlling (hardest
+            # first); either way the fanin target is ``pre``, and ties go
+            # to the first pin, as min()/max() do.
+            cost = self._signed_cost.take(
+                fanins * 4 + (2 * pre + (pre == control))[:, None]
+            )
+            pick_control = np.where(x_pin, cost, _BIG).argmin(axis=1)
+            # XOR-like: fix the first X fanin against the parity of the
+            # other pins' known good values (X counts as 0).
+            pick_parity = x_pin.argmax(axis=1)
+            parity = kind == _PARITY
+            if parity.any():
+                lanes = np.flatnonzero(parity)
+                pins = fanins[lanes]
+                chosen = pins[np.arange(lanes.size, dtype=np.int64), pick_parity[lanes]]
+                lane_col = col[lanes, None]
+                ones = one_good[pins, lane_col // 64] >> (lane_col % 64).astype(
+                    np.uint64
                 )
-            if lane.backtracks > self.backtrack_limit:
-                return PodemResult(
-                    PodemStatus.ABORTED,
-                    None,
-                    lane.backtracks,
-                    lane.total_decisions,
+                parity[lanes] = np.bitwise_xor.reduce(
+                    ones & (pins != chosen[:, None]), axis=1
+                ) & 1
+            # A one-input gate's one pin is its first X pin, if any.
+            pick = np.where(kind == _CONTROL, pick_control, pick_parity)
+            first_pin = np.arange(at.size, dtype=np.int64) * n_pins
+            moved = fanins.ravel().take(first_pin + pick)
+            has_x = x_pin.ravel().take(first_pin + pick_parity)
+            at = np.where(has_x, moved, self._sentinel)
+            goal = pre ^ parity
+        return node, target, self._is_input[node]
+
+    def _advance(self, cols: np.ndarray) -> list[tuple[int, PodemResult]]:
+        """One PODEM step for every seated lane ``cols`` (ascending):
+        detect, else objective + backtrace and a decision, else
+        backtrack.  Returns the lanes that resolved, in column order."""
+        planes = self._P[: self._sentinel + 1]
+        detect, x_path, first = self._frontier(planes, cols)
+        x_good, one_good = self._good_state(planes)
+        width = x_good.shape[1]
+        x_flat = x_good.ravel()
+        net = self._site_net[cols]
+        stuck = self._stuck[cols]
+        site_x = x_flat.take(net * width + cols) == 1
+        site_value = (one_good[net, cols // 64] >> (cols % 64).astype(np.uint64)) & 1
+        # Objective: activate the fault, else drive the first frontier
+        # gate's first good-X fanin to its non-controlling value.
+        node = net.copy()
+        target = 1 - stuck
+        seek = ~detect & site_x
+        propagate = ~detect & ~site_x & (site_value != stuck) & (first >= 0) & x_path
+        lanes = np.flatnonzero(propagate)
+        gates = first[lanes]
+        fanins = self._fanin_pad[gates]
+        x_pin = x_flat.take(fanins * width + cols[lanes, None]) == 1
+        node[lanes] = fanins[np.arange(lanes.size), x_pin.argmax(axis=1)]
+        target[lanes] = self._objective_target[gates]
+        propagate[lanes[~x_pin.any(axis=1)]] = False
+        search = np.flatnonzero(seek | propagate)
+        pis, values, ok = self._backtrace(
+            x_good, one_good, cols[search], node[search], target[search]
+        )
+        dead = ~detect
+        dead[search[ok]] = False
+        self._decide(cols[search[ok]], pis[ok], values[ok])
+        untestable, aborted = self._backtrack(cols[dead])
+        status = {}
+        for col in cols[detect].tolist():
+            status[col] = PodemStatus.DETECTED
+        for col in untestable.tolist():
+            status[col] = PodemStatus.UNTESTABLE
+        for col in aborted.tolist():
+            status[col] = PodemStatus.ABORTED
+        return [
+            (
+                col,
+                PodemResult(
+                    status[col],
+                    self._cube(col) if status[col] is PodemStatus.DETECTED else None,
+                    int(self._backtracks[col]),
+                    int(self._decisions[col]),
+                ),
+            )
+            for col in sorted(status)
+        ]
+
+    def _decide(self, cols: np.ndarray, pis: np.ndarray, values: np.ndarray) -> None:
+        """Push one decision per lane and assign its PI."""
+        inputs = self._input_index[pis]
+        depth = self._depth[cols]
+        self._stack_pi[cols, depth] = inputs
+        self._stack_val[cols, depth] = values
+        self._stack_flip[cols, depth] = False
+        self._depth[cols] = depth + 1
+        self._codes[inputs, cols] = values
+        self._decisions[cols] += 1
+        self.decisions_total += cols.size
+
+    def _backtrack(self, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Flip each dead-end lane's most recent untried decision,
+        popping (and un-assigning) the tried ones above it.  Returns the
+        lanes left with no decision to flip (UNTESTABLE) and the lanes
+        whose flip exceeded the backtrack limit (ABORTED)."""
+        depth = self._depth[cols]
+        span = int(depth.max(initial=0))
+        slots = np.arange(span)
+        live = slots < depth[:, None]
+        untried = live & ~self._stack_flip[cols, :span]
+        has = untried.any(axis=1)
+        top = np.full(cols.size, -1, dtype=np.int64)
+        if span:
+            top[has] = span - 1 - untried[has, ::-1].argmax(axis=1)
+        lane, slot = np.nonzero(live & (slots > top[:, None]))
+        self._codes[self._stack_pi[cols[lane], slot], cols[lane]] = _X
+        self._depth[cols] = top + 1
+        flip, top = cols[has], top[has]
+        self._stack_val[flip, top] ^= 1
+        self._stack_flip[flip, top] = True
+        self._codes[self._stack_pi[flip, top], flip] = self._stack_val[flip, top]
+        self._backtracks[flip] += 1
+        self.backtracks_total += flip.size
+        return cols[~has], flip[self._backtracks[flip] > self.backtrack_limit]
+
+    def _cube(self, col: int) -> TestCube:
+        depth = int(self._depth[col])
+        names = self._input_names
+        return TestCube.from_dict(
+            {
+                names[index]: value
+                for index, value in zip(
+                    self._stack_pi[col, :depth].tolist(),
+                    self._stack_val[col, :depth].tolist(),
                 )
-            return None
-        pi_id, value = backtrace
-        lane.decisions.append([pi_id, int(value), False])
-        self._assign(lane, pi_id, int(value))
-        lane.total_decisions += 1
-        self.decisions_total += 1
-        return None
+            }
+        )
+
+
+def _segments(
+    fanin_pad: np.ndarray, a: int, b: int, pad: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pins of gate rows ``[a, b)`` of a padded fanin table, in pin
+    order, and each gate's first pin: the segmented ``reduceat`` form."""
+    rows = fanin_pad[a:b]
+    real = rows != pad
+    starts = np.concatenate(([0], np.cumsum(real.sum(axis=1)[:-1])))
+    return rows[real], starts.astype(np.int64)

@@ -9,9 +9,9 @@ PODEM proves untestable (redundant) are excluded, and aborted faults are
 reported separately.
 
 One test generator drives the deterministic top-off phase:
-:class:`~repro.atpg.batch_podem.BatchPodem`, which implies a whole batch
-of fault lanes per sweep on the compiled plan and supports mid-batch
-fault dropping.  Each lane reproduces the scalar
+:class:`~repro.atpg.batch_podem.BatchPodem`, which implies and searches
+a whole batch of fault lanes per round on the compiled plan and
+supports mid-batch fault dropping.  Each lane reproduces the scalar
 :class:`~repro.atpg.podem.Podem` oracle decision for decision.
 
 "Complete covering" is not assumed: the final test set is re-simulated
@@ -31,6 +31,7 @@ from repro.atpg.random_gen import random_phase
 from repro.circuit.netlist import Circuit
 from repro.faults.collapse import collapse_faults
 from repro.faults.model import Fault
+from repro.obs import NULL_TELEMETRY, Telemetry
 from repro.sim.batch import BatchFaultSimulator
 from repro.sim.fault import FaultSimulator
 from repro.utils.bitvec import BitVector
@@ -120,7 +121,7 @@ class AtpgEngine:
         backtrack_limit: int = 250,
         compact: bool = True,
         simulator: BatchFaultSimulator | None = None,
-        telemetry=None,
+        telemetry: Telemetry | None = None,
     ) -> None:
         self.circuit = circuit
         self.seed = seed
@@ -128,17 +129,18 @@ class AtpgEngine:
         self.backtrack_limit = backtrack_limit
         self.compact = compact
         self.simulator = simulator or FaultSimulator(circuit)
-        #: Optional :class:`repro.obs.MetricsRegistry`.  The top-off
-        #: engine is transient (one per run), so its counters are folded
-        #: into the registry once per run instead of collector-sampled;
-        #: the simulator's counters ride its own collector.
-        self.telemetry = telemetry
-        if (
-            telemetry is not None
-            and getattr(telemetry, "enabled", False)
-            and hasattr(self.simulator, "attach_metrics")
-        ):
-            self.simulator.attach_metrics(telemetry)
+        #: Optional :class:`repro.obs.Telemetry`.  Its tracer times the
+        #: four phases as ``atpg.random`` / ``atpg.topoff`` /
+        #: ``atpg.compact`` / ``atpg.verify`` spans under the caller's
+        #: open span.  The top-off engine is transient (one per run), so
+        #: its counters are folded into the metrics registry once per
+        #: run (and set on the ``atpg.topoff`` span) instead of
+        #: collector-sampled; the simulator's counters ride its own
+        #: collector.
+        self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
+        metrics = self.telemetry.metrics
+        if metrics.enabled and hasattr(self.simulator, "attach_metrics"):
+            self.simulator.attach_metrics(metrics)
 
     def run(self, faults: list[Fault] | None = None) -> AtpgResult:
         """Generate a complete test set for ``faults`` (default: the
@@ -147,35 +149,41 @@ class AtpgEngine:
             faults = collapse_faults(self.circuit)
         n_collapsed = len(faults)
         rng = RngStream(self.seed, "atpg", self.circuit.name)
+        tracer = self.telemetry.tracer
 
-        random_result = random_phase(
-            self.circuit,
-            faults,
-            rng.child("random"),
-            max_patterns=self.max_random_patterns,
-            simulator=self.simulator,
-        )
+        with tracer.span("atpg.random"):
+            random_result = random_phase(
+                self.circuit,
+                faults,
+                rng.child("random"),
+                max_patterns=self.max_random_patterns,
+                simulator=self.simulator,
+            )
         patterns = list(random_result.patterns)
         n_random = len(patterns)
 
         fill_rng = rng.child("x-fill")
         untestable: list[Fault] = []
         aborted: list[Fault] = []
-        podem_patterns = self._topoff(
-            list(random_result.remaining), patterns, fill_rng, untestable, aborted
-        )
+        with tracer.span("atpg.topoff") as span:
+            podem_patterns, counters = self._topoff(
+                list(random_result.remaining), patterns, fill_rng, untestable, aborted
+            )
+            span.set(**counters, podem_patterns=podem_patterns)
 
         excluded = set(untestable) | set(aborted)
         target_faults = [f for f in faults if f not in excluded]
         if self.compact and patterns:
-            patterns = reverse_order_compaction(
-                self.circuit, patterns, target_faults, simulator=self.simulator
-            )
+            with tracer.span("atpg.compact"):
+                patterns = reverse_order_compaction(
+                    self.circuit, patterns, target_faults, simulator=self.simulator
+                )
         # The paper's premise is a test set with *complete* covering of
         # F.  Measure it instead of assuming it: re-simulate the final
         # set against the target list and refuse to return a partial
         # covering.
-        measured = self.simulator.fault_coverage(patterns, target_faults)
+        with tracer.span("atpg.verify"):
+            measured = self.simulator.fault_coverage(patterns, target_faults)
         if measured != 1.0:
             missed = sum(
                 1
@@ -222,8 +230,9 @@ class AtpgEngine:
         fill_rng,
         untestable: list[Fault],
         aborted: list[Fault],
-    ) -> int:
-        """Fault-parallel top-off driving :meth:`BatchPodem.stream`.
+    ) -> tuple[int, dict[str, int]]:
+        """Fault-parallel top-off driving :meth:`BatchPodem.stream`;
+        returns the patterns it added and the search-effort counters.
 
         Every generated pattern is hard-checked against its target
         fault, then fault-drops the in-flight lanes (covered lanes
@@ -266,13 +275,15 @@ class AtpgEngine:
                         [f for f, hit in zip(queued, qflags) if hit]
                     )
                 window.clear()
-        self._fold_podem_counters(podem.counters())
-        return podem_patterns
+        counters = podem.counters()
+        self._fold_podem_counters(counters)
+        return podem_patterns, counters
 
     def _fold_podem_counters(self, counters: dict[str, int]) -> None:
         """Accumulate one top-off run's search-effort counters into the
         attached metrics registry (no-op without telemetry)."""
-        if self.telemetry is None or not getattr(self.telemetry, "enabled", False):
+        metrics = self.telemetry.metrics
+        if not metrics.enabled:
             return
         help_by_name = {
             "lanes_seated": "PODEM lanes seated into the batch engine.",
@@ -281,6 +292,6 @@ class AtpgEngine:
             "decisions": "PODEM decisions across all lanes.",
         }
         for key, value in counters.items():
-            self.telemetry.counter(
+            metrics.counter(
                 f"repro_atpg_{key}_total", help=help_by_name.get(key, "")
             ).inc(value)

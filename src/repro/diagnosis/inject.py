@@ -41,7 +41,8 @@ def simulate_with_faults(
     freeze their net's row; branch faults re-evaluate the reading gate
     with the faulty pin stuck, using the (possibly already faulty)
     values of the other pins — which is what distinguishes a true
-    multi-fault machine from a batch of independent single faults.
+    multi-fault machine from a batch of independent single faults.  A
+    fault whose net or pin the circuit lacks raises :class:`KeyError`.
     """
     levels = compiled.node_levels
     stems: dict[int, list[tuple[int, int]]] = {}  # level -> [(node, stuck)]
@@ -49,15 +50,13 @@ def simulate_with_faults(
     # level -> gate id -> [(pin, stuck)]; grouped so two branch faults on
     # one gate force both pins in a single re-evaluation.
     for fault in faults:
-        site = fault.site
-        if site.is_branch:
-            gate_id = compiled.index[site.gate]
+        node_id, gate_id, pin = compiled.fault_site(fault)
+        if gate_id is not None:
             level = int(levels[gate_id])
             branches.setdefault(level, {}).setdefault(gate_id, []).append(
-                (int(site.pin), fault.value)
+                (pin, fault.value)
             )
         else:
-            node_id = compiled.index[site.net]
             stems.setdefault(int(levels[node_id]), []).append(
                 (node_id, fault.value)
             )

@@ -497,6 +497,9 @@ class Session:
         return self._atpg_results[knobs]
 
     def _load_or_run_atpg(self, config: PipelineConfig) -> AtpgResult:
+        """The cached ATPG result, else a fresh run.  A run opens the
+        ``atpg`` stage first, so the engine's phase spans nest under its
+        ``flow.atpg`` span."""
         self._atpg_seconds = 0.0
         if self.cache is not None:
             cached = self.cache.get(
@@ -507,6 +510,7 @@ class Session:
                 return cached
         from repro.atpg.engine import AtpgEngine
 
+        self._emit(StageEvent("atpg", "start"))
         start = time.perf_counter()
         engine = AtpgEngine(
             self.circuit,
@@ -514,7 +518,7 @@ class Session:
             max_random_patterns=config.max_random_patterns,
             backtrack_limit=config.backtrack_limit,
             simulator=self.simulator,
-            telemetry=self.telemetry.metrics,
+            telemetry=self.telemetry,
         )
         result = engine.run()
         self._atpg_seconds = time.perf_counter() - start
@@ -549,9 +553,6 @@ class Session:
         # Before ATPG, as ``run_flow`` does before its first stage.
         prepare_solver(config.cover_method)
         atpg_was_ready = self._atpg_knobs(config) in self._atpg_results
-        if not atpg_was_ready:
-            # Its terminal event (done or cache-hit) comes from the load.
-            self._emit(StageEvent("atpg", "start"))
         atpg = self._atpg_for(config)
         ctx = StageContext(
             circuit=self.circuit,

@@ -99,8 +99,8 @@ class StageContext:
     #: reason) and :meth:`Stage.execute` attaches them to the terminal
     #: :class:`StageEvent`.  Reset before every stage.
     stage_attrs: dict = field(default_factory=dict)
-    #: Optional :class:`repro.obs.Telemetry`; stages pass its metrics
-    #: registry down to the engines they construct.
+    #: Optional :class:`repro.obs.Telemetry`; stages pass it down to
+    #: the engines they construct.
     telemetry: object | None = None
 
     def emit(self, event: StageEvent) -> None:
@@ -171,14 +171,13 @@ class AtpgStage(Stage):
         if self._already_done(ctx):
             return True
         config = ctx.config
-        telemetry = ctx.telemetry
         engine = AtpgEngine(
             ctx.circuit,
             seed=config.seed,
             max_random_patterns=config.max_random_patterns,
             backtrack_limit=config.backtrack_limit,
             simulator=ctx.simulator,
-            telemetry=telemetry.metrics if telemetry is not None else None,
+            telemetry=ctx.telemetry,
         )
         result = engine.run()
         ctx.artifacts["atpg"] = result

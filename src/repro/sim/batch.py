@@ -926,17 +926,15 @@ class BatchFaultSimulator:
         for fault in faults:
             row = cache.get(fault)
             if row is None:
-                site = fault.site
-                if site.is_branch:
-                    gate = index[site.gate]
+                net, gate, pin = self.compiled.fault_site(fault)
+                if gate is not None:
                     row = (
                         int(tables.ffr_root[gate]),
-                        int(tables.fanin_pad[gate, site.pin]),
+                        net,
                         fault.value,
-                        int(tables.pin_start[gate]) + site.pin,
+                        int(tables.pin_start[gate]) + pin,
                     )
                 else:
-                    net = index[site.net]
                     row = (
                         int(tables.ffr_root[net]), net, fault.value,
                         int(tables.crit_row[net]),

@@ -160,14 +160,13 @@ class SerialFaultSimulator:
             else np.zeros(n_words, dtype=np.uint64)
         )
         faulty: dict[int, np.ndarray] = {}
-        site = fault.site
-        net_id = compiled.index[site.net]
-        if site.is_branch:
-            # Only `site.gate` sees the stuck value; recompute it and its cone.
-            gate_id = compiled.index[site.gate]
+        net_id, gate_id, stuck_pin = compiled.fault_site(fault)
+        if gate_id is not None:
+            # Only the reading gate sees the stuck value; recompute it and
+            # its cone.
             fanins = compiled.gate_fanins[gate_id]
             fanin_words = [
-                stuck_words if pin == site.pin else good[fanin_id]
+                stuck_words if pin == stuck_pin else good[fanin_id]
                 for pin, fanin_id in enumerate(fanins)
             ]
             faulty[gate_id] = eval_gates(

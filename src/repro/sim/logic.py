@@ -16,7 +16,7 @@ care planes (``m = 2``).
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -31,6 +31,9 @@ from repro.utils.bitvec import (
     tail_mask,
     unpack_words,
 )
+
+if TYPE_CHECKING:
+    from repro.faults.model import Fault
 
 __all__ = [
     "CompiledCircuit",
@@ -121,9 +124,9 @@ class CompiledCircuit:
         self.eval_groups: list[tuple[GateType, np.ndarray, np.ndarray]] = []
         #: The same groups keyed by topological level — the *levelized
         #: plan*.  Consumers that must interleave per-level work with the
-        #: sweep (the batch PODEM re-asserts per-lane fault forcings
-        #: after each level, mirroring the fault simulator's
-        #: ``_BatchPlan``) walk this instead of ``eval_groups``.
+        #: sweep (multi-fault injection re-asserts its forcings after
+        #: each level; the stem-region trace walks it top down) walk
+        #: this instead of ``eval_groups``.
         self.eval_levels: list[
             tuple[int, list[tuple[GateType, np.ndarray, np.ndarray]]]
         ] = []
@@ -207,6 +210,32 @@ class CompiledCircuit:
         values = self.simulate(packed.words)
         output_words = values[self.output_ids, :]
         return unpack_words(output_words, packed.n_patterns)
+
+    def fault_site(self, fault: Fault) -> tuple[int, int | None, int | None]:
+        """Resolve ``fault`` to ``(net id, reading gate id, pin)`` — the
+        gate and pin are ``None`` for a stem fault.
+
+        Raises :class:`KeyError` when the net is not in the circuit, or
+        when a branch fault names a pin that does not exist or does not
+        read its net (so no engine simulates a different fault than the
+        one it was given).
+        """
+        site = fault.site
+        net_id = self.index.get(site.net)
+        if net_id is None:
+            raise KeyError(f"fault site net {site.net!r} not in circuit")
+        if not site.is_branch:
+            return net_id, None, None
+        gate_id = self.index.get(site.gate)
+        fanins = self.gate_fanins[gate_id] if gate_id is not None else ()
+        pin = site.pin
+        if not isinstance(pin, int) or not 0 <= pin < len(fanins):
+            raise KeyError(f"fault site {site} does not match a gate pin")
+        if fanins[pin] != net_id:
+            raise KeyError(
+                f"fault site {site}: gate pin reads {self.order[fanins[pin]]!r}"
+            )
+        return net_id, gate_id, pin
 
     def output_cone_ids(self, node_id: int) -> list[int]:
         """Transitive fanout of ``node_id`` in topological order,

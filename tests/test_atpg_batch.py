@@ -5,10 +5,12 @@ Three layers, each pinned to an independent reference:
 * the ``m = 2`` lane layout and the one gate kernel's single-gate and
   segmented shapes against the scalar three-valued oracle;
 * :class:`~repro.atpg.batch_podem.BatchPodem` against the recursive
-  :class:`~repro.atpg.podem.Podem` oracle — the batch engine borrows the
-  oracle's objective/backtrace per lane and only replaces implication,
-  so the two must agree **bit for bit**: same statuses, same cubes, same
-  backtrack and decision counts.  (This is strictly stronger than the
+  :class:`~repro.atpg.podem.Podem` oracle — the batch engine runs the
+  oracle's objective, backtrace and decision rules for every lane in
+  lock step, so the two must agree **bit for bit**: same statuses, same
+  cubes, same backtrack and decision counts, for every lane geometry
+  (one lane, word boundaries, partly filled words), PI stem faults,
+  XOR/XNOR branch pins and both backtrace heuristics.  (This is strictly stronger than the
   required contract — DETECTED/UNTESTABLE equal, ABORTED allowed to
   differ only toward more detections — so that contract holds a
   fortiori.)
@@ -32,6 +34,7 @@ from repro.circuit.gates import GateType, eval_gate_3v_scalar, eval_gates
 from repro.circuit.generate import GeneratorSpec, generate_circuit
 from repro.circuits import load_circuit
 from repro.faults.collapse import collapse_faults
+from repro.faults.model import Fault
 from repro.flow.serialize import decode, encode
 from repro.utils.bitvec import PackedPlanes
 
@@ -189,6 +192,72 @@ def test_batch_podem_scoap_matches_oracle_s420():
     circuit = load_circuit("s420", scale=0.25)
     faults = collapse_faults(circuit)
     _assert_streams_identical(circuit, faults, heuristic="scoap")
+
+
+#: XOR-heavy gate mix: parity backtraces and XOR/XNOR branch pins
+#: dominate the search.
+XOR_HEAVY = (
+    (GateType.XOR, 0.35),
+    (GateType.XNOR, 0.25),
+    (GateType.NAND, 0.1),
+    (GateType.OR, 0.1),
+    (GateType.NOT, 0.1),
+    (GateType.BUF, 0.1),
+)
+
+xor_circuits = st.builds(
+    generate_circuit,
+    st.builds(
+        GeneratorSpec,
+        name=st.just("xor"),
+        n_inputs=st.integers(min_value=2, max_value=10),
+        n_outputs=st.integers(min_value=1, max_value=4),
+        n_gates=st.integers(min_value=5, max_value=40),
+        seed=st.integers(min_value=0, max_value=2**31),
+        gate_weights=st.just(XOR_HEAVY),
+    ),
+)
+
+
+@pytest.mark.parametrize("batch_size", [1, 63, 65, 130])
+def test_batch_podem_lane_geometry(batch_size):
+    """Lanes on one word, across a word boundary, and on a third,
+    partly filled word resolve exactly as the oracle does."""
+    circuit = load_circuit("s420", scale=0.25)
+    faults = collapse_faults(circuit)
+    _assert_streams_identical(circuit, faults, batch_size=batch_size)
+
+
+@settings(max_examples=15, deadline=None)
+@given(circuit=circuits)
+def test_batch_podem_pi_stem_faults(circuit):
+    """Stem faults on primary inputs: forced at level 0, before any
+    gate reads them."""
+    faults = [Fault.stem(pi, value) for pi in circuit.inputs for value in (0, 1)]
+    _assert_streams_identical(circuit, faults, batch_size=65)
+
+
+@settings(max_examples=15, deadline=None)
+@given(circuit=xor_circuits)
+def test_batch_podem_xor_branch_faults(circuit):
+    """Branch faults on every XOR/XNOR pin, whether or not the net fans
+    out: the stuck pin shows through its own pin row."""
+    faults = [
+        Fault.branch(net, gate.name, pin, value)
+        for gate in circuit.gates.values()
+        if gate.gtype in (GateType.XOR, GateType.XNOR)
+        for pin, net in enumerate(gate.fanins)
+        for value in (0, 1)
+    ]
+    _assert_streams_identical(circuit, faults, batch_size=63)
+
+
+@settings(max_examples=15, deadline=None)
+@given(circuit=xor_circuits)
+def test_batch_podem_scoap_matches_oracle_xor_heavy(circuit):
+    """The SCOAP-guided backtrace through XOR-heavy logic."""
+    faults = collapse_faults(circuit)
+    _assert_streams_identical(circuit, faults, batch_size=130, heuristic="scoap")
 
 
 def test_batch_podem_single_fault_generate():

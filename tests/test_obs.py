@@ -398,3 +398,59 @@ class TestStageHook:
             == 1
         )
         assert telemetry.tracer.roots == []
+
+
+# ----------------------------------------------------------------------
+# ATPG sub-stage spans
+# ----------------------------------------------------------------------
+
+
+class TestAtpgSpans:
+    """The session's ATPG run opens ``flow.atpg`` and the engine nests
+    one span per phase under it; the top-off span carries the search
+    effort.  Tracing costs no work: counters and answers are equal with
+    the tracer on and off."""
+
+    @staticmethod
+    def _run(trace: bool):
+        from repro.flow.pipeline import PipelineConfig
+        from repro.flow.session import Session
+
+        telemetry = Telemetry.on(trace=trace)
+        session = Session.from_name(
+            "s420",
+            scale=0.25,
+            config=PipelineConfig(max_random_patterns=64),
+            telemetry=telemetry,
+        )
+        result = session.atpg_result
+        samples, _ = telemetry.metrics.collect()
+        counters = {
+            (sample.name, sample.labels): sample.value
+            for sample in samples
+            if sample.kind == "counter" and sample.name != "repro_flow_stage_runs_total"
+        }
+        return result, counters, telemetry
+
+    def test_phase_spans_nest_under_flow_atpg(self):
+        _, counters, telemetry = self._run(trace=True)
+        (atpg,) = [s for s in telemetry.tracer.roots if s.name == "flow.atpg"]
+        assert [c.name for c in atpg.children] == [
+            "atpg.random",
+            "atpg.topoff",
+            "atpg.compact",
+            "atpg.verify",
+        ]
+        topoff = atpg.children[1].attrs
+        for key in ("lanes_seated", "rounds", "backtracks", "decisions"):
+            assert topoff[key] == counters[(f"repro_atpg_{key}_total", ())]
+        assert topoff["rounds"] > 0
+
+    def test_tracer_changes_no_result_and_no_counter(self):
+        untraced, untraced_counters, _ = self._run(trace=False)
+        traced, traced_counters, _ = self._run(trace=True)
+        assert traced.test_set == untraced.test_set
+        assert traced.untestable == untraced.untestable
+        assert traced.aborted == untraced.aborted
+        assert traced_counters == untraced_counters
+        assert traced_counters[("repro_atpg_rounds_total", ())] > 0

@@ -99,11 +99,12 @@ class TestDifferentialFixedCircuits:
         _assert_engines_match(c17, patterns, faults, batch_size=len(faults) + 5)
 
     def test_branch_vs_stem_sites(self, c17):
-        """Net 3 fans out to gates 11 and 16: its stem fault and each
-        branch fault must agree with the serial engine individually and
-        when mixed in one batch."""
+        """Net 3 fans out to gates 10 (pin 1) and 11 (pin 0): its stem
+        fault and each branch fault must agree with the serial engine
+        individually and when mixed in one batch."""
         stem = Fault.stem("3", 0)
-        branches = [Fault.branch("3", "11", 0, 0), Fault.branch("3", "16", 1, 0)]
+        branches = [Fault.branch("3", "11", 0, 0), Fault.branch("3", "10", 1, 0)]
+        assert {stem, *branches} <= set(full_fault_list(c17))
         patterns = [BitVector(v, 5) for v in range(32)]
         for faults in ([stem], branches, [stem, *branches]):
             _assert_engines_match(c17, patterns, faults, batch_size=2)
@@ -170,6 +171,62 @@ class TestEdgeCases:
         simulator = BatchFaultSimulator(tiny_and, row_chunk_words=1)
         assert simulator.first_detection_index(patterns, [fault]) == [64]
 
+
+
+#: Faults c17 does not have, each with the KeyError message that names
+#: what is wrong.  Net 3 feeds pin 1 of gate 10 and pin 0 of gate 11.
+BAD_SITES = [
+    (Fault.stem("nope", 0), "fault site net 'nope' not in circuit"),
+    (Fault.branch("3", "11", 5, 0), "fault site 3->11.5 does not match a gate pin"),
+    (Fault.branch("3", "1", 0, 1), "fault site 3->1.0 does not match a gate pin"),
+    (Fault.branch("3", "16", 1, 0), "fault site 3->16.1: gate pin reads '11'"),
+]
+
+
+class TestBadFaultSites:
+    """A branch fault naming a pin that does not exist or does not read
+    its net is refused, never simulated as some other fault; every
+    engine raises the recursive PODEM oracle's messages."""
+
+    @staticmethod
+    def _engines(circuit):
+        from repro.atpg.batch_podem import BatchPodem
+        from repro.atpg.podem import Podem
+        from repro.diagnosis.inject import simulate_with_faults
+        from repro.sim.logic import CompiledCircuit
+
+        patterns = [BitVector(v, 5) for v in range(4)]
+        compiled = CompiledCircuit(circuit)
+        words = np.zeros((compiled.n_inputs, 1), dtype=np.uint64)
+        return {
+            "batch": lambda f: BatchFaultSimulator(circuit).detected(patterns, [f]),
+            "serial": lambda f: SerialFaultSimulator(circuit).detected(patterns, [f]),
+            "inject": lambda f: simulate_with_faults(compiled, words, [f]),
+            "batch_podem": lambda f: BatchPodem(circuit).generate(f),
+            "podem": lambda f: Podem(circuit).generate(f),
+        }
+
+    @pytest.mark.parametrize(
+        "fault,message", BAD_SITES, ids=[str(fault) for fault, _ in BAD_SITES]
+    )
+    @pytest.mark.parametrize(
+        "engine", ["batch", "serial", "inject", "batch_podem", "podem"]
+    )
+    def test_bad_site_raises(self, c17, engine, fault, message):
+        run = self._engines(c17)[engine]
+        with pytest.raises(KeyError) as excinfo:
+            run(fault)
+        assert excinfo.value.args == (message,)
+
+    def test_good_sites_still_resolve(self, c17):
+        from repro.sim.logic import CompiledCircuit
+
+        compiled = CompiledCircuit(c17)
+        for fault in full_fault_list(c17):
+            net, gate, pin = compiled.fault_site(fault)
+            assert compiled.order[net] == fault.site.net
+            if gate is not None:
+                assert compiled.gate_fanins[gate][pin] == net
 
 class TestDetectionMatrixRows:
     def test_rows_match_detected(self, c17):
