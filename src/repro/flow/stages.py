@@ -216,8 +216,6 @@ class MatrixStage(Stage):
             rows_built=len(initial.triplets),
             n_faults=initial.detection_matrix.matrix.shape[1],
             evolution_length=initial.evolution_length,
-            # Work of this process's simulator (0 when ``matrix_workers``
-            # hands the rows to a pool).
             detect_cells=simulator.detect_cells - cells,
             words_simulated=simulator.words_simulated - words,
         )

@@ -50,11 +50,11 @@ def explore_tradeoff(
 
     The expected shape (asserted by the Figure-2 benchmark): triplet
     count is non-increasing in T while the global test length grows.
-    The session's batched fault simulator (and, via
-    ``config.matrix_workers``, the row-parallel matrix path) is shared
-    across all sweep points, so the per-point cost is one covering
-    pass, not a fresh simulator compile; with a ``cache`` attached,
-    repeated sweeps skip even that.
+    The session's batched fault simulator is shared across all sweep
+    points (with ``config.matrix_workers``, a process pool of its class
+    and settings builds each point's matrix rows), so the per-point
+    cost is one covering pass, not a fresh simulator compile; with a
+    ``cache`` attached, repeated sweeps skip even that.
     """
     if not evolution_lengths:
         raise ValueError("evolution_lengths must be non-empty")

@@ -24,7 +24,6 @@ from repro.reseeding.triplet import EvolveBatch, Triplet, packed_test_sets
 from repro.sim.batch import (
     BatchFaultSimulator,
     detected_mask,
-    offset_dtype,
     parallel_detection_rows,
 )
 from repro.sim.fault import FaultSimulator
@@ -128,29 +127,18 @@ def build_detection_matrix(
     shared length (:func:`~repro.reseeding.triplet.packed_test_sets`),
     so the rows reach the simulator already packed — no per-pattern
     Python loop, no re-packing (``evolve`` swaps in the session's
-    caching provider).  Rows are streamed through
-    :meth:`BatchFaultSimulator.first_detection_rows`,
-    which packs them word-aligned into chunks — every row reuses the
-    same cached cone-union schedules, and a whole chunk of rows shares
-    one fault-free simulation, one good-machine trace and one
-    ``_BatchPlan.detect`` per batch of stem machines — and each row's
-    first-detection offsets are written into the
-    matrix's ``offsets`` table as it arrives.
-    ``workers=N`` opts in to row-parallel construction over a process
-    pool: the packed rows and pre-built plans are shared with the
-    workers (``multiprocessing.shared_memory`` / fork inheritance), so
-    jobs carry only row ranges; the result is identical to the serial
-    path.
+    caching provider).  The rows' first-detection table is filled by
+    :func:`~repro.sim.batch.parallel_detection_rows` through
+    ``simulator``'s row scan, which packs the rows word-aligned into
+    chunks — every row reuses the same cached cone-union schedules, and
+    a whole chunk of rows shares one fault-free simulation, one
+    good-machine trace and one ``_BatchPlan.detect`` per batch of stem
+    machines.  ``workers=N`` (N > 1) opts in to row-parallel
+    construction over a process pool whose workers run ``simulator``'s
+    class and settings and report their work back into ``simulator``'s
+    counters; the table is identical to the serial one.
     """
     pattern_sets = packed_test_sets(tpg, triplets, evolve=evolve)
-    if workers is not None and workers > 1:
-        offsets = parallel_detection_rows(circuit, pattern_sets, faults, workers)
-    else:
-        simulator = simulator or FaultSimulator(circuit)
-        dtype = offset_dtype(max((len(p) for p in pattern_sets), default=0))
-        offsets = np.empty((len(triplets), len(faults)), dtype=dtype)
-        for row, values in enumerate(
-            simulator.first_detection_rows(pattern_sets, faults)
-        ):
-            offsets[row] = values
+    simulator = simulator or FaultSimulator(circuit)
+    offsets = parallel_detection_rows(simulator, pattern_sets, faults, max(1, workers or 1))
     return DetectionMatrix.from_offsets(triplets, faults, offsets)

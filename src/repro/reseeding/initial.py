@@ -72,7 +72,9 @@ class InitialReseedingBuilder:
         :meth:`~repro.tpg.base.TestPatternGenerator.evolve_batch` bank
         (``evolve`` swaps in a caching provider, see
         :data:`~repro.reseeding.triplet.EvolveBatch`).
-        ``workers=N`` opts in to row-parallel matrix construction.
+        ``workers=N`` opts in to row-parallel matrix construction over
+        a process pool that runs this builder's simulator class and
+        settings and adds its work to the simulator's counters.
         Raises if the resulting matrix does not cover every fault —
         that would violate the construction invariant (pattern 0 of each
         evolution is the ATPG pattern itself).

@@ -2,8 +2,9 @@
 
 * :mod:`repro.sim.logic` — 64-way bit-parallel true-value simulation.
 * :mod:`repro.sim.batch` — batched PPSFP stuck-at fault simulation with
-  fault dropping and a row-parallel multiprocessing path (the engine
-  behind :class:`FaultSimulator`).
+  fault dropping (the engine behind :class:`FaultSimulator`), and
+  :func:`parallel_detection_rows`, which builds a first-detection table
+  through a simulator or a process pool of its class.
 * :mod:`repro.sim.fault` — the :class:`FaultSimulator` compatibility
   wrapper plus the legacy per-fault :class:`SerialFaultSimulator`
   baseline.

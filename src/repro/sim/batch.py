@@ -94,11 +94,12 @@ bit are the first detection; the Detection Matrix row is the
 detected-or-not view of those offsets.  The ``detect_cells`` counter
 counts stem-machine × word cells.
 
-:func:`parallel_detection_rows` fans row chunks out over a process pool
-for an opt-in ``workers=N`` construction path; the packed pattern state
-is shared with the workers through a ``multiprocessing.shared_memory``
-block (pickled once per worker on platforms without ``fork``), so job
-payloads carry row *indices*, not pattern data.
+:func:`parallel_detection_rows` builds the whole first-detection table
+through the caller's simulator, or, for an opt-in ``workers=N``, over a
+process pool whose workers each build a simulator of the caller's class
+and settings: the packed rows reach every worker once, through the pool
+initializer, so jobs carry row *ranges*, not pattern data, and each job
+hands its work counters back to the caller's simulator.
 """
 
 from __future__ import annotations
@@ -112,12 +113,7 @@ from repro.circuit.gates import GateType, eval_gates
 from repro.circuit.netlist import Circuit
 from repro.faults.model import Fault
 from repro.sim.logic import CompiledCircuit
-from repro.utils.bitvec import (
-    BitVector,
-    PackedPatterns,
-    PatternsLike,
-    as_packed,
-)
+from repro.utils.bitvec import PackedPatterns, PatternsLike, as_packed
 from repro.utils.kernels import kernel
 
 _ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
@@ -718,7 +714,7 @@ class BatchFaultSimulator:
         row_chunk_words: int | None = None,
     ) -> Iterator[np.ndarray]:
         """:meth:`first_detection_rows` over packed rows, at a given
-        offset ``dtype`` (a worker shares its table's dtype)."""
+        offset ``dtype`` (a pool job keeps the whole table's dtype)."""
         faults = list(faults)
         budget = (
             self.row_chunk_words if row_chunk_words is None else row_chunk_words
@@ -726,7 +722,13 @@ class BatchFaultSimulator:
         if budget < 1:
             raise ValueError(f"row_chunk_words must be >= 1, got {budget}")
         limit = CHUNK_BUDGETS * budget
-        order, batches = self._batch_plans(faults)
+        # Every batch's (plan, region table), and the batch-order ->
+        # caller column map.
+        cut = self._batches(faults)
+        order = np.concatenate(
+            [indices for indices, _, _ in cut] or [np.zeros(0, dtype=np.int64)]
+        )
+        batches = [(self._plan(roots), regions) for _, regions, roots in cut]
         chunk: list[PackedPatterns] = []
         chunk_words = 0
         for carrier in carriers:
@@ -978,18 +980,6 @@ class BatchFaultSimulator:
             batches.append((indices, batch, batch_roots))
         return batches
 
-    def _batch_plans(
-        self, faults: Sequence[Fault]
-    ) -> tuple[np.ndarray, list[tuple[_BatchPlan, np.ndarray]]]:
-        """Every ``(plan, region table)`` batch for ``faults`` plus the
-        batch-order -> caller column map, as the detection-row paths
-        consume them."""
-        batches = self._batches(faults)
-        order = np.concatenate(
-            [indices for indices, _, _ in batches] or [np.zeros(0, dtype=np.int64)]
-        )
-        return order, [(self._plan(roots), regions) for _, regions, roots in batches]
-
     def _cone(self, node_id: int) -> np.ndarray:
         cone = self._cone_cache.get(node_id)
         if cone is None:
@@ -1026,107 +1016,66 @@ class BatchFaultSimulator:
 
 
 # ----------------------------------------------------------------------
-# opt-in multiprocessing path (row-parallel Detection Matrix rows)
+# first-detection tables, serial or over a process pool
 # ----------------------------------------------------------------------
 
+#: The work counters a pool job hands back to the caller's simulator.
+_COUNTERS = ("words_simulated", "detect_cells", "plan_builds", "plan_cache_hits", "plan_subsets")
 
-class _SharedRowState:
-    """Read-only state every worker needs: the packed pattern rows plus
-    the simulator (circuit compiled, fault-batch plans pre-built).
-
-    On ``fork`` platforms the parent builds this once, backs the word
-    array with a ``multiprocessing.shared_memory`` block, and publishes
-    it as a module global *before* spawning the pool — children inherit
-    the mapping, so job payloads carry only row indices and nothing is
-    re-pickled or re-compiled per job.  On spawn platforms the same
-    object is reconstructed once per worker from pickled pieces (the
-    fallback documented on :func:`parallel_detection_rows`).
-    """
-
-    def __init__(
-        self,
-        circuit: Circuit,
-        faults: list[Fault],
-        batch_size: int,
-        words: np.ndarray,
-        row_word_starts: np.ndarray,
-        row_pattern_counts: np.ndarray,
-    ) -> None:
-        self.circuit = circuit
-        self.faults = faults
-        self.batch_size = batch_size
-        self.words = words
-        self.row_word_starts = row_word_starts  # (n_rows + 1,) word offsets
-        self.row_pattern_counts = row_pattern_counts
-        self._simulator: BatchFaultSimulator | None = None
-
-    def simulator(self) -> BatchFaultSimulator:
-        if self._simulator is None:
-            self._simulator = BatchFaultSimulator(
-                self.circuit, batch_size=self.batch_size
-            )
-        return self._simulator
-
-    def prebuild_plans(self) -> None:
-        """Compile the circuit and every fault-batch plan now (parent
-        side, before forking) so children inherit them read-only.
-
-        Goes through the same :meth:`BatchFaultSimulator._batch_plans`
-        call as :meth:`~BatchFaultSimulator.detection_matrix_rows`, so
-        a worker's rows find every plan in the inherited cache."""
-        self.simulator()._batch_plans(self.faults)
-
-    def row(self, index: int) -> PackedPatterns:
-        lo = int(self.row_word_starts[index])
-        hi = int(self.row_word_starts[index + 1])
-        return PackedPatterns(
-            self.words[:, lo:hi], int(self.row_pattern_counts[index])
-        )
-
-    def rows(self, start: int, stop: int) -> list[PackedPatterns]:
-        return [self.row(index) for index in range(start, stop)]
+#: A pool worker's ``(simulator, carriers, faults, dtype)``, set once
+#: per worker by :func:`_init_worker`.
+_worker_state: tuple | None = None
 
 
-_shared_row_state: _SharedRowState | None = None
-
-
-def _init_spawned_worker(
-    circuit: Circuit,
+def _offset_table(
+    simulator: BatchFaultSimulator,
+    carriers: list[PackedPatterns],
     faults: list[Fault],
-    batch_size: int,
-    words: np.ndarray,
-    row_word_starts: np.ndarray,
-    row_pattern_counts: np.ndarray,
-) -> None:
-    """Pool initializer for the pickle fallback: rebuild the shared
-    state once per worker (not once per job)."""
-    global _shared_row_state
-    _shared_row_state = _SharedRowState(
-        circuit, faults, batch_size, words, row_word_starts, row_pattern_counts
-    )
-
-
-def _worker_row_range(job: tuple[int, int]) -> tuple[int, np.ndarray]:
-    """Simulate first-detection rows ``[start, stop)`` against the
-    shared (fork-inherited or initializer-rebuilt) pattern state, at the
-    whole table's offset dtype."""
-    start, stop = job
-    state = _shared_row_state
-    assert state is not None, "worker pool not initialised"
-    dtype = offset_dtype(state.row_pattern_counts.max(initial=0))
-    table = np.empty((stop - start, len(state.faults)), dtype=dtype)
-    rows = state.simulator()._offset_rows(state.rows(start, stop), state.faults, dtype)
-    for index, row in enumerate(rows):
+    dtype: np.dtype,
+) -> np.ndarray:
+    """The ``(len(carriers), len(faults))`` first-detection table of
+    packed rows through ``simulator``."""
+    table = np.empty((len(carriers), len(faults)), dtype=dtype)
+    for index, row in enumerate(simulator._offset_rows(carriers, faults, dtype)):
         table[index] = row
-    return start, table
+    return table
+
+
+def _init_worker(
+    simulator_type: type,
+    circuit: Circuit,
+    batch_size: int,
+    row_chunk_words: int,
+    carriers: list[PackedPatterns],
+    faults: list[Fault],
+    dtype: np.dtype,
+) -> None:
+    """Pool initializer: build this worker's simulator of the caller's
+    class and settings, and keep the packed rows for its jobs."""
+    global _worker_state
+    simulator = simulator_type(
+        circuit, batch_size=batch_size, row_chunk_words=row_chunk_words
+    )
+    _worker_state = (simulator, carriers, faults, dtype)
+
+
+def _worker_rows(job: tuple[int, int]) -> tuple[int, np.ndarray, list[int]]:
+    """Rows ``[start, stop)`` of the table, plus the work counters they
+    added to this worker's simulator."""
+    start, stop = job
+    simulator, carriers, faults, dtype = _worker_state
+    before = [getattr(simulator, name) for name in _COUNTERS]
+    table = _offset_table(simulator, carriers[start:stop], faults, dtype)
+    work = [getattr(simulator, name) - was for name, was in zip(_COUNTERS, before)]
+    return start, table, work
 
 
 def _row_jobs(n_rows: int, workers: int) -> list[tuple[int, int]]:
     """Split ``n_rows`` into ``(start, stop)`` jobs, ~4 per worker.
 
-    Jobs are index ranges into the shared packed-row state — their
-    pickled payload is O(1) per job regardless of how many patterns the
-    rows hold (the regression suite pins this).
+    Workers receive the packed rows once, through the pool initializer,
+    so a job is a bare row range: its pickled payload is O(1) however
+    many patterns the rows hold (the regression suite pins this).
     """
     chunk = max(1, -(-n_rows // (workers * 4)))
     return [
@@ -1134,112 +1083,45 @@ def _row_jobs(n_rows: int, workers: int) -> list[tuple[int, int]]:
     ]
 
 
-def _pack_rows(
-    pattern_sets: Sequence[Sequence[BitVector] | PackedPatterns], width: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pack every row word-aligned into one contiguous buffer; returns
-    ``(words, row_word_starts, row_pattern_counts)``."""
-    packed_rows = [as_packed(patterns, width) for patterns in pattern_sets]
-    starts = np.zeros(len(packed_rows) + 1, dtype=np.int64)
-    counts = np.array([p.n_patterns for p in packed_rows], dtype=np.int64)
-    for index, packed in enumerate(packed_rows):
-        starts[index + 1] = starts[index] + packed.n_words
-    total_words = int(starts[-1])
-    words = np.empty((width, total_words), dtype=np.uint64)
-    for index, packed in enumerate(packed_rows):
-        words[:, starts[index] : starts[index + 1]] = packed.words
-    return words, starts, counts
-
-
 def parallel_detection_rows(
-    circuit: Circuit,
-    pattern_sets: Sequence[Sequence[BitVector] | PackedPatterns],
+    simulator: BatchFaultSimulator,
+    pattern_sets: Sequence[PatternsLike],
     faults: Sequence[Fault],
     workers: int,
-    batch_size: int = DEFAULT_BATCH_SIZE,
 ) -> np.ndarray:
-    """Build the ``(n_rows, n_faults)`` first-detection table (see
-    :meth:`BatchFaultSimulator.first_detection_rows`) with a process
-    pool: rows are independent, so they shard cleanly.
+    """The ``(n_rows, n_faults)`` first-detection table of
+    ``pattern_sets`` (see :meth:`BatchFaultSimulator.first_detection_rows`),
+    built by ``simulator`` itself at ``workers=1`` and by a process pool
+    of ``workers`` above that: rows are independent, so they shard.
 
-    The pattern rows are packed word-parallel **once** in the parent.
-    On ``fork`` start methods the packed words live in a
-    ``multiprocessing.shared_memory`` block and the compiled simulator
-    (circuit + fault-batch plans) is published as a module global, so
-    every worker inherits the read-only state and each job's payload is
-    a bare ``(start, stop)`` row range — O(1), not O(n_patterns).  On
-    spawn platforms the packed state is pickled once per *worker*
-    through the pool initializer (never per job).  Row order (and every
-    entry, dtype included) is identical to the serial path.
+    Every row is packed once, by ``simulator._pack`` (so 0/1/X planes
+    stay planes).  Each worker receives the simulator's class,
+    ``batch_size`` and ``row_chunk_words`` with the packed rows and the
+    faults once, through the pool initializer (inherited under fork,
+    pickled once per worker under spawn), and builds its own simulator;
+    the caller's object is never pickled.  Jobs are bare ``(start,
+    stop)`` row ranges, and each returns its rows and the work counters
+    it added, which are summed into ``simulator``.  The table, dtype
+    included, is identical to the serial one.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    packed_rows = [as_packed(patterns, circuit.n_inputs) for patterns in pattern_sets]
-    n_rows = len(packed_rows)
-    dtype = offset_dtype(max((p.n_patterns for p in packed_rows), default=0))
-    table = np.full((n_rows, len(faults)), np.iinfo(dtype).max, dtype=dtype)
-    if n_rows == 0 or not faults:
-        return table
-    if workers == 1:
-        simulator = BatchFaultSimulator(circuit, batch_size=batch_size)
-        for row, values in enumerate(
-            simulator.first_detection_rows(packed_rows, faults)
-        ):
-            table[row] = values
-        return table
-    import multiprocessing
+    carriers = [simulator._pack(patterns) for patterns in pattern_sets]
+    dtype = offset_dtype(max((c.n_patterns for c in carriers), default=0))
+    if workers == 1 or not carriers or not faults:
+        return _offset_table(simulator, carriers, faults, dtype)
     from concurrent.futures import ProcessPoolExecutor
 
-    words, row_word_starts, row_pattern_counts = _pack_rows(
-        packed_rows, circuit.n_inputs
-    )
-    jobs = _row_jobs(n_rows, workers)
-    use_fork = multiprocessing.get_start_method() == "fork"
-    shm = None
-    global _shared_row_state
-    try:
-        if use_fork:
-            from multiprocessing import shared_memory
-
-            shm = shared_memory.SharedMemory(
-                create=True, size=max(1, words.nbytes)
-            )
-            shared_words = np.ndarray(
-                words.shape, dtype=np.uint64, buffer=shm.buf
-            )
-            shared_words[:] = words
-            state = _SharedRowState(
-                circuit,
-                list(faults),
-                batch_size,
-                shared_words,
-                row_word_starts,
-                row_pattern_counts,
-            )
-            # Pay compilation + plan construction once, pre-fork: the
-            # children inherit the schedules copy-on-write.
-            state.prebuild_plans()
-            _shared_row_state = state
-            pool = ProcessPoolExecutor(max_workers=workers)
-        else:
-            pool = ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=_init_spawned_worker,
-                initargs=(
-                    circuit,
-                    list(faults),
-                    batch_size,
-                    words,
-                    row_word_starts,
-                    row_pattern_counts,
-                ),
-            )
-        with pool:
-            for start, rows in pool.map(_worker_row_range, jobs):
-                table[start : start + rows.shape[0]] = rows
-    finally:
-        _shared_row_state = None
-        if shm is not None:
-            shm.close()
-            shm.unlink()
+    table = np.empty((len(carriers), len(faults)), dtype=dtype)
+    jobs = _row_jobs(len(carriers), workers)
+    settings = (type(simulator), simulator.circuit, simulator.batch_size, simulator.row_chunk_words)
+    with ProcessPoolExecutor(
+        min(workers, len(jobs)),
+        initializer=_init_worker,
+        initargs=(*settings, carriers, faults, dtype),
+    ) as pool:
+        for start, rows, work in pool.map(_worker_rows, jobs):
+            table[start : start + len(rows)] = rows
+            for name, value in zip(_COUNTERS, work):
+                setattr(simulator, name, getattr(simulator, name) + value)
     return table

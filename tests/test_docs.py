@@ -53,6 +53,7 @@ EXAMPLE_ARGS: dict[str, list[str]] = {
 DOCTEST_MODULES = [
     "src/repro/utils/bitvec.py",
     "src/repro/tpg/base.py",
+    "src/repro/utils/tables.py",
 ]
 
 

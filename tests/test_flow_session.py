@@ -102,6 +102,24 @@ class TestStages:
             "n_essential", "reduced_shape", "reduction_iterations", "solver"
         }
 
+    def test_pooled_matrix_stage_reports_its_work(self, c17):
+        """``matrix_workers=2`` reports the serial build's word count
+        and a non-zero cell count on the matrix stage: the pool's work
+        lands on the session's simulator."""
+        from dataclasses import replace
+
+        attrs = {}
+        for workers in (None, 2):
+            events: list[StageEvent] = []
+            config = replace(CONFIG, matrix_workers=workers)
+            Session(c17, config, progress=events.append).run("adder")
+            (done,) = [
+                e for e in events if (e.stage, e.status) == ("detection_matrix", "done")
+            ]
+            attrs[workers] = done.attrs
+        assert attrs[2]["words_simulated"] == attrs[None]["words_simulated"] > 0
+        assert attrs[2]["detect_cells"] > 0
+
     def test_preseeded_atpg_emits_skipped(self, c17, baseline):
         events: list[StageEvent] = []
         session = Session(

@@ -256,7 +256,7 @@ class TestDetectionMatrixRows:
         expected = _offset_oracle(SerialFaultSimulator(c17), pattern_sets, faults)
         for workers in (1, 2):
             result = parallel_detection_rows(
-                c17, pattern_sets, faults, workers=workers
+                FaultSimulator(c17), pattern_sets, faults, workers=workers
             )
             assert result.dtype == np.uint8
             np.testing.assert_array_equal(result, expected)
@@ -265,7 +265,9 @@ class TestDetectionMatrixRows:
         from repro.sim.batch import parallel_detection_rows
 
         with pytest.raises(ValueError, match="workers"):
-            parallel_detection_rows(c17, [], full_fault_list(c17), workers=0)
+            parallel_detection_rows(
+                FaultSimulator(c17), [], full_fault_list(c17), workers=0
+            )
 
 
 class TestIncrementalPlans:
@@ -501,9 +503,10 @@ class TestChunkedRows:
             )
 
 
-def _multiword_build(simulator, n_rows: int = 40, length: int = 384):
+def _multiword_build(simulator, n_rows: int = 40, length: int = 384, workers=None):
     """A Detection Matrix build over ``length``-pattern (multi-word)
-    rows on c880@0.2; returns ``(circuit, faults, matrix)``."""
+    rows on c880@0.2 over ``workers`` processes; returns ``(circuit,
+    faults, matrix)``."""
     from repro.circuits import load_circuit
     from repro.faults.collapse import collapse_faults
     from repro.reseeding import Triplet, build_detection_matrix
@@ -521,7 +524,9 @@ def _multiword_build(simulator, n_rows: int = 40, length: int = 384):
         for _ in range(n_rows)
     ]
     tpg = make_tpg("adder", circuit.n_inputs)
-    matrix = build_detection_matrix(circuit, tpg, triplets, faults, simulator)
+    matrix = build_detection_matrix(
+        circuit, tpg, triplets, faults, simulator, workers=workers
+    )
     return circuit, faults, matrix.matrix
 
 
@@ -610,8 +615,9 @@ class TestRowScanMemoryGuard:
 
 
 class TestParallelJobPayloads:
-    """The ``workers=N`` jobs must reference the shared packed state by
-    row index — payload size is O(1) per job, not O(n_patterns)."""
+    """The ``workers=N`` jobs are row ranges into the packed rows each
+    worker received once — payload size is O(1) per job, not
+    O(n_patterns)."""
 
     def test_jobs_cover_rows_in_order(self):
         from repro.sim.batch import _row_jobs
@@ -626,7 +632,7 @@ class TestParallelJobPayloads:
         pattern values into every job; jobs are now bare row ranges."""
         import pickle
 
-        from repro.sim.batch import _pack_rows, _row_jobs
+        from repro.sim.batch import _row_jobs
 
         small = [_random_patterns(c17, 4, seed=r) for r in range(8)]
         huge = [_random_patterns(c17, 4096, seed=r) for r in range(8)]
@@ -636,28 +642,15 @@ class TestParallelJobPayloads:
         payload_huge = max(len(pickle.dumps(job)) for job in jobs_huge)
         assert payload_huge == payload_small  # O(1), not O(n_patterns)
         assert payload_huge < 128
-        # ... while the packed shared state really holds the patterns.
-        words_small, *_ = _pack_rows(small, c17.n_inputs)
-        words_huge, *_ = _pack_rows(huge, c17.n_inputs)
-        assert words_huge.nbytes > words_small.nbytes
-
-    def test_pack_rows_layout(self, c17):
-        from repro.sim.batch import _pack_rows
-        from repro.utils.bitvec import PackedPatterns
-
-        pattern_sets = [_random_patterns(c17, n, seed=n) for n in (3, 0, 70)]
-        words, starts, counts = _pack_rows(pattern_sets, c17.n_inputs)
-        assert counts.tolist() == [3, 0, 70]
-        assert starts.tolist() == [0, 1, 1, 3]
-        for index, patterns in enumerate(pattern_sets):
-            row = PackedPatterns(
-                words[:, starts[index] : starts[index + 1]], counts[index]
-            )
-            assert row.unpack() == patterns
+        # ... while the packed rows the workers receive hold the patterns.
+        simulator = FaultSimulator(c17)
+        bytes_small = sum(simulator._pack(row).words.nbytes for row in small)
+        bytes_huge = sum(simulator._pack(row).words.nbytes for row in huge)
+        assert bytes_huge > bytes_small
 
     def test_parallel_rows_with_chunked_state(self, s27_scan):
-        """End-to-end through the shared-memory path on a bigger circuit
-        with uneven row sizes."""
+        """End-to-end through the pool on a bigger circuit with uneven
+        row sizes."""
         from repro.sim.batch import parallel_detection_rows
 
         faults = full_fault_list(s27_scan)
@@ -669,7 +662,7 @@ class TestParallelJobPayloads:
             SerialFaultSimulator(s27_scan), pattern_sets, faults
         )
         result = parallel_detection_rows(
-            s27_scan, pattern_sets, faults, workers=2
+            FaultSimulator(s27_scan), pattern_sets, faults, workers=2
         )
         np.testing.assert_array_equal(result, expected)
 
@@ -893,37 +886,8 @@ class TestConeOrder:
 
 
 class TestWorkerPlans:
-    """The pre-fork plan build must cover exactly the batches a worker's
-    ``first_detection_rows`` asks for."""
-
-    def test_prebuilt_plans_serve_worker_rows(self, s27_scan):
-        from repro.sim import batch as batch_module
-        from repro.sim.batch import _pack_rows, _SharedRowState
-
-        faults = full_fault_list(s27_scan)
-        pattern_sets = [
-            _random_patterns(s27_scan, n, seed=80 + n) for n in (5, 0, 70, 130)
-        ]
-        state = _SharedRowState(
-            s27_scan,
-            faults,
-            7,
-            *_pack_rows(pattern_sets, s27_scan.n_inputs),
-        )
-        state.prebuild_plans()
-        simulator = state.simulator()
-        builds = simulator.plan_builds
-        assert builds == -(-len(_roots(simulator, faults)) // 7)
-        batch_module._shared_row_state = state
-        try:
-            start, rows = batch_module._worker_row_range((0, len(pattern_sets)))
-        finally:
-            batch_module._shared_row_state = None
-        assert start == 0
-        assert simulator.plan_builds == builds
-        np.testing.assert_array_equal(
-            rows, _offset_oracle(SerialFaultSimulator(s27_scan), pattern_sets, faults)
-        )
+    """Pool workers run a simulator of the caller's class and settings,
+    and hand their work back to the caller's simulator."""
 
     def test_two_workers_equal_serial_rows(self):
         from repro.circuits import load_circuit
@@ -938,6 +902,129 @@ class TestWorkerPlans:
         serial_rows = np.array(
             list(BatchFaultSimulator(circuit).first_detection_rows(pattern_sets, faults))
         )
-        parallel = parallel_detection_rows(circuit, pattern_sets, faults, workers=2)
+        parallel = parallel_detection_rows(
+            BatchFaultSimulator(circuit), pattern_sets, faults, workers=2
+        )
         assert parallel.dtype == serial_rows.dtype == np.uint8
         np.testing.assert_array_equal(parallel, serial_rows)
+
+    def test_pooled_build_reports_its_work(self):
+        """A ``workers=2`` matrix build adds its workers' counters to
+        the caller's simulator: every row's words are simulated once,
+        as in the serial build."""
+        from repro.circuits import load_circuit
+
+        circuit = load_circuit("c880", scale=0.2)
+        serial = FaultSimulator(circuit)
+        _multiword_build(serial, n_rows=12, length=130)
+        pooled = FaultSimulator(circuit)
+        _multiword_build(pooled, n_rows=12, length=130, workers=2)
+        assert pooled.words_simulated == serial.words_simulated == 12 * 3
+        assert pooled.detect_cells > 0
+        assert pooled.plan_builds > 0
+
+    def test_worker_runs_the_callers_simulator(self, s27_scan):
+        """The initializer builds the caller's class with its
+        ``batch_size`` and ``row_chunk_words``."""
+        from repro.sim import batch as batch_module
+
+        faults = full_fault_list(s27_scan)
+        simulator = XFaultSimulator(s27_scan, batch_size=7, row_chunk_words=2)
+        carriers = [
+            simulator._pack(_random_patterns(s27_scan, n, seed=80 + n))
+            for n in (5, 0, 70, 130)
+        ]
+        dtype = offset_dtype(130)
+        batch_module._init_worker(
+            XFaultSimulator, s27_scan, 7, 2, carriers, faults, dtype
+        )
+        try:
+            worker = batch_module._worker_state[0]
+            start, rows, work = batch_module._worker_rows((1, 4))
+        finally:
+            batch_module._worker_state = None
+        assert type(worker) is XFaultSimulator
+        assert (worker.batch_size, worker.row_chunk_words) == (7, 2)
+        assert start == 1
+        expected = batch_module._offset_table(simulator, carriers, faults, dtype)
+        np.testing.assert_array_equal(rows, expected[1:])
+        assert work == [getattr(worker, name) for name in batch_module._COUNTERS]
+
+    def test_x_planes_through_the_pool(self):
+        """0/1/X rows keep their X through the pool: the workers run the
+        caller's three-valued engine."""
+        from repro.circuits import load_circuit
+        from repro.sim.batch import parallel_detection_rows
+        from repro.utils.bitvec import PackedPlanes
+
+        circuit = load_circuit("c880", scale=0.2)
+        faults = full_fault_list(circuit)
+        gen = np.random.default_rng(91)
+        pattern_sets = [
+            PackedPlanes.from_codes(gen.integers(0, 3, size=(circuit.n_inputs, n)))
+            if n else []
+            for n in (40, 0, 200, 3)
+        ]
+        serial = np.array(
+            list(XFaultSimulator(circuit).first_detection_rows(pattern_sets, faults))
+        )
+        pooled = parallel_detection_rows(
+            XFaultSimulator(circuit), pattern_sets, faults, workers=2
+        )
+        np.testing.assert_array_equal(pooled, serial)
+
+    def test_spawn_start_method_equals_serial(self, tmp_path):
+        """Under ``spawn`` the workers receive the rows by pickle and
+        still build the serial table, for both simulator classes."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        script = tmp_path / "spawn_pool.py"
+        script.write_text(_SPAWN_SCRIPT)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+        )
+        result = subprocess.run(
+            [sys.executable, str(script)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert result.returncode == 0, result.stdout + result.stderr
+        assert result.stdout.split() == ["BatchFaultSimulator", "XFaultSimulator"]
+
+
+_SPAWN_SCRIPT = '''
+import multiprocessing
+
+import numpy as np
+
+from repro.circuits import load_circuit
+from repro.faults.collapse import collapse_faults
+from repro.sim.batch import BatchFaultSimulator, parallel_detection_rows
+from repro.sim.threeval import XFaultSimulator
+from repro.utils.bitvec import PackedPlanes
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method("spawn")
+    circuit = load_circuit("c880", scale=0.2)
+    faults = collapse_faults(circuit)
+    gen = np.random.default_rng(17)
+    codes = [gen.integers(0, 3, size=(circuit.n_inputs, n)) for n in (40, 0, 200, 3)]
+    rows = {
+        BatchFaultSimulator: [PackedPlanes.from_codes(c & 1).to_packed() for c in codes],
+        XFaultSimulator: [PackedPlanes.from_codes(c) for c in codes],
+    }
+    for simulator_type, pattern_sets in rows.items():
+        serial = np.array(
+            list(simulator_type(circuit).first_detection_rows(pattern_sets, faults))
+        )
+        pooled = parallel_detection_rows(
+            simulator_type(circuit), pattern_sets, faults, workers=2
+        )
+        assert pooled.dtype == serial.dtype
+        assert np.array_equal(pooled, serial), simulator_type.__name__
+        print(simulator_type.__name__)
+'''
