@@ -5,8 +5,8 @@ The workload is the deterministic top-off the engine actually runs: the
 collapsed stuck-at universe of ``s1238``, every fault taken through test
 generation.  ``BatchPodem`` implies a whole batch of fault lanes per
 sweep on the compiled plan (uint64 value + care bit-planes, one
-segmented ``eval_gates`` call per level and gate type) and runs the search for every lane in lock
-step; the recursive :class:`~repro.atpg.podem.Podem` pays an
+``eval_gates`` call per fold bucket of a level) and runs the search for
+every lane in lock step; the recursive :class:`~repro.atpg.podem.Podem` pays an
 event-driven three-valued resimulation and a scalar search step per
 decision per fault.
 

@@ -2,7 +2,7 @@
 
 The X-fault machinery of :mod:`repro.sim.threeval` carries every signal
 as two ``uint64`` planes (value + care, 64 patterns per word) and
-evaluates a whole gate group per numpy call.  This benchmark reproduces
+evaluates a whole fold bucket per numpy call.  This benchmark reproduces
 the unknown-handling workload on ``s1238`` — an X-seeded code bank
 (12.5% unknown lanes, the golden-regression fraction) — and times
 ``logic_sim_3v`` (plane algebra over the packed carrier) against

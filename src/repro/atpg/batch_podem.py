@@ -10,11 +10,11 @@ three-valued ones, so both machines live in the ``m = 2`` (value +
 care) planes of the one gate kernel,
 :func:`~repro.circuit.gates.eval_gates`, each plane double width (good
 lanes, then faulty lanes).  One sweep per round walks the compiled
-circuit one topological level at a time; rows are renumbered by
-(level, base gate type, inverted, node id), so each level's gates of
-one base type are one contiguous row range that one segmented
-``eval_gates`` call fills (NAND, NOR, XNOR and NOT fold into AND, OR,
-XOR and BUF, then their rows get one inversion fixup).  Each level's
+circuit's plan one topological level at a time; rows are renumbered in
+plan order, so each fold bucket (see :mod:`repro.sim.logic`) is one
+contiguous row range that one ``eval_gates`` call fills, its fanins
+padded with a known-1 or known-0 row: at most three calls fill a level
+unless a ragged fold splits by arity.  Each level's
 output passes dense fault-forcing masks: a stem fault pins its lane's
 faulty value and care bits on its net; a branch fault pins them on a
 *pin row* — a copy of the net that only its reading gate's pin reads —
@@ -59,12 +59,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from repro.atpg.podem import PodemResult, PodemStatus, TestCube
-from repro.circuit.gates import (
-    GateType,
-    controlling_value,
-    eval_gates,
-    inversion_parity,
-)
+from repro.circuit.gates import Fold, eval_gates
 from repro.circuit.netlist import Circuit
 from repro.faults.model import Fault
 from repro.sim.batch import BatchFaultSimulator
@@ -81,24 +76,11 @@ DEFAULT_LANES = 256
 #: Assignment code of an unassigned (X) primary input.
 _X = 2
 
-#: Backtrace step kinds: one-input gates pass the target through (with
-#: their inversion), AND/OR-like gates pick the easiest or hardest X
-#: fanin, XOR-like gates fix their first X fanin by parity.
-_PASS, _CONTROL, _PARITY = range(3)
+#: Backtrace step kinds: AND and OR folds pick the easiest or hardest X
+#: fanin, XOR folds fix their first X fanin by parity.
+_CONTROL, _PARITY = range(2)
 
 _BIG = np.iinfo(np.int64).max
-
-#: Inverting types fold into their base type for the sweep; their rows
-#: get one inversion fixup per (level, base type) group.
-_BASE_TYPE = {
-    GateType.NAND: GateType.AND,
-    GateType.NOR: GateType.OR,
-    GateType.XNOR: GateType.XOR,
-    GateType.NOT: GateType.BUF,
-}
-
-#: Order of the base types within a level's rows.
-_SWEEP_ORDER = {GateType.AND: 0, GateType.OR: 1, GateType.XOR: 2, GateType.BUF: 3}
 
 
 class BatchPodem:
@@ -178,58 +160,52 @@ class BatchPodem:
     # ------------------------------------------------------------------
 
     def _build_search_tables(self) -> None:
-        """Per-row arrays of the search.  Rows renumber the nodes by
-        (level, base gate type, inverted, node id), so each level's gates
-        are one contiguous row range and each base type one sub-range;
-        row ``n`` is a sentinel (known 0 in both machines) that pads
-        every fanin list to the widest gate."""
+        """Per-row arrays of the search.  Rows renumber the nodes in the
+        compiled plan's order — the sources, then each level's fold
+        buckets — so each level's gates are one contiguous row range and
+        each bucket one sub-range.  Row ``n`` is a sentinel (known 0 in
+        both machines) that pads every fanin list of the search to the
+        widest gate, and row ``n + 1`` a known 1; the two are the fold
+        identities that pad the sweep's buckets."""
         comp = self._compiled
         n = comp.n_nodes
-        gtypes = comp.gate_types
         levels = comp.node_levels
-        base = [_BASE_TYPE.get(t, t) for t in gtypes]
-        sweep_key = np.array([_SWEEP_ORDER.get(t, -1) for t in base], dtype=np.int64)
-        inverted = np.array([t in _BASE_TYPE for t in gtypes], dtype=bool)
-        node_of_row = np.lexsort((np.arange(n), inverted, sweep_key, levels))
+        node_of_row = np.concatenate(
+            [np.flatnonzero(comp.folds < 0)]
+            + [ids for _, buckets in comp.plan for _, _, ids, _ in buckets]
+        )
         row_of = np.empty(n, dtype=np.int64)
         row_of[node_of_row] = np.arange(n)
         self._row_of = row_of
         self._node_of_row = node_of_row
         self._sentinel = n
-        width = max(1, max((len(f) for f in comp.gate_fanins), default=0))
-        fanin_pad = np.full((n + 1, width), n, dtype=np.int64)
-        kind = np.zeros(n + 1, dtype=np.int64)
-        control = np.zeros(n + 1, dtype=np.int64)
-        invert = np.zeros(n + 1, dtype=np.int64)
-        target = np.zeros(n + 1, dtype=np.int64)
-        for node_id, (gtype, fanins) in enumerate(zip(gtypes, comp.gate_fanins)):
-            row = row_of[node_id]
-            fanin_pad[row, : len(fanins)] = row_of[list(fanins)]
-            if gtype in (GateType.INPUT, GateType.CONST0, GateType.CONST1):
-                continue
-            value = controlling_value(gtype)
-            invert[row] = inversion_parity(gtype)
-            if gtype in (GateType.NOT, GateType.BUF):
-                kind[row] = _PASS
-            elif value is None:
-                kind[row] = _PARITY
-            else:
-                kind[row] = _CONTROL
-                control[row] = value
-                target[row] = 1 - value
-        self._fanin_pad = fanin_pad
-        #: Per row: backtrace step kind, controlling value, inversion.
+        # Compiled rows as plane rows: the identity rows after the nodes
+        # are row n + 1 (a known 1) and the sentinel (a known 0).  The
+        # search pads with the sentinel alone, and its row ends the
+        # table.
+        row_ext = np.concatenate((row_of, [n + 1, n]))
+        self._sweep_fanins = row_ext[comp.fanin_table][node_of_row]
+        search_fanins = np.minimum(self._sweep_fanins, n)
+        self._fanin_pad = np.vstack((search_fanins, np.full_like(search_fanins[:1], n)))
+        # Per row: backtrace step kind, controlling value, inversion.  A
+        # one-pin AND (BUF, NOT) steps as AND does: its one pin is both
+        # the easiest and the first X fanin.
+        folds = np.append(comp.folds[node_of_row], -1)
+        kind = np.where(folds == Fold.XOR, _PARITY, _CONTROL)
+        control = (folds == Fold.OR).astype(np.int64)
+        invert = np.append(comp.inverted[node_of_row], False).astype(np.int64)
         self._gate_meta = np.stack((kind, control, invert), axis=1)
-        #: Value an objective asks of a frontier gate's X fanin.
-        self._objective_target = target
+        #: Value an objective asks of a frontier gate's X fanin: the
+        #: non-controlling value, 0 for an XOR.
+        self._objective_target = (folds == Fold.AND).astype(np.int64)
         self._input_rows = row_of[comp.input_ids]
         self._output_rows = row_of[comp.output_ids]
         w = self._n_words
-        self._const_rows = row_of[np.concatenate((comp.const0_ids, comp.const1_ids))]
+        self._const_rows = row_ext[np.concatenate((comp.known0_rows, comp.known1_rows))]
         # Constants are known in both machines: care all ones, value 1
-        # for CONST1 rows only.
+        # for the known-1 rows only.
         self._const_values = np.full((self._const_rows.size, 4 * w), _ALL_ONES)
-        self._const_values[: comp.const0_ids.size, : 2 * w] = 0
+        self._const_values[: comp.known0_rows.size, : 2 * w] = 0
         self._is_input = np.zeros(n + 1, dtype=bool)
         self._is_input[self._input_rows] = True
         #: Where a backtrace stops: a PI, or the sentinel (no X fanin).
@@ -279,43 +255,29 @@ class BatchPodem:
         # Gate pins (node rows, pin order) with segment starts, for the
         # frontier and X-path folds: all gates, and each level's.
         self._gate_pins = (
-            _segments(fanin_pad, self._n_sources, n, n) if n > self._n_sources else None
+            _segments(self._fanin_pad, self._n_sources, n, n)
+            if n > self._n_sources
+            else None
         )
         self._level_pins = [
-            (a, b, *_segments(fanin_pad, a, b, n)) for _, a, b in self._level_rows
+            (a, b, *_segments(self._fanin_pad, a, b, n)) for _, a, b in self._level_rows
         ]
-        # Each level's (base type, rows, first inverted row) groups.
-        row_keys = sweep_key[node_of_row]
-        row_inverted = inverted[node_of_row]
-        self._level_groups = []
-        for level, a, b in self._level_rows:
-            cuts = [a, *(a + 1 + np.flatnonzero(np.diff(row_keys[a:b]))).tolist(), b]
-            groups = [
-                (
-                    base[node_of_row[ga]],
-                    ga,
-                    gb,
-                    ga + int(np.count_nonzero(~row_inverted[ga:gb])),
-                )
-                for ga, gb in zip(cuts, cuts[1:])
-            ]
-            self._level_groups.append((level, a, b, groups))
 
     def _layout(self) -> None:
         """(Re)build the plane backing and the sweep plan for the
         current pin rows: rows ``[0, n)`` are nodes, row ``n`` the
-        sentinel, then one row per pin in ``_pin_rows``."""
+        sentinel (a known 0), row ``n + 1`` a known 1, then one row per
+        pin in ``_pin_rows``."""
         comp = self._compiled
         n = comp.n_nodes
         w = self._n_words
         row_of = self._row_of
-        n_rows = n + 1 + len(self._pin_rows)
+        n_rows = n + 2 + len(self._pin_rows)
         # One backing array carries value and care planes of both
         # machines: word columns [0, 2w) are the value plane and [2w, 4w)
         # the care plane, each split good half / faulty half.  The
-        # sweep gathers a group's fanin rows once to read all four.
+        # sweep gathers a bucket's fanin rows once to read all four.
         self._P = np.zeros((n_rows, 4 * w), dtype=np.uint64)
-        self._P[self._sentinel, 2 * w :] = _ALL_ONES
         # Fault forcings as dense masks, ``P[r] = P[r] & keep[r] | put[r]``
         # for every row: ``keep`` clears a forced lane's faulty value and
         # care bits and ``put`` sets the stuck value; every other bit
@@ -331,32 +293,30 @@ class BatchPodem:
         )
         # Fanin rows as the sweep's gates read them: a pin with a pin row
         # of its own reads that row.
-        pin_fanin = self._fanin_pad.copy()
+        pin_fanin = self._sweep_fanins.copy()
         copies: dict[int, list[int]] = {}
-        for row, (gate_id, pin) in enumerate(pins, start=n + 1):
+        for row, (gate_id, pin) in enumerate(pins, start=n + 2):
             self._pin_rows[(gate_id, pin)] = row
             net_id = comp.gate_fanins[gate_id][pin]
             pin_fanin[row_of[gate_id], pin] = row
             copies.setdefault(int(net_level[net_id]), []).append(int(row_of[net_id]))
         copy_of = {}
-        first = n + 1
+        first = n + 2
         for level in sorted(copies):
             nets = np.array(copies[level], dtype=np.int64)
             copy_of[level] = (first, first + nets.size, nets)
             first += nets.size
         self._source_copy = copy_of.get(0)
-        self._plan = [
-            (
-                a,
-                b,
-                [
-                    (gtype, ga, gb, inv, *_segments(pin_fanin, ga, gb, n))
-                    for gtype, ga, gb, inv in groups
-                ],
-                copy_of.get(level),
-            )
-            for level, a, b, groups in self._level_groups
-        ]
+        # Each level's rows [a, b) and its buckets' row ranges, in the
+        # compiled plan's order.
+        self._plan = []
+        for (level, buckets), (_, a, b) in zip(comp.plan, self._level_rows):
+            rows, ga = [], a
+            for fold, invert, ids, fanins in buckets:
+                gb = ga + ids.size
+                rows.append((fold, invert, ga, gb, pin_fanin[ga:gb, : fanins.shape[1]]))
+                ga = gb
+            self._plan.append((a, b, rows, copy_of.get(level)))
 
     # ------------------------------------------------------------------
     # public API
@@ -527,31 +487,27 @@ class BatchPodem:
     # the packed implication sweep
     # ------------------------------------------------------------------
 
-    # repro: allow[kernel-purity] O(depth x type-group) segmented sweep; each reduceat evaluates every lane at once
+    # repro: allow[kernel-purity] O(depth x fold-bucket) sweep; each fold evaluates every lane at once
     @kernel
     def _imply(self) -> None:
-        """One segmented five-valued sweep: good and faulty machines for
-        all lanes at once, fault forcings re-asserted level by level."""
+        """One five-valued sweep, one fold call per bucket: good and
+        faulty machines for all lanes at once, fault forcings
+        re-asserted level by level."""
         self.sweeps += 1
         P, keep, put = self._P, self._keep, self._put
-        w = self._n_words
         codes = self._codes
         value = np.packbits(codes == 1, axis=1, bitorder="little").view(np.uint64)
         care = np.packbits(codes != _X, axis=1, bitorder="little").view(np.uint64)
         P[self._input_rows] = np.concatenate((value, value, care, care), axis=1)
-        if self._const_rows.size:
-            P[self._const_rows] = self._const_values
+        P[self._const_rows] = self._const_values
         sources = P[: self._n_sources]
         sources &= keep[: self._n_sources]
         sources |= put[: self._n_sources]
         if self._source_copy is not None:
             self._copy_pins(*self._source_copy)
-        for a, b, groups, copy in self._plan:
-            for gtype, ga, gb, inv, flat, starts in groups:
-                out = eval_gates(gtype, P[flat], 2, starts=starts)
-                # Inverted rows: known lanes flip, care & ~value.
-                out[inv - ga :, : 2 * w] ^= out[inv - ga :, 2 * w :]
-                P[ga:gb] = out
+        for a, b, buckets, copy in self._plan:
+            for fold, invert, ga, gb, fanins in buckets:
+                P[ga:gb] = eval_gates(fold, invert, P[fanins], 2, axis=1)
             level = P[a:b]
             level &= keep[a:b]
             level |= put[a:b]

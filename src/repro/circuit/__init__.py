@@ -8,7 +8,13 @@ transformation (:mod:`repro.circuit.fullscan`), exactly as in the paper
 ("the full-scan version of ISCAS'89 benchmark circuits").
 """
 
-from repro.circuit.gates import GateType, eval_gate_3v_scalar, eval_gates
+from repro.circuit.gates import (
+    Fold,
+    GateType,
+    eval_gate_3v_scalar,
+    eval_gates,
+    gate_form,
+)
 from repro.circuit.netlist import Circuit, Gate
 from repro.circuit.bench import parse_bench, parse_bench_file, write_bench
 from repro.circuit.fullscan import full_scan_view, partial_scan_view
@@ -18,11 +24,13 @@ from repro.circuit.validate import CircuitError, validate_circuit
 __all__ = [
     "Circuit",
     "CircuitError",
+    "Fold",
     "Gate",
     "GateType",
     "GeneratorSpec",
     "eval_gate_3v_scalar",
     "eval_gates",
+    "gate_form",
     "full_scan_view",
     "generate_circuit",
     "partial_scan_view",

@@ -2,13 +2,16 @@
 
 The gate algebra is written once, for 0/1 and 0/1/X alike:
 
-* :func:`eval_gates` — the packed kernel.  Gate state is ``uint64``
+* :func:`eval_gates` — the packed kernel, on the **normalized gate
+  form**: every evaluated gate is one of three folds (AND, OR, XOR)
+  plus an output inversion (:func:`gate_form`; BUF and NOT are one-pin
+  ANDs, NAND/NOR/XNOR carry the inversion).  Gate state is ``uint64``
   words with ``m`` bit-planes side by side on the word axis: ``m = 1``
   is plain 0/1 words, ``m = 2`` a value plane followed by a care plane
-  (0/1/X; see ``docs/internals-bitpacking.md``).  One kernel serves a
-  single gate, a rectangular (level, type, arity) group and the
-  segmented ``reduceat`` group, so the logic simulator, the fault
-  machine, fault injection and the batch PODEM all share it.
+  (0/1/X; see ``docs/internals-bitpacking.md``).  Gates of one fold
+  and mixed arity share one call once the narrower ones are padded
+  with the fold's identity (:data:`FOLD_IDENTITY`), which is what every
+  levelized sweep does (:mod:`repro.sim.logic`).
 * :func:`eval_gate_3v_scalar` — the scalar oracle on codes 0/1/2
   (2 = X).  On 0/1 codes it is plain Boolean evaluation; the reference
   simulators use it, and the differential suite pins the kernel to it.
@@ -16,7 +19,7 @@ The gate algebra is written once, for 0/1 and 0/1/X alike:
 
 from __future__ import annotations
 
-from enum import Enum
+from enum import Enum, IntEnum
 from functools import reduce
 from typing import Sequence
 
@@ -133,25 +136,57 @@ def eval_gate_3v_scalar(gtype: GateType, fanin_codes: Sequence[int]) -> int:
     return base ^ invert
 
 
-def _fold(
-    ufunc: np.ufunc, x: np.ndarray, axis: int, starts: np.ndarray | None
-) -> np.ndarray:
-    """Reduce the fanin axis of ``x`` with ``ufunc``: plainly along
-    ``axis``, or segmented at ``starts`` along axis 0."""
-    if starts is None:
-        return ufunc.reduce(x, axis=axis)
-    return ufunc.reduceat(x, starts, axis=0)
+class Fold(IntEnum):
+    """The three folds of the normalized gate form: every evaluated gate
+    is one fold over its fanins plus an output inversion (see
+    :data:`GATE_FORMS`)."""
+
+    AND = 0
+    OR = 1
+    XOR = 2
+
+
+#: The normalized form of every evaluated gate type: ``(fold, output
+#: inverted)``.  BUF and NOT are one-pin ANDs; NAND, NOR and XNOR carry
+#: the inversion of AND, OR and XOR.
+GATE_FORMS: dict[GateType, tuple[Fold, int]] = {
+    GateType.AND: (Fold.AND, 0), GateType.NAND: (Fold.AND, 1),
+    GateType.BUF: (Fold.AND, 0), GateType.NOT: (Fold.AND, 1),
+    GateType.OR: (Fold.OR, 0), GateType.NOR: (Fold.OR, 1),
+    GateType.XOR: (Fold.XOR, 0), GateType.XNOR: (Fold.XOR, 1),
+}
+
+#: The known constant each fold ignores (1 for AND, 0 for OR and XOR):
+#: padding a gate's fanins with it changes no output bit, at ``m = 1``
+#: or ``m = 2``, so gates of mixed arity share one rectangular fold.
+FOLD_IDENTITY: dict[Fold, int] = {Fold.AND: 1, Fold.OR: 0, Fold.XOR: 0}
+
+_UFUNC = (np.bitwise_and, np.bitwise_or, np.bitwise_xor)
+
+
+def gate_form(gtype: GateType) -> tuple[Fold, int]:
+    """The ``(fold, output inverted)`` form of an evaluated gate type;
+    :class:`ValueError` for sources and flip-flops, which have none."""
+    form = GATE_FORMS.get(gtype)
+    if form is None:
+        raise ValueError(f"gate type {gtype!r} has no packed evaluation form")
+    return form
 
 
 @kernel
 def eval_gates(
-    gtype: GateType,
+    fold: Fold,
+    invert: int | slice,
     fanins: np.ndarray,
     m: int = 1,
     axis: int = 0,
-    starts: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Evaluate gates of one type on gathered packed fanin state.
+    """Evaluate gates of one fold on gathered packed fanin state.
+
+    ``fold`` and ``invert`` are a normalized gate form (see
+    :func:`gate_form`): ``invert`` is ``0``, ``1`` (every gate
+    inverts), or, for a bucket, the slice of its gates that invert (a
+    plan puts a bucket's inverting gates last, so this is a tail).
 
     The last axis of ``fanins`` holds ``m`` bit-planes side by side, each
     ``n`` ``uint64`` words wide (bit ``k`` of word ``w`` is pattern or
@@ -161,61 +196,49 @@ def eval_gates(
     * ``m = 2`` — the value plane, then the care plane (1 = known 0/1,
       0 = X), with the invariant ``value & ~care == 0``.
 
-    The fanin axis is reduced away, in one of three shapes:
-
-    * a single gate — fanins stacked on ``axis=0``;
-    * a rectangular group of same-type, same-arity gates —
-      ``(gates, arity, ...)`` with ``axis=1``;
-    * a segmented group of same-type gates of mixed arity — fanins
-      concatenated on axis 0 and ``starts`` marking each gate's first
-      fanin row, as :meth:`numpy.ufunc.reduceat` expects.
+    The fanin axis, ``axis``, is reduced away: ``0`` for one gate's
+    stacked fanins, ``1`` for a bucket ``(gates, width, ...)`` whose
+    narrower gates are padded with the fold's identity
+    (:data:`FOLD_IDENTITY`).
 
     The X semantics are those of :func:`eval_gate_3v_scalar`: AND is
     known where every fanin is known or some fanin is a known 0, OR
     where every fanin is known or some fanin is a known 1, XOR only where
-    every fanin is known; inverting types flip the value bit of known
-    lanes.  ``fanins`` is consumed: the result may share its memory.
+    every fanin is known; inversion flips the value bit of known lanes.
+    ``fanins`` is consumed: the result may share its memory.
     """
-    if gtype in (GateType.AND, GateType.NAND):
-        ufunc = np.bitwise_and
-    elif gtype in (GateType.OR, GateType.NOR):
-        ufunc = np.bitwise_or
-    elif gtype in (GateType.XOR, GateType.XNOR):
-        ufunc = np.bitwise_xor
-    elif gtype in (GateType.NOT, GateType.BUF):
-        ufunc = None
-    else:
-        raise ValueError(f"gate type {gtype!r} has no packed evaluation form")
-    if ufunc is None:
-        # One fanin per gate: the gather already is the result.
-        if starts is not None:
-            out = fanins
-        else:
-            out = fanins[0] if axis == 0 else fanins[:, 0]
+    if fanins.shape[axis] == 1:
+        # A one-pin fold is its pin, on every plane.
+        out = fanins[0] if axis == 0 else fanins[:, 0]
     elif m == 1:
-        out = _fold(ufunc, fanins, axis, starts)
+        out = _UFUNC[fold].reduce(fanins, axis=axis)
     else:
         n = fanins.shape[-1] // 2
         value = fanins[..., :n]
         # One AND fold over both planes: AND of the values, AND of the cares.
-        out = _fold(np.bitwise_and, fanins, axis, starts)
-        if ufunc is np.bitwise_and:
-            out[..., n:] |= _fold(np.bitwise_or, fanins[..., n:] & ~value, axis, starts)
-        elif ufunc is np.bitwise_or:
-            # value & ~care == 0, so a set value bit is a known 1.
-            ones = _fold(np.bitwise_or, value, axis, starts)
-            out[..., :n] = ones
-            out[..., n:] |= ones
+        out = np.bitwise_and.reduce(fanins, axis=axis)
+        if fold is Fold.AND:
+            # value & ~care == 0, so care ^ value is a known 0.
+            out[..., n:] |= np.bitwise_or.reduce(fanins[..., n:] ^ value, axis=axis)
+        elif fold is Fold.OR:
+            # ... and a set value bit is a known 1.
+            out[..., :n] = np.bitwise_or.reduce(value, axis=axis)
+            out[..., n:] |= out[..., :n]
         else:
-            out[..., :n] = _fold(np.bitwise_xor, value, axis, starts)
+            out[..., :n] = np.bitwise_xor.reduce(value, axis=axis)
             out[..., :n] &= out[..., n:]
-    if gtype in (GateType.NAND, GateType.NOR, GateType.XNOR, GateType.NOT):
-        if m == 1:
-            out ^= _ALL_ONES
-        else:
-            # Known lanes flip: care & ~value == care ^ value.
-            n = out.shape[-1] // 2
-            out[..., :n] ^= out[..., n:]
+    if isinstance(invert, slice):
+        rows = out[invert]
+    elif invert:
+        rows = out
+    else:
+        return out
+    if m == 1:
+        rows ^= _ALL_ONES
+    else:
+        # Known lanes flip: care & ~value == care ^ value.
+        n = out.shape[-1] // 2
+        rows[..., :n] ^= rows[..., n:]
     return out
 
 
@@ -232,4 +255,4 @@ def controlling_value(gtype: GateType) -> int | None:
 
 def inversion_parity(gtype: GateType) -> int:
     """1 if the gate inverts (NAND/NOR/XNOR/NOT), else 0."""
-    return 1 if gtype in (GateType.NAND, GateType.NOR, GateType.XNOR, GateType.NOT) else 0
+    return GATE_FORMS.get(gtype, (None, 0))[1]

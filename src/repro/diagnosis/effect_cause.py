@@ -36,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.circuit.gates import GateType
+from repro.circuit.gates import controlling_value
 from repro.circuit.netlist import Circuit
 from repro.diagnosis.result import (
     Candidate,
@@ -49,16 +49,6 @@ from repro.faults.collapse import collapse_faults, equivalence_classes
 from repro.faults.model import Fault, effective_reader_count
 from repro.sim.batch import BatchFaultSimulator
 from repro.utils.bitvec import BitVector, PackedPatterns, as_packed, unpack_words
-
-#: Gates where the controlling-input rule applies, with the controlling
-#: value seen at the inputs.
-_CONTROLLING_VALUE: dict[GateType, int] = {
-    GateType.AND: 0,
-    GateType.NAND: 0,
-    GateType.OR: 1,
-    GateType.NOR: 1,
-}
-
 
 def observed_fail_flags(
     golden: Sequence[BitVector], observed: Sequence[BitVector]
@@ -123,7 +113,7 @@ def trace_candidates(
             if gtype.is_source:
                 continue
             fanins = compiled.gate_fanins[node_id]
-            controlling = _CONTROLLING_VALUE.get(gtype)
+            controlling = controlling_value(gtype)
             if controlling is None:
                 # XOR / XNOR / NOT / BUF: flipping any single input
                 # flips the output, so every fanin is critical.

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.circuit.gates import eval_gates
+from repro.circuit.gates import eval_gates, gate_form
 from repro.circuit.netlist import Circuit
 from repro.faults.model import Fault
 from repro.sim.logic import CompiledCircuit
@@ -61,13 +61,7 @@ def simulate_with_faults(
                 (node_id, fault.value)
             )
 
-    n_words = input_words.shape[1]
-    values = np.empty((compiled.n_nodes, n_words), dtype=np.uint64)
-    values[compiled.input_ids, :] = input_words
-    if compiled.const0_ids.size:
-        values[compiled.const0_ids, :] = 0
-    if compiled.const1_ids.size:
-        values[compiled.const1_ids, :] = _ALL_ONES
+    values = compiled.source_state(input_words)
 
     def apply_forcings(level: int) -> None:
         # Branch re-evaluations first, stem freezes second: a stem fault
@@ -78,19 +72,21 @@ def simulate_with_faults(
             fanin_words = values[list(compiled.gate_fanins[gate_id])]
             for pin, stuck in pins:
                 fanin_words[pin] = _ALL_ONES if stuck else 0
-            values[gate_id, :] = eval_gates(compiled.gate_types[gate_id], fanin_words)
+            values[gate_id, :] = eval_gates(
+                *gate_form(compiled.gate_types[gate_id]), fanin_words
+            )
         for node_id, stuck in stems.get(level, ()):
             values[node_id, :] = _ALL_ONES if stuck else 0
 
     # Sources sit at level 0; gates start at level 1.
     apply_forcings(0)
-    for level, groups in compiled.eval_levels:
-        for gtype, out_ids, fanin_matrix in groups:
-            values[out_ids, :] = eval_gates(gtype, values[fanin_matrix], axis=1)
+    for level, buckets in compiled.plan:
+        for fold, invert, out_ids, fanins in buckets:
+            values[out_ids, :] = eval_gates(fold, invert, values[fanins], axis=1)
         # Forced sites are re-asserted *after* their level evaluates, so
         # a site inside another fault's cone still holds its stuck value.
         apply_forcings(level)
-    return values
+    return values[: compiled.n_nodes]
 
 
 def faulty_responses(

@@ -27,22 +27,29 @@ TCAD 1990):
 
 The first two are words of the good machine.  :meth:`BatchFaultSimulator.
 _trace` computes every pin's criticality word once per chunk of good
-state, walking the levels backward with one :func:`_critical_pins`
-kernel call per (level, type, arity) group.  The third is the one
-fault machine left, one **stem machine** per root:
+state, walking the compiled circuit's fold buckets (see
+:mod:`repro.sim.logic`) backward with one :func:`_critical_pins` kernel
+call per bucket: what blocks a flip is a pin's value against its fold
+(a known 0 for AND, a known 1 for OR, an X for XOR), never the output
+inversion, and a padding pin holds the fold's identity, which lets
+every flip through.  The third is the one fault machine left, one
+**stem machine** per root:
 
 * stem machines are stacked along a batch axis — every node touched by
   the batch owns a ``(batch, n_words)`` ``uint64`` array, so one numpy
   call propagates 64 patterns for *all* roots in the batch;
 * the batch shares one **cone-union schedule**: the union of the roots'
-  output cones is levelized and grouped by (gate type, arity) once per
-  distinct root batch (:class:`_BatchPlan`, built from per-node arrays
-  with numpy unions and one sort), then reused for every pattern set
-  simulated against that batch (e.g. every Detection Matrix row);
+  output cones is cut into fold buckets by the compiled circuit's one
+  bucketing rule (:meth:`~repro.sim.logic.CompiledCircuit.fold_buckets`)
+  once per distinct root batch (:class:`_BatchPlan`, built from per-node
+  arrays with numpy unions and one sort), then reused for every pattern
+  set simulated against that batch (e.g. every Detection Matrix row);
+  a level costs at most one kernel call per fold and arity bucket;
 * batches are **cone-local**: every query forms its batches through one
   routine (:meth:`BatchFaultSimulator._batches`) that groups the faults
-  by root and sorts the roots by (reachable-PO bitmask, level, node)
-  before chunking, so batch-mates share most of their output cones.
+  by root and sorts the roots by a rank computed once per simulator —
+  (reachable-PO bitmask, level, node) — before chunking, so batch-mates
+  share most of their output cones.
   Machine rows are independent, so the order changes no answer;
   results are scattered back to the caller's fault order;
 * a stem machine *forces* its root's row to the complement of the good
@@ -86,7 +93,7 @@ a row stops being scanned once it has detected every fault still live.
 One-word rows have nothing to drop and scan every cell.  A shrinking
 batch *subsets* its compiled schedule (:meth:`_BatchPlan.subset` — an
 index-mask filter over the forced rows) instead of re-running the
-pure-Python cone-union/level-grouping construction for the survivors.
+cone-union/bucketing construction for the survivors.
 The scan records each (row, fault) cell's **first detecting pattern**
 as it goes (:meth:`first_detection_rows`): a row's words are visited
 in order, so its first non-zero detect word and that word's lowest set
@@ -109,7 +116,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from repro.circuit.gates import GateType, eval_gates
+from repro.circuit.gates import Fold, eval_gates
 from repro.circuit.netlist import Circuit
 from repro.faults.model import Fault
 from repro.sim.logic import CompiledCircuit
@@ -183,60 +190,38 @@ _STUCK_FILL = np.array([0, 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
 
 
 class _NodeTables:
-    """Per-node structure arrays the plan builder and the tracer index.
-
-    Built once per simulator, so :class:`_BatchPlan` construction is a
-    handful of numpy gathers instead of Python set and dict walks over
-    every cone node.  Pins are numbered gate by gate (``pin_start[g] +
-    p`` is pin ``p`` of gate ``g``); row ``n_pins`` of a trace table is
-    the all-ones criticality of a root.
+    """Per-node and per-pin structure arrays the tracer, the region
+    tables and the batch order index, built once per simulator.  Pins
+    are numbered gate by gate (``pin_start[g] + p`` is pin ``p`` of gate
+    ``g``); row ``n_pins`` of a trace table is the all-ones criticality
+    of a root, and row ``n_pins + 1`` takes the padding pins of the
+    trace buckets.
     """
 
     __slots__ = (
-        "levels", "gate_types", "arity", "fanin_pad", "group_key",
-        "output_ids", "pin_start", "n_pins", "crit_row", "ffr_root", "trace_groups",
+        "pin_start", "n_pins", "crit_row", "ffr_root", "trace_buckets", "rank",
     )
 
     def __init__(self, compiled: CompiledCircuit) -> None:
-        n_nodes = compiled.n_nodes
-        self.levels = compiled.node_levels
-        self.gate_types = compiled.gate_types
-        self.output_ids = compiled.output_ids
-        self.arity = np.array(
-            [len(fanins) for fanins in compiled.gate_fanins], dtype=np.int64
-        )
-        width = max(1, int(self.arity.max(initial=0)))
-        # Fanin ids padded to a rectangle with the node's own id, so a
-        # gather over the padding only ever re-marks the node itself.
-        self.fanin_pad = np.repeat(
-            np.arange(n_nodes, dtype=np.int64)[:, None], width, axis=1
-        )
-        for node_id, fanins in enumerate(compiled.gate_fanins):
-            self.fanin_pad[node_id, : len(fanins)] = fanins
-        # One sortable int key per node encoding (level, gate type,
-        # arity).
-        type_code = {gtype: code for code, gtype in enumerate(GateType)}
-        codes = np.array(
-            [type_code[gtype] for gtype in compiled.gate_types], dtype=np.int64
-        )
-        self.group_key = (
-            self.levels * len(type_code) + codes
-        ) * (width + 1) + self.arity
-        self._index_regions(compiled)
+        arity = compiled.arity
+        self.pin_start = np.cumsum(arity) - arity
+        self.n_pins = int(arity.sum())
+        # Every pin's gate and the net it reads, in pin order.
+        pin_gate = np.repeat(np.arange(compiled.n_nodes, dtype=np.int64), arity)
+        table = compiled.fanin_table
+        pin_net = table[np.arange(table.shape[1]) < arity[:, None]]
+        self._index_regions(compiled, pin_gate, pin_net)
+        self._rank_roots(compiled, pin_gate, pin_net)
 
-    def _index_regions(self, compiled: CompiledCircuit) -> None:
+    def _index_regions(
+        self, compiled: CompiledCircuit, pin_gate: np.ndarray, pin_net: np.ndarray
+    ) -> None:
         """Fanout-free regions: each node's root and criticality row,
         and the backward trace schedule.  A node is a root when it is a
         PO or is read on a number of pins other than one; any other
         node's region, root and criticality are its one reader's."""
         n_nodes = compiled.n_nodes
-        self.pin_start = np.cumsum(self.arity) - self.arity
-        self.n_pins = int(self.arity.sum())
-        # Every pin's gate and the net it reads, in pin order.
-        pin_gate = np.repeat(np.arange(n_nodes, dtype=np.int64), self.arity)
-        pin_net = self.fanin_pad[
-            np.arange(self.fanin_pad.shape[1]) < self.arity[:, None]
-        ]
+        arity = compiled.arity
         is_root = np.bincount(pin_net, minlength=n_nodes) != 1
         is_root[compiled.output_ids] = True
         self.crit_row = np.full(n_nodes, self.n_pins, dtype=np.int64)
@@ -253,67 +238,81 @@ class _NodeTables:
                 break
             root = hop
         self.ffr_root = root
-        # Gate groups from the highest level down: a gate's reader sits
-        # on a higher level, so its criticality is final when its group
-        # runs.  Gates that pass a flip alike share a group: AND/NAND,
-        # OR/NOR, XOR/XNOR, and any one-input gate.  Each group: (type,
-        # the gates' criticality rows, fanin ids, the pins' trace rows).
-        merged: dict[tuple[int, GateType, int], list] = {}
-        for level, groups in reversed(compiled.eval_levels):
-            for gtype, out_ids, fanin_ids in groups:
-                arity = fanin_ids.shape[1]
-                kind = GateType.BUF if arity == 1 else _TRACE_KIND[gtype]
-                merged.setdefault((level, kind, arity), []).append((out_ids, fanin_ids))
-        self.trace_groups = []
-        for (_, kind, arity), parts in merged.items():
-            out_ids = np.concatenate([out for out, _ in parts])
-            self.trace_groups.append((
-                kind,
-                self.crit_row[out_ids],
-                np.concatenate([fanins for _, fanins in parts]),
-                self.pin_start[out_ids][:, None] + np.arange(arity, dtype=np.int64),
-            ))
+        # The simulator's fold buckets from the highest level down: a
+        # gate's reader sits on a higher level, so its criticality is
+        # final when its bucket runs.  Each bucket: (fold, the gates'
+        # criticality rows, padded fanin rows, the pins' trace rows with
+        # padding pins on the spare row).
+        self.trace_buckets = []
+        for _, buckets in reversed(compiled.plan):
+            for fold, _, out_ids, fanins in buckets:
+                slots = np.arange(fanins.shape[1], dtype=np.int64)
+                pins = np.where(
+                    slots < arity[out_ids][:, None],
+                    self.pin_start[out_ids][:, None] + slots,
+                    self.n_pins + 1,
+                )
+                self.trace_buckets.append((fold, self.crit_row[out_ids], fanins, pins))
 
-
-#: The gate type each gate traces as: what matters is which fanin value
-#: blocks a flip (a known 0, a known 1, an X) and not the inversion.
-_TRACE_KIND = {
-    GateType.AND: GateType.AND, GateType.NAND: GateType.AND,
-    GateType.OR: GateType.OR, GateType.NOR: GateType.OR,
-    GateType.XOR: GateType.XOR, GateType.XNOR: GateType.XOR,
-    GateType.NOT: GateType.BUF, GateType.BUF: GateType.BUF,
-}
+    def _rank_roots(
+        self, compiled: CompiledCircuit, pin_gate: np.ndarray, pin_net: np.ndarray
+    ) -> None:
+        """Every node's batch-order rank: nodes sorted by (bitmask of the
+        POs its output cone reaches, level, node id), the bitmask read
+        as a little-endian integer.  One reverse-topological pass ORs
+        each gate's packed reach bytes into its fanins, level by level."""
+        n_nodes = compiled.n_nodes
+        levels = compiled.node_levels
+        outputs = compiled.output_ids
+        bit = np.arange(outputs.size)
+        reach = np.zeros((n_nodes, -(-outputs.size // 8)), dtype=np.uint8)
+        np.bitwise_or.at(reach, (outputs, bit // 8), (1 << bit % 8).astype(np.uint8))
+        pin_level = levels[pin_gate]
+        by_level = np.argsort(-pin_level, kind="stable")
+        bounds = np.flatnonzero(np.diff(pin_level[by_level], prepend=-1) != 0)
+        for lo, hi in zip(bounds, np.append(bounds[1:], by_level.size)):
+            pins = by_level[lo:hi]
+            np.bitwise_or.at(reach, pin_net[pins], reach[pin_gate[pins]])
+        # The most significant byte is the last: lexsort's last key is
+        # its primary one.
+        keys = (np.arange(n_nodes), levels, *reach.T)
+        self.rank = np.empty(n_nodes, dtype=np.int64)
+        self.rank[np.lexsort(keys)] = np.arange(n_nodes)
 
 
 @kernel
 def _critical_pins(
-    kind: GateType, fanins: np.ndarray, gate_crit: np.ndarray, m: int
+    fold: Fold, fanins: np.ndarray, gate_crit: np.ndarray, m: int
 ) -> np.ndarray:
-    """Criticality words of every pin of a trace group (see
-    :data:`_TRACE_KIND`: ``kind`` is AND, OR, XOR or BUF).
+    """Criticality words of every pin of a fold bucket.
 
-    ``fanins`` is the group's good fanin state ``(gates, arity, m *
-    n_words)``, ``gate_crit`` the gates' own criticality ``(gates,
-    n_words)``.  A pin is critical where its gate is and every *other*
-    fanin lets a flip through: a known 1 for AND, a known 0 for OR, any
-    known value for XOR; a one-input gate passes criticality through.
-    At ``m = 1`` every value is known.  The others' AND is a prefix AND
-    times a suffix AND.  Result: ``(gates, arity, n_words)``.
+    ``fanins`` is the bucket's good fanin state ``(gates, width, m *
+    n_words)`` (padding pins hold the fold's identity), ``gate_crit``
+    the gates' own criticality ``(gates, n_words)``.  A pin is critical
+    where its gate is and every *other* fanin lets a flip through: a
+    known 1 for AND, a known 0 for OR, any known value for XOR, so a
+    padding pin always does and a one-pin gate passes its criticality
+    through; the inversion plays no part.  At ``m = 1`` every value is
+    known.  The others' AND is a prefix AND times a suffix AND.
+    Result: ``(gates, width, n_words)``.
     """
     n_words = gate_crit.shape[-1]
-    arity = fanins.shape[1]
-    if arity == 1 or (kind is GateType.XOR and m == 1):
-        return np.repeat(gate_crit[:, None, :], arity, axis=1)
+    width = fanins.shape[1]
+    if width == 1 or (fold is Fold.XOR and m == 1):
+        return np.repeat(gate_crit[:, None, :], width, axis=1)
     value = fanins[..., :n_words]
-    if kind is GateType.AND:
+    if fold is Fold.AND:
         # value & ~care == 0, so a set value bit is a known 1.
         passing = value
-    elif kind is GateType.XOR:
+    elif fold is Fold.XOR:
         passing = fanins[..., n_words:]
     elif m == 1:
         passing = ~value
     else:
         passing = value ^ fanins[..., n_words:]
+    if width == 2:
+        # Each pin's one other pin.
+        return passing[:, ::-1] & gate_crit[:, None, :]
     prefix = np.bitwise_and.accumulate(passing, axis=1)
     suffix = np.bitwise_and.accumulate(passing[:, ::-1], axis=1)[:, ::-1]
     crit = np.empty(value.shape, dtype=np.uint64)
@@ -361,7 +360,7 @@ class _BatchPlan:
     """The compiled cone-union schedule of one tuple of stem machines.
 
     Built once per distinct root batch and cached by the simulator; the
-    expensive structural work (cone unions, level grouping, buffer
+    expensive structural work (cone unions, fold buckets, buffer
     layout, forcing tables) is paid here so :meth:`detect` is pure
     numpy.
     """
@@ -372,7 +371,7 @@ class _BatchPlan:
         "n_buf",
         "boundary_pos",
         "boundary_ids",
-        "level_groups",
+        "levels",
         "out_pos",
         "out_ids",
         "spec",
@@ -384,57 +383,49 @@ class _BatchPlan:
         compiled: CompiledCircuit,
         roots: Sequence[int],
         cone_of,
-        tables: _NodeTables,
     ) -> None:
         site_ids = np.array(roots, dtype=np.int64)
-        in_union = np.zeros(compiled.n_nodes, dtype=bool)
+        in_union = np.zeros(compiled.n_rows, dtype=bool)
         if site_ids.size:
             in_union[np.concatenate([cone_of(int(r)) for r in site_ids])] = True
         union_ids = np.flatnonzero(in_union)
         # Buffer membership: every evaluated node, every root, and every
-        # fanin an evaluated gate reads (so gathers hit one buffer).
-        union_fanins = tables.fanin_pad[union_ids]
+        # fanin row an evaluated gate reads, identity rows included (so
+        # gathers hit one buffer).
         in_buf = in_union.copy()
         in_buf[site_ids] = True
-        in_buf[union_fanins] = True
+        in_buf[compiled.fanin_table[union_ids]] = True
         buf_ids = np.flatnonzero(in_buf)
-        pos = np.zeros(compiled.n_nodes, dtype=np.int64)
+        pos = np.zeros(compiled.n_rows, dtype=np.int64)
         pos[buf_ids] = np.arange(buf_ids.size)
         self.n_buf = int(buf_ids.size)
         self.boundary_ids = buf_ids[~in_union[buf_ids]]
         self.boundary_pos = pos[self.boundary_ids]
-        # Cone-union schedule: union nodes sorted by (level, type, arity)
-        # and cut into groups where the key changes, with fanin ids
+        # Cone-union schedule: the union's fold buckets, with fanin rows
         # rewritten to buffer positions.
-        levels = tables.levels
-        order = np.argsort(tables.group_key[union_ids], kind="stable")
-        ordered = union_ids[order]
-        keys = tables.group_key[ordered]
-        out_pos = pos[ordered]
-        fanin_pos = pos[union_fanins[order]]
-        starts = np.flatnonzero(np.diff(keys, prepend=-1)).tolist()
-        level_groups: list[tuple[int, list[tuple[GateType, np.ndarray, np.ndarray]]]] = []
-        for lo, hi in zip(starts, starts[1:] + [ordered.size]):
-            node = int(ordered[lo])
-            level = int(levels[node])
-            group = (
-                tables.gate_types[node],
-                out_pos[lo:hi],
-                np.ascontiguousarray(fanin_pos[lo:hi, : tables.arity[node]]),
+        ids, levels = compiled.fold_buckets(union_ids)
+        out_pos = pos[ids]
+        fanin_pos = pos[compiled.fanin_table[ids]]
+        self.levels = [
+            (
+                level,
+                [
+                    (fold, invert, out_pos[lo:hi], fanin_pos[lo:hi, :width])
+                    for fold, lo, hi, width, invert in buckets
+                ],
             )
-            if level_groups and level_groups[-1][0] == level:
-                level_groups[-1][1].append(group)
-            else:
-                level_groups.append((level, [group]))
-        self.level_groups = level_groups
+            for level, buckets in levels
+        ]
         # Observation points: only POs inside the union (or forced as a
         # root) can diverge from the fault-free values.
         observable = in_union.copy()
         observable[site_ids] = True
-        self.out_ids = tables.output_ids[observable[tables.output_ids]]
+        outputs = compiled.output_ids
+        self.out_ids = outputs[observable[outputs]]
         self.out_pos = pos[self.out_ids]
         spec = np.array(
-            [pos[site_ids], levels[site_ids], in_union[site_ids]], dtype=np.int64
+            [pos[site_ids], compiled.node_levels[site_ids], in_union[site_ids]],
+            dtype=np.int64,
         ).T
         self._index_forcings(site_ids, spec)
 
@@ -458,7 +449,7 @@ class _BatchPlan:
         """A plan for the stem machines at ``rows`` of this plan's batch.
 
         The expensive structure (cone union, buffer layout, level
-        groups, observation points) is *shared* with the parent — the
+        buckets, observation points) is *shared* with the parent — the
         union is a superset of the survivors' union, which is correct
         because machine rows are independent: nodes only reachable from
         dropped roots evaluate to fault-free values on every surviving
@@ -475,13 +466,13 @@ class _BatchPlan:
         clone.n_buf = self.n_buf
         clone.boundary_pos = self.boundary_pos
         clone.boundary_ids = self.boundary_ids
-        clone.level_groups = self.level_groups
+        clone.levels = self.levels
         clone.out_pos = self.out_pos
         clone.out_ids = self.out_ids
         clone._index_forcings(self.roots[rows], self.spec[rows])
         return clone
 
-    # repro: allow[kernel-purity] O(depth) level walk; each group and each level's re-forcing is word-parallel
+    # repro: allow[kernel-purity] O(depth) level walk; each bucket and each level's re-forcing is word-parallel
     @kernel
     def detect(self, good: np.ndarray, m: int) -> np.ndarray:
         """Per-root detection words against fault-free state ``good``.
@@ -504,13 +495,13 @@ class _BatchPlan:
         buf = np.empty((self.n_buf, self.n_roots, good.shape[1]), dtype=np.uint64)
         if self.boundary_pos.size:
             buf[self.boundary_pos] = good[self.boundary_ids][:, None, :]
-        forced = eval_gates(GateType.NOT, good[self.roots][:, None, :], m, axis=1)
+        forced = eval_gates(Fold.AND, 1, good[self.roots][:, None, :], m, axis=1)
         buf[self.spec[:, _SPEC_ROW], np.arange(self.n_roots, dtype=np.int64)] = forced
         reforce = self.reforce
-        for level, groups in self.level_groups:
-            for gtype, out_pos, fanin_pos in groups:
-                # Gather shape: (group size, arity, batch, m * n_words).
-                buf[out_pos] = eval_gates(gtype, buf[fanin_pos], m, axis=1)
+        for level, buckets in self.levels:
+            for fold, invert, out_pos, fanin_pos in buckets:
+                # Gather shape: (bucket size, width, batch, m * n_words).
+                buf[out_pos] = eval_gates(fold, invert, buf[fanin_pos], m, axis=1)
             if level in reforce:
                 positions, rows = reforce[level]
                 buf[positions, rows] = forced[rows]
@@ -526,7 +517,7 @@ class BatchFaultSimulator:
     """Batched stuck-at fault simulator bound to one circuit.
 
     The compiled circuit, its fanout-free regions, per-node cones and
-    batch-order keys, and per-batch stem-machine schedules are all
+    batch-order ranks, and per-batch stem-machine schedules are all
     cached, so repeated calls (one per Detection Matrix row, one per GA
     fitness evaluation, ...) only pay for numpy work.
     """
@@ -549,7 +540,6 @@ class BatchFaultSimulator:
         self.row_chunk_words = row_chunk_words
         self._tables = _NodeTables(self.compiled)
         self._cone_cache: dict[int, np.ndarray] = {}
-        self._order_key_cache: dict[int, tuple[int, int, int]] = {}
         self._region_cache: dict[Fault, tuple[int, int, int, int]] = {}
         self._plan_cache: OrderedDict[tuple[int, ...], _BatchPlan] = OrderedDict()
         self._good_buf: np.ndarray | None = None
@@ -888,31 +878,33 @@ class BatchFaultSimulator:
 
     @kernel
     def _good_values(self, words: np.ndarray, m: int) -> np.ndarray:
-        """Fault-free state of every node for packed input ``words``
-        with ``m`` planes, in a buffer reused across calls."""
+        """Fault-free state of every row (nodes, then the identity rows)
+        for packed input ``words`` with ``m`` planes, in a buffer reused
+        across calls."""
         if self._good_buf is None or self._good_buf.shape[1] != words.shape[1]:
             self._good_buf = np.empty(
-                (self.compiled.n_nodes, words.shape[1]), dtype=np.uint64
+                (self.compiled.n_rows, words.shape[1]), dtype=np.uint64
             )
         self.words_simulated += words.shape[1] // m
-        return self.compiled.simulate(words, m, out=self._good_buf)
+        self.compiled.simulate(words, m, out=self._good_buf)
+        return self._good_buf
 
-    # repro: allow[kernel-purity] O(depth) backward walk over gate groups; each group traces all its pins word-parallel
+    # repro: allow[kernel-purity] O(depth) backward walk over fold buckets; each bucket traces all its pins word-parallel
     @kernel
     def _trace(self, good: np.ndarray, m: int) -> np.ndarray:
         """Every pin's criticality word to its FFR root over fault-free
-        state ``good``: a ``(n_pins + 1, n_words)`` table whose last row
-        (a root's criticality) is all ones.  One :func:`_critical_pins`
-        call per (level, type, arity) group, highest level first, where
-        NAND traces as AND, NOR as OR, XNOR as XOR and every one-input
-        gate as BUF; a non-root node's criticality is the row of its one
+        state ``good`` (identity rows included): a ``(n_pins + 2,
+        n_words)`` table whose row ``n_pins`` (a root's criticality) is
+        all ones and whose last row takes the padding pins.  One
+        :func:`_critical_pins` call per fold bucket, highest level
+        first; a non-root node's criticality is the row of its one
         reading pin.
         """
         tables = self._tables
-        crit = np.empty((tables.n_pins + 1, good.shape[1] // m), dtype=np.uint64)
+        crit = np.empty((tables.n_pins + 2, good.shape[1] // m), dtype=np.uint64)
         crit[tables.n_pins] = _ALL_ONES
-        for kind, gate_rows, fanin_ids, pin_ids in tables.trace_groups:
-            crit[pin_ids] = _critical_pins(kind, good[fanin_ids], crit[gate_rows], m)
+        for fold, gate_rows, fanin_ids, pin_ids in tables.trace_buckets:
+            crit[pin_ids] = _critical_pins(fold, good[fanin_ids], crit[gate_rows], m)
         return crit
 
     def _regions(self, faults: Sequence[Fault]) -> np.ndarray:
@@ -952,8 +944,8 @@ class BatchFaultSimulator:
         tuple)`` batches in cone-local order — the one batching routine
         of every query.
 
-        Faults are grouped by FFR root, and the roots stably sorted by
-        their order key (reachable-PO bitmask, level, node id) and cut
+        Faults are grouped by FFR root, and the roots sorted by their
+        precomputed rank (reachable-PO bitmask, level, node id) and cut
         ``batch_size`` to a batch, so batch-mates share most of their
         output cones and each batch's cone union stays small.  A batch's
         region table holds its faults' roots as rows of the root tuple.
@@ -961,13 +953,11 @@ class BatchFaultSimulator:
         scatter results back through the indices.
         """
         regions = self._regions(faults)
-        roots = np.array(
-            sorted(np.unique(regions[:, _ROOT]).tolist(), key=self._order_key),
-            dtype=np.int64,
-        )
-        rank = np.zeros(self.compiled.n_nodes, dtype=np.int64)
-        rank[roots] = np.arange(roots.size)
-        fault_rank = rank[regions[:, _ROOT]]
+        roots = np.unique(regions[:, _ROOT])
+        roots = roots[np.argsort(self._tables.rank[roots])]
+        position = np.zeros(self.compiled.n_nodes, dtype=np.int64)
+        position[roots] = np.arange(roots.size)
+        fault_rank = position[regions[:, _ROOT]]
         order = np.argsort(fault_rank, kind="stable")
         firsts = np.arange(0, roots.size, self.batch_size)
         bounds = np.searchsorted(fault_rank[order], np.append(firsts, roots.size))
@@ -987,24 +977,10 @@ class BatchFaultSimulator:
             self._cone_cache[node_id] = cone
         return cone
 
-    def _order_key(self, node_id: int) -> tuple[int, int, int]:
-        """Batch-order key of a root: (bitmask of the POs its output
-        cone reaches, level, node id)."""
-        key = self._order_key_cache.get(node_id)
-        if key is None:
-            outputs = self.compiled.output_ids
-            reached = np.isin(outputs, self._cone(node_id)) | (outputs == node_id)
-            mask = int.from_bytes(
-                np.packbits(reached, bitorder="little").tobytes(), "little"
-            )
-            key = (mask, int(self.compiled.node_levels[node_id]), node_id)
-            self._order_key_cache[node_id] = key
-        return key
-
     def _plan(self, roots: tuple[int, ...]) -> _BatchPlan:
         plan = self._plan_cache.get(roots)
         if plan is None:
-            plan = _BatchPlan(self.compiled, roots, self._cone, self._tables)
+            plan = _BatchPlan(self.compiled, roots, self._cone)
             self.plan_builds += 1
             self._plan_cache[roots] = plan
             while len(self._plan_cache) > PLAN_CACHE_SIZE:

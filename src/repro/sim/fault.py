@@ -37,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.circuit.gates import eval_gates
+from repro.circuit.gates import eval_gates, gate_form
 from repro.circuit.netlist import Circuit
 from repro.faults.model import Fault
 from repro.sim.batch import BatchFaultSimulator
@@ -170,7 +170,7 @@ class SerialFaultSimulator:
                 for pin, fanin_id in enumerate(fanins)
             ]
             faulty[gate_id] = eval_gates(
-                compiled.gate_types[gate_id], np.array(fanin_words)
+                *gate_form(compiled.gate_types[gate_id]), np.array(fanin_words)
             )
             cone = self._cone(gate_id)
         else:
@@ -184,7 +184,7 @@ class SerialFaultSimulator:
                 faulty.get(fanin_id, good[fanin_id])
                 for fanin_id in compiled.gate_fanins[cone_id]
             ]
-            new_words = eval_gates(gtype, np.array(fanin_words))
+            new_words = eval_gates(*gate_form(gtype), np.array(fanin_words))
             faulty[cone_id] = new_words
         detect = np.zeros(n_words, dtype=np.uint64)
         for output_id in compiled.output_ids:

@@ -30,7 +30,13 @@ from hypothesis import strategies as st
 from repro.atpg.batch_podem import BatchPodem
 from repro.atpg.engine import AtpgEngine
 from repro.atpg.podem import Podem, PodemStatus
-from repro.circuit.gates import GateType, eval_gate_3v_scalar, eval_gates
+from repro.circuit.gates import (
+    FOLD_IDENTITY,
+    GateType,
+    eval_gate_3v_scalar,
+    eval_gates,
+    gate_form,
+)
 from repro.circuit.generate import GeneratorSpec, generate_circuit
 from repro.circuits import load_circuit
 from repro.faults.collapse import collapse_faults
@@ -88,7 +94,7 @@ def test_reduce_gate_planes_matches_reference(gtype, fanin_codes):
     if gtype in (GateType.NOT, GateType.BUF):
         fanin_codes = fanin_codes[:1]
     stacked = np.array(fanin_codes, dtype=np.uint8)  # (arity, n_lanes)
-    out = eval_gates(gtype, _words(stacked), 2, axis=0)
+    out = eval_gates(*gate_form(gtype), _words(stacked), 2, axis=0)
     got = _codes(out[None, :], stacked.shape[1])[0]
     expected = [
         eval_gate_3v_scalar(gtype, list(stacked[:, lane]))
@@ -103,26 +109,30 @@ def test_reduce_gate_planes_matches_reference(gtype, fanin_codes):
     arities=st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=6),
     seed=st.integers(min_value=0, max_value=2**31),
 )
-def test_reduceat_matches_reduce(gtype, arities, seed):
-    """The segmented (ragged-arity) shape agrees gate by gate with the
-    single-gate shape."""
+def test_padded_bucket_matches_single_gates(gtype, arities, seed):
+    """The ragged-arity bucket, padded to its widest gate with the fold's
+    identity, agrees gate by gate with the single-gate shape."""
     if gtype in (GateType.NOT, GateType.BUF):
         arities = [1] * len(arities)
+    fold, invert = gate_form(gtype)
     rng = np.random.default_rng(seed)
     n_lanes = 130  # forces 3 words incl. a partial tail
-    words = _words(rng.integers(0, 3, size=(sum(arities), n_lanes)).astype(np.uint8))
-    starts = np.cumsum([0] + arities[:-1]).astype(np.int64)
-    out = eval_gates(gtype, words.copy(), 2, starts=starts)
-    for gate, (start, arity) in enumerate(zip(starts, arities)):
-        ref = eval_gates(gtype, words[start : start + arity].copy(), 2, axis=0)
+    width = max(arities)
+    codes = rng.integers(0, 3, size=(len(arities), width, n_lanes)).astype(np.uint8)
+    for gate, arity in enumerate(arities):
+        codes[gate, arity:] = FOLD_IDENTITY[fold]
+    bucket = np.stack([_words(gate_codes) for gate_codes in codes])
+    out = eval_gates(fold, invert, bucket.copy(), 2, axis=1)
+    for gate, arity in enumerate(arities):
+        ref = eval_gates(fold, invert, bucket[gate, :arity].copy(), 2, axis=0)
         assert np.array_equal(out[gate], ref)
 
 
 def test_not_planes_involution():
     rng = np.random.default_rng(7)
     words = _words(rng.integers(0, 3, size=(1, 100)).astype(np.uint8))
-    once = eval_gates(GateType.NOT, words.copy(), 2, axis=0)
-    twice = eval_gates(GateType.NOT, once[None, :], 2, axis=0)
+    once = eval_gates(*gate_form(GateType.NOT), words.copy(), 2, axis=0)
+    twice = eval_gates(*gate_form(GateType.NOT), once[None, :], 2, axis=0)
     assert np.array_equal(twice, words[0])
 
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.circuit import Circuit, Gate
-from repro.circuit.gates import X3, GateType, eval_gates
+from repro.circuit.gates import X3, GateType, eval_gates, gate_form
 from repro.sim.logic import CompiledCircuit
 
 ZERO, ONE, D, DBAR, X = (0, 0), (1, 1), (1, 0), (0, 1), (X3, X3)
@@ -34,7 +34,7 @@ def _pair(words: np.ndarray) -> tuple[int, int]:
 def eval5(gtype: GateType, fanins: list[tuple[int, int]]) -> tuple[int, int]:
     """Evaluate one gate on both machines with the packed kernel."""
     words = np.array([_row(value) for value in fanins], dtype=np.uint64)
-    return _pair(eval_gates(gtype, words, 2, axis=0))
+    return _pair(eval_gates(*gate_form(gtype), words, 2, axis=0))
 
 
 class TestDAlgebra:
@@ -91,4 +91,4 @@ class TestDAlgebra:
 
     def test_sources_rejected(self):
         with pytest.raises(ValueError):
-            eval_gates(GateType.INPUT, np.zeros((1, 4), dtype=np.uint64), 2)
+            gate_form(GateType.INPUT)

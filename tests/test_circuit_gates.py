@@ -5,8 +5,9 @@ packed kernel.
   D-algebra table, and as plain Boolean evaluation on 0/1 codes;
 * the exhaustive gate-algebra differential: :func:`eval_gates` against
   the oracle for every gate type at arity 1–4 (1 for NOT/BUF) and every
-  code tuple, in all three reduction shapes (single gate, rectangular
-  group, segmented group), at ``m = 1`` on 0/1 and ``m = 2`` on 0/1/X.
+  code tuple, in every reduction shape (single gate, rectangular group,
+  a bucket of mixed arity padded with the fold's identity), at
+  ``m = 1`` on 0/1 and ``m = 2`` on 0/1/X.
 """
 
 from __future__ import annotations
@@ -17,11 +18,13 @@ import numpy as np
 import pytest
 
 from repro.circuit.gates import (
+    FOLD_IDENTITY,
     X3,
     GateType,
     controlling_value,
     eval_gate_3v_scalar,
     eval_gates,
+    gate_form,
     inversion_parity,
 )
 from repro.utils.bitvec import PackedPlanes, tail_mask
@@ -150,35 +153,38 @@ class TestPackedEval:
                 ]
                 per_arity[arity] = (codes, swapped, want)
                 # Single gate: fanins stacked on axis 0.
-                out = eval_gates(gtype, _state(codes, m), m, axis=0)
+                out = eval_gates(*gate_form(gtype), _state(codes, m), m, axis=0)
                 assert _codes(out, m, n_lanes)[0].tolist() == want[0], (m, arity)
                 # Rectangular group (gates, arity, batch, words), axis 1.
                 group = np.stack([_state(codes, m), _state(swapped, m)])[:, :, None]
-                out = eval_gates(gtype, group, m, axis=1)
+                out = eval_gates(*gate_form(gtype), group, m, axis=1)
                 assert out.shape[:2] == (2, 1)
                 assert _codes(out, m, n_lanes).tolist() == want, (m, arity)
-            # Segmented group: every arity (and both gates) in one call.
-            rows, starts, wants = [], [], []
+            # Padded bucket: every arity (and both gates) in one call,
+            # the narrower gates padded with the fold's identity.
+            fold, invert = gate_form(gtype)
+            width = max(per_arity)
+            gates, wants = [], []
             for codes, swapped, want in per_arity.values():
                 for gate_codes, gate_want in zip((codes, swapped), want):
-                    starts.append(sum(len(r) for r in rows))
-                    rows.append(_state(gate_codes, m))
+                    pad = np.full(
+                        (width - len(gate_codes), n_lanes), FOLD_IDENTITY[fold]
+                    )
+                    gates.append(_state(np.concatenate([gate_codes, pad]), m))
                     wants.append(gate_want)
-            out = eval_gates(
-                gtype, np.concatenate(rows), m, starts=np.array(starts)
-            )
+            out = eval_gates(fold, invert, np.stack(gates), m, axis=1)
             assert _codes(out, m, n_lanes).tolist() == wants, m
 
     def test_packed_buf_copies(self):
         state = np.array([[7], [9]], dtype=np.uint64)
-        out = eval_gates(GateType.BUF, state[[1]][:, None], axis=1)
+        out = eval_gates(*gate_form(GateType.BUF), state[[1]][:, None], axis=1)
         out[0] = 0
         assert state.tolist() == [[7], [9]]
 
     def test_packed_constants_rejected(self):
         for gtype in (GateType.CONST0, GateType.INPUT, GateType.DFF):
             with pytest.raises(ValueError):
-                eval_gates(gtype, np.zeros((1, 1), dtype=np.uint64))
+                gate_form(gtype)
 
 
 class TestGateMetadata:

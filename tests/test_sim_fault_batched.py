@@ -852,7 +852,17 @@ class TestConeOrder:
             np.testing.assert_array_equal(regions[:, 1:], expected[indices, 1:])
         roots = _roots(simulator, faults)
         assert len(set(roots)) == len(roots)
-        keys = [simulator._order_key(root) for root in roots]
+        compiled = simulator.compiled
+        outputs = compiled.output_ids.tolist()
+
+        def key(root):
+            # (bitmask of the POs the root reaches, level, node id), the
+            # mask read with output k at bit k.
+            reached = set(compiled.output_cone_ids(root)) | {root}
+            mask = sum(1 << k for k, out in enumerate(outputs) if out in reached)
+            return mask, int(compiled.node_levels[root]), root
+
+        keys = [key(root) for root in roots]
         assert keys == sorted(keys)
 
     def test_union_work_halves_on_s1238(self):
@@ -871,7 +881,7 @@ class TestConeOrder:
 
         def union_work(batches) -> int:
             return sum(
-                sum(out.size for _, groups in plan.level_groups for _, out, _ in groups)
+                sum(out.size for _, buckets in plan.levels for _, _, out, _ in buckets)
                 * plan.n_roots
                 for plan in (simulator._plan(batch) for batch in batches)
             )

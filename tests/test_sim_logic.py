@@ -7,7 +7,13 @@ import pytest
 
 from repro.circuit.gates import GateType
 from repro.circuit.netlist import Circuit, Gate
-from repro.sim.logic import CompiledCircuit, n_words_for, simulate_patterns, tail_mask
+from repro.sim.logic import (
+    PAD_LIMIT,
+    CompiledCircuit,
+    n_words_for,
+    simulate_patterns,
+    tail_mask,
+)
 from repro.utils.bitvec import BitVector
 
 
@@ -141,11 +147,14 @@ class TestHelpers:
         assert int(tail_mask(129)[-1]) == 1
 
     def test_simulate_words_out_buffer_reuse(self, c17):
+        # The buffer holds the node rows, then the two identity rows;
+        # the result is a view of its node rows.
         compiled = CompiledCircuit(c17)
         words = np.ones((5, 2), dtype=np.uint64)
-        buffer = np.zeros((compiled.n_nodes, 2), dtype=np.uint64)
+        buffer = np.zeros((compiled.n_rows, 2), dtype=np.uint64)
         result = compiled.simulate(words, out=buffer)
-        assert result is buffer
+        assert result.base is buffer
+        assert result.shape == (compiled.n_nodes, 2)
         np.testing.assert_array_equal(result, compiled.simulate(words))
 
     def test_simulate_words_out_buffer_shape_checked(self, c17):
@@ -157,10 +166,15 @@ class TestHelpers:
         planes = np.zeros((5, 2), dtype=np.uint64)
         with pytest.raises(ValueError, match="out buffer"):
             compiled.simulate(
-                planes, 2, out=np.zeros((compiled.n_nodes, 1), dtype=np.uint64)
+                planes, 2, out=np.zeros((compiled.n_rows, 1), dtype=np.uint64)
             )
-        buffer = np.empty((compiled.n_nodes, 2), dtype=np.uint64)
-        assert compiled.simulate(planes, 2, out=buffer) is buffer
+        # Node rows alone leave no room for the identity rows.
+        with pytest.raises(ValueError, match="out buffer"):
+            compiled.simulate(
+                planes, 2, out=np.zeros((compiled.n_nodes, 2), dtype=np.uint64)
+            )
+        buffer = np.empty((compiled.n_rows, 2), dtype=np.uint64)
+        assert compiled.simulate(planes, 2, out=buffer).base is buffer
 
 
 class TestLevelization:
@@ -175,9 +189,13 @@ class TestLevelization:
         assert all(compiled.node_levels[i] == 0 for i in compiled.input_ids)
 
     def test_eval_groups_cover_all_gates(self, mux_circuit):
+        # Every gate sits in exactly one fold bucket of the plan.
         compiled = CompiledCircuit(mux_circuit)
         grouped = sorted(
-            int(node) for _, out_ids, _ in compiled.eval_groups for node in out_ids
+            int(node)
+            for _, buckets in compiled.plan
+            for _, _, out_ids, _ in buckets
+            for node in out_ids
         )
         gates = sorted(
             node_id
@@ -187,9 +205,81 @@ class TestLevelization:
         assert grouped == gates
 
     def test_eval_groups_level_ordered(self, c17):
+        # Levels ascend, and every gate of a bucket sits on its level.
         compiled = CompiledCircuit(c17)
-        levels = [
-            int(compiled.node_levels[out_ids[0]])
-            for _, out_ids, _ in compiled.eval_groups
+        levels = [level for level, _ in compiled.plan]
+        assert levels == sorted(set(levels))
+        for level, buckets in compiled.plan:
+            for _, _, out_ids, _ in buckets:
+                assert (compiled.node_levels[out_ids] == level).all()
+
+
+def _assert_bucket_rule(compiled, cut) -> None:
+    """``cut`` is ``fold_buckets`` output: per level at most one bucket
+    per fold, except where :data:`PAD_LIMIT` splits a fold by arity —
+    then the buckets cover disjoint arity ranges, widest first, and
+    taking the next bucket's widest gates in would pad past the limit.
+    A bucket's inverting gates come last."""
+    ids, levels = cut
+    for level, buckets in levels:
+        parts: dict = {}
+        for fold, lo, hi, width, invert in buckets:
+            gates = ids[lo:hi]
+            arity = compiled.arity[gates]
+            assert (compiled.node_levels[gates] == level).all()
+            assert (compiled.folds[gates] == fold).all()
+            assert width == arity.max()
+            assert width * gates.size <= PAD_LIMIT * arity.sum()
+            flips = np.zeros(gates.size, dtype=bool)
+            flips[invert if invert else slice(0)] = True
+            assert (compiled.inverted[gates] == flips).all()
+            parts.setdefault(fold, []).append(arity)
+        assert len(parts) <= 3
+        for arities in parts.values():
+            for wide, narrow in zip(arities, arities[1:]):
+                assert wide.min() > narrow.max()
+                merged = np.concatenate([wide, narrow[narrow == narrow.max()]])
+                assert merged.max() * merged.size > PAD_LIMIT * merged.sum()
+
+
+class TestFoldCalls:
+    """Deterministic kernel-call counts, no timing: every levelized sweep
+    makes one fold call per bucket of the one bucketing rule, so at most
+    three per level unless a ragged fold splits by arity."""
+
+    @pytest.mark.parametrize("name", ["c880", "s1238", "s5378"])
+    def test_calls_per_level(self, name):
+        from repro.atpg.batch_podem import BatchPodem
+        from repro.circuits import load_circuit
+        from repro.faults.collapse import collapse_faults
+        from repro.sim.batch import BatchFaultSimulator
+
+        circuit = load_circuit(name)
+        simulator = BatchFaultSimulator(circuit)
+        compiled = simulator.compiled
+        cut = compiled.fold_buckets(np.flatnonzero(compiled.folds >= 0))
+        _assert_bucket_rule(compiled, cut)
+        ids, levels = cut
+        calls = [len(buckets) for _, buckets in levels]
+        # simulate: the compiled plan is those buckets.
+        assert [
+            (level, [(fold, out.tolist(), fanins.shape[1]) for fold, _, out, fanins in b])
+            for level, b in compiled.plan
+        ] == [
+            (level, [(fold, ids[lo:hi].tolist(), width) for fold, lo, hi, width, _ in b])
+            for level, b in levels
         ]
-        assert levels == sorted(levels)
+        # trace: the same buckets, highest level first.
+        trace = simulator._tables.trace_buckets
+        widths = [fanins.shape[1] for _, b in reversed(compiled.plan) for *_, fanins in b]
+        assert [fanins.shape[1] for _, _, fanins, _ in trace] == widths
+        # imply: one call per bucket, level by level.
+        podem = BatchPodem(circuit, simulator=simulator)
+        assert [len(buckets) for _, _, buckets, _ in podem._plan] == calls
+        # detect: one stem-machine plan's cone union.
+        _, _, roots = simulator._batches(collapse_faults(circuit))[0]
+        union = np.unique(np.concatenate([simulator._cone(root) for root in roots]))
+        union_cut = compiled.fold_buckets(union)
+        _assert_bucket_rule(compiled, union_cut)
+        plan = simulator._plan(roots)
+        assert [len(b) for _, b in plan.levels] == [len(b) for _, b in union_cut[1]]

@@ -29,7 +29,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.circuit import Circuit, Gate, full_scan_view, partial_scan_view
-from repro.circuit.gates import X3, GateType, eval_gate_3v_scalar, eval_gates
+from repro.circuit.gates import (
+    X3,
+    GateType,
+    eval_gate_3v_scalar,
+    eval_gates,
+    gate_form,
+)
 from repro.circuits import load_circuit
 from repro.circuits.catalog import catalog_names
 from repro.faults import collapse_faults
@@ -179,8 +185,8 @@ class TestPlaneAlgebra:
         words = PackedPlanes.from_codes(_random_codes(arity, 130, seed=7)).words
         # Group form (gates, arity, words) as simulate gathers it, with
         # one gate; against the single-gate form.
-        group = eval_gates(gtype, words[None].copy(), 2, axis=1)
-        single = eval_gates(gtype, words.copy(), 2, axis=0)
+        group = eval_gates(*gate_form(gtype), words[None].copy(), 2, axis=1)
+        single = eval_gates(*gate_form(gtype), words.copy(), 2, axis=0)
         assert np.array_equal(group[0], single)
 
     def test_invariant_preserved(self):
@@ -188,7 +194,7 @@ class TestPlaneAlgebra:
         n = words.shape[1] // 2
         for gtype in PLANE_GATES:
             arity = 1 if gtype in (GateType.NOT, GateType.BUF) else 3
-            out = eval_gates(gtype, words[:arity].copy(), 2, axis=0)
+            out = eval_gates(*gate_form(gtype), words[:arity].copy(), 2, axis=0)
             assert not np.any(out[:n] & ~out[n:]), gtype
 
     def test_scalar_oracle_rejects_bad_codes(self):
