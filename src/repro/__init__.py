@@ -56,10 +56,7 @@ from repro.flow import (
     PipelineConfig,
     PipelineResult,
     Session,
-    Stage,
-    StageContext,
     explore_tradeoff,
-    run_flow,
     sweep,
 )
 from repro.utils import BitVector, Registry, RngStream, UnknownComponentError
@@ -96,8 +93,6 @@ __all__ = [
     "Session",
     "SignatureBisector",
     "SimulatedTester",
-    "Stage",
-    "StageContext",
     "TestPatternGenerator",
     "Triplet",
     "UnknownComponentError",
@@ -110,7 +105,6 @@ __all__ = [
     "make_tpg",
     "parse_bench",
     "reduce_matrix",
-    "run_flow",
     "solve_cover",
     "sweep",
     "trim_solution",

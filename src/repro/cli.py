@@ -479,6 +479,14 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
+def positive_int(text: str) -> int:
+    """argparse ``type`` for process counts: an int of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _delegate(module_main):
     def runner(args: argparse.Namespace) -> int:
         module_main(args.rest)
@@ -525,7 +533,7 @@ def _add_flow_knobs(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--workers",
-        type=int,
+        type=positive_int,
         default=None,
         help="process-pool width (Detection Matrix rows for `run`, "
         "circuits for `sweep`; default serial)",

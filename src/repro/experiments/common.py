@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 from dataclasses import replace
 
+from repro.cli import positive_int
 from repro.flow.pipeline import PipelineConfig
 from repro.flow.session import Session
 from repro.gatsby import GaConfig, GatsbyReseeder, GatsbyResult
@@ -118,7 +119,7 @@ def make_arg_parser(description: str) -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--workers",
-        type=int,
+        type=positive_int,
         default=None,
         help="processes for row-parallel Detection Matrix construction "
         "(default: serial)",

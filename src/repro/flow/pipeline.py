@@ -10,9 +10,10 @@
 This module holds the flow's configuration and its result: a
 :class:`PipelineConfig` in, a :class:`PipelineResult` (every
 intermediate artefact — Table 1 reads the final solution, Table 2 the
-matrix/reduction statistics) out.  The stages live in
-:mod:`repro.flow.stages`; :class:`repro.flow.session.Session` runs them
-for one circuit, and :func:`repro.flow.sweep.sweep` runs batch grids.
+matrix/reduction statistics) out.  :class:`repro.flow.session.Session`
+runs the flow for one circuit (ATPG, then the step functions of
+:mod:`repro.flow.stages`) and builds the result; :func:`repro.flow.sweep.
+sweep` runs batch grids.
 """
 
 from __future__ import annotations

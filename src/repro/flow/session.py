@@ -7,7 +7,7 @@ compiled :class:`~repro.sim.fault.FaultSimulator`, and the (expensive)
 trade-off sweeps and baselines share them, exactly as the paper's flow
 shares TestGen output across generators.  It is the flow's one entry
 point: the CLI, the experiment drivers, the sweeps and the serve layer
-all run the Figure-1 stages through it.
+all run the Figure-1 flow through it.
 
 An optional :class:`ArtifactCache` adds content-keyed on-disk
 persistence: artefacts are stored as schema-versioned JSON under a key
@@ -37,13 +37,8 @@ from repro.circuit.netlist import Circuit
 from repro.circuits import load_circuit
 from repro.flow.pipeline import PipelineConfig, PipelineResult
 from repro.flow.serialize import SchemaMismatchError, check_schema, decode, encode
-from repro.flow.stages import (
-    DEFAULT_STAGES,
-    ProgressHook,
-    StageContext,
-    StageEvent,
-    run_flow,
-)
+from repro.flow import stages
+from repro.flow.stages import ProgressHook, StageEvent
 from repro.obs import NULL_TELEMETRY, Telemetry, stage_hook
 from repro.obs.metrics import Sample
 from repro.setcover.solve import prepare_solver
@@ -53,6 +48,9 @@ from repro.tpg.base import TestPatternGenerator
 from repro.tpg.registry import make_tpg
 from repro.utils.bitvec import PackedPatterns, as_packed
 
+
+#: The diagnosis engines :meth:`Session.diagnose` dispatches to.
+DIAGNOSE_METHODS = ("dictionary", "effect_cause", "signature", "multiplet")
 
 #: Process-global temp-file sequence: cache *instances* in one process
 #: share a pid, so per-instance counters would collide on the same name.
@@ -302,9 +300,9 @@ class Session:
 
     Construct directly from a loaded circuit, or with
     :meth:`from_name` to also record the catalog ``scale`` in cache
-    keys.  ``run`` executes the staged Figure-1 flow for one TPG,
-    reusing the session's circuit-level ATPG (and, when a cache is
-    attached, skipping any work a previous process already did).
+    keys.  ``run`` executes the Figure-1 flow for one TPG, reusing the
+    session's circuit-level ATPG (and, when a cache is attached,
+    skipping any work a previous process already did).
 
     Example — three TPG flows sharing one ATPG run and one on-disk
     cache, then a diagnosis against the same artefacts::
@@ -369,7 +367,7 @@ class Session:
         #: so a multi-config sweep never recomputes an identical ATPG run.
         self._atpg_results: dict[tuple, AtpgResult] = {}
         #: Packed seed-bank evolutions memoized per cache key — every
-        #: stage of every flow run through this session shares them.
+        #: flow run through this session shares them.
         self._evolutions: dict[str, "PackedPatterns"] = {}
         #: Fault dictionaries memoized per cache key, so a long-lived
         #: session (the serve layer) pays the disk/JSON round trip once.
@@ -377,9 +375,11 @@ class Session:
         #: Fault-free responses memoized per packed-pattern digest —
         #: every diagnosis of the same applied sequence shares them.
         self._golden: dict[str, list] = {}
+        #: The circuit's collapsed fault list, built on first use: the
+        #: default candidate universe of every diagnosis.
+        self._collapsed: list | None = None
         if atpg_result is not None:
             self._atpg_results[self._atpg_knobs(self.config)] = atpg_result
-        self._atpg_seconds = 0.0
         self._fingerprint: str | None = None
 
     @classmethod
@@ -412,6 +412,19 @@ class Session:
             self._telemetry_hook(event)
         if self.progress is not None:
             self.progress(event)
+
+    def _step(self, name: str, step: Callable, *args) -> tuple[Any, float]:
+        """Run one flow step between its ``start`` and ``done`` events.
+
+        ``step(*args)`` returns its artefact and the ``done`` event's
+        attrs; this returns the artefact and the step's wall seconds.
+        """
+        self._emit(StageEvent(name, "start"))
+        start = time.perf_counter()
+        value, attrs = step(*args)
+        seconds = time.perf_counter() - start
+        self._emit(StageEvent(name, "done", seconds, attrs=attrs))
+        return value, seconds
 
     # -- cache keys --------------------------------------------------------
 
@@ -493,39 +506,40 @@ class Session:
     def _atpg_for(self, config: PipelineConfig) -> AtpgResult:
         knobs = self._atpg_knobs(config)
         if knobs not in self._atpg_results:
-            self._atpg_results[knobs] = self._load_or_run_atpg(config)
+            self._atpg_results[knobs] = self._load_or_run_atpg(config)[0]
         return self._atpg_results[knobs]
 
-    def _load_or_run_atpg(self, config: PipelineConfig) -> AtpgResult:
-        """The cached ATPG result, else a fresh run.  A run opens the
-        ``atpg`` stage first, so the engine's phase spans nest under its
-        ``flow.atpg`` span."""
-        self._atpg_seconds = 0.0
+    def _load_or_run_atpg(
+        self, config: PipelineConfig
+    ) -> tuple[AtpgResult, float]:
+        """The cached ATPG result, else a fresh run, and the seconds
+        the run took (0 on a cache hit).  A run opens the ``atpg`` stage
+        first, so the engine's phase spans nest under its ``flow.atpg``
+        span."""
         if self.cache is not None:
             cached = self.cache.get(
                 self._atpg_key(config), "atpg_result", partial(decode, AtpgResult)
             )
             if cached is not None:
                 self._emit(StageEvent("atpg", "cache-hit"))
-                return cached
+                return cached, 0.0
         from repro.atpg.engine import AtpgEngine
 
-        self._emit(StageEvent("atpg", "start"))
-        start = time.perf_counter()
-        engine = AtpgEngine(
-            self.circuit,
-            seed=config.seed,
-            max_random_patterns=config.max_random_patterns,
-            backtrack_limit=config.backtrack_limit,
-            simulator=self.simulator,
-            telemetry=self.telemetry,
-        )
-        result = engine.run()
-        self._atpg_seconds = time.perf_counter() - start
-        self._emit(StageEvent("atpg", "done", self._atpg_seconds))
+        def run_atpg() -> tuple[AtpgResult, None]:
+            engine = AtpgEngine(
+                self.circuit,
+                seed=config.seed,
+                max_random_patterns=config.max_random_patterns,
+                backtrack_limit=config.backtrack_limit,
+                simulator=self.simulator,
+                telemetry=self.telemetry,
+            )
+            return engine.run(), None
+
+        result, seconds = self._step("atpg", run_atpg)
         if self.cache is not None:
             self.cache.put(self._atpg_key(config), encode(result))
-        return result
+        return result, seconds
 
     # -- flows -------------------------------------------------------------
 
@@ -535,47 +549,73 @@ class Session:
         config: PipelineConfig | None = None,
         use_cache: bool = True,
     ) -> RunInfo:
-        """Run the staged flow for one TPG; report cache provenance."""
+        """Run the Figure-1 flow for one TPG; report cache provenance.
+
+        The flow is ATPG (memory -> cache -> compute), then the Detection
+        Matrix, the cover and the trim of :mod:`repro.flow.stages`, each
+        reported as a ``start``/``done`` :class:`StageEvent` pair and
+        timed under its stage name in ``PipelineResult.timings``.  ATPG
+        already memoized in this session is reported as ``skipped``.
+        """
         config = config or self.config
         tpg_instance = (
             make_tpg(tpg, self.circuit.n_inputs) if isinstance(tpg, str) else tpg
         )
         start = time.perf_counter()
-        if self.cache is not None and use_cache:
-            cached = self.cache.get(
-                self._result_key(tpg_instance.name, config),
-                "pipeline_result",
-                PipelineResult.from_dict,
-            )
+        cache = self.cache if use_cache else None
+        if cache is not None:
+            key = self._result_key(tpg_instance.name, config)
+            cached = cache.get(key, "pipeline_result", PipelineResult.from_dict)
             if cached is not None:
                 self._emit(StageEvent("pipeline", "cache-hit"))
                 return RunInfo(cached, True, time.perf_counter() - start)
-        # Before ATPG, as ``run_flow`` does before its first stage.
+        # Before ATPG, so scipy's long-lived objects sit below the
+        # flow's large transient arrays.
         prepare_solver(config.cover_method)
-        atpg_was_ready = self._atpg_knobs(config) in self._atpg_results
-        atpg = self._atpg_for(config)
-        ctx = StageContext(
-            circuit=self.circuit,
-            tpg=tpg_instance,
-            config=config,
-            simulator=self.simulator,
-            progress=self._emit,
-            evolution_cache=self.packed_evolution,
-            telemetry=self.telemetry,
-        )
-        ctx.artifacts["atpg"] = atpg
-        if atpg_was_ready:
-            # The AtpgStage reports the reused artefact as skipped.
-            result = run_flow(ctx)
-        else:
-            # This run loaded or paid for ATPG at session level, which
-            # already reported the atpg stage: run the rest of the chain.
-            ctx.timings["atpg"] = self._atpg_seconds
-            result = run_flow(ctx, DEFAULT_STAGES[1:])
-        if self.cache is not None and use_cache:
-            self.cache.put(
-                self._result_key(tpg_instance.name, config), result.to_dict()
+        knobs = self._atpg_knobs(config)
+        timings: dict[str, float] = {}
+        if knobs in self._atpg_results:
+            atpg = self._atpg_results[knobs]
+            self._emit(StageEvent("atpg", "start"))
+            self._emit(
+                StageEvent(
+                    "atpg", "skipped",
+                    attrs={"skip_reason": "output-artifact-present"},
+                )
             )
+            timings["atpg"] = 0.0
+        else:
+            atpg, timings["atpg"] = self._load_or_run_atpg(config)
+            self._atpg_results[knobs] = atpg
+        initial, timings["detection_matrix"] = self._step(
+            "detection_matrix",
+            stages.build_matrix,
+            self.circuit,
+            tpg_instance,
+            atpg,
+            config,
+            self.simulator,
+            self.packed_evolution,
+        )
+        cover, timings["set_cover"] = self._step(
+            "set_cover", stages.cover, initial, config
+        )
+        trimmed, timings["trim"] = self._step(
+            "trim", stages.trim, initial, cover
+        )
+        result = PipelineResult(
+            circuit_name=self.circuit.name,
+            tpg_name=tpg_instance.name,
+            config=config,
+            atpg=atpg,
+            initial=initial,
+            cover=cover,
+            selected_triplets=[initial.triplets[row] for row in cover.selected],
+            trimmed=trimmed,
+            timings=timings,
+        )
+        if cache is not None:
+            cache.put(key, result.to_dict())
         return RunInfo(result, False, time.perf_counter() - start)
 
     def run(
@@ -584,7 +624,7 @@ class Session:
         config: PipelineConfig | None = None,
         use_cache: bool = True,
     ) -> PipelineResult:
-        """The staged Figure-1 flow for one TPG, with shared artefacts."""
+        """The Figure-1 flow for one TPG, with shared artefacts."""
         return self.run_info(tpg, config, use_cache=use_cache).result
 
     # -- packed patterns ---------------------------------------------------
@@ -626,11 +666,10 @@ class Session:
 
         Semantically identical to ``tpg.evolve_batch(deltas, sigmas,
         length)`` — this is the session's
-        :data:`~repro.reseeding.triplet.EvolveBatch` provider, wired
-        into every flow run's
-        :class:`~repro.flow.stages.StageContext` so Detection Matrix
-        construction and trimming share evolutions across TPG runs and
-        (with a cache attached) across processes.  Keys cover the TPG's
+        :data:`~repro.reseeding.triplet.EvolveBatch` provider, passed to
+        every flow run's :func:`~repro.flow.stages.build_matrix`, so
+        Detection Matrix builds share evolutions across runs and (with a
+        cache attached) across processes.  Keys cover the TPG's
         :meth:`~repro.tpg.base.TestPatternGenerator.cache_token`, the
         exact seed/sigma bank and the shared length, so distinct
         generators can never serve each other's sequences.
@@ -685,6 +724,17 @@ class Session:
             ).hexdigest(),
         )
 
+    def _fault_list(self, faults=None) -> list:
+        """A copy of ``faults``, or of the circuit's collapsed fault
+        list, which is built once per session."""
+        if faults is not None:
+            return list(faults)
+        if self._collapsed is None:
+            from repro.faults.collapse import collapse_faults
+
+            self._collapsed = collapse_faults(self.circuit)
+        return list(self._collapsed)
+
     def fault_dictionary(self, patterns, faults=None):
         """The pass/fail :class:`~repro.diagnosis.dictionary.
         FaultDictionary` for a pattern sequence (cache -> compute).
@@ -693,10 +743,9 @@ class Session:
         dictionary instead of re-simulating patterns x faults.
         """
         from repro.diagnosis.dictionary import FaultDictionary
-        from repro.faults.collapse import collapse_faults
 
         packed = self.packed_patterns(patterns)
-        faults = list(faults) if faults is not None else collapse_faults(self.circuit)
+        faults = self._fault_list(faults)
         key = self._dictionary_key(packed, faults)
         memoized = self._dictionaries.get(key)
         if memoized is not None:
@@ -754,47 +803,82 @@ class Session:
         ``"dictionary"`` (lookup in the cached
         :meth:`fault_dictionary`), ``"signature"`` (MISR bisection,
         optionally against a caller-supplied tester ``oracle``), or
-        ``"multiplet"`` (greedy multiple-fault cover).
-        Effect-cause and signature route through the registered
-        :class:`~repro.flow.stages.DiagnosisStage`, so progress hooks
-        and timings behave like any other stage.
+        ``"multiplet"`` (greedy multiple-fault cover; ``top_k`` bounds
+        the multiplet size).  The candidate universe is ``faults``,
+        else the circuit's collapsed fault list.  All but the dictionary
+        lookup run as one ``diagnosis`` stage: a ``start``/``done``
+        :class:`StageEvent` pair, timed under ``timings["stage"]``.
         """
-        from repro.diagnosis.effect_cause import observed_fail_flags
-        from repro.faults.collapse import collapse_faults
-
-        if method == "dictionary":
-            faults = (
-                list(faults)
-                if faults is not None
-                else collapse_faults(self.circuit)
+        if method not in DIAGNOSE_METHODS:
+            raise ValueError(
+                f"unknown diagnosis method {method!r}; expected one of "
+                + ", ".join(repr(name) for name in DIAGNOSE_METHODS)
             )
-            packed = fail_log.packed(self.circuit.n_inputs)
-            dictionary = self.fault_dictionary(packed, faults)
-            golden = self.golden_responses(packed)
-            flags = observed_fail_flags(golden, fail_log.responses)
-            return dictionary.diagnose(flags, top_k=top_k)
-        from repro.flow.stages import DiagnosisStage, StageContext
-
-        ctx = StageContext(
-            circuit=self.circuit,
-            tpg=None,
-            config=self.config,
-            simulator=self.simulator,
-            progress=self._emit,
-            telemetry=self.telemetry,
+        if method == "dictionary":
+            return self.diagnose_batch([fail_log], faults=faults, top_k=top_k)[0]
+        result, seconds = self._step(
+            "diagnosis",
+            self._diagnose_log,
+            fail_log, method, self._fault_list(faults), top_k, min_window, oracle,
         )
-        ctx.artifacts["fail_log"] = fail_log
-        stage = DiagnosisStage(
-            top_k=top_k,
-            method=method,
-            min_window=min_window,
-            oracle=oracle,
-            faults=faults,
-        )
-        stage.execute(ctx)
-        result = ctx.artifacts["diagnosis"]
-        result.timings.setdefault("stage", ctx.timings.get("diagnosis", 0.0))
+        result.timings.setdefault("stage", seconds)
         return result
+
+    def _diagnose_log(
+        self, fail_log, method, faults, top_k, min_window, oracle
+    ) -> tuple[Any, dict]:
+        """One effect-cause, signature or multiplet diagnosis, and the
+        attrs of its ``diagnosis`` event."""
+        from repro.diagnosis.effect_cause import (
+            diagnose_effect_cause,
+            diagnose_multiplet,
+        )
+
+        patterns = fail_log.packed(self.circuit.n_inputs)
+        if method == "signature":
+            from repro.diagnosis.inject import SimulatedTester
+            from repro.diagnosis.signature import (
+                DEFAULT_MIN_WINDOW,
+                SignatureBisector,
+            )
+            from repro.sim.misr import Misr
+
+            misr = Misr(self.circuit.n_outputs)
+            bisector = SignatureBisector(
+                self.circuit,
+                patterns,
+                misr,
+                min_window=min_window or DEFAULT_MIN_WINDOW,
+                simulator=self.simulator,
+            )
+            result = bisector.diagnose(
+                oracle or SimulatedTester(fail_log, misr),
+                faults=faults,
+                top_k=top_k,
+            )
+        elif method == "multiplet":
+            result = diagnose_multiplet(
+                self.circuit,
+                patterns,
+                fail_log.responses,
+                faults=faults,
+                simulator=self.simulator,
+                max_faults=top_k,
+            )
+        else:
+            result = diagnose_effect_cause(
+                self.circuit,
+                patterns,
+                fail_log.responses,
+                faults=faults,
+                simulator=self.simulator,
+                top_k=top_k,
+            )
+        return result, dict(
+            method=method,
+            n_candidates=len(result.candidates),
+            n_considered=result.n_candidates_considered,
+        )
 
     def diagnose_batch(
         self,
@@ -814,8 +898,8 @@ class Session:
         fail flags are scored in a single vectorised lookup pass
         (:meth:`~repro.diagnosis.dictionary.FaultDictionary.
         diagnose_many`) instead of N serial ones.  Results are
-        per-log **identical** to :meth:`diagnose` — batching is a
-        throughput trick, never a semantics change.  Non-dictionary
+        per-log **identical** to one-log batches, which is how
+        :meth:`diagnose` runs the dictionary method.  Non-dictionary
         methods degrade to per-log :meth:`diagnose` calls.
 
         ``top_k`` may be one int for the whole batch or one per log.
@@ -823,7 +907,6 @@ class Session:
         import numpy as np
 
         from repro.diagnosis.effect_cause import observed_fail_flags
-        from repro.faults.collapse import collapse_faults
 
         fail_logs = list(fail_logs)
         top_ks = (
@@ -840,26 +923,17 @@ class Session:
                 self.diagnose(log, method=method, faults=faults, top_k=k)
                 for log, k in zip(fail_logs, top_ks)
             ]
-        faults = (
-            list(faults) if faults is not None else collapse_faults(self.circuit)
-        )
         # Group logs by their packed-pattern digest; each group pays for
         # packing, golden simulation and the dictionary exactly once.
         groups: dict[str, list[int]] = {}
-        digests: list[str] = []
         for index, log in enumerate(fail_logs):
             packed = log.packed(self.circuit.n_inputs)
-            digest = self._packed_digest(packed)
-            digests.append(digest)
-            groups.setdefault(digest, []).append(index)
+            groups.setdefault(self._packed_digest(packed), []).append(index)
         results: list = [None] * len(fail_logs)
-        for digest, members in groups.items():
+        for members in groups.values():
             packed = fail_logs[members[0]].packed(self.circuit.n_inputs)
             dictionary = self.fault_dictionary(packed, faults)
-            golden = self._golden.get(digest)
-            if golden is None:
-                golden = self.simulator.compiled.simulate_patterns(packed)
-                self._golden[digest] = golden
+            golden = self.golden_responses(packed)
             flags = np.stack(
                 [
                     observed_fail_flags(golden, fail_logs[i].responses)

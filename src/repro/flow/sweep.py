@@ -135,7 +135,7 @@ def sweep(
     sharing with a caller that already did ATPG; missing circuits are
     loaded at ``scale``.  ``workers=N`` fans circuits out over a process
     pool (requires string TPG names); results are bit-identical to the
-    serial path.
+    serial path.  ``workers`` below 1 raises :class:`ValueError`.
 
     Example — the Figure-2 grid, resumable through a cache directory::
 
@@ -157,6 +157,8 @@ def sweep(
         raise ValueError("sweep needs at least one circuit")
     if not tpgs:
         raise ValueError("sweep needs at least one TPG")
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     config_list = _expand_configs(configs, base_config, evolution_lengths)
     tpg_labels = [_tpg_label(t) for t in tpgs]
 

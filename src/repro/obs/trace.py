@@ -177,8 +177,8 @@ STAGE_SECONDS_BUCKETS = (
 def stage_hook(telemetry, inner: Callable | None = None) -> Callable:
     """Bridge a ``StageEvent`` progress stream onto spans and metrics.
 
-    Returns a hook suitable for ``Session(progress=...)`` /
-    ``StageContext.progress``.  For every event it
+    Returns a hook suitable for ``Session(progress=...)``; a session
+    with telemetry enabled installs one itself.  For every event it
 
     * forwards to ``inner`` (the caller's original hook) last, so
       existing progress consumers keep working unchanged;

@@ -136,9 +136,12 @@ def build_detection_matrix(
     machines.  ``workers=N`` (N > 1) opts in to row-parallel
     construction over a process pool whose workers run ``simulator``'s
     class and settings and report their work back into ``simulator``'s
-    counters; the table is identical to the serial one.
+    counters; the table is identical to the serial one.  ``None`` is
+    serial, and a value below 1 raises :class:`ValueError`.
     """
     pattern_sets = packed_test_sets(tpg, triplets, evolve=evolve)
     simulator = simulator or FaultSimulator(circuit)
-    offsets = parallel_detection_rows(simulator, pattern_sets, faults, max(1, workers or 1))
+    offsets = parallel_detection_rows(
+        simulator, pattern_sets, faults, 1 if workers is None else workers
+    )
     return DetectionMatrix.from_offsets(triplets, faults, offsets)

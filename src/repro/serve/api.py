@@ -30,13 +30,14 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.circuits import CATALOG
+from repro.flow.session import DIAGNOSE_METHODS
 from repro.tpg.registry import TPG_REGISTRY
 from repro.utils.bitvec import BitVector
 
-#: Diagnosis engines the /diagnose endpoint accepts.  ``dictionary`` is
-#: the production default and the only method the micro-batcher fuses
-#: across requests; the others run per-request on the same worker.
-DIAGNOSE_METHODS = ("dictionary", "effect_cause", "signature", "multiplet")
+# The /diagnose endpoint accepts every DIAGNOSE_METHODS engine.
+# ``dictionary`` is the production default and the only method the
+# micro-batcher fuses across requests; the others run per-request on the
+# same worker.
 
 
 @dataclass(frozen=True)

@@ -59,6 +59,25 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["frobnicate"])
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["run", "--circuit", "c17"],
+            ["sweep", "--circuits", "c17", "--tpgs", "adder"],
+            ["table2", "--circuits", "c17"],
+        ],
+        ids=["run", "sweep", "table2"],
+    )
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_rejected(self, command, workers, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*command, "--workers", workers])
+        assert exit_info.value.code == 2
+        assert (
+            f"argument --workers: must be >= 1, got {workers}"
+            in capsys.readouterr().err
+        )
+
     def test_missing_required_arg(self):
         with pytest.raises(SystemExit):
             main(["run"])  # --circuit is required

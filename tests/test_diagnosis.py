@@ -396,31 +396,13 @@ class TestMultiplet:
 
 
 class TestFlowIntegration:
-    def test_stage_registered(self):
-        from repro.flow.stages import STAGE_REGISTRY, make_stage
+    def test_stage_rejects_unknown_method(self, c17):
+        from repro.flow.session import Session
 
-        assert "diagnosis" in STAGE_REGISTRY.names()
-        stage = make_stage("diagnosis")
-        assert stage.requires == ("fail_log",)
-        assert stage.provides == ("diagnosis",)
-
-    def test_stage_requires_fail_log(self, c17):
-        from repro.flow.pipeline import PipelineConfig
-        from repro.flow.stages import DiagnosisStage, StageContext
-        from repro.sim.fault import FaultSimulator
-
-        ctx = StageContext(
-            circuit=c17, tpg=None, config=PipelineConfig(),
-            simulator=FaultSimulator(c17),
-        )
-        with pytest.raises(ValueError, match="fail_log"):
-            DiagnosisStage().execute(ctx)
-
-    def test_stage_rejects_unknown_method(self):
-        from repro.flow.stages import DiagnosisStage
-
+        patterns = _random_patterns(c17, 8, "voodoo")
+        log = make_fail_log(c17, patterns, collapse_faults(c17)[0])
         with pytest.raises(ValueError, match="unknown diagnosis method"):
-            DiagnosisStage(method="voodoo")
+            Session(c17).diagnose(log, method="voodoo")
 
     def test_session_diagnose_effect_cause(self, tmp_path):
         from repro.flow.session import Session
@@ -560,6 +542,36 @@ class TestDiagnoseMany:
         ]
         for got, want in zip(batched, serial):
             assert encode(got) == encode(want)
+
+    def test_session_collapses_the_fault_list_once(self, monkeypatch):
+        import repro.faults.collapse as collapse
+        from repro.flow.session import Session
+
+        session = Session.from_name("c17")
+        circuit = session.circuit
+        faults = collapse_faults(circuit)
+        patterns = _random_patterns(circuit, 16, "memo")
+        detected = session.simulator.detected(patterns, faults)
+        logs = [
+            make_fail_log(circuit, patterns, fault, session.simulator.compiled)
+            for fault, flag in zip(faults, detected)
+            if flag
+        ][:2]
+        calls = []
+
+        def counted(circuit):
+            calls.append(circuit.name)
+            return collapse_faults(circuit)
+
+        monkeypatch.setattr(collapse, "collapse_faults", counted)
+        results = [session.diagnose_batch(logs, top_k=3) for _ in range(3)]
+        assert calls == ["c17"]
+        assert [encode(r) for r in results[0]] == [encode(r) for r in results[2]]
+        # Callers get copies: mutating one leaves the session's list intact.
+        session._fault_list().clear()
+        assert session._fault_list() == faults
+        assert session.diagnose(logs[0], method="dictionary", top_k=3)
+        assert calls == ["c17"]
 
     def test_session_diagnose_batch_non_dictionary_degrades(self, tmp_path):
         from repro.flow.session import Session

@@ -10,20 +10,13 @@ from repro.circuits import load_circuit
 from repro.flow.pipeline import PipelineConfig, PipelineResult
 from repro.flow.serialize import SCHEMA_VERSION, SchemaMismatchError, decode, encode
 from repro.flow.session import ArtifactCache, Session
-from repro.flow.stages import (
-    DEFAULT_STAGES,
-    StageContext,
-    StageEvent,
-    make_stage,
-    run_flow,
-    stage_names,
-)
+from repro.flow.stages import StageEvent
 from repro.obs import Telemetry
-from repro.sim.fault import FaultSimulator
-from repro.tpg import make_tpg
-from repro.utils.registry import UnknownComponentError
 
 CONFIG = PipelineConfig(evolution_length=8, max_random_patterns=128)
+
+#: The flow's stage names, in the order a run reports them.
+FIGURE_1 = ("atpg", "detection_matrix", "set_cover", "trim")
 
 
 @pytest.fixture(scope="module")
@@ -38,40 +31,13 @@ def baseline(c17):
 
 
 class TestStages:
-    def test_registry_contents(self):
-        # The default Figure-1 chain plus the off-chain diagnosis stage.
-        assert set(stage_names()) == set(DEFAULT_STAGES) | {"diagnosis"}
-        assert [n for n in stage_names() if n != "diagnosis"] == list(
-            DEFAULT_STAGES
-        )
-
-    def test_unknown_stage_rejected(self):
-        with pytest.raises(UnknownComponentError, match="unknown stage"):
-            make_stage("atgp")
-
-    def test_unknown_stage_suggests(self):
-        with pytest.raises(UnknownComponentError, match="did you mean"):
-            make_stage("atgp")
-
-    def test_run_flow_matches_pipeline(self, c17, baseline):
-        ctx = StageContext(
-            circuit=c17,
-            tpg=make_tpg("adder", c17.n_inputs),
-            config=CONFIG,
-            simulator=FaultSimulator(c17),
-        )
-        result = run_flow(ctx)
-        assert result.n_triplets == baseline.n_triplets
-        assert result.test_length == baseline.test_length
-        assert result.selected_triplets == baseline.selected_triplets
-
     def test_progress_events(self, c17):
         events: list[StageEvent] = []
         Session(c17, CONFIG, progress=events.append).run("adder")
         stages = [e.stage for e in events if e.status == "start"]
-        assert stages == list(DEFAULT_STAGES)
+        assert stages == list(FIGURE_1)
         done = [e.stage for e in events if e.status == "done"]
-        assert done == list(DEFAULT_STAGES)
+        assert done == list(FIGURE_1)
         assert all(e.seconds >= 0 for e in events)
 
     def test_cold_run_reports_each_stage_once(self, c17):
@@ -82,7 +48,7 @@ class TestStages:
         ).run("adder")
         assert [(e.stage, e.status) for e in events] == [
             (stage, status)
-            for stage in DEFAULT_STAGES
+            for stage in FIGURE_1
             for status in ("start", "done")
         ]
         atpg_spans = [s for s in telemetry.tracer.roots if s.name == "flow.atpg"]
@@ -129,30 +95,6 @@ class TestStages:
         statuses = {e.stage: e.status for e in events if e.status != "start"}
         assert statuses["atpg"] == "skipped"
         assert statuses["trim"] == "done"
-
-    def test_missing_requirement_rejected(self, c17):
-        ctx = StageContext(
-            circuit=c17,
-            tpg=make_tpg("adder", c17.n_inputs),
-            config=CONFIG,
-            simulator=FaultSimulator(c17),
-        )
-        with pytest.raises(ValueError, match="missing required artifacts"):
-            make_stage("set_cover").execute(ctx)
-
-    def test_partial_flow_resumes_from_artifacts(self, c17, baseline):
-        """Seeding upstream artefacts lets a flow start mid-chain."""
-        ctx = StageContext(
-            circuit=c17,
-            tpg=make_tpg("adder", c17.n_inputs),
-            config=CONFIG,
-            simulator=FaultSimulator(c17),
-        )
-        ctx.artifacts["atpg"] = baseline.atpg
-        ctx.artifacts["initial"] = baseline.initial
-        result = run_flow(ctx, ["set_cover", "trim"])
-        assert result.n_triplets == baseline.n_triplets
-        assert result.test_length == baseline.test_length
 
 
 class TestSerialization:
@@ -458,6 +400,17 @@ class TestArtifactCacheRobustness:
 
 
 class TestSession:
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_matrix_workers_below_one_rejected(self, c17, baseline, workers):
+        """The matrix build raises before it starts a pool; it does not
+        fall back to a serial build."""
+        from dataclasses import replace
+
+        config = replace(CONFIG, matrix_workers=workers)
+        session = Session(c17, config, atpg_result=baseline.atpg)
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            session.run("adder")
+
     def test_session_matches_pipeline(self, c17, baseline):
         session = Session(c17, config=CONFIG)
         result = session.run("adder")
@@ -663,11 +616,11 @@ class TestPackedEvolutionCache:
         assert session._evolution_key(other, deltas, sigmas, 16) != base
 
     def test_session_run_populates_evolution_memo(self, c17):
-        """A flow run through the session routes Matrix/Trim evolution
-        through packed_evolution (the StageContext wiring)."""
+        """A flow run through the session routes the Detection Matrix
+        build's evolution through packed_evolution."""
         session = Session(c17, config=CONFIG)
         session.run("adder")
-        assert session._evolutions  # matrix + trim banks memoized
+        assert session._evolutions  # the matrix bank is memoized
 
     def test_uniform_solution_packed_patterns(self, c17, baseline):
         import numpy as np

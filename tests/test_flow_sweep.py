@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import importlib
+
 import pytest
 
 from repro.flow.pipeline import PipelineConfig
@@ -52,6 +54,19 @@ class TestSweepGrid:
             o.config.max_random_patterns == CONFIG.max_random_patterns
             for o in grid
         )
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected(self, workers, monkeypatch):
+        # ``repro.flow.sweep`` the attribute is the function; the module
+        # is what holds the pool class.
+        sweep_mod = importlib.import_module("repro.flow.sweep")
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(sweep_mod, "ProcessPoolExecutor", no_pool)
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            sweep(CIRCUITS, TPGS, configs=[CONFIG], workers=workers)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
