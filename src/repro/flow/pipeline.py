@@ -12,8 +12,8 @@ This module holds the flow's configuration and its result: a
 intermediate artefact — Table 1 reads the final solution, Table 2 the
 matrix/reduction statistics) out.  :class:`repro.flow.session.Session`
 runs the flow for one circuit (ATPG, then the step functions of
-:mod:`repro.flow.stages`) and builds the result; :func:`repro.flow.sweep.
-sweep` runs batch grids.
+:mod:`repro.flow.stages`) and builds the result;
+:func:`repro.flow.sweep.sweep` runs batch grids.
 """
 
 from __future__ import annotations

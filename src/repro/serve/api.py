@@ -34,10 +34,9 @@ from repro.flow.session import DIAGNOSE_METHODS
 from repro.tpg.registry import TPG_REGISTRY
 from repro.utils.bitvec import BitVector
 
-# The /diagnose endpoint accepts every DIAGNOSE_METHODS engine.
-# ``dictionary`` is the production default and the only method the
-# micro-batcher fuses across requests; the others run per-request on the
-# same worker.
+# /diagnose accepts every Session.diagnose method.  ``dictionary`` is the
+# production default and the only method the micro-batcher fuses across
+# requests; the others run per-request on the same worker.
 
 
 @dataclass(frozen=True)
