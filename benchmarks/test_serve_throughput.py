@@ -5,18 +5,19 @@ one BIST pattern sequence on ``c880``, many failing dies, each die's
 fail log POSTed to ``/diagnose`` with the shared content-addressed
 ``patterns_ref``.  Two traffic regimes over the same request set:
 
-* **baseline** — batching disabled (zero window, ``max_batch=1``), one
-  client sending one request at a time: every log pays the full
-  HTTP + parse + dispatch + compute round trip serially;
-* **batched** — a 25 ms window, ``max_batch=32``, 32 concurrent client
-  threads: the micro-batcher fuses each wave into one vectorised
-  dictionary pass.
+* **baseline** — fusing disabled (``max_batch=1``), one client sending
+  one request at a time: every log pays the full HTTP + parse +
+  dispatch + compute round trip serially;
+* **batched** — the serve defaults, 32 concurrent client threads: the
+  work-conserving micro-batcher fuses the requests queued while a
+  group computes into the next vectorised dictionary pass.
 
 Two tiers, like the other throughput benchmarks:
 
 * the always-on record test runs a reduced workload on ``c499`` in
   both regimes and checks they give the same answers and that the
-  batched one fuses requests;
+  batched one fuses requests (its first wave is parked behind a held
+  compute thread, so the fusing is deterministic);
 * the slow-marked floor test runs the full ``c880`` soak and asserts
   batched throughput stays **>= 2x** the one-at-a-time baseline
   (measured ~8-12x on the reference container), after checking every
@@ -25,7 +26,9 @@ Two tiers, like the other throughput benchmarks:
 
 from __future__ import annotations
 
+import contextlib
 import statistics
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -55,11 +58,6 @@ FLOOR_CIRCUIT = "c880"
 FLOOR_PATTERNS = 256
 FLOOR_REQUESTS = 96
 FLOOR_CLIENTS = 32
-
-#: Batched regime knobs (the serve defaults, window widened a little so
-#: full waves of FLOOR_CLIENTS requests fuse).
-BATCH_WINDOW_MS = 25.0
-MAX_BATCH = 32
 
 #: Required batched-vs-serial advantage (measured ~8-12x on the
 #: reference container; 2x is the acceptance floor).
@@ -91,19 +89,40 @@ def _traffic(circuit_name: str, n_patterns: int, n_requests: int):
     return tuple(p.to_string() for p in patterns), responses
 
 
+@contextlib.contextmanager
+def _held_compute(server: BackgroundServer, arrivals: int):
+    """Park the server's single compute thread on an Event until
+    ``arrivals`` requests have reached the batcher (a bounded liveness
+    wait, not a timing gate), so they queue up and fuse on release —
+    the same hold as the ``_HeldCompute`` helper in tests/test_serve.py."""
+    gate = threading.Event()
+    parked = server.server._executor.submit(gate.wait)
+    try:
+        yield
+        batcher = server.server.batcher
+        deadline = time.monotonic() + 30.0
+        while batcher.stats()["submitted"] < arrivals:
+            assert time.monotonic() < deadline, f"{arrivals} arrivals never came"
+            time.sleep(0.001)
+    finally:
+        gate.set()
+        parked.result(timeout=30)
+
+
 def _soak(
     circuit_name: str,
     patterns_text,
     responses,
     *,
-    window_ms: float,
-    max_batch: int,
     n_clients: int,
+    max_batch: int = ServeConfig.max_batch,
+    hold: bool = False,
 ):
-    """One traffic regime: returns (metrics dict, served result JSONs)."""
+    """One traffic regime: returns (metrics dict, served result JSONs).
+    ``hold`` parks the first wave of ``n_clients`` requests behind the
+    compute thread (see :func:`_held_compute`)."""
     config = ServeConfig(
         port=0,
-        batch_window_ms=window_ms,
         max_batch=max_batch,
         max_queue=max(512, 4 * len(responses)),
     )
@@ -136,7 +155,13 @@ def _soak(
             served = [one_request(i) for i in range(len(responses))]
         else:
             with ThreadPoolExecutor(max_workers=n_clients) as pool:
-                served = list(pool.map(one_request, range(len(responses))))
+                with (
+                    _held_compute(server, 1 + n_clients)
+                    if hold
+                    else contextlib.nullcontext()
+                ):
+                    waves = pool.map(one_request, range(len(responses)))
+                served = list(waves)
         wall_s = time.perf_counter() - start
         with ServeClient(server.host, server.port) as client:
             batcher = client.stats()["batcher"]
@@ -144,7 +169,6 @@ def _soak(
     metrics = {
         "n_requests": len(served),
         "n_clients": n_clients,
-        "window_ms": window_ms,
         "max_batch": max_batch,
         "wall_seconds": round(wall_s, 4),
         "logs_per_sec": round(len(served) / wall_s, 1),
@@ -164,12 +188,11 @@ def test_record_batched_vs_serial():
     )
     serial, serial_results = _soak(
         RECORD_CIRCUIT, patterns_text, responses,
-        window_ms=0.0, max_batch=1, n_clients=1,
+        max_batch=1, n_clients=1,
     )
     batched, batched_results = _soak(
         RECORD_CIRCUIT, patterns_text, responses,
-        window_ms=BATCH_WINDOW_MS, max_batch=MAX_BATCH,
-        n_clients=RECORD_CLIENTS,
+        n_clients=RECORD_CLIENTS, hold=True,
     )
     assert batched_results == serial_results  # same answers, any regime
     assert batched["max_batch_occupancy"] > 1
@@ -188,12 +211,10 @@ def test_batched_throughput_floor():
     )
     serial, serial_results = _soak(
         FLOOR_CIRCUIT, patterns_text, responses,
-        window_ms=0.0, max_batch=1, n_clients=1,
+        max_batch=1, n_clients=1,
     )
     batched, batched_results = _soak(
-        FLOOR_CIRCUIT, patterns_text, responses,
-        window_ms=BATCH_WINDOW_MS, max_batch=MAX_BATCH,
-        n_clients=FLOOR_CLIENTS,
+        FLOOR_CIRCUIT, patterns_text, responses, n_clients=FLOOR_CLIENTS,
     )
     # Every one of the >= 32 concurrent requests succeeded, nothing was
     # shed, and batching never changed an answer.

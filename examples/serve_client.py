@@ -5,8 +5,9 @@ A tester farm applies one BIST program to thousands of dies; each
 failing die yields a fail log that needs a diagnosis.  ``repro serve``
 turns the flow layer into that service: an asyncio HTTP worker that
 *micro-batches* concurrent ``POST /diagnose`` requests — logs applying
-the same pattern sequence are fused into one vectorised
-fault-dictionary lookup pass — and answers each request with a payload
+the same pattern sequence that queue up while a group computes fuse
+into the next group, one vectorised fault-dictionary lookup pass;
+nothing is held — and answers each request with a payload
 byte-identical to a local ``Session.diagnose()``.
 
 This example hosts a worker in-process (:class:`BackgroundServer` —
@@ -72,7 +73,6 @@ def main() -> int:
     parser.add_argument("--patterns", type=int, default=64)
     parser.add_argument("--requests", type=int, default=24)
     parser.add_argument("--clients", type=int, default=8)
-    parser.add_argument("--batch-window-ms", type=float, default=25.0)
     args = parser.parse_args()
 
     print(
@@ -87,7 +87,6 @@ def main() -> int:
 
     config = ServeConfig(
         port=0,
-        batch_window_ms=args.batch_window_ms,
         max_batch=max(args.clients, 2),
     )
     with BackgroundServer(config) as server:

@@ -397,12 +397,14 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    """``repro serve`` — BIST diagnosis as a batching HTTP service.
+    """``repro serve`` — BIST diagnosis as a batching HTTP service:
+    requests queued while a group computes fuse into the next group
+    (up to ``--max-batch``); nothing is held.
 
     Examples::
 
         python -m repro serve --port 8731 --store .repro-store
-        python -m repro serve --host 0.0.0.0 --batch-window-ms 25 --max-batch 64
+        python -m repro serve --host 0.0.0.0 --max-batch 64
         curl localhost:8731/metrics   # Prometheus text, always served
 
     Stop with SIGTERM (or Ctrl-C): the worker drains — finishes every
@@ -414,7 +416,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         ServeConfig(
             host=args.host,
             port=args.port,
-            batch_window_ms=args.batch_window_ms,
             max_batch=args.max_batch,
             max_queue=args.max_queue,
             timeout_ms=args.timeout_ms,
@@ -688,16 +689,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--port", type=int, default=8731, help="TCP port (0 for ephemeral)"
     )
     serve.add_argument(
-        "--batch-window-ms",
-        type=float,
-        default=10.0,
-        help="how long to hold a request for batch companions (default 10)",
-    )
-    serve.add_argument(
         "--max-batch",
         type=int,
         default=32,
-        help="most requests fused into one compute pass (default 32)",
+        help="most requests fused into one compute pass; requests queued "
+        "while a group computes fuse into the next (default 32)",
     )
     serve.add_argument(
         "--max-queue",

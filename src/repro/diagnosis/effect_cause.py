@@ -48,19 +48,24 @@ from repro.diagnosis.result import (
 from repro.faults.collapse import collapse_faults, equivalence_classes
 from repro.faults.model import Fault, effective_reader_count
 from repro.sim.batch import BatchFaultSimulator
-from repro.utils.bitvec import BitVector, PackedPatterns, as_packed, unpack_words
+from repro.utils.bitvec import (
+    BitVector,
+    PackedPatterns,
+    as_packed,
+    unpack_words,
+    vector_words,
+)
 
 def observed_fail_flags(
     golden: Sequence[BitVector], observed: Sequence[BitVector]
 ) -> np.ndarray:
-    """Per-pattern fail flags: observed response differs from golden."""
+    """Per-pattern fail flags: observed response differs from golden
+    (both sides packed by :func:`~repro.utils.bitvec.vector_words`)."""
     if len(golden) != len(observed):
         raise ValueError(
             f"golden/observed length mismatch: {len(golden)} vs {len(observed)}"
         )
-    return np.array(
-        [g != o for g, o in zip(golden, observed)], dtype=bool
-    )
+    return vector_words(golden) != vector_words(observed)
 
 
 def fault_representatives(circuit: Circuit) -> dict[Fault, Fault]:

@@ -378,6 +378,8 @@ class Session:
         #: The circuit's collapsed fault list, built on first use: the
         #: default candidate universe of every diagnosis.
         self._collapsed: list | None = None
+        #: Its digest (the dictionary key's ``faults`` part), also once.
+        self._collapsed_digest: str | None = None
         if atpg_result is not None:
             self._atpg_results[self._atpg_knobs(self.config)] = atpg_result
         self._fingerprint: str | None = None
@@ -711,18 +713,27 @@ class Session:
 
     # -- diagnosis ---------------------------------------------------------
 
-    def _dictionary_key(self, packed, faults) -> str:
+    def _dictionary_key(self, packed, faults=None) -> str:
         """Dictionary cache key: the exact (packed) pattern sequence
-        and fault list on this exact netlist."""
+        and fault list (None: the collapsed list) on this exact netlist."""
         return ArtifactCache.key(
             "fault_dictionary",
             circuit=self.name,
             netlist=self.circuit_fingerprint,
             patterns=self._packed_digest(packed),
-            faults=hashlib.sha256(
-                "\n".join(str(f) for f in faults).encode()
-            ).hexdigest(),
+            faults=self._faults_digest(faults),
         )
+
+    def _faults_digest(self, faults=None) -> str:
+        """SHA-256 of a fault list's text; the collapsed list's (None)
+        is computed once per session."""
+        if faults is not None:
+            return hashlib.sha256(
+                "\n".join(str(f) for f in faults).encode()
+            ).hexdigest()
+        if self._collapsed_digest is None:
+            self._collapsed_digest = self._faults_digest(self._fault_list())
+        return self._collapsed_digest
 
     def _fault_list(self, faults=None) -> list:
         """A copy of ``faults``, or of the circuit's collapsed fault
@@ -745,7 +756,8 @@ class Session:
         from repro.diagnosis.dictionary import FaultDictionary
 
         packed = self.packed_patterns(patterns)
-        faults = self._fault_list(faults)
+        if faults is not None:
+            faults = list(faults)
         key = self._dictionary_key(packed, faults)
         memoized = self._dictionaries.get(key)
         if memoized is not None:
@@ -765,7 +777,7 @@ class Session:
                 return dictionary
         start = time.perf_counter()
         dictionary = FaultDictionary.build(
-            self.circuit, packed, faults, simulator=self.simulator
+            self.circuit, packed, self._fault_list(faults), simulator=self.simulator
         )
         self._emit(
             StageEvent("dictionary", "done", time.perf_counter() - start)

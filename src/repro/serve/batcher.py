@@ -1,23 +1,23 @@
-"""Request micro-batching: hold, fuse, dispatch.
+"""Request micro-batching: queue, fuse, dispatch when compute is free.
 
 The compute engines underneath the service are word/fault-parallel —
 one :class:`~repro.diagnosis.dictionary.FaultDictionary` lookup pass
 scores a whole batch of fail logs for barely more than one (PRs 1/4/6
-established the same trick along the fault axis).  The server therefore
-does not process requests as they arrive: :class:`MicroBatcher` holds
-concurrent requests for a bounded window (``--batch-window-ms``), caps
-the batch (``--max-batch``), fuses same-group requests (same circuit,
-scale, pattern set, method) and hands each fused group to the compute
-executor in one call.
+established the same trick along the fault axis).  :class:`MicroBatcher`
+is work-conserving: whenever compute is free, its worker takes
+everything already queued (capped at ``--max-batch``), fuses same-group
+requests (same circuit, scale, pattern set, method) and hands each
+fused group to the compute executor in one call.  Requests queued while
+a group computes fuse into the next group; nothing is held, so an idle
+server answers at once and a loaded one batches by itself.
 
 Robustness contract:
 
 * **bounded queue** — ``submit`` raises :class:`QueueFullError` once
   ``max_queue`` requests are pending; the server maps that to ``429`` +
   ``Retry-After`` (load shedding beats collapse);
-* **deadline propagation** — every work item carries its deadline; the
-  window never waits past the earliest deadline in the forming batch,
-  and items that expire while queued are failed with
+* **deadline propagation** — every work item carries its deadline;
+  items that expire while queued are failed at dispatch with
   :class:`DeadlineExceededError` (``504``) instead of burning compute;
 * **graceful drain** — :meth:`close` stops intake, then the worker
   finishes everything already queued before the batcher reports
@@ -66,15 +66,15 @@ _SENTINEL = object()
 
 @dataclass
 class MicroBatcher:
-    """Bounded-window, bounded-size, deadline-aware request fuser.
+    """Work-conserving, bounded-size, deadline-aware request fuser.
 
     ``process`` is an async callable receiving one *group* (a list of
     :class:`PendingWork` sharing ``group_key``); it must resolve every
-    item's future.  Groups from one window are dispatched back to back.
+    item's future.  Groups taken off the queue together are dispatched
+    back to back.
     """
 
     process: Callable[[list[PendingWork]], Awaitable[None]]
-    window_s: float = 0.010
     max_batch: int = 32
     max_queue: int = 256
     #: The :class:`repro.obs.MetricsRegistry` holding the batcher's
@@ -182,42 +182,18 @@ class MicroBatcher:
     # -- worker ------------------------------------------------------------
 
     async def _run(self) -> None:
-        loop = asyncio.get_running_loop()
+        # close() queues the sentinel behind every accepted request, so
+        # reaching it means the queue has drained.
         stopping = False
         while not stopping:
-            first = await self._queue.get()
-            if first is _SENTINEL:
-                break
-            batch = [first]
-            flush_by = loop.time() + self.window_s
-            while len(batch) < self.max_batch:
-                wait = min(flush_by, min(w.deadline for w in batch)) - loop.time()
-                if wait <= 0:
-                    break
-                try:
-                    item = await asyncio.wait_for(self._queue.get(), wait)
-                except asyncio.TimeoutError:
-                    break
-                if item is _SENTINEL:
-                    stopping = True
-                    break
-                batch.append(item)
-            await self._dispatch(batch)
-        # Drain: everything accepted before close() gets processed.
-        leftovers: list[PendingWork] = []
-        while True:
-            try:
-                item = self._queue.get_nowait()
-            except asyncio.QueueEmpty:
-                break
-            if item is not _SENTINEL:
-                leftovers.append(item)
-        while leftovers:
-            chunk, leftovers = (
-                leftovers[: self.max_batch],
-                leftovers[self.max_batch :],
-            )
-            await self._dispatch(chunk)
+            batch = [await self._queue.get()]
+            while len(batch) < self.max_batch and not self._queue.empty():
+                batch.append(self._queue.get_nowait())
+            if batch[-1] is _SENTINEL:
+                batch.pop()
+                stopping = True
+            if batch:
+                await self._dispatch(batch)
 
     async def _dispatch(self, batch: list[PendingWork]) -> None:
         loop = asyncio.get_running_loop()

@@ -36,8 +36,7 @@ def run(config: ServeConfig | None = None) -> int:
         await server.start()
         print(
             f"repro serve listening on http://{server.host}:{server.port} "
-            f"(window {config.batch_window_ms:g} ms, max batch "
-            f"{config.max_batch}, max queue {config.max_queue})",
+            f"(max batch {config.max_batch}, max queue {config.max_queue})",
             flush=True,
         )
         await server.serve_until(stop)

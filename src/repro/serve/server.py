@@ -4,9 +4,12 @@ Request path for the hot endpoint (``POST /diagnose``)::
 
     connection task --> parse + validate (event loop, cheap)
         --> MicroBatcher.submit (bounded queue, 429 on overflow)
-            --> window closes --> group by (circuit, scale, ref, method)
+            --> compute free --> group by (circuit, scale, ref, method)
                 --> ThreadPoolExecutor(1): Session.diagnose_batch
                     --> futures resolved --> responses written
+
+Requests queued while a group computes fuse into the next group;
+nothing is held.
 
 All compute runs on **one** worker thread: the engines underneath are
 word/fault/request-parallel (NumPy releases the GIL), so one thread
@@ -83,10 +86,8 @@ class ServeConfig:
 
     host: str = "127.0.0.1"
     port: int = 8731
-    #: How long the batcher holds the first request of a window, waiting
-    #: for companions to fuse with (0 disables batching).
-    batch_window_ms: float = 10.0
-    #: Most requests fused into one compute pass.
+    #: Most requests fused into one compute pass: requests queued while
+    #: a group computes fuse into the next group; nothing is held.
     max_batch: int = 32
     #: Bounded request queue; beyond this, shed with 429 + Retry-After.
     max_queue: int = 256
@@ -153,7 +154,6 @@ class ReproServer:
             self.store.attach_metrics(self.telemetry.metrics)
         self.batcher = MicroBatcher(
             process=self._process_group,
-            window_s=self.config.batch_window_ms / 1000.0,
             max_batch=self.config.max_batch,
             max_queue=self.config.max_queue,
             metrics=self.telemetry.metrics,
@@ -377,11 +377,10 @@ class ReproServer:
         try:
             self.batcher.submit(work)
         except QueueFullError as exc:
-            retry = max(1, round(self.config.batch_window_ms / 1000.0 * 2) or 1)
             return (
                 429,
-                self._error_body(429, str(exc), retry_after=float(retry)),
-                (("Retry-After", str(retry)),),
+                self._error_body(429, str(exc), retry_after=1.0),
+                (("Retry-After", "1"),),
             )
         except BatcherClosedError as exc:
             return 503, self._error_body(503, str(exc)), ()
@@ -691,7 +690,6 @@ class ReproServer:
                 "uptime_s": round(uptime, 3),
                 "draining": self._draining,
                 "open_connections": len(self._conn_tasks),
-                "batch_window_ms": self.config.batch_window_ms,
                 "max_batch": self.config.max_batch,
                 "max_queue": self.config.max_queue,
             },

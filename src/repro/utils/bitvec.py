@@ -780,3 +780,11 @@ def as_planes(patterns: PlanesLike, width: int) -> PackedPlanes:
 def ints_to_bitvectors(values: Iterable[int], width: int) -> list[BitVector]:
     """Convenience: wrap integers as width-``width`` bit vectors."""
     return [BitVector(v, width) for v in values]
+
+
+def vector_words(vectors: Sequence[BitVector]) -> np.ndarray:
+    """Each vector packed into one integer word: its value with a marker
+    bit set just above its width, so two words are equal exactly when
+    the vectors are.  An object array (widths past 64 bits need no
+    second path): whole sequences compare in one numpy call."""
+    return np.array([v._value | 1 << v._width for v in vectors], dtype=object)

@@ -78,6 +78,13 @@ class TestCli:
             in capsys.readouterr().err
         )
 
+    def test_serve_batch_window_flag_removed(self, capsys):
+        """The batcher holds nothing, so there is no window to set."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--batch-window-ms", "10"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --batch-window-ms" in capsys.readouterr().err
+
     def test_missing_required_arg(self):
         with pytest.raises(SystemExit):
             main(["run"])  # --circuit is required

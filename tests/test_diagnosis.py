@@ -256,6 +256,33 @@ class TestFaultDictionary:
 
 
 class TestEffectCause:
+    @given(
+        pairs=st.lists(
+            st.tuples(
+                st.integers(1, 130),  # past one 64-bit word
+                st.integers(0, 2**130 - 1),
+                st.integers(0, 2),  # 0: equal, 1: value flip, 2: width
+            ),
+            max_size=40,
+        )
+    )
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_fail_flags_match_elementwise_compare(self, pairs):
+        golden, observed = [], []
+        for width, value, change in pairs:
+            g = BitVector(value, width)
+            golden.append(g)
+            observed.append(
+                [g, BitVector(value ^ 1, width), BitVector(value, width + 1)][change]
+            )
+        flags = observed_fail_flags(golden, observed)
+        assert flags.dtype == bool
+        assert flags.tolist() == [g != o for g, o in zip(golden, observed)]
+
+    def test_fail_flags_reject_length_mismatch(self):
+        with pytest.raises(ValueError, match="length mismatch"):
+            observed_fail_flags([BitVector(1, 2)], [])
+
     @pytest.mark.parametrize("name", ["c17", "s27"])
     def test_injected_fault_ranks_first(self, name):
         circuit = load_circuit(name)
@@ -572,6 +599,49 @@ class TestDiagnoseMany:
         assert session._fault_list() == faults
         assert session.diagnose(logs[0], method="dictionary", top_k=3)
         assert calls == ["c17"]
+
+    def test_session_digests_the_fault_list_once(self, monkeypatch):
+        import hashlib
+
+        from repro.flow.session import ArtifactCache, Session
+
+        session = Session.from_name("c17")
+        circuit = session.circuit
+        faults = collapse_faults(circuit)
+        patterns = _random_patterns(circuit, 16, "digest")
+        detected = session.simulator.detected(patterns, faults)
+        logs = [
+            make_fail_log(circuit, patterns, fault, session.simulator.compiled)
+            for fault, flag in zip(faults, detected)
+            if flag
+        ][:2]
+        calls = []
+        to_text = Fault.__str__
+
+        def counted(fault):
+            calls.append(fault)
+            return to_text(fault)
+
+        monkeypatch.setattr(Fault, "__str__", counted)
+        results = [session.diagnose_batch(logs, top_k=3) for _ in range(3)]
+        assert len(calls) == len(faults)  # one pass, not one per call
+        assert [encode(r) for r in results[0]] == [encode(r) for r in results[2]]
+        monkeypatch.undo()
+        # The key is byte-identical to the one caches were written under.
+        packed = session.packed_patterns(patterns)
+        assert session._dictionary_key(packed) == ArtifactCache.key(
+            "fault_dictionary",
+            circuit=session.name,
+            netlist=session.circuit_fingerprint,
+            patterns=session._packed_digest(packed),
+            faults=hashlib.sha256(
+                "\n".join(str(f) for f in faults).encode()
+            ).hexdigest(),
+        )
+        assert list(session._dictionaries) == [session._dictionary_key(packed)]
+        assert session._dictionary_key(packed, faults) == session._dictionary_key(
+            packed
+        )
 
     def test_session_diagnose_batch_non_dictionary_degrades(self, tmp_path):
         from repro.flow.session import Session

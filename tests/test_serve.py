@@ -4,8 +4,8 @@ Three layers, tested bottom-up:
 
 * :mod:`repro.serve.http11` — request parsing and response framing
   against hand-built byte streams;
-* :mod:`repro.serve.batcher` — window/size/deadline semantics with a
-  stub process callback (no sockets, no compute);
+* :mod:`repro.serve.batcher` — fusing/size/deadline semantics with a
+  stub process callback (no sockets, no compute, no sleeps);
 * the live :class:`~repro.serve.server.ReproServer` — a real listening
   socket on an ephemeral port, driven by :class:`~repro.serve.client.
   ServeClient`, including the acceptance contracts: served diagnosis
@@ -180,14 +180,12 @@ class TestMicroBatcher:
         groups = []
 
         async def main():
-            batcher = MicroBatcher(
-                process=_echo_process(groups), window_s=0.05, max_batch=8
-            )
-            batcher.start()
+            batcher = MicroBatcher(process=_echo_process(groups), max_batch=8)
             loop = asyncio.get_running_loop()
             works = [_work(loop, i) for i in range(4)]
-            for work in works:
+            for work in works:  # queued before the worker exists
                 batcher.submit(work)
+            batcher.start()
             results = await asyncio.gather(*(w.future for w in works))
             await batcher.close()
             return results
@@ -199,14 +197,12 @@ class TestMicroBatcher:
         groups = []
 
         async def main():
-            batcher = MicroBatcher(
-                process=_echo_process(groups), window_s=5.0, max_batch=2
-            )
-            batcher.start()
+            batcher = MicroBatcher(process=_echo_process(groups), max_batch=2)
             loop = asyncio.get_running_loop()
             works = [_work(loop, i) for i in range(5)]
             for work in works:
                 batcher.submit(work)
+            batcher.start()
             await asyncio.gather(*(w.future for w in works))
             await batcher.close()
 
@@ -217,25 +213,52 @@ class TestMicroBatcher:
         groups = []
 
         async def main():
-            batcher = MicroBatcher(
-                process=_echo_process(groups), window_s=0.05, max_batch=8
-            )
-            batcher.start()
+            batcher = MicroBatcher(process=_echo_process(groups), max_batch=8)
             loop = asyncio.get_running_loop()
             works = [_work(loop, i, group=f"g{i % 2}") for i in range(4)]
             for work in works:
                 batcher.submit(work)
+            batcher.start()
             await asyncio.gather(*(w.future for w in works))
             await batcher.close()
 
         asyncio.run(main())
         assert sorted(sorted(g) for g in groups) == [[0, 2], [1, 3]]
 
+    def test_work_queued_during_compute_fuses_into_next_group(self):
+        """Nothing is held: A dispatches alone at once, and B, C, D —
+        queued while A computes — fuse into exactly one next group."""
+        groups = []
+
+        async def main():
+            computing, release = asyncio.Event(), asyncio.Event()
+            echo = _echo_process(groups)
+
+            async def process(group):
+                if group[0].payload == "A":
+                    computing.set()
+                    await release.wait()
+                await echo(group)
+
+            batcher = MicroBatcher(process=process, max_batch=8)
+            batcher.start()
+            loop = asyncio.get_running_loop()
+            first = _work(loop, "A")
+            batcher.submit(first)
+            await computing.wait()
+            rest = [_work(loop, name) for name in "BCD"]
+            for work in rest:
+                batcher.submit(work)
+            release.set()
+            await asyncio.gather(*(w.future for w in [first, *rest]))
+            await batcher.close()
+
+        asyncio.run(main())
+        assert groups == [["A"], ["B", "C", "D"]]
+
     def test_bounded_queue_sheds(self):
         async def main():
-            batcher = MicroBatcher(
-                process=_echo_process([]), window_s=0.01, max_queue=1
-            )
+            batcher = MicroBatcher(process=_echo_process([]), max_queue=1)
             # Not started: nothing drains the queue, so the bound hits.
             loop = asyncio.get_running_loop()
             batcher.submit(_work(loop, 0))
@@ -247,7 +270,7 @@ class TestMicroBatcher:
 
     def test_expired_work_fails_with_deadline_error(self):
         async def main():
-            batcher = MicroBatcher(process=_echo_process([]), window_s=0.01)
+            batcher = MicroBatcher(process=_echo_process([]))
             batcher.start()
             loop = asyncio.get_running_loop()
             work = _work(loop, 0, ttl=-1.0)  # already expired
@@ -263,15 +286,13 @@ class TestMicroBatcher:
         groups = []
 
         async def main():
-            batcher = MicroBatcher(
-                process=_echo_process(groups), window_s=10.0, max_batch=8
-            )
-            batcher.start()
+            batcher = MicroBatcher(process=_echo_process(groups), max_batch=8)
             loop = asyncio.get_running_loop()
             works = [_work(loop, i) for i in range(3)]
             for work in works:
                 batcher.submit(work)
-            await batcher.close()  # well before the 10 s window elapses
+            batcher.start()
+            await batcher.close()  # the worker has not run yet
             return [w.future.result() for w in works]
 
         assert asyncio.run(main()) == [0, 1, 2]
@@ -282,7 +303,7 @@ class TestMicroBatcher:
             async def process(group):
                 raise RuntimeError("compute fell over")
 
-            batcher = MicroBatcher(process=process, window_s=0.01)
+            batcher = MicroBatcher(process=process)
             batcher.start()
             loop = asyncio.get_running_loop()
             work = _work(loop, 0)
@@ -323,7 +344,7 @@ def scenario():
 def server(tmp_path_factory):
     store = tmp_path_factory.mktemp("serve-store")
     with BackgroundServer(
-        ServeConfig(port=0, batch_window_ms=10.0, max_batch=8, store=store)
+        ServeConfig(port=0, max_batch=8, store=store)
     ) as background:
         yield background
 
@@ -332,6 +353,40 @@ def server(tmp_path_factory):
 def client(server):
     with ServeClient(server.host, server.port) as c:
         yield c
+
+
+class _HeldCompute:
+    """Park a live server's single compute thread on an Event (context
+    manager) so requests queue behind it: deterministic batching with
+    no window and no sleeps.  The batcher takes whatever is queued once
+    compute is free, so requests that arrive while the hold is on fuse
+    on release (the first one the idle worker takes goes alone)."""
+
+    def __init__(self, background: BackgroundServer) -> None:
+        self.server = background.server
+        self._gate = threading.Event()
+
+    def __enter__(self) -> "_HeldCompute":
+        self._parked = self.server._executor.submit(self._gate.wait)
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._gate.set()
+        self._parked.result(timeout=30)
+
+    def wait_until(self, predicate, what: str) -> None:
+        """Bounded liveness wait (not a timing gate) for ``predicate()``."""
+        deadline = time.monotonic() + 30.0
+        while not predicate():
+            assert time.monotonic() < deadline, f"never happened: {what}"
+            time.sleep(0.001)
+
+    def wait_arrivals(self, n: int) -> None:
+        """Wait until ``n`` requests reached the batcher, accepted or shed."""
+        stats = self.server.batcher.stats
+        self.wait_until(
+            lambda: stats()["submitted"] + stats()["shed"] >= n, f"{n} arrivals"
+        )
 
 
 class TestServerEndpoints:
@@ -746,7 +801,7 @@ class TestSessionBound:
         from repro.obs import parse_prometheus_text
         from repro.serve.server import MAX_SESSIONS
 
-        with BackgroundServer(ServeConfig(port=0, batch_window_ms=0.0)) as server:
+        with BackgroundServer(ServeConfig(port=0)) as server:
             with ServeClient(server.host, server.port) as client:
                 for index in range(MAX_SESSIONS + 4):
                     body = encode(
@@ -780,9 +835,7 @@ class TestBatchIsolation:
             )
         )
         responses = tuple(r.to_string() for r in log.responses)
-        with BackgroundServer(
-            ServeConfig(port=0, batch_window_ms=500.0, max_batch=16)
-        ) as background:
+        with BackgroundServer(ServeConfig(port=0, max_batch=16)) as background:
             with ServeClient(background.host, background.port) as warm:
                 ref = warm.diagnose(
                     DiagnoseRequest(
@@ -809,10 +862,17 @@ class TestBatchIsolation:
                     except ServeClientError as exc:
                         return exc
 
-            with ThreadPoolExecutor(max_workers=3) as pool:
-                width_bad, good, count_bad = pool.map(
-                    one_request, (wrong_width, responses, wrong_count)
-                )
+            with ThreadPoolExecutor(max_workers=4) as pool, _HeldCompute(
+                background
+            ) as hold:
+                # A plug request takes the idle worker and parks behind
+                # the held compute; the three then fuse into one group.
+                plug = pool.submit(one_request, responses)
+                hold.wait_arrivals(2)
+                trio = pool.map(one_request, (wrong_width, responses, wrong_count))
+                hold.wait_arrivals(5)
+            width_bad, good, count_bad = trio
+            assert not isinstance(plug.result(), ServeClientError)
         assert isinstance(width_bad, ServeClientError)
         assert width_bad.status == 400
         assert "bits wide" in str(width_bad)
@@ -832,9 +892,7 @@ class TestServerConcurrency:
                 session.diagnose(log, method="dictionary", top_k=5)
             )
         )
-        with BackgroundServer(
-            ServeConfig(port=0, batch_window_ms=120.0, max_batch=16)
-        ) as background:
+        with BackgroundServer(ServeConfig(port=0, max_batch=16)) as background:
             # Register the pattern set and warm the dictionary first, so
             # the concurrent wave measures batching, not the cold build.
             with ServeClient(background.host, background.port) as warm:
@@ -860,20 +918,22 @@ class TestServerConcurrency:
                         )
                     )
 
-            with ThreadPoolExecutor(max_workers=8) as pool:
-                responses = list(pool.map(one_request, range(8)))
+            with ThreadPoolExecutor(max_workers=8) as pool, _HeldCompute(
+                background
+            ) as hold:
+                waves = pool.map(one_request, range(8))
+                hold.wait_arrivals(1 + 8)
+            responses = list(waves)
         assert all(to_json(r.result) == local_json for r in responses)
-        # With a 120 ms window and 8 threads, the batcher must have
-        # fused at least one multi-request group.
+        # All 8 reached the batcher while compute was held, so the ones
+        # queued behind the first must have fused into one group.
         assert max(r.batch_size for r in responses) > 1
         assert any(r.batched for r in responses)
 
     def test_queue_bound_sheds_with_429(self, scenario):
         _, patterns, log = scenario
         with BackgroundServer(
-            ServeConfig(
-                port=0, batch_window_ms=300.0, max_batch=1, max_queue=1
-            )
+            ServeConfig(port=0, max_batch=1, max_queue=1)
         ) as background:
             responses_text = tuple(r.to_string() for r in log.responses)
             patterns_text = tuple(p.to_string() for p in patterns)
@@ -892,20 +952,54 @@ class TestServerConcurrency:
                     except ServeClientError as exc:
                         return exc
 
-            with ThreadPoolExecutor(max_workers=8) as pool:
-                outcomes = list(pool.map(one_request, range(8)))
+            # With compute held, one request is in flight and one
+            # queued; every other arrival hits the bound.
+            with ThreadPoolExecutor(max_workers=8) as pool, _HeldCompute(
+                background
+            ) as hold:
+                waves = pool.map(one_request, range(8))
+                hold.wait_arrivals(8)
+            outcomes = list(waves)
         shed = [e for e in outcomes if e is not None and e.status == 429]
         assert shed, "queue bound never produced a 429"
         assert all(e.retry_after is not None for e in shed)
 
+    def test_shed_retry_after_header_is_one(self, scenario):
+        import http.client
+
+        payload = _good_bodies(scenario)["/diagnose"]
+        with BackgroundServer(
+            ServeConfig(port=0, max_batch=1, max_queue=1)
+        ) as background:
+            host, port = background.host, background.port
+            batcher = background.server.batcher
+            with ThreadPoolExecutor(max_workers=2) as pool, _HeldCompute(
+                background
+            ) as hold:
+                # One request parked in compute, one filling the queue.
+                first = pool.submit(_post, host, port, "/diagnose", payload)
+                hold.wait_arrivals(1)
+                hold.wait_until(lambda: batcher.depth == 0, "first dispatched")
+                second = pool.submit(_post, host, port, "/diagnose", payload)
+                hold.wait_arrivals(2)
+                conn = http.client.HTTPConnection(host, port, timeout=60)
+                conn.request("POST", "/diagnose", body=json.dumps(payload).encode())
+                response = conn.getresponse()
+                reply = json.loads(response.read())
+                conn.close()
+            assert first.result()[0] == second.result()[0] == 200
+        assert response.status == 429
+        assert response.getheader("Retry-After") == "1"
+        assert reply["retry_after"] == 1.0
+
     def test_per_request_timeout_maps_to_504(self, scenario):
         _, patterns, log = scenario
-        # A 500 ms batching window with a 50 ms request deadline: the
-        # request expires while parked in the batcher.
-        with BackgroundServer(
-            ServeConfig(port=0, batch_window_ms=500.0, max_batch=64)
-        ) as background:
-            with ServeClient(background.host, background.port) as c:
+        # A 50 ms request deadline: the request expires while parked
+        # behind the held compute.
+        with BackgroundServer(ServeConfig(port=0, max_batch=64)) as background:
+            with _HeldCompute(background), ServeClient(
+                background.host, background.port
+            ) as c:
                 with pytest.raises(ServeClientError) as excinfo:
                     c.diagnose(
                         DiagnoseRequest(
@@ -951,37 +1045,34 @@ class TestGracefulShutdown:
     def test_background_server_drain_completes_inflight(self, scenario):
         """Requests accepted before the drain still get answers."""
         _, patterns, log = scenario
-        background = BackgroundServer(
-            ServeConfig(port=0, batch_window_ms=200.0, max_batch=16)
-        )
-        background.__enter__()
-        try:
-            results = []
+        background = BackgroundServer(ServeConfig(port=0, max_batch=16))
+        results = []
 
-            def one_request():
-                with ServeClient(background.host, background.port) as c:
-                    results.append(
-                        c.diagnose(
-                            DiagnoseRequest(
-                                circuit="c17",
-                                patterns=tuple(
-                                    p.to_string() for p in patterns
-                                ),
-                                responses=tuple(
-                                    r.to_string() for r in log.responses
-                                ),
-                            )
+        def one_request():
+            with ServeClient(background.host, background.port) as c:
+                results.append(
+                    c.diagnose(
+                        DiagnoseRequest(
+                            circuit="c17",
+                            patterns=tuple(p.to_string() for p in patterns),
+                            responses=tuple(
+                                r.to_string() for r in log.responses
+                            ),
                         )
                     )
+                )
 
-            threads = [
-                threading.Thread(target=one_request) for _ in range(3)
-            ]
-            for thread in threads:
-                thread.start()
-            time.sleep(0.05)  # let the requests reach the batcher window
-        finally:
-            background.stop()  # drain while they are still parked
+        threads = [threading.Thread(target=one_request) for _ in range(3)]
+        with background:
+            with _HeldCompute(background) as hold:
+                for thread in threads:
+                    thread.start()
+                hold.wait_arrivals(3)
+                # Drain while all three are parked behind the held compute.
+                stopper = threading.Thread(target=background.stop)
+                stopper.start()
+                hold.wait_until(lambda: background.server._draining, "drain")
+            stopper.join(timeout=30)
         for thread in threads:
             thread.join(timeout=30)
         assert len(results) == 3
@@ -1005,12 +1096,7 @@ class TestServeMetrics:
 
         _, patterns, log = scenario
         background = BackgroundServer(
-            ServeConfig(
-                port=0,
-                batch_window_ms=5.0,
-                max_batch=8,
-                store=tmp_path / "store",
-            )
+            ServeConfig(port=0, max_batch=8, store=tmp_path / "store")
         )
         with background:
             with ServeClient(background.host, background.port) as c:

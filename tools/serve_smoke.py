@@ -11,12 +11,16 @@ as a subprocess, then walks the lifecycle CI cares about:
    codec (``decode(DiagnosisResult, ...)``);
 4. a mistyped ``POST /diagnose`` body (``"top_k": "5"``) is a 400
    ``serve_error`` naming the field — typed decode, end to end;
-5. ``GET /metrics`` (always served; the worker boots with no flags)
+5. one registered sequence, then 8 concurrent ``/diagnose`` reads on its
+   ``patterns_ref``: every reply is a 200 whose ``result`` matches the
+   serial reply's, and ``GET /stats`` ``batcher.batched_requests``
+   equals the number of diagnoses dispatched (fused or not, none lost);
+6. ``GET /metrics`` (always served; the worker boots with no flags)
    returns a Prometheus text exposition that the strict parser accepts
    and that counts the traffic this script just sent, and ``GET /stats``
    — rendered from the same registry — reports the same ``/diagnose``
    count;
-6. SIGTERM drains cleanly: exit code 0 and the drain message on stdout.
+7. SIGTERM drains cleanly: exit code 0 and the drain message on stdout.
 
 Usage::
 
@@ -32,6 +36,7 @@ import os
 import signal
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -92,6 +97,42 @@ def main() -> int:
             except ServeClientError as error:
                 if error.status != 400 or "top_k" not in error.error.error:
                     return fail(f"mistyped top_k: {error}", server)
+            serial = client.diagnose(
+                DiagnoseRequest(
+                    circuit="c17",
+                    patterns=request.patterns,
+                    responses=request.responses,
+                    method="dictionary",
+                )
+            )
+            read = DiagnoseRequest(
+                circuit="c17",
+                patterns_ref=serial.patterns_ref,
+                responses=request.responses,
+                method="dictionary",
+            )
+
+            def one_read(_):
+                with ServeClient(host, int(port_text)) as reader:
+                    try:
+                        return reader.diagnose(read)
+                    except ServeClientError as error:
+                        return error
+
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                replies = list(pool.map(one_read, range(8)))
+            for reply in replies:
+                if isinstance(reply, ServeClientError):
+                    return fail(f"concurrent read failed: {reply}", server)
+                if reply.result != serial.result:
+                    return fail("concurrent read differs from the serial reply", server)
+            dispatched = 2 + len(replies)  # effect_cause + registration + reads
+            batched = client.stats()["batcher"]["batched_requests"]
+            if batched != dispatched:
+                return fail(
+                    f"batcher dispatched {batched} requests, expected {dispatched}",
+                    server,
+                )
             exposition = client.metrics()
             try:
                 parsed = parse_prometheus_text(exposition)
@@ -126,8 +167,8 @@ def main() -> int:
     if "drained cleanly" not in out:
         return fail(f"drain message missing from output:\n{out}")
     print(
-        "serve smoke OK: healthz + diagnose + typed 400 + metrics == stats"
-        " + clean SIGTERM drain"
+        "serve smoke OK: healthz + diagnose + typed 400 + 8 concurrent reads"
+        " + metrics == stats + clean SIGTERM drain"
     )
     return 0
 
