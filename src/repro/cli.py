@@ -130,7 +130,6 @@ def _pipeline_config(args: argparse.Namespace, **per_command):
         max_random_patterns=args.max_random_patterns,
         backtrack_limit=args.backtrack_limit,
         grasp_iterations=args.grasp_iterations,
-        values=args.values,
         **per_command,
     )
 
@@ -517,14 +516,6 @@ def _add_flow_knobs(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=250,
         help="PODEM backtrack limit per fault (default 250)",
-    )
-    parser.add_argument(
-        "--values",
-        type=int,
-        default=2,
-        choices=[2, 3],
-        help="logic value system: 2 (default) or 3 (0/1/X planes — "
-        "pessimistic detection, X-masked MISR signatures)",
     )
     parser.add_argument(
         "--grasp-iterations",

@@ -222,6 +222,44 @@ def refine_tie_group(
     return rank_candidates(refined) + scored[n_tied:]
 
 
+def _simulate_log(
+    circuit: Circuit,
+    simulator: BatchFaultSimulator,
+    patterns: Sequence[BitVector] | PackedPatterns,
+    responses: Sequence[BitVector],
+    mode: str,
+) -> tuple:
+    """The setup both engines share: check the log, start an empty
+    ``mode`` result, and simulate the good machine once to flag the
+    failing patterns (timed as ``simulate``).  Returns ``(result,
+    packed, good values, golden responses, fail flags)``, the last four
+    None when there are no patterns."""
+    if len(patterns) != len(responses):
+        raise ValueError(
+            f"{len(patterns)} patterns but {len(responses)} responses"
+        )
+    compiled = simulator.compiled
+    start = time.perf_counter()
+    result = DiagnosisResult(
+        circuit_name=circuit.name,
+        mode=mode,
+        n_patterns=len(patterns),
+        n_failing=0,
+        candidates=[],
+        n_candidates_considered=0,
+        patterns_resimulated=len(patterns),
+    )
+    if not len(patterns):
+        return result, None, None, None, None
+    packed = as_packed(patterns, compiled.n_inputs)
+    values = compiled.simulate(packed.words)
+    golden = unpack_words(values[compiled.output_ids, :], packed.n_patterns)
+    fail_flags = observed_fail_flags(golden, responses)
+    result.n_failing = int(fail_flags.sum())
+    result.timings["simulate"] = time.perf_counter() - start
+    return result, packed, values, golden, fail_flags
+
+
 def diagnose_effect_cause(
     circuit: Circuit,
     patterns: Sequence[BitVector] | PackedPatterns,
@@ -241,32 +279,13 @@ def diagnose_effect_cause(
     whole universe, so a detected single fault is never lost to a
     tracing blind spot.
     """
-    if len(patterns) != len(responses):
-        raise ValueError(
-            f"{len(patterns)} patterns but {len(responses)} responses"
-        )
     simulator = simulator or BatchFaultSimulator(circuit)
-    compiled = simulator.compiled
-    start = time.perf_counter()
-    result = DiagnosisResult(
-        circuit_name=circuit.name,
-        mode=mode,
-        n_patterns=len(patterns),
-        n_failing=0,
-        candidates=[],
-        n_candidates_considered=0,
-        patterns_resimulated=len(patterns),
+    result, packed, values, golden, fail_flags = _simulate_log(
+        circuit, simulator, patterns, responses, mode
     )
-    if not len(patterns):
-        return result
-    packed = as_packed(patterns, compiled.n_inputs)
-    values = compiled.simulate(packed.words)
-    golden = unpack_words(values[compiled.output_ids, :], packed.n_patterns)
-    fail_flags = observed_fail_flags(golden, responses)
-    result.n_failing = int(fail_flags.sum())
-    result.timings["simulate"] = time.perf_counter() - start
     if result.n_failing == 0:
         return result
+    compiled = simulator.compiled
 
     start = time.perf_counter()
     failing = [int(i) for i in np.flatnonzero(fail_flags)]
@@ -337,30 +356,10 @@ def diagnose_multiplet(
     The returned candidates are the chosen multiplet in selection
     order (counts measured against the full log), not a ranking.
     """
-    if len(patterns) != len(responses):
-        raise ValueError(
-            f"{len(patterns)} patterns but {len(responses)} responses"
-        )
     simulator = simulator or BatchFaultSimulator(circuit)
-    compiled = simulator.compiled
-    start = time.perf_counter()
-    result = DiagnosisResult(
-        circuit_name=circuit.name,
-        mode="multiplet",
-        n_patterns=len(patterns),
-        n_failing=0,
-        candidates=[],
-        n_candidates_considered=0,
-        patterns_resimulated=len(patterns),
+    result, packed, _, _, fail_flags = _simulate_log(
+        circuit, simulator, patterns, responses, "multiplet"
     )
-    if not len(patterns):
-        return result
-    packed = as_packed(patterns, compiled.n_inputs)
-    values = compiled.simulate(packed.words)
-    golden = unpack_words(values[compiled.output_ids, :], packed.n_patterns)
-    fail_flags = observed_fail_flags(golden, responses)
-    result.n_failing = int(fail_flags.sum())
-    result.timings["simulate"] = time.perf_counter() - start
     if result.n_failing == 0:
         return result
 

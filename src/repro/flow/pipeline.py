@@ -38,6 +38,12 @@ class PipelineConfig:
     for all candidate triplets (Section 3.1).  ``matrix_workers`` opts in
     to row-parallel Detection Matrix construction over a process pool
     (``None``/1 = serial, identical results either way).
+
+    No knob picks the logic: the paper's flow is fully scanned and
+    deterministic, so every stimulus it simulates is X-free and runs
+    2-valued.  The fault simulator takes the plane count from its packed
+    carrier, so 0/1/X simulation means handing it
+    :class:`~repro.utils.bitvec.PackedPlanes`.
     """
 
     seed: int = 2001
@@ -47,10 +53,6 @@ class PipelineConfig:
     backtrack_limit: int = 250
     grasp_iterations: int = 30
     matrix_workers: int | None = None
-    #: Logic value system: ``2`` (the paper's fully scanned, fully
-    #: deterministic setup) or ``3`` (0/1/X planes — fault detection is
-    #: pessimistic and MISR signatures are X-masked).
-    values: int = 2
 
 
 @dataclass

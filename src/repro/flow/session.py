@@ -27,6 +27,7 @@ import json
 import os
 import time
 import weakref
+from collections import OrderedDict
 from dataclasses import asdict, dataclass
 from functools import partial
 from pathlib import Path
@@ -43,7 +44,6 @@ from repro.obs import NULL_TELEMETRY, Telemetry, stage_hook
 from repro.obs.metrics import Sample
 from repro.setcover.solve import prepare_solver
 from repro.sim.fault import FaultSimulator
-from repro.sim.threeval import XFaultSimulator
 from repro.tpg.base import TestPatternGenerator
 from repro.tpg.registry import make_tpg
 from repro.utils.bitvec import PackedPatterns, as_packed
@@ -55,6 +55,27 @@ DIAGNOSE_METHODS = ("dictionary", "effect_cause", "signature", "multiplet")
 #: Process-global temp-file sequence: cache *instances* in one process
 #: share a pid, so per-instance counters would collide on the same name.
 _TMP_SEQ = itertools.count()
+
+#: Most pattern sequences whose fault dictionary and fault-free
+#: responses a session keeps in memory, least recently used dropped
+#: first.  Both are rebuilt on demand, so an eviction changes no answer.
+MAX_SEQUENCE_MEMOS = 8
+
+
+class _SequenceMemo(OrderedDict):
+    """An LRU memo capped at :data:`MAX_SEQUENCE_MEMOS` entries."""
+
+    def get(self, key, default=None):
+        if key not in self:
+            return default
+        self.move_to_end(key)
+        return self[key]
+
+    def __setitem__(self, key, value) -> None:
+        super().__setitem__(key, value)
+        self.move_to_end(key)
+        if len(self) > MAX_SEQUENCE_MEMOS:
+            self.popitem(last=False)
 
 
 class ArtifactCache:
@@ -332,18 +353,7 @@ class Session:
         self.circuit = circuit
         self.name = circuit.name
         self.config = config or PipelineConfig()
-        if self.config.values not in (2, 3):
-            raise ValueError(
-                f"config.values must be 2 or 3, got {self.config.values!r}"
-            )
-        if simulator is not None:
-            self.simulator = simulator
-        elif self.config.values == 3:
-            # 3-valued engine: X-free patterns give bit-identical results,
-            # X-carrying stimuli degrade coverage pessimistically.
-            self.simulator = XFaultSimulator(circuit)
-        else:
-            self.simulator = FaultSimulator(circuit)
+        self.simulator = simulator or FaultSimulator(circuit)
         self.cache = (
             ArtifactCache(cache)
             if isinstance(cache, (str, Path))
@@ -371,10 +381,10 @@ class Session:
         self._evolutions: dict[str, "PackedPatterns"] = {}
         #: Fault dictionaries memoized per cache key, so a long-lived
         #: session (the serve layer) pays the disk/JSON round trip once.
-        self._dictionaries: dict[str, Any] = {}
+        self._dictionaries = _SequenceMemo()
         #: Fault-free responses memoized per packed-pattern digest —
         #: every diagnosis of the same applied sequence shares them.
-        self._golden: dict[str, list] = {}
+        self._golden = _SequenceMemo()
         #: The circuit's collapsed fault list, built on first use: the
         #: default candidate universe of every diagnosis.
         self._collapsed: list | None = None

@@ -135,9 +135,9 @@ def build_detection_matrix(
     good-machine trace and one ``_BatchPlan.detect`` per batch of stem
     machines.  ``workers=N`` (N > 1) opts in to row-parallel
     construction over a process pool whose workers run ``simulator``'s
-    class and settings and report their work back into ``simulator``'s
-    counters; the table is identical to the serial one.  ``None`` is
-    serial, and a value below 1 raises :class:`ValueError`.
+    settings and report their work back into ``simulator``'s counters;
+    the table is identical to the serial one.  ``None`` is serial, and a
+    value below 1 raises :class:`ValueError`.
     """
     pattern_sets = packed_test_sets(tpg, triplets, evolve=evolve)
     simulator = simulator or FaultSimulator(circuit)

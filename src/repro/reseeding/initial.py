@@ -73,8 +73,9 @@ class InitialReseedingBuilder:
         (``evolve`` swaps in a caching provider, see
         :data:`~repro.reseeding.triplet.EvolveBatch`).
         ``workers=N`` opts in to row-parallel matrix construction over
-        a process pool that runs this builder's simulator class and
-        settings and adds its work to the simulator's counters.
+        a process pool whose workers build simulators with this
+        builder's simulator settings (the rows' packed carrier, not a
+        class, picks the logic) and add their work to its counters.
         Raises if the resulting matrix does not cover every fault —
         that would violate the construction invariant (pattern 0 of each
         evolution is the ATPG pattern itself).

@@ -59,22 +59,24 @@ every flip through.  The third is the one fault machine left, one
 * a fault's detect word is ``activation & criticality & root detect``
   (:func:`_region_detect`), a few gathers per fault instead of a
   machine per fault;
-* one engine serves 0/1 and 0/1/X: the plane count ``m`` is a property
-  of the packed carrier (:class:`~repro.utils.bitvec.PackedPatterns` or
+* one engine serves 0/1 and 0/1/X: the packed carrier picks the plane
+  count ``m`` (1 for :class:`~repro.utils.bitvec.PackedPatterns`, 2 for
   :class:`~repro.utils.bitvec.PackedPlanes`), and fault-free
   simulation, tracing, :meth:`_BatchPlan.detect` and the gate kernel
   (:func:`~repro.circuit.gates.eval_gates`) all take it with the state.
-  At ``m = 2`` detection is pessimistic (:mod:`repro.sim.threeval`):
-  activation and every side input must be known, and an output counts
-  only where both machines are known and differ, which is exactly what
-  a per-fault 0/1/X machine reports.
+  At ``m = 2`` detection is pessimistic: activation and every side
+  input must be known, and an output counts only where both machines
+  are known and differ, which is exactly what a per-fault 0/1/X machine
+  reports.
 
-Every pattern argument is :data:`~repro.utils.bitvec.PatternsLike`: the
+Every pattern argument is :data:`~repro.utils.bitvec.PlanesLike`:
+planes pass through, anything else packs 2-valued, and the
 word-parallel :class:`~repro.utils.bitvec.PackedPatterns` the batched
 TPG evolution (:meth:`repro.tpg.base.TestPatternGenerator.evolve_batch`)
 emits passes straight through ``as_packed`` with **no** re-packing, so
 generated sequences go TPG -> simulator without ever existing as Python
-int lists.
+int lists.  A multi-row call that mixes carriers lifts its 2-valued
+rows to X-free planes.
 
 **Fault dropping**: :meth:`detection_matrix_rows` streams Detection
 Matrix rows (one row per pattern set) over one fixed batching, and the
@@ -103,8 +105,8 @@ counts stem-machine × word cells.
 
 :func:`parallel_detection_rows` builds the whole first-detection table
 through the caller's simulator, or, for an opt-in ``workers=N``, over a
-process pool whose workers each build a simulator of the caller's class
-and settings: the packed rows reach every worker once, through the pool
+process pool whose workers each build a simulator with the caller's
+settings: the packed rows reach every worker once, through the pool
 initializer, so jobs carry row *ranges*, not pattern data, and each job
 hands its work counters back to the caller's simulator.
 """
@@ -120,7 +122,7 @@ from repro.circuit.gates import Fold, eval_gates
 from repro.circuit.netlist import Circuit
 from repro.faults.model import Fault
 from repro.sim.logic import CompiledCircuit
-from repro.utils.bitvec import PackedPatterns, PatternsLike, as_packed
+from repro.utils.bitvec import PackedPatterns, PackedPlanes, PlanesLike, as_packed, as_planes
 from repro.utils.kernels import kernel
 
 _ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
@@ -597,7 +599,7 @@ class BatchFaultSimulator:
     # ------------------------------------------------------------------
 
     def detection_matrix(
-        self, patterns: PatternsLike, faults: Sequence[Fault]
+        self, patterns: PlanesLike, faults: Sequence[Fault]
     ) -> np.ndarray:
         """Boolean matrix ``(n_patterns, n_faults)``: entry ``[p, f]`` is
         True iff pattern ``p`` detects fault ``f``."""
@@ -621,7 +623,7 @@ class BatchFaultSimulator:
         return result
 
     def detected(
-        self, patterns: PatternsLike, faults: Sequence[Fault]
+        self, patterns: PlanesLike, faults: Sequence[Fault]
     ) -> list[bool]:
         """Per-fault flag: does *any* pattern detect the fault?  The
         detected-or-not view of a one-row :meth:`first_detection_rows`
@@ -630,7 +632,7 @@ class BatchFaultSimulator:
         return detected_mask(row).tolist()
 
     def first_detection_index(
-        self, patterns: PatternsLike, faults: Sequence[Fault]
+        self, patterns: PlanesLike, faults: Sequence[Fault]
     ) -> list[int | None]:
         """For each fault, the index of the first detecting pattern
         (``None`` if undetected): the one-row view of
@@ -642,7 +644,7 @@ class BatchFaultSimulator:
         ]
 
     def fault_coverage(
-        self, patterns: PatternsLike, faults: Sequence[Fault]
+        self, patterns: PlanesLike, faults: Sequence[Fault]
     ) -> float:
         """Fraction of ``faults`` detected by ``patterns`` (0..1)."""
         if not faults:
@@ -652,7 +654,7 @@ class BatchFaultSimulator:
 
     def detection_matrix_rows(
         self,
-        pattern_sets: Iterable[PatternsLike],
+        pattern_sets: Iterable[PlanesLike],
         faults: Sequence[Fault],
         row_chunk_words: int | None = None,
     ) -> Iterator[np.ndarray]:
@@ -665,7 +667,7 @@ class BatchFaultSimulator:
 
     def first_detection_rows(
         self,
-        pattern_sets: Iterable[PatternsLike],
+        pattern_sets: Iterable[PlanesLike],
         faults: Sequence[Fault],
         row_chunk_words: int | None = None,
     ) -> Iterator[np.ndarray]:
@@ -692,13 +694,12 @@ class BatchFaultSimulator:
         budget and any chunking; one-word rows scan every stem-machine
         × word cell, exactly as an unchunked schedule does.
         """
-        carriers = [self._pack(patterns) for patterns in pattern_sets]
-        dtype = offset_dtype(max((c.n_patterns for c in carriers), default=0))
+        carriers, dtype = self._pack_rows(pattern_sets)
         yield from self._offset_rows(carriers, faults, dtype, row_chunk_words)
 
     def _offset_rows(
         self,
-        carriers: list[PackedPatterns],
+        carriers: list[PackedPatterns | PackedPlanes],
         faults: Sequence[Fault],
         dtype: np.dtype,
         row_chunk_words: int | None = None,
@@ -719,7 +720,7 @@ class BatchFaultSimulator:
             [indices for indices, _, _ in cut] or [np.zeros(0, dtype=np.int64)]
         )
         batches = [(self._plan(roots), regions) for _, regions, roots in cut]
-        chunk: list[PackedPatterns] = []
+        chunk: list[PackedPatterns | PackedPlanes] = []
         chunk_words = 0
         for carrier in carriers:
             if chunk and chunk_words + carrier.n_words > limit:
@@ -732,7 +733,7 @@ class BatchFaultSimulator:
 
     def _row_chunk(
         self,
-        chunk: list[PackedPatterns],
+        chunk: list[PackedPatterns | PackedPlanes],
         order: np.ndarray,
         batches: list[tuple[_BatchPlan, np.ndarray]],
         budget: int,
@@ -864,11 +865,25 @@ class BatchFaultSimulator:
     # internals
     # ------------------------------------------------------------------
 
-    def _pack(self, patterns: PatternsLike) -> PackedPatterns:
-        """The packed carrier for one pattern argument; its ``m`` is the
-        plane count every later step runs at (the three-valued engine
-        packs planes instead)."""
+    def _pack(self, patterns: PlanesLike) -> PackedPatterns | PackedPlanes:
+        """The packed carrier of one pattern argument, width checked; its
+        ``m`` is the plane count every later step runs at.  Planes pass
+        through (0/1/X); anything else packs 2-valued."""
+        if isinstance(patterns, PackedPlanes):
+            return as_planes(patterns, self.compiled.n_inputs)
         return as_packed(patterns, self.compiled.n_inputs)
+
+    def _pack_rows(
+        self, pattern_sets: Iterable[PlanesLike]
+    ) -> tuple[list[PackedPatterns | PackedPlanes], np.dtype]:
+        """Every row's carrier and the table's offset dtype.  When any
+        row carries planes, the 2-valued rows are lifted to X-free
+        planes, so the whole table runs at one ``m``."""
+        carriers = [self._pack(patterns) for patterns in pattern_sets]
+        if any(carrier.m == 2 for carrier in carriers):
+            carriers = [as_planes(c, self.compiled.n_inputs) for c in carriers]
+        dtype = offset_dtype(max((c.n_patterns for c in carriers), default=0))
+        return carriers, dtype
 
     def _run_detect(self, plan: _BatchPlan, good: np.ndarray, m: int) -> np.ndarray:
         """:meth:`_BatchPlan.detect`, counting its stem-machine × word
@@ -1005,7 +1020,7 @@ _worker_state: tuple | None = None
 
 def _offset_table(
     simulator: BatchFaultSimulator,
-    carriers: list[PackedPatterns],
+    carriers: list[PackedPatterns | PackedPlanes],
     faults: list[Fault],
     dtype: np.dtype,
 ) -> np.ndarray:
@@ -1018,18 +1033,17 @@ def _offset_table(
 
 
 def _init_worker(
-    simulator_type: type,
     circuit: Circuit,
     batch_size: int,
     row_chunk_words: int,
-    carriers: list[PackedPatterns],
+    carriers: list[PackedPatterns | PackedPlanes],
     faults: list[Fault],
     dtype: np.dtype,
 ) -> None:
-    """Pool initializer: build this worker's simulator of the caller's
-    class and settings, and keep the packed rows for its jobs."""
+    """Pool initializer: build this worker's simulator with the caller's
+    settings, and keep the packed rows for its jobs."""
     global _worker_state
-    simulator = simulator_type(
+    simulator = BatchFaultSimulator(
         circuit, batch_size=batch_size, row_chunk_words=row_chunk_words
     )
     _worker_state = (simulator, carriers, faults, dtype)
@@ -1061,7 +1075,7 @@ def _row_jobs(n_rows: int, workers: int) -> list[tuple[int, int]]:
 
 def parallel_detection_rows(
     simulator: BatchFaultSimulator,
-    pattern_sets: Sequence[PatternsLike],
+    pattern_sets: Sequence[PlanesLike],
     faults: Sequence[Fault],
     workers: int,
 ) -> np.ndarray:
@@ -1070,8 +1084,8 @@ def parallel_detection_rows(
     built by ``simulator`` itself at ``workers=1`` and by a process pool
     of ``workers`` above that: rows are independent, so they shard.
 
-    Every row is packed once, by ``simulator._pack`` (so 0/1/X planes
-    stay planes).  Each worker receives the simulator's class,
+    Every row is packed once, by ``simulator._pack_rows``, so 0/1/X
+    planes stay planes.  Each worker receives the simulator's
     ``batch_size`` and ``row_chunk_words`` with the packed rows and the
     faults once, through the pool initializer (inherited under fork,
     pickled once per worker under spawn), and builds its own simulator;
@@ -1082,15 +1096,14 @@ def parallel_detection_rows(
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    carriers = [simulator._pack(patterns) for patterns in pattern_sets]
-    dtype = offset_dtype(max((c.n_patterns for c in carriers), default=0))
+    carriers, dtype = simulator._pack_rows(pattern_sets)
     if workers == 1 or not carriers or not faults:
         return _offset_table(simulator, carriers, faults, dtype)
     from concurrent.futures import ProcessPoolExecutor
 
     table = np.empty((len(carriers), len(faults)), dtype=dtype)
     jobs = _row_jobs(len(carriers), workers)
-    settings = (type(simulator), simulator.circuit, simulator.batch_size, simulator.row_chunk_words)
+    settings = (simulator.circuit, simulator.batch_size, simulator.row_chunk_words)
     with ProcessPoolExecutor(
         min(workers, len(jobs)),
         initializer=_init_worker,

@@ -2,10 +2,10 @@
 
 Two engines live here and in :mod:`repro.sim.batch`:
 
-* :class:`FaultSimulator` — the production engine, a thin compatibility
-  wrapper over :class:`repro.sim.batch.BatchFaultSimulator`.  It runs
-  one fault machine per fanout-free-region root, not per fault, and
-  reads each fault's detection off a good-machine trace of its region.
+* :class:`FaultSimulator` — the production engine, the historical name
+  of :class:`repro.sim.batch.BatchFaultSimulator`.  It runs one fault
+  machine per fanout-free-region root, not per fault, and reads each
+  fault's detection off a good-machine trace of its region.
   The root machines are simulated in batches: the faulty values of
   every node a batch touches are stacked along a batch axis into
   ``(batch, n_words)`` ``uint64`` arrays (64 patterns per word, pattern
@@ -16,7 +16,9 @@ Two engines live here and in :mod:`repro.sim.batch`:
   one-row views of the Detection Matrix row scan, which applies **fault
   dropping**: the words of the pattern set are scanned in order and a
   fault leaves the active set once a word detects it, so it never pays
-  for the remaining patterns.
+  for the remaining patterns.  The packed carrier picks the logic:
+  :class:`~repro.utils.bitvec.PackedPlanes` run 0/1/X with pessimistic
+  detection, anything else runs 0/1.
 * :class:`SerialFaultSimulator` — the legacy per-fault engine: for each
   fault it forces the stuck value at the fault site and re-evaluates
   only that fault's output cone, one single-gate call of the one gate
@@ -47,15 +49,9 @@ from repro.utils.bitvec import BitVector, pack_patterns
 _ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
-class FaultSimulator(BatchFaultSimulator):
-    """The default fault simulator bound to one circuit.
-
-    A thin compatibility wrapper over
-    :class:`repro.sim.batch.BatchFaultSimulator` — every historical call
-    site (``detection_matrix`` / ``detected`` / ``first_detection_index``
-    / ``fault_coverage``) keeps its exact signature and semantics while
-    running on the batched engine.
-    """
+#: The default fault simulator: the historical name of the batched
+#: engine, kept for every call site that imports it.
+FaultSimulator = BatchFaultSimulator
 
 
 class SerialFaultSimulator:

@@ -1,32 +1,27 @@
-"""Three-valued (0/1/X) word-parallel fault simulation.
+"""Three-valued (0/1/X) word-parallel logic simulation.
 
-The 2-valued engines assume every net is a known 0 or 1 — true for the
+The 2-valued view assumes every net is a known 0 or 1 — true for the
 paper's fully scanned, deterministic world, false the moment a circuit
 has unscanned state, bus contention, or an uninitialised RAM output.
-This module runs the same batched PPSFP machinery with **unknowns**:
+Unknowns travel as :class:`~repro.utils.bitvec.PackedPlanes` — two
+``uint64`` bit-planes per signal (value + care) side by side on the word
+axis, pattern ``64*w + k`` at bit ``k`` of word ``w``, the exact lane
+layout of the 2-valued packing — and the packed carrier picks the
+logic: every simulator runs at the carrier's plane count ``m``.
 
-* patterns are :class:`~repro.utils.bitvec.PackedPlanes` — two ``uint64``
-  bit-planes per signal (value + care) side by side on the word axis,
-  pattern ``64*w + k`` at bit ``k`` of word ``w``, the exact lane layout
-  of the 2-valued packing;
-* true-value simulation is the one levelized walk,
-  :meth:`~repro.sim.logic.CompiledCircuit.simulate`, at ``m = 2``, with
-  the one gate kernel (:func:`~repro.circuit.gates.eval_gates`);
-* detection is the one stem-region engine of :mod:`repro.sim.batch` at
-  ``m = 2``, and it is **pessimistic**: a fault counts as detected by a
-  pattern only where the good and faulty machines are both *known* and
-  differ — an X on either side would mask at the compactor, so it never
-  counts.  Hence 3-valued coverage ≤
-  2-valued coverage, with bit-identical equality on X-free input (the
-  differential suite pins both).
+* :func:`logic_sim_3v` is true-value simulation of planes: the one
+  levelized walk, :meth:`~repro.sim.logic.CompiledCircuit.simulate`, at
+  ``m = 2``, with the one gate kernel
+  (:func:`~repro.circuit.gates.eval_gates`);
+* :func:`logic_sim_3v_scalar` is its from-the-definition oracle.
 
-:class:`XFaultSimulator` subclasses the 2-valued
-:class:`~repro.sim.batch.BatchFaultSimulator` and overrides only how it
-packs patterns; the plane count is a property of the packed carrier, so
-the query paths (full matrix, streamed first-detection rows and their
-one-row views) and everything structural — fanout-free regions and
-their trace, cone-local batching, cone unions, plan caching/subsetting,
-fault dropping — are shared unchanged.
+Fault simulation with unknowns needs no engine of its own: hand the one
+:class:`~repro.sim.batch.BatchFaultSimulator` planes, and it detects
+**pessimistically** — a fault counts as detected by a pattern only
+where the good and faulty machines are both *known* and differ, since an
+X on either side would mask at the compactor.  Hence 3-valued coverage
+≤ 2-valued coverage, with bit-identical equality on X-free input (the
+differential suite pins both).
 """
 
 from __future__ import annotations
@@ -35,14 +30,14 @@ import numpy as np
 
 from repro.circuit.gates import eval_gate_3v_scalar
 from repro.circuit.netlist import Circuit
-from repro.sim.batch import BatchFaultSimulator
 from repro.sim.logic import CompiledCircuit
 from repro.utils.bitvec import PackedPlanes, PlanesLike, as_planes
 from repro.utils.kernels import kernel
 
-__all__ = ["XFaultSimulator", "logic_sim_3v", "logic_sim_3v_scalar"]
+__all__ = ["logic_sim_3v", "logic_sim_3v_scalar"]
 
 
+@kernel
 def logic_sim_3v(circuit: Circuit, planes: PlanesLike) -> PackedPlanes:
     """Three-valued true-value simulation; returns the primary-output
     planes (row ``k`` = ``circuit.outputs[k]``).
@@ -98,20 +93,3 @@ def logic_sim_3v_scalar(circuit: Circuit, codes: np.ndarray) -> np.ndarray:
             out[k, p] = values[name]
     return out
 
-
-class XFaultSimulator(BatchFaultSimulator):
-    """Batched stuck-at fault simulator with three-valued patterns.
-
-    Drop-in for :class:`~repro.sim.fault.FaultSimulator` wherever the
-    stimulus may carry X: every query (``detection_matrix`` /
-    ``detected`` / ``first_detection_index`` / ``fault_coverage`` /
-    ``detection_matrix_rows``) keeps its signature but accepts
-    :data:`~repro.utils.bitvec.PlanesLike` patterns — plain 2-valued
-    patterns are lifted to all-care planes, and on such input every
-    result is bit-identical to the 2-valued engine's.  Only the packing
-    differs: the carrier's ``m = 2`` runs every later step.
-    """
-
-    @kernel
-    def _pack(self, patterns: PlanesLike) -> PackedPlanes:
-        return as_planes(patterns, self.compiled.n_inputs)

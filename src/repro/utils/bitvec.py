@@ -96,7 +96,9 @@ class BitVector:
         10
         """
         stripped = text.strip().replace("_", "")
-        if not stripped or any(c not in "01" for c in stripped):
+        # Stripping every 0 and 1 leaves something exactly when some
+        # other character is present: one C-level scan.
+        if not stripped or stripped.strip("01"):
             raise ValueError(f"not a binary string: {text!r}")
         return cls(int(stripped, 2), len(stripped))
 
@@ -760,8 +762,9 @@ def as_packed(patterns: PatternsLike, width: int) -> PackedPatterns:
     return PackedPatterns.from_patterns(patterns, width)
 
 
-#: What 3-valued simulator arguments accept: true planes, or any
-#: 2-valued pattern form (lifted X-free via ``PackedPlanes.from_packed``).
+#: What the fault simulator's pattern arguments accept: planes (run
+#: 0/1/X), or any 2-valued pattern form (run 0/1, or lifted X-free via
+#: ``PackedPlanes.from_packed`` by :func:`as_planes`).
 PlanesLike = PackedPlanes | PackedPatterns | Sequence[BitVector]
 
 

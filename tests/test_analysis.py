@@ -740,9 +740,9 @@ def test_repo_has_registered_kernels():
     assert any(name.endswith("gates.eval_gates") for name in names)
     assert any("_lfsr_walk_values" in name for name in names)
     # The one gate kernel, the one fault machine and the one fault-free
-    # simulation serve 0/1 and 0/1/X alike; the three-valued engine
-    # registers only its packing.
+    # simulation serve 0/1 and 0/1/X alike; the three-valued module
+    # registers only its true-value simulation of planes.
     assert any(name.endswith("_BatchPlan.detect") for name in names)
     assert any(name.endswith("BatchFaultSimulator._good_values") for name in names)
-    assert any(name.endswith("XFaultSimulator._pack") for name in names)
+    assert any(name.endswith("threeval.logic_sim_3v") for name in names)
     assert any("_pack_bit_rows" in name for name in names)

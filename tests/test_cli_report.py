@@ -85,6 +85,16 @@ class TestCli:
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --batch-window-ms" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv", [["run", "--circuit", "c17"], ["sweep", "--circuits", "c17"]]
+    )
+    def test_values_flag_removed(self, capsys, argv):
+        """The packed carrier picks the logic, so no flag picks it."""
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, "--values", "3"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --values" in capsys.readouterr().err
+
     def test_missing_required_arg(self):
         with pytest.raises(SystemExit):
             main(["run"])  # --circuit is required
@@ -315,8 +325,7 @@ class TestCliSweep:
             assert a["test_length"] == b["test_length"]
 
     def test_sweep_forwards_every_flow_flag(self, capsys, monkeypatch):
-        """The config reaching ``sweep`` carries every shared flow flag
-        (``--values`` used to be dropped, running 2-valued logic)."""
+        """The config reaching ``sweep`` carries every shared flow flag."""
         import importlib
 
         sweep_module = importlib.import_module("repro.flow.sweep")
@@ -327,13 +336,15 @@ class TestCliSweep:
             return sweep_module.SweepResult([])
 
         monkeypatch.setattr(sweep_module, "sweep", fake_sweep)
-        argv = ["sweep", "--circuits", "c17", "--values", "3",
-                "--seed", "9", "--method", "greedy"]
+        argv = ["sweep", "--circuits", "c17", "--seed", "9", "--method", "greedy",
+                "--max-random-patterns", "77", "--backtrack-limit", "12",
+                "--grasp-iterations", "5"]
         assert main(argv) == 0
         capsys.readouterr()
         config = seen["config"]
-        assert config.values == 3
         assert (config.seed, config.cover_method) == (9, "greedy")
+        assert (config.max_random_patterns, config.backtrack_limit) == (77, 12)
+        assert config.grasp_iterations == 5
 
 
 class TestSolutionReport:

@@ -643,6 +643,40 @@ class TestDiagnoseMany:
             packed
         )
 
+    def test_session_memos_are_bounded(self, monkeypatch):
+        """One sequence past the cap evicts the least recently used one:
+        both memos hold the cap, the newest sequence is a memo hit, and
+        the evicted one rebuilds an equal dictionary."""
+        from repro.diagnosis.dictionary import FaultDictionary
+        from repro.flow.session import MAX_SEQUENCE_MEMOS, Session
+
+        session = Session.from_name("c17")
+        sequences = [
+            _random_patterns(session.circuit, 8, "memo", str(index))
+            for index in range(MAX_SEQUENCE_MEMOS + 1)
+        ]
+        dictionaries = [session.fault_dictionary(p) for p in sequences]
+        goldens = [session.golden_responses(p) for p in sequences]
+        assert len(session._dictionaries) == MAX_SEQUENCE_MEMOS
+        assert len(session._golden) == MAX_SEQUENCE_MEMOS
+        builds = []
+        build = FaultDictionary.build
+
+        def counted(*args, **kwargs):
+            builds.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(FaultDictionary, "build", counted)
+        assert session.fault_dictionary(sequences[-1]) is dictionaries[-1]
+        assert builds == []
+        rebuilt = session.fault_dictionary(sequences[0])
+        assert len(builds) == 1
+        assert rebuilt is not dictionaries[0]
+        assert encode(rebuilt) == encode(dictionaries[0])
+        assert session.golden_responses(sequences[0]) == goldens[0]
+        assert len(session._dictionaries) == MAX_SEQUENCE_MEMOS
+        assert len(session._golden) == MAX_SEQUENCE_MEMOS
+
     def test_session_diagnose_batch_non_dictionary_degrades(self, tmp_path):
         from repro.flow.session import Session
 

@@ -211,12 +211,12 @@ def _golden_threeval_workload(name: str, x_bank):
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_THREEVAL))
 def test_threeval_coverage_pinned(name, x_bank):
-    from repro.sim.threeval import XFaultSimulator
+    from repro.sim.batch import BatchFaultSimulator
 
     circuit, faults, bank = _golden_threeval_workload(name, x_bank)
     expected = GOLDEN_THREEVAL[name]
     assert bank.x_count() == expected.x_count
-    simulator = XFaultSimulator(circuit)
+    simulator = BatchFaultSimulator(circuit)
     flags = simulator.detected(bank, faults)
     assert sum(flags) == expected.n_detected
     # Pessimism against the 2-valued pins: X never adds detections.
@@ -239,15 +239,16 @@ def test_threeval_masked_signature_pinned(name, x_bank):
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_threeval_x_free_matches_golden(name):
-    """The 3-valued engine on the X-free golden patterns reproduces the
-    2-valued pins exactly — same constants, different algebra."""
+    """The simulator fed the X-free golden patterns as planes (``m = 2``)
+    reproduces the 2-valued pins exactly — same constants, different
+    algebra."""
+    from repro.sim.batch import BatchFaultSimulator
     from repro.sim.misr import golden_signature, x_masked_signature
-    from repro.sim.threeval import XFaultSimulator
     from repro.utils.bitvec import as_planes, pack_patterns, PackedPatterns
 
     circuit, faults, patterns = _golden_workload(name)
     expected = GOLDEN[name]
-    simulator = XFaultSimulator(circuit)
+    simulator = BatchFaultSimulator(circuit)
     packed = PackedPatterns(
         pack_patterns(patterns, circuit.n_inputs), len(patterns)
     )
@@ -258,22 +259,6 @@ def test_threeval_x_free_matches_golden(name):
     masked, n_masked = x_masked_signature(circuit, planes)
     assert n_masked == 0
     assert masked == golden_signature(circuit, patterns)
-
-
-@pytest.mark.parametrize("name", sorted(GOLDEN_PIPELINE))
-def test_pipeline_values3_matches_pins(name):
-    """``values=3`` through the full flow: the stimulus is X-free, so
-    Table-1 aggregates must equal the 2-valued pins bit for bit."""
-    from repro.flow.pipeline import PipelineConfig
-    from repro.flow.session import Session
-
-    circuit = load_circuit(name, scale=_PIPELINE_SCALE)
-    config = PipelineConfig(
-        evolution_length=16, max_random_patterns=512, values=3
-    )
-    result = Session(circuit, config).run("adder")
-    assert (result.n_triplets, result.test_length) == GOLDEN_PIPELINE[name]
-    assert result.atpg.measured_coverage == 1.0
 
 
 #: Effect-cause diagnosis pins (the 128 golden patterns, one injected

@@ -51,6 +51,32 @@ class TestTopLevel:
                 assert obj.__doc__, f"{name} lacks a docstring"
 
 
+class TestOneFaultSimulator:
+    """One fault simulator serves 0/1 and 0/1/X: the packed carrier
+    picks the logic, so no second class and no config field does."""
+
+    def test_fault_simulator_is_the_batched_engine(self):
+        from repro.sim import BatchFaultSimulator, FaultSimulator
+
+        assert FaultSimulator is BatchFaultSimulator
+        assert repro.FaultSimulator is BatchFaultSimulator
+
+    def test_removed_names_stay_gone(self):
+        import dataclasses
+
+        import repro.sim
+        import repro.sim.threeval
+
+        for module in (repro, repro.sim, repro.sim.threeval):
+            assert not hasattr(module, "XFaultSimulator"), module.__name__
+            assert "XFaultSimulator" not in getattr(module, "__all__", ())
+        fields = [field.name for field in dataclasses.fields(repro.PipelineConfig)]
+        assert fields == [
+            "seed", "evolution_length", "cover_method", "max_random_patterns",
+            "backtrack_limit", "grasp_iterations", "matrix_workers",
+        ]
+
+
 @pytest.mark.parametrize("module_name", SUBPACKAGES)
 class TestSubpackages:
     def test_importable_with_docstring(self, module_name):

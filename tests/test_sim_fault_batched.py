@@ -23,8 +23,7 @@ from repro.circuits import CATALOG
 from repro.faults.model import Fault, full_fault_list
 from repro.sim.batch import BatchFaultSimulator, offset_dtype
 from repro.sim.fault import FaultSimulator, SerialFaultSimulator
-from repro.sim.threeval import XFaultSimulator
-from repro.utils.bitvec import BitVector
+from repro.utils.bitvec import BitVector, PackedPlanes, as_planes
 from repro.utils.rng import RngStream
 
 BATCH_SIZES = (1, 7, 64)
@@ -136,7 +135,11 @@ class TestDifferentialFixedCircuits:
 class TestEdgeCases:
     """0 patterns, 0 faults, and exact word-boundary pattern counts."""
 
-    @pytest.mark.parametrize("engine", [FaultSimulator, SerialFaultSimulator])
+    @pytest.mark.parametrize(
+        "engine",
+        [FaultSimulator, SerialFaultSimulator],
+        ids=["FaultSimulator", "SerialFaultSimulator"],
+    )
     def test_zero_patterns(self, c17, engine):
         simulator = engine(c17)
         faults = full_fault_list(c17)
@@ -144,7 +147,11 @@ class TestEdgeCases:
         assert simulator.detected([], faults) == [False] * len(faults)
         assert simulator.first_detection_index([], faults) == [None] * len(faults)
 
-    @pytest.mark.parametrize("engine", [FaultSimulator, SerialFaultSimulator])
+    @pytest.mark.parametrize(
+        "engine",
+        [FaultSimulator, SerialFaultSimulator],
+        ids=["FaultSimulator", "SerialFaultSimulator"],
+    )
     def test_zero_faults(self, c17, engine):
         simulator = engine(c17)
         patterns = [BitVector(v, 5) for v in range(5)]
@@ -503,13 +510,17 @@ class TestChunkedRows:
             )
 
 
-def _multiword_build(simulator, n_rows: int = 40, length: int = 384, workers=None):
+def _multiword_build(
+    simulator, n_rows: int = 40, length: int = 384, workers=None, planes=False
+):
     """A Detection Matrix build over ``length``-pattern (multi-word)
     rows on c880@0.2 over ``workers`` processes; returns ``(circuit,
-    faults, matrix)``."""
-    from repro.circuits import load_circuit
+    faults, matrix)``.  With ``planes`` the same rows are lifted to
+    X-free 0/1/X planes, which the simulator runs at ``m = 2``."""
     from repro.faults.collapse import collapse_faults
     from repro.reseeding import Triplet, build_detection_matrix
+    from repro.reseeding.triplet import packed_test_sets
+    from repro.sim.batch import detected_mask, parallel_detection_rows
     from repro.tpg import make_tpg
 
     circuit = simulator.circuit
@@ -524,6 +535,13 @@ def _multiword_build(simulator, n_rows: int = 40, length: int = 384, workers=Non
         for _ in range(n_rows)
     ]
     tpg = make_tpg("adder", circuit.n_inputs)
+    if planes:
+        rows = [
+            as_planes(packed, circuit.n_inputs)
+            for packed in packed_test_sets(tpg, triplets)
+        ]
+        offsets = parallel_detection_rows(simulator, rows, faults, workers or 1)
+        return circuit, faults, detected_mask(offsets)
     matrix = build_detection_matrix(
         circuit, tpg, triplets, faults, simulator, workers=workers
     )
@@ -572,15 +590,15 @@ class TestRowScanMemoryGuard:
     by ``row_chunk_words × batch_size`` cells whatever the row shape."""
 
     @pytest.mark.parametrize(
-        "engine, row_chunk_words",
+        "planes, row_chunk_words",
         [
-            pytest.param(BatchFaultSimulator, 2, id="2"),
-            pytest.param(BatchFaultSimulator, 64, id="64"),
-            pytest.param(XFaultSimulator, 2, id="x-2"),
-            pytest.param(XFaultSimulator, 64, id="x-64"),
+            pytest.param(False, 2, id="2"),
+            pytest.param(False, 64, id="64"),
+            pytest.param(True, 2, id="x-2"),
+            pytest.param(True, 64, id="x-64"),
         ],
     )
-    def test_calls_stay_within_budget(self, monkeypatch, engine, row_chunk_words):
+    def test_calls_stay_within_budget(self, monkeypatch, planes, row_chunk_words):
         from repro.circuits import load_circuit
         from repro.sim.batch import CHUNK_BUDGETS, _BatchPlan
 
@@ -600,10 +618,10 @@ class TestRowScanMemoryGuard:
 
         monkeypatch.setattr(_BatchPlan, "detect", spy_detect)
         monkeypatch.setattr(BatchFaultSimulator, "_good_values", spy_good)
-        simulator = engine(
+        simulator = BatchFaultSimulator(
             load_circuit("c880", scale=0.2), row_chunk_words=row_chunk_words
         )
-        _multiword_build(simulator)
+        _multiword_build(simulator, planes=planes)
         budget = row_chunk_words * simulator.batch_size
         assert calls and goods
         for n_roots, n_columns in calls:
@@ -740,8 +758,7 @@ def _cone_order_case(name: str):
     batch-mates, so no order) 3-valued matrix over an X-seeded bank."""
     from repro.circuits import load_circuit
     from repro.faults.collapse import collapse_faults
-    from repro.sim.threeval import XFaultSimulator
-    from repro.utils.bitvec import X_CODE, PackedPlanes
+    from repro.utils.bitvec import X_CODE
 
     circuit = load_circuit(name, scale=CONE_ORDER_SCALE)
     faults = collapse_faults(circuit)
@@ -756,9 +773,7 @@ def _cone_order_case(name: str):
     np.testing.assert_array_equal(
         single.detection_matrix(patterns, faults), serial
     )
-    x_single = XFaultSimulator(circuit, batch_size=1).detection_matrix(
-        planes, faults
-    )
+    x_single = single.detection_matrix(planes, faults)
     return circuit, faults, patterns, codes, serial, x_single
 
 
@@ -803,9 +818,6 @@ class TestConeOrder:
     )
     @given(data=st.data())
     def test_shuffled_catalog_matches_references(self, name, data):
-        from repro.sim.threeval import XFaultSimulator
-        from repro.utils.bitvec import PackedPlanes
-
         circuit, faults, patterns, codes, serial, x_single = _cone_order_case(
             name
         )
@@ -824,7 +836,7 @@ class TestConeOrder:
             [patterns[:split], patterns[split:], []],
         )
         _assert_queries_match(
-            XFaultSimulator(circuit, row_chunk_words=1),
+            BatchFaultSimulator(circuit, row_chunk_words=1),
             PackedPlanes.from_codes(codes),
             shuffled,
             x_single[:, perm],
@@ -934,35 +946,36 @@ class TestWorkerPlans:
         assert pooled.plan_builds > 0
 
     def test_worker_runs_the_callers_simulator(self, s27_scan):
-        """The initializer builds the caller's class with its
-        ``batch_size`` and ``row_chunk_words``."""
+        """The initializer builds a simulator with the caller's
+        ``batch_size`` and ``row_chunk_words``, and the planes it is
+        handed stay planes."""
         from repro.sim import batch as batch_module
 
         faults = full_fault_list(s27_scan)
-        simulator = XFaultSimulator(s27_scan, batch_size=7, row_chunk_words=2)
-        carriers = [
-            simulator._pack(_random_patterns(s27_scan, n, seed=80 + n))
+        simulator = BatchFaultSimulator(s27_scan, batch_size=7, row_chunk_words=2)
+        gen = np.random.default_rng(80)
+        carriers, dtype = simulator._pack_rows(
+            PackedPlanes.from_codes(gen.integers(0, 3, size=(s27_scan.n_inputs, n)))
             for n in (5, 0, 70, 130)
-        ]
-        dtype = offset_dtype(130)
-        batch_module._init_worker(
-            XFaultSimulator, s27_scan, 7, 2, carriers, faults, dtype
         )
+        assert dtype == offset_dtype(130)
+        batch_module._init_worker(s27_scan, 7, 2, carriers, faults, dtype)
         try:
-            worker = batch_module._worker_state[0]
+            worker, worker_carriers = batch_module._worker_state[:2]
             start, rows, work = batch_module._worker_rows((1, 4))
         finally:
             batch_module._worker_state = None
-        assert type(worker) is XFaultSimulator
+        assert type(worker) is BatchFaultSimulator
         assert (worker.batch_size, worker.row_chunk_words) == (7, 2)
+        assert [carrier.m for carrier in worker_carriers] == [2, 2, 2, 2]
         assert start == 1
         expected = batch_module._offset_table(simulator, carriers, faults, dtype)
         np.testing.assert_array_equal(rows, expected[1:])
         assert work == [getattr(worker, name) for name in batch_module._COUNTERS]
 
     def test_x_planes_through_the_pool(self):
-        """0/1/X rows keep their X through the pool: the workers run the
-        caller's three-valued engine."""
+        """0/1/X rows keep their X through the pool: the carriers are
+        planes, so the workers run them at ``m = 2``."""
         from repro.circuits import load_circuit
         from repro.sim.batch import parallel_detection_rows
         from repro.utils.bitvec import PackedPlanes
@@ -976,16 +989,57 @@ class TestWorkerPlans:
             for n in (40, 0, 200, 3)
         ]
         serial = np.array(
-            list(XFaultSimulator(circuit).first_detection_rows(pattern_sets, faults))
+            list(BatchFaultSimulator(circuit).first_detection_rows(pattern_sets, faults))
         )
         pooled = parallel_detection_rows(
-            XFaultSimulator(circuit), pattern_sets, faults, workers=2
+            BatchFaultSimulator(circuit), pattern_sets, faults, workers=2
         )
         np.testing.assert_array_equal(pooled, serial)
 
+    def test_mixed_carriers_match_all_planes(self):
+        """A table that mixes 2-valued and X-carrying rows lifts the
+        2-valued ones to X-free planes: serial and pooled, it equals the
+        table of the same rows all handed in as planes, and its 2-valued
+        rows equal their own 2-valued table."""
+        from repro.circuits import load_circuit
+        from repro.sim.batch import parallel_detection_rows
+        from repro.utils.bitvec import PackedPatterns
+
+        circuit = load_circuit("c880", scale=0.2)
+        faults = full_fault_list(circuit)
+        gen = np.random.default_rng(92)
+        width = circuit.n_inputs
+        mixed = [
+            PackedPlanes.from_codes(gen.integers(0, 3, size=(width, 40))),
+            _random_patterns(circuit, 70, seed=93),
+            [],
+            PackedPatterns.from_patterns(_random_patterns(circuit, 130, seed=94), width),
+            PackedPlanes.from_codes(gen.integers(0, 3, size=(width, 3))),
+        ]
+        all_planes = np.array(
+            list(
+                BatchFaultSimulator(circuit).first_detection_rows(
+                    [as_planes(p, width) for p in mixed], faults
+                )
+            )
+        )
+        serial = np.array(
+            list(BatchFaultSimulator(circuit).first_detection_rows(mixed, faults))
+        )
+        pooled = parallel_detection_rows(
+            BatchFaultSimulator(circuit), mixed, faults, workers=2
+        )
+        np.testing.assert_array_equal(serial, all_planes)
+        np.testing.assert_array_equal(pooled, all_planes)
+        two_valued = np.array(
+            list(BatchFaultSimulator(circuit).first_detection_rows(mixed[1:4], faults))
+        )
+        np.testing.assert_array_equal(all_planes[1:4], two_valued)
+
     def test_spawn_start_method_equals_serial(self, tmp_path):
         """Under ``spawn`` the workers receive the rows by pickle and
-        still build the serial table, for both simulator classes."""
+        still build the serial table, for 2-valued and 0/1/X carriers
+        alike."""
         import os
         import subprocess
         import sys
@@ -1003,7 +1057,7 @@ class TestWorkerPlans:
             env=env, capture_output=True, text=True, timeout=300,
         )
         assert result.returncode == 0, result.stdout + result.stderr
-        assert result.stdout.split() == ["BatchFaultSimulator", "XFaultSimulator"]
+        assert result.stdout == ""
 
 
 _SPAWN_SCRIPT = '''
@@ -1014,7 +1068,6 @@ import numpy as np
 from repro.circuits import load_circuit
 from repro.faults.collapse import collapse_faults
 from repro.sim.batch import BatchFaultSimulator, parallel_detection_rows
-from repro.sim.threeval import XFaultSimulator
 from repro.utils.bitvec import PackedPlanes
 
 if __name__ == "__main__":
@@ -1023,18 +1076,15 @@ if __name__ == "__main__":
     faults = collapse_faults(circuit)
     gen = np.random.default_rng(17)
     codes = [gen.integers(0, 3, size=(circuit.n_inputs, n)) for n in (40, 0, 200, 3)]
-    rows = {
-        BatchFaultSimulator: [PackedPlanes.from_codes(c & 1).to_packed() for c in codes],
-        XFaultSimulator: [PackedPlanes.from_codes(c) for c in codes],
-    }
-    for simulator_type, pattern_sets in rows.items():
+    packed = [PackedPlanes.from_codes(c & 1).to_packed() for c in codes]
+    planes = [PackedPlanes.from_codes(c) for c in codes]
+    for pattern_sets in (packed, planes):
         serial = np.array(
-            list(simulator_type(circuit).first_detection_rows(pattern_sets, faults))
+            list(BatchFaultSimulator(circuit).first_detection_rows(pattern_sets, faults))
         )
         pooled = parallel_detection_rows(
-            simulator_type(circuit), pattern_sets, faults, workers=2
+            BatchFaultSimulator(circuit), pattern_sets, faults, workers=2
         )
         assert pooled.dtype == serial.dtype
-        assert np.array_equal(pooled, serial), simulator_type.__name__
-        print(simulator_type.__name__)
+        assert np.array_equal(pooled, serial), pattern_sets[0].m
 '''

@@ -21,7 +21,6 @@ from repro.faults.collapse import collapse_faults
 from repro.faults.model import Fault, full_fault_list
 from repro.reseeding import Triplet, build_detection_matrix
 from repro.sim.batch import BatchFaultSimulator, _low_bit_index, offset_dtype
-from repro.sim.threeval import XFaultSimulator
 from repro.tpg import make_tpg
 from repro.utils.bitvec import X_CODE, BitVector, PackedPlanes
 from repro.utils.rng import RngStream
@@ -128,9 +127,9 @@ class TestOffsetDifferential:
             codes = gen.integers(0, 2, size=(circuit.n_inputs, n)).astype(np.uint8)
             codes[gen.random(codes.shape) < x_fraction] = X_CODE
             pattern_sets.append(PackedPlanes.from_codes(codes))
-        simulator = XFaultSimulator(circuit, batch_size=4)
+        simulator = BatchFaultSimulator(circuit, batch_size=4)
         _assert_rows_match(
-            simulator, XFaultSimulator(circuit), pattern_sets, faults, budget
+            simulator, BatchFaultSimulator(circuit), pattern_sets, faults, budget
         )
 
     @pytest.mark.parametrize("name", ["c17", "s27"])

@@ -30,7 +30,6 @@ from repro.circuit.netlist import Circuit, Gate
 from repro.faults.model import full_fault_list
 from repro.sim.batch import BatchFaultSimulator, detected_mask, offset_dtype
 from repro.sim.fault import SerialFaultSimulator
-from repro.sim.threeval import XFaultSimulator
 from repro.utils.bitvec import BitVector, PackedPlanes
 
 MIXED = (
@@ -186,7 +185,9 @@ def test_three_valued_matches_scalar_reference(
     codes = rng.integers(0, 2, (circuit.n_inputs, n_patterns)).astype(np.uint8)
     codes[rng.integers(0, 100, codes.shape) < x_percent] = X3
     expected = _scalar_matrix_3v(circuit, codes, faults)
-    engine = XFaultSimulator(circuit, batch_size=3, row_chunk_words=row_chunk_words)
+    engine = BatchFaultSimulator(
+        circuit, batch_size=3, row_chunk_words=row_chunk_words
+    )
     np.testing.assert_array_equal(
         engine.detection_matrix(PackedPlanes.from_codes(codes), faults), expected
     )
@@ -246,7 +247,7 @@ def test_structured_circuit_matches_references(structured, x_percent):
     expected = _scalar_matrix_3v(structured, codes, faults)
     planes = PackedPlanes.from_codes(codes)
     np.testing.assert_array_equal(
-        XFaultSimulator(structured).detection_matrix(planes, faults), expected
+        BatchFaultSimulator(structured).detection_matrix(planes, faults), expected
     )
     if not x_percent:
         patterns = _bit_patterns(structured, codes)

@@ -13,9 +13,10 @@ Every layer of the 0/1/X stack is pinned against something independent:
   engine on X-free input (every catalog circuit), matches the scalar 3V
   oracle with X, and is X-monotone: forcing inputs to X never flips a
   known output, it can only widen the unknown set;
-* **fault simulation** — :class:`XFaultSimulator` vs
-  :class:`FaultSimulator` on X-free patterns (coverage, matrix, first
-  detection, streamed rows), pessimism under X;
+* **fault simulation** — the one fault simulator fed
+  :class:`PackedPlanes` (it runs 0/1/X at the carrier's ``m = 2``) vs
+  the same simulator fed 2-valued patterns on X-free input (coverage,
+  matrix, first detection, streamed rows), pessimism under X;
 * **MISR** — X-masked signatures equal plain signatures on X-free
   streams at the 63/64/65 word boundaries, and masking is deterministic
   (same X-bank -> same signature) where unmasked X would corrupt.
@@ -43,7 +44,6 @@ from repro.sim import (
     CompiledCircuit,
     FaultSimulator,
     Misr,
-    XFaultSimulator,
     golden_signature,
     logic_sim_3v,
     logic_sim_3v_scalar,
@@ -303,11 +303,13 @@ class TestThreeValuedSimulation:
 
 
 # --------------------------------------------------------------------------
-# fault simulation: XFaultSimulator vs FaultSimulator
+# fault simulation: planes (m = 2) vs 2-valued patterns (m = 1)
 # --------------------------------------------------------------------------
 
 
 class TestXFaultSimulator:
+    """Fault simulation of X-carrying planes, on the one simulator."""
+
     @pytest.fixture(scope="class")
     def setup(self):
         circuit = load_circuit("c880", scale=0.2)
@@ -321,29 +323,30 @@ class TestXFaultSimulator:
         return circuit, faults, packed
 
     def test_x_free_identity(self, setup):
-        """On X-free patterns every query matches the 2-valued engine."""
+        """On X-free planes every query matches 2-valued patterns."""
         circuit, faults, packed = setup
+        planes = as_planes(packed, circuit.n_inputs)
         sim2 = FaultSimulator(circuit)
-        sim3 = XFaultSimulator(circuit)
-        assert sim2.detected(packed, faults) == sim3.detected(packed, faults)
+        sim3 = FaultSimulator(circuit)
+        assert sim2.detected(packed, faults) == sim3.detected(planes, faults)
         assert sim2.first_detection_index(
             packed, faults
-        ) == sim3.first_detection_index(packed, faults)
+        ) == sim3.first_detection_index(planes, faults)
         assert sim2.fault_coverage(packed, faults) == sim3.fault_coverage(
-            packed, faults
+            planes, faults
         )
         assert np.array_equal(
             sim2.detection_matrix(packed, faults),
-            sim3.detection_matrix(packed, faults),
+            sim3.detection_matrix(planes, faults),
         )
 
     def test_x_free_identity_streamed_rows(self, setup):
         circuit, faults, packed = setup
+        planes = as_planes(packed, circuit.n_inputs)
         sim2 = FaultSimulator(circuit)
-        sim3 = XFaultSimulator(circuit)
-        sets = [packed, packed, packed]
-        rows2 = list(sim2.detection_matrix_rows(sets, faults))
-        rows3 = list(sim3.detection_matrix_rows(sets, faults))
+        sim3 = FaultSimulator(circuit)
+        rows2 = list(sim2.detection_matrix_rows([packed] * 3, faults))
+        rows3 = list(sim3.detection_matrix_rows([planes] * 3, faults))
         assert len(rows2) == len(rows3) == 3
         for a, b in zip(rows2, rows3):
             assert np.array_equal(a, b)
@@ -371,11 +374,11 @@ class TestXFaultSimulator:
             codes = (gen.random((circuit.n_inputs, n)) < p_one).astype(np.uint8)
             codes[gen.random(codes.shape) < x_fraction] = X_CODE
             rows.append(PackedPlanes.from_codes(codes) if n else [])
-        oracle = XFaultSimulator(circuit)
+        oracle = FaultSimulator(circuit)
         expected = [
             oracle.detection_matrix(planes, faults).any(axis=0) for planes in rows
         ]
-        scanned = XFaultSimulator(circuit, batch_size=4).detection_matrix_rows(
+        scanned = FaultSimulator(circuit, batch_size=4).detection_matrix_rows(
             rows, faults, row_chunk_words=budget
         )
         for want, got in zip(expected, scanned, strict=True):
@@ -385,8 +388,8 @@ class TestXFaultSimulator:
         """X in the stimulus can only lose detections, never gain them,
         and coverage shrinks monotonically with the X fraction."""
         circuit, faults, packed = setup
-        sim3 = XFaultSimulator(circuit)
-        full = sim3.detection_matrix(packed, faults)
+        sim3 = FaultSimulator(circuit)
+        full = sim3.detection_matrix(as_planes(packed, circuit.n_inputs), faults)
         codes = np.stack(
             [
                 np.unpackbits(
@@ -412,7 +415,7 @@ class TestXFaultSimulator:
         if the faulty machine drives a known value there."""
         from repro.faults.model import full_fault_list
 
-        sim3 = XFaultSimulator(tiny_and)
+        sim3 = FaultSimulator(tiny_and)
         faults = full_fault_list(tiny_and)
         codes = np.array([[X_CODE], [1]], dtype=np.uint8)  # a=X, b=1
         matrix = sim3.detection_matrix(PackedPlanes.from_codes(codes), faults)

@@ -56,6 +56,20 @@ class TestBitVectorConstruction:
         with pytest.raises(ValueError):
             BitVector.from_string("10x0")
 
+    @given(st.text(alphabet="01_ b2\u0661", max_size=12))
+    def test_from_string_matches_per_character_rule(self, text):
+        """Acceptance and value follow the per-character rule: after
+        stripping and dropping underscores, the text is non-empty and
+        every character is 0 or 1 (an Arabic-Indic one, which ``int``
+        would read as 1, is rejected)."""
+        stripped = text.strip().replace("_", "")
+        if stripped and all(c in "01" for c in stripped):
+            vector = BitVector.from_string(text)
+            assert (vector.value, vector.width) == (int(stripped, 2), len(stripped))
+        else:
+            with pytest.raises(ValueError, match="not a binary string"):
+                BitVector.from_string(text)
+
     def test_zeros_and_ones(self):
         assert BitVector.zeros(5).value == 0
         assert BitVector.ones(5).value == 31
