@@ -4,9 +4,9 @@ recursive oracle.
 The workload is the deterministic top-off the engine actually runs: the
 collapsed stuck-at universe of ``s1238``, every fault taken through test
 generation.  ``BatchPodem`` implies a whole batch of fault lanes per
-sweep on the compiled plan (uint64 value + care bit-planes, one
-``eval_gates`` call per fold bucket of a level) and runs the search for
-every lane in lock step; the recursive :class:`~repro.atpg.podem.Podem` pays an
+sweep (uint64 interval rails, known-1 and not-known-0, one reduce per
+fold group of a level) and runs the search for every lane in lock
+step; the recursive :class:`~repro.atpg.podem.Podem` pays an
 event-driven three-valued resimulation and a scalar search step per
 decision per fault.
 
@@ -15,10 +15,10 @@ Two tiers:
 * always-on pytest-benchmark timings of both engines at
   ``RECORD_SCALE``;
 * the slow-marked floor test runs the full-size circuit and asserts the
-  batch engine stays **>= 3x** the recursive one (measured ~7.5x on a
-  2-vCPU host: recursive 5.8 s, batch 0.77 s) — after first asserting
-  the two engines' results are bit-identical fault for fault, so the
-  speedup is never bought with a different search.
+  batch engine stays **>= 3x** the recursive one (measured ~11x on a
+  2-vCPU host: recursive 9.9-10.2 s, batch 0.84-0.94 s) — after first
+  asserting the two engines' results are bit-identical fault for fault,
+  so the speedup is never bought with a different search.
 
 ``FLOOR_BACKTRACK_LIMIT`` (applied identically to both engines) keeps
 the handful of pathological s1238 faults from dominating either side's
@@ -49,7 +49,7 @@ FLOOR_BACKTRACK_LIMIT = 64
 FLOOR_BATCH_SIZE = 384
 
 #: Required batch-vs-recursive advantage on the full-size workload
-#: (acceptance floor 3x; measured ~7.5x on a 2-vCPU host).
+#: (acceptance floor 3x; measured ~11x on a 2-vCPU host).
 MIN_SPEEDUP = 3.0
 
 

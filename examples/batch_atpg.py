@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
-"""Fault-parallel deterministic ATPG on the compiled circuit plan.
+"""Fault-parallel deterministic ATPG on the compiled circuit.
 
 The deterministic top-off is the last serial hot path of the flow: the
 random phase covers the easy faults in bulk, then every random-resistant
 fault historically took a recursive PODEM search with an event-driven
 three-valued resimulation per decision.  ``BatchPodem`` runs that search
 fault-parallel — a batch of target faults become uint64 bit-plane
-*lanes* (the value + care planes of the gate kernel, good and faulty
-machine side by side), one levelized sweep implies every lane at once, the search steps every lane in lock step,
-and covered lanes retire mid-batch through fault dropping.
+*lanes* (interval rails, known-1 and not-known-0, good and faulty
+machine side by side), one levelized sweep implies every lane at once,
+the search steps every lane in lock step, and covered lanes retire
+mid-batch through fault dropping.
 
 This example drives ``BatchPodem`` and the scalar ``Podem.generate``
 oracle over the same collapsed fault list, times both, and checks they

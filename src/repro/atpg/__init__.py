@@ -12,9 +12,9 @@ list ``F`` (Section 3.1).  The flow is the classic three-phase one:
 
 PODEM's five-valued D-algebra (0/1/X/D/D') is a (good, faulty) pair of
 three-valued values, so it needs no value system of its own: the batch
-engine implies both machines with the one gate kernel
-(:func:`repro.circuit.gates.eval_gates`) on ``m = 2`` planes, and the
-scalar engine evaluates each machine with three-valued codes.
+engine implies both machines on interval rails (known-1, not-known-0),
+one reduce per fold group of a level, and the scalar engine evaluates
+each machine with three-valued codes.
 """
 
 from repro.atpg.podem import Podem, PodemResult, PodemStatus, TestCube

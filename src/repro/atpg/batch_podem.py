@@ -1,4 +1,4 @@
-"""Fault-parallel PODEM over the compiled circuit plan.
+"""Fault-parallel PODEM over the compiled circuit.
 
 :class:`BatchPodem` generates tests for a whole *batch* of target
 faults at once: each fault owns one bit **lane**, and both halves of
@@ -6,19 +6,25 @@ PODEM — the five-valued implication and the search — run for every
 lane together as array code.
 
 **Implication.**  A five-valued value is a (good, faulty) pair of
-three-valued ones, so both machines live in the ``m = 2`` (value +
-care) planes of the one gate kernel,
-:func:`~repro.circuit.gates.eval_gates`, each plane double width (good
-lanes, then faulty lanes).  One sweep per round walks the compiled
-circuit's plan one topological level at a time; rows are renumbered in
-plan order, so each fold bucket (see :mod:`repro.sim.logic`) is one
-contiguous row range that one ``eval_gates`` call fills, its fanins
-padded with a known-1 or known-0 row: at most three calls fill a level
-unless a ragged fold splits by arity.  Each level's
-output passes dense fault-forcing masks: a stem fault pins its lane's
-faulty value and care bits on its net; a branch fault pins them on a
-*pin row* — a copy of the net that only its reading gate's pin reads —
-so the gate sees the stuck pin and every other reader sees the net.
+three-valued ones, and each three-valued value is an interval of two
+rails: ``l`` is known-1 and ``u`` not-known-0, so X is (0, 1), a known
+0 is (0, 0) and a known 1 is (1, 1).  One plane row carries the rails
+``[l_good, l_faulty, u_good, u_faulty]``, each as wide as the lanes.
+On rails AND and OR are one ``ufunc.reduce`` over all four, inversion
+is a complement plus a swap of the two rails, and XOR is ``unk =
+OR(l ^ u)``, ``v = XOR(l)``, ``(v & ~unk, v | unk)``.  One sweep per
+round walks the circuit one topological level at a time; rows are
+renumbered so each level's gates of one fold (AND, OR, XOR) are one
+contiguous **fold group**, its inverting gates last, whose fanins are
+padded to its widest gate with the fold's identity row (a known 1 or
+a known 0) and gathered pin-major: one gather and one reduce over axis
+0 fill the group, and one scatter writes it back with the inverting
+gates' rails swapped, so a level costs at most three groups whatever
+its arities.  Each level's output passes dense fault-forcing masks: a
+stem fault pins both rails of its lane's faulty machine to the stuck
+value on its net; a branch fault pins them on a *pin row* — a copy of
+the net that only its reading gate's pin reads — so the gate sees the
+stuck pin and every other reader sees the net.
 
 **Search.**  Each round advances every lane by one PODEM step in lock
 step, on the packed planes:
@@ -30,10 +36,15 @@ step, on the packed planes:
 * the objective gate is each lane's first frontier gate in a rank
   fixed by (PO distance, node id); its target is the gate's first
   good-machine-X fanin (a frontier gate without one is a dead end);
-* the backtrace walks all lanes back together, one gather per step,
-  choosing the easiest (or, when every input must be non-controlling,
-  the hardest) X fanin by level or SCOAP difficulty with first-index
-  ties, and the XOR parity rule;
+* the backtrace walks all lanes back together off a table built once:
+  for each (gate, goal) the fanins sorted stably by signed cost — the
+  easiest first when one controlling input suffices, the hardest first
+  when every input must be non-controlling, by level or SCOAP
+  difficulty, plain pin order for an XOR — so a step is one gather and
+  an ``argmax`` for the first X pin, with the first-index ties of
+  ``min()``/``max()``; an XOR's parity is the XOR of its fanins' good
+  known-1 bits (the chosen pin is X and adds nothing), and lanes that
+  stop park under a mask;
 * decision stacks are per-lane arrays, so decisions, flips and the
   X-clearing of popped PIs are masked bulk writes of one assignment
   code matrix that the next sweep packs into its input planes.
@@ -59,7 +70,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from repro.atpg.podem import PodemResult, PodemStatus, TestCube
-from repro.circuit.gates import Fold, eval_gates
+from repro.circuit.gates import Fold
 from repro.circuit.netlist import Circuit
 from repro.faults.model import Fault
 from repro.sim.batch import BatchFaultSimulator
@@ -76,11 +87,7 @@ DEFAULT_LANES = 256
 #: Assignment code of an unassigned (X) primary input.
 _X = 2
 
-#: Backtrace step kinds: AND and OR folds pick the easiest or hardest X
-#: fanin, XOR folds fix their first X fanin by parity.
-_CONTROL, _PARITY = range(2)
-
-_BIG = np.iinfo(np.int64).max
+_FOLDS = tuple(Fold)
 
 
 class BatchPodem:
@@ -160,20 +167,21 @@ class BatchPodem:
     # ------------------------------------------------------------------
 
     def _build_search_tables(self) -> None:
-        """Per-row arrays of the search.  Rows renumber the nodes in the
-        compiled plan's order — the sources, then each level's fold
-        buckets — so each level's gates are one contiguous row range and
-        each bucket one sub-range.  Row ``n`` is a sentinel (known 0 in
-        both machines) that pads every fanin list of the search to the
-        widest gate, and row ``n + 1`` a known 1; the two are the fold
-        identities that pad the sweep's buckets."""
+        """Per-row arrays of the search.  Rows renumber the nodes — the
+        sources, then each level's gates by fold, the inverting gates of
+        a fold last, ties by node id — so each level's gates are one
+        contiguous row range and each fold group one sub-range.  Row
+        ``n`` is a sentinel (known 0 in both machines) that pads every
+        fanin list of the search to the widest gate, and row ``n + 1`` a
+        known 1; the two are the fold identities that pad the sweep's
+        groups."""
         comp = self._compiled
         n = comp.n_nodes
         levels = comp.node_levels
-        node_of_row = np.concatenate(
-            [np.flatnonzero(comp.folds < 0)]
-            + [ids for _, buckets in comp.plan for _, _, ids, _ in buckets]
-        )
+        folds = comp.folds
+        gates = np.flatnonzero(folds >= 0)
+        gates = gates[np.lexsort((gates, comp.inverted[gates], folds[gates], levels[gates]))]
+        node_of_row = np.concatenate((np.flatnonzero(folds < 0), gates))
         row_of = np.empty(n, dtype=np.int64)
         row_of[node_of_row] = np.arange(n)
         self._row_of = row_of
@@ -187,25 +195,22 @@ class BatchPodem:
         self._sweep_fanins = row_ext[comp.fanin_table][node_of_row]
         search_fanins = np.minimum(self._sweep_fanins, n)
         self._fanin_pad = np.vstack((search_fanins, np.full_like(search_fanins[:1], n)))
-        # Per row: backtrace step kind, controlling value, inversion.  A
-        # one-pin AND (BUF, NOT) steps as AND does: its one pin is both
-        # the easiest and the first X fanin.
-        folds = np.append(comp.folds[node_of_row], -1)
-        kind = np.where(folds == Fold.XOR, _PARITY, _CONTROL)
-        control = (folds == Fold.OR).astype(np.int64)
+        row_folds = np.append(folds[node_of_row], -1)
         invert = np.append(comp.inverted[node_of_row], False).astype(np.int64)
-        self._gate_meta = np.stack((kind, control, invert), axis=1)
+        self._invert = invert
+        self._is_xor = (row_folds == Fold.XOR).astype(np.int64)
+        self._has_xor = bool(self._is_xor.any())
         #: Value an objective asks of a frontier gate's X fanin: the
         #: non-controlling value, 0 for an XOR.
-        self._objective_target = (folds == Fold.AND).astype(np.int64)
+        self._objective_target = (row_folds == Fold.AND).astype(np.int64)
         self._input_rows = row_of[comp.input_ids]
         self._output_rows = row_of[comp.output_ids]
         w = self._n_words
         self._const_rows = row_ext[np.concatenate((comp.known0_rows, comp.known1_rows))]
-        # Constants are known in both machines: care all ones, value 1
-        # for the known-1 rows only.
-        self._const_values = np.full((self._const_rows.size, 4 * w), _ALL_ONES)
-        self._const_values[: comp.known0_rows.size, : 2 * w] = 0
+        # Constants are known in both machines: both rails 0 for a known
+        # 0, both 1 for a known 1.
+        self._const_values = np.zeros((self._const_rows.size, 4 * w), dtype=np.uint64)
+        self._const_values[comp.known0_rows.size :] = _ALL_ONES
         self._is_input = np.zeros(n + 1, dtype=bool)
         self._is_input[self._input_rows] = True
         #: Where a backtrace stops: a PI, or the sentinel (no X fanin).
@@ -214,21 +219,7 @@ class BatchPodem:
         self._input_index = np.full(n + 1, -1, dtype=np.int64)
         self._input_index[self._input_rows] = np.arange(comp.n_inputs)
         self._input_names = [comp.order[i] for i in comp.input_ids]
-        # Backtrace cost of setting a row to value v, signed by whether
-        # one controlling input suffices (pick the easiest, cost as is)
-        # or every input must go non-controlling (pick the hardest,
-        # negated): ``[row, v, easy]``.  Cost is the logic level, or the
-        # SCOAP controllability.
-        cost = np.zeros((n + 1, 2), dtype=np.int64)
-        if self.heuristic == "scoap":
-            from repro.atpg.scoap import compute_scoap
-
-            measures = compute_scoap(self.circuit)
-            cost[row_of, 0] = [measures.cc0[name] for name in comp.order]
-            cost[row_of, 1] = [measures.cc1[name] for name in comp.order]
-        else:
-            cost[row_of] = levels[:, None]
-        self._signed_cost = np.stack((-cost, cost), axis=-1).ravel()
+        self._build_backtrace_order()
         # Objective rank: shortest fanout distance to a PO (unreachable
         # last), ties by node id.
         distance = np.full(n, 1 << 30, dtype=np.int64)
@@ -252,6 +243,18 @@ class BatchPodem:
         self._level_ends = np.array([b for _, _, b in self._level_rows], dtype=np.int64)
         #: Level-0 rows: the sources (PIs and constants).
         self._n_sources = self._level_rows[0][1] if self._level_rows else n
+        # Fold groups of each level: ``(fold, first row, end row, width,
+        # first inverting row)``.
+        arity = comp.arity[node_of_row]
+        self._level_groups = []
+        for _, a, b in self._level_rows:
+            edges = a + np.flatnonzero(np.diff(row_folds[a:b], prepend=-1))
+            groups = []
+            for ga, gb in zip(edges.tolist(), edges[1:].tolist() + [b]):
+                inverting = ga + int(np.count_nonzero(invert[ga:gb] == 0))
+                width = int(arity[ga:gb].max())
+                groups.append((_FOLDS[row_folds[ga]], ga, gb, width, inverting))
+            self._level_groups.append(groups)
         # Gate pins (node rows, pin order) with segment starts, for the
         # frontier and X-path folds: all gates, and each level's.
         self._gate_pins = (
@@ -263,6 +266,41 @@ class BatchPodem:
             (a, b, *_segments(self._fanin_pad, a, b, n)) for _, a, b in self._level_rows
         ]
 
+    def _build_backtrace_order(self) -> None:
+        """The backtrace table ``[row, goal]``: the row's fanins in the
+        order a backtrace step tries them, so the first good-X one is
+        the pick.  An AND or OR row asked for ``goal`` needs ``pre =
+        goal ^ invert`` on its fanins; when ``pre`` is the controlling
+        value one input suffices and the fanins sort easiest first,
+        else every input must go non-controlling and they sort hardest
+        first.  Cost is the logic level, or the SCOAP controllability
+        of ``pre``.  The sort is stable, so equal costs keep pin order:
+        the first-index ties of ``min()``/``max()``.  An XOR row keeps
+        plain pin order (its first X fanin); a one-pin gate's one pin
+        is its first X fanin either way."""
+        comp = self._compiled
+        n = comp.n_nodes
+        cost = np.zeros((n + 1, 2), dtype=np.int64)
+        if self.heuristic == "scoap":
+            from repro.atpg.scoap import compute_scoap
+
+            measures = compute_scoap(self.circuit)
+            cost[self._row_of, 0] = [measures.cc0[name] for name in comp.order]
+            cost[self._row_of, 1] = [measures.cc1[name] for name in comp.order]
+        else:
+            cost[self._row_of] = comp.node_levels[:, None]
+        control = np.append(comp.folds[self._node_of_row] == Fold.OR, False).astype(np.int64)
+        fanins = self._fanin_pad
+        order = np.empty((n + 1, 2, fanins.shape[1]), dtype=np.int64)
+        for goal in (0, 1):
+            pre = goal ^ self._invert
+            sign = np.where(pre == control, 1, -1) * (1 - self._is_xor)
+            key = cost[fanins, pre[:, None]] * sign[:, None]
+            order[:, goal] = np.take_along_axis(
+                fanins, np.argsort(key, axis=1, kind="stable"), axis=1
+            )
+        self._backtrace_order = order
+
     def _layout(self) -> None:
         """(Re)build the plane backing and the sweep plan for the
         current pin rows: rows ``[0, n)`` are nodes, row ``n`` the
@@ -273,15 +311,14 @@ class BatchPodem:
         w = self._n_words
         row_of = self._row_of
         n_rows = n + 2 + len(self._pin_rows)
-        # One backing array carries value and care planes of both
-        # machines: word columns [0, 2w) are the value plane and [2w, 4w)
-        # the care plane, each split good half / faulty half.  The
-        # sweep gathers a bucket's fanin rows once to read all four.
+        # One backing array carries both rails of both machines: word
+        # columns [0, 2w) are the known-1 rail ``l`` and [2w, 4w) the
+        # not-known-0 rail ``u``, each split good half / faulty half.
+        # The sweep gathers a group's fanin rows once to read all four.
         self._P = np.zeros((n_rows, 4 * w), dtype=np.uint64)
         # Fault forcings as dense masks, ``P[r] = P[r] & keep[r] | put[r]``
-        # for every row: ``keep`` clears a forced lane's faulty value and
-        # care bits and ``put`` sets the stuck value; every other bit
-        # passes.
+        # for every row: ``keep`` clears a forced lane's faulty rails and
+        # ``put`` sets both for a stuck-at-1; every other bit passes.
         self._keep = np.full((n_rows, 4 * w), _ALL_ONES, dtype=np.uint64)
         self._put = np.zeros((n_rows, 4 * w), dtype=np.uint64)
         # Pin rows follow the nodes, ordered by their net's level, so
@@ -307,15 +344,17 @@ class BatchPodem:
             copy_of[level] = (first, first + nets.size, nets)
             first += nets.size
         self._source_copy = copy_of.get(0)
-        # Each level's rows [a, b) and its buckets' row ranges, in the
-        # compiled plan's order.
+        # Each level's rows [a, b) and its fold groups: the fanin rows
+        # pin-major, and the scatter of the result's rail halves onto the
+        # plane's, swapped for the inverting gates.
         self._plan = []
-        for (level, buckets), (_, a, b) in zip(comp.plan, self._level_rows):
-            rows, ga = [], a
-            for fold, invert, ids, fanins in buckets:
-                gb = ga + ids.size
-                rows.append((fold, invert, ga, gb, pin_fanin[ga:gb, : fanins.shape[1]]))
-                ga = gb
+        for (level, a, b), groups in zip(self._level_rows, self._level_groups):
+            rows = []
+            for fold, ga, gb, width, inverting in groups:
+                halves = np.arange(2 * ga, 2 * gb, dtype=np.int64).reshape(-1, 2)
+                halves[inverting - ga :] = halves[inverting - ga :, ::-1]
+                fanins = np.ascontiguousarray(pin_fanin[ga:gb, :width].T)
+                rows.append((fold, inverting - ga, halves.ravel(), fanins))
             self._plan.append((a, b, rows, copy_of.get(level)))
 
     # ------------------------------------------------------------------
@@ -453,15 +492,14 @@ class BatchPodem:
         row = net if gate_id is None else self._pin_rows[(gate_id, pin)]
         self._forced_row[col] = row
         self._col_of.setdefault(fault, []).append(col)
-        value, care = self._faulty_words(col)
+        words = list(self._faulty_words(col))
         mask = np.uint64(1 << (col % 64))
-        self._keep[row, [value, care]] &= ~mask
-        self._put[row, care] |= mask
+        self._keep[row, words] &= ~mask
         if fault.value:
-            self._put[row, value] |= mask
+            self._put[row, words] |= mask
 
     def _faulty_words(self, col: int) -> tuple[int, int]:
-        """Columns of lane ``col``'s faulty value and care words."""
+        """Columns of lane ``col``'s faulty ``l`` and ``u`` words."""
         w = self._n_words
         word = col // 64
         return w + word, 3 * w + word
@@ -487,27 +525,32 @@ class BatchPodem:
     # the packed implication sweep
     # ------------------------------------------------------------------
 
-    # repro: allow[kernel-purity] O(depth x fold-bucket) sweep; each fold evaluates every lane at once
+    # repro: allow[kernel-purity] O(depth x fold) sweep; each fold group evaluates every lane at once
     @kernel
     def _imply(self) -> None:
-        """One five-valued sweep, one fold call per bucket: good and
-        faulty machines for all lanes at once, fault forcings
-        re-asserted level by level."""
+        """One five-valued sweep on the interval rails, one reduce per
+        fold group: good and faulty machines for all lanes at once,
+        fault forcings re-asserted level by level."""
         self.sweeps += 1
         P, keep, put = self._P, self._keep, self._put
         codes = self._codes
-        value = np.packbits(codes == 1, axis=1, bitorder="little").view(np.uint64)
-        care = np.packbits(codes != _X, axis=1, bitorder="little").view(np.uint64)
-        P[self._input_rows] = np.concatenate((value, value, care, care), axis=1)
+        known1 = np.packbits(codes == 1, axis=1, bitorder="little").view(np.uint64)
+        maybe1 = np.packbits(codes != 0, axis=1, bitorder="little").view(np.uint64)
+        P[self._input_rows] = np.concatenate((known1, known1, maybe1, maybe1), axis=1)
         P[self._const_rows] = self._const_values
         sources = P[: self._n_sources]
         sources &= keep[: self._n_sources]
         sources |= put[: self._n_sources]
         if self._source_copy is not None:
             self._copy_pins(*self._source_copy)
-        for a, b, buckets, copy in self._plan:
-            for fold, invert, ga, gb, fanins in buckets:
-                P[ga:gb] = eval_gates(fold, invert, P[fanins], 2, axis=1)
+        # Each row as its two rail halves: the scatter target.
+        halves = P.reshape(-1, P.shape[1] // 2)
+        for a, b, groups, copy in self._plan:
+            for fold, inverting, scatter, fanins in groups:
+                out = _fold_rails(fold, P[fanins])
+                tail = out[inverting:]
+                np.invert(tail, out=tail)
+                halves[scatter] = out.reshape(-1, halves.shape[1])
             level = P[a:b]
             level &= keep[a:b]
             level |= put[a:b]
@@ -539,10 +582,11 @@ class BatchPodem:
         A frontier gate reads a D on some pin and is X in some machine.
         """
         w = self._n_words
-        value_good, value_faulty = planes[:, :w], planes[:, w : 2 * w]
-        known = planes[:, 2 * w : 3 * w] & planes[:, 3 * w :]
-        d = known & (value_good ^ value_faulty)
-        xany = ~known
+        x = planes[:, : 2 * w] ^ planes[:, 2 * w :]
+        xany = x[:, :w] | x[:, w:]
+        # A D: known in both machines, the known-1 rails differ.
+        d = planes[:, :w] ^ planes[:, w : 2 * w]
+        d &= ~xany
         frontier = np.zeros_like(d)
         if self._gate_pins is not None:
             pins, starts = self._gate_pins
@@ -556,9 +600,8 @@ class BatchPodem:
         col = cols[branch]
         word, bit = col // 64, np.uint64(1) << (col % 64).astype(np.uint64)
         gate, net = self._site_gate[col], self._site_net[col]
-        good = value_good[net, word]
         activated = np.where(
-            self._stuck[col] == 1, planes[net, 2 * w + word] & ~good, good
+            self._stuck[col] == 1, ~planes[net, 2 * w + word], planes[net, word]
         )
         site = (activated & xany[gate, word] & bit) != 0
         np.bitwise_or.at(frontier, (gate[site], word[site]), bit[site])
@@ -590,13 +633,15 @@ class BatchPodem:
         )
 
     def _good_state(self, planes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The good machine of the node rows for the backtrace: X flags
-        unpacked to one byte per (row, lane), and the packed value
-        words (a set value bit is a known 1)."""
+        """The good machine of the node rows for the search, unpacked to
+        one byte per (row, lane): the X flags and the known-1 rail."""
         w = self._n_words
-        x_words = ~planes[:, 2 * w : 3 * w]
-        x_good = np.unpackbits(x_words.view(np.uint8), axis=1, bitorder="little")
-        return x_good, planes[:, :w]
+        known1 = np.ascontiguousarray(planes[:, :w])
+        x_words = known1 ^ planes[:, 2 * w : 3 * w]
+        return (
+            np.unpackbits(x_words.view(np.uint8), axis=1, bitorder="little"),
+            np.unpackbits(known1.view(np.uint8), axis=1, bitorder="little"),
+        )
 
     # repro: allow[kernel-purity] O(path length) lock-step backtrace; each step moves every walking lane one gate
     @kernel
@@ -610,59 +655,40 @@ class BatchPodem:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Walk each lane's objective ``(node, target)`` back along good
         X nets to an unassigned PI, all lanes one gate per step (a lane
-        leaves the walk when it stops).  Returns each lane's PI row and
-        value, and whether it reached one (the others met a gate without
-        an X fanin)."""
+        that stops parks under ``done``).  Returns each lane's PI row
+        and value, and whether it reached one (the others met a gate
+        without an X fanin)."""
+        if not cols.size:
+            return node, target, self._is_input[node]
         width = x_good.shape[1]
-        x_flat = x_good.ravel()
+        x_flat, one_flat = x_good.ravel(), one_good.ravel()
         n_pins = self._fanin_pad.shape[1]
-        walking = np.arange(cols.size, dtype=np.int64)
-        at, goal, col = node, target, cols
-        while walking.size:
-            stop = self._stop[at]
-            if stop.any():
-                node[walking[stop]] = at[stop]
-                target[walking[stop]] = goal[stop]
-                keep = ~stop
-                walking, at, goal, col = (
-                    walking[keep], at[keep], goal[keep], col[keep]
-                )
-                if not walking.size:
+        tables = self._backtrace_order.reshape(-1, n_pins)
+        first_pin = np.arange(cols.size, dtype=np.int64) * n_pins
+        lane = cols[:, None]
+        at, goal = node, target
+        done = np.zeros(cols.size, dtype=bool)
+        while True:
+            new = self._stop[at] > done
+            if new.any():
+                node[new] = at[new]
+                target[new] = goal[new]
+                done |= new
+                if done.all():
                     break
-            fanins = self._fanin_pad[at]
-            x_pin = x_flat.take(fanins * width + col[:, None])
-            kind, control, invert = self._gate_meta[at].T
-            pre = goal ^ invert
-            # AND/OR-like: one controlling input suffices (easiest X
-            # fanin), else every input must go non-controlling (hardest
-            # first); either way the fanin target is ``pre``, and ties go
-            # to the first pin, as min()/max() do.
-            cost = self._signed_cost.take(
-                fanins * 4 + (2 * pre + (pre == control))[:, None]
-            )
-            pick_control = np.where(x_pin, cost, _BIG).argmin(axis=1)
-            # XOR-like: fix the first X fanin against the parity of the
-            # other pins' known good values (X counts as 0).
-            pick_parity = x_pin.argmax(axis=1)
-            parity = kind == _PARITY
-            if parity.any():
-                lanes = np.flatnonzero(parity)
-                pins = fanins[lanes]
-                chosen = pins[np.arange(lanes.size, dtype=np.int64), pick_parity[lanes]]
-                lane_col = col[lanes, None]
-                ones = one_good[pins, lane_col // 64] >> (lane_col % 64).astype(
-                    np.uint64
-                )
-                parity[lanes] = np.bitwise_xor.reduce(
-                    ones & (pins != chosen[:, None]), axis=1
-                ) & 1
-            # A one-input gate's one pin is its first X pin, if any.
-            pick = np.where(kind == _CONTROL, pick_control, pick_parity)
-            first_pin = np.arange(at.size, dtype=np.int64) * n_pins
-            moved = fanins.ravel().take(first_pin + pick)
-            has_x = x_pin.ravel().take(first_pin + pick_parity)
-            at = np.where(has_x, moved, self._sentinel)
-            goal = pre ^ parity
+            # The gate's fanins in trial order: the first X one is the
+            # pick (none: the walk meets the sentinel and stops).
+            order = tables.take(2 * at + goal, axis=0)
+            cells = order * width + lane
+            x_pin = x_flat.take(cells)
+            pick = first_pin + x_pin.argmax(axis=1)
+            goal = goal ^ self._invert[at]
+            if self._has_xor:
+                # An XOR fixes its pick against the parity of the other
+                # pins' good known-1 bits; the X pick itself adds 0.
+                parity = np.bitwise_xor.reduce(one_flat.take(cells), axis=1)
+                goal ^= parity & self._is_xor[at]
+            at = np.where(x_pin.ravel().take(pick), order.ravel().take(pick), self._sentinel)
         return node, target, self._is_input[node]
 
     def _advance(self, cols: np.ndarray) -> list[tuple[int, PodemResult]]:
@@ -677,7 +703,7 @@ class BatchPodem:
         net = self._site_net[cols]
         stuck = self._stuck[cols]
         site_x = x_flat.take(net * width + cols) == 1
-        site_value = (one_good[net, cols // 64] >> (cols % 64).astype(np.uint64)) & 1
+        site_value = one_good.ravel().take(net * width + cols)
         # Objective: activate the fault, else drive the first frontier
         # gate's first good-X fanin to its non-controlling value.
         node = net.copy()
@@ -779,3 +805,19 @@ def _segments(
     real = rows != pad
     starts = np.concatenate(([0], np.cumsum(real.sum(axis=1)[:-1])))
     return rows[real], starts.astype(np.int64)
+
+
+def _fold_rails(fold: Fold, fanins: np.ndarray) -> np.ndarray:
+    """Fold a group's pin-major interval rails ``(width, gates, [l |
+    u])`` over the pin axis: AND and OR act on both rails alike; an XOR
+    is known only where every pin is, its known-1 rail the parity of
+    the pins' ``l``."""
+    if fold is Fold.AND:
+        return np.bitwise_and.reduce(fanins, axis=0)
+    if fold is Fold.OR:
+        return np.bitwise_or.reduce(fanins, axis=0)
+    half = fanins.shape[-1] // 2
+    known1 = fanins[..., :half]
+    unknown = np.bitwise_or.reduce(known1 ^ fanins[..., half:], axis=0)
+    parity = np.bitwise_xor.reduce(known1, axis=0)
+    return np.concatenate((parity & ~unknown, parity | unknown), axis=1)

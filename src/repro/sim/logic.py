@@ -14,8 +14,9 @@ last.  A bucket is one gather plus one
 :func:`repro.circuit.gates.eval_gates` call, so a level costs at most
 three calls (more only where :data:`PAD_LIMIT` splits a ragged bucket
 by arity).  :meth:`CompiledCircuit.fold_buckets` is the one bucketing
-rule: the fault tracer, the stem machines, fault injection and the
-batch PODEM sweep its buckets too.  :meth:`CompiledCircuit.simulate`
+rule: the fault tracer, the stem machines and fault injection sweep
+its buckets too (the batch PODEM folds each level and fold as one
+group on rails of its own).  :meth:`CompiledCircuit.simulate`
 is the one walk for 0/1 words (``m = 1``) and 0/1/X value + care
 planes (``m = 2``).
 """

@@ -108,15 +108,16 @@ def golden_signature(
 
 
 def x_masked_signature(
-    circuit: Circuit, planes: PackedPlanes, misr: Misr | None = None
+    circuit: Circuit | CompiledCircuit, planes: PackedPlanes, misr: Misr | None = None
 ) -> tuple[BitVector, int]:
     """The X-masked fault-free signature for a three-valued stimulus.
 
     Simulates ``planes`` (0/1/X input patterns, one per lane) through the
     three-valued engine, masks unknown output bits to 0 and compacts the
-    rest; returns ``(signature, n_masked)``.  For X-free stimuli this
-    equals :func:`golden_signature` on the same patterns with
-    ``n_masked == 0``.
+    rest; returns ``(signature, n_masked)``.  ``circuit`` may be already
+    compiled (see :func:`~repro.sim.threeval.logic_sim_3v`).  For X-free
+    stimuli this equals :func:`golden_signature` on the same patterns
+    with ``n_masked == 0``.
     """
     misr = misr or Misr(circuit.n_outputs)
     if misr.width != circuit.n_outputs:

@@ -38,18 +38,19 @@ __all__ = ["logic_sim_3v", "logic_sim_3v_scalar"]
 
 
 @kernel
-def logic_sim_3v(circuit: Circuit, planes: PlanesLike) -> PackedPlanes:
+def logic_sim_3v(circuit: Circuit | CompiledCircuit, planes: PlanesLike) -> PackedPlanes:
     """Three-valued true-value simulation; returns the primary-output
     planes (row ``k`` = ``circuit.outputs[k]``).
 
-    One-shot convenience over
-    :meth:`~repro.sim.logic.CompiledCircuit.simulate` at ``m = 2``;
-    accepts anything :func:`~repro.utils.bitvec.as_planes` does — X-free
-    2-valued patterns pass through with care = all ones, and the value
-    plane then matches the 2-valued engine bit for bit.
+    Convenience over :meth:`~repro.sim.logic.CompiledCircuit.simulate`
+    at ``m = 2``; ``circuit`` may be already compiled, so callers that
+    simulate one circuit repeatedly compile it once.  Accepts anything
+    :func:`~repro.utils.bitvec.as_planes` does — X-free 2-valued
+    patterns pass through with care = all ones, and the value plane then
+    matches the 2-valued engine bit for bit.
     """
-    compiled = CompiledCircuit(circuit)
-    planes = as_planes(planes, circuit.n_inputs)
+    compiled = circuit if isinstance(circuit, CompiledCircuit) else CompiledCircuit(circuit)
+    planes = as_planes(planes, compiled.n_inputs)
     state = compiled.simulate(planes.words, planes.m)[compiled.output_ids]
     n_words = planes.n_words
     mask = planes.tail_mask()

@@ -3,14 +3,17 @@
 Three layers, each pinned to an independent reference:
 
 * the ``m = 2`` lane layout and the one gate kernel's single-gate and
-  segmented shapes against the scalar three-valued oracle;
+  segmented shapes against the scalar three-valued oracle (the batch
+  PODEM's own interval-rail sweep is pinned against a scalar
+  five-valued walk in ``tests/test_prop_fold_form.py``);
 * :class:`~repro.atpg.batch_podem.BatchPodem` against the recursive
   :class:`~repro.atpg.podem.Podem` oracle — the batch engine runs the
   oracle's objective, backtrace and decision rules for every lane in
   lock step, so the two must agree **bit for bit**: same statuses, same
   cubes, same backtrack and decision counts, for every lane geometry
   (one lane, word boundaries, partly filled words), PI stem faults,
-  XOR/XNOR branch pins and both backtrace heuristics.  (This is strictly stronger than the
+  XOR/XNOR branch pins and both backtrace heuristics, and decision for
+  decision on hand-built backtrace edge cases.  (This is strictly stronger than the
   required contract — DETECTED/UNTESTABLE equal, ABORTED allowed to
   differ only toward more detections — so that contract holds a
   fortiori.)
@@ -32,20 +35,22 @@ from repro.atpg.engine import AtpgEngine
 from repro.atpg.podem import Podem, PodemStatus
 from repro.circuit.gates import (
     FOLD_IDENTITY,
+    X3,
     GateType,
     eval_gate_3v_scalar,
     eval_gates,
     gate_form,
 )
 from repro.circuit.generate import GeneratorSpec, generate_circuit
+from repro.circuit.netlist import Circuit, Gate
 from repro.circuits import load_circuit
 from repro.faults.collapse import collapse_faults
-from repro.faults.model import Fault
+from repro.faults.model import Fault, full_fault_list
 from repro.flow.serialize import decode, encode
 from repro.utils.bitvec import PackedPlanes
 
 # ---------------------------------------------------------------------------
-# the m = 2 lane layout the sweep runs on, against the scalar oracle
+# the m = 2 lane layout the simulators run on, against the scalar oracle
 # ---------------------------------------------------------------------------
 
 PLANE_TYPES = [
@@ -302,6 +307,173 @@ def test_batch_podem_drop_skips_faults():
     oracle = Podem(circuit)
     for fault, result in resolved.items():
         assert _result_key(result) == _result_key(oracle.generate(fault))
+
+
+def test_sweep_one_fold_group_per_level_and_fold():
+    """The implication sweep folds each level's gates of one fold as one
+    group, whatever their arities: 92 groups on s1238@1.0, where the
+    simulators' fold buckets split ragged folds into 114."""
+    podem = BatchPodem(load_circuit("s1238", scale=1.0))
+    comp = podem._compiled
+    levels = comp.node_levels[podem._node_of_row]
+    folds = comp.folds[podem._node_of_row]
+    groups = [group for level in podem._level_groups for group in level]
+    pairs = {(level, fold) for level, fold in zip(levels, folds) if fold >= 0}
+    assert len(groups) == len(pairs) == 92
+    assert sum(len(buckets) for _, buckets in comp.plan) == 114
+    assert [len(groups) for _, _, groups, _ in podem._plan] == [
+        len(level) for level in podem._level_groups
+    ]
+    rows = []
+    for fold, ga, gb, width, inverting in groups:
+        assert len(set(levels[ga:gb].tolist())) == 1
+        assert set(folds[ga:gb].tolist()) == {fold}
+        # The inverting gates close the group.
+        assert not comp.inverted[podem._node_of_row[ga:inverting]].any()
+        assert comp.inverted[podem._node_of_row[inverting:gb]].all()
+        assert width == comp.arity[podem._node_of_row[ga:gb]].max()
+        rows.extend(range(ga, gb))
+    assert rows == list(range(podem._n_sources, comp.n_nodes))
+
+
+# ---------------------------------------------------------------------------
+# backtrace edge cases, decision for decision
+# ---------------------------------------------------------------------------
+
+
+def _oracle_decisions(oracle: Podem, fault: Fault) -> tuple[tuple, list]:
+    """``oracle.generate(fault)`` and every decision it made, in order:
+    each backtrace that reaches a PI is one decision."""
+    decisions = []
+    backtrace = oracle._backtrace
+
+    def record(objective):
+        found = backtrace(objective)
+        if found is not None:
+            decisions.append((oracle._name[found[0]], found[1]))
+        return found
+
+    oracle._backtrace = record
+    try:
+        return _result_key(oracle.generate(fault)), decisions
+    finally:
+        del oracle._backtrace
+
+
+def _batch_decisions(podem: BatchPodem, faults) -> dict:
+    """Stream ``faults`` and log every lane's decisions, in order."""
+    decisions: dict = {fault: [] for fault in faults}
+    decide = podem._decide
+
+    def record(cols, pis, values):
+        for col, pi, value in zip(cols.tolist(), pis.tolist(), values.tolist()):
+            name = podem._input_names[podem._input_index[pi]]
+            decisions[podem._faults[col]].append((name, value))
+        decide(cols, pis, values)
+
+    podem._decide = record
+    results = {fault: _result_key(result) for fault, result in podem.stream(faults)}
+    return {fault: (results[fault], decisions[fault]) for fault in faults}
+
+
+def _assert_decisions_identical(circuit: Circuit, heuristic: str) -> None:
+    faults = full_fault_list(circuit)
+    oracle = Podem(circuit, heuristic=heuristic)
+    got = _batch_decisions(BatchPodem(circuit, heuristic=heuristic, batch_size=64), faults)
+    for fault in faults:
+        assert got[fault] == _oracle_decisions(oracle, fault), fault
+
+
+def _tie_circuit() -> Circuit:
+    """Equal-cost X fanins for both backtrace rules: PIs tie at level 0,
+    ``p``/``q`` tie at level 1 behind a deeper pin, and SCOAP ties by
+    symmetry.  An objective of 0 on an AND (or 1 on an OR) takes the
+    easiest X fanin; the opposite value takes the hardest."""
+    gates = [
+        Gate("p", GateType.AND, ("a", "b")),
+        Gate("q", GateType.AND, ("c", "d")),
+        Gate("r", GateType.OR, ("a", "c")),
+        Gate("x", GateType.NAND, ("p", "r")),
+        Gate("e", GateType.AND, ("a", "b", "c")),
+        Gate("f", GateType.NOR, ("b", "c", "d")),
+        Gate("g", GateType.AND, ("x", "p", "q")),
+        Gate("h", GateType.OR, ("p", "x", "q")),
+        Gate("k", GateType.NAND, ("q", "p")),
+    ]
+    return Circuit("ties", ["a", "b", "c", "d"], ["e", "f", "g", "h", "k"], gates)
+
+
+def _shared_net_xor_circuit() -> Circuit:
+    """An XOR and an XNOR that each read one net on two pins: the
+    parity of the other pins counts a known net twice, the chosen X
+    net not at all."""
+    gates = [
+        Gate("s", GateType.AND, ("a", "b")),
+        Gate("x", GateType.XOR, ("a", "s", "a", "c")),
+        Gate("y", GateType.XNOR, ("s", "s", "d")),
+        Gate("z", GateType.XOR, ("x", "y", "b")),
+    ]
+    return Circuit("xor2", ["a", "b", "c", "d"], ["z", "x"], gates)
+
+
+@pytest.mark.parametrize("heuristic", ["level", "scoap"])
+@pytest.mark.parametrize("build", [_tie_circuit, _shared_net_xor_circuit])
+def test_backtrace_edge_cases_decision_for_decision(build, heuristic):
+    """Equal-cost X fanins under the easiest and the hardest rule, and
+    XOR/XNOR gates reading one net on two pins: every lane makes the
+    oracle's decisions, in the oracle's order."""
+    _assert_decisions_identical(build(), heuristic)
+
+
+def test_backtrace_meets_gate_without_x_fanin():
+    """A backtrace from a gate whose fanins are all known stops with no
+    PI, as the oracle's does; the other lanes of the same call walk on
+    to their PIs."""
+    circuit = Circuit(
+        "dead",
+        ["a", "b", "c"],
+        ["y"],
+        [
+            Gate("k", GateType.CONST1),
+            Gate("g", GateType.AND, ("a", "b")),
+            Gate("t", GateType.XOR, ("a", "k")),
+            Gate("y", GateType.OR, ("g", "t", "c")),
+        ],
+    )
+    oracle = Podem(circuit)
+    podem = BatchPodem(circuit, batch_size=4)
+    # Good machine: a = 0, b = 1, c = X -> g = 0, t = 1, y = X.
+    codes = {"a": 0, "b": 1, "c": X3}
+    podem._codes[:] = np.array([codes[name] for name in circuit.inputs], dtype=np.uint8)[
+        :, None
+    ]
+    podem._imply()
+    planes = podem._P[: podem._sentinel + 1]
+    x_good, one_good = podem._good_state(planes)
+    good: dict[str, int] = {}
+    for name in circuit.topo_order():
+        gate = circuit.gates.get(name)
+        good[name] = (
+            codes[name]
+            if gate is None
+            else eval_gate_3v_scalar(gate.gtype, [good[f] for f in gate.fanins])
+        )
+    oracle._good = [good[name] for name in oracle._name]
+    objectives = [("g", 1), ("t", 0), ("k", 0), ("y", 1)]
+    row_of = podem._row_of
+    index = podem._compiled.index
+    node = np.array([row_of[index[name]] for name, _ in objectives], dtype=np.int64)
+    target = np.array([value for _, value in objectives], dtype=np.int64)
+    pis, values, ok = podem._backtrace(
+        x_good, one_good, np.arange(len(objectives), dtype=np.int64), node, target
+    )
+    for (name, value), pi, v, reached in zip(objectives, pis, values, ok):
+        want = oracle._backtrace((oracle._id[name], value))
+        if want is None:
+            assert not reached, name
+        else:
+            assert reached and pi == row_of[index[oracle._name[want[0]]]] and v == want[1]
+    assert ok.tolist() == [False, False, False, True]
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,10 @@ test set.  A change that means to move a test set re-pins it here and
 says why.
 
 Four small circuits run in tier-1; every catalog circuit at scale 0.25,
-and s1238 at full size, run in the ``slow`` suite.
+and s1238 at full size, run in the ``slow`` suite.  The full-size s1238
+run also pins its PODEM search effort: a change that keeps the answer
+but moves the search (another lane order, another backtrace pick) shows
+there.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import pytest
 
 from repro.atpg.engine import AtpgEngine
 from repro.circuits import catalog_names, load_circuit
+from repro.obs import Telemetry
 
 #: ``"name@scale"`` -> first 16 hex digits of :func:`_digest`.
 PINS = {
@@ -56,6 +60,12 @@ PINS = {
 
 TIER1 = ["c499@0.25", "c880@0.25", "s420@0.25", "s1238@0.25"]
 
+#: ``"name@scale"`` -> the batch PODEM's search-effort counters of the
+#: same run (the ``repro_atpg_*_total`` metrics).
+EFFORT = {
+    "s1238@1.0": {"lanes_seated": 364, "rounds": 566, "backtracks": 42819, "decisions": 45819},
+}
+
 
 def _digest(result) -> str:
     """sha256 over the test set's patterns (in order), then the
@@ -72,9 +82,20 @@ def _digest(result) -> str:
     return digest.hexdigest()[:16]
 
 
-def _run(key: str) -> str:
+def _run(key: str, telemetry: Telemetry | None = None) -> str:
     name, scale = key.split("@")
-    return _digest(AtpgEngine(load_circuit(name, scale=float(scale))).run())
+    circuit = load_circuit(name, scale=float(scale))
+    return _digest(AtpgEngine(circuit, telemetry=telemetry).run())
+
+
+def _effort(telemetry: Telemetry) -> dict[str, int]:
+    """The ``repro_atpg_<key>_total`` counters of a run, by key."""
+    samples, _ = telemetry.metrics.collect()
+    return {
+        sample.name.removeprefix("repro_atpg_").removesuffix("_total"): sample.value
+        for sample in samples
+        if sample.name.startswith("repro_atpg_")
+    }
 
 
 def test_pins_cover_the_catalog():
@@ -89,4 +110,7 @@ def test_test_set_pinned(key):
 @pytest.mark.slow
 @pytest.mark.parametrize("key", sorted(set(PINS) - set(TIER1)))
 def test_test_set_pinned_slow(key):
-    assert _run(key) == PINS[key]
+    telemetry = Telemetry.on()
+    assert _run(key, telemetry) == PINS[key]
+    if key in EFFORT:
+        assert _effort(telemetry) == EFFORT[key]

@@ -11,8 +11,11 @@ per-gate scalar walks over :func:`eval_gate_3v_scalar`:
 * stem-region detection (:class:`BatchFaultSimulator`) against the
   per-fault :class:`SerialFaultSimulator`;
 * multi-fault injection (:func:`simulate_with_faults`);
-* the batch PODEM, whose implication sweeps the buckets on five-valued
-  lanes, against the recursive :class:`Podem`, fault for fault.
+* the batch PODEM's implication sweep, which folds each level's gates
+  of one fold as one group on five-valued interval rails, against a
+  scalar five-valued walk on every node and pin row, lane and machine;
+* the batch PODEM against the recursive :class:`Podem`, fault for
+  fault.
 
 Tier-1 runs a few examples of each; the ``slow`` twins run many more.
 """
@@ -156,6 +159,69 @@ def check_injection(circuit: Circuit, seed: int) -> None:
         assert got[node].tolist() == want[name].tolist(), (name, chosen)
 
 
+def _rail_codes(planes: np.ndarray, machine: int, n_words: int, n_lanes: int) -> np.ndarray:
+    """Per-row codes 0/1/2 of one machine of the batch PODEM's interval
+    rails ``[l_good, l_faulty, u_good, u_faulty]``."""
+    def bits(rail: int) -> np.ndarray:
+        words = np.ascontiguousarray(planes[:, rail * n_words : (rail + 1) * n_words])
+        return np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")[:, :n_lanes]
+
+    known1, maybe1 = bits(machine), bits(2 + machine)
+    assert not np.any(known1 & ~maybe1), "l must imply u"
+    return np.where(known1 == maybe1, known1, X3)
+
+
+def check_planes(circuit: Circuit, seed: int) -> None:
+    rng = np.random.default_rng(seed)
+    n_lanes = 70
+    podem = BatchPodem(circuit, batch_size=n_lanes)
+    faults = full_fault_list(circuit)
+    # One random stem or branch fault per lane; about one lane in eight
+    # stays empty, its faulty machine the good one.
+    lanes = {
+        col: faults[index]
+        for col, index in enumerate(rng.integers(0, len(faults), size=n_lanes).tolist())
+        if rng.random() >= 0.125
+    }
+    podem._prepare_sites(lanes.values())
+    for col, fault in lanes.items():
+        podem._seat(col, fault)
+    codes = rng.integers(0, 3, size=(circuit.n_inputs, n_lanes)).astype(np.uint8)
+    podem._codes[:, :n_lanes] = codes
+    podem._imply()
+    w = podem._n_words
+    good = _rail_codes(podem._P, 0, w, n_lanes)
+    faulty = _rail_codes(podem._P, 1, w, n_lanes)
+    want_good = _scalar_walk(circuit, codes)
+    want_faulty = {name: column.copy() for name, column in want_good.items()}
+    forced_pins: dict[tuple[str, int], dict[int, int]] = {}
+    for fault in set(lanes.values()):
+        cols = [col for col, f in lanes.items() if f == fault]
+        site = fault.site
+        if site.is_branch:
+            branch = (site.gate, site.pin)
+            walk = _scalar_walk(circuit, codes[:, cols], branches={branch: fault.value})
+            forced_pins.setdefault(branch, {}).update(dict.fromkeys(cols, fault.value))
+        else:
+            walk = _scalar_walk(circuit, codes[:, cols], stems={site.net: fault.value})
+        for name, column in walk.items():
+            want_faulty[name][cols] = column
+    compiled = podem._compiled
+    for node, name in enumerate(compiled.order):
+        row = podem._row_of[node]
+        assert good[row].tolist() == want_good[name].tolist(), ("good", name)
+        assert faulty[row].tolist() == want_faulty[name].tolist(), ("faulty", name)
+    # A pin row reads its net, and holds the stuck value in the lanes of
+    # its own branch fault.
+    for (gate_id, pin), row in podem._pin_rows.items():
+        net = compiled.order[compiled.gate_fanins[gate_id][pin]]
+        want = want_faulty[net].copy()
+        for col, value in forced_pins.get((compiled.order[gate_id], pin), {}).items():
+            want[col] = value
+        assert good[row].tolist() == want_good[net].tolist(), ("good pin", gate_id, pin)
+        assert faulty[row].tolist() == want.tolist(), ("faulty pin", gate_id, pin)
+
+
 def check_podem(circuit: Circuit) -> None:
     faults = full_fault_list(circuit)
     oracle = Podem(circuit)
@@ -187,6 +253,12 @@ def test_injection_matches_scalar_walk(circuit, seed):
     check_injection(circuit, seed)
 
 
+@settings(max_examples=10, deadline=None)
+@given(circuit=circuits(), seed=_SEEDS)
+def test_podem_planes_match_scalar_walk(circuit, seed):
+    check_planes(circuit, seed)
+
+
 @settings(max_examples=5, deadline=None)
 @given(circuit=circuits())
 def test_podem_matches_recursive(circuit):
@@ -212,6 +284,13 @@ def test_stem_regions_match_serial_many(circuit, seed):
 @given(circuit=circuits(), seed=_SEEDS)
 def test_injection_matches_scalar_walk_many(circuit, seed):
     check_injection(circuit, seed)
+
+
+@pytest.mark.slow
+@settings(max_examples=150, deadline=None)
+@given(circuit=circuits(), seed=_SEEDS)
+def test_podem_planes_match_scalar_walk_many(circuit, seed):
+    check_planes(circuit, seed)
 
 
 @pytest.mark.slow

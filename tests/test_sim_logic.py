@@ -243,9 +243,10 @@ def _assert_bucket_rule(compiled, cut) -> None:
 
 
 class TestFoldCalls:
-    """Deterministic kernel-call counts, no timing: every levelized sweep
+    """Deterministic kernel-call counts, no timing: every simulator sweep
     makes one fold call per bucket of the one bucketing rule, so at most
-    three per level unless a ragged fold splits by arity."""
+    three per level unless a ragged fold splits by arity; the batch
+    PODEM's interval-rail sweep makes one per level and fold."""
 
     @pytest.mark.parametrize("name", ["c880", "s1238", "s5378"])
     def test_calls_per_level(self, name):
@@ -260,7 +261,6 @@ class TestFoldCalls:
         cut = compiled.fold_buckets(np.flatnonzero(compiled.folds >= 0))
         _assert_bucket_rule(compiled, cut)
         ids, levels = cut
-        calls = [len(buckets) for _, buckets in levels]
         # simulate: the compiled plan is those buckets.
         assert [
             (level, [(fold, out.tolist(), fanins.shape[1]) for fold, _, out, fanins in b])
@@ -273,9 +273,11 @@ class TestFoldCalls:
         trace = simulator._tables.trace_buckets
         widths = [fanins.shape[1] for _, b in reversed(compiled.plan) for *_, fanins in b]
         assert [fanins.shape[1] for _, _, fanins, _ in trace] == widths
-        # imply: one call per bucket, level by level.
+        # imply: one group per level and fold, never split by arity.
         podem = BatchPodem(circuit, simulator=simulator)
-        assert [len(buckets) for _, _, buckets, _ in podem._plan] == calls
+        assert [len(groups) for _, _, groups, _ in podem._plan] == [
+            len({fold for fold, *_ in buckets}) for _, buckets in levels
+        ]
         # detect: one stem-machine plan's cone union.
         _, _, roots = simulator._batches(collapse_faults(circuit))[0]
         union = np.unique(np.concatenate([simulator._cone(root) for root in roots]))

@@ -247,6 +247,32 @@ class TestThreeValuedSimulation:
             packed_out.to_codes(), logic_sim_3v_scalar(circuit, codes)
         )
 
+    def test_compiled_circuit_is_compiled_once(self, monkeypatch, x_bank):
+        """A compiled circuit passed in is used as is: repeated
+        simulations and signatures build no ``CompiledCircuit``, and
+        their outputs equal the one-shot calls on the ``Circuit``."""
+        circuit = load_circuit("s1238", scale=0.2)
+        bank = x_bank(circuit.n_inputs, 130, 0.125, 11, "compile-once")
+        one_shot = logic_sim_3v(circuit, bank)
+        signature = x_masked_signature(circuit, bank)
+        compiled = CompiledCircuit(circuit)
+        built = []
+        compile_circuit = CompiledCircuit.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            compile_circuit(self, *args, **kwargs)
+
+        monkeypatch.setattr(CompiledCircuit, "__init__", counting_init)
+        for _ in range(3):
+            out = logic_sim_3v(compiled, bank)
+            assert np.array_equal(out.value, one_shot.value)
+            assert np.array_equal(out.care, one_shot.care)
+            assert x_masked_signature(compiled, bank) == signature
+        assert built == []
+        logic_sim_3v(circuit, bank)
+        assert built == [1]
+
     @given(
         seed=st.integers(min_value=0, max_value=2**32 - 1),
         n_patterns=st.integers(min_value=1, max_value=70),
