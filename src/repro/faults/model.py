@@ -17,7 +17,9 @@ equivalence (:mod:`repro.faults.collapse`) before handing it to ATPG.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
+from typing import Iterable
 
 from repro.circuit.netlist import Circuit
 
@@ -117,3 +119,8 @@ def full_fault_list(circuit: Circuit) -> list[Fault]:
 def output_stem_faults(circuit: Circuit) -> list[Fault]:
     """Stem faults on primary outputs only (useful in tests)."""
     return [Fault.stem(net, v) for net in circuit.outputs for v in (0, 1)]
+
+
+def fault_list_digest(faults: Iterable[Fault]) -> str:
+    """SHA-256 of a fault list's text, one fault per line, in order."""
+    return hashlib.sha256("\n".join(str(f) for f in faults).encode()).hexdigest()

@@ -36,6 +36,7 @@ from typing import Any, Callable
 from repro.atpg.engine import AtpgResult
 from repro.circuit.netlist import Circuit
 from repro.circuits import load_circuit
+from repro.faults.model import fault_list_digest
 from repro.flow.pipeline import PipelineConfig, PipelineResult
 from repro.flow.serialize import SchemaMismatchError, check_schema, decode, encode
 from repro.flow import stages
@@ -46,7 +47,7 @@ from repro.setcover.solve import prepare_solver
 from repro.sim.fault import FaultSimulator
 from repro.tpg.base import TestPatternGenerator
 from repro.tpg.registry import make_tpg
-from repro.utils.bitvec import PackedPatterns, as_packed
+from repro.utils.bitvec import PackedPatterns, as_packed, bank_digest
 
 
 #: The diagnosis engines :meth:`Session.diagnose` dispatches to.
@@ -56,9 +57,10 @@ DIAGNOSE_METHODS = ("dictionary", "effect_cause", "signature", "multiplet")
 #: share a pid, so per-instance counters would collide on the same name.
 _TMP_SEQ = itertools.count()
 
-#: Most pattern sequences whose fault dictionary and fault-free
-#: responses a session keeps in memory, least recently used dropped
-#: first.  Both are rebuilt on demand, so an eviction changes no answer.
+#: Most pattern sequences whose evolution bank, first-detection table,
+#: fault dictionary and fault-free responses a session keeps in memory,
+#: least recently used dropped first.  Each is rebuilt on demand, so an
+#: eviction changes no answer.
 MAX_SEQUENCE_MEMOS = 8
 
 
@@ -378,7 +380,12 @@ class Session:
         self._atpg_results: dict[tuple, AtpgResult] = {}
         #: Packed seed-bank evolutions memoized per cache key — every
         #: flow run through this session shares them.
-        self._evolutions: dict[str, "PackedPatterns"] = {}
+        self._evolutions = _SequenceMemo()
+        #: Each candidate pool's longest first-detection table so far,
+        #: so a run at another evolution length extends or truncates
+        #: it (see :func:`~repro.reseeding.detection_matrix.
+        #: build_detection_matrix`).
+        self._tables = _SequenceMemo()
         #: Fault dictionaries memoized per cache key, so a long-lived
         #: session (the serve layer) pays the disk/JSON round trip once.
         self._dictionaries = _SequenceMemo()
@@ -608,6 +615,7 @@ class Session:
             config,
             self.simulator,
             self.packed_evolution,
+            self._tables,
         )
         cover, timings["set_cover"] = self._step(
             "set_cover", stages.cover, initial, config
@@ -652,16 +660,6 @@ class Session:
         digest.update(np.ascontiguousarray(packed.words).tobytes())
         return digest.hexdigest()
 
-    @staticmethod
-    def _seed_bank_digest(vectors) -> str:
-        """Content hash of a BitVector bank (little-endian value bytes)."""
-        digest = hashlib.sha256()
-        for vector in vectors:
-            digest.update(
-                vector.value.to_bytes((vector.width + 7) // 8, "little")
-            )
-        return digest.hexdigest()
-
     def _evolution_key(self, tpg, deltas, sigmas, length: int) -> str:
         """Packed-evolution cache key: the TPG's identity token plus the
         exact (delta, sigma) bank and shared length."""
@@ -669,8 +667,8 @@ class Session:
             "packed_evolution",
             tpg=tpg.cache_token(),
             length=length,
-            deltas=self._seed_bank_digest(deltas),
-            sigmas=self._seed_bank_digest(sigmas),
+            deltas=bank_digest(deltas),
+            sigmas=bank_digest(sigmas),
         )
 
     def packed_evolution(self, tpg, deltas, sigmas, length: int):
@@ -738,9 +736,7 @@ class Session:
         """SHA-256 of a fault list's text; the collapsed list's (None)
         is computed once per session."""
         if faults is not None:
-            return hashlib.sha256(
-                "\n".join(str(f) for f in faults).encode()
-            ).hexdigest()
+            return fault_list_digest(faults)
         if self._collapsed_digest is None:
             self._collapsed_digest = self._faults_digest(self._fault_list())
         return self._collapsed_digest

@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING, Callable
 
 from repro.atpg.engine import AtpgResult
 from repro.circuit.netlist import Circuit
+from repro.reseeding.detection_matrix import TableMemo
 from repro.reseeding.initial import InitialReseeding, InitialReseedingBuilder
 from repro.reseeding.trim import TrimmedSolution, trim_solution
 from repro.setcover.matrix import CoverMatrix
@@ -59,12 +60,16 @@ def build_matrix(
     config: "PipelineConfig",
     simulator: FaultSimulator,
     evolve,
+    tables: TableMemo | None = None,
 ) -> tuple[InitialReseeding, dict]:
     """Initial Reseeding Builder: candidate triplets + Detection Matrix.
 
     ``evolve`` is the batched-evolution provider
     (:data:`~repro.reseeding.triplet.EvolveBatch`), the session's
-    :meth:`~repro.flow.session.Session.packed_evolution`.
+    :meth:`~repro.flow.session.Session.packed_evolution`, and ``tables``
+    the session's first-detection memo, which serves the pool's table
+    at another length.  ``reused_patterns`` in the attrs is the prefix
+    of every row that memo served (0 for a fresh build).
     """
     builder = InitialReseedingBuilder(
         circuit, tpg, seed=config.seed, simulator=simulator
@@ -75,6 +80,7 @@ def build_matrix(
         evolution_length=config.evolution_length,
         workers=config.matrix_workers,
         evolve=evolve,
+        tables=tables,
     )
     return initial, dict(
         rows_built=len(initial.triplets),
@@ -82,6 +88,7 @@ def build_matrix(
         evolution_length=initial.evolution_length,
         detect_cells=simulator.detect_cells - cells,
         words_simulated=simulator.words_simulated - words,
+        reused_patterns=initial.detection_matrix.reused_patterns,
     )
 
 

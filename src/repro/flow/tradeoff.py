@@ -52,9 +52,12 @@ def explore_tradeoff(
     count is non-increasing in T while the global test length grows.
     The session's batched fault simulator is shared across all sweep
     points (with ``config.matrix_workers``, a process pool of its class
-    and settings builds each point's matrix rows), so the per-point
-    cost is one covering pass, not a fresh simulator compile; with a
-    ``cache`` attached, repeated sweeps skip even that.
+    and settings builds each point's matrix rows), and so is its memo of
+    the candidate pool's first-detection table: a point scans only the
+    patterns past the longest length built so far, and a shorter point
+    simulates nothing, so a point costs its new patterns plus one
+    covering pass; with a ``cache`` attached, repeated sweeps skip even
+    that.
     """
     if not evolution_lengths:
         raise ValueError("evolution_lengths must be non-empty")

@@ -16,7 +16,11 @@ from dataclasses import dataclass
 from repro.atpg.engine import AtpgResult
 from repro.circuit.netlist import Circuit
 from repro.faults.model import Fault
-from repro.reseeding.detection_matrix import DetectionMatrix, build_detection_matrix
+from repro.reseeding.detection_matrix import (
+    DetectionMatrix,
+    TableMemo,
+    build_detection_matrix,
+)
 from repro.reseeding.triplet import Triplet
 from repro.sim.fault import FaultSimulator
 from repro.tpg.base import TestPatternGenerator
@@ -64,6 +68,7 @@ class InitialReseedingBuilder:
         evolution_length: int = 64,
         workers: int | None = None,
         evolve=None,
+        tables: TableMemo | None = None,
     ) -> InitialReseeding:
         """One candidate triplet per ATPG pattern, plus the matrix.
 
@@ -71,7 +76,11 @@ class InitialReseedingBuilder:
         matrix rows come from a single seed-axis
         :meth:`~repro.tpg.base.TestPatternGenerator.evolve_batch` bank
         (``evolve`` swaps in a caching provider, see
-        :data:`~repro.reseeding.triplet.EvolveBatch`).
+        :data:`~repro.reseeding.triplet.EvolveBatch`).  Only
+        ``evolution_length`` differs between two builds of one pool, so
+        ``tables`` (a first-detection memo, see
+        :func:`~repro.reseeding.detection_matrix.build_detection_matrix`)
+        lets a build start from another length's table.
         ``workers=N`` opts in to row-parallel matrix construction over
         a process pool whose workers build simulators with this
         builder's simulator settings (the rows' packed carrier, not a
@@ -95,6 +104,7 @@ class InitialReseedingBuilder:
             simulator=self.simulator,
             workers=workers,
             evolve=evolve,
+            tables=tables,
         )
         missing = matrix.undetected_faults()
         if missing:
@@ -110,6 +120,7 @@ class InitialReseedingBuilder:
         evolution_length: int = 64,
         workers: int | None = None,
         evolve=None,
+        tables: TableMemo | None = None,
     ) -> InitialReseeding:
         """Convenience overload taking an :class:`AtpgResult` directly."""
         return self.build(
@@ -118,4 +129,5 @@ class InitialReseedingBuilder:
             evolution_length,
             workers=workers,
             evolve=evolve,
+            tables=tables,
         )

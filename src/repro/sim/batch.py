@@ -108,7 +108,9 @@ through the caller's simulator, or, for an opt-in ``workers=N``, over a
 process pool whose workers each build a simulator with the caller's
 settings: the packed rows reach every worker once, through the pool
 initializer, so jobs carry row *ranges*, not pattern data, and each job
-hands its work counters back to the caller's simulator.
+hands its work counters back to the caller's simulator.  Both take a
+``prior`` table of each row's first ``n`` patterns (a shorter evolution
+of the same seeds) and scan only the words past it.
 """
 
 from __future__ import annotations
@@ -152,6 +154,55 @@ def detected_mask(offsets: np.ndarray) -> np.ndarray:
     """The detected-or-not view of first-detection offsets: True where
     an offset is not its dtype's max, the "not detected" sentinel."""
     return offsets != np.iinfo(offsets.dtype).max
+
+
+def _below(offsets: np.ndarray, limit, dtype: np.dtype) -> np.ndarray:
+    """``offsets`` where below ``limit`` (broadcast), else ``dtype``'s
+    sentinel, as ``dtype``."""
+    return np.where(offsets < limit, offsets.astype(dtype), np.iinfo(dtype).max)
+
+
+def prefix_offsets(offsets: np.ndarray, n_patterns: int) -> np.ndarray:
+    """The first-detection table of each row's first ``n_patterns``
+    patterns, derived from a table of at least that many: an offset
+    below ``n_patterns`` stands, anything else becomes the sentinel,
+    at dtype :func:`offset_dtype` of ``n_patterns`` — exactly what a
+    scan of the shorter rows returns, with no simulation."""
+    return _below(offsets, n_patterns, offset_dtype(n_patterns))
+
+
+#: A prior first-detection table ``(n, table)``: ``table[r, f]`` is the
+#: first pattern among row ``r``'s first ``n`` that detects fault ``f``,
+#: or a value ``>= n`` if none does.
+Prior = tuple[int, np.ndarray]
+
+
+def _seed_rows(
+    carriers: Sequence[PackedPatterns | PackedPlanes],
+    n_faults: int,
+    dtype: np.dtype,
+    prior: Prior | None,
+) -> tuple[np.ndarray | None, np.ndarray]:
+    """Where a scan of ``carriers`` starts: a table of the offsets a
+    ``prior`` already settles (``None`` without one), and each row's
+    count of leading words settled.  With ``(n, table)``, a row's
+    offsets below ``min(n, its length)`` are settled, every other cell
+    is ``dtype``'s sentinel, and its first ``n // 64`` words (all of
+    them once ``n`` reaches its length) need no scan."""
+    if prior is None:
+        return None, np.zeros(len(carriers), dtype=np.int64)
+    n, table = prior
+    if table.shape != (len(carriers), n_faults):
+        raise ValueError(
+            f"prior table shape {table.shape} != (rows, faults) "
+            f"{(len(carriers), n_faults)}"
+        )
+    if n < 0 or np.iinfo(table.dtype).max < n:
+        raise ValueError(f"a {table.dtype} prior table cannot cover {n} patterns")
+    n_patterns = np.array([c.n_patterns for c in carriers], dtype=np.int64)
+    n_words = np.array([c.n_words for c in carriers], dtype=np.int64)
+    seeded = _below(table, np.minimum(n, n_patterns)[:, None], dtype)
+    return seeded, np.where(n >= n_patterns, n_words, n // 64)
 
 
 @kernel
@@ -670,6 +721,7 @@ class BatchFaultSimulator:
         pattern_sets: Iterable[PlanesLike],
         faults: Sequence[Fault],
         row_chunk_words: int | None = None,
+        prior: Prior | None = None,
     ) -> Iterator[np.ndarray]:
         """Stream first-detection rows: one ``(n_faults,)`` row per
         pattern set, ``row[f]`` the index of the first pattern that
@@ -693,9 +745,18 @@ class BatchFaultSimulator:
         detected every live fault.  Offsets are the same under any
         budget and any chunking; one-word rows scan every stem-machine
         × word cell, exactly as an unchunked schedule does.
+
+        ``prior`` is ``(n, table)``: the first-detection table of each
+        row's first ``n`` patterns (the same rows and faults, any
+        unsigned dtype wide enough for ``n``), e.g. the table of a
+        shorter evolution of the same seeds.  A row's scan then starts
+        at word ``n // 64``: the prefix's offsets are final, a partial
+        word is scanned again (keeping the least offset), and faults
+        and rows the prefix already settles never reach a stem machine.
+        The rows equal a scan without ``prior``, dtype included.
         """
         carriers, dtype = self._pack_rows(pattern_sets)
-        yield from self._offset_rows(carriers, faults, dtype, row_chunk_words)
+        yield from self._offset_rows(carriers, faults, dtype, row_chunk_words, prior)
 
     def _offset_rows(
         self,
@@ -703,6 +764,7 @@ class BatchFaultSimulator:
         faults: Sequence[Fault],
         dtype: np.dtype,
         row_chunk_words: int | None = None,
+        prior: Prior | None = None,
     ) -> Iterator[np.ndarray]:
         """:meth:`first_detection_rows` over packed rows, at a given
         offset ``dtype`` (a pool job keeps the whole table's dtype)."""
@@ -713,6 +775,7 @@ class BatchFaultSimulator:
         if budget < 1:
             raise ValueError(f"row_chunk_words must be >= 1, got {budget}")
         limit = CHUNK_BUDGETS * budget
+        seeded, skips = _seed_rows(carriers, len(faults), dtype, prior)
         # Every batch's (plan, region table), and the batch-order ->
         # caller column map.
         cut = self._batches(faults)
@@ -720,60 +783,78 @@ class BatchFaultSimulator:
             [indices for indices, _, _ in cut] or [np.zeros(0, dtype=np.int64)]
         )
         batches = [(self._plan(roots), regions) for _, regions, roots in cut]
-        chunk: list[PackedPatterns | PackedPlanes] = []
-        chunk_words = 0
-        for carrier in carriers:
-            if chunk and chunk_words + carrier.n_words > limit:
-                yield from self._row_chunk(chunk, order, batches, budget, dtype)
-                chunk, chunk_words = [], 0
-            chunk.append(carrier)
-            chunk_words += carrier.n_words
-        if chunk:
-            yield from self._row_chunk(chunk, order, batches, budget, dtype)
+        bounds = []
+        start = chunk_words = 0
+        for stop, carrier in enumerate(carriers):
+            words = carrier.n_words - skips[stop]
+            if stop > start and chunk_words + words > limit:
+                bounds.append((start, stop))
+                start, chunk_words = stop, 0
+            chunk_words += words
+        if start < len(carriers):
+            bounds.append((start, len(carriers)))
+        sentinel = np.iinfo(dtype).max
+        for start, stop in bounds:
+            # A table of the chunk's own: the yielded rows are views of
+            # it that no later chunk touches.
+            rows = (
+                np.full((stop - start, len(faults)), sentinel, dtype=dtype)
+                if seeded is None
+                else seeded[start:stop]
+            )
+            yield from self._row_chunk(
+                carriers[start:stop], skips[start:stop], rows, order, batches, budget
+            )
 
     def _row_chunk(
         self,
         chunk: list[PackedPatterns | PackedPlanes],
+        skips: np.ndarray,
+        rows: np.ndarray,
         order: np.ndarray,
         batches: list[tuple[_BatchPlan, np.ndarray]],
         budget: int,
-        dtype: np.dtype,
     ) -> Iterator[np.ndarray]:
         """Simulate one word-aligned chunk of packed rows together and
-        yield its per-row first-detection rows in order.  ``batches``
-        are ``(plan, region table)`` pairs covering the faults in batch
-        order; ``order`` maps batch order back to the caller's fault
-        columns."""
+        yield its per-row first-detection rows in order.  ``skips`` are
+        the leading words of each row a prior table settled, and
+        ``rows`` the chunk's table (caller's fault columns): the offsets
+        already settled, sentinel elsewhere, filled in place.
+        ``batches`` are ``(plan, region table)`` pairs covering the
+        faults in batch order; ``order`` maps batch order back to the
+        caller's fault columns."""
         n_faults = order.size
-        sentinel = np.iinfo(dtype).max
-        # A fresh table per chunk: the yielded rows are views of it that
-        # no later chunk touches.
-        rows = np.full((len(chunk), n_faults), sentinel, dtype=dtype)
-        non_empty = [index for index, c in enumerate(chunk) if c.n_words]
+        non_empty = [index for index, c in enumerate(chunk) if c.n_words > skips[index]]
         if non_empty and n_faults:
             pieces = [chunk[index] for index in non_empty]
+            skip = skips[non_empty]
             m = pieces[0].m
-            lengths = np.array([c.n_words for c in pieces], dtype=np.int64)
+            width = pieces[0].width
+            lengths = np.array([c.n_words for c in pieces], dtype=np.int64) - skip
             starts = np.cumsum(lengths) - lengths
-            if len(pieces) == 1:
+            if len(pieces) == 1 and not skip[0]:
                 # A single row passes through without a copy (TPG
                 # evolution banks arrive packed).
                 words = pieces[0].words
             else:
-                # Word-aligned join, plane by plane.
-                width = pieces[0].width
+                # Word-aligned join of the unsettled words, plane by plane.
                 words = np.concatenate(
-                    [p.words.reshape(width, m, -1) for p in pieces], axis=2
+                    [p.words.reshape(width, m, -1)[:, :, s:] for p, s in zip(pieces, skip)],
+                    axis=2,
                 ).reshape(width, -1)
             good = self._good_values(words, m)
             crit = self._trace(good, m)
-            mask = np.concatenate([p.tail_mask() for p in pieces])
+            mask = np.concatenate([p.tail_mask()[s:] for p, s in zip(pieces, skip)])
             # Every (row, word offset) pair of the chunk, offset-major:
-            # all rows' word 0, then all rows' word 1, and so on.
+            # all rows' first unsettled word, then their next, and so on.
             offsets = np.arange(int(lengths.max()))
             pair_offset, pair_row = np.nonzero(offsets[:, None] < lengths)
-            pairs = (pair_row, starts[pair_row] + pair_offset, pair_offset * 64)
-            found = np.full((len(pieces), n_faults), sentinel, dtype=dtype)
+            pairs = (
+                pair_row,
+                starts[pair_row] + pair_offset,
+                (skip[pair_row] + pair_offset) * 64,
+            )
+            found = rows[non_empty][:, order]
             column = 0
             for plan, regions in batches:
                 self._scan_rows(
@@ -796,9 +877,10 @@ class BatchFaultSimulator:
         budget: int,
         first: np.ndarray,
     ) -> None:
-        """Fill ``first`` (``(n_rows, len(regions))``, all sentinel)
-        with one root batch's per-row first-detection offsets over a
-        chunk, by a budgeted offset-major scan with fault dropping.
+        """Fill ``first`` (``(n_rows, len(regions))``: the offsets a
+        prior table settled, sentinel elsewhere) with one root batch's
+        per-row first-detection offsets over a chunk, by a budgeted
+        offset-major scan with fault dropping.
 
         ``regions`` is the batch's region table (roots as rows of
         ``plan``), ``crit`` the chunk's trace table.  ``pairs`` is
@@ -810,19 +892,41 @@ class BatchFaultSimulator:
         that many while enough columns are pending (a near-constant call
         size keeps the allocator from fragmenting).  A hit's offset is
         its word's first pattern plus the lowest set bit of the masked
-        detect word; a cell keeps the least offset seen.  After each
-        call a fault that every row with pending words has detected is
-        retired, a root whose faults have all retired leaves the plan
-        (an O(batch) subset), and the pending words of a row that has
-        detected every live fault are dropped.  None can change an
-        offset: a row's words are scanned in order, so a row that has
-        detected a fault has already scanned every earlier word, and a
-        retired fault or a dropped row has no first detection left to
-        find.
+        detect word; a cell keeps the least offset seen.  Before each
+        call (the first included, so what a prior table settles is never
+        simulated) a fault that every row with pending words has
+        detected is retired, a root whose faults have all retired leaves
+        the plan (an O(batch) subset), and the pending words of a row
+        that has detected every live fault are dropped.  None can change
+        an offset: a row's words are scanned in order after any settled
+        prefix, so a row that has detected a fault has already covered
+        every earlier pattern, and a retired fault or a dropped row has
+        no first detection left to find.
         """
         pending_row, pending_col, pending_base = pairs
         live = np.arange(len(regions))
-        while pending_row.size:
+        while True:
+            seen = first[:, live]
+            waiting = np.unique(pending_row)
+            open_found = detected_mask(seen[waiting])
+            retire = open_found.all(axis=0)
+            finished = waiting[open_found[:, ~retire].all(axis=1)]
+            if finished.size:
+                keep = ~np.isin(pending_row, finished)
+                pending_row = pending_row[keep]
+                pending_col = pending_col[keep]
+                pending_base = pending_base[keep]
+            if not pending_row.size:
+                return
+            if retire.any():
+                live = live[~retire]
+                seen = seen[:, ~retire]
+                regions = regions[~retire]
+                used = np.unique(regions[:, _ROOT])
+                if used.size < plan.n_roots:
+                    plan = plan.subset(used)
+                    self.plan_subsets += 1
+                    regions[:, _ROOT] = np.searchsorted(used, regions[:, _ROOT])
             take = budget * self.batch_size // plan.n_roots
             row, col, base = pending_row[:take], pending_col[:take], pending_base[:take]
             pending_row = pending_row[take:]
@@ -837,29 +941,11 @@ class BatchFaultSimulator:
             window = _word_columns(good, m, cols)
             stems = self._run_detect(plan, window, m)
             words = _region_detect(regions, stems, window, crit[:, cols], m) & mask[col]
-            seen = first[:, live]
             fault, pair = np.nonzero(words)
             if fault.size:
                 offset = base[pair] + _low_bit_index(words[fault, pair])
                 np.minimum.at(seen, (row[pair], fault), offset.astype(first.dtype))
                 first[:, live] = seen
-            waiting = np.unique(pending_row)
-            open_found = detected_mask(seen[waiting])
-            retire = open_found.all(axis=0)
-            finished = waiting[open_found[:, ~retire].all(axis=1)]
-            if finished.size:
-                keep = ~np.isin(pending_row, finished)
-                pending_row = pending_row[keep]
-                pending_col = pending_col[keep]
-                pending_base = pending_base[keep]
-            if pending_row.size and retire.any():
-                live = live[~retire]
-                regions = regions[~retire]
-                used = np.unique(regions[:, _ROOT])
-                if used.size < plan.n_roots:
-                    plan = plan.subset(used)
-                    self.plan_subsets += 1
-                    regions[:, _ROOT] = np.searchsorted(used, regions[:, _ROOT])
 
     # ------------------------------------------------------------------
     # internals
@@ -1013,8 +1099,8 @@ class BatchFaultSimulator:
 #: The work counters a pool job hands back to the caller's simulator.
 _COUNTERS = ("words_simulated", "detect_cells", "plan_builds", "plan_cache_hits", "plan_subsets")
 
-#: A pool worker's ``(simulator, carriers, faults, dtype)``, set once
-#: per worker by :func:`_init_worker`.
+#: A pool worker's ``(simulator, carriers, faults, dtype, prior)``, set
+#: once per worker by :func:`_init_worker`.
 _worker_state: tuple | None = None
 
 
@@ -1023,11 +1109,13 @@ def _offset_table(
     carriers: list[PackedPatterns | PackedPlanes],
     faults: list[Fault],
     dtype: np.dtype,
+    prior: Prior | None = None,
 ) -> np.ndarray:
     """The ``(len(carriers), len(faults))`` first-detection table of
-    packed rows through ``simulator``."""
+    packed rows through ``simulator``, from ``prior`` if given."""
     table = np.empty((len(carriers), len(faults)), dtype=dtype)
-    for index, row in enumerate(simulator._offset_rows(carriers, faults, dtype)):
+    rows = simulator._offset_rows(carriers, faults, dtype, prior=prior)
+    for index, row in enumerate(rows):
         table[index] = row
     return table
 
@@ -1039,23 +1127,27 @@ def _init_worker(
     carriers: list[PackedPatterns | PackedPlanes],
     faults: list[Fault],
     dtype: np.dtype,
+    prior: Prior | None = None,
 ) -> None:
     """Pool initializer: build this worker's simulator with the caller's
-    settings, and keep the packed rows for its jobs."""
+    settings, and keep the packed rows and the prior table for its
+    jobs."""
     global _worker_state
     simulator = BatchFaultSimulator(
         circuit, batch_size=batch_size, row_chunk_words=row_chunk_words
     )
-    _worker_state = (simulator, carriers, faults, dtype)
+    _worker_state = (simulator, carriers, faults, dtype, prior)
 
 
 def _worker_rows(job: tuple[int, int]) -> tuple[int, np.ndarray, list[int]]:
     """Rows ``[start, stop)`` of the table, plus the work counters they
     added to this worker's simulator."""
     start, stop = job
-    simulator, carriers, faults, dtype = _worker_state
+    simulator, carriers, faults, dtype, prior = _worker_state
+    if prior is not None:
+        prior = (prior[0], prior[1][start:stop])
     before = [getattr(simulator, name) for name in _COUNTERS]
-    table = _offset_table(simulator, carriers[start:stop], faults, dtype)
+    table = _offset_table(simulator, carriers[start:stop], faults, dtype, prior)
     work = [getattr(simulator, name) - was for name, was in zip(_COUNTERS, before)]
     return start, table, work
 
@@ -1063,8 +1155,8 @@ def _worker_rows(job: tuple[int, int]) -> tuple[int, np.ndarray, list[int]]:
 def _row_jobs(n_rows: int, workers: int) -> list[tuple[int, int]]:
     """Split ``n_rows`` into ``(start, stop)`` jobs, ~4 per worker.
 
-    Workers receive the packed rows once, through the pool initializer,
-    so a job is a bare row range: its pickled payload is O(1) however
+    Workers receive the packed rows (and any prior table) once, through
+    the pool initializer, so a job is a bare row range: its pickled payload is O(1) however
     many patterns the rows hold (the regression suite pins this).
     """
     chunk = max(1, -(-n_rows // (workers * 4)))
@@ -1078,16 +1170,18 @@ def parallel_detection_rows(
     pattern_sets: Sequence[PlanesLike],
     faults: Sequence[Fault],
     workers: int,
+    prior: Prior | None = None,
 ) -> np.ndarray:
     """The ``(n_rows, n_faults)`` first-detection table of
-    ``pattern_sets`` (see :meth:`BatchFaultSimulator.first_detection_rows`),
-    built by ``simulator`` itself at ``workers=1`` and by a process pool
-    of ``workers`` above that: rows are independent, so they shard.
+    ``pattern_sets`` (see :meth:`BatchFaultSimulator.first_detection_rows`,
+    whose ``prior`` it takes too), built by ``simulator`` itself at
+    ``workers=1`` and by a process pool of ``workers`` above that: rows
+    are independent, so they shard.
 
     Every row is packed once, by ``simulator._pack_rows``, so 0/1/X
     planes stay planes.  Each worker receives the simulator's
-    ``batch_size`` and ``row_chunk_words`` with the packed rows and the
-    faults once, through the pool initializer (inherited under fork,
+    ``batch_size`` and ``row_chunk_words`` with the packed rows, the
+    faults and the prior table once, through the pool initializer (inherited under fork,
     pickled once per worker under spawn), and builds its own simulator;
     the caller's object is never pickled.  Jobs are bare ``(start,
     stop)`` row ranges, and each returns its rows and the work counters
@@ -1098,7 +1192,7 @@ def parallel_detection_rows(
         raise ValueError(f"workers must be >= 1, got {workers}")
     carriers, dtype = simulator._pack_rows(pattern_sets)
     if workers == 1 or not carriers or not faults:
-        return _offset_table(simulator, carriers, faults, dtype)
+        return _offset_table(simulator, carriers, faults, dtype, prior)
     from concurrent.futures import ProcessPoolExecutor
 
     table = np.empty((len(carriers), len(faults)), dtype=dtype)
@@ -1107,7 +1201,7 @@ def parallel_detection_rows(
     with ProcessPoolExecutor(
         min(workers, len(jobs)),
         initializer=_init_worker,
-        initargs=(*settings, carriers, faults, dtype),
+        initargs=(*settings, carriers, faults, dtype, prior),
     ) as pool:
         for start, rows, work in pool.map(_worker_rows, jobs):
             table[start : start + len(rows)] = rows

@@ -32,6 +32,7 @@ The layout invariants are documented in ``docs/internals-bitpacking.md``.
 
 from __future__ import annotations
 
+import hashlib
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -791,3 +792,12 @@ def vector_words(vectors: Sequence[BitVector]) -> np.ndarray:
     the vectors are.  An object array (widths past 64 bits need no
     second path): whole sequences compare in one numpy call."""
     return np.array([v._value | 1 << v._width for v in vectors], dtype=object)
+
+
+def bank_digest(vectors: Iterable[BitVector]) -> str:
+    """SHA-256 of a bit-vector bank: each vector's little-endian value
+    bytes, in order."""
+    digest = hashlib.sha256()
+    for vector in vectors:
+        digest.update(vector.value.to_bytes((vector.width + 7) // 8, "little"))
+    return digest.hexdigest()

@@ -20,8 +20,8 @@ from repro.utils.rng import RngStream
 CONFIG = PipelineConfig(evolution_length=8, max_random_patterns=128)
 
 MATRIX_ATTRS = (
-    "detect_cells", "evolution_length", "n_faults", "rows_built",
-    "words_simulated",
+    "detect_cells", "evolution_length", "n_faults", "reused_patterns",
+    "rows_built", "words_simulated",
 )
 COVER_ATTRS = ("n_essential", "reduced_shape", "reduction_iterations", "solver")
 TRIM_ATTRS = ("n_triplets", "test_length")

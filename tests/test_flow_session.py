@@ -615,6 +615,25 @@ class TestPackedEvolutionCache:
         other = make_tpg("multiplier", c17.n_inputs)
         assert session._evolution_key(other, deltas, sigmas, 16) != base
 
+    def test_evolution_memo_is_bounded(self, c17):
+        """The memo keeps the MAX_SEQUENCE_MEMOS most recent banks; an
+        evicted bank is rebuilt bit-identical."""
+        import numpy as np
+
+        from repro.flow.session import MAX_SEQUENCE_MEMOS
+
+        session = Session(c17, config=CONFIG)
+        tpg, deltas, sigmas = self._bank(c17)
+        lengths = range(1, MAX_SEQUENCE_MEMOS + 2)
+        banks = [session.packed_evolution(tpg, deltas, sigmas, n) for n in lengths]
+        assert len(session._evolutions) == MAX_SEQUENCE_MEMOS
+        assert session._evolution_key(tpg, deltas, sigmas, 1) not in session._evolutions
+        rebuilt = session.packed_evolution(tpg, deltas, sigmas, 1)
+        assert rebuilt is not banks[0]
+        assert rebuilt.n_patterns == banks[0].n_patterns
+        np.testing.assert_array_equal(rebuilt.words, banks[0].words)
+        assert len(session._evolutions) == MAX_SEQUENCE_MEMOS
+
     def test_session_run_populates_evolution_memo(self, c17):
         """A flow run through the session routes the Detection Matrix
         build's evolution through packed_evolution."""

@@ -170,3 +170,84 @@ class TestTradeoffClient:
         )
         assert warm_cache.hits_for("pipeline_result") == 2
         assert [p.as_tuple() for p in first] == [p.as_tuple() for p in second]
+
+
+class TestPrefixReuse:
+    """One session sweeping T extends or truncates each pool's
+    first-detection table (a length-T test set is a prefix of every
+    longer one); every answer equals a fresh session's."""
+
+    LENGTHS = (7, 64, 100, 255, 256, 600)
+    ORDERS = {
+        "ascending": sorted(LENGTHS),
+        "descending": sorted(LENGTHS, reverse=True),
+        "shuffled": [100, 600, 7, 256, 64, 255],
+    }
+
+    @pytest.fixture(scope="class")
+    def fresh(self):
+        """The circuit, its ATPG, and each length run in its own session."""
+        from dataclasses import replace
+
+        from repro.circuits import load_circuit
+        from repro.flow.session import Session
+
+        circuit = load_circuit("c880", scale=0.2)
+        atpg = Session(circuit, CONFIG).atpg_result
+        runs = {
+            length: Session(circuit, CONFIG, atpg_result=atpg).run(
+                "adder", replace(CONFIG, evolution_length=length)
+            )
+            for length in self.LENGTHS
+        }
+        return circuit, atpg, runs
+
+    @staticmethod
+    def _document(result) -> dict:
+        document = result.to_dict()
+        document.pop("timings")
+        return document
+
+    @pytest.mark.parametrize("order", list(ORDERS))
+    def test_sweep_order_changes_no_answer(self, fresh, order):
+        from repro.flow.session import Session
+
+        circuit, atpg, runs = fresh
+        lengths = self.ORDERS[order]
+        session = Session(circuit, CONFIG, atpg_result=atpg)
+        grid = sweep(
+            [circuit.name], ["adder"], base_config=CONFIG,
+            evolution_lengths=lengths, sessions={circuit.name: session},
+        )
+        for length, outcome in zip(lengths, grid):
+            got, want = outcome.result, runs[length]
+            offsets = got.detection_matrix.offsets
+            assert offsets.dtype == want.detection_matrix.offsets.dtype
+            assert (offsets == want.detection_matrix.offsets).all(), length
+            assert got.trimmed == want.trimmed
+            assert self._document(got) == self._document(want)
+
+    def test_reuse_is_reported_and_shorter_tables_simulate_nothing(self, fresh):
+        from dataclasses import replace
+
+        from repro.flow.session import Session
+
+        circuit, atpg, _ = fresh
+        events = []
+        session = Session(circuit, CONFIG, atpg_result=atpg, progress=events.append)
+        for length in (100, 256, 64):
+            result = session.run("adder", replace(CONFIG, evolution_length=length))
+        done = [
+            event.attrs for event in events
+            if (event.stage, event.status) == ("detection_matrix", "done")
+        ]
+        assert [attrs["reused_patterns"] for attrs in done] == [0, 100, 64]
+        assert done[1]["detect_cells"] > 0
+        # T = 64 is derived from the stored T = 256 table.
+        assert (done[2]["detect_cells"], done[2]["words_simulated"]) == (0, 0)
+        # The memo keeps the longest table, read-only and shared with
+        # the matrix that holds it.
+        ((stored, table),) = session._tables.values()
+        assert stored == 256
+        assert not table.flags.writeable
+        assert not result.detection_matrix.offsets.flags.writeable

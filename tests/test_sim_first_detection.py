@@ -5,7 +5,9 @@ fault) cell's first detecting pattern during the offset-major row scan,
 with per-row fault dropping.  Every row must equal per-row
 :meth:`~BatchFaultSimulator.first_detection_index` (a separate windowed
 scan), at ``m = 1`` and ``m = 2``, under every word budget, with the
-dtype's max as the "not detected" sentinel.
+dtype's max as the "not detected" sentinel.  A scan seeded with the
+table of each row's first ``n`` patterns, and a table derived from a
+longer one, must equal a fresh scan.
 """
 
 from __future__ import annotations
@@ -20,7 +22,13 @@ from repro.circuits import load_circuit
 from repro.faults.collapse import collapse_faults
 from repro.faults.model import Fault, full_fault_list
 from repro.reseeding import Triplet, build_detection_matrix
-from repro.sim.batch import BatchFaultSimulator, _low_bit_index, offset_dtype
+from repro.sim.batch import (
+    BatchFaultSimulator,
+    _low_bit_index,
+    offset_dtype,
+    parallel_detection_rows,
+    prefix_offsets,
+)
 from repro.tpg import make_tpg
 from repro.utils.bitvec import X_CODE, BitVector, PackedPlanes
 from repro.utils.rng import RngStream
@@ -219,3 +227,118 @@ class TestWorkersTable:
         assert serial.offsets.dtype == parallel.offsets.dtype == np.uint16
         np.testing.assert_array_equal(parallel.offsets, serial.offsets)
         np.testing.assert_array_equal(parallel.matrix, serial.matrix)
+
+
+#: Prior lengths checked at every row length: word and dtype boundaries.
+PRIOR_BOUNDARIES = (0, 1, 31, 63, 64, 65, 127, 128, 200, 255, 256, 257, 511, 512, 513, 599)
+#: Row lengths of the prior-scan grid: unaligned, the uint8/uint16
+#: switch, and past 512.
+PRIOR_LENGTHS = (33, 100, 255, 256, 600)
+#: Rows per table, and the longest sequence any row or prior reads.
+PRIOR_ROWS = 4
+PRIOR_MAX = 640
+
+
+class TestPriorScan:
+    """``first_detection_rows(prior=(n, table))`` starts each row at
+    word ``n // 64`` from the table of its first ``n`` patterns; the
+    rows must equal a fresh scan in values and dtype."""
+
+    @pytest.fixture(scope="class")
+    def circuit(self):
+        # Random patterns detect its faults over hundreds of patterns,
+        # and some never: priors settle a share of cells at every n.
+        return load_circuit("c880", scale=0.2)
+
+    @staticmethod
+    def _codes(circuit, x_fraction: float) -> np.ndarray:
+        """One long 0/1/X code sequence per row; rows of length ``n``
+        are its first ``n`` columns."""
+        gen = np.random.default_rng(17)
+        codes = gen.integers(0, 2, size=(PRIOR_ROWS, circuit.n_inputs, PRIOR_MAX))
+        codes = codes.astype(np.uint8)
+        codes[gen.random(codes.shape) < x_fraction] = X_CODE
+        return codes
+
+    @staticmethod
+    def _rows(codes: np.ndarray, n: int, planes: bool) -> list:
+        rows = [PackedPlanes.from_codes(row[:, :n]) for row in codes]
+        return rows if planes else [row.to_packed() for row in rows]
+
+    @staticmethod
+    def _table(simulator, rows, faults, budget=None, prior=None) -> np.ndarray:
+        return np.array(
+            list(simulator.first_detection_rows(rows, faults, budget, prior=prior))
+        )
+
+    @pytest.mark.parametrize("planes", [False, True], ids=["packed", "planes"])
+    @pytest.mark.parametrize("length", PRIOR_LENGTHS)
+    def test_every_prior_length(self, circuit, planes, length):
+        """Every n <= T for the two shortest lengths, word and dtype
+        boundaries for all, plus a prior longer than the rows; boundary
+        priors under three word budgets."""
+        faults = full_fault_list(circuit)
+        codes = self._codes(circuit, 0.1 if planes else 0.0)
+        simulator = BatchFaultSimulator(circuit, batch_size=5)
+        rows = self._rows(codes, length, planes)
+        fresh = {budget: self._table(simulator, rows, faults, budget) for budget in (1, 2, 64)}
+        assert fresh[64].dtype == offset_dtype(length)
+        every = range(length + 1) if length <= 100 else ()
+        boundary = [n for n in PRIOR_BOUNDARIES if n <= length]
+        for n in sorted({*every, *boundary, length + 37}):
+            prior = (n, self._table(simulator, self._rows(codes, n, planes), faults))
+            budgets = (1, 2, 64) if n in boundary else (64,)
+            for budget in budgets:
+                got = self._table(simulator, rows, faults, budget, prior)
+                assert got.dtype == fresh[budget].dtype, (n, budget)
+                np.testing.assert_array_equal(got, fresh[budget], err_msg=f"n={n}")
+
+    @pytest.mark.parametrize("planes", [False, True], ids=["packed", "planes"])
+    def test_two_workers(self, circuit, planes):
+        """The pool hands each worker the prior rows of its jobs."""
+        faults = full_fault_list(circuit)
+        codes = self._codes(circuit, 0.1 if planes else 0.0)
+        for length, n in ((300, 100), (600, 256)):
+            rows = self._rows(codes, length, planes)
+            shorter = self._rows(codes, n, planes)
+            prior = (n, self._table(BatchFaultSimulator(circuit), shorter, faults))
+            fresh = parallel_detection_rows(BatchFaultSimulator(circuit), rows, faults, 1)
+            pooled = parallel_detection_rows(
+                BatchFaultSimulator(circuit), rows, faults, 2, prior=prior
+            )
+            assert pooled.dtype == fresh.dtype
+            np.testing.assert_array_equal(pooled, fresh)
+
+    def test_settled_prefix_reaches_no_stem_machine(self, circuit):
+        """A prior as long as the rows settles every cell: no word is
+        simulated, and a longer row only pays for its new words."""
+        faults = full_fault_list(circuit)
+        codes = self._codes(circuit, 0.0)
+        shorter = self._rows(codes, 128, False)
+        prior = (128, self._table(BatchFaultSimulator(circuit), shorter, faults))
+        simulator = BatchFaultSimulator(circuit)
+        self._table(simulator, self._rows(codes, 128, False), faults, prior=prior)
+        assert (simulator.detect_cells, simulator.words_simulated) == (0, 0)
+        self._table(simulator, self._rows(codes, 256, False), faults, prior=prior)
+        assert simulator.words_simulated == PRIOR_ROWS * 2
+
+    def test_prefix_offsets_equal_a_shorter_scan(self, circuit):
+        faults = full_fault_list(circuit)
+        codes = self._codes(circuit, 0.0)
+        simulator = BatchFaultSimulator(circuit)
+        longest = self._table(simulator, self._rows(codes, 600, False), faults)
+        for n in (0, 1, 7, 64, 100, 255, 256, 512, 600):
+            want = self._table(simulator, self._rows(codes, n, False), faults)
+            got = prefix_offsets(longest, n)
+            assert got.dtype == want.dtype == offset_dtype(n)
+            np.testing.assert_array_equal(got, want)
+
+    def test_prior_shape_and_width_checked(self, circuit):
+        faults = full_fault_list(circuit)
+        rows = self._rows(self._codes(circuit, 0.0), 300, False)
+        simulator = BatchFaultSimulator(circuit)
+        with pytest.raises(ValueError, match="shape"):
+            self._table(simulator, rows, faults, prior=(10, np.zeros((1, 1), np.uint8)))
+        narrow = np.zeros((PRIOR_ROWS, len(faults)), np.uint8)
+        with pytest.raises(ValueError, match="cannot cover"):
+            self._table(simulator, rows, faults, prior=(256, narrow))
