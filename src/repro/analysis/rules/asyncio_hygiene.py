@@ -42,7 +42,10 @@ _FILE_IO_ATTRS = {
     "rename",
 }
 #: Session compute entry points that must stay on the compute thread.
-_COMPUTE_ATTRS = {"diagnose", "diagnose_batch", "atpg_for", "run_info"}
+_COMPUTE_ATTRS = {
+    "diagnose", "diagnose_batch", "atpg_for", "atpg_info", "run", "run_info",
+    "fault_dictionary", "golden_responses", "packed_evolution",
+}
 
 
 def _blocking_reason(node: ast.Call) -> str | None:

@@ -138,9 +138,7 @@ class AtpgEngine:
         #: collector-sampled; the simulator's counters ride its own
         #: collector.
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        metrics = self.telemetry.metrics
-        if metrics.enabled and hasattr(self.simulator, "attach_metrics"):
-            self.simulator.attach_metrics(metrics)
+        self.simulator.attach_metrics(self.telemetry.metrics)
 
     def run(self, faults: list[Fault] | None = None) -> AtpgResult:
         """Generate a complete test set for ``faults`` (default: the
@@ -243,11 +241,7 @@ class AtpgEngine:
         podem = BatchPodem(
             self.circuit,
             backtrack_limit=self.backtrack_limit,
-            simulator=(
-                self.simulator
-                if isinstance(self.simulator, BatchFaultSimulator)
-                else None
-            ),
+            simulator=self.simulator,
         )
         window: list[BitVector] = []
         podem_patterns = 0

@@ -222,20 +222,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             "evolution_lengths": args.evolution_lengths,
             "scale": args.scale,
             "seed": args.seed,
-            "cells": [
-                {
-                    "circuit": o.circuit,
-                    "tpg": o.tpg,
-                    "evolution_length": o.config.evolution_length,
-                    "n_triplets": o.result.n_triplets,
-                    "test_length": o.result.test_length,
-                    "n_necessary": o.result.n_necessary,
-                    "n_from_solver": o.result.n_from_solver,
-                    "from_cache": o.from_cache,
-                    "seconds": round(o.seconds, 4),
-                }
-                for o in grid
-            ],
+            "cells": [outcome.cell() for outcome in grid],
             "cache": cache.stats() if cache else None,
         }
         print(json.dumps(document, indent=2))

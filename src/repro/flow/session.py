@@ -9,14 +9,22 @@ shares TestGen output across generators.  It is the flow's one entry
 point: the CLI, the experiment drivers, the sweeps and the serve layer
 all run the Figure-1 flow through it.
 
-An optional :class:`ArtifactCache` adds content-keyed on-disk
-persistence: artefacts are stored as schema-versioned JSON under a key
-derived from circuit name + scale + seed + a hash of the relevant
-config knobs, so repeated runs, resumed sweeps and ``repro serve``
-workers on the same directory skip ATPG and Detection Matrix
-construction entirely.  Cache hits and misses are counted per artefact
-kind (``cache.hits_for("atpg_result")`` ...), and schema, key or field
+An optional :class:`ArtifactCache` (the *store*) keeps artefacts as
+schema-versioned JSON under a content key (circuit, netlist hash and
+the knobs the artefact reads), so repeated runs, resumed sweeps and
+``repro serve`` workers on one directory skip ATPG and Detection
+Matrix construction.  Hits and misses are counted per artefact kind
+(``cache.hits_for("atpg_result")`` ...); schema, key or field
 mismatches degrade to recomputation, never wrong answers.
+
+Every artefact follows one rule, memo -> store -> build
+(:meth:`Session._artifact`): the session's memo, keyed by the store
+key; else the store (announced by a ``cache-hit`` event); else a build,
+which is then memoized and stored.  ATPG results are memoized for the
+session's life; packed evolutions, fault dictionaries and fault-free
+responses in LRUs of :data:`MAX_SEQUENCE_MEMOS` (fault-free responses
+are never stored); pipeline results, which hold whole matrices, are
+stored but never memoized.
 """
 
 from __future__ import annotations
@@ -29,11 +37,11 @@ import time
 import weakref
 from collections import OrderedDict
 from dataclasses import asdict, dataclass
-from functools import partial
+from functools import cached_property, partial
 from pathlib import Path
 from typing import Any, Callable
 
-from repro.atpg.engine import AtpgResult
+from repro.atpg.engine import AtpgEngine, AtpgResult
 from repro.circuit.netlist import Circuit
 from repro.circuits import load_circuit
 from repro.faults.model import fault_list_digest
@@ -78,6 +86,16 @@ class _SequenceMemo(OrderedDict):
         self.move_to_end(key)
         if len(self) > MAX_SEQUENCE_MEMOS:
             self.popitem(last=False)
+
+
+#: kind -> (stage of its ``cache-hit`` event, memo type; None: store-only).
+_ARTIFACTS: dict[str, tuple[str | None, type | None]] = {
+    "atpg_result": ("atpg", dict),
+    "packed_evolution": ("evolution", _SequenceMemo),
+    "fault_dictionary": ("dictionary", _SequenceMemo),
+    "golden_responses": (None, _SequenceMemo),
+    "pipeline_result": ("pipeline", None),
+}
 
 
 class ArtifactCache:
@@ -190,7 +208,10 @@ class ArtifactCache:
             )
         return samples
 
-    def _count(self, kind: str, hit: bool, corrupt: bool = False) -> None:
+    def record(self, kind: str, hit: bool, corrupt: bool = False) -> None:
+        """Count one hit or miss.  Callers outside ``get`` fold in hits
+        and misses seen elsewhere: a session's memo hits and the sweep
+        pool workers' own cache objects on the shared directory."""
         bucket = self._by_kind.setdefault(
             kind, {"hits": 0, "misses": 0, "corrupt": 0}
         )
@@ -198,7 +219,7 @@ class ArtifactCache:
         bucket["corrupt"] += corrupt
 
     def _miss(self, kind: str, corrupt: bool = False) -> None:
-        self._count(kind, hit=False, corrupt=corrupt)
+        self.record(kind, hit=False, corrupt=corrupt)
 
     def get(
         self,
@@ -235,7 +256,7 @@ class ArtifactCache:
                 payload = decoder(payload)
             except SchemaMismatchError:
                 return self._miss(kind, corrupt=True)
-        self._count(kind, hit=True)
+        self.record(kind, hit=True)
         return payload
 
     def _tmp_path(self, path: Path) -> Path:
@@ -266,12 +287,6 @@ class ArtifactCache:
             except OSError:
                 pass
             raise
-
-    def record(self, kind: str, hit: bool) -> None:
-        """Fold an externally-observed hit/miss into the counters (used
-        by the process-pool sweep path, where workers consult their own
-        per-process cache objects on the shared directory)."""
-        self._count(kind, hit)
 
     def _total(self, outcome: str) -> int:
         return sum(bucket[outcome] for bucket in list(self._by_kind.values()))
@@ -356,11 +371,9 @@ class Session:
         self.name = circuit.name
         self.config = config or PipelineConfig()
         self.simulator = simulator or FaultSimulator(circuit)
-        self.cache = (
-            ArtifactCache(cache)
-            if isinstance(cache, (str, Path))
-            else cache
-        )
+        if isinstance(cache, (str, Path)):
+            cache = ArtifactCache(cache)
+        self.cache = cache
         self.scale = scale
         self.progress = progress
         #: Opt-in :class:`repro.obs.Telemetry` (default: shared no-op
@@ -371,35 +384,20 @@ class Session:
         self._telemetry_hook = (
             stage_hook(self.telemetry) if self.telemetry.enabled else None
         )
-        if self.telemetry.metrics.enabled:
-            self.simulator.attach_metrics(self.telemetry.metrics)
-            if self.cache is not None:
-                self.cache.attach_metrics(self.telemetry.metrics)
-        #: ATPG artefacts memoized per knob-set (seed, patterns, backtracks),
-        #: so a multi-config sweep never recomputes an identical ATPG run.
-        self._atpg_results: dict[tuple, AtpgResult] = {}
-        #: Packed seed-bank evolutions memoized per cache key — every
-        #: flow run through this session shares them.
-        self._evolutions = _SequenceMemo()
+        self.simulator.attach_metrics(self.telemetry.metrics)
+        if self.cache is not None:
+            self.cache.attach_metrics(self.telemetry.metrics)
+        #: Every memoized artefact: kind -> {store key: artefact}.
+        self._memos = {
+            kind: memo() for kind, (_, memo) in _ARTIFACTS.items() if memo
+        }
         #: Each candidate pool's longest first-detection table so far,
         #: so a run at another evolution length extends or truncates
         #: it (see :func:`~repro.reseeding.detection_matrix.
         #: build_detection_matrix`).
         self._tables = _SequenceMemo()
-        #: Fault dictionaries memoized per cache key, so a long-lived
-        #: session (the serve layer) pays the disk/JSON round trip once.
-        self._dictionaries = _SequenceMemo()
-        #: Fault-free responses memoized per packed-pattern digest —
-        #: every diagnosis of the same applied sequence shares them.
-        self._golden = _SequenceMemo()
-        #: The circuit's collapsed fault list, built on first use: the
-        #: default candidate universe of every diagnosis.
-        self._collapsed: list | None = None
-        #: Its digest (the dictionary key's ``faults`` part), also once.
-        self._collapsed_digest: str | None = None
         if atpg_result is not None:
-            self._atpg_results[self._atpg_knobs(self.config)] = atpg_result
-        self._fingerprint: str | None = None
+            self._memos["atpg_result"][self._atpg_key(self.config)] = atpg_result
 
     @classmethod
     def from_name(
@@ -447,36 +445,21 @@ class Session:
 
     # -- cache keys --------------------------------------------------------
 
-    @staticmethod
-    def _atpg_knobs(config: PipelineConfig) -> tuple:
-        """The config knobs ATPG actually reads (its memoization key)."""
-        return (
-            config.seed,
-            config.max_random_patterns,
-            config.backtrack_limit,
-        )
-
-    @property
+    @cached_property
     def circuit_fingerprint(self) -> str:
         """A content hash of the netlist, part of every cache key — so
         two different circuits that happen to share a catalog name (e.g.
         the same synthetic circuit at two ``scale`` factors) can never
         serve each other's cached artefacts."""
-        if self._fingerprint is None:
-            digest = hashlib.sha256(
-                json.dumps(
-                    {
-                        "inputs": list(self.circuit.inputs),
-                        "outputs": list(self.circuit.outputs),
-                        "gates": sorted(
-                            [g.name, g.gtype.name, list(g.fanins)]
-                            for g in self.circuit.gates.values()
-                        ),
-                    }
-                ).encode()
-            ).hexdigest()
-            self._fingerprint = digest[:16]
-        return self._fingerprint
+        netlist = {
+            "inputs": list(self.circuit.inputs),
+            "outputs": list(self.circuit.outputs),
+            "gates": sorted(
+                [g.name, g.gtype.name, list(g.fanins)]
+                for g in self.circuit.gates.values()
+            ),
+        }
+        return hashlib.sha256(json.dumps(netlist).encode()).hexdigest()[:16]
 
     def _atpg_key(self, config: PipelineConfig) -> str:
         """ATPG cache key: only the knobs ATPG actually reads, so matrix
@@ -506,45 +489,61 @@ class Session:
 
     # -- artefacts ---------------------------------------------------------
 
+    def _artifact(
+        self,
+        kind: str,
+        key: str,
+        build: Callable[[], Any],
+        decoder: Callable[[dict[str, Any]], Any] | None = None,
+        encoder: Callable[[Any], dict[str, Any]] = encode,
+    ) -> tuple[Any, str]:
+        """The ``kind`` artefact stored under ``key``: the memo, else
+        the store, else ``build()``; and where it came from (``"memo"``,
+        ``"store"`` or ``"built"``).
+
+        A store hit emits the kind's ``cache-hit`` event.  A kind with
+        no ``decoder`` is never stored.  A store hit or a build is
+        memoized, and a build is stored (``encoder(artefact)``).
+        """
+        memo = self._memos.get(kind)
+        value = memo.get(key) if memo is not None else None
+        if value is not None:
+            return value, "memo"
+        stored = self.cache is not None and decoder is not None
+        value = self.cache.get(key, kind, decoder) if stored else None
+        if value is not None:
+            source = "store"
+            self._emit(StageEvent(_ARTIFACTS[kind][0], "cache-hit"))
+        else:
+            source = "built"
+            value = build()
+            if stored:
+                self.cache.put(key, encoder(value))
+        if memo is not None:
+            memo[key] = value
+        return value, source
+
     @property
     def atpg_result(self) -> AtpgResult:
-        """The circuit-level ATPG artefact (memory -> cache -> compute)."""
-        return self._atpg_for(self.config)
+        """The ATPG artefact for the session's config."""
+        return self.atpg_info()[0]
 
     def atpg_for(self, config: PipelineConfig | None = None) -> AtpgResult:
-        """The ATPG artefact for an explicit config (memory -> cache ->
-        compute) — the public per-knob-set accessor the serve layer's
-        ``POST /atpg`` endpoint drives."""
-        return self._atpg_for(config or self.config)
+        """The ATPG artefact for an explicit config."""
+        return self.atpg_info(config)[0]
 
-    def has_atpg(self, config: PipelineConfig | None = None) -> bool:
-        """True when the ATPG artefact for ``config`` is already
-        memoized in this session (no cache or compute needed)."""
-        return self._atpg_knobs(config or self.config) in self._atpg_results
+    def atpg_info(self, config: PipelineConfig | None = None) -> tuple[AtpgResult, str]:
+        """The ATPG artefact for ``config`` and where it came from
+        (``"memo"``, ``"store"`` or ``"built"``) — what the serve
+        layer's ``POST /atpg`` endpoint reports."""
+        return self._atpg(config or self.config, {})
 
-    def _atpg_for(self, config: PipelineConfig) -> AtpgResult:
-        knobs = self._atpg_knobs(config)
-        if knobs not in self._atpg_results:
-            self._atpg_results[knobs] = self._load_or_run_atpg(config)[0]
-        return self._atpg_results[knobs]
+    def _atpg(self, config: PipelineConfig, timings: dict) -> tuple[AtpgResult, str]:
+        """The ATPG artefact and its source.  A build runs as the
+        ``atpg`` stage, so the engine's phase spans nest under its
+        ``flow.atpg`` span, and records its seconds in ``timings``."""
 
-    def _load_or_run_atpg(
-        self, config: PipelineConfig
-    ) -> tuple[AtpgResult, float]:
-        """The cached ATPG result, else a fresh run, and the seconds
-        the run took (0 on a cache hit).  A run opens the ``atpg`` stage
-        first, so the engine's phase spans nest under its ``flow.atpg``
-        span."""
-        if self.cache is not None:
-            cached = self.cache.get(
-                self._atpg_key(config), "atpg_result", partial(decode, AtpgResult)
-            )
-            if cached is not None:
-                self._emit(StageEvent("atpg", "cache-hit"))
-                return cached, 0.0
-        from repro.atpg.engine import AtpgEngine
-
-        def run_atpg() -> tuple[AtpgResult, None]:
+        def build() -> AtpgResult:
             engine = AtpgEngine(
                 self.circuit,
                 seed=config.seed,
@@ -553,12 +552,12 @@ class Session:
                 simulator=self.simulator,
                 telemetry=self.telemetry,
             )
-            return engine.run(), None
+            result, timings["atpg"] = self._step("atpg", lambda: (engine.run(), None))
+            return result
 
-        result, seconds = self._step("atpg", run_atpg)
-        if self.cache is not None:
-            self.cache.put(self._atpg_key(config), encode(result))
-        return result, seconds
+        return self._artifact(
+            "atpg_result", self._atpg_key(config), build, partial(decode, AtpgResult)
+        )
 
     # -- flows -------------------------------------------------------------
 
@@ -566,66 +565,51 @@ class Session:
         self,
         tpg: TestPatternGenerator | str,
         config: PipelineConfig | None = None,
-        use_cache: bool = True,
     ) -> RunInfo:
         """Run the Figure-1 flow for one TPG; report cache provenance.
 
-        The flow is ATPG (memory -> cache -> compute), then the Detection
-        Matrix, the cover and the trim of :mod:`repro.flow.stages`, each
-        reported as a ``start``/``done`` :class:`StageEvent` pair and
-        timed under its stage name in ``PipelineResult.timings``.  ATPG
-        already memoized in this session is reported as ``skipped``.
+        A stored result is returned as is.  Otherwise the flow is ATPG
+        (memo -> store -> build), then the Detection Matrix, the cover
+        and the trim of :mod:`repro.flow.stages`, each reported as a
+        ``start``/``done`` :class:`StageEvent` pair and timed under its
+        stage name in ``PipelineResult.timings``.  ATPG already
+        memoized in this session is reported as ``skipped``.
         """
         config = config or self.config
         tpg_instance = (
             make_tpg(tpg, self.circuit.n_inputs) if isinstance(tpg, str) else tpg
         )
         start = time.perf_counter()
-        cache = self.cache if use_cache else None
-        if cache is not None:
-            key = self._result_key(tpg_instance.name, config)
-            cached = cache.get(key, "pipeline_result", PipelineResult.from_dict)
-            if cached is not None:
-                self._emit(StageEvent("pipeline", "cache-hit"))
-                return RunInfo(cached, True, time.perf_counter() - start)
+        result, source = self._artifact(
+            "pipeline_result",
+            self._result_key(tpg_instance.name, config),
+            partial(self._run_flow, tpg_instance, config),
+            PipelineResult.from_dict,
+            PipelineResult.to_dict,
+        )
+        return RunInfo(result, source == "store", time.perf_counter() - start)
+
+    def _run_flow(
+        self, tpg: TestPatternGenerator, config: PipelineConfig
+    ) -> PipelineResult:
         # Before ATPG, so scipy's long-lived objects sit below the
         # flow's large transient arrays.
         prepare_solver(config.cover_method)
-        knobs = self._atpg_knobs(config)
-        timings: dict[str, float] = {}
-        if knobs in self._atpg_results:
-            atpg = self._atpg_results[knobs]
+        timings = {"atpg": 0.0}
+        atpg, source = self._atpg(config, timings)
+        if source == "memo":
+            skipped = {"skip_reason": "output-artifact-present"}
             self._emit(StageEvent("atpg", "start"))
-            self._emit(
-                StageEvent(
-                    "atpg", "skipped",
-                    attrs={"skip_reason": "output-artifact-present"},
-                )
-            )
-            timings["atpg"] = 0.0
-        else:
-            atpg, timings["atpg"] = self._load_or_run_atpg(config)
-            self._atpg_results[knobs] = atpg
+            self._emit(StageEvent("atpg", "skipped", attrs=skipped))
         initial, timings["detection_matrix"] = self._step(
-            "detection_matrix",
-            stages.build_matrix,
-            self.circuit,
-            tpg_instance,
-            atpg,
-            config,
-            self.simulator,
-            self.packed_evolution,
-            self._tables,
+            "detection_matrix", stages.build_matrix, self.circuit, tpg, atpg,
+            config, self.simulator, self.packed_evolution, self._tables,
         )
-        cover, timings["set_cover"] = self._step(
-            "set_cover", stages.cover, initial, config
-        )
-        trimmed, timings["trim"] = self._step(
-            "trim", stages.trim, initial, cover
-        )
-        result = PipelineResult(
+        cover, timings["set_cover"] = self._step("set_cover", stages.cover, initial, config)
+        trimmed, timings["trim"] = self._step("trim", stages.trim, initial, cover)
+        return PipelineResult(
             circuit_name=self.circuit.name,
-            tpg_name=tpg_instance.name,
+            tpg_name=tpg.name,
             config=config,
             atpg=atpg,
             initial=initial,
@@ -634,18 +618,14 @@ class Session:
             trimmed=trimmed,
             timings=timings,
         )
-        if cache is not None:
-            cache.put(key, result.to_dict())
-        return RunInfo(result, False, time.perf_counter() - start)
 
     def run(
         self,
         tpg: TestPatternGenerator | str,
         config: PipelineConfig | None = None,
-        use_cache: bool = True,
     ) -> PipelineResult:
         """The Figure-1 flow for one TPG, with shared artefacts."""
-        return self.run_info(tpg, config, use_cache=use_cache).result
+        return self.run_info(tpg, config).result
 
     # -- packed patterns ---------------------------------------------------
 
@@ -672,41 +652,20 @@ class Session:
         )
 
     def packed_evolution(self, tpg, deltas, sigmas, length: int):
-        """Batch-evolve a seed bank, memoized (memory -> cache -> compute).
-
-        Semantically identical to ``tpg.evolve_batch(deltas, sigmas,
-        length)`` — this is the session's
-        :data:`~repro.reseeding.triplet.EvolveBatch` provider, passed to
-        every flow run's :func:`~repro.flow.stages.build_matrix`, so
-        Detection Matrix builds share evolutions across runs and (with a
-        cache attached) across processes.  Keys cover the TPG's
+        """``tpg.evolve_batch(deltas, sigmas, length)`` as a session
+        artefact: the :data:`~repro.reseeding.triplet.EvolveBatch`
+        provider every flow run's :func:`~repro.flow.stages.build_matrix`
+        uses, so Detection Matrix builds share evolutions across runs
+        and (with a store) across processes.  The key covers the TPG's
         :meth:`~repro.tpg.base.TestPatternGenerator.cache_token`, the
-        exact seed/sigma bank and the shared length, so distinct
-        generators can never serve each other's sequences.
-
-        Example::
-
-            session = Session.from_name("c880", scale=0.25, cache=".cache")
-            bank = session.packed_evolution(tpg, deltas, sigmas, 32)
-            # warm processes load the packed words instead of evolving
-        """
-        key = self._evolution_key(tpg, deltas, sigmas, length)
-        packed = self._evolutions.get(key)
-        if packed is not None:
-            return packed
-        if self.cache is not None:
-            packed = self.cache.get(
-                key, "packed_evolution", partial(decode, PackedPatterns)
-            )
-            if packed is not None:
-                self._evolutions[key] = packed
-                self._emit(StageEvent("evolution", "cache-hit"))
-                return packed
-        packed = tpg.evolve_batch(deltas, sigmas, length)
-        self._evolutions[key] = packed
-        if self.cache is not None:
-            self.cache.put(key, encode(packed))
-        return packed
+        exact seed/sigma bank and the length, so distinct generators
+        never serve each other's sequences."""
+        return self._artifact(
+            "packed_evolution",
+            self._evolution_key(tpg, deltas, sigmas, length),
+            partial(tpg.evolve_batch, deltas, sigmas, length),
+            partial(decode, PackedPatterns),
+        )[0]
 
     def packed_patterns(self, patterns) -> "PackedPatterns":
         """Coerce ``patterns`` to the word-parallel packed form the
@@ -732,65 +691,58 @@ class Session:
             faults=self._faults_digest(faults),
         )
 
+    @cached_property
+    def _collapsed(self) -> list:
+        """The circuit's collapsed fault list, built on first use: the
+        default candidate universe of every diagnosis."""
+        from repro.faults.collapse import collapse_faults
+
+        return collapse_faults(self.circuit)
+
+    @cached_property
+    def _collapsed_digest(self) -> str:
+        return fault_list_digest(self._collapsed)
+
     def _faults_digest(self, faults=None) -> str:
-        """SHA-256 of a fault list's text; the collapsed list's (None)
-        is computed once per session."""
-        if faults is not None:
-            return fault_list_digest(faults)
-        if self._collapsed_digest is None:
-            self._collapsed_digest = self._faults_digest(self._fault_list())
-        return self._collapsed_digest
+        """SHA-256 of a fault list's text (None: the collapsed list)."""
+        if faults is None:
+            return self._collapsed_digest
+        return fault_list_digest(faults)
 
     def _fault_list(self, faults=None) -> list:
-        """A copy of ``faults``, or of the circuit's collapsed fault
-        list, which is built once per session."""
-        if faults is not None:
-            return list(faults)
-        if self._collapsed is None:
-            from repro.faults.collapse import collapse_faults
-
-            self._collapsed = collapse_faults(self.circuit)
-        return list(self._collapsed)
+        """A copy of ``faults`` (None: the collapsed list)."""
+        return list(self._collapsed if faults is None else faults)
 
     def fault_dictionary(self, patterns, faults=None):
         """The pass/fail :class:`~repro.diagnosis.dictionary.
-        FaultDictionary` for a pattern sequence (cache -> compute).
+        FaultDictionary` for a pattern sequence (memo -> store -> build).
 
         With a cache attached, warm diagnosis runs load the bit-packed
-        dictionary instead of re-simulating patterns x faults.
+        dictionary instead of re-simulating patterns x faults.  A memo
+        hit counts as a store hit, so operators see warm traffic.
         """
         from repro.diagnosis.dictionary import FaultDictionary
 
         packed = self.packed_patterns(patterns)
         if faults is not None:
             faults = list(faults)
-        key = self._dictionary_key(packed, faults)
-        memoized = self._dictionaries.get(key)
-        if memoized is not None:
+
+        def build() -> FaultDictionary:
+            start = time.perf_counter()
+            dictionary = FaultDictionary.build(
+                self.circuit, packed, self._fault_list(faults), simulator=self.simulator
+            )
+            self._emit(StageEvent("dictionary", "done", time.perf_counter() - start))
+            return dictionary
+
+        dictionary, source = self._artifact(
+            "fault_dictionary", self._dictionary_key(packed, faults), build,
+            partial(decode, FaultDictionary),
+        )
+        if source == "memo":
             if self.cache is not None:
-                # The memo is the in-process face of the same cache;
-                # reflect the hit so operators see warm traffic.
                 self.cache.record("fault_dictionary", hit=True)
             self._emit(StageEvent("dictionary", "cache-hit"))
-            return memoized
-        if self.cache is not None:
-            dictionary = self.cache.get(
-                key, "fault_dictionary", partial(decode, FaultDictionary)
-            )
-            if dictionary is not None:
-                self._emit(StageEvent("dictionary", "cache-hit"))
-                self._dictionaries[key] = dictionary
-                return dictionary
-        start = time.perf_counter()
-        dictionary = FaultDictionary.build(
-            self.circuit, packed, self._fault_list(faults), simulator=self.simulator
-        )
-        self._emit(
-            StageEvent("dictionary", "done", time.perf_counter() - start)
-        )
-        self._dictionaries[key] = dictionary
-        if self.cache is not None:
-            self.cache.put(key, encode(dictionary))
         return dictionary
 
     def golden_responses(self, patterns) -> list:
@@ -798,12 +750,11 @@ class Session:
         memoized per packed digest — every diagnosis of the same applied
         sequence (the serve layer's common case) shares one simulation."""
         packed = self.packed_patterns(patterns)
-        key = self._packed_digest(packed)
-        golden = self._golden.get(key)
-        if golden is None:
-            golden = self.simulator.compiled.simulate_patterns(packed)
-            self._golden[key] = golden
-        return golden
+        return self._artifact(
+            "golden_responses",
+            self._packed_digest(packed),
+            partial(self.simulator.compiled.simulate_patterns, packed),
+        )[0]
 
     def diagnose(
         self,

@@ -42,6 +42,21 @@ class SweepOutcome:
     from_cache: bool
     seconds: float
 
+    def cell(self) -> dict[str, Any]:
+        """The cell as ``repro sweep --json`` and serve's ``/sweep``
+        report it."""
+        return {
+            "circuit": self.circuit,
+            "tpg": self.tpg,
+            "evolution_length": self.config.evolution_length,
+            "n_triplets": self.result.n_triplets,
+            "test_length": self.result.test_length,
+            "n_necessary": self.result.n_necessary,
+            "n_from_solver": self.result.n_from_solver,
+            "from_cache": self.from_cache,
+            "seconds": round(self.seconds, 4),
+        }
+
 
 @dataclass
 class SweepResult:

@@ -593,11 +593,10 @@ class ReproServer:
                     max_random_patterns=request.max_random_patterns,
                     backtrack_limit=request.backtrack_limit,
                 )
-                from_memo = session.has_atpg(config)
-                result = session.atpg_for(config)
+                result, source = session.atpg_info(config)
                 response = AtpgResponse(
                     result=encode(result),
-                    from_memo=from_memo,
+                    from_memo=source == "memo",
                     seconds=span.elapsed6(),
                 )
             outcomes.append(_Outcome(body=encode(response)))
@@ -623,20 +622,7 @@ class ReproServer:
                     sessions=sessions,
                     cache=self.store,
                 )
-                cells = tuple(
-                    {
-                        "circuit": o.circuit,
-                        "tpg": o.tpg,
-                        "evolution_length": o.config.evolution_length,
-                        "n_triplets": o.result.n_triplets,
-                        "test_length": o.result.test_length,
-                        "n_necessary": o.result.n_necessary,
-                        "n_from_solver": o.result.n_from_solver,
-                        "from_cache": o.from_cache,
-                        "seconds": round(o.seconds, 4),
-                    }
-                    for o in grid
-                )
+                cells = tuple(outcome.cell() for outcome in grid)
                 response = SweepResponse(
                     cells=cells,
                     n_cached=grid.n_cached,

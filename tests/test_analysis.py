@@ -332,6 +332,22 @@ def test_asyncio_hygiene_propagates_into_sync_helper(tmp_path):
     assert "called from async handle" in found[0].message
 
 
+def test_asyncio_hygiene_flags_session_artifact_calls(tmp_path):
+    write(
+        tmp_path,
+        "src/repro/serve/handlers.py",
+        """
+        class Server:
+            async def handle(self, session, patterns):
+                return session.fault_dictionary(patterns)
+        """,
+    )
+    report = run_check(tmp_path, rules=["asyncio-hygiene"])
+    found = findings_for(report, "asyncio-hygiene")
+    assert len(found) == 1
+    assert ".fault_dictionary() is Session compute" in found[0].message
+
+
 def test_asyncio_hygiene_ignores_code_outside_serve(tmp_path):
     write(
         tmp_path,

@@ -638,7 +638,9 @@ class TestDiagnoseMany:
                 "\n".join(str(f) for f in faults).encode()
             ).hexdigest(),
         )
-        assert list(session._dictionaries) == [session._dictionary_key(packed)]
+        assert list(session._memos["fault_dictionary"]) == [
+            session._dictionary_key(packed)
+        ]
         assert session._dictionary_key(packed, faults) == session._dictionary_key(
             packed
         )
@@ -657,8 +659,8 @@ class TestDiagnoseMany:
         ]
         dictionaries = [session.fault_dictionary(p) for p in sequences]
         goldens = [session.golden_responses(p) for p in sequences]
-        assert len(session._dictionaries) == MAX_SEQUENCE_MEMOS
-        assert len(session._golden) == MAX_SEQUENCE_MEMOS
+        assert len(session._memos["fault_dictionary"]) == MAX_SEQUENCE_MEMOS
+        assert len(session._memos["golden_responses"]) == MAX_SEQUENCE_MEMOS
         builds = []
         build = FaultDictionary.build
 
@@ -674,8 +676,8 @@ class TestDiagnoseMany:
         assert rebuilt is not dictionaries[0]
         assert encode(rebuilt) == encode(dictionaries[0])
         assert session.golden_responses(sequences[0]) == goldens[0]
-        assert len(session._dictionaries) == MAX_SEQUENCE_MEMOS
-        assert len(session._golden) == MAX_SEQUENCE_MEMOS
+        assert len(session._memos["fault_dictionary"]) == MAX_SEQUENCE_MEMOS
+        assert len(session._memos["golden_responses"]) == MAX_SEQUENCE_MEMOS
 
     def test_session_diagnose_batch_non_dictionary_degrades(self, tmp_path):
         from repro.flow.session import Session

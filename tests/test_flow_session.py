@@ -525,14 +525,95 @@ class TestSession:
         assert a2 is m2
         assert a1 is not a2
 
-    def test_use_cache_false_bypasses(self, tmp_path):
-        cache = ArtifactCache(tmp_path)
-        session = Session.from_name("c17", config=CONFIG, cache=cache)
-        session.run("adder")
-        before = cache.hits
-        session2 = Session.from_name("c17", config=CONFIG, cache=cache)
-        session2.run("adder", use_cache=False)
-        assert cache.hits_for("pipeline_result") == before
+
+def _bank(circuit, n=6):
+    from repro.tpg import make_tpg
+    from repro.utils.bitvec import BitVector
+    from repro.utils.rng import RngStream
+
+    tpg = make_tpg("adder", circuit.n_inputs)
+    rng = RngStream(11, "evolution-cache")
+    deltas = [BitVector.random(circuit.n_inputs, rng) for _ in range(n)]
+    sigmas = [tpg.suggest_sigma(rng) for _ in range(n)]
+    return tpg, deltas, sigmas
+
+
+def _patterns(circuit, n=40):
+    from repro.utils.bitvec import BitVector
+    from repro.utils.rng import RngStream
+
+    rng = RngStream(7, "session-packed")
+    return [BitVector.random(circuit.n_inputs, rng) for _ in range(n)]
+
+
+#: Every stored artefact kind -> (the session call that yields it, the
+#: store entries a repeat of that call in the same session reads).
+#: Pipeline results are stored but never memoized, so a repeat reads
+#: its entry again.
+STORED_KINDS = {
+    "atpg_result": (lambda session: session.atpg_result, 0),
+    "packed_evolution": (
+        lambda session: session.packed_evolution(*_bank(session.circuit), 16),
+        0,
+    ),
+    "fault_dictionary": (
+        lambda session: session.fault_dictionary(_patterns(session.circuit)),
+        0,
+    ),
+    "pipeline_result": (lambda session: session.run("adder"), 1),
+}
+
+
+def _stored_form(artefact) -> dict:
+    """The artefact's store payload, without the run's wall-clock timings."""
+    if isinstance(artefact, PipelineResult):
+        payload = artefact.to_dict()
+    else:
+        payload = encode(artefact)
+    payload.pop("timings", None)
+    return payload
+
+
+@pytest.mark.parametrize("kind", sorted(STORED_KINDS))
+def test_stored_kind_builds_loads_memoizes_and_survives_rot(
+    kind, c17, tmp_path, monkeypatch
+):
+    """One kind through memo -> store -> build: a cold session builds
+    it (one miss), a fresh one loads an equal artefact (one hit), a
+    repeat reads no entry unless the kind is store-only, and a
+    truncated entry is a corrupt miss that rebuilds an equal one."""
+    call, repeat_reads = STORED_KINDS[kind]
+    cold = Session(c17, config=CONFIG, cache=ArtifactCache(tmp_path))
+    built = call(cold)
+    assert (cold.cache.misses_for(kind), cold.cache.hits_for(kind)) == (1, 0)
+
+    warm = Session(c17, config=CONFIG, cache=ArtifactCache(tmp_path))
+    assert _stored_form(call(warm)) == _stored_form(built)
+    assert (warm.cache.misses_for(kind), warm.cache.hits_for(kind)) == (0, 1)
+
+    reads = []
+    get = warm.cache.get
+
+    def counted_get(key, got_kind, *rest):
+        reads.append(got_kind)
+        return get(key, got_kind, *rest)
+
+    monkeypatch.setattr(warm.cache, "get", counted_get)
+    call(warm)
+    assert reads.count(kind) == repeat_reads
+
+    entries = [
+        entry
+        for entry in tmp_path.glob("objects/*/*.json")
+        if json.loads(entry.read_text())["kind"] == kind
+    ]
+    assert len(entries) == 1
+    text = entries[0].read_text()
+    entries[0].write_text(text[: len(text) // 2])
+    rotten = Session(c17, config=CONFIG, cache=ArtifactCache(tmp_path))
+    assert _stored_form(call(rotten)) == _stored_form(built)
+    assert rotten.cache.corrupt_for(kind) == 1
+    assert (rotten.cache.misses_for(kind), rotten.cache.hits_for(kind)) == (1, 0)
 
 
 class TestSessionPackedPatterns:
@@ -626,20 +707,21 @@ class TestPackedEvolutionCache:
         tpg, deltas, sigmas = self._bank(c17)
         lengths = range(1, MAX_SEQUENCE_MEMOS + 2)
         banks = [session.packed_evolution(tpg, deltas, sigmas, n) for n in lengths]
-        assert len(session._evolutions) == MAX_SEQUENCE_MEMOS
-        assert session._evolution_key(tpg, deltas, sigmas, 1) not in session._evolutions
+        memo = session._memos["packed_evolution"]
+        assert len(memo) == MAX_SEQUENCE_MEMOS
+        assert session._evolution_key(tpg, deltas, sigmas, 1) not in memo
         rebuilt = session.packed_evolution(tpg, deltas, sigmas, 1)
         assert rebuilt is not banks[0]
         assert rebuilt.n_patterns == banks[0].n_patterns
         np.testing.assert_array_equal(rebuilt.words, banks[0].words)
-        assert len(session._evolutions) == MAX_SEQUENCE_MEMOS
+        assert len(memo) == MAX_SEQUENCE_MEMOS
 
     def test_session_run_populates_evolution_memo(self, c17):
         """A flow run through the session routes the Detection Matrix
         build's evolution through packed_evolution."""
         session = Session(c17, config=CONFIG)
         session.run("adder")
-        assert session._evolutions  # the matrix bank is memoized
+        assert session._memos["packed_evolution"]  # the matrix bank is memoized
 
     def test_uniform_solution_packed_patterns(self, c17, baseline):
         import numpy as np
