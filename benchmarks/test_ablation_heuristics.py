@@ -9,10 +9,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.atpg.podem import Podem, PodemStatus
 from repro.atpg.random_gen import random_phase
 from repro.faults.collapse import collapse_faults
 from repro.utils.rng import RngStream
+
+from repro.atpg.batch_podem import PodemStatus
+
+from oracles.podem import Podem
 
 
 @pytest.fixture(scope="module")

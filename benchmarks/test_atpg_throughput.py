@@ -6,7 +6,7 @@ collapsed stuck-at universe of ``s1238``, every fault taken through test
 generation.  ``BatchPodem`` implies a whole batch of fault lanes per
 sweep (uint64 interval rails, known-1 and not-known-0, one reduce per
 fold group of a level) and runs the search for every lane in lock
-step; the recursive :class:`~repro.atpg.podem.Podem` pays an
+step; the recursive :class:`~oracles.podem.Podem` pays an
 event-driven three-valued resimulation and a scalar search step per
 decision per fault.
 
@@ -32,9 +32,10 @@ import time
 import pytest
 
 from repro.atpg.batch_podem import BatchPodem
-from repro.atpg.podem import Podem
 from repro.circuits import load_circuit
 from repro.faults.collapse import collapse_faults
+
+from oracles.podem import Podem
 
 #: Scale for the always-on record benchmarks (kept small so the default
 #: suite stays fast); the floor test runs the real circuit.

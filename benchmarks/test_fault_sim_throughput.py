@@ -27,9 +27,10 @@ import pytest
 from repro.circuits import load_circuit
 from repro.faults.collapse import collapse_faults
 from repro.sim.batch import BatchFaultSimulator
-from repro.sim.fault import SerialFaultSimulator
 from repro.utils.bitvec import BitVector
 from repro.utils.rng import RngStream
+
+from oracles.serial import SerialFaultSimulator
 
 #: Circuit scale for the throughput workloads (matches conftest's
 #: BENCH_SCALE so numbers are comparable across benchmark files).

@@ -24,9 +24,11 @@ import pytest
 
 from repro.circuits import load_circuit
 from repro.sim.logic import CompiledCircuit
-from repro.sim.threeval import logic_sim_3v, logic_sim_3v_scalar
+from repro.sim.threeval import logic_sim_3v
 from repro.utils.bitvec import X_CODE, PackedPlanes
 from repro.utils.rng import RngStream
+
+from oracles.scalar import logic_sim_3v_scalar
 
 #: Circuit scale matching the other throughput benchmarks.
 THROUGHPUT_SCALE = 0.2

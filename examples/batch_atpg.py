@@ -3,18 +3,18 @@
 
 The deterministic top-off is the last serial hot path of the flow: the
 random phase covers the easy faults in bulk, then every random-resistant
-fault historically took a recursive PODEM search with an event-driven
-three-valued resimulation per decision.  ``BatchPodem`` runs that search
+fault needs a PODEM search.  ``BatchPodem`` runs that search
 fault-parallel — a batch of target faults become uint64 bit-plane
 *lanes* (interval rails, known-1 and not-known-0, good and faulty
 machine side by side), one levelized sweep implies every lane at once,
-the search steps every lane in lock step, and covered lanes retire
-mid-batch through fault dropping.
+the search steps every lane in lock step, and freed lanes are reseated
+from the queue as soon as their fault resolves.
 
-This example drives ``BatchPodem`` and the scalar ``Podem.generate``
-oracle over the same collapsed fault list, times both, and checks they
-agree fault for fault (statuses, cubes, backtrack counts — the batch
-engine is bit-identical to the oracle by construction).
+This example streams the whole collapsed fault list through
+``BatchPodem``, prints how many faults end DETECTED, UNTESTABLE and
+ABORTED with the search-effort counters, and then checks every DETECTED
+cube: its don't-cares are filled at random and the resulting pattern,
+re-simulated through the fault simulator, must detect its fault.
 :class:`~repro.atpg.AtpgEngine` runs ``BatchPodem`` as its only top-off
 engine.
 
@@ -23,47 +23,36 @@ Run: ``python examples/batch_atpg.py [--circuit s1238] [--scale 0.5]``
 
 import argparse
 import time
+from collections import Counter
 
 from repro import load_circuit
-from repro.atpg import BatchPodem, Podem
+from repro.atpg import BatchPodem, PodemStatus
 from repro.faults.collapse import collapse_faults
+from repro.sim import FaultSimulator
+from repro.utils.rng import RngStream
 from repro.utils.tables import AsciiTable
 
 
-def compare_generators(circuit, faults, backtrack_limit: int = 250):
-    """Run both test generators over ``faults``; return timing stats."""
-    recursive = Podem(circuit, backtrack_limit=backtrack_limit)
+def generate_and_check(circuit, faults, backtrack_limit: int = 250):
+    """Stream ``faults`` through the batch PODEM; return the outcome
+    counts, the engine counters, the wall time and the DETECTED faults
+    whose filled cube fails to detect them (must be none)."""
+    podem = BatchPodem(circuit, backtrack_limit=backtrack_limit)
     start = time.perf_counter()
-    oracle_results = {f: recursive.generate(f) for f in faults}
-    recursive_s = time.perf_counter() - start
+    results = dict(podem.stream(faults))
+    seconds = time.perf_counter() - start
 
-    batch = BatchPodem(circuit, backtrack_limit=backtrack_limit)
-    start = time.perf_counter()
-    batch_results = dict(batch.stream(faults))
-    batch_s = time.perf_counter() - start
-
-    mismatches = sum(
-        1
-        for fault in faults
-        if (
-            oracle_results[fault].status,
-            oracle_results[fault].cube,
-            oracle_results[fault].backtracks,
-        )
-        != (
-            batch_results[fault].status,
-            batch_results[fault].cube,
-            batch_results[fault].backtracks,
-        )
-    )
-    return {
-        "n_faults": len(faults),
-        "recursive_s": recursive_s,
-        "batch_s": batch_s,
-        "speedup": recursive_s / batch_s if batch_s else float("inf"),
-        "sweeps": batch.sweeps,
-        "mismatches": mismatches,
-    }
+    rng = RngStream(2001, "fill")
+    detected = [f for f in faults if results[f].status is PodemStatus.DETECTED]
+    patterns = [results[f].cube.to_pattern(circuit.inputs, rng) for f in detected]
+    simulator = FaultSimulator(circuit)
+    misses = [
+        fault
+        for fault, pattern in zip(detected, patterns)
+        if not simulator.detected([pattern], [fault])[0]
+    ]
+    outcomes = Counter(results[f].status for f in faults)
+    return outcomes, podem.counters(), seconds, misses
 
 
 def main() -> None:
@@ -79,33 +68,26 @@ def main() -> None:
         f"{len(faults)} collapsed faults"
     )
 
-    stats = compare_generators(circuit, faults)
+    outcomes, counters, seconds, misses = generate_and_check(circuit, faults)
     table = AsciiTable(
-        ["engine", "seconds", "faults/s"],
-        title="Deterministic test generation, full collapsed universe",
+        ["outcome", "faults"],
+        title="Batch PODEM over the full collapsed universe",
     )
-    table.add_row(
-        [
-            "scalar Podem",
-            f"{stats['recursive_s']:.2f}",
-            f"{stats['n_faults'] / stats['recursive_s']:.0f}",
-        ]
-    )
-    table.add_row(
-        [
-            "batch PODEM",
-            f"{stats['batch_s']:.2f}",
-            f"{stats['n_faults'] / stats['batch_s']:.0f}",
-        ]
-    )
+    for status in PodemStatus:
+        table.add_row([status.value, str(outcomes[status])])
     print(table.render())
     print(
-        f"speedup {stats['speedup']:.2f}x over {stats['sweeps']} sweeps; "
-        f"results diverge on {stats['mismatches']} faults (must be 0 — "
-        f"the batch engine is bit-identical to the oracle)"
+        f"{seconds:.2f}s, {len(faults) / seconds:.0f} faults/s; "
+        f"{counters['rounds']} rounds, {counters['lanes_seated']} lanes seated, "
+        f"{counters['backtracks']} backtracks, {counters['decisions']} decisions"
     )
-    if stats["mismatches"]:
-        raise SystemExit("engines diverged")
+    print(
+        f"{outcomes[PodemStatus.DETECTED] - len(misses)}/"
+        f"{outcomes[PodemStatus.DETECTED]} DETECTED cubes re-simulated "
+        f"detect their fault (must be all)"
+    )
+    if misses:
+        raise SystemExit(f"cubes that miss their fault: {misses[:5]}")
 
 
 if __name__ == "__main__":

@@ -19,16 +19,22 @@ Run: ``python examples/full_bist_session.py [--circuit s953] [--scale 0.2]``
 import argparse
 
 from repro import PipelineConfig, Session, load_circuit
-from repro.sim.event import ReferenceSimulator
+from repro.diagnosis.inject import faulty_responses
+from repro.sim.logic import CompiledCircuit
 from repro.sim.misr import Misr
 from repro.tpg.hardware import NetlistTpg, adder_accumulator_netlist
+from repro.utils.bitvec import PackedPatterns
 
 
-def run_session(circuit, patterns, misr, fault=None):
-    """Apply the pattern sequence and return the MISR signature."""
-    simulator = ReferenceSimulator(circuit)
-    responses = [simulator.outputs(p, fault) for p in patterns]
-    return misr.signature(responses)
+def run_session(compiled, patterns, misr, fault=None):
+    """Apply the pattern sequence and return the MISR signature.
+
+    The responses come from the word-parallel fault-injection simulator
+    of :mod:`repro.diagnosis.inject` (``simulate_with_faults``, read at
+    the primary outputs), 64 patterns per machine word.
+    """
+    faults = (fault,) if fault is not None else ()
+    return misr.signature(faulty_responses(compiled, patterns, faults))
 
 
 def main() -> None:
@@ -52,22 +58,25 @@ def main() -> None:
           f"test length {result.test_length}")
 
     # 3. golden signature
-    patterns = result.trimmed.solution.patterns(tpg)
+    compiled = CompiledCircuit(uut)
+    patterns = PackedPatterns.from_patterns(
+        result.trimmed.solution.patterns(tpg), uut.n_inputs
+    )
     misr = Misr(uut.n_outputs)
-    golden = run_session(uut, patterns, misr)
+    golden = run_session(compiled, patterns, misr)
     print(f"golden signature: {golden.to_string()}")
 
     # 4. inject each target fault class representative until one shows
     #    the mismatch mechanics (the first is enough for the demo)
     fault = result.atpg.target_faults[0]
-    faulty = run_session(uut, patterns, misr, fault=fault)
+    faulty = run_session(compiled, patterns, misr, fault=fault)
     print(f"with {fault}: signature {faulty.to_string()} "
           f"-> {'FAIL detected' if faulty != golden else 'ALIASED (rare)'}")
 
     # full sweep: how many target faults does the signature catch?
     caught = 0
     for target in result.atpg.target_faults:
-        if run_session(uut, patterns, misr, fault=target) != golden:
+        if run_session(compiled, patterns, misr, fault=target) != golden:
             caught += 1
     total = len(result.atpg.target_faults)
     print(f"signature-level coverage: {caught}/{total} "

@@ -38,7 +38,7 @@ def main() -> None:
     matrix = initial.detection_matrix
     print(
         f"Detection Matrix: {matrix.shape[0]} triplets x {matrix.shape[1]} faults "
-        f"(density {matrix.density():.2f})"
+        f"(density {matrix.matrix.mean():.2f})"
     )
 
     # --- stage 3: Matrix Reducer + exact solver --------------------------

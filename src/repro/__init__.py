@@ -40,7 +40,7 @@ from repro.diagnosis import (
     diagnose_effect_cause,
     make_fail_log,
 )
-from repro.atpg import AtpgEngine, Podem
+from repro.atpg import AtpgEngine
 from repro.tpg import TestPatternGenerator, make_tpg
 from repro.reseeding import (
     DetectionMatrix,
@@ -86,7 +86,6 @@ __all__ = [
     "PAPER_CIRCUITS",
     "PipelineConfig",
     "PipelineResult",
-    "Podem",
     "Registry",
     "ReseedingSolution",
     "RngStream",

@@ -1,4 +1,4 @@
-"""The ``repro check`` driver: run rules, apply suppressions, baseline.
+"""The ``repro check`` driver: run rules, apply suppressions.
 
 :func:`run_check` is the whole pipeline —
 
@@ -9,12 +9,13 @@
    and missing justifications are findings of the built-in
    ``bad-suppression`` pseudo-rule, and cannot themselves be
    suppressed);
-4. drop findings covered by an allow on their line or the line above;
-5. fingerprint what remains and subtract the committed baseline.
+4. drop findings covered by an allow on their line or the line above,
+   and fingerprint what remains.
 
 The returned :class:`CheckReport` carries the surviving findings (the
-failure set), plus the suppressed/baselined buckets for the ``--json``
-view, and renders both the human and the machine form.
+failure set), plus the suppressed bucket for the ``--json`` view, and
+renders both the human and the machine form.  Every surviving finding
+fails the check.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Sequence
 
-from repro.analysis.baseline import BASELINE_NAME, load_baseline
 from repro.analysis.context import AnalysisContext
 from repro.analysis.findings import Finding, fingerprint
 from repro.analysis.rules import RULES
@@ -45,9 +45,8 @@ class CheckReport:
 
     root: str
     rules: list[str]
-    findings: list[Finding]  # the failure set (not suppressed/baselined)
+    findings: list[Finding]  # the failure set (not suppressed)
     suppressed: list[Finding] = field(default_factory=list)
-    baselined: list[Finding] = field(default_factory=list)
     seconds: float = 0.0
 
     @property
@@ -63,7 +62,6 @@ class CheckReport:
             "ok": self.ok,
             "findings": [f.to_dict() for f in self.findings],
             "suppressed": [f.to_dict() for f in self.suppressed],
-            "baselined": [f.to_dict() for f in self.baselined],
             "seconds": round(self.seconds, 3),
         }
 
@@ -78,7 +76,7 @@ class CheckReport:
         )
         tail = (
             f"({len(self.rules)} rules, {len(self.suppressed)} suppressed, "
-            f"{len(self.baselined)} baselined, {self.seconds:.2f}s)"
+            f"{self.seconds:.2f}s)"
         )
         return "\n".join([*lines, f"{summary} {tail}"])
 
@@ -112,13 +110,10 @@ def _assign_fingerprints(
 def run_check(
     root: Path | str,
     rules: Sequence[str] | None = None,
-    baseline_path: Path | str | None = None,
 ) -> CheckReport:
     """Run the analysis pass and return the report.
 
-    ``rules`` selects a subset by id (default: every registered rule);
-    ``baseline_path`` points at a committed baseline (default:
-    ``<root>/.repro-baseline.json`` — silently empty when absent).
+    ``rules`` selects a subset by id (default: every registered rule).
     """
     started = time.perf_counter()
     ctx = AnalysisContext(root)
@@ -187,26 +182,10 @@ def run_check(
         else:
             active.append(finding)
 
-    active = _assign_fingerprints(active, ctx)
-    baseline_file = (
-        Path(baseline_path)
-        if baseline_path is not None
-        else ctx.root / BASELINE_NAME
-    )
-    baseline = load_baseline(baseline_file)
-    failures: list[Finding] = []
-    baselined: list[Finding] = []
-    for finding in active:
-        if (finding.rule, finding.path, finding.fingerprint) in baseline:
-            baselined.append(finding)
-        else:
-            failures.append(finding)
-
     return CheckReport(
         root=str(ctx.root),
         rules=rule_ids,
-        findings=failures,
+        findings=_assign_fingerprints(active, ctx),
         suppressed=suppressed,
-        baselined=baselined,
         seconds=time.perf_counter() - started,
     )

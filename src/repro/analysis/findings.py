@@ -5,8 +5,9 @@ and line, carrying the rule id that produced it — rendered in the
 classic ``file:line:rule-id message`` form so editors and CI log
 scrapers can jump to it.  Fingerprints (:func:`fingerprint`) are
 content-based — a hash of the rule, the file and the *text* of the
-anchor line plus an occurrence counter — so baseline entries survive
-unrelated edits that only shift line numbers.
+anchor line plus an occurrence counter — so a finding in the ``--json``
+report keeps its identity through unrelated edits that only shift line
+numbers.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ class Finding:
     path: str  # repo-relative, POSIX separators
     line: int  # 1-based; 0 for whole-file findings
     message: str
-    #: Content fingerprint for baseline matching; filled by the engine.
+    #: Content fingerprint (stable across line shifts); filled by the engine.
     fingerprint: str = field(default="", compare=False)
 
     def render(self) -> str:

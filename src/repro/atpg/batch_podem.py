@@ -49,12 +49,13 @@ step, on the packed planes:
   X-clearing of popped PIs are masked bulk writes of one assignment
   code matrix that the next sweep packs into its input planes.
 
-Every step mirrors the recursive :class:`~repro.atpg.podem.Podem`,
-which stays the differential oracle: a lane's decision sequence — and
-therefore its DETECTED / UNTESTABLE / ABORTED outcome, its test cube,
-and its backtrack and decision counters — is identical to what
-``Podem.generate`` produces for the same fault.  The differential
-suite in ``tests/test_atpg_batch.py`` pins this.
+Every step mirrors the textbook recursive PODEM, which the test suite
+keeps as the differential oracle (``tests/oracles/podem.py``): a
+lane's decision sequence — and therefore its DETECTED / UNTESTABLE /
+ABORTED outcome, its test cube, and its backtrack and decision
+counters — is identical to what the recursive search produces for the
+same fault.  The differential suite in ``tests/test_atpg_batch.py``
+pins this.
 
 Lanes resolve independently; :meth:`stream` reseats freed lanes from
 the queue immediately, and :meth:`drop` lets the driving engine retire
@@ -65,16 +66,18 @@ covers their fault (fault dropping between PODEM targets).
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass
+from enum import Enum
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from repro.atpg.podem import PodemResult, PodemStatus, TestCube
 from repro.circuit.gates import Fold
 from repro.circuit.netlist import Circuit
 from repro.faults.model import Fault
 from repro.sim.batch import BatchFaultSimulator
 from repro.sim.logic import CompiledCircuit
+from repro.utils.bitvec import BitVector
 from repro.utils.kernels import kernel
 
 _ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
@@ -90,11 +93,65 @@ _X = 2
 _FOLDS = tuple(Fold)
 
 
+class PodemStatus(Enum):
+    """Outcome of a PODEM run for one fault."""
+
+    DETECTED = "detected"
+    UNTESTABLE = "untestable"
+    ABORTED = "aborted"
+
+
+@dataclass(frozen=True)
+class TestCube:
+    """A partially specified test pattern: PI name -> 0/1 for the
+    assigned inputs; unassigned inputs are don't-cares."""
+
+    __test__ = False  # not a pytest test class despite the name
+
+    assignments: tuple[tuple[str, int], ...]
+
+    @classmethod
+    def from_dict(cls, assignments: dict[str, int]) -> "TestCube":
+        return cls(tuple(sorted(assignments.items())))
+
+    def as_dict(self) -> dict[str, int]:
+        """The assignments as a dictionary."""
+        return dict(self.assignments)
+
+    @property
+    def n_assigned(self) -> int:
+        """Number of specified PIs."""
+        return len(self.assignments)
+
+    def to_pattern(self, inputs: list[str], rng) -> BitVector:
+        """Fill don't-cares randomly and produce a full input pattern
+        (bit ``k`` drives ``inputs[k]``)."""
+        lookup = dict(self.assignments)
+        bits = [
+            lookup[name] if name in lookup else rng.getrandbits(1)
+            for name in inputs
+        ]
+        return BitVector.from_bits(bits)
+
+
+@dataclass(frozen=True)
+class PodemResult:
+    """Outcome, the cube when detected, and search-effort counters."""
+
+    status: PodemStatus
+    cube: TestCube | None
+    backtracks: int
+    decisions: int
+
+
 class BatchPodem:
     """PODEM bound to one combinational circuit, fault-parallel.
 
-    ``backtrack_limit`` / ``heuristic`` mean exactly what they mean on
-    the recursive :class:`~repro.atpg.podem.Podem`.  ``batch_size`` is
+    ``backtrack_limit`` bounds the backtracks of each fault; a lane
+    past it ends ``ABORTED`` (the fault's testability stays
+    unresolved).  ``heuristic`` picks the backtrace difficulty: logic
+    levels (``"level"``) or SCOAP controllabilities (``"scoap"``).
+    ``batch_size`` is
     the lane count per implication sweep; ``simulator`` optionally
     donates its already compiled circuit so the engine, the fault
     simulator and the batch PODEM share one levelized plan.
@@ -363,7 +420,7 @@ class BatchPodem:
 
     def generate(self, fault: Fault) -> PodemResult:
         """Search for a test cube detecting ``fault`` (single lane);
-        outcome and cube are identical to ``Podem.generate(fault)``."""
+        outcome and cube are those :meth:`stream` yields for it."""
         for _, result in self.stream([fault]):
             return result
         raise AssertionError(f"lane for {fault} never resolved")

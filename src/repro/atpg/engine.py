@@ -11,8 +11,9 @@ reported separately.
 One test generator drives the deterministic top-off phase:
 :class:`~repro.atpg.batch_podem.BatchPodem`, which implies and searches
 a whole batch of fault lanes per round on the compiled plan and
-supports mid-batch fault dropping.  Each lane reproduces the scalar
-:class:`~repro.atpg.podem.Podem` oracle decision for decision.
+supports mid-batch fault dropping.  Each lane reproduces the textbook
+recursive PODEM decision for decision; the test suite keeps that
+search as the oracle (``tests/oracles/podem.py``).
 
 "Complete covering" is not assumed: the final test set is re-simulated
 against ``F`` and the run hard-errors (:class:`AtpgConsistencyError`) if any target fault slips
@@ -24,9 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.atpg.batch_podem import BatchPodem
+from repro.atpg.batch_podem import BatchPodem, PodemStatus
 from repro.atpg.compaction import reverse_order_compaction
-from repro.atpg.podem import PodemStatus
 from repro.atpg.random_gen import random_phase
 from repro.circuit.netlist import Circuit
 from repro.faults.collapse import collapse_faults
@@ -87,13 +87,6 @@ class AtpgResult:
         covered.
         """
         return self.measured_coverage
-
-    @property
-    def testable_fraction(self) -> float:
-        """Testable faults / collapsed universe."""
-        if not self.n_collapsed_faults:
-            return 0.0
-        return len(self.target_faults) / self.n_collapsed_faults
 
     def summary(self) -> str:
         """One-line human-readable digest."""

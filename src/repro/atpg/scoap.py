@@ -10,8 +10,8 @@ Combinational SCOAP assigns every net three integers:
 The measures guide the PODEM backtrace: when one controlling input
 suffices, pick the *easiest* (lowest CC); when all inputs must go
 non-controlling, attack the *hardest* first (highest CC) so conflicts
-surface early.  ``Podem(..., heuristic="scoap")`` enables this; the
-default remains the cheaper logic-level heuristic, and the ablation
+surface early.  ``BatchPodem(..., heuristic="scoap")`` enables this;
+the default remains the cheaper logic-level heuristic, and the ablation
 benchmark (``benchmarks/test_ablation_heuristics.py``) compares them.
 """
 
@@ -37,15 +37,6 @@ class ScoapMeasures:
     def controllability(self, net: str, value: int) -> int:
         """CC0 or CC1 of ``net``, by target value."""
         return self.cc1[net] if value else self.cc0[net]
-
-    def hardest_net(self) -> str:
-        """The net with the largest finite CC0+CC1+CO (a rough pointer at
-        the least testable region of the circuit)."""
-        def score(net: str) -> int:
-            total = self.cc0[net] + self.cc1[net] + self.co[net]
-            return total if total < INF else -1
-
-        return max(self.cc0, key=score)
 
 
 def compute_scoap(circuit: Circuit) -> ScoapMeasures:

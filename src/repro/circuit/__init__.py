@@ -11,7 +11,6 @@ transformation (:mod:`repro.circuit.fullscan`), exactly as in the paper
 from repro.circuit.gates import (
     Fold,
     GateType,
-    eval_gate_3v_scalar,
     eval_gates,
     gate_form,
 )
@@ -28,7 +27,6 @@ __all__ = [
     "Gate",
     "GateType",
     "GeneratorSpec",
-    "eval_gate_3v_scalar",
     "eval_gates",
     "gate_form",
     "full_scan_view",

@@ -1,27 +1,24 @@
 """Gate types and their evaluation semantics.
 
-The gate algebra is written once, for 0/1 and 0/1/X alike:
+The gate algebra is written once, for 0/1 and 0/1/X alike, in one
+packed kernel, :func:`eval_gates`, on the **normalized gate form**:
+every evaluated gate is one of three folds (AND, OR, XOR) plus an
+output inversion (:func:`gate_form`; BUF and NOT are one-pin ANDs,
+NAND/NOR/XNOR carry the inversion).  Gate state is ``uint64`` words
+with ``m`` bit-planes side by side on the word axis: ``m = 1`` is plain
+0/1 words, ``m = 2`` a value plane followed by a care plane (0/1/X; see
+``docs/internals-bitpacking.md``).  Gates of one fold and mixed arity
+share one call once the narrower ones are padded with the fold's
+identity (:data:`FOLD_IDENTITY`), which is what every levelized sweep
+does (:mod:`repro.sim.logic`).
 
-* :func:`eval_gates` — the packed kernel, on the **normalized gate
-  form**: every evaluated gate is one of three folds (AND, OR, XOR)
-  plus an output inversion (:func:`gate_form`; BUF and NOT are one-pin
-  ANDs, NAND/NOR/XNOR carry the inversion).  Gate state is ``uint64``
-  words with ``m`` bit-planes side by side on the word axis: ``m = 1``
-  is plain 0/1 words, ``m = 2`` a value plane followed by a care plane
-  (0/1/X; see ``docs/internals-bitpacking.md``).  Gates of one fold
-  and mixed arity share one call once the narrower ones are padded
-  with the fold's identity (:data:`FOLD_IDENTITY`), which is what every
-  levelized sweep does (:mod:`repro.sim.logic`).
-* :func:`eval_gate_3v_scalar` — the scalar oracle on codes 0/1/2
-  (2 = X).  On 0/1 codes it is plain Boolean evaluation; the reference
-  simulators use it, and the differential suite pins the kernel to it.
+The test suite keeps a scalar reference on codes 0/1/2 (2 = X),
+``tests/oracles/scalar.py``, and pins the kernel to it bit for bit.
 """
 
 from __future__ import annotations
 
 from enum import Enum, IntEnum
-from functools import reduce
-from typing import Sequence
 
 import numpy as np
 
@@ -85,55 +82,9 @@ COMBINATIONAL_TYPES = frozenset(
 )
 
 
-#: Three-valued X code used by the scalar oracle and the unpacked
-#: (per-pattern / per-lane) views of the packed planes.
+#: Three-valued X code of the unpacked (per-pattern / per-lane) views
+#: of the packed planes.
 X3 = 2
-
-
-def eval_gate_3v_scalar(gtype: GateType, fanin_codes: Sequence[int]) -> int:
-    """Scalar three-valued gate evaluation on codes 0/1/2 (2 = X).
-
-    The from-the-definition oracle for :func:`eval_gates`: a gate output
-    is known exactly when the known fanins force it (a known
-    controlling value) or every fanin is known.  On 0/1 codes this is
-    plain Boolean evaluation.  Deliberately slow and obvious — the
-    differential suite pins the kernel against this, bit for bit, at
-    ``m = 1`` and ``m = 2``.
-    """
-    if gtype is GateType.CONST0:
-        return 0
-    if gtype is GateType.CONST1:
-        return 1
-    if gtype in (GateType.INPUT, GateType.DFF):
-        raise ValueError(f"{gtype.name} nodes are not evaluated; they are sources")
-    if any(code not in (0, 1, X3) for code in fanin_codes):
-        raise ValueError(f"three-valued codes must be 0/1/2, got {fanin_codes!r}")
-    invert = inversion_parity(gtype)
-    if gtype in (GateType.AND, GateType.NAND):
-        if any(code == 0 for code in fanin_codes):
-            base = 0
-        elif all(code == 1 for code in fanin_codes):
-            base = 1
-        else:
-            return X3
-    elif gtype in (GateType.OR, GateType.NOR):
-        if any(code == 1 for code in fanin_codes):
-            base = 1
-        elif all(code == 0 for code in fanin_codes):
-            base = 0
-        else:
-            return X3
-    elif gtype in (GateType.XOR, GateType.XNOR):
-        if any(code == X3 for code in fanin_codes):
-            return X3
-        base = reduce(lambda a, b: a ^ b, fanin_codes)
-    elif gtype in (GateType.NOT, GateType.BUF):
-        if fanin_codes[0] == X3:
-            return X3
-        base = fanin_codes[0]
-    else:
-        raise ValueError(f"unknown gate type {gtype!r}")
-    return base ^ invert
 
 
 class Fold(IntEnum):
@@ -201,7 +152,7 @@ def eval_gates(
     narrower gates are padded with the fold's identity
     (:data:`FOLD_IDENTITY`).
 
-    The X semantics are those of :func:`eval_gate_3v_scalar`: AND is
+    The X semantics are the pessimistic three-valued ones: AND is
     known where every fanin is known or some fanin is a known 0, OR
     where every fanin is known or some fanin is a known 1, XOR only where
     every fanin is known; inversion flips the value bit of known lanes.

@@ -196,30 +196,6 @@ class Circuit:
         levels = self.levels()
         return max(levels.values()) if levels else 0
 
-    def output_cone(self, name: str) -> set[str]:
-        """Transitive fanout of net ``name`` (including ``name``)."""
-        cone = {name}
-        frontier = [name]
-        while frontier:
-            node = frontier.pop()
-            for fanout in self.fanouts(node):
-                if fanout not in cone:
-                    cone.add(fanout)
-                    frontier.append(fanout)
-        return cone
-
-    def input_cone(self, name: str) -> set[str]:
-        """Transitive fanin of net ``name`` (including ``name``)."""
-        cone = {name}
-        frontier = [name]
-        while frontier:
-            node = frontier.pop()
-            for fanin in self.fanins(node):
-                if fanin not in cone:
-                    cone.add(fanin)
-                    frontier.append(fanin)
-        return cone
-
     def stats(self) -> Mapping[str, int]:
         """Summary statistics (PI/PO/gate counts, depth, per-type counts)."""
         per_type: dict[str, int] = {}

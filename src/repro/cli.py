@@ -116,6 +116,19 @@ def _finish_trace(telemetry, root, path: str) -> None:
     )
 
 
+def checked_config(usage_error, base, **fields):
+    """``base`` (a :class:`~repro.flow.pipeline.PipelineConfig`) with
+    ``fields`` replaced.  A value the config rejects is a usage error:
+    ``usage_error`` (an argparse ``parser.error``) prints the message,
+    which names the field and its bound, and exits 2."""
+    from dataclasses import replace
+
+    try:
+        return replace(base, **fields)
+    except ValueError as error:
+        usage_error(str(error))
+
+
 def _pipeline_config(args: argparse.Namespace, **per_command):
     """The flow config the :func:`_add_flow_knobs` flags describe — the
     one place ``run`` and ``sweep`` build it, so no flag can drop out of
@@ -124,7 +137,9 @@ def _pipeline_config(args: argparse.Namespace, **per_command):
     ``--workers``)."""
     from repro.flow.pipeline import PipelineConfig
 
-    return PipelineConfig(
+    return checked_config(
+        args.usage_error,
+        PipelineConfig(),
         seed=args.seed,
         cover_method=args.method,
         max_random_patterns=args.max_random_patterns,
@@ -205,6 +220,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.flow.session import ArtifactCache
     from repro.flow.sweep import sweep
 
+    for length in args.evolution_lengths:
+        _pipeline_config(args, evolution_length=length)
     cache = ArtifactCache(args.cache) if args.cache else None
     grid = sweep(
         args.circuits,
@@ -418,27 +435,14 @@ def _cmd_check(args: argparse.Namespace) -> int:
         python -m repro check                       # all rules, human output
         python -m repro check --json                # machine-readable report
         python -m repro check --rule kernel-purity  # one rule (repeatable)
-        python -m repro check --update-baseline     # accept current findings
     """
     from pathlib import Path
 
-    from repro.analysis import BASELINE_NAME, run_check, save_baseline
+    from repro.analysis import run_check
     from repro.utils.registry import UnknownComponentError
 
-    root = Path(args.root).resolve()
-    baseline = Path(args.baseline) if args.baseline else root / BASELINE_NAME
     try:
-        if args.update_baseline:
-            # Baseline nothing: run with an empty baseline, save what remains.
-            report = run_check(root, rules=args.rule, baseline_path=None)
-            count = save_baseline(baseline, report.findings)
-            print(f"baseline {baseline}: {count} entries")
-            return 0
-        report = run_check(
-            root,
-            rules=args.rule,
-            baseline_path=baseline if baseline.exists() else None,
-        )
+        report = run_check(Path(args.root).resolve(), rules=args.rule)
     except UnknownComponentError as exc:
         print(f"repro check: {exc}", file=sys.stderr)
         return 2
@@ -484,6 +488,7 @@ def _delegate(module_main):
 
 def _add_flow_knobs(parser: argparse.ArgumentParser) -> None:
     """Knobs shared by ``run`` and ``sweep`` (the PipelineConfig surface)."""
+    parser.set_defaults(usage_error=parser.error)
     parser.add_argument("--scale", type=float, default=0.25)
     parser.add_argument("--seed", type=int, default=2001)
     parser.add_argument(
@@ -710,18 +715,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         metavar="RULE-ID",
         help="run only this rule (repeatable; default: all registered rules)",
-    )
-    check.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help="baseline file of accepted findings "
-        "(default: <root>/.repro-baseline.json when present)",
-    )
-    check.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="write the current findings to the baseline file and exit 0",
     )
     check.add_argument(
         "--json",

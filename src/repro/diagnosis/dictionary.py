@@ -78,30 +78,6 @@ class FaultDictionary:
         matrix = simulator.detection_matrix(packed, faults)
         return cls(circuit.name, faults, matrix)
 
-    @classmethod
-    def build_streaming(
-        cls,
-        circuit: Circuit,
-        patterns: Sequence[BitVector],
-        faults: Sequence[Fault] | None = None,
-        simulator: BatchFaultSimulator | None = None,
-    ) -> "FaultDictionary":
-        """Row-streamed construction over
-        :meth:`~repro.sim.batch.BatchFaultSimulator.detection_matrix_rows`
-        (one singleton pattern set per row).
-
-        Bit-identical to :meth:`build`; it trades the 64-pattern word
-        parallelism for the row scan's per-row verdicts, and doubles as
-        the differential check of the two engines' agreement.
-        """
-        faults = list(faults) if faults is not None else collapse_faults(circuit)
-        simulator = simulator or BatchFaultSimulator(circuit)
-        rows = simulator.detection_matrix_rows(
-            ([pattern] for pattern in patterns), faults
-        )
-        matrix = np.array(list(rows), dtype=bool).reshape(len(patterns), len(faults))
-        return cls(circuit.name, faults, matrix)
-
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------

@@ -10,9 +10,7 @@ baseline with the paper's gate-count cutoff, and the shared CLI.
 from __future__ import annotations
 
 import argparse
-from dataclasses import replace
-
-from repro.cli import positive_int
+from repro.cli import checked_config, positive_int
 from repro.flow.pipeline import PipelineConfig
 from repro.flow.session import Session
 from repro.gatsby import GaConfig, GatsbyReseeder, GatsbyResult
@@ -84,8 +82,10 @@ def gatsby_baseline(session: Session, tpg_name: str) -> GatsbyResult | None:
 
 
 def make_arg_parser(description: str) -> argparse.ArgumentParser:
-    """The CLI shared by the drivers."""
+    """The CLI shared by the drivers.  A flag value the flow config
+    rejects is a usage error (exit 2)."""
     parser = argparse.ArgumentParser(description=description)
+    parser.set_defaults(usage_error=parser.error)
     parser.add_argument(
         "--circuits",
         nargs="+",
@@ -145,7 +145,8 @@ def sessions_from_args(args: argparse.Namespace) -> dict[str, Session]:
         circuits = FULL_CIRCUITS
     else:
         circuits = DEFAULT_CIRCUITS
-    config = replace(
+    config = checked_config(
+        args.usage_error,
         DRIVER_CONFIG,
         seed=args.seed,
         evolution_length=args.evolution_length,

@@ -15,6 +15,7 @@ import argparse
 from dataclasses import replace
 
 from repro.circuits import load_circuit
+from repro.cli import checked_config
 from repro.experiments.common import DRIVER_CONFIG
 from repro.flow.tradeoff import TradeoffPoint, explore_tradeoff
 from repro.utils.tables import AsciiTable, render_series
@@ -86,6 +87,10 @@ def main(argv: list[str] | None = None) -> None:
         help="artifact-cache directory (warm runs skip ATPG)",
     )
     args = parser.parse_args(argv)
+    for length in args.lengths:
+        checked_config(
+            parser.error, DRIVER_CONFIG, seed=args.seed, evolution_length=length
+        )
     points = compute_figure2(
         circuit_name=args.circuit,
         tpg_name=args.tpg,

@@ -27,7 +27,9 @@ from repro.reseeding.detection_matrix import DetectionMatrix
 from repro.reseeding.initial import InitialReseeding
 from repro.reseeding.triplet import Triplet
 from repro.reseeding.trim import TrimmedSolution
+from repro.setcover.registry import SOLVER_REGISTRY
 from repro.setcover.solve import CoverSolution
+from repro.utils.registry import UnknownComponentError
 
 
 @dataclass(frozen=True)
@@ -44,6 +46,11 @@ class PipelineConfig:
     2-valued.  The fault simulator takes the plane count from its packed
     carrier, so 0/1/X simulation means handing it
     :class:`~repro.utils.bitvec.PackedPlanes`.
+
+    Every field is checked when the config is built, so a bad value
+    fails at the boundary (the CLI turns it into a usage error) rather
+    than deep inside a run: a :class:`ValueError` names the field and
+    its bound.
     """
 
     seed: int = 2001
@@ -53,6 +60,24 @@ class PipelineConfig:
     backtrack_limit: int = 250
     grasp_iterations: int = 30
     matrix_workers: int | None = None
+
+    def __post_init__(self) -> None:
+        for name, low in (
+            ("evolution_length", 1),
+            ("max_random_patterns", 0),
+            ("backtrack_limit", 0),
+            ("grasp_iterations", 1),
+        ):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        if self.matrix_workers is not None and self.matrix_workers < 1:
+            raise ValueError(
+                f"matrix_workers must be None or >= 1, got {self.matrix_workers}"
+            )
+        if self.cover_method != "auto" and self.cover_method not in SOLVER_REGISTRY:
+            raise UnknownComponentError(
+                "cover_method", self.cover_method, ["auto", *SOLVER_REGISTRY.names()]
+            )
 
 
 @dataclass

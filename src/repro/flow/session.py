@@ -120,7 +120,11 @@ class ArtifactCache:
     Writes are atomic (unique temp file + ``os.replace``), so any number
     of processes share the tree without locks; a failed write removes
     its temp file, and any stale ``*.tmp`` debris left by killed
-    processes is swept when the cache is opened.
+    processes is swept when the cache is opened.  The store is an
+    optimisation, so a write that fails with an :class:`OSError` (disk
+    full, read-only, a path that is a file) never fails the caller: it
+    counts as a *write error* of its kind (``stats()["write_errors"]``)
+    and the artefact is simply not stored.
     """
 
     #: ``*.tmp`` files older than this (seconds) are removed at open —
@@ -131,12 +135,14 @@ class ArtifactCache:
         "hits": "Artifact cache hits by kind.",
         "misses": "Artifact cache misses by kind.",
         "corrupt": "Undecodable artifact cache entries by kind.",
+        "write_errors": "Artifact cache writes that failed, by kind.",
     }
 
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        #: The one copy of every count: kind -> {hits, misses, corrupt}.
+        #: The one copy of every count:
+        #: kind -> {hits, misses, corrupt, write_errors}.
         self._by_kind: dict[str, dict[str, int]] = {}
         self._registries: weakref.WeakSet = weakref.WeakSet()
         self.swept_tmp = self._sweep_stale_tmp()
@@ -169,7 +175,7 @@ class ArtifactCache:
     def attach_metrics(self, metrics) -> None:
         """Export this cache's counters through ``metrics`` (a
         :class:`repro.obs.MetricsRegistry`) as
-        ``repro_cache_{hits,misses,corrupt}_total{kind=...}`` and
+        ``repro_cache_{hits,misses,corrupt,write_errors}_total{kind=...}`` and
         ``repro_cache_swept_tmp_total``.
 
         Registers a scrape-time collector, once per registry and held
@@ -212,11 +218,14 @@ class ArtifactCache:
         """Count one hit or miss.  Callers outside ``get`` fold in hits
         and misses seen elsewhere: a session's memo hits and the sweep
         pool workers' own cache objects on the shared directory."""
-        bucket = self._by_kind.setdefault(
-            kind, {"hits": 0, "misses": 0, "corrupt": 0}
-        )
+        bucket = self._bucket(kind)
         bucket["hits" if hit else "misses"] += 1
         bucket["corrupt"] += corrupt
+
+    def _bucket(self, kind: str) -> dict[str, int]:
+        return self._by_kind.setdefault(
+            kind, {"hits": 0, "misses": 0, "corrupt": 0, "write_errors": 0}
+        )
 
     def _miss(self, kind: str, corrupt: bool = False) -> None:
         self.record(kind, hit=False, corrupt=corrupt)
@@ -273,20 +282,25 @@ class ArtifactCache:
         Readers never observe a partial entry: the payload lands in a
         unique temp file first and is renamed into place atomically.
         If anything fails between write and rename, the temp file is
-        removed instead of orphaned.
+        removed instead of orphaned.  An :class:`OSError` from the
+        directory, the write or the rename counts one write error for
+        the payload's ``kind`` and returns; any other exception
+        propagates.
         """
         path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
         tmp = self._tmp_path(path)
         try:
+            path.parent.mkdir(parents=True, exist_ok=True)
             tmp.write_text(json.dumps(payload))
             tmp.replace(path)
-        except BaseException:
+        except BaseException as exc:
             try:
                 tmp.unlink()
             except OSError:
                 pass
-            raise
+            if not isinstance(exc, OSError):
+                raise
+            self._bucket(payload.get("kind", "unknown"))["write_errors"] += 1
 
     def _total(self, outcome: str) -> int:
         return sum(bucket[outcome] for bucket in list(self._by_kind.values()))
@@ -319,6 +333,7 @@ class ArtifactCache:
             "hits": self.hits,
             "misses": self.misses,
             "corrupt": self._total("corrupt"),
+            "write_errors": self._total("write_errors"),
             "swept_tmp": self.swept_tmp,
             "by_kind": {k: dict(v) for k, v in list(self._by_kind.items())},
         }

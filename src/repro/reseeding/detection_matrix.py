@@ -101,13 +101,6 @@ class DetectionMatrix:
         """(n_triplets, n_faults) — Table 2's 'Initial Matrix' column."""
         return (self.n_triplets, self.n_faults)
 
-    def covers_all_faults(self) -> bool:
-        """True iff every fault column has at least one detecting row
-        (the guarantee the initial reseeding is built to provide)."""
-        if self.n_faults == 0:
-            return True
-        return bool(self.matrix.any(axis=0).all())
-
     def undetected_faults(self) -> list[Fault]:
         """Faults no candidate triplet detects (must be empty for a
         well-formed initial reseeding)."""
@@ -115,16 +108,6 @@ class DetectionMatrix:
             return list(self.faults)
         covered = self.matrix.any(axis=0)
         return [f for f, hit in zip(self.faults, covered) if not hit]
-
-    def density(self) -> float:
-        """Fraction of 1 entries (a difficulty indicator for covering)."""
-        if self.matrix.size == 0:
-            return 0.0
-        return float(self.matrix.mean())
-
-    def triplet_fault_sets(self) -> list[set[int]]:
-        """Per-row sets of covered fault column indices (F(triplet_i))."""
-        return [set(np.flatnonzero(self.matrix[i])) for i in range(self.n_triplets)]
 
 
 def _table_key(

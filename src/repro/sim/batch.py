@@ -1,7 +1,7 @@
 """Batched parallel-pattern fault simulation over fanout-free regions.
 
-The legacy engine (:class:`repro.sim.fault.SerialFaultSimulator`) walks
-one fault cone at a time, paying one Python-level gate evaluation per
+A per-fault engine (the test suite's oracle, ``tests/oracles/serial.py``)
+walks one fault cone at a time, paying one Python-level gate evaluation per
 cone node *per fault*.  This engine needs far fewer machines than
 faults, because of the circuit's **fanout-free regions** (FFRs).  A
 net is an FFR **root** (a *stem*) when it is a primary output, or when

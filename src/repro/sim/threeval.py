@@ -9,11 +9,11 @@ axis, pattern ``64*w + k`` at bit ``k`` of word ``w``, the exact lane
 layout of the 2-valued packing — and the packed carrier picks the
 logic: every simulator runs at the carrier's plane count ``m``.
 
-* :func:`logic_sim_3v` is true-value simulation of planes: the one
-  levelized walk, :meth:`~repro.sim.logic.CompiledCircuit.simulate`, at
-  ``m = 2``, with the one gate kernel
-  (:func:`~repro.circuit.gates.eval_gates`);
-* :func:`logic_sim_3v_scalar` is its from-the-definition oracle.
+:func:`logic_sim_3v` is true-value simulation of planes: the one
+levelized walk, :meth:`~repro.sim.logic.CompiledCircuit.simulate`, at
+``m = 2``, with the one gate kernel
+(:func:`~repro.circuit.gates.eval_gates`).  Its from-the-definition
+oracle is a test-suite reference (``tests/oracles/scalar.py``).
 
 Fault simulation with unknowns needs no engine of its own: hand the one
 :class:`~repro.sim.batch.BatchFaultSimulator` planes, and it detects
@@ -26,15 +26,12 @@ differential suite pins both).
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.circuit.gates import eval_gate_3v_scalar
 from repro.circuit.netlist import Circuit
 from repro.sim.logic import CompiledCircuit
 from repro.utils.bitvec import PackedPlanes, PlanesLike, as_planes
 from repro.utils.kernels import kernel
 
-__all__ = ["logic_sim_3v", "logic_sim_3v_scalar"]
+__all__ = ["logic_sim_3v"]
 
 
 @kernel
@@ -57,40 +54,3 @@ def logic_sim_3v(circuit: Circuit | CompiledCircuit, planes: PlanesLike) -> Pack
     return PackedPlanes(
         state[:, :n_words] & mask, state[:, n_words:] & mask, planes.n_patterns
     )
-
-
-def logic_sim_3v_scalar(circuit: Circuit, codes: np.ndarray) -> np.ndarray:
-    """Scalar three-valued oracle: one gate evaluation at a time.
-
-    ``codes`` has shape ``(n_inputs, n_patterns)`` over 0/1/2 (2 = X);
-    the result has shape ``(n_outputs, n_patterns)``.  Deliberately a
-    per-pattern Python topological walk over
-    :func:`~repro.circuit.gates.eval_gate_3v_scalar` — the
-    from-the-definition reference the differential suite (and the
-    throughput floor) pins :func:`logic_sim_3v` against.
-    """
-    codes = np.asarray(codes, dtype=np.uint8)
-    if codes.ndim != 2 or codes.shape[0] != circuit.n_inputs:
-        raise ValueError(
-            f"codes must be (n_inputs, n_patterns) = ({circuit.n_inputs}, *), "
-            f"got {codes.shape}"
-        )
-    n_patterns = codes.shape[1]
-    out = np.empty((circuit.n_outputs, n_patterns), dtype=np.uint8)
-    topo = circuit.topo_order()
-    input_index = {name: i for i, name in enumerate(circuit.inputs)}
-    for p in range(n_patterns):
-        values: dict[str, int] = {
-            name: int(codes[i, p]) for name, i in input_index.items()
-        }
-        for name in topo:
-            if name in values:
-                continue
-            gate = circuit.gates[name]
-            values[name] = eval_gate_3v_scalar(
-                gate.gtype, [values[f] for f in gate.fanins]
-            )
-        for k, name in enumerate(circuit.outputs):
-            out[k, p] = values[name]
-    return out
-

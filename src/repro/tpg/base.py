@@ -202,10 +202,6 @@ class TestPatternGenerator(ABC):
         """
         return BitVector.random(self.width, rng)
 
-    def period_bound(self) -> int:
-        """A trivial upper bound on the state-sequence period."""
-        return 1 << self.width
-
     def _check_vector(self, label: str, vector: BitVector) -> None:
         if vector.width != self.width:
             raise ValueError(

@@ -9,9 +9,8 @@ patterns at once.  This module provides
   patterns, TPG seeds and register values,
 * :func:`pack_patterns` / :func:`unpack_words` — vectorized conversion
   between per-pattern bit vectors and the word-parallel layout (the
-  scalar reference implementations survive as
-  :func:`pack_patterns_scalar` / :func:`unpack_words_scalar` for the
-  differential suite), and
+  differential suite pins them to scalar references in
+  ``tests/oracles/scalar.py``), and
 * :class:`PackedPatterns` — a pattern sequence carried in packed form,
   so pattern sets are packed once per session instead of once per
   simulator call,
@@ -236,44 +235,6 @@ def tail_mask(n_patterns: int) -> np.ndarray:
     return mask
 
 
-def pack_patterns_scalar(patterns: Sequence[BitVector], width: int) -> np.ndarray:
-    """Reference scalar implementation of :func:`pack_patterns`.
-
-    One Python-level bit test per (pattern, input bit) — obviously
-    correct, and kept as the oracle the vectorized implementation is
-    differentially tested against.
-    """
-    if not patterns:
-        return np.zeros((width, 0), dtype=np.uint64)
-    n_words = (len(patterns) + WORD_BITS - 1) // WORD_BITS
-    out = np.zeros((width, n_words), dtype=np.uint64)
-    for index, pattern in enumerate(patterns):
-        if pattern.width != width:
-            raise ValueError(
-                f"pattern {index} has width {pattern.width}, expected {width}"
-            )
-        word, bit = divmod(index, WORD_BITS)
-        value = pattern.value
-        for input_bit in range(width):
-            if (value >> input_bit) & 1:
-                out[input_bit, word] |= np.uint64(1 << bit)
-    return out
-
-
-def unpack_words_scalar(words: np.ndarray, n_patterns: int) -> list[BitVector]:
-    """Reference scalar implementation of :func:`unpack_words`."""
-    width = words.shape[0]
-    patterns: list[BitVector] = []
-    for index in range(n_patterns):
-        word, bit = divmod(index, WORD_BITS)
-        value = 0
-        for input_bit in range(width):
-            if (int(words[input_bit, word]) >> bit) & 1:
-                value |= 1 << input_bit
-        patterns.append(BitVector(value, width))
-    return patterns
-
-
 @kernel
 def pack_values(values: np.ndarray, width: int) -> np.ndarray:
     """Pack a ``uint64`` value-per-pattern array into word-parallel rows.
@@ -332,7 +293,7 @@ def pack_patterns(patterns: Sequence[BitVector], width: int) -> np.ndarray:
     Vectorized: pattern values are serialised to a little-endian byte
     matrix in one pass, then transposed bit-by-bit with
     ``np.unpackbits`` / ``np.packbits`` — no per-(pattern, bit) Python
-    loop.  Bit-identical to :func:`pack_patterns_scalar`.
+    loop.
     """
     if not patterns:
         return np.zeros((width, 0), dtype=np.uint64)
@@ -365,7 +326,7 @@ def unpack_words(words: np.ndarray, n_patterns: int) -> list[BitVector]:
 
     ``words`` has shape ``(width, n_words)``; the result is ``n_patterns``
     bit vectors of width ``words.shape[0]``.  Vectorized like
-    :func:`pack_patterns`; bit-identical to :func:`unpack_words_scalar`.
+    :func:`pack_patterns`.
     """
     width = words.shape[0]
     if n_patterns == 0:
@@ -655,8 +616,7 @@ class PackedPlanes:
     @classmethod
     def from_codes(cls, codes: np.ndarray) -> "PackedPlanes":
         """Pack a ``(width, n_patterns)`` three-valued code matrix
-        (0/1/:data:`X_CODE`) into planes.  Inverse of :meth:`to_codes`;
-        bit-identical to :func:`planes_from_codes_scalar`."""
+        (0/1/:data:`X_CODE`) into planes.  Inverse of :meth:`to_codes`."""
         codes = np.asarray(codes, dtype=np.uint8)
         if codes.ndim != 2:
             raise ValueError(f"codes must be 2-D, got shape {codes.shape}")
@@ -722,28 +682,6 @@ class PackedPlanes:
             f"PackedPlanes(n_patterns={self.n_patterns}, width={self.width}, "
             f"x_count={self.x_count()})"
         )
-
-
-def planes_from_codes_scalar(codes: np.ndarray) -> "PackedPlanes":
-    """Reference scalar implementation of :meth:`PackedPlanes.from_codes`.
-
-    One Python-level bit test per (row, pattern) — obviously correct,
-    kept as the oracle for the vectorized packer.
-    """
-    codes = np.asarray(codes, dtype=np.uint8)
-    width, n_patterns = codes.shape
-    n_words = n_words_for(n_patterns) or 1
-    value = np.zeros((width, n_words), dtype=np.uint64)
-    care = np.zeros((width, n_words), dtype=np.uint64)
-    for row in range(width):
-        for index in range(n_patterns):
-            word, bit = divmod(index, WORD_BITS)
-            code = int(codes[row, index])
-            if code == 1:
-                value[row, word] |= np.uint64(1 << bit)
-            if code != X_CODE:
-                care[row, word] |= np.uint64(1 << bit)
-    return PackedPlanes(value, care, n_patterns)
 
 
 #: What simulator pattern arguments accept: an unpacked sequence or the

@@ -14,9 +14,9 @@ convention lived in docstrings; this module makes it declarative:
   loops, ``int()`` scalarization and ``.tolist()`` inside any decorated
   function — see ``docs/static-analysis.md``.
 
-Scalar reference implementations (``*_scalar`` oracles kept for the
-differential suites) must *not* be decorated; the rule enforces that
-naming convention too.  The decorator itself is an identity function —
+Scalar reference implementations (``*_scalar`` oracles, kept by the
+differential suites in ``tests/oracles/``) must *not* be decorated;
+the rule enforces that naming convention too.  The decorator itself is an identity function —
 registration costs one dict insert at import time and nothing at call
 time, so decorating a kernel cannot slow it down.
 """

@@ -1,4 +1,6 @@
-"""PODEM (Path-Oriented DEcision Making) deterministic test generation.
+"""The recursive PODEM: the scalar oracle of the batch PODEM.
+
+PODEM (Path-Oriented DEcision Making) deterministic test generation.
 
 PODEM searches the primary-input space directly: it repeatedly derives
 an *objective* (activate the fault, then advance the D-frontier toward a
@@ -11,20 +13,20 @@ The implementation keeps the textbook search structure but runs the
 five-valued simulation on dense integer arrays (three-valued components
 encoded 0/1/2, 2 = X) — the hot loop allocates no objects.
 
-This is the deterministic core of the TestGen stand-in (see
-:mod:`repro.atpg.engine`).
+:class:`~repro.atpg.batch_podem.BatchPodem`, the engine the ATPG
+runs, makes exactly this search's decisions lane by lane; the
+differential suite and the throughput floor pin it against
+:class:`Podem`, fault for fault.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
-from enum import Enum
 
+from repro.atpg.batch_podem import PodemResult, PodemStatus, TestCube
 from repro.circuit.gates import GateType, controlling_value, inversion_parity
 from repro.circuit.netlist import Circuit
 from repro.faults.model import Fault
-from repro.utils.bitvec import BitVector
 
 _X3 = 2
 
@@ -44,57 +46,6 @@ _TYPE_CODE = {
     GateType.CONST1: _C1,
 }
 _NOT3 = (1, 0, _X3)
-
-
-class PodemStatus(Enum):
-    """Outcome of a PODEM run for one fault."""
-
-    DETECTED = "detected"
-    UNTESTABLE = "untestable"
-    ABORTED = "aborted"
-
-
-@dataclass(frozen=True)
-class TestCube:
-    """A partially specified test pattern: PI name -> 0/1 for the
-    assigned inputs; unassigned inputs are don't-cares."""
-
-    __test__ = False  # not a pytest test class despite the name
-
-    assignments: tuple[tuple[str, int], ...]
-
-    @classmethod
-    def from_dict(cls, assignments: dict[str, int]) -> "TestCube":
-        return cls(tuple(sorted(assignments.items())))
-
-    def as_dict(self) -> dict[str, int]:
-        """The assignments as a dictionary."""
-        return dict(self.assignments)
-
-    @property
-    def n_assigned(self) -> int:
-        """Number of specified PIs."""
-        return len(self.assignments)
-
-    def to_pattern(self, inputs: list[str], rng) -> BitVector:
-        """Fill don't-cares randomly and produce a full input pattern
-        (bit ``k`` drives ``inputs[k]``)."""
-        lookup = dict(self.assignments)
-        bits = [
-            lookup[name] if name in lookup else rng.getrandbits(1)
-            for name in inputs
-        ]
-        return BitVector.from_bits(bits)
-
-
-@dataclass(frozen=True)
-class PodemResult:
-    """Outcome, the cube when detected, and search-effort counters."""
-
-    status: PodemStatus
-    cube: TestCube | None
-    backtracks: int
-    decisions: int
 
 
 class Podem:

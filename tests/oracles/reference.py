@@ -2,19 +2,21 @@
 
 Evaluates one pattern at a time with plain Python ints, and injects
 faults by overriding the value a reader sees.  It exists to cross-check
-the packed engines (:mod:`repro.sim.logic`, :mod:`repro.sim.fault`) in
+the packed engines (:mod:`repro.sim.logic`, :mod:`repro.sim.batch`) in
 the property-based tests — the two implementations share no evaluation
-code beyond the :class:`GateType` enum.
+code beyond the :class:`GateType` enum and the scalar gate reference.
 """
 
 from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from repro.circuit.gates import GateType, eval_gate_3v_scalar
+from repro.circuit.gates import GateType
 from repro.circuit.netlist import Circuit
 from repro.faults.model import Fault
 from repro.utils.bitvec import BitVector
+
+from oracles.scalar import eval_gate_3v_scalar
 
 
 class ReferenceSimulator:

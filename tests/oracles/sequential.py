@@ -10,17 +10,19 @@ verify the full-scan contract:
     flip-flop state presented on the pseudo-PIs equals one clock of
     ``C`` — POs match, and the pseudo-POs equal the next state.
 
-It also simulates the *hardware* TPG registers directly when a TPG is
-realised as a sequential netlist.
+The paper's flow is full-scan combinational, so nothing in the product
+steps a clock; this simulator is the reference of that contract only.
 """
 
 from __future__ import annotations
 
 from typing import Mapping
 
-from repro.circuit.gates import GateType, eval_gate_3v_scalar
+from repro.circuit.gates import GateType
 from repro.circuit.netlist import Circuit
 from repro.utils.bitvec import BitVector
+
+from oracles.scalar import eval_gate_3v_scalar
 
 
 class SequentialSimulator:

@@ -3,7 +3,7 @@
 Each rule is pinned against positive *and* negative fixture snippets in
 throwaway synthetic roots (the :class:`repro.analysis.AnalysisContext`
 never needs the real tree), plus the engine-level semantics: allow
-suppressions, ``bad-suppression`` validation, baseline round-trips,
+suppressions, ``bad-suppression`` validation, fingerprint stability,
 the ``--json`` schema, and the whole-repo run staying clean and fast.
 """
 
@@ -15,14 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import (
-    BAD_SUPPRESSION,
-    BASELINE_NAME,
-    RULES,
-    load_baseline,
-    run_check,
-    save_baseline,
-)
+from repro.analysis import BAD_SUPPRESSION, RULES, run_check
 from repro.cli import main as cli_main
 from repro.utils.registry import UnknownComponentError
 
@@ -632,7 +625,7 @@ def test_allow_in_docstring_is_not_a_suppression(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# baseline
+# fingerprints
 # ---------------------------------------------------------------------------
 
 
@@ -645,46 +638,15 @@ def _violating_root(tmp_path: Path) -> Path:
     return tmp_path
 
 
-def test_baseline_round_trip(tmp_path):
+def test_fingerprints_survive_line_shifts(tmp_path):
     root = _violating_root(tmp_path)
-    report = run_check(root, rules=["kernel-purity"])
-    assert not report.ok
-    baseline_path = root / BASELINE_NAME
-    count = save_baseline(baseline_path, report.findings)
-    assert count == 1
-    assert len(load_baseline(baseline_path)) == 1
-
-    again = run_check(root, rules=["kernel-purity"])
-    assert again.ok
-    assert len(again.baselined) == 1
-
-
-def test_baseline_survives_line_shifts(tmp_path):
-    root = _violating_root(tmp_path)
-    report = run_check(root, rules=["kernel-purity"])
-    save_baseline(root / BASELINE_NAME, report.findings)
+    (before,) = run_check(root, rules=["kernel-purity"]).findings
 
     hot = root / "src/repro/sim/hot.py"
     hot.write_text("# a new comment shifts every line\n" + hot.read_text())
-    shifted = run_check(root, rules=["kernel-purity"])
-    assert shifted.ok, [f.render() for f in shifted.findings]
-    assert len(shifted.baselined) == 1
-
-
-def test_new_findings_are_not_baselined(tmp_path):
-    root = _violating_root(tmp_path)
-    report = run_check(root, rules=["kernel-purity"])
-    save_baseline(root / BASELINE_NAME, report.findings)
-
-    write(
-        tmp_path,
-        "src/repro/sim/other.py",
-        _LOOPY.format(line="y = words.tolist()"),
-    )
-    again = run_check(root, rules=["kernel-purity"])
-    assert not again.ok
-    assert len(again.baselined) == 1
-    assert len(again.findings) == 1
+    (after,) = run_check(root, rules=["kernel-purity"]).findings
+    assert after.line == before.line + 1
+    assert after.fingerprint == before.fingerprint
 
 
 # ---------------------------------------------------------------------------
@@ -707,14 +669,16 @@ def test_cli_json_schema(tmp_path, capsys):
     assert finding["fingerprint"]
 
 
-def test_cli_update_baseline_then_green(tmp_path, capsys):
+def test_cli_has_no_baseline(tmp_path, capsys):
+    """Every finding fails the check: there is no baseline to accept
+    findings into."""
     root = _violating_root(tmp_path)
     assert cli_main(["check", "--root", str(root)]) == 1
-    capsys.readouterr()
-    assert cli_main(["check", "--root", str(root), "--update-baseline"]) == 0
-    assert cli_main(["check", "--root", str(root)]) == 0
-    out = capsys.readouterr().out
-    assert "1 baselined" in out
+    assert "baselined" not in capsys.readouterr().out
+    for flag in ("--baseline", "--update-baseline"):
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["check", "--root", str(root), flag])
+        assert exit_info.value.code == 2
 
 
 def test_cli_rule_selection_and_unknown_rule(tmp_path, capsys):
@@ -734,9 +698,6 @@ def test_repo_is_clean_and_fast():
     report = run_check(REPO_ROOT)
     assert report.ok, "\n" + "\n".join(f.render() for f in report.findings)
     assert report.seconds < 10.0
-    # The shipped baseline stays empty: violations get fixed or carry a
-    # justified allow, they do not accumulate silently.
-    assert load_baseline(REPO_ROOT / BASELINE_NAME) == set()
 
 
 def test_repo_has_registered_kernels():

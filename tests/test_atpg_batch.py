@@ -7,7 +7,7 @@ Three layers, each pinned to an independent reference:
   PODEM's own interval-rail sweep is pinned against a scalar
   five-valued walk in ``tests/test_prop_fold_form.py``);
 * :class:`~repro.atpg.batch_podem.BatchPodem` against the recursive
-  :class:`~repro.atpg.podem.Podem` oracle — the batch engine runs the
+  :class:`~oracles.podem.Podem` oracle — the batch engine runs the
   oracle's objective, backtrace and decision rules for every lane in
   lock step, so the two must agree **bit for bit**: same statuses, same
   cubes, same backtrack and decision counts, for every lane geometry
@@ -30,14 +30,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.atpg.batch_podem import BatchPodem
+from repro.atpg.batch_podem import BatchPodem, PodemStatus
 from repro.atpg.engine import AtpgEngine
-from repro.atpg.podem import Podem, PodemStatus
 from repro.circuit.gates import (
     FOLD_IDENTITY,
     X3,
     GateType,
-    eval_gate_3v_scalar,
     eval_gates,
     gate_form,
 )
@@ -48,6 +46,9 @@ from repro.faults.collapse import collapse_faults
 from repro.faults.model import Fault, full_fault_list
 from repro.flow.serialize import decode, encode
 from repro.utils.bitvec import PackedPlanes
+
+from oracles.podem import Podem
+from oracles.scalar import eval_gate_3v_scalar
 
 # ---------------------------------------------------------------------------
 # the m = 2 lane layout the simulators run on, against the scalar oracle

@@ -34,7 +34,6 @@ class TestEngineOnC17:
     def test_counters_consistent(self, result):
         assert result.test_length == len(result.test_set)
         assert result.n_collapsed_faults == len(result.target_faults)
-        assert result.testable_fraction == 1.0
 
     def test_summary_mentions_circuit(self, result):
         assert "c17" in result.summary()

@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.atpg.podem import Podem, PodemStatus, TestCube
 from repro.circuit.gates import GateType
 from repro.circuit.netlist import Circuit, Gate
 from repro.faults.model import Fault, full_fault_list
-from repro.sim.event import ReferenceSimulator
+
+from repro.atpg.batch_podem import PodemStatus, TestCube
+
+from oracles.podem import Podem
+from oracles.reference import ReferenceSimulator
 
 
 def _verify_cube(circuit, fault, cube, rng):

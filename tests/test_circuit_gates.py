@@ -22,12 +22,13 @@ from repro.circuit.gates import (
     X3,
     GateType,
     controlling_value,
-    eval_gate_3v_scalar,
     eval_gates,
     gate_form,
     inversion_parity,
 )
 from repro.utils.bitvec import PackedPlanes, tail_mask
+
+from oracles.scalar import eval_gate_3v_scalar
 
 _TRUTH_2IN = {
     GateType.AND: lambda a, b: a & b,

@@ -111,14 +111,6 @@ class TestTopology:
         assert levels["y"] == 3
         assert mux_circuit.depth() == 3
 
-    def test_output_cone(self, mux_circuit):
-        cone = mux_circuit.output_cone("s")
-        assert cone == {"s", "ns", "t0", "t1", "y"}
-
-    def test_input_cone(self, mux_circuit):
-        cone = mux_circuit.input_cone("t0")
-        assert cone == {"t0", "a", "ns", "s"}
-
     def test_is_sequential(self, mux_circuit, s27_scan):
         assert not mux_circuit.is_sequential()
         assert not s27_scan.is_sequential()  # full-scan view is combinational

@@ -31,10 +31,12 @@ from repro.faults.collapse import collapse_faults
 from repro.faults.model import Fault, full_fault_list
 from repro.flow.serialize import decode, encode
 from repro.sim.batch import BatchFaultSimulator
-from repro.sim.event import ReferenceSimulator
 from repro.sim.logic import CompiledCircuit
 from repro.utils.bitvec import BitVector, pack_patterns, unpack_words
 from repro.utils.rng import RngStream
+
+from oracles.scalar import eval_gate_3v_scalar
+from oracles.reference import ReferenceSimulator
 
 
 def _random_patterns(circuit, count, *names):
@@ -93,7 +95,6 @@ class TestInjection:
         """A branch-forced gate must read the *faulty* values of its
         other pins when a second fault lies upstream — the case the
         per-fault engines cannot model."""
-        from repro.circuit.gates import eval_gate_3v_scalar
 
         compiled = CompiledCircuit(c17)
         patterns = _random_patterns(c17, 32, "pair")
@@ -206,9 +207,10 @@ class TestFaultDictionary:
     def test_build_matches_streaming(self, c17):
         patterns = _random_patterns(c17, 20, "dict")
         built = FaultDictionary.build(c17, patterns)
-        streamed = FaultDictionary.build_streaming(c17, patterns)
-        assert built.faults == streamed.faults
-        np.testing.assert_array_equal(built.matrix, streamed.matrix)
+        rows = BatchFaultSimulator(c17).detection_matrix_rows(
+            ([pattern] for pattern in patterns), built.faults
+        )
+        np.testing.assert_array_equal(built.matrix, np.array(list(rows), dtype=bool))
 
     def test_lookup_finds_injected_fault(self, mux_circuit):
         patterns = _random_patterns(mux_circuit, 32, "lookup")

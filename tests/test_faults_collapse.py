@@ -6,8 +6,9 @@ from repro.circuit.gates import GateType
 from repro.circuit.netlist import Circuit, Gate
 from repro.faults.collapse import collapse_faults, equivalence_classes
 from repro.faults.model import Fault, full_fault_list
-from repro.sim.event import ReferenceSimulator
 from repro.utils.bitvec import BitVector
+
+from oracles.reference import ReferenceSimulator
 
 
 class TestGateLocalRules:

@@ -95,6 +95,43 @@ class TestPipeline:
         assert session.run("subtracter").tpg_name == "subtracter"
 
 
+class TestConfigValidation:
+    """A bad knob fails when the config is built, naming the field and
+    its bound, and the CLI turns it into a usage error."""
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("evolution_length", 0, "evolution_length must be >= 1"),
+            ("max_random_patterns", -1, "max_random_patterns must be >= 0"),
+            ("backtrack_limit", -1, "backtrack_limit must be >= 0"),
+            ("grasp_iterations", 0, "grasp_iterations must be >= 1"),
+            ("grasp_iterations", -1, "grasp_iterations must be >= 1"),
+            ("matrix_workers", 0, "matrix_workers must be None or >= 1"),
+            ("cover_method", "lingo", "unknown cover_method 'lingo'; known: auto"),
+        ],
+    )
+    def test_out_of_range_field_rejected(self, field, value, message, capsys):
+        from repro.cli import main as cli_main
+
+        with pytest.raises(ValueError, match=message):
+            PipelineConfig(**{field: value})
+        if field in ("evolution_length", "max_random_patterns", "backtrack_limit",
+                     "grasp_iterations"):
+            flag = "--" + field.replace("_", "-")
+            with pytest.raises(SystemExit) as exit_info:
+                cli_main(["run", "--circuit", "c17", flag, str(value)])
+            assert exit_info.value.code == 2
+            assert message in capsys.readouterr().err
+
+    def test_bounds_are_inclusive(self):
+        config = PipelineConfig(
+            evolution_length=1, max_random_patterns=0, backtrack_limit=0,
+            grasp_iterations=1, matrix_workers=1, cover_method="greedy",
+        )
+        assert config.max_random_patterns == 0
+
+
 class TestTradeoff:
     @pytest.fixture(scope="class")
     def points(self, small_circuit, pipeline_result):

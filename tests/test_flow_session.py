@@ -30,6 +30,13 @@ def baseline(c17):
     return Session(c17, CONFIG).run("adder")
 
 
+def _answer(result: PipelineResult) -> dict:
+    """A result's stored document without its wall-clock timings."""
+    document = result.to_dict()
+    del document["timings"]
+    return document
+
+
 class TestStages:
     def test_progress_events(self, c17):
         events: list[StageEvent] = []
@@ -372,11 +379,11 @@ class TestArtifactCacheRobustness:
             raise OSError("disk full")
 
         monkeypatch.setattr(_Path, "replace", doomed)
-        with pytest.raises(OSError):
-            cache.put(key, payload)
+        cache.put(key, payload)  # a store write error never fails the caller
         monkeypatch.undo()
         assert not list(tmp_path.glob("**/*.tmp"))
         assert not cache._path(key).exists()
+        assert cache.stats()["write_errors"] == 1
 
     def test_stale_tmp_swept_at_open(self, tmp_path):
         import os as _os
@@ -401,15 +408,13 @@ class TestArtifactCacheRobustness:
 
 class TestSession:
     @pytest.mark.parametrize("workers", [0, -3])
-    def test_matrix_workers_below_one_rejected(self, c17, baseline, workers):
-        """The matrix build raises before it starts a pool; it does not
-        fall back to a serial build."""
+    def test_matrix_workers_below_one_rejected(self, workers):
+        """The config rejects the value when it is built, so no matrix
+        build starts a pool or falls back to a serial build."""
         from dataclasses import replace
 
-        config = replace(CONFIG, matrix_workers=workers)
-        session = Session(c17, config, atpg_result=baseline.atpg)
-        with pytest.raises(ValueError, match="workers must be >= 1"):
-            session.run("adder")
+        with pytest.raises(ValueError, match="matrix_workers must be None or >= 1"):
+            replace(CONFIG, matrix_workers=workers)
 
     def test_session_matches_pipeline(self, c17, baseline):
         session = Session(c17, config=CONFIG)
@@ -446,6 +451,44 @@ class TestSession:
         assert second.n_triplets == first.n_triplets
         assert second.test_length == first.test_length
         assert second.selected_triplets == first.selected_triplets
+
+    def test_store_write_error_does_not_fail_the_run(
+        self, tmp_path, monkeypatch, baseline
+    ):
+        """A full disk costs the store its entries, not the run its
+        result: every failed write is counted per kind and the run
+        returns what a storeless session returns."""
+        import errno
+        from pathlib import Path
+
+        def full_disk(path, *args, **kwargs):
+            raise OSError(errno.ENOSPC, "No space left on device", str(path))
+
+        metrics = Telemetry.on().metrics
+        cache = ArtifactCache(tmp_path)
+        cache.attach_metrics(metrics)
+        monkeypatch.setattr(Path, "write_text", full_disk)
+        result = Session(load_circuit("c17"), CONFIG, cache=cache).run("adder")
+        monkeypatch.undo()
+
+        assert _answer(result) == _answer(baseline)
+        assert cache.stats()["by_kind"]["pipeline_result"]["write_errors"] == 1
+        assert metrics.scalar_value(
+            "repro_cache_write_errors_total", kind="pipeline_result"
+        ) == 1
+        assert cache.stats()["write_errors"] == sum(
+            bucket["write_errors"] for bucket in cache.stats()["by_kind"].values()
+        )
+        assert not list(tmp_path.glob("**/*.tmp"))
+
+    def test_store_root_replaced_by_a_file(self, tmp_path, c17, baseline):
+        root = tmp_path / "store"
+        cache = ArtifactCache(root)
+        root.rmdir()
+        root.write_text("not a directory")
+        result = Session(c17, CONFIG, cache=cache).run("adder")
+        assert _answer(result) == _answer(baseline)
+        assert cache.stats()["write_errors"] >= 1
 
     def test_warm_atpg_cache_skips_atpg(self, tmp_path):
         cache = ArtifactCache(tmp_path)

@@ -16,9 +16,11 @@ import pytest
 
 from repro.circuits import load_circuit
 from repro.faults.model import full_fault_list
-from repro.sim.fault import FaultSimulator, SerialFaultSimulator
+from repro.sim.fault import FaultSimulator
 from repro.utils.bitvec import BitVector
 from repro.utils.rng import RngStream
+
+from oracles.serial import SerialFaultSimulator
 
 N_GOLDEN_PATTERNS = 128
 GOLDEN_SEED = 2001

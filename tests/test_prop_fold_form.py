@@ -30,15 +30,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.atpg.batch_podem import BatchPodem
-from repro.atpg.podem import Podem
-from repro.circuit.gates import X3, GateType, eval_gate_3v_scalar
+from repro.circuit.gates import X3, GateType
 from repro.circuit.netlist import Circuit, Gate
 from repro.diagnosis.inject import simulate_with_faults
 from repro.faults.model import full_fault_list
 from repro.sim.batch import BatchFaultSimulator
-from repro.sim.fault import SerialFaultSimulator
 from repro.sim.logic import CompiledCircuit
 from repro.utils.bitvec import BitVector, PackedPlanes
+
+from oracles.podem import Podem
+from oracles.scalar import eval_gate_3v_scalar
+from oracles.serial import SerialFaultSimulator
 
 _LOGIC = [
     GateType.AND, GateType.NAND, GateType.OR, GateType.NOR,

@@ -14,11 +14,12 @@ from hypothesis import strategies as st
 from repro.circuit.bench import parse_bench, write_bench
 from repro.circuit.generate import GeneratorSpec, generate_circuit
 from repro.faults.model import full_fault_list
-from repro.sim.event import ReferenceSimulator
 from repro.sim.fault import FaultSimulator
 from repro.sim.logic import CompiledCircuit
 from repro.utils.bitvec import BitVector
 from repro.utils.rng import RngStream
+
+from oracles.reference import ReferenceSimulator
 
 circuits = st.builds(
     generate_circuit,

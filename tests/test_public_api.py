@@ -7,8 +7,13 @@ docstring, and the package metadata is consistent.
 
 from __future__ import annotations
 
+import ast
 import importlib
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -77,6 +82,71 @@ class TestOneFaultSimulator:
         ]
 
 
+#: Names that left the product: the test oracles (now in
+#: ``tests/oracles/``) and helpers nothing in ``src/`` called.
+REMOVED_NAMES = frozenset(
+    {
+        "Podem",
+        "SerialFaultSimulator",
+        "ReferenceSimulator",
+        "SequentialSimulator",
+        "detected_faults",
+        "eval_gate_3v_scalar",
+        "logic_sim_3v_scalar",
+        "pack_patterns_scalar",
+        "unpack_words_scalar",
+        "planes_from_codes_scalar",
+        "BASELINE_NAME",
+        "load_baseline",
+        "save_baseline",
+    }
+)
+
+#: The modules that held only oracles.
+REMOVED_MODULES = ("repro.atpg.podem", "repro.sim.event", "repro.sim.sequential")
+
+SRC = Path(repro.__file__).resolve().parent
+
+
+class TestOraclesStayOutOfTheProduct:
+    """The slow references the product is pinned against live with the
+    tests; these guards keep them from growing back into ``src/``."""
+
+    @pytest.mark.parametrize("module_name", ["repro", *SUBPACKAGES, "repro.analysis"])
+    def test_no_removed_name_exported(self, module_name):
+        module = importlib.import_module(module_name)
+        assert not REMOVED_NAMES & set(module.__all__), module_name
+
+    def test_no_scalar_functions_in_src(self):
+        """``evolve_batch_scalar`` is the one ``*_scalar`` product
+        function: a custom TPG inherits it as its batch fallback."""
+        found = sorted(
+            f"{path.relative_to(SRC)}:{node.name}"
+            for path in SRC.rglob("*.py")
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name.endswith("_scalar")
+            and node.name != "evolve_batch_scalar"
+        )
+        assert found == []
+
+    def test_import_loads_no_oracle_module(self):
+        code = (
+            "import sys, repro, repro.atpg, repro.sim, repro.utils\n"
+            f"print(sorted(set(sys.modules) & set({REMOVED_MODULES!r})))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+        ).stdout
+        assert out.strip() == "[]"
+        for name in REMOVED_MODULES:
+            assert not (SRC.parent / (name.replace(".", "/") + ".py")).exists(), name
+
+
 @pytest.mark.parametrize("module_name", SUBPACKAGES)
 class TestSubpackages:
     def test_importable_with_docstring(self, module_name):
@@ -104,7 +174,6 @@ class TestPublicClassesDocumented:
             "GatsbyReseeder",
             "InitialReseedingBuilder",
             "PipelineConfig",
-            "Podem",
             "Session",
             "Triplet",
         ],

@@ -5,8 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.faults.model import Fault
-from repro.sim.event import ReferenceSimulator
 from repro.utils.bitvec import BitVector
+
+from oracles.reference import ReferenceSimulator
 
 
 class TestReferenceSimulator:

@@ -5,9 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro.faults.model import Fault, full_fault_list
-from repro.sim.event import ReferenceSimulator
-from repro.sim.fault import FaultSimulator, detected_faults
+from repro.sim.fault import FaultSimulator
 from repro.utils.bitvec import BitVector
+
+from oracles.reference import ReferenceSimulator
 
 
 class TestDetection:
@@ -44,13 +45,6 @@ class TestDetection:
         patterns = [BitVector(v, 2) for v in range(4)]
         # y = a OR (a AND b): t/SA0 is redundant (y == a regardless)
         assert simulator.detected(patterns, [Fault.stem("t", 0)]) == [False]
-
-    def test_detected_faults_helper(self, c17):
-        patterns = [BitVector(v, 5) for v in range(32)]
-        faults = full_fault_list(c17)
-        detected = detected_faults(c17, patterns, faults)
-        # c17 has no redundant faults: exhaustive patterns detect everything
-        assert detected == set(faults)
 
 
 class TestAgainstReference:

@@ -22,9 +22,12 @@ from repro.circuit.generate import GeneratorSpec, generate_circuit
 from repro.circuits import CATALOG
 from repro.faults.model import Fault, full_fault_list
 from repro.sim.batch import BatchFaultSimulator, offset_dtype
-from repro.sim.fault import FaultSimulator, SerialFaultSimulator
+from repro.sim.fault import FaultSimulator
 from repro.utils.bitvec import BitVector, PackedPlanes, as_planes
 from repro.utils.rng import RngStream
+
+from oracles.podem import Podem
+from oracles.serial import SerialFaultSimulator
 
 BATCH_SIZES = (1, 7, 64)
 
@@ -198,7 +201,6 @@ class TestBadFaultSites:
     @staticmethod
     def _engines(circuit):
         from repro.atpg.batch_podem import BatchPodem
-        from repro.atpg.podem import Podem
         from repro.diagnosis.inject import simulate_with_faults
         from repro.sim.logic import CompiledCircuit
 

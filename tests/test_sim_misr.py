@@ -5,9 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro.faults.model import Fault
-from repro.sim.event import ReferenceSimulator
 from repro.sim.misr import Misr, aliasing_rate, golden_signature
 from repro.utils.bitvec import BitVector
+
+from oracles.reference import ReferenceSimulator
 
 
 class TestMisrMechanics:

@@ -10,10 +10,11 @@ from repro.circuit.bench import parse_bench
 from repro.circuit.fullscan import PPO_SUFFIX, full_scan_view
 from repro.circuit.generate import GeneratorSpec, generate_circuit
 from repro.circuits.data import S27_BENCH
-from repro.sim.event import ReferenceSimulator
-from repro.sim.sequential import SequentialSimulator
 from repro.utils.bitvec import BitVector
 from repro.utils.rng import RngStream
+
+from oracles.reference import ReferenceSimulator
+from oracles.sequential import SequentialSimulator
 
 
 def _s27():

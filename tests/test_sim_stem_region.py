@@ -6,10 +6,10 @@ good-machine trace (activation & criticality & root detection).  That
 is only sound if the region structure is right, so these tests pin the
 engine to two per-fault oracles on circuits built to stress it:
 
-* at ``m = 1``, :class:`~repro.sim.fault.SerialFaultSimulator`, which
+* at ``m = 1``, :class:`~oracles.serial.SerialFaultSimulator`, which
   forces each fault and re-simulates its cone;
 * at ``m = 2``, a scalar per-fault 0/1/X machine written here on
-  :func:`~repro.circuit.gates.eval_gate_3v_scalar`: the stuck value is
+  :func:`~oracles.scalar.eval_gate_3v_scalar`: the stuck value is
   known, and a pattern detects a fault where some primary output is
   known on both machines and differs.
 
@@ -25,12 +25,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.circuit.gates import X3, GateType, eval_gate_3v_scalar
+from repro.circuit.gates import X3, GateType
 from repro.circuit.netlist import Circuit, Gate
 from repro.faults.model import full_fault_list
 from repro.sim.batch import BatchFaultSimulator, detected_mask, offset_dtype
-from repro.sim.fault import SerialFaultSimulator
 from repro.utils.bitvec import BitVector, PackedPlanes
+
+from oracles.scalar import eval_gate_3v_scalar
+from oracles.serial import SerialFaultSimulator
 
 MIXED = (
     GateType.AND, GateType.NAND, GateType.OR, GateType.NOR,

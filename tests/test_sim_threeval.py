@@ -33,7 +33,6 @@ from repro.circuit import Circuit, Gate, full_scan_view, partial_scan_view
 from repro.circuit.gates import (
     X3,
     GateType,
-    eval_gate_3v_scalar,
     eval_gates,
     gate_form,
 )
@@ -46,7 +45,6 @@ from repro.sim import (
     Misr,
     golden_signature,
     logic_sim_3v,
-    logic_sim_3v_scalar,
     x_masked_signature,
 )
 from repro.utils.bitvec import (
@@ -54,8 +52,13 @@ from repro.utils.bitvec import (
     PackedPatterns,
     PackedPlanes,
     as_planes,
-    planes_from_codes_scalar,
     unpack_words,
+)
+
+from oracles.scalar import (
+    eval_gate_3v_scalar,
+    logic_sim_3v_scalar,
+    planes_from_codes_scalar,
 )
 
 #: Gate types with a plane-algebra form (everything combinational).

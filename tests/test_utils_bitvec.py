@@ -13,10 +13,10 @@ from repro.utils.bitvec import (
     as_packed,
     ints_to_bitvectors,
     pack_patterns,
-    pack_patterns_scalar,
     unpack_words,
-    unpack_words_scalar,
 )
+
+from oracles.scalar import pack_patterns_scalar, unpack_words_scalar
 
 
 class TestBitVectorConstruction:
