@@ -17,18 +17,14 @@ simulation entirely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from repro.circuit.netlist import Circuit
-from repro.diagnosis.result import (
-    Candidate,
-    DiagnosisResult,
-    candidates_from_predictions,
-    rank_candidates,
-)
+from repro.diagnosis.result import Candidate, DiagnosisResult
 from repro.faults.collapse import collapse_faults
 from repro.faults.model import Fault
 from repro.sim.batch import BatchFaultSimulator
@@ -43,7 +39,6 @@ class FaultDictionary:
     circuit_name: str
     faults: list[Fault]
     matrix: np.ndarray
-    _fault_rank: np.ndarray | None = field(default=None, init=False)
 
     def __post_init__(self) -> None:
         self.faults = list(self.faults)
@@ -102,46 +97,47 @@ class FaultDictionary:
     ) -> list[Candidate]:
         """Rank every dictionary fault against observed per-pattern fail
         flags; returns the ``top_k`` best-first candidates."""
+        return self.diagnose(fail_flags, top_k=top_k).candidates
+
+    def diagnose(
+        self, fail_flags: np.ndarray, top_k: int = 10
+    ) -> DiagnosisResult:
+        """One fail log's :meth:`diagnose_many` (zero patterns
+        re-simulated — that is the point of a dictionary)."""
         fail_flags = np.asarray(fail_flags, dtype=bool)
         if fail_flags.shape != (self.n_patterns,):
             raise ValueError(
                 f"fail flags shape {fail_flags.shape} != ({self.n_patterns},)"
             )
-        candidates = candidates_from_predictions(
-            self.faults, self.matrix, fail_flags
-        )
-        return rank_candidates(candidates)[:top_k]
+        return self.diagnose_many(fail_flags, top_k=top_k)[0]
 
-    def diagnose(
-        self, fail_flags: np.ndarray, top_k: int = 10
-    ) -> DiagnosisResult:
-        """:meth:`lookup` wrapped as a :class:`DiagnosisResult` (zero
-        patterns re-simulated — that is the point of a dictionary)."""
-        candidates = self.lookup(fail_flags, top_k=top_k)
-        return DiagnosisResult(
-            circuit_name=self.circuit_name,
-            mode="dictionary",
-            n_patterns=self.n_patterns,
-            n_failing=int(np.asarray(fail_flags, dtype=bool).sum()),
-            candidates=candidates,
-            n_candidates_considered=self.n_faults,
-            patterns_resimulated=0,
-        )
-
-    def _fault_order_rank(self) -> np.ndarray:
+    @cached_property
+    def _fault_rank(self) -> np.ndarray:
         """Per-column rank of each fault in its deterministic total
         order (:meth:`~repro.faults.model.Fault.sort_key`) — the final
         tie-break of :meth:`~repro.diagnosis.result.Candidate.sort_key`,
         precomputed once so the batched lookup can lexsort with it."""
-        if self._fault_rank is None:
-            order = sorted(
-                range(len(self.faults)),
-                key=lambda column: self.faults[column].sort_key(),
-            )
-            rank = np.empty(len(order), dtype=np.int64)
-            rank[np.asarray(order, dtype=np.int64)] = np.arange(len(order))
-            self._fault_rank = rank
-        return self._fault_rank
+        order = sorted(
+            range(len(self.faults)),
+            key=lambda column: self.faults[column].sort_key(),
+        )
+        rank = np.empty(len(order), dtype=np.int64)
+        rank[np.asarray(order, dtype=np.int64)] = np.arange(len(order))
+        return rank
+
+    @cached_property
+    def _fault_words(self) -> np.ndarray:
+        """The matrix bit-packed per fault, word-major: ``(ceil(P / 64),
+        n_faults)`` ``uint64``, column ``f`` the patterns fault ``f``
+        makes fail (so a popcount sums words over contiguous rows)."""
+        from repro.setcover.matrix import pack_bool_rows
+
+        return np.ascontiguousarray(pack_bool_rows(self.matrix.T).T)
+
+    @cached_property
+    def _predicted_fails(self) -> np.ndarray:
+        """Per-fault count of patterns it makes fail, ``(n_faults,)``."""
+        return self.matrix.sum(axis=0, dtype=np.int64)
 
     def diagnose_many(
         self,
@@ -151,12 +147,16 @@ class FaultDictionary:
         """Diagnose a whole batch of fail logs in one lookup pass.
 
         ``fail_flags`` is ``(n_patterns, n_logs)`` (a 1-D array is one
-        log).  The tau counts of every (fault, log) pair come from three
-        matrix products, and each log's ranking is a vectorised lexsort
-        over exactly the keys :meth:`~repro.diagnosis.result.Candidate.
-        sort_key` uses — so every returned :class:`DiagnosisResult` is
-        **identical** to a serial :meth:`diagnose` call for that log's
-        flags.  This is the fault-axis batching trick applied across
+        log).  ``n_match`` for every (log, fault) pair is one AND +
+        popcount of the log's packed flags against the per-fault packed
+        matrix; the other two tau counts follow from it and the per-fault
+        fail counts, both built once per dictionary.  Each log's ranking
+        sorts only the faults that can reach its ``top_k``
+        (:meth:`_top`), on exactly the keys :meth:`~repro.diagnosis.
+        result.Candidate.sort_key` uses (``n_response_match`` is None
+        throughout dictionary mode), so every result equals
+        ``rank_candidates(candidates_from_predictions(...))[:top_k]``.
+        This is the fault-axis batching trick applied across
         *requests*: N concurrent fail logs cost one pass, not N.
         """
         flags = np.asarray(fail_flags, dtype=bool)
@@ -175,46 +175,65 @@ class FaultDictionary:
         )
         if len(top_ks) != n_logs:
             raise ValueError(f"{len(top_ks)} top_k values for {n_logs} logs")
-        predicted = self.matrix.astype(np.int64)  # (P, F)
-        observed = flags.astype(np.int64)  # (P, B)
-        n_match = predicted.T @ observed  # (F, B)
-        n_failing = observed.sum(axis=0)  # (B,)
-        predicted_fails = predicted.sum(axis=0)  # (F,)
-        n_mispredicted = predicted_fails[:, None] - n_match
-        n_missed = n_failing[None, :] - n_match
-        score = n_match - n_mispredicted - n_missed
-        fault_rank = self._fault_order_rank()
-        results: list[DiagnosisResult] = []
-        for log in range(n_logs):
-            # lexsort: last key is primary — (-score, n_missed,
-            # n_mispredicted, fault order), exactly Candidate.sort_key
-            # (n_response_match is None throughout dictionary mode).
-            order = np.lexsort(
-                (
-                    fault_rank,
-                    n_mispredicted[:, log],
-                    n_missed[:, log],
-                    -score[:, log],
-                )
+        from repro.setcover.matrix import pack_bool_rows
+
+        observed = pack_bool_rows(flags.T)  # (B, ceil(P / 64))
+        n_match = np.bitwise_count(
+            observed[:, :, None] & self._fault_words[None, :, :]
+        ).sum(axis=1, dtype=np.int64)  # (B, F)
+        n_failing = flags.sum(axis=0, dtype=np.int64)  # (B,)
+        n_mispredicted = self._predicted_fails[None, :] - n_match
+        n_missed = n_failing[:, None] - n_match
+        neg_score = n_mispredicted + n_missed - n_match
+        return [
+            DiagnosisResult(
+                circuit_name=self.circuit_name,
+                mode="dictionary",
+                n_patterns=self.n_patterns,
+                n_failing=int(n_failing[log]),
+                candidates=[
+                    Candidate(
+                        self.faults[column],
+                        int(n_match[log, column]),
+                        int(n_mispredicted[log, column]),
+                        int(n_missed[log, column]),
+                    )
+                    for column in self._top(
+                        neg_score[log], n_missed[log], n_mispredicted[log], k
+                    )
+                ],
+                n_candidates_considered=self.n_faults,
+                patterns_resimulated=0,
             )
-            candidates = [
-                Candidate(
-                    self.faults[column],
-                    int(n_match[column, log]),
-                    int(n_mispredicted[column, log]),
-                    int(n_missed[column, log]),
-                )
-                for column in order[: top_ks[log]]
-            ]
-            results.append(
-                DiagnosisResult(
-                    circuit_name=self.circuit_name,
-                    mode="dictionary",
-                    n_patterns=self.n_patterns,
-                    n_failing=int(n_failing[log]),
-                    candidates=candidates,
-                    n_candidates_considered=self.n_faults,
-                    patterns_resimulated=0,
-                )
+            for log, k in enumerate(top_ks)
+        ]
+
+    def _top(
+        self,
+        neg_score: np.ndarray,
+        n_missed: np.ndarray,
+        n_mispredicted: np.ndarray,
+        top_k: int,
+    ) -> np.ndarray:
+        """Columns of one log's ``top_k`` best faults, best first.
+
+        Only the faults scoring at or above the ``top_k``-th best score
+        can rank that high, and every fault tied at it is kept, so
+        sorting that pool orders the top ``top_k`` exactly as sorting
+        every fault would."""
+        if 0 < top_k < len(neg_score):
+            kth = np.partition(neg_score, top_k - 1)[top_k - 1]
+            pool = np.flatnonzero(neg_score <= kth)
+        else:
+            pool = np.arange(len(neg_score))
+        # lexsort: last key is primary — (-score, n_missed,
+        # n_mispredicted, fault order), exactly Candidate.sort_key.
+        order = np.lexsort(
+            (
+                self._fault_rank[pool],
+                n_mispredicted[pool],
+                n_missed[pool],
+                neg_score[pool],
             )
-        return results
+        )
+        return pool[order][:top_k]

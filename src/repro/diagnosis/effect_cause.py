@@ -51,21 +51,30 @@ from repro.sim.batch import BatchFaultSimulator
 from repro.utils.bitvec import (
     BitVector,
     PackedPatterns,
+    ResponsesLike,
     as_packed,
+    response_rows,
     unpack_words,
-    vector_words,
 )
 
 def observed_fail_flags(
-    golden: Sequence[BitVector], observed: Sequence[BitVector]
+    golden: ResponsesLike, observed: ResponsesLike
 ) -> np.ndarray:
-    """Per-pattern fail flags: observed response differs from golden
-    (both sides packed by :func:`~repro.utils.bitvec.vector_words`)."""
+    """Per-pattern fail flags: observed response differs from golden.
+    Both sides compare as :func:`~repro.utils.bitvec.response_rows`
+    arrays (bit vectors are encoded here, arrays pass through)."""
     if len(golden) != len(observed):
         raise ValueError(
             f"golden/observed length mismatch: {len(golden)} vs {len(observed)}"
         )
-    return vector_words(golden) != vector_words(observed)
+    golden, observed = response_rows(golden), response_rows(observed)
+    if golden.shape[1] != observed.shape[1]:  # a wider response: pad both
+        n_bytes = max(golden.shape[1], observed.shape[1])
+        golden, observed = (
+            np.pad(rows, ((0, 0), (0, n_bytes - rows.shape[1])))
+            for rows in (golden, observed)
+        )
+    return (golden != observed).any(axis=1)
 
 
 def fault_representatives(circuit: Circuit) -> dict[Fault, Fault]:

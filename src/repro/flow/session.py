@@ -55,7 +55,7 @@ from repro.setcover.solve import prepare_solver
 from repro.sim.fault import FaultSimulator
 from repro.tpg.base import TestPatternGenerator
 from repro.tpg.registry import make_tpg
-from repro.utils.bitvec import PackedPatterns, as_packed, bank_digest
+from repro.utils.bitvec import PackedPatterns, as_packed, bank_digest, response_rows
 
 
 #: The diagnosis engines :meth:`Session.diagnose` dispatches to.
@@ -760,16 +760,41 @@ class Session:
             self._emit(StageEvent("dictionary", "cache-hit"))
         return dictionary
 
-    def golden_responses(self, patterns) -> list:
-        """Fault-free primary-output responses for a pattern sequence,
-        memoized per packed digest — every diagnosis of the same applied
-        sequence (the serve layer's common case) shares one simulation."""
+    def golden_responses(self, patterns):
+        """Fault-free primary-output responses for a pattern sequence, as
+        a :func:`~repro.utils.bitvec.response_rows` array, memoized per
+        packed digest — every diagnosis of the same applied sequence
+        (the serve layer's common case) shares one simulation."""
         packed = self.packed_patterns(patterns)
         return self._artifact(
             "golden_responses",
             self._packed_digest(packed),
-            partial(self.simulator.compiled.simulate_patterns, packed),
+            lambda: response_rows(self.simulator.compiled.simulate_patterns(packed)),
         )[0]
+
+    def diagnose_responses(
+        self, patterns, responses, *, faults=None, top_k: "int | list[int]" = 10
+    ) -> list:
+        """Dictionary-diagnose fail logs that all applied ``patterns``:
+        ``responses`` holds each log's observed responses (a
+        :func:`~repro.utils.bitvec.response_rows` array, or bit vectors).
+
+        The sequence pays for its packing, fault-free simulation and
+        :class:`~repro.diagnosis.dictionary.FaultDictionary` once (all
+        memoized), and every log's fail flags are scored in one
+        :meth:`~repro.diagnosis.dictionary.FaultDictionary.diagnose_many`
+        pass.  ``top_k`` may be one int or one per log.
+        """
+        import numpy as np
+
+        from repro.diagnosis.effect_cause import observed_fail_flags
+
+        packed = self.packed_patterns(patterns)
+        golden = self.golden_responses(packed)
+        flags = np.stack(
+            [observed_fail_flags(golden, observed) for observed in responses], axis=1
+        )
+        return self.fault_dictionary(packed, faults).diagnose_many(flags, top_k=top_k)
 
     def diagnose(
         self,
@@ -876,22 +901,17 @@ class Session:
         request-batching primitive.
 
         Logs applying the same pattern sequence (the tester-farm common
-        case: one BIST program, many failing dies) share one packed
-        form, one fault-free simulation and one
-        :class:`~repro.diagnosis.dictionary.FaultDictionary`, and their
-        fail flags are scored in a single vectorised lookup pass
-        (:meth:`~repro.diagnosis.dictionary.FaultDictionary.
-        diagnose_many`) instead of N serial ones.  Results are
+        case: one BIST program, many failing dies) go through one
+        :meth:`diagnose_responses` call, so they share one packed form,
+        one fault-free simulation, one
+        :class:`~repro.diagnosis.dictionary.FaultDictionary` and one
+        vectorised lookup pass instead of N serial ones.  Results are
         per-log **identical** to one-log batches, which is how
         :meth:`diagnose` runs the dictionary method.  Non-dictionary
         methods degrade to per-log :meth:`diagnose` calls.
 
         ``top_k`` may be one int for the whole batch or one per log.
         """
-        import numpy as np
-
-        from repro.diagnosis.effect_cause import observed_fail_flags
-
         fail_logs = list(fail_logs)
         top_ks = (
             list(top_k)
@@ -907,26 +927,17 @@ class Session:
                 self.diagnose(log, method=method, faults=faults, top_k=k)
                 for log, k in zip(fail_logs, top_ks)
             ]
-        # Group logs by their packed-pattern digest; each group pays for
-        # packing, golden simulation and the dictionary exactly once.
         groups: dict[str, list[int]] = {}
         for index, log in enumerate(fail_logs):
             packed = log.packed(self.circuit.n_inputs)
             groups.setdefault(self._packed_digest(packed), []).append(index)
         results: list = [None] * len(fail_logs)
         for members in groups.values():
-            packed = fail_logs[members[0]].packed(self.circuit.n_inputs)
-            dictionary = self.fault_dictionary(packed, faults)
-            golden = self.golden_responses(packed)
-            flags = np.stack(
-                [
-                    observed_fail_flags(golden, fail_logs[i].responses)
-                    for i in members
-                ],
-                axis=1,
-            )
-            ranked = dictionary.diagnose_many(
-                flags, top_k=[top_ks[i] for i in members]
+            ranked = self.diagnose_responses(
+                fail_logs[members[0]].packed(self.circuit.n_inputs),
+                [fail_logs[i].responses for i in members],
+                faults=faults,
+                top_k=[top_ks[i] for i in members],
             )
             for i, result in zip(members, ranked):
                 results[i] = result

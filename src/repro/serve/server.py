@@ -5,11 +5,15 @@ Request path for the hot endpoint (``POST /diagnose``)::
     connection task --> parse + validate (event loop, cheap)
         --> MicroBatcher.submit (bounded queue, 429 on overflow)
             --> compute free --> group by (circuit, scale, ref, method)
-                --> ThreadPoolExecutor(1): Session.diagnose_batch
+                --> ThreadPoolExecutor(1): Session.diagnose_responses
                     --> futures resolved --> responses written
 
 Requests queued while a group computes fuse into the next group;
-nothing is held.
+nothing is held.  A dictionary read is array work end to end: its
+responses are parsed once into response rows, the ref's sequence was
+packed once when it was registered, and the fail flags are scored
+against the dictionary's bit-packed per-fault operand.  Registered
+pattern sets live in an LRU capped at :data:`MAX_PATTERN_SETS`.
 
 All compute runs on **one** worker thread: the engines underneath are
 word/fault/request-parallel (NumPy releases the GIL), so one thread
@@ -71,13 +75,19 @@ from repro.serve.batcher import (
     QueueFullError,
 )
 from repro.serve.http11 import HttpError, HttpRequest, read_request, response_bytes
-from repro.utils.bitvec import BitVector
+from repro.utils.bitvec import BitVector, PackedPatterns, parse_response_rows
 
 #: Most (circuit, scale) sessions a worker keeps resident; past it the
 #: least recently used one is dropped.  Sessions are store-backed and
 #: rebuilt on demand, so an eviction changes no answer, only the cost
 #: (and ``from_memo``) of the next request that needs it.
 MAX_SESSIONS = 8
+
+#: Most registered pattern sets a worker keeps in memory; past it the
+#: least recently used one is dropped (and counted as an eviction).
+#: With ``--store`` an evicted ref reloads from the store on its next
+#: use; without one it is unknown again and its client re-uploads.
+MAX_PATTERN_SETS = 64
 
 
 @dataclass
@@ -98,12 +108,21 @@ class ServeConfig:
     store: str | Path | None = None
 
 
+@dataclass(frozen=True)
+class _Registered:
+    """One registry entry: a pattern set and its packed form, packed
+    once when the set is registered rather than once per request."""
+
+    pattern_set: PatternSet
+    packed: PackedPatterns
+
+
 @dataclass
 class _DiagnoseItem:
     """One /diagnose request after loop-side resolution."""
 
     request: DiagnoseRequest
-    pattern_set: PatternSet
+    registered: _Registered
     ref: str
 
 
@@ -120,20 +139,20 @@ def _check_diagnose_item(item: _DiagnoseItem, circuit) -> None:
     """Reject one /diagnose request whose patterns or responses do not
     fit ``circuit`` (the checks that need the loaded netlist)."""
     name = item.request.circuit
-    if item.pattern_set.width != circuit.n_inputs:
+    pattern_set = item.registered.pattern_set
+    if pattern_set.width != circuit.n_inputs:
         raise RequestValidationError(
-            f"patterns are {item.pattern_set.width} bits wide, circuit "
+            f"patterns are {pattern_set.width} bits wide, circuit "
             f"{name!r} has {circuit.n_inputs} inputs"
         )
     responses = item.request.responses
-    if any(len(r) != circuit.n_outputs for r in responses):
+    if set(map(len, responses)) != {circuit.n_outputs}:
         raise RequestValidationError(
             f"responses must be {circuit.n_outputs} bits wide for {name!r}"
         )
-    if len(responses) != len(item.pattern_set.patterns):
+    if len(responses) != len(pattern_set.patterns):
         raise RequestValidationError(
-            f"{len(responses)} responses for "
-            f"{len(item.pattern_set.patterns)} patterns"
+            f"{len(responses)} responses for {len(pattern_set.patterns)} patterns"
         )
 
 
@@ -165,7 +184,13 @@ class ReproServer:
         )
         #: LRU of resident sessions, capped at :data:`MAX_SESSIONS`.
         self._sessions: OrderedDict[tuple[str, float], Session] = OrderedDict()
-        self._pattern_sets: dict[str, PatternSet] = {}
+        #: LRU of registered pattern sets, capped at :data:`MAX_PATTERN_SETS`.
+        #: Event-loop only; compute reads the entries its items carry.
+        self._pattern_sets: OrderedDict[str, _Registered] = OrderedDict()
+        self._m_pattern_set_evictions = self.telemetry.metrics.counter(
+            "repro_serve_pattern_set_evictions_total",
+            help="Registered pattern sets dropped from memory past the cap.",
+        )
         self._server: asyncio.AbstractServer | None = None
         self._conn_tasks: set[asyncio.Task] = set()
         self._draining = False
@@ -403,8 +428,8 @@ class ReproServer:
     async def _handle_diagnose(self, payload: dict[str, Any]):
         request = decode(DiagnoseRequest, payload)
         validate_diagnose_request(request)
-        pattern_set, ref = await self._resolve_pattern_set(request)
-        if pattern_set is None:
+        registered, ref = await self._resolve_pattern_set(request)
+        if registered is None:
             return (
                 400,
                 self._error_body(
@@ -421,7 +446,7 @@ class ReproServer:
             if request.method == "dictionary"
             else object()
         )
-        item = _DiagnoseItem(request=request, pattern_set=pattern_set, ref=ref)
+        item = _DiagnoseItem(request=request, registered=registered, ref=ref)
         return await self._submit_and_wait(
             "diagnose", group_key, item, request.timeout_ms
         )
@@ -440,12 +465,13 @@ class ReproServer:
 
     async def _resolve_pattern_set(
         self, request: DiagnoseRequest
-    ) -> tuple[PatternSet | None, str]:
+    ) -> tuple[_Registered | None, str]:
         """Inline patterns register (and persist) a shared
         :class:`PatternSet`; a ``patterns_ref`` resolves memory first,
-        then the shared store (another worker may have published it).
-        Store reads/writes hit the filesystem, so they run on the
-        compute executor instead of blocking the event loop."""
+        then the shared store (another worker may have published it, or
+        it was evicted here).  Store reads/writes hit the filesystem, so
+        they run on the compute executor instead of blocking the event
+        loop."""
         loop = asyncio.get_running_loop()
         if request.patterns is not None:
             width = len(request.patterns[0])
@@ -460,7 +486,8 @@ class ReproServer:
                 width=width,
                 digest=digest,
             )
-            if ref not in self._pattern_sets:
+            registered = self._lookup_pattern_set(ref)
+            if registered is None:
                 pattern_set = PatternSet(
                     circuit_name=request.circuit,
                     width=width,
@@ -468,15 +495,15 @@ class ReproServer:
                         BitVector.from_string(p) for p in request.patterns
                     ),
                 )
-                self._pattern_sets[ref] = pattern_set
+                registered = self._register_pattern_set(ref, pattern_set)
                 if self.store is not None:
                     await loop.run_in_executor(
                         self._executor, self.store.put, ref, encode(pattern_set)
                     )
-            return self._pattern_sets[ref], ref
+            return registered, ref
         ref = request.patterns_ref or ""
-        pattern_set = self._pattern_sets.get(ref)
-        if pattern_set is None and self.store is not None:
+        registered = self._lookup_pattern_set(ref)
+        if registered is None and self.store is not None:
             pattern_set = await loop.run_in_executor(
                 self._executor,
                 self.store.get,
@@ -485,8 +512,28 @@ class ReproServer:
                 partial(decode, PatternSet),
             )
             if pattern_set is not None:
-                self._pattern_sets[ref] = pattern_set
-        return pattern_set, ref
+                registered = self._register_pattern_set(ref, pattern_set)
+        return registered, ref
+
+    def _lookup_pattern_set(self, ref: str) -> _Registered | None:
+        """The registered entry for ``ref``, marked most recently used."""
+        registered = self._pattern_sets.get(ref)
+        if registered is not None:
+            self._pattern_sets.move_to_end(ref)
+        return registered
+
+    def _register_pattern_set(self, ref: str, pattern_set: PatternSet) -> _Registered:
+        """Pack and register ``pattern_set``, evicting the least recently
+        used entry past :data:`MAX_PATTERN_SETS`."""
+        registered = _Registered(
+            pattern_set,
+            PackedPatterns.from_patterns(pattern_set.patterns, pattern_set.width),
+        )
+        self._pattern_sets[ref] = registered
+        if len(self._pattern_sets) > MAX_PATTERN_SETS:
+            self._pattern_sets.popitem(last=False)
+            self._m_pattern_set_evictions.inc()
+        return registered
 
     # -- compute (runs on the single executor thread) ----------------------
 
@@ -532,15 +579,11 @@ class ReproServer:
                 work.future.set_result(outcome)
 
     def _compute_diagnose(self, items: list[_DiagnoseItem]) -> list[_Outcome]:
-        from repro.diagnosis.inject import FailLog
-
         with self.telemetry.tracer.span("serve.compute.diagnose") as span:
             first = items[0].request
             session = self._session(first.circuit, first.scale)
             outcomes = [_Outcome() for _ in items]
             valid: list[int] = []
-            packed_by_ref: dict[str, Any] = {}
-            logs = []
             for index, item in enumerate(items):
                 # Each request is checked on its own: a malformed one
                 # gets its 400 and never fails the requests fused with it.
@@ -549,24 +592,8 @@ class ReproServer:
                 except RequestValidationError as exc:
                     outcomes[index].error = exc
                     continue
-                log = FailLog(
-                    circuit_name=session.circuit.name,
-                    patterns=list(item.pattern_set.patterns),
-                    responses=[
-                        BitVector.from_string(r) for r in item.request.responses
-                    ],
-                )
-                packed = packed_by_ref.get(item.ref)
-                if packed is None:
-                    packed = session.packed_patterns(log.patterns)
-                    packed_by_ref[item.ref] = packed
-                logs.append(log.attach_packed(packed))
                 valid.append(index)
-            results = session.diagnose_batch(
-                logs,
-                method=first.method,
-                top_k=[items[i].request.top_k for i in valid],
-            )
+            results = self._diagnose_valid(session, [items[i] for i in valid])
             seconds = span.elapsed6()
         for index, result in zip(valid, results):
             result_payload = encode(result)
@@ -581,6 +608,34 @@ class ReproServer:
             )
             outcomes[index].body = encode(response)
         return outcomes
+
+    @staticmethod
+    def _diagnose_valid(session: Session, items: list[_DiagnoseItem]) -> list:
+        """Diagnose checked items.  A dictionary group shares one ref, so
+        its responses are parsed straight into response rows and scored
+        against that ref's packed sequence in one pass; any other method
+        diagnoses each item's :class:`~repro.diagnosis.inject.FailLog`."""
+        if items and items[0].request.method == "dictionary":
+            width = session.circuit.n_outputs
+            return session.diagnose_responses(
+                items[0].registered.packed,
+                [parse_response_rows(item.request.responses, width) for item in items],
+                top_k=[item.request.top_k for item in items],
+            )
+        from repro.diagnosis.inject import FailLog
+
+        return [
+            session.diagnose(
+                FailLog(
+                    circuit_name=session.circuit.name,
+                    patterns=list(item.registered.pattern_set.patterns),
+                    responses=[BitVector.from_string(r) for r in item.request.responses],
+                ).attach_packed(item.registered.packed),
+                method=item.request.method,
+                top_k=item.request.top_k,
+            )
+            for item in items
+        ]
 
     def _compute_atpg(self, items: list[AtpgRequest]) -> list[_Outcome]:
         outcomes = []
@@ -687,6 +742,7 @@ class ReproServer:
                 f"{name}@{scale:g}" for name, scale in list(self._sessions)
             ),
             "pattern_sets": len(self._pattern_sets),
+            "pattern_set_evictions": int(self._m_pattern_set_evictions.value),
             "store": (
                 {
                     **self.store.stats(),

@@ -724,12 +724,40 @@ def ints_to_bitvectors(values: Iterable[int], width: int) -> list[BitVector]:
     return [BitVector(v, width) for v in values]
 
 
-def vector_words(vectors: Sequence[BitVector]) -> np.ndarray:
-    """Each vector packed into one integer word: its value with a marker
-    bit set just above its width, so two words are equal exactly when
-    the vectors are.  An object array (widths past 64 bits need no
-    second path): whole sequences compare in one numpy call."""
-    return np.array([v._value | 1 << v._width for v in vectors], dtype=object)
+#: What response arguments accept: bit vectors, or the rows array of
+#: :func:`response_rows`.
+ResponsesLike = Sequence[BitVector] | np.ndarray
+
+
+def response_rows(responses: ResponsesLike) -> np.ndarray:
+    """Responses as a ``(n_patterns, n_bytes)`` ``uint8`` array: row
+    ``p`` holds the big-endian bytes of response ``p``'s value with a
+    marker bit set just above its width, so two rows are equal exactly
+    when the responses are (unequal widths included).  ``n_bytes`` fits
+    the widest response plus its marker.  An array passes through, so a
+    sequence parsed once (:func:`parse_response_rows`) is never
+    re-encoded."""
+    if isinstance(responses, np.ndarray):
+        return responses
+    n_bytes = max((v._width for v in responses), default=0) // 8 + 1
+    raw = b"".join(
+        (v._value | 1 << v._width).to_bytes(n_bytes, "big") for v in responses
+    )
+    return np.frombuffer(raw, dtype=np.uint8).reshape(len(responses), n_bytes)
+
+
+def parse_response_rows(texts: Sequence[str], width: int) -> np.ndarray:
+    """:func:`response_rows` of 0/1 strings, most-significant bit first
+    (as :meth:`BitVector.from_string` reads them), without a
+    :class:`BitVector` per string.  Every string must be exactly
+    ``width`` characters of ``0``/``1``; callers validate that first."""
+    n_bytes = width // 8 + 1
+    # Each row is its string behind zero padding and the marker, one
+    # character per bit, most significant first; ``& 1`` maps '0'/'1'.
+    lead = "0" * (8 * n_bytes - width - 1) + "1"
+    raw = (lead + lead.join(texts) if texts else "").encode("ascii")
+    bits = np.frombuffer(raw, dtype=np.uint8).reshape(len(texts), 8 * n_bytes) & 1
+    return np.packbits(bits, axis=1)
 
 
 def bank_digest(vectors: Iterable[BitVector]) -> str:

@@ -17,6 +17,7 @@ from repro.circuits import load_circuit
 from repro.diagnosis import (
     Candidate,
     FaultDictionary,
+    candidates_from_predictions,
     choose_faults,
     diagnose_effect_cause,
     diagnose_multiplet,
@@ -482,6 +483,99 @@ class TestFlowIntegration:
 # ----------------------------------------------------------------------
 
 
+class TestRankingDifferential:
+    """``FaultDictionary.diagnose_many`` (packed popcount, top-k pool)
+    against the reference ranking: every fault scored by
+    ``candidates_from_predictions`` and fully sorted by
+    ``rank_candidates``."""
+
+    FAULTS = full_fault_list(load_circuit("c17"))
+
+    def _dictionary(self, rng, n_patterns, density, n_distinct):
+        """A random dictionary whose columns repeat ``n_distinct``
+        patterns of fails, so whole groups of faults tie on every count
+        and only the fault order separates them."""
+        distinct = rng.random((n_patterns, n_distinct)) < density
+        matrix = distinct[:, rng.integers(0, n_distinct, len(self.FAULTS))]
+        return FaultDictionary("random", self.FAULTS, matrix)
+
+    def _assert_matches_reference(self, dictionary, flags, top_ks):
+        results = dictionary.diagnose_many(flags, top_k=top_ks)
+        for log, (result, k) in enumerate(zip(results, top_ks)):
+            reference = rank_candidates(
+                candidates_from_predictions(
+                    dictionary.faults, dictionary.matrix, flags[:, log]
+                )
+            )[:k]
+            assert result.candidates == reference
+            assert result.n_failing == int(flags[:, log].sum())
+            assert result.n_candidates_considered == dictionary.n_faults
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_patterns=st.integers(1, 200),
+        density=st.sampled_from([0.0, 0.05, 0.3, 0.9]),
+        n_distinct=st.integers(1, 12),
+        n_logs=st.integers(1, 5),
+    )
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_random_flags_with_boundary_ties(
+        self, seed, n_patterns, density, n_distinct, n_logs
+    ):
+        rng = np.random.default_rng(seed)
+        dictionary = self._dictionary(rng, n_patterns, density, n_distinct)
+        flags = rng.random((n_patterns, n_logs)) < rng.random(n_logs)
+        top_ks = rng.integers(1, len(self.FAULTS) + 3, n_logs).tolist()
+        self._assert_matches_reference(dictionary, flags, top_ks)
+
+    def test_tie_straddles_the_top_k_boundary(self):
+        """A group of faults shares the best score: a cut inside it, at
+        its end and one past it must each keep the reference order."""
+        rng = np.random.default_rng(5)
+        dictionary = self._dictionary(rng, 40, 0.2, 3)
+        flags = dictionary.matrix[:, :1].copy()
+        neg_score = np.array(
+            [-c.score for c in candidates_from_predictions(
+                dictionary.faults, dictionary.matrix, flags[:, 0]
+            )]
+        )
+        best = int((neg_score == neg_score.min()).sum())
+        assert 1 < best < len(self.FAULTS)
+        self._assert_matches_reference(
+            dictionary, np.repeat(flags, 3, axis=1), [best - 1, best, best + 1]
+        )
+
+    def test_top_k_at_or_past_the_fault_count(self):
+        rng = np.random.default_rng(11)
+        dictionary = self._dictionary(rng, 33, 0.3, 6)
+        flags = rng.random((33, 3)) < 0.3
+        n_faults = len(self.FAULTS)
+        self._assert_matches_reference(dictionary, flags, [n_faults, n_faults + 1, 10**6])
+
+    def test_all_pass_logs(self):
+        rng = np.random.default_rng(13)
+        dictionary = self._dictionary(rng, 70, 0.3, 8)
+        flags = np.zeros((70, 2), dtype=bool)
+        self._assert_matches_reference(dictionary, flags, [5, len(self.FAULTS)])
+        assert dictionary.diagnose(flags[:, 0], top_k=5).n_failing == 0
+
+    @pytest.mark.parametrize("n_patterns", [1, 7, 9, 63, 65, 100, 129])
+    def test_pattern_counts_off_the_word_and_byte_grid(self, n_patterns):
+        rng = np.random.default_rng(n_patterns)
+        dictionary = self._dictionary(rng, n_patterns, 0.4, 10)
+        flags = rng.random((n_patterns, 4)) < 0.4
+        flags[:, 0] = dictionary.matrix[:, 0]  # one perfect match
+        self._assert_matches_reference(dictionary, flags, [1, 3, 8, 40])
+
+    def test_lookup_and_diagnose_are_one_log_views(self):
+        rng = np.random.default_rng(17)
+        dictionary = self._dictionary(rng, 50, 0.3, 7)
+        flags = rng.random(50) < 0.3
+        (many,) = dictionary.diagnose_many(flags, top_k=6)
+        assert encode(dictionary.diagnose(flags, top_k=6)) == encode(many)
+        assert dictionary.lookup(flags, top_k=6) == many.candidates
+
+
 class TestDiagnoseMany:
     def _logs(self, circuit, n_logs, *names):
         patterns = _random_patterns(circuit, 32, *names)
@@ -677,7 +771,7 @@ class TestDiagnoseMany:
         assert len(builds) == 1
         assert rebuilt is not dictionaries[0]
         assert encode(rebuilt) == encode(dictionaries[0])
-        assert session.golden_responses(sequences[0]) == goldens[0]
+        np.testing.assert_array_equal(session.golden_responses(sequences[0]), goldens[0])
         assert len(session._memos["fault_dictionary"]) == MAX_SEQUENCE_MEMOS
         assert len(session._memos["golden_responses"]) == MAX_SEQUENCE_MEMOS
 

@@ -823,6 +823,94 @@ class TestSessionBound:
         )
 
 
+class TestPatternSetBound:
+    """A worker keeps at most ``MAX_PATTERN_SETS`` registered pattern
+    sets, least recently used dropped first, and counts each drop in the
+    registry ``/stats`` and ``/metrics`` both render.  The cap is
+    lowered to 2 here so three sequences overflow it."""
+
+    @staticmethod
+    def _register(client, scenario):
+        _, patterns, log = scenario
+        return client.diagnose(
+            DiagnoseRequest(
+                circuit="c17",
+                patterns=tuple(p.to_string() for p in patterns),
+                responses=tuple(r.to_string() for r in log.responses),
+            )
+        ).patterns_ref
+
+    @staticmethod
+    def _read(client, scenario, ref):
+        _, _, log = scenario
+        return client.diagnose(
+            DiagnoseRequest(
+                circuit="c17",
+                patterns_ref=ref,
+                responses=tuple(r.to_string() for r in log.responses),
+                top_k=5,
+            )
+        )
+
+    @staticmethod
+    def _local_json(scenario):
+        session, _, log = scenario
+        return to_json(
+            diagnosis_result_to_dict(
+                session.diagnose(log, method="dictionary", top_k=5)
+            )
+        )
+
+    def test_evicted_ref_is_unknown_without_a_store(self, monkeypatch):
+        from repro.obs import parse_prometheus_text
+        from repro.serve import server as server_module
+
+        monkeypatch.setattr(server_module, "MAX_PATTERN_SETS", 2)
+        first, second, third = (_scenario(seed=seed) for seed in (11, 12, 13))
+        with BackgroundServer(ServeConfig(port=0)) as background:
+            with ServeClient(background.host, background.port) as client:
+                ref_1 = self._register(client, first)
+                ref_2 = self._register(client, second)
+                self._read(client, first, ref_1)  # ref_2 is now the oldest
+                ref_3 = self._register(client, third)
+                stats = client.stats()
+                series = parse_prometheus_text(client.metrics())
+                with pytest.raises(ServeClientError) as excinfo:
+                    self._read(client, second, ref_2)
+                kept = [
+                    self._read(client, scenario, ref)
+                    for scenario, ref in ((first, ref_1), (third, ref_3))
+                ]
+        assert stats["pattern_sets"] == 2
+        assert stats["pattern_set_evictions"] == 1
+        assert series["repro_serve_pattern_set_evictions_total"] == 1
+        assert excinfo.value.status == 400
+        assert f"unknown patterns_ref {ref_2!r}" in str(excinfo.value)
+        assert [to_json(reply.result) for reply in kept] == [
+            self._local_json(first),
+            self._local_json(third),
+        ]
+
+    def test_evicted_ref_reloads_from_the_store(self, monkeypatch, tmp_path):
+        from repro.serve import server as server_module
+
+        monkeypatch.setattr(server_module, "MAX_PATTERN_SETS", 2)
+        scenarios = [_scenario(seed=seed) for seed in (11, 12, 13)]
+        config = ServeConfig(port=0, store=tmp_path)
+        with BackgroundServer(config) as background:
+            with ServeClient(background.host, background.port) as client:
+                refs = [self._register(client, scenario) for scenario in scenarios]
+                evicted = client.stats()["pattern_set_evictions"]
+                reply = self._read(client, scenarios[0], refs[0])
+                stats = client.stats()
+        assert evicted == 1
+        assert to_json(reply.result) == self._local_json(scenarios[0])
+        assert stats["store"]["by_kind"]["pattern_set"]["hits"] == 1
+        # The reload registers it again, which evicts the next oldest.
+        assert stats["pattern_sets"] == 2
+        assert stats["pattern_set_evictions"] == 2
+
+
 class TestBatchIsolation:
     """A malformed /diagnose fused with valid ones on the same
     ``patterns_ref`` fails alone: each item is validated on its own."""

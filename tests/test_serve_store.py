@@ -196,3 +196,59 @@ class TestSessionIntegration:
             payload = json.loads(entry.read_text())
             assert payload["schema_version"] == SCHEMA_VERSION
             assert entry.name.startswith(entry.parent.name)
+
+
+class TestServedWriteFailure:
+    def test_diagnose_answers_when_the_store_write_fails(self, tmp_path, monkeypatch):
+        """A full disk under ``--store`` costs the store entry, never the
+        reply: the dictionary write fails, ``/diagnose`` still answers
+        200 with the local ``Session.diagnose`` body, and the failure
+        counts as one write error."""
+        import errno
+        from pathlib import Path
+
+        from repro.diagnosis import make_fail_log
+        from repro.faults.collapse import collapse_faults
+        from repro.flow.serialize import diagnosis_result_to_dict, to_json
+        from repro.serve import BackgroundServer, DiagnoseRequest, ServeClient
+        from repro.utils.bitvec import BitVector
+        from repro.utils.rng import RngStream
+
+        session = Session.from_name("c17")
+        circuit = session.circuit
+        rng = RngStream(5, "store-full", circuit.name)
+        patterns = [BitVector.random(circuit.n_inputs, rng) for _ in range(24)]
+        faults = collapse_faults(circuit)
+        detected = session.simulator.detected(patterns, faults)
+        target = next(f for f, flag in zip(faults, detected) if flag)
+        log = make_fail_log(circuit, patterns, target, session.simulator.compiled)
+        responses = tuple(r.to_string() for r in log.responses)
+        local = to_json(
+            diagnosis_result_to_dict(session.diagnose(log, method="dictionary"))
+        )
+
+        def disk_full(self, *args, **kwargs):
+            raise OSError(errno.ENOSPC, "No space left on device", str(self))
+
+        with BackgroundServer(ServeConfig(port=0, store=tmp_path)) as background:
+            with ServeClient(background.host, background.port) as client:
+                # Registering with a method that builds no dictionary
+                # stores only the pattern set, while the disk has room.
+                ref = client.diagnose(
+                    DiagnoseRequest(
+                        circuit="c17",
+                        patterns=tuple(p.to_string() for p in patterns),
+                        responses=responses,
+                        method="effect_cause",
+                    )
+                ).patterns_ref
+                monkeypatch.setattr(Path, "write_text", disk_full)
+                reply = client.diagnose(
+                    DiagnoseRequest(circuit="c17", patterns_ref=ref, responses=responses)
+                )
+                monkeypatch.undo()
+                store = client.stats()["store"]
+        assert to_json(reply.result) == local
+        assert store["write_errors"] == 1
+        assert store["by_kind"]["fault_dictionary"]["write_errors"] == 1
+        assert not list(tmp_path.glob("**/*.tmp"))

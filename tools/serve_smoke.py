@@ -13,8 +13,12 @@ as a subprocess, then walks the lifecycle CI cares about:
    ``serve_error`` naming the field — typed decode, end to end;
 5. one registered sequence, then 8 concurrent ``/diagnose`` reads on its
    ``patterns_ref``: every reply is a 200 whose ``result`` matches the
-   serial reply's, and ``GET /stats`` ``batcher.batched_requests``
-   equals the number of diagnoses dispatched (fused or not, none lost);
+   serial reply's; then one more concurrent read group in which one
+   request's responses hold a non-0/1 character and another's have the
+   wrong width: those two get a 400 naming ``responses`` and their
+   valid neighbours a 200 equal to the serial reply; ``GET /stats``
+   ``batcher.batched_requests`` equals the number of diagnoses
+   dispatched (fused or not, none lost);
 6. ``GET /metrics`` (always served; the worker boots with no flags)
    returns a Prometheus text exposition that the strict parser accepts
    and that counts the traffic this script just sent, and ``GET /stats``
@@ -126,7 +130,47 @@ def main() -> int:
                     return fail(f"concurrent read failed: {reply}", server)
                 if reply.result != serial.result:
                     return fail("concurrent read differs from the serial reply", server)
-            dispatched = 2 + len(replies)  # effect_cause + registration + reads
+            # One more concurrent read group on the same ref: a non-0/1
+            # character and a wrong width among valid neighbours.  The
+            # bad ones get a 400 naming ``responses`` (the first on the
+            # event loop, the second in its group's compute); every
+            # neighbour still matches the serial reply.
+            bad_char = ("1x",) + request.responses[1:]
+            wrong_width = tuple(r + "0" for r in request.responses)
+            group = [
+                request.responses, bad_char, request.responses,
+                wrong_width, request.responses,
+            ]
+
+            def read_with(responses):
+                with ServeClient(host, int(port_text)) as reader:
+                    try:
+                        return reader.diagnose(
+                            DiagnoseRequest(
+                                circuit="c17",
+                                patterns_ref=serial.patterns_ref,
+                                responses=responses,
+                                method="dictionary",
+                            )
+                        )
+                    except ServeClientError as error:
+                        return error
+
+            with ThreadPoolExecutor(max_workers=len(group)) as pool:
+                mixed = list(pool.map(read_with, group))
+            for responses, reply in zip(group, mixed):
+                if responses in (bad_char, wrong_width):
+                    if not isinstance(reply, ServeClientError) or reply.status != 400:
+                        return fail(f"malformed read was not a 400: {reply!r}", server)
+                    if "responses" not in reply.error.error:
+                        return fail(f"400 does not name responses: {reply}", server)
+                elif isinstance(reply, ServeClientError):
+                    return fail(f"read beside a malformed one failed: {reply}", server)
+                elif reply.result != serial.result:
+                    return fail("read beside a malformed one differs from serial", server)
+            # effect_cause + registration + reads; the non-0/1 read is
+            # rejected before it reaches the batcher.
+            dispatched = 2 + len(replies) + len(group) - 1
             batched = client.stats()["batcher"]["batched_requests"]
             if batched != dispatched:
                 return fail(
@@ -168,6 +212,7 @@ def main() -> int:
         return fail(f"drain message missing from output:\n{out}")
     print(
         "serve smoke OK: healthz + diagnose + typed 400 + 8 concurrent reads"
+        " + malformed reads fail alone"
         " + metrics == stats + clean SIGTERM drain"
     )
     return 0
