@@ -68,10 +68,11 @@ def observed_fail_flags(
             f"golden/observed length mismatch: {len(golden)} vs {len(observed)}"
         )
     golden, observed = response_rows(golden), response_rows(observed)
-    if golden.shape[1] != observed.shape[1]:  # a wider response: pad both
+    if golden.shape[1] != observed.shape[1]:
+        # Unequal widths: leading zero bytes keep each big-endian value.
         n_bytes = max(golden.shape[1], observed.shape[1])
         golden, observed = (
-            np.pad(rows, ((0, 0), (0, n_bytes - rows.shape[1])))
+            np.pad(rows, ((0, 0), (n_bytes - rows.shape[1], 0)))
             for rows in (golden, observed)
         )
     return (golden != observed).any(axis=1)

@@ -282,6 +282,14 @@ class TestEffectCause:
         assert flags.dtype == bool
         assert flags.tolist() == [g != o for g, o in zip(golden, observed)]
 
+    def test_fail_flags_across_byte_widths(self):
+        """Sides encoded at different byte widths compare by value: a
+        response whose bytes match the other's high byte still differs."""
+        golden = [BitVector(5, 7), BitVector(5, 7)]
+        observed = [BitVector(5 << 8, 15), BitVector(5, 7)]
+        assert observed_fail_flags(golden, observed).tolist() == [True, False]
+        assert observed_fail_flags(observed, golden).tolist() == [True, False]
+
     def test_fail_flags_reject_length_mismatch(self):
         with pytest.raises(ValueError, match="length mismatch"):
             observed_fail_flags([BitVector(1, 2)], [])
