@@ -8,31 +8,42 @@ global test length grows.
 
 from __future__ import annotations
 
-
-from repro.flow.tradeoff import explore_tradeoff
+from repro.flow.session import Session
+from repro.flow.sweep import sweep
 
 SWEEP_LENGTHS = [2, 4, 8, 16, 32, 64, 128]
 
 
 def test_figure2_tradeoff_sweep(benchmark, sessions, bench_config):
-    session = sessions["s1238"]
+    shared = sessions["s1238"]
+    # A fresh session on the shared ATPG result and simulator, so the
+    # timed sweep builds every matrix itself.
+    session = Session(
+        shared.circuit,
+        bench_config,
+        simulator=shared.simulator,
+        atpg_result=shared.atpg_result,
+    )
 
-    points = benchmark.pedantic(
-        lambda: explore_tradeoff(
-            session.circuit,
-            "adder",
-            SWEEP_LENGTHS,
-            config=bench_config,
-            atpg_result=session.atpg_result,
-            simulator=session.simulator,
+    grid = benchmark.pedantic(
+        lambda: sweep(
+            [session.name],
+            ["adder"],
+            base_config=bench_config,
+            evolution_lengths=SWEEP_LENGTHS,
+            sessions={session.name: session},
         ),
         rounds=1,
         iterations=1,
     )
+    points = [
+        (o.config.evolution_length, o.result.n_triplets, o.result.test_length)
+        for o in grid
+    ]
 
-    assert [p.evolution_length for p in points] == SWEEP_LENGTHS
-    counts = [p.n_triplets for p in points]
-    lengths = [p.test_length for p in points]
+    assert [t for t, _, _ in points] == SWEEP_LENGTHS
+    counts = [n for _, n, _ in points]
+    lengths = [length for _, _, length in points]
     # Figure 2's left axis: #Triplets falls monotonically with T ...
     assert all(a >= b for a, b in zip(counts, counts[1:]))
     # ... with a real drop across the sweep (11 -> 2 in the paper) ...
@@ -40,6 +51,6 @@ def test_figure2_tradeoff_sweep(benchmark, sessions, bench_config):
     # ... while the test length trends up (paper: 5,427 -> 15,551).
     assert lengths[-1] > lengths[0]
     # Triplet counts and test lengths stay mutually consistent.
-    for point in points:
-        assert point.n_triplets <= point.test_length
-        assert point.test_length <= point.n_triplets * point.evolution_length
+    for t, n_triplets, test_length in points:
+        assert n_triplets <= test_length
+        assert test_length <= n_triplets * t

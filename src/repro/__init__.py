@@ -56,7 +56,6 @@ from repro.flow import (
     PipelineConfig,
     PipelineResult,
     Session,
-    explore_tradeoff,
     sweep,
 )
 from repro.utils import BitVector, Registry, RngStream, UnknownComponentError
@@ -97,7 +96,6 @@ __all__ = [
     "UnknownComponentError",
     "collapse_faults",
     "diagnose_effect_cause",
-    "explore_tradeoff",
     "full_fault_list",
     "load_circuit",
     "make_fail_log",

@@ -17,8 +17,12 @@ Subcommands:
 * ``check``   — run the repo's own AST-based static-analysis rules
   (kernel purity, dtype discipline, asyncio hygiene, telemetry
   consistency, schema-kind coverage, public-API drift, docs links);
-* ``table1`` / ``table2`` / ``figure2`` — the experiment drivers
-  (equivalent to ``python -m repro.experiments.<name>``).
+* ``table1`` / ``table2`` / ``figure2`` — the paper's experiments:
+  Tables 1 and 2 over a circuit list, and the Figure-2 trade-off curve
+  (a one-circuit ``sweep`` of the evolution length T).
+
+Flags several subcommands share (``--scale``, ``--seed``, ``--cache``,
+``--workers``, ...) are declared once, in one table.
 """
 
 from __future__ import annotations
@@ -26,6 +30,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
+from typing import Any
 
 from repro.circuits import CATALOG, load_circuit
 from repro.utils.tables import AsciiTable
@@ -116,15 +122,13 @@ def _finish_trace(telemetry, root, path: str) -> None:
     )
 
 
-def checked_config(usage_error, base, **fields):
-    """``base`` (a :class:`~repro.flow.pipeline.PipelineConfig`) with
-    ``fields`` replaced.  A value the config rejects is a usage error:
-    ``usage_error`` (an argparse ``parser.error``) prints the message,
-    which names the field and its bound, and exits 2."""
-    from dataclasses import replace
-
+def checked(usage_error, build, *args, **kwargs):
+    """``build(*args, **kwargs)`` — a flow config or a grid of them.  A
+    value the config rejects is a usage error: ``usage_error`` (an
+    argparse ``parser.error``) prints the message, which names the field
+    and its bound, and exits 2."""
     try:
-        return replace(base, **fields)
+        return build(*args, **kwargs)
     except ValueError as error:
         usage_error(str(error))
 
@@ -137,9 +141,9 @@ def _pipeline_config(args: argparse.Namespace, **per_command):
     ``--workers``)."""
     from repro.flow.pipeline import PipelineConfig
 
-    return checked_config(
+    return checked(
         args.usage_error,
-        PipelineConfig(),
+        PipelineConfig,
         seed=args.seed,
         cover_method=args.method,
         max_random_patterns=args.max_random_patterns,
@@ -218,15 +222,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         python -m repro sweep --circuits s420 --tpgs adder --csv
     """
     from repro.flow.session import ArtifactCache
-    from repro.flow.sweep import sweep
+    from repro.flow.sweep import grid_configs, sweep
 
-    for length in args.evolution_lengths:
-        _pipeline_config(args, evolution_length=length)
+    base_config = _pipeline_config(args)
+    checked(args.usage_error, grid_configs, base_config, args.evolution_lengths)
     cache = ArtifactCache(args.cache) if args.cache else None
     grid = sweep(
         args.circuits,
         args.tpgs,
-        base_config=_pipeline_config(args),
+        base_config=base_config,
         evolution_lengths=args.evolution_lengths,
         scale=args.scale,
         cache=cache,
@@ -470,6 +474,88 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
+def _cmd_table1(args: argparse.Namespace) -> int:
+    """``repro table1`` — the paper's Table 1: set covering vs GATSBY.
+
+    Examples::
+
+        python -m repro table1                      # default subset, GATSBY on
+        python -m repro table1 --circuits s420 c17 --no-gatsby --csv
+        python -m repro table1 --full --scale 1.0 --cache .repro-cache
+    """
+    from repro.experiments.common import sessions_from_args
+    from repro.experiments.table1 import compute_table1, render_table1
+
+    rows = compute_table1(sessions_from_args(args), run_gatsby=not args.no_gatsby)
+    table = render_table1(rows)
+    print(table.render_csv() if args.csv else table.render())
+    cells = [
+        cell
+        for row in rows
+        for cell in row.cells.values()
+        if cell.gatsby_triplets is not None
+    ]
+    # A win: fewer/equal triplets at full coverage, or the GA never
+    # reached the coverage target at all.
+    wins = sum(1 for c in cells if not c.gatsby_complete or c.improvement >= 0)
+    if cells:
+        print(
+            f"\nset covering solves (100% FC, <= triplets) or outlasts "
+            f"GATSBY on {wins}/{len(cells)} circuit x TPG cells"
+        )
+    return 0
+
+
+def _cmd_table2(args: argparse.Namespace) -> int:
+    """``repro table2`` — the paper's Table 2: Detection Matrix reduction.
+
+    Examples::
+
+        python -m repro table2 --circuits c499 s420 --csv
+        python -m repro table2 --full --workers 2
+    """
+    from repro.experiments.common import sessions_from_args
+    from repro.experiments.table2 import compute_table2, render_table2
+
+    rows = compute_table2(sessions_from_args(args))
+    table = render_table2(rows)
+    print(table.render_csv() if args.csv else table.render())
+    cells = [cell for row in rows for cell in row.cells.values()]
+    closed = sum(1 for cell in cells if cell.closed_by_reduction)
+    print(
+        f"\nreduction closed {closed}/{len(cells)} instances outright "
+        "(solution = necessary triplets only)"
+    )
+    return 0
+
+
+def _cmd_figure2(args: argparse.Namespace) -> int:
+    """``repro figure2`` — the paper's Figure 2: a sweep of T for one
+    circuit/TPG on the drivers' flow defaults.
+
+    Examples::
+
+        python -m repro figure2                     # s1238, adder, T = 2..256
+        python -m repro figure2 --circuit s420 --lengths 4 8 16 --cache .repro-cache
+    """
+    from repro.experiments.common import DRIVER_CONFIG
+    from repro.experiments.figure2 import render_figure2
+    from repro.flow.sweep import grid_configs, sweep
+
+    base_config = checked(args.usage_error, replace, DRIVER_CONFIG, seed=args.seed)
+    checked(args.usage_error, grid_configs, base_config, args.lengths)
+    grid = sweep(
+        [args.circuit],
+        [args.tpg],
+        base_config=base_config,
+        evolution_lengths=args.lengths,
+        scale=args.scale,
+        cache=args.cache,
+    )
+    print(render_figure2(grid))
+    return 0
+
+
 def positive_int(text: str) -> int:
     """argparse ``type`` for process counts: an int of at least 1."""
     value = int(text)
@@ -478,19 +564,63 @@ def positive_int(text: str) -> int:
     return value
 
 
-def _delegate(module_main):
-    def runner(args: argparse.Namespace) -> int:
-        module_main(args.rest)
-        return 0
+#: The flags several subcommands share, each declared once here
+#: (``add_argument`` keywords by flag); :func:`_add_shared` adds them.
+_SHARED_FLAGS: dict[str, dict[str, Any]] = {
+    "--circuit": {"required": True, "help": "circuit name (`repro catalog` lists them)"},
+    "--circuits": {
+        "nargs": "+",
+        "default": None,
+        "help": "circuit names (table1/table2 default: a fast subset of the "
+        "paper's list)",
+    },
+    "--tpg": {"default": "adder", "help": "TPG name (default %(default)s)"},
+    "--scale": {
+        "type": float,
+        "default": 0.25,
+        "help": "synthetic circuit size factor, 1.0 = real ISCAS sizes "
+        "(default %(default)s)",
+    },
+    "--seed": {"type": int, "default": 2001, "help": "master seed (default %(default)s)"},
+    "--evolution-length": {
+        "type": int,
+        "default": 32,
+        "help": "triplet evolution length T (default %(default)s)",
+    },
+    "--workers": {
+        "type": positive_int,
+        "default": None,
+        "help": "process-pool width: Detection Matrix rows (run, table1, "
+        "table2) or circuits (sweep); default serial",
+    },
+    "--cache": {
+        "default": None,
+        "metavar": "DIR",
+        "help": "artifact-cache directory: warm runs reuse ATPG, matrices, "
+        "results and fault dictionaries",
+    },
+    "--json": {"action": "store_true", "help": "emit machine-readable JSON"},
+    "--csv": {"action": "store_true", "help": "emit CSV instead of an ASCII table"},
+    "--trace": {
+        "default": None,
+        "metavar": "FILE",
+        "help": "write a span-tree trace document (render with `repro trace`)",
+    },
+}
 
-    return runner
+
+def _add_shared(parser: argparse.ArgumentParser, *flags: str, **overrides) -> None:
+    """Add the :data:`_SHARED_FLAGS` named in ``flags`` to ``parser``.
+    ``overrides`` changes one flag's keywords, keyed by its dest
+    (``scale={"default": 1.0}``)."""
+    for flag in flags:
+        dest = flag[2:].replace("-", "_")
+        parser.add_argument(flag, **{**_SHARED_FLAGS[flag], **overrides.get(dest, {})})
 
 
 def _add_flow_knobs(parser: argparse.ArgumentParser) -> None:
     """Knobs shared by ``run`` and ``sweep`` (the PipelineConfig surface)."""
-    parser.set_defaults(usage_error=parser.error)
-    parser.add_argument("--scale", type=float, default=0.25)
-    parser.add_argument("--seed", type=int, default=2001)
+    _add_shared(parser, "--scale", "--seed")
     parser.add_argument(
         "--method",
         default="auto",
@@ -515,61 +645,37 @@ def _add_flow_knobs(parser: argparse.ArgumentParser) -> None:
         default=30,
         help="GRASP restarts when the metaheuristic solver runs (default 30)",
     )
-    parser.add_argument(
-        "--workers",
-        type=positive_int,
-        default=None,
-        help="process-pool width (Detection Matrix rows for `run`, "
-        "circuits for `sweep`; default serial)",
-    )
-    parser.add_argument(
-        "--cache",
-        default=None,
-        metavar="DIR",
-        help="artifact-cache directory: warm runs skip ATPG and matrices",
-    )
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        help="emit machine-readable JSON instead of the report/table",
-    )
+    _add_shared(parser, "--workers", "--cache", "--json")
 
 
 def build_parser() -> argparse.ArgumentParser:
     """The top-level argument parser."""
+    from repro.experiments.figure2 import DEFAULT_LENGTHS
+
     parser = argparse.ArgumentParser(
         prog="repro", description=__doc__.splitlines()[0]
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     catalog = sub.add_parser("catalog", help="list benchmark circuits")
-    catalog.add_argument(
-        "--json", action="store_true", help="emit the catalog as JSON"
-    )
+    _add_shared(catalog, "--json")
     catalog.set_defaults(func=_cmd_catalog)
 
     run = sub.add_parser("run", help="run the reseeding flow")
-    run.add_argument("--circuit", required=True)
-    run.add_argument("--tpg", default="adder")
-    run.add_argument("--evolution-length", type=int, default=32)
+    _add_shared(run, "--circuit", "--tpg", "--evolution-length")
     _add_flow_knobs(run)
     run.add_argument(
         "--uniform",
         action="store_true",
         help="also report the uniform-T (shared length) refinement",
     )
-    run.add_argument(
-        "--trace",
-        default=None,
-        metavar="FILE",
-        help="write a span-tree trace document (render with `repro trace`)",
-    )
+    _add_shared(run, "--trace")
     run.set_defaults(func=_cmd_run)
 
     sweep_cmd = sub.add_parser(
-        "sweep", help="run a circuits x TPGs x configs grid"
+        "sweep", help="run a circuits x TPGs x evolution-lengths grid"
     )
-    sweep_cmd.add_argument("--circuits", nargs="+", required=True)
+    _add_shared(sweep_cmd, "--circuits", circuits={"required": True})
     sweep_cmd.add_argument(
         "--tpgs",
         nargs="+",
@@ -585,17 +691,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="one flow config per evolution length (default: 32)",
     )
     _add_flow_knobs(sweep_cmd)
-    sweep_cmd.add_argument(
-        "--csv", action="store_true", help="emit CSV instead of an ASCII table"
-    )
+    _add_shared(sweep_cmd, "--csv")
     sweep_cmd.set_defaults(func=_cmd_sweep)
 
     diagnose = sub.add_parser(
         "diagnose", help="diagnose an injected-fault BIST fail log"
     )
-    diagnose.add_argument("--circuit", required=True)
-    diagnose.add_argument("--scale", type=float, default=1.0)
-    diagnose.add_argument("--seed", type=int, default=2001)
+    _add_shared(diagnose, "--circuit", "--scale", "--seed", scale={"default": 1.0})
     diagnose.add_argument(
         "--patterns",
         type=int,
@@ -636,29 +738,11 @@ def build_parser() -> argparse.ArgumentParser:
     diagnose.add_argument(
         "--top-k", type=int, default=10, help="candidates reported (default 10)"
     )
-    diagnose.add_argument(
-        "--cache",
-        default=None,
-        metavar="DIR",
-        help="artifact-cache directory: warm runs load the fault dictionary",
-    )
-    diagnose.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the schema-versioned diagnosis result as JSON",
-    )
-    diagnose.add_argument(
-        "--trace",
-        default=None,
-        metavar="FILE",
-        help="write a span-tree trace document (render with `repro trace`)",
-    )
+    _add_shared(diagnose, "--cache", "--json", "--trace")
     diagnose.set_defaults(func=_cmd_diagnose)
 
     atpg = sub.add_parser("atpg", help="run the ATPG substrate alone")
-    atpg.add_argument("--circuit", required=True)
-    atpg.add_argument("--scale", type=float, default=0.25)
-    atpg.add_argument("--seed", type=int, default=2001)
+    _add_shared(atpg, "--circuit", "--scale", "--seed")
     atpg.add_argument(
         "--patterns", action="store_true", help="print the test patterns"
     )
@@ -716,11 +800,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="RULE-ID",
         help="run only this rule (repeatable; default: all registered rules)",
     )
-    check.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the schema-versioned check report as JSON",
-    )
+    _add_shared(check, "--json")
     check.set_defaults(func=_cmd_check)
 
     trace = sub.add_parser(
@@ -729,47 +809,54 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("file", help="trace JSON written by run/diagnose --trace")
     trace.set_defaults(func=_cmd_trace)
 
-    for name in ("table1", "table2", "figure2"):
-        experiment = sub.add_parser(
-            name, help=f"regenerate the paper's {name}", add_help=False
+    for name, func, what in (
+        ("table1", _cmd_table1, "Table 1: reseeding solutions vs GATSBY"),
+        ("table2", _cmd_table2, "Table 2: set covering reduction statistics"),
+    ):
+        table = sub.add_parser(name, help=f"regenerate the paper's {what}")
+        _add_shared(table, "--circuits")
+        table.add_argument(
+            "--full",
+            action="store_true",
+            help="use the paper's full circuit list (slow at scale 1.0)",
         )
-        experiment.add_argument("rest", nargs=argparse.REMAINDER)
-        if name == "table1":
-            from repro.experiments.table1 import main as table1_main
+        _add_shared(
+            table, "--scale", "--seed", "--evolution-length", "--workers", "--cache", "--csv"
+        )
+        table.set_defaults(func=func)
+    sub.choices["table1"].add_argument(
+        "--no-gatsby",
+        action="store_true",
+        help="skip the (slow) GATSBY GA baseline",
+    )
 
-            experiment.set_defaults(func=_delegate(table1_main))
-        elif name == "table2":
-            from repro.experiments.table2 import main as table2_main
+    figure2 = sub.add_parser(
+        "figure2", help="regenerate the paper's Figure 2: #triplets vs test length"
+    )
+    _add_shared(
+        figure2, "--circuit", "--tpg", "--scale", "--seed",
+        circuit={"required": False, "default": "s1238"},
+    )
+    figure2.add_argument(
+        "--lengths",
+        nargs="+",
+        type=int,
+        default=list(DEFAULT_LENGTHS),
+        help="evolution lengths to sweep",
+    )
+    _add_shared(figure2, "--cache")
+    figure2.set_defaults(func=_cmd_figure2)
 
-            experiment.set_defaults(func=_delegate(table2_main))
-        else:
-            from repro.experiments.figure2 import main as figure2_main
-
-            experiment.set_defaults(func=_delegate(figure2_main))
+    # A flag value the flow config rejects is a usage error (exit 2)
+    # that names the subcommand.
+    for command in sub.choices.values():
+        command.set_defaults(usage_error=command.error)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
-    argv = list(sys.argv[1:] if argv is None else argv)
-    # Delegate experiment subcommands wholesale: argparse's REMAINDER no
-    # longer swallows unrecognised options after the subcommand name
-    # (python/cpython#61252), so route around the top-level parser.  The
-    # build_parser() stubs for these names exist for `repro -h` only.
-    if argv and argv[0] in ("table1", "table2", "figure2"):
-        from repro.experiments.figure2 import main as figure2_main
-        from repro.experiments.table1 import main as table1_main
-        from repro.experiments.table2 import main as table2_main
-
-        delegate = {
-            "table1": table1_main,
-            "table2": table2_main,
-            "figure2": figure2_main,
-        }[argv[0]]
-        delegate(argv[1:])
-        return 0
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     return args.func(args)
 
 

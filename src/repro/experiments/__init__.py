@@ -1,10 +1,12 @@
 """Experiment drivers regenerating the paper's tables and figures.
 
-Each module is runnable (``python -m repro.experiments.table1``) and
-exposes a ``compute_*`` function the benchmark harness reuses.  Table 1
-and Table 2 take one :class:`~repro.flow.session.Session` per circuit,
-already built with its :class:`~repro.flow.pipeline.PipelineConfig`
-and catalog scale.
+Each one runs as a ``repro`` subcommand (``python -m repro table1``)
+and exposes the ``compute_*``/``render_*`` functions the command and
+the benchmark harness share.  Table 1 and Table 2 take an iterable of
+:class:`~repro.flow.session.Session` objects, one per circuit, already
+built with its :class:`~repro.flow.pipeline.PipelineConfig` and catalog
+scale, and keep none of them past its row.  Figure 2 is a
+:func:`~repro.flow.sweep.sweep` over T that ``figure2`` renders.
 
 =============  =====================================================
 module         regenerates
@@ -19,5 +21,5 @@ All drivers run on the synthetic ISCAS-sized stand-ins (see
 runtime (1.0 = full ISCAS sizes).
 """
 
-# The drivers are runnable modules; import from them directly.
+# Import the drivers' functions from their modules directly.
 __all__ = []

@@ -4,13 +4,17 @@ The drivers run on :class:`~repro.flow.session.Session` objects, one per
 circuit, which own the per-circuit artefacts (loaded circuit, compiled
 fault simulator, ATPG result).  This module keeps the experiment-level
 vocabulary: circuit subsets, the drivers' flow defaults, the GATSBY
-baseline with the paper's gate-count cutoff, and the shared CLI.
+baseline with the paper's gate-count cutoff, and the sessions the
+``repro table1``/``table2`` commands run on.
 """
 
 from __future__ import annotations
 
 import argparse
-from repro.cli import checked_config, positive_int
+from dataclasses import replace
+from typing import Iterator
+
+from repro.cli import checked
 from repro.flow.pipeline import PipelineConfig
 from repro.flow.session import Session
 from repro.gatsby import GaConfig, GatsbyReseeder, GatsbyResult
@@ -81,80 +85,24 @@ def gatsby_baseline(session: Session, tpg_name: str) -> GatsbyResult | None:
     return reseeder.run(session.atpg_result.target_faults)
 
 
-def make_arg_parser(description: str) -> argparse.ArgumentParser:
-    """The CLI shared by the drivers.  A flag value the flow config
-    rejects is a usage error (exit 2)."""
-    parser = argparse.ArgumentParser(description=description)
-    parser.set_defaults(usage_error=parser.error)
-    parser.add_argument(
-        "--circuits",
-        nargs="+",
-        default=None,
-        help="circuit names (default: a fast subset of the paper's list)",
-    )
-    parser.add_argument(
-        "--full",
-        action="store_true",
-        help="use the paper's full circuit list (slow at scale 1.0)",
-    )
-    parser.add_argument(
-        "--scale",
-        type=float,
-        default=0.25,
-        help="synthetic circuit size factor, 1.0 = real ISCAS sizes (default 0.25)",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=DRIVER_CONFIG.seed, help="master seed"
-    )
-    parser.add_argument(
-        "--evolution-length",
-        type=int,
-        default=DRIVER_CONFIG.evolution_length,
-        help="triplet evolution length T (default 32)",
-    )
-    parser.add_argument(
-        "--no-gatsby",
-        action="store_true",
-        help="skip the (slow) GATSBY GA baseline",
-    )
-    parser.add_argument(
-        "--workers",
-        type=positive_int,
-        default=None,
-        help="processes for row-parallel Detection Matrix construction "
-        "(default: serial)",
-    )
-    parser.add_argument(
-        "--cache",
-        default=None,
-        metavar="DIR",
-        help="artifact-cache directory (warm runs skip ATPG and matrices)",
-    )
-    parser.add_argument(
-        "--csv", action="store_true", help="emit CSV instead of an ASCII table"
-    )
-    return parser
-
-
-def sessions_from_args(args: argparse.Namespace) -> dict[str, Session]:
+def sessions_from_args(args: argparse.Namespace) -> Iterator[Session]:
     """One session per requested circuit, configured from the driver
-    flags on top of :data:`DRIVER_CONFIG`."""
+    flags on top of :data:`DRIVER_CONFIG`.  Sessions are built lazily,
+    one per ``next()``, and this generator keeps none of them: a table
+    that consumes them in turn holds one circuit's artefacts at a time."""
     if args.circuits:
         circuits = tuple(args.circuits)
     elif args.full:
         circuits = FULL_CIRCUITS
     else:
         circuits = DEFAULT_CIRCUITS
-    config = checked_config(
+    config = checked(
         args.usage_error,
+        replace,
         DRIVER_CONFIG,
         seed=args.seed,
         evolution_length=args.evolution_length,
         matrix_workers=args.workers,
     )
-    return {
-        name: Session.from_name(
-            name, scale=args.scale, config=config, cache=args.cache
-        )
-        for name in circuits
-    }
+    for name in circuits:
+        yield Session.from_name(name, scale=args.scale, config=config, cache=args.cache)

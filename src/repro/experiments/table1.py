@@ -7,19 +7,15 @@ the set-covering approach needs fewer triplets than GATSBY on nearly
 every circuit/TPG (improvements of 2 to 25 triplets) and handles
 circuits GATSBY cannot (s13207, s15850 — rendered as "-" cells).
 
-Run: ``python -m repro.experiments.table1 [--scale 0.25] [--full]``
+Run: ``python -m repro table1 [--scale 0.25] [--full]``
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable
 
-from repro.experiments.common import (
-    gatsby_baseline,
-    make_arg_parser,
-    sessions_from_args,
-)
+from repro.experiments.common import gatsby_baseline
 from repro.flow.session import Session
 from repro.tpg.registry import PAPER_TPGS
 from repro.utils.tables import AsciiTable
@@ -64,12 +60,14 @@ class Table1Row:
 
 
 def compute_table1(
-    sessions: Mapping[str, Session], run_gatsby: bool = True
+    sessions: Iterable[Session], run_gatsby: bool = True
 ) -> list[Table1Row]:
-    """Regenerate Table 1's data, one row per session (keyed by circuit
-    name, in order), each flow run with the session's own config."""
+    """Regenerate Table 1's data, one row per session in order, each
+    flow run with the session's own config.  No session is kept past
+    its row, so a lazy iterable (:func:`~repro.experiments.common.
+    sessions_from_args`) holds one circuit's artefacts at a time."""
     rows: list[Table1Row] = []
-    for name, session in sessions.items():
+    for session in sessions:
         cells: dict[str, Table1Cell] = {}
         for tpg_name in PAPER_TPGS:
             result = session.run(tpg_name)
@@ -81,7 +79,8 @@ def compute_table1(
                 gatsby_test_length=gatsby.test_length if gatsby else None,
                 gatsby_coverage=gatsby.fault_coverage if gatsby else None,
             )
-        rows.append(Table1Row(name, cells))
+        rows.append(Table1Row(session.name, cells))
+        del session  # released before the next circuit is built
     return rows
 
 
@@ -114,34 +113,3 @@ def render_table1(rows: list[Table1Row]) -> AsciiTable:
             ]
         table.add_row(cells)
     return table
-
-
-def main(argv: list[str] | None = None) -> None:
-    """CLI entry point."""
-    parser = make_arg_parser(__doc__.splitlines()[0])
-    args = parser.parse_args(argv)
-    rows = compute_table1(
-        sessions_from_args(args), run_gatsby=not args.no_gatsby
-    )
-    table = render_table1(rows)
-    print(table.render_csv() if args.csv else table.render())
-    wins = 0
-    comparable = 0
-    for row in rows:
-        for cell in row.cells.values():
-            if cell.gatsby_triplets is None:
-                continue
-            comparable += 1
-            # A win: fewer/equal triplets at full coverage, or the GA
-            # never reached the coverage target at all.
-            if not cell.gatsby_complete or cell.improvement >= 0:
-                wins += 1
-    if comparable:
-        print(
-            f"\nset covering solves (100% FC, <= triplets) or outlasts "
-            f"GATSBY on {wins}/{comparable} circuit x TPG cells"
-        )
-
-
-if __name__ == "__main__":
-    main()

@@ -12,15 +12,14 @@ paper's observations to reproduce:
 * on others the solver contributes the remainder (possibly with no
   necessary triplets at all).
 
-Run: ``python -m repro.experiments.table2 [--scale 0.25] [--full]``
+Run: ``python -m repro table2 [--scale 0.25] [--full]``
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable
 
-from repro.experiments.common import make_arg_parser, sessions_from_args
 from repro.flow.session import Session
 from repro.tpg.registry import PAPER_TPGS
 from repro.utils.tables import AsciiTable
@@ -49,11 +48,12 @@ class Table2Row:
     cells: dict[str, Table2Cell]
 
 
-def compute_table2(sessions: Mapping[str, Session]) -> list[Table2Row]:
-    """Regenerate Table 2's data, one row per session (keyed by circuit
-    name, in order), each flow run with the session's own config."""
+def compute_table2(sessions: Iterable[Session]) -> list[Table2Row]:
+    """Regenerate Table 2's data, one row per session in order, each
+    flow run with the session's own config.  No session is kept past
+    its row (see :func:`~repro.experiments.table1.compute_table1`)."""
     rows: list[Table2Row] = []
-    for name, session in sessions.items():
+    for session in sessions:
         cells: dict[str, Table2Cell] = {}
         initial_shape = (0, 0)
         for tpg_name in PAPER_TPGS:
@@ -64,7 +64,8 @@ def compute_table2(sessions: Mapping[str, Session]) -> list[Table2Row]:
                 reduced_shape=result.reduced_shape,
                 n_solver=result.n_from_solver,
             )
-        rows.append(Table2Row(name, initial_shape, cells))
+        rows.append(Table2Row(session.name, initial_shape, cells))
+        del session  # released before the next circuit is built
     return rows
 
 
@@ -93,24 +94,3 @@ def render_table2(rows: list[Table2Row]) -> AsciiTable:
             cells += [cell.n_necessary, reduced, cell.n_solver]
         table.add_row(cells)
     return table
-
-
-def main(argv: list[str] | None = None) -> None:
-    """CLI entry point."""
-    parser = make_arg_parser(__doc__.splitlines()[0])
-    args = parser.parse_args(argv)
-    rows = compute_table2(sessions_from_args(args))
-    table = render_table2(rows)
-    print(table.render_csv() if args.csv else table.render())
-    closed = sum(
-        1 for row in rows for cell in row.cells.values() if cell.closed_by_reduction
-    )
-    total = sum(len(row.cells) for row in rows)
-    print(
-        f"\nreduction closed {closed}/{total} instances outright "
-        "(solution = necessary triplets only)"
-    )
-
-
-if __name__ == "__main__":
-    main()

@@ -10,18 +10,16 @@ Three modules compose the paper's Figure-1 computation:
   as :class:`~repro.flow.stages.StageEvent` progress events;
 * :mod:`repro.flow.stages` holds the steps after ATPG (Detection
   Matrix, set covering, trimming) as plain functions;
-* :func:`~repro.flow.sweep.sweep` orchestrates circuits x TPGs x
-  configs over shared sessions, optionally across a process pool.
-
-:func:`~repro.flow.tradeoff.explore_tradeoff`, the Figure-2 curve
-generator, is a thin client of the machinery above.
+* :func:`~repro.flow.sweep.sweep` runs circuits x TPGs x evolution
+  lengths over shared sessions, optionally across a process pool.  It
+  is the one grid runner: the Figure-2 curve (``repro figure2``) is a
+  one-circuit, one-TPG sweep of T.
 """
 
 from repro.flow.pipeline import PipelineConfig, PipelineResult
 from repro.flow.session import ArtifactCache, RunInfo, Session
 from repro.flow.stages import StageEvent
 from repro.flow.sweep import SweepOutcome, SweepResult, sweep
-from repro.flow.tradeoff import TradeoffPoint, explore_tradeoff
 
 __all__ = [
     "ArtifactCache",
@@ -32,7 +30,5 @@ __all__ = [
     "StageEvent",
     "SweepOutcome",
     "SweepResult",
-    "TradeoffPoint",
-    "explore_tradeoff",
     "sweep",
 ]

@@ -352,8 +352,9 @@ class Session:
     """Per-circuit artefact owner and flow runner.
 
     Construct directly from a loaded circuit, or with
-    :meth:`from_name` to also record the catalog ``scale`` in cache
-    keys.  ``run`` executes the Figure-1 flow for one TPG, reusing the
+    :meth:`from_name` to load a catalog circuit at a ``scale`` (kept as
+    ``scale``; no cache key reads it — the netlist fingerprint in every
+    key keeps two scales of one circuit apart).  ``run`` executes the Figure-1 flow for one TPG, reusing the
     session's circuit-level ATPG (and, when a cache is attached,
     skipping any work a previous process already did).
 

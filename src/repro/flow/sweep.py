@@ -1,8 +1,9 @@
-"""Batch orchestration: circuits x TPGs x configs over shared sessions.
+"""Batch orchestration: circuits x TPGs x evolution lengths over shared
+sessions.
 
-``sweep()`` is the one entry point every batch consumer drives — the
-Figure-2 trade-off explorer, the ``repro sweep`` CLI and serve's
-``/sweep`` are all thin clients.  It guarantees:
+``sweep()`` is the one grid runner: ``repro sweep``, ``repro figure2``
+(the paper's Figure-2 curve is a one-circuit, one-TPG sweep of T) and
+serve's ``/sweep`` all call it.  It guarantees:
 
 * one :class:`~repro.flow.session.Session` per circuit, so the loaded
   netlist, the compiled fault simulator and the ATPG artefact are
@@ -93,17 +94,20 @@ def _tpg_label(tpg: str | TestPatternGenerator) -> str:
     return tpg if isinstance(tpg, str) else tpg.name
 
 
-def _expand_configs(
-    configs: Sequence[PipelineConfig] | None,
-    base_config: PipelineConfig | None,
-    evolution_lengths: Sequence[int] | None,
+def grid_configs(
+    base_config: PipelineConfig | None, evolution_lengths: Sequence[int] | None
 ) -> list[PipelineConfig]:
-    if configs is not None:
-        return list(configs)
+    """The grid's configs: ``base_config`` (default
+    :class:`PipelineConfig()`) at each evolution length, or alone when
+    ``evolution_lengths`` is ``None``.  An empty ``evolution_lengths``
+    and any length :class:`PipelineConfig` rejects raise
+    :class:`ValueError`."""
     base = base_config or PipelineConfig()
-    if evolution_lengths:
-        return [replace(base, evolution_length=t) for t in evolution_lengths]
-    return [base]
+    if evolution_lengths is None:
+        return [base]
+    if not evolution_lengths:
+        raise ValueError("evolution_lengths must be non-empty")
+    return [replace(base, evolution_length=t) for t in evolution_lengths]
 
 
 def _run_circuit_block(
@@ -132,7 +136,6 @@ def _run_circuit_block(
 def sweep(
     circuits: Sequence[str],
     tpgs: Sequence[str | TestPatternGenerator],
-    configs: Sequence[PipelineConfig] | None = None,
     base_config: PipelineConfig | None = None,
     evolution_lengths: Sequence[int] | None = None,
     scale: float = 1.0,
@@ -141,11 +144,11 @@ def sweep(
     sessions: Mapping[str, Session] | None = None,
     progress: ProgressHook | None = None,
 ) -> SweepResult:
-    """Run the full circuits x TPGs x configs grid.
+    """Run the full circuits x TPGs x evolution-lengths grid.
 
-    ``configs`` wins when given; otherwise ``evolution_lengths`` expands
-    ``base_config`` into one config per T (the Figure-2 pattern), and
-    with neither the grid runs a single default config.  ``sessions``
+    ``evolution_lengths`` expands ``base_config`` into one config per T
+    (the Figure-2 pattern, see :func:`grid_configs`); without it the
+    grid runs ``base_config`` alone.  ``sessions``
     injects pre-built sessions (keyed by circuit name) for artefact
     sharing with a caller that already did ATPG; missing circuits are
     loaded at ``scale``.  ``workers=N`` fans circuits out over a process
@@ -174,7 +177,7 @@ def sweep(
         raise ValueError("sweep needs at least one TPG")
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    config_list = _expand_configs(configs, base_config, evolution_lengths)
+    config_list = grid_configs(base_config, evolution_lengths)
     tpg_labels = [_tpg_label(t) for t in tpgs]
 
     parallel = (

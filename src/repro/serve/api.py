@@ -11,7 +11,11 @@ and servers is rejected up front, never mis-decoded.  Decoding is
 typed: a mistyped field is a 400 naming the field, and a missing one
 takes the default declared here.  The ``validate_*`` functions then
 check values (known circuit, TPG and diagnosis method names, positive
-scale and timeout) on the event loop, before any compute is queued.
+scale and timeout) on the event loop, before any compute is queued;
+the flow knobs (seed, pattern budget, backtrack limit, evolution
+lengths) are checked there too, by the
+:class:`~repro.flow.pipeline.PipelineConfig` the server builds from
+them.
 
 :class:`PatternSet` is the shared-workload primitive: a tester farm
 applies **one** BIST pattern sequence to many dies, so a client uploads
@@ -216,12 +220,10 @@ def validate_diagnose_request(request: DiagnoseRequest) -> None:
 
 
 def validate_atpg_request(request: AtpgRequest) -> None:
-    """Reject contract violations before any compute is queued."""
+    """Reject contract violations before any compute is queued.  The
+    flow knobs are range-checked where the server builds their
+    :class:`~repro.flow.pipeline.PipelineConfig`, also before queueing."""
     _check_request((request.circuit,), request.scale, request.timeout_ms)
-    if request.max_random_patterns < 0 or request.backtrack_limit < 0:
-        raise RequestValidationError(
-            "'max_random_patterns' and 'backtrack_limit' must be >= 0"
-        )
 
 
 def validate_sweep_request(request: SweepRequest) -> None:
@@ -233,5 +235,3 @@ def validate_sweep_request(request: SweepRequest) -> None:
         raise RequestValidationError("'tpgs' must be non-empty")
     for tpg in request.tpgs:
         _check_choice("tpgs", tpg, TPG_REGISTRY.names())
-    if any(length < 1 for length in request.evolution_lengths):
-        raise RequestValidationError("'evolution_lengths' must be >= 1")

@@ -43,13 +43,15 @@ import os
 import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 from typing import Any
 
+from repro.flow.pipeline import PipelineConfig
 from repro.flow.serialize import SchemaMismatchError, decode, encode, to_json
 from repro.flow.session import ArtifactCache, Session
+from repro.flow.sweep import grid_configs, sweep
 from repro.obs import Telemetry
 from repro.obs.export import PROMETHEUS_CONTENT_TYPE, render_prometheus
 from repro.serve.api import (
@@ -193,6 +195,9 @@ class ReproServer:
         )
         self._server: asyncio.AbstractServer | None = None
         self._conn_tasks: set[asyncio.Task] = set()
+        #: Writers of the connections waiting for their next request (no
+        #: request in flight): a drain closes these at once.
+        self._idle: set[asyncio.StreamWriter] = set()
         self._draining = False
         self._started_monotonic: float | None = None
         self.host = self.config.host
@@ -211,14 +216,20 @@ class ReproServer:
         self._started_monotonic = time.monotonic()
 
     async def shutdown(self) -> None:
-        """Graceful drain: stop accepting, finish every accepted
-        request, flush responses, then stop compute.  Loss-free by
-        construction — the batcher's close() processes its whole queue
-        before returning, and connection tasks are awaited so every
-        computed response reaches its socket."""
+        """Graceful drain: stop accepting, close idle keep-alive
+        connections, finish every accepted request, flush responses,
+        then stop compute.  Loss-free by construction — the batcher's
+        close() processes its whole queue before returning, and
+        connection tasks are awaited so every computed response reaches
+        its socket; a connection with a request in flight closes after
+        its response."""
         self._draining = True
         if self._server is not None:
             self._server.close()
+            for writer in list(self._idle):
+                # The peer reads EOF; our reader sees it too, so the
+                # connection task ends on its own, without a cancel.
+                writer.close()
             await self._server.wait_closed()
         await self.batcher.close()
         if self._conn_tasks:
@@ -245,19 +256,24 @@ class ReproServer:
         if task is not None:
             self._conn_tasks.add(task)
         try:
-            while True:
+            while not self._draining:
+                self._idle.add(writer)
                 try:
                     request = await read_request(reader)
                 except HttpError as exc:
+                    request = exc
+                finally:
+                    self._idle.discard(writer)
+                if isinstance(request, HttpError):
                     writer.write(
                         response_bytes(
-                            exc.status,
-                            self._error_body(exc.status, exc.message),
+                            request.status,
+                            self._error_body(request.status, request.message),
                             keep_alive=False,
                         )
                     )
                     await writer.drain()
-                    self._count_response(exc.status)
+                    self._count_response(request.status)
                     break
                 if request is None:
                     break
@@ -451,15 +467,31 @@ class ReproServer:
             "diagnose", group_key, item, request.timeout_ms
         )
 
+    # /atpg and /sweep build their flow configs here, on the event loop:
+    # a knob PipelineConfig rejects is a ValueError, which _route_inner
+    # answers with a 400 naming the field and its bound, and the
+    # compute thread receives configs that are already valid.
+
     async def _handle_atpg(self, payload: dict[str, Any]):
         request = decode(AtpgRequest, payload)
         validate_atpg_request(request)
-        return await self._submit_and_wait("atpg", object(), request, request.timeout_ms)
+        config = PipelineConfig(
+            seed=request.seed,
+            max_random_patterns=request.max_random_patterns,
+            backtrack_limit=request.backtrack_limit,
+        )
+        return await self._submit_and_wait(
+            "atpg", object(), (request, config), request.timeout_ms
+        )
 
     async def _handle_sweep(self, payload: dict[str, Any]):
         request = decode(SweepRequest, payload)
         validate_sweep_request(request)
-        return await self._submit_and_wait("sweep", object(), request, request.timeout_ms)
+        base_config = PipelineConfig(seed=request.seed)
+        grid_configs(base_config, request.evolution_lengths)  # checks every T
+        return await self._submit_and_wait(
+            "sweep", object(), (request, base_config), request.timeout_ms
+        )
 
     # -- pattern-set registry ----------------------------------------------
 
@@ -637,17 +669,13 @@ class ReproServer:
             for item in items
         ]
 
-    def _compute_atpg(self, items: list[AtpgRequest]) -> list[_Outcome]:
+    def _compute_atpg(
+        self, items: list[tuple[AtpgRequest, PipelineConfig]]
+    ) -> list[_Outcome]:
         outcomes = []
-        for request in items:
+        for request, config in items:
             with self.telemetry.tracer.span("serve.compute.atpg") as span:
                 session = self._session(request.circuit, request.scale)
-                config = replace(
-                    session.config,
-                    seed=request.seed,
-                    max_random_patterns=request.max_random_patterns,
-                    backtrack_limit=request.backtrack_limit,
-                )
                 result, source = session.atpg_info(config)
                 response = AtpgResponse(
                     result=encode(result),
@@ -657,12 +685,11 @@ class ReproServer:
             outcomes.append(_Outcome(body=encode(response)))
         return outcomes
 
-    def _compute_sweep(self, items: list[SweepRequest]) -> list[_Outcome]:
-        from repro.flow.pipeline import PipelineConfig
-        from repro.flow.sweep import sweep
-
+    def _compute_sweep(
+        self, items: list[tuple[SweepRequest, PipelineConfig]]
+    ) -> list[_Outcome]:
         outcomes = []
-        for request in items:
+        for request, base_config in items:
             with self.telemetry.tracer.span("serve.compute.sweep") as span:
                 sessions = {
                     name: self._session(name, request.scale)
@@ -671,7 +698,7 @@ class ReproServer:
                 grid = sweep(
                     list(request.circuits),
                     list(request.tpgs),
-                    base_config=PipelineConfig(seed=request.seed),
+                    base_config=base_config,
                     evolution_lengths=list(request.evolution_lengths),
                     scale=request.scale,
                     sessions=sessions,

@@ -105,12 +105,58 @@ class TestCli:
         for name in ("table1", "table2", "figure2"):
             assert name in text
 
+    @pytest.mark.parametrize(
+        ("argv", "expected"),
+        [
+            (
+                ["table1"],
+                {"circuits": None, "full": False, "scale": 0.25, "seed": 2001,
+                 "evolution_length": 32, "no_gatsby": False, "workers": None,
+                 "cache": None, "csv": False},
+            ),
+            (
+                ["table2"],
+                {"circuits": None, "full": False, "scale": 0.25, "seed": 2001,
+                 "evolution_length": 32, "workers": None, "cache": None,
+                 "csv": False},
+            ),
+            (
+                ["figure2"],
+                {"circuit": "s1238", "tpg": "adder", "scale": 0.25, "seed": 2001,
+                 "lengths": [2, 4, 8, 16, 32, 64, 128, 256], "cache": None},
+            ),
+        ],
+        ids=["table1", "table2", "figure2"],
+    )
+    def test_experiment_flags_and_defaults(self, argv, expected):
+        args = vars(build_parser().parse_args(argv))
+        for key in ("command", "func", "usage_error"):
+            args.pop(key)
+        assert args == expected
+
+    def test_experiment_help_lists_its_own_flags(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["table1", "-h"])
+        assert exit_info.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: repro table1")
+        for flag in ("--circuits", "--full", "--no-gatsby", "--evolution-length", "--csv"):
+            assert flag in out
+
+    def test_figure2_rejects_a_bad_length_as_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["figure2", "--circuit", "c17", "--lengths", "4", "0"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage: repro figure2" in err
+        assert "evolution_length must be >= 1, got 0" in err
+
     def test_parser_has_sweep_subcommand(self):
         assert "sweep" in build_parser().format_help()
 
     def test_experiment_delegation_forwards_flags(self, capsys):
-        """Flags after `table1`/... must reach the experiment's parser
-        (argparse REMAINDER stopped doing this on Python >= 3.11)."""
+        """`table1`/... are real subcommands: every flag after the name
+        reaches the experiment."""
         assert (
             main(
                 [

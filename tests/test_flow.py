@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.circuits import load_circuit
-from repro.flow import PipelineConfig, Session, explore_tradeoff
+from repro.flow import PipelineConfig, Session, sweep
 from repro.sim.fault import FaultSimulator
 from repro.tpg import make_tpg
 
@@ -133,40 +133,48 @@ class TestConfigValidation:
 
 
 class TestTradeoff:
+    """The Figure-2 trade-off: one circuit, one TPG, a sweep of T on a
+    session that shares an ATPG result already computed."""
+
+    LENGTHS = [2, 8, 32, 128]
+
     @pytest.fixture(scope="class")
     def points(self, small_circuit, pipeline_result):
-        return explore_tradeoff(
-            small_circuit,
-            "adder",
-            [2, 8, 32, 128],
-            atpg_result=pipeline_result.atpg,
+        session = Session(small_circuit, atpg_result=pipeline_result.atpg)
+        grid = sweep(
+            [small_circuit.name],
+            ["adder"],
+            evolution_lengths=self.LENGTHS,
+            sessions={small_circuit.name: session},
         )
+        return grid.outcomes
 
     def test_one_point_per_length(self, points):
-        assert [p.evolution_length for p in points] == [2, 8, 32, 128]
+        assert [p.config.evolution_length for p in points] == self.LENGTHS
 
     def test_triplets_non_increasing_in_length(self, points):
         """Figure 2's left-to-right shape."""
-        counts = [p.n_triplets for p in points]
+        counts = [p.result.n_triplets for p in points]
         assert all(a >= b for a, b in zip(counts, counts[1:]))
 
     def test_longer_evolutions_allow_fewer_triplets(self, points):
-        assert points[0].n_triplets > points[-1].n_triplets or (
-            points[0].n_triplets == points[-1].n_triplets == 1
+        first, last = points[0].result, points[-1].result
+        assert first.n_triplets > last.n_triplets or (
+            first.n_triplets == last.n_triplets == 1
         )
 
-    def test_as_tuple(self, points):
-        T, n, length = points[0].as_tuple()
-        assert (T, n, length) == (
-            points[0].evolution_length,
-            points[0].n_triplets,
-            points[0].test_length,
+    def test_cell_reports_the_point(self, points):
+        cell = points[0].cell()
+        assert (cell["evolution_length"], cell["n_triplets"], cell["test_length"]) == (
+            points[0].config.evolution_length,
+            points[0].result.n_triplets,
+            points[0].result.test_length,
         )
 
     def test_empty_sweep_rejected(self, small_circuit):
-        with pytest.raises(ValueError):
-            explore_tradeoff(small_circuit, "adder", [])
+        with pytest.raises(ValueError, match="evolution_lengths must be non-empty"):
+            sweep([small_circuit.name], ["adder"], evolution_lengths=[])
 
     def test_bad_length_rejected(self, small_circuit):
-        with pytest.raises(ValueError):
-            explore_tradeoff(small_circuit, "adder", [0])
+        with pytest.raises(ValueError, match="evolution_length must be >= 1"):
+            sweep([small_circuit.name], ["adder"], evolution_lengths=[0])

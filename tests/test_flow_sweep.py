@@ -17,7 +17,7 @@ TPGS = ["adder", "multiplier"]
 
 @pytest.fixture(scope="module")
 def cold_grid():
-    return sweep(CIRCUITS, TPGS, configs=[CONFIG])
+    return sweep(CIRCUITS, TPGS, base_config=CONFIG)
 
 
 class TestSweepGrid:
@@ -66,7 +66,7 @@ class TestSweepGrid:
 
         monkeypatch.setattr(sweep_mod, "ProcessPoolExecutor", no_pool)
         with pytest.raises(ValueError, match="workers must be >= 1"):
-            sweep(CIRCUITS, TPGS, configs=[CONFIG], workers=workers)
+            sweep(CIRCUITS, TPGS, base_config=CONFIG, workers=workers)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
@@ -81,12 +81,12 @@ class TestSweepCache:
         the warm sweep must serve every cell from the cache and never
         re-run (nor even re-load) ATPG, asserted via the hit counters."""
         cold_cache = ArtifactCache(tmp_path)
-        cold = sweep(CIRCUITS, TPGS, configs=[CONFIG], cache=cold_cache)
+        cold = sweep(CIRCUITS, TPGS, base_config=CONFIG, cache=cold_cache)
         assert cold.n_cached == 0
         assert cold_cache.misses_for("pipeline_result") == 4
 
         warm_cache = ArtifactCache(tmp_path)
-        warm = sweep(CIRCUITS, TPGS, configs=[CONFIG], cache=warm_cache)
+        warm = sweep(CIRCUITS, TPGS, base_config=CONFIG, cache=warm_cache)
         assert warm.n_cached == len(warm) == 4
         assert warm_cache.hits_for("pipeline_result") == 4
         assert warm_cache.misses_for("pipeline_result") == 0
@@ -101,20 +101,20 @@ class TestSweepCache:
 
     def test_partial_warm_cache(self, tmp_path):
         cache = ArtifactCache(tmp_path)
-        sweep(["c17"], ["adder"], configs=[CONFIG], cache=cache)
-        grid = sweep(CIRCUITS, TPGS, configs=[CONFIG], cache=ArtifactCache(tmp_path))
+        sweep(["c17"], ["adder"], base_config=CONFIG, cache=cache)
+        grid = sweep(CIRCUITS, TPGS, base_config=CONFIG, cache=ArtifactCache(tmp_path))
         assert grid.n_cached == 1
         assert grid.get("c17", "adder").from_cache
 
     def test_cache_accepts_plain_path(self, tmp_path):
-        sweep(["c17"], ["adder"], configs=[CONFIG], cache=tmp_path)
-        grid = sweep(["c17"], ["adder"], configs=[CONFIG], cache=str(tmp_path))
+        sweep(["c17"], ["adder"], base_config=CONFIG, cache=tmp_path)
+        grid = sweep(["c17"], ["adder"], base_config=CONFIG, cache=str(tmp_path))
         assert grid.n_cached == 1
 
 
 class TestSweepParallel:
     def test_process_pool_matches_serial(self, cold_grid):
-        grid = sweep(CIRCUITS, TPGS, configs=[CONFIG], workers=2)
+        grid = sweep(CIRCUITS, TPGS, base_config=CONFIG, workers=2)
         assert len(grid) == len(cold_grid)
         for parallel, serial in zip(grid, cold_grid):
             assert parallel.circuit == serial.circuit
@@ -127,49 +127,47 @@ class TestSweepParallel:
             )
 
     def test_process_pool_uses_cache_dir(self, tmp_path):
-        sweep(CIRCUITS, TPGS, configs=[CONFIG], cache=tmp_path, workers=2)
-        warm = sweep(CIRCUITS, TPGS, configs=[CONFIG], cache=tmp_path, workers=2)
+        sweep(CIRCUITS, TPGS, base_config=CONFIG, cache=tmp_path, workers=2)
+        warm = sweep(CIRCUITS, TPGS, base_config=CONFIG, cache=tmp_path, workers=2)
         assert warm.n_cached == 4
 
     def test_pool_workers_write_the_sharded_layout(self, tmp_path):
         """Pool workers open their own cache on the directory: every
         entry lands under ``objects/``, where a serial re-sweep through
         an :class:`ArtifactCache` object finds all of them."""
-        sweep(CIRCUITS, TPGS, configs=[CONFIG], cache=ArtifactCache(tmp_path), workers=2)
+        sweep(CIRCUITS, TPGS, base_config=CONFIG, cache=ArtifactCache(tmp_path), workers=2)
         entries = list(tmp_path.rglob("*.json"))
         assert entries
         assert all(path.parent.parent == tmp_path / "objects" for path in entries)
-        warm = sweep(CIRCUITS, TPGS, configs=[CONFIG], cache=ArtifactCache(tmp_path))
+        warm = sweep(CIRCUITS, TPGS, base_config=CONFIG, cache=ArtifactCache(tmp_path))
         assert warm.n_cached == 4
 
 
 class TestTradeoffClient:
-    def test_tradeoff_unchanged_by_redesign(self):
-        """explore_tradeoff, now a sweep client, keeps its contract."""
-        from repro.circuits import load_circuit
-        from repro.flow.tradeoff import explore_tradeoff
+    """The Figure-2 pattern: one circuit, one TPG, a sweep of T."""
 
-        circuit = load_circuit("c17")
-        points = explore_tradeoff(circuit, "adder", [1, 4, 16], config=CONFIG)
-        assert [p.evolution_length for p in points] == [1, 4, 16]
-        counts = [p.n_triplets for p in points]
+    def test_tradeoff_unchanged_by_redesign(self):
+        points = sweep(["c17"], ["adder"], base_config=CONFIG, evolution_lengths=[1, 4, 16])
+        assert [p.config.evolution_length for p in points] == [1, 4, 16]
+        counts = [p.result.n_triplets for p in points]
         assert all(a >= b for a, b in zip(counts, counts[1:]))
 
     def test_tradeoff_with_cache(self, tmp_path):
-        from repro.circuits import load_circuit
-        from repro.flow.tradeoff import explore_tradeoff
+        def points(cache):
+            grid = sweep(
+                ["c17"], ["adder"], base_config=CONFIG, evolution_lengths=[2, 8],
+                cache=cache,
+            )
+            return [
+                (o.config.evolution_length, o.result.n_triplets, o.result.test_length)
+                for o in grid
+            ]
 
-        circuit = load_circuit("c17")
-        cache = ArtifactCache(tmp_path)
-        first = explore_tradeoff(
-            circuit, "adder", [2, 8], config=CONFIG, cache=cache
-        )
+        first = points(ArtifactCache(tmp_path))
         warm_cache = ArtifactCache(tmp_path)
-        second = explore_tradeoff(
-            circuit, "adder", [2, 8], config=CONFIG, cache=warm_cache
-        )
+        second = points(warm_cache)
         assert warm_cache.hits_for("pipeline_result") == 2
-        assert [p.as_tuple() for p in first] == [p.as_tuple() for p in second]
+        assert first == second
 
 
 class TestPrefixReuse:

@@ -83,9 +83,14 @@ class TestOneFaultSimulator:
 
 
 #: Names that left the product: the test oracles (now in
-#: ``tests/oracles/``) and helpers nothing in ``src/`` called.
+#: ``tests/oracles/``), helpers nothing in ``src/`` called, and the
+#: Figure-2 wrappers over ``sweep`` (the ``figure2`` command calls it).
 REMOVED_NAMES = frozenset(
     {
+        "TradeoffPoint",
+        "explore_tradeoff",
+        "compute_figure2",
+        "make_arg_parser",
         "Podem",
         "SerialFaultSimulator",
         "ReferenceSimulator",
@@ -102,8 +107,13 @@ REMOVED_NAMES = frozenset(
     }
 )
 
-#: The modules that held only oracles.
-REMOVED_MODULES = ("repro.atpg.podem", "repro.sim.event", "repro.sim.sequential")
+#: The modules that held only oracles, and the Figure-2 wrapper module.
+REMOVED_MODULES = (
+    "repro.atpg.podem",
+    "repro.sim.event",
+    "repro.sim.sequential",
+    "repro.flow.tradeoff",
+)
 
 SRC = Path(repro.__file__).resolve().parent
 
@@ -145,6 +155,21 @@ class TestOraclesStayOutOfTheProduct:
         assert out.strip() == "[]"
         for name in REMOVED_MODULES:
             assert not (SRC.parent / (name.replace(".", "/") + ".py")).exists(), name
+
+
+class TestOneCommandLine:
+    """The paper's experiments run as ``repro`` subcommands and every
+    grid runs through ``sweep``: the drivers keep their ``compute_*`` /
+    ``render_*`` functions, not a second command line."""
+
+    @pytest.mark.parametrize("module_name", ["common", "table1", "table2", "figure2"])
+    def test_drivers_have_no_entry_point(self, module_name):
+        module = importlib.import_module(f"repro.experiments.{module_name}")
+        assert not hasattr(module, "main")
+        assert not REMOVED_NAMES & set(vars(module)), module_name
+
+    def test_sweep_takes_one_grid_spec(self):
+        assert "configs" not in inspect.signature(repro.sweep).parameters
 
 
 @pytest.mark.parametrize("module_name", SUBPACKAGES)

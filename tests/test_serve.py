@@ -708,6 +708,42 @@ class TestTypedRequests:
         assert body["result"] == plain["result"]
 
 
+class TestFlowKnobValidation:
+    """``/atpg`` and ``/sweep`` check their flow knobs in one place: the
+    :class:`PipelineConfig` built on the event loop before queueing.  A
+    value it rejects is a 400 carrying its message (field and bound)."""
+
+    @pytest.mark.parametrize(
+        ("path", "name", "value", "message"),
+        [
+            ("/atpg", "backtrack_limit", -1, "backtrack_limit must be >= 0, got -1"),
+            ("/atpg", "max_random_patterns", -1, "max_random_patterns must be >= 0, got -1"),
+            ("/sweep", "evolution_lengths", [0], "evolution_length must be >= 1, got 0"),
+            ("/sweep", "evolution_lengths", [], "evolution_lengths must be non-empty"),
+        ],
+    )
+    def test_rejected_knob_is_400_with_the_config_message(
+        self, server, scenario, path, name, value, message
+    ):
+        good = _good_bodies(scenario)[path]
+        status, body = _post(server.host, server.port, path, {**good, name: value})
+        assert status == 400, body
+        assert body["kind"] == "serve_error"
+        assert message in body["error"]
+
+    def test_empty_evolution_lengths_runs_nothing(self, server, scenario):
+        """An empty grid is a 400 naming ``evolution_lengths`` that
+        queues no compute, not one cell at PipelineConfig's default T."""
+        good = _good_bodies(scenario)["/sweep"]
+        submitted = server.server.batcher.stats()["submitted"]
+        status, body = _post(
+            server.host, server.port, "/sweep", {**good, "evolution_lengths": []}
+        )
+        assert status == 400, body
+        assert "evolution_lengths" in body["error"]
+        assert server.server.batcher.stats()["submitted"] == submitted
+
+
 _MISSING = object()
 
 #: Anything a JSON body can hold where a field's value should be.
@@ -1165,6 +1201,33 @@ class TestGracefulShutdown:
             thread.join(timeout=30)
         assert len(results) == 3
         assert all(r.result["kind"] == "diagnosis_result" for r in results)
+
+
+    def test_idle_keep_alive_connection_closes_at_drain(self, caplog):
+        """A keep-alive client that sent nothing more does not hold the
+        drain: its connection is closed at once (the client reads EOF),
+        no connection task is cancelled, and asyncio logs no error."""
+        import http.client
+        import logging
+
+        caplog.set_level(logging.ERROR, logger="asyncio")
+        background = BackgroundServer(ServeConfig(port=0))
+        with background:
+            conn = http.client.HTTPConnection(
+                background.host, background.port, timeout=30
+            )
+            conn.request("GET", "/healthz")
+            response = conn.getresponse()
+            assert response.status == 200
+            response.read()  # the connection stays open, idle
+            tasks = list(background.server._conn_tasks)
+            assert len(tasks) == 1
+        # __exit__ drained the server; the idle peer sees the close.
+        assert conn.sock.recv(1) == b""
+        conn.close()
+        assert all(task.done() for task in tasks)
+        assert [task.cancelling() for task in tasks] == [0]
+        assert not [r for r in caplog.records if r.name == "asyncio"]
 
 
 # ----------------------------------------------------------------------
